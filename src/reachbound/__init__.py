@@ -13,9 +13,6 @@ from .intervals import (
     IntervalMatrix,
     act_deriv_range,
     act_range,
-    interval_combine,
-    interval_det,
-    interval_matmul,
 )
 from .network import (
     Layer,
@@ -31,10 +28,8 @@ from .network import (
     write_model,
 )
 from .domains import (
-    ReachSet,
     Zonotope,
     box_propagate,
-    propagate,
     zono_activation,
     zono_affine,
     zono_from_box,
@@ -57,13 +52,8 @@ from .verifier import (
     MonteCarloResult,
     Verdict,
     VerificationProblem,
-    check_inclusion,
     monte_carlo,
     verify,
-    verify_auto,
-    verify_boundary,
-    verify_full,
-    verify_subset,
 )
 
 __version__ = "0.1.0"

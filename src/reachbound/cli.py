@@ -11,9 +11,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
-from typing import Optional
 
 from .intervals import Box
 from .network import read_model
@@ -79,83 +78,39 @@ def parse_grid(text: str) -> tuple[int, ...]:
     return counts
 
 
-@dataclass
-class ProblemSpec:
-    """Everything a verification run needs, as given on the command line."""
-
-    model_path: str
-    input_box: Box
-    safe_box: Optional[Box]
-    domain: str = "box"
-    mode: str = "auto"
-    grid: Optional[tuple[int, ...]] = None
-    max_refinements: int = 0
-    seed: int = 0
-    falsify_samples: int = 0
-    out: Optional[str] = None
-    cells_out: Optional[str] = None
-
-    def problem(self) -> VerificationProblem:
-        if self.safe_box is None:
-            raise ValueError("a safe box is required")
-        return VerificationProblem(
-            net=read_model(self.model_path),
-            input_box=self.input_box,
-            safe_box=self.safe_box,
-            domain=self.domain,
-            mode=self.mode,
-            grid=self.grid,
-            max_refinements=self.max_refinements,
-            seed=self.seed,
-            falsify_samples=self.falsify_samples,
-        )
-
-
-def _spec_from_args(args) -> ProblemSpec:
-    return ProblemSpec(
-        model_path=args.model,
-        input_box=parse_box(args.input),
-        safe_box=parse_box(args.safe) if getattr(args, "safe", None) else None,
-        domain=getattr(args, "domain", "box"),
+def _problem_from_args(args) -> VerificationProblem:
+    """The verification problem a ``verify`` or ``compare`` command line describes."""
+    input_box, safe_box = parse_box(args.input), parse_box(args.safe)
+    grid = parse_grid(args.grid) if args.grid else None
+    return VerificationProblem(
+        net=read_model(args.model),
+        input_box=input_box,
+        safe_box=safe_box,
+        domain=args.domain,
         mode=getattr(args, "mode", "auto"),
-        grid=parse_grid(args.grid) if getattr(args, "grid", None) else None,
+        grid=grid,
         max_refinements=getattr(args, "max_refine", 0),
-        seed=getattr(args, "seed", 0),
+        seed=args.seed,
         falsify_samples=getattr(args, "falsify_samples", 0),
-        out=getattr(args, "out", None),
-        cells_out=getattr(args, "cells_out", None),
     )
 
 
 def cmd_verify(args) -> int:
-    spec = _spec_from_args(args)
-    verdict = verify(spec.problem())
-    doc = verdict_document(verdict)
-    print(json.dumps(doc, indent=1))
-    if spec.out:
-        write_verdict(verdict, spec.out)
-    if spec.cells_out and verdict.cell_batch is not None:
-        write_reach_cells(verdict.cell_batch, spec.cells_out)
+    verdict = verify(_problem_from_args(args))
+    print(json.dumps(verdict_document(verdict), indent=1))
+    if args.out:
+        write_verdict(verdict, args.out)
+    if args.cells_out and verdict.cell_batch is not None:
+        write_reach_cells(verdict.cell_batch, args.cells_out)
     return _EXIT[verdict.status]
 
 
 def cmd_compare(args) -> int:
     """Run boundary, subset and full modes at the same per-cell width."""
-    spec = _spec_from_args(args)
+    base = _problem_from_args(args)
     rows = []
     for mode in ("boundary", "subset", "full"):
-        problem = spec.problem()
-        verdict = verify(
-            VerificationProblem(
-                net=problem.net,
-                input_box=problem.input_box,
-                safe_box=problem.safe_box,
-                domain=problem.domain,
-                mode=mode,
-                grid=problem.grid,
-                seed=problem.seed,
-            )
-        )
+        verdict = verify(replace(base, mode=mode))
         row = {
             "mode": mode,
             "cells": verdict.stats.get("cells_propagated"),
@@ -176,8 +131,8 @@ def cmd_compare(args) -> int:
             f"{row['mode']:<{width}}  {row['cells']:>8}  {row['verdict']:>9}  "
             f"{row['time_ms']:>10.2f}"
         )
-    if spec.out:
-        Path(spec.out).write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

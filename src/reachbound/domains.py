@@ -9,8 +9,6 @@ of a contained point) stays inside the reported set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
-
 import numpy as np
 
 from .intervals import (
@@ -28,7 +26,6 @@ from .network import Network
 
 __all__ = [
     "Zonotope",
-    "ReachSet",
     "normalize_domain",
     "box_propagate",
     "box_propagate_arrays",
@@ -36,7 +33,6 @@ __all__ = [
     "zono_affine",
     "zono_activation",
     "zono_propagate",
-    "propagate",
 ]
 
 _DOMAIN_ALIASES = {"box": "box", "zono": "zonotope", "zonotope": "zonotope"}
@@ -190,28 +186,3 @@ def zono_propagate(net: Network, cell: Box) -> Zonotope:
         z = zono_affine(z, layer.weights, layer.bias)
         z = zono_activation(z, layer.activation)
     return z
-
-
-# ---------------------------------------------------------------------------
-# unified entry point
-
-
-@dataclass(frozen=True)
-class ReachSet:
-    """Over-approximate image of one input cell."""
-
-    domain: str
-    payload: Union[Box, Zonotope]
-    source_cell: Box
-
-    def hull(self) -> Box:
-        if isinstance(self.payload, Zonotope):
-            return self.payload.interval_hull()
-        return self.payload
-
-
-def propagate(net: Network, cell: Box, domain: str = "box") -> ReachSet:
-    domain = normalize_domain(domain)
-    if domain == "box":
-        return ReachSet("box", box_propagate(net, cell), cell)
-    return ReachSet("zonotope", zono_propagate(net, cell), cell)

@@ -20,9 +20,6 @@ __all__ = [
     "Interval",
     "Box",
     "IntervalMatrix",
-    "interval_combine",
-    "interval_matmul",
-    "interval_det",
     "act_range",
     "act_deriv_range",
     "activation_names",
@@ -126,21 +123,6 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
-
-
-def interval_combine(op: str, a: Interval, b=None) -> Interval:
-    """Dispatch a binary/unary interval operation by name."""
-    if op == "add":
-        return a.add(b)
-    if op == "sub":
-        return a.sub(b)
-    if op == "mul":
-        return a.mul(b)
-    if op == "neg":
-        return a.neg()
-    if op == "scale":
-        return a.scale(b)
-    raise ValueError(f"unknown interval operation {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +370,6 @@ class IntervalMatrix:
 
     def __matmul__(self, other: "IntervalMatrix") -> "IntervalMatrix":
         return self.matmul(other)
-
-
-def interval_matmul(a: IntervalMatrix, b: IntervalMatrix) -> IntervalMatrix:
-    return a.matmul(b)
-
-
-def interval_det(m: IntervalMatrix) -> Interval:
-    return m.det()
 
 
 # ---------------------------------------------------------------------------

@@ -221,14 +221,6 @@ class SubsetExtraction:
         removed = int(self.certified_interior_mask.sum())
         return {"total": total, "certified_interior": removed, "kept": total - removed}
 
-    def certified_cells(self) -> Iterator[Box]:
-        for i in np.flatnonzero(self.certified_interior_mask):
-            yield self.grid.cell(self.index[i])
-
-    def kept_cells(self) -> Iterator[Box]:
-        for i in np.flatnonzero(self.kept_mask):
-            yield self.grid.cell(self.index[i])
-
 
 def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     """Classify grid cells; the kept cells cover the closure of the rest."""

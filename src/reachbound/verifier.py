@@ -1,24 +1,27 @@
-"""Verification drivers: boundary-only, certified-subset, full-set, auto.
+"""One verification driver over the cells that can hold an output extremum.
+
+The four modes differ only in which cells they propagate: the input faces
+(``boundary``), the grid minus its certified interior subset (``subset``),
+every grid cell (``full``), or, after certifying the whole input box, the
+faces or the subset (``auto``).
 
 Soundness contract: a `safe` verdict means the computed over-approximation of
-the required input region lies inside the safe box.  For the boundary driver
-that conclusion is only valid when the network is a homeomorphism on the input
-box; invoked directly it records ``assumes_invertible`` in its stats and
-leaves that obligation to the caller, while the auto driver discharges it by
-certifying the whole input box first.
+the required cells' images lies inside the safe box.  The faces suffice only
+when the network is a homeomorphism on the input box: ``boundary`` mode
+records ``assumes_invertible`` in its stats and leaves that obligation to the
+caller, while ``auto`` mode discharges it by certifying the whole input box.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .domains import (
     Box,
-    ReachSet,
     box_propagate_arrays,
     normalize_domain,
     zono_propagate,
@@ -41,14 +44,9 @@ __all__ = [
     "VerificationProblem",
     "Verdict",
     "CellBatch",
-    "check_inclusion",
     "propagate_cells",
     "boundary_cell_batch",
     "grid_cell_batch",
-    "verify_boundary",
-    "verify_subset",
-    "verify_full",
-    "verify_auto",
     "verify",
     "MonteCarloResult",
     "monte_carlo",
@@ -74,6 +72,8 @@ class VerificationProblem:
     falsify_samples: int = 0  # 0 disables counterexample search
 
     def __post_init__(self):
+        if self.max_refinements < 0 or self.falsify_samples < 0:
+            raise ValueError("max_refinements and falsify_samples must be nonnegative")
         if self.input_box.dim != self.net.input_dim:
             raise ValueError("input box dimension does not match the network")
         if self.safe_box.dim != self.net.output_dim:
@@ -99,22 +99,10 @@ class CellBatch:
     hi: np.ndarray  # (N, n)
     out_lo: Optional[np.ndarray] = None  # filled by propagate_cells
     out_hi: Optional[np.ndarray] = None
-    domain: str = "box"
-    payloads: Optional[list] = None  # zonotopes, in row order
 
     @property
     def count(self) -> int:
         return int(self.lo.shape[0])
-
-    def reach_sets(self) -> list[ReachSet]:
-        sets = []
-        for i in range(self.count):
-            cell = Box.from_arrays(self.lo[i], self.hi[i])
-            if self.payloads is not None:
-                sets.append(ReachSet(self.domain, self.payloads[i], cell))
-            else:
-                sets.append(ReachSet("box", Box.from_arrays(self.out_lo[i], self.out_hi[i]), cell))
-        return sets
 
     def hull(self) -> Box:
         return Box.from_arrays(self.out_lo.min(axis=0), self.out_hi.max(axis=0))
@@ -159,38 +147,16 @@ def boundary_cell_batch(input_box: Box, counts: Sequence[int]) -> CellBatch:
 
 
 def propagate_cells(net: Network, batch: CellBatch, domain: str) -> CellBatch:
-    domain = normalize_domain(domain)
-    batch.domain = domain
-    if domain == "box":
+    """Fill the batch's output hulls under the box or zonotope domain."""
+    if normalize_domain(domain) == "box":
         batch.out_lo, batch.out_hi = box_propagate_arrays(net, batch.lo, batch.hi)
         return batch
-    payloads = []
-    out_lo = np.empty((batch.count, net.output_dim))
-    out_hi = np.empty_like(out_lo)
+    batch.out_lo = np.empty((batch.count, net.output_dim))
+    batch.out_hi = np.empty_like(batch.out_lo)
     for i in range(batch.count):
         z = zono_propagate(net, Box.from_arrays(batch.lo[i], batch.hi[i]))
-        payloads.append(z)
-        out_lo[i], out_hi[i] = z.hull_arrays()
-    batch.payloads = payloads
-    batch.out_lo, batch.out_hi = out_lo, out_hi
+        batch.out_lo[i], batch.out_hi[i] = z.hull_arrays()
     return batch
-
-
-def check_inclusion(sets: Sequence[ReachSet], safe: Box) -> bool:
-    """True iff every reach set's interval hull lies inside the safe box."""
-    for rs in sets:
-        hull = rs.hull()
-        if hull.dim != safe.dim:
-            raise ValueError("reach set and safe box dimensions differ")
-        if not safe.contains_box(hull):
-            return False
-    return True
-
-
-def _inclusion_arrays(out_lo, out_hi, safe: Box) -> bool:
-    if out_lo.shape[1] != safe.dim:
-        raise ValueError("reach set and safe box dimensions differ")
-    return bool(np.all(out_lo >= safe.lo) and np.all(out_hi <= safe.hi))
 
 
 # ---------------------------------------------------------------------------
@@ -228,107 +194,86 @@ def monte_carlo(
     return MonteCarloResult(points, images, hull, violations)
 
 
-def _finalize(problem: VerificationProblem, verdict: Verdict, started: float) -> Verdict:
-    if verdict.status == UNKNOWN and problem.falsify_samples > 0:
-        mc = monte_carlo(
-            problem.net,
-            problem.input_box,
-            problem.falsify_samples,
-            problem.seed,
-            safe=problem.safe_box,
-        )
-        for x in mc.violations:
-            # promote only on an exact point re-check
-            if not problem.safe_box.contains_point(forward_point(problem.net, x)):
-                verdict.status = FALSIFIED
-                verdict.counterexample = x
-                break
-    verdict.stats["wall_ms"] = (time.perf_counter() - started) * 1e3
-    return verdict
-
-
-def _run_batch(problem: VerificationProblem, batch: CellBatch, stats: dict) -> Verdict:
-    batch = propagate_cells(problem.net, batch, problem.domain)
-    ok = _inclusion_arrays(batch.out_lo, batch.out_hi, problem.safe_box)
-    stats.setdefault("cells_propagated", batch.count)
-    stats.setdefault("refinement_level", 0)
-    return Verdict(SAFE if ok else UNKNOWN, stats, batch.hull(), cell_batch=batch)
-
-
 # ---------------------------------------------------------------------------
-# drivers
+# the driver
 
 
-def verify_boundary(problem: VerificationProblem, _certified: bool = False) -> Verdict:
-    """Propagate only the input boundary; valid when the map is invertible."""
-    started = time.perf_counter()
-    batch = boundary_cell_batch(problem.input_box, problem.grid)
-    stats = {"mode": "boundary", "assumes_invertible": not _certified}
-    return _finalize(problem, _run_batch(problem, batch, stats), started)
+def _required_cells(problem: VerificationProblem, path: str, counts):
+    """The cells that can hold an output extremum, on a grid of ``counts``.
 
+    Where the network is a local homeomorphism it is an open map, so an
+    interior point of such a region maps into the interior of the image and
+    is never an extremum of an output coordinate.  Hence:
 
-def verify_full(problem: VerificationProblem) -> Verdict:
-    started = time.perf_counter()
-    batch = grid_cell_batch(partition(problem.input_box, problem.grid))
-    stats = {"mode": "full"}
-    return _finalize(problem, _run_batch(problem, batch, stats), started)
+    - ``boundary``: the input faces suffice when the whole box is certified;
+    - ``subset``: certified cells that touch no face of the box are dropped,
+      since every boundary point of their union lies in a kept cell;
+    - ``full``: every cell.
 
-
-def verify_subset(problem: VerificationProblem) -> Verdict:
-    """Propagate only the cells kept after removing a certified interior subset."""
-    started = time.perf_counter()
-    net = problem.net
-    if not net.is_square or net.input_dim > _DET_MAX_DIM:
-        fallback = verify_full(replace(problem, mode="full"))
-        fallback.stats["mode"] = "subset"
-        fallback.stats["fallback_full"] = True
-        return fallback
-    extraction = extract_subset(net, problem.input_box, problem.grid)
+    Returns the cells and the subset extraction, if one was made.
+    """
+    if path == "boundary":
+        return boundary_cell_batch(problem.input_box, counts), None
+    if path == "full":
+        return grid_cell_batch(partition(problem.input_box, counts)), None
+    extraction = extract_subset(problem.net, problem.input_box, counts)
     kept = extraction.kept_mask
     _, lo, hi = extraction.grid.bounds_arrays()
-    batch = CellBatch(extraction.index[kept], lo[kept], hi[kept])
-    stats = {
-        "mode": "subset",
-        "cells_total": extraction.counts["total"],
-        "cells_certified": extraction.counts["certified_interior"],
-        "cells_kept": extraction.counts["kept"],
-    }
-    verdict = _run_batch(problem, batch, stats)
-    verdict.extraction = extraction
-    return _finalize(problem, verdict, started)
-
-
-def verify_auto(problem: VerificationProblem) -> Verdict:
-    """Certify the whole input box, pick boundary or subset, refine on Unknown."""
-    started = time.perf_counter()
-    net = problem.net
-    certified = False
-    if net.is_square and net.input_dim <= _DET_MAX_DIM:
-        certified = certify_homeomorphism(net, problem.input_box).certified
-    verdict = None
-    for level in range(problem.max_refinements + 1):
-        counts = tuple(c * 2**level for c in problem.grid)
-        sub = replace(problem, grid=counts, falsify_samples=0)
-        if certified:
-            verdict = verify_boundary(sub, _certified=True)
-        else:
-            verdict = verify_subset(sub)
-        verdict.stats["refinement_level"] = level
-        verdict.stats["mode"] = "auto"
-        verdict.stats["path"] = "boundary" if certified else "subset"
-        verdict.stats["input_certified"] = certified
-        if verdict.status == SAFE:
-            break
-    return _finalize(problem, verdict, started)
-
-
-_DRIVERS = {
-    "boundary": verify_boundary,
-    "subset": verify_subset,
-    "full": verify_full,
-    "auto": verify_auto,
-}
+    return CellBatch(extraction.index[kept], lo[kept], hi[kept]), extraction
 
 
 def verify(problem: VerificationProblem) -> Verdict:
-    return _DRIVERS[problem.mode](problem)
+    """Propagate the required cells and check that their images lie in the safe box.
+
+    Mode ``auto`` certifies the whole input box first: if it certifies, the
+    boundary suffices, otherwise the certified interior subset is removed, and
+    the grid doubles on Unknown up to ``max_refinements`` times.  Subset mode
+    on a network it cannot certify (non-square, or above the determinant
+    dimension limit) propagates the full grid.  An Unknown verdict becomes
+    Falsified when Monte-Carlo sampling finds an input whose exact image
+    leaves the safe box.
+    """
+    started = time.perf_counter()
+    net = problem.net
+    certifiable = net.is_square and net.input_dim <= _DET_MAX_DIM
+    stats = {"mode": problem.mode}
+    path = problem.mode
+    levels = 0
+    if path == "auto":
+        certified = certifiable and certify_homeomorphism(net, problem.input_box).certified
+        path = "boundary" if certified else "subset"
+        levels = problem.max_refinements
+        stats.update(path=path, input_certified=certified)
+    if path == "boundary":
+        stats["assumes_invertible"] = problem.mode == "boundary"
+    if path == "subset" and not certifiable:
+        path = "full"
+        stats["fallback_full"] = True
+
+    safe = problem.safe_box
+    safe_lo, safe_hi = safe.lo, safe.hi
+    for level in range(levels + 1):
+        counts = tuple(c * 2**level for c in problem.grid)
+        batch, extraction = _required_cells(problem, path, counts)
+        propagate_cells(net, batch, problem.domain)
+        ok = bool(np.all(batch.out_lo >= safe_lo) and np.all(batch.out_hi <= safe_hi))
+        if ok:
+            break
+    if extraction is not None:
+        c = extraction.counts
+        stats.update(cells_total=c["total"], cells_certified=c["certified_interior"],
+                     cells_kept=c["kept"])
+    stats.update(cells_propagated=batch.count, refinement_level=level)
+    verdict = Verdict(SAFE if ok else UNKNOWN, stats, batch.hull(), cell_batch=batch,
+                      extraction=extraction)
+
+    if not ok and problem.falsify_samples > 0:
+        mc = monte_carlo(net, problem.input_box, problem.falsify_samples, problem.seed, safe=safe)
+        for x in mc.violations:
+            # promote only on an exact point re-check
+            if not safe.contains_point(forward_point(net, x)):
+                verdict.status = FALSIFIED
+                verdict.counterexample = x
+                break
+    stats["wall_ms"] = (time.perf_counter() - started) * 1e3
+    return verdict

@@ -175,10 +175,10 @@ def test_c5_conservativeness_and_refinement():
         safe = rb.Box.from_arrays(box.lo * 0 - 1e9, box.hi * 0 + 1e9)
         hulls = {}
         for counts in (grid, tuple(2 * c for c in grid)):
-            full = rb.verify_full(
+            full = rb.verify(
                 rb.VerificationProblem(net, box, safe, domain=dom, mode="full", grid=counts)
             )
-            bound = rb.verify_boundary(
+            bound = rb.verify(
                 rb.VerificationProblem(net, box, safe, domain=dom, mode="boundary", grid=counts)
             )
             assert np.all(bound.output_hull.lo >= full.output_hull.lo - 1e-9)
@@ -209,18 +209,18 @@ def test_c7_efficiency_trend():
     assert rb.certify_homeomorphism(net, box).certified
 
     # warm up the numeric stack before timing
-    rb.verify_full(rb.VerificationProblem(net, box, mc_safe(net, box, 2.0),
-                                          mode="full", grid=(10, 10)))
-    full_hull = rb.verify_full(
+    rb.verify(rb.VerificationProblem(net, box, mc_safe(net, box, 2.0),
+                                     mode="full", grid=(10, 10)))
+    full_hull = rb.verify(
         rb.VerificationProblem(net, box, mc_safe(net, box, 2.0), mode="full", grid=(100, 100))
     ).output_hull
     safe = rb.Box.from_arrays(full_hull.lo - 0.05, full_hull.hi + 0.05)
 
     t0 = time.perf_counter()
-    full = rb.verify_full(rb.VerificationProblem(net, box, safe, mode="full", grid=(100, 100)))
+    full = rb.verify(rb.VerificationProblem(net, box, safe, mode="full", grid=(100, 100)))
     t_full = time.perf_counter() - t0
     t0 = time.perf_counter()
-    bound = rb.verify_boundary(
+    bound = rb.verify(
         rb.VerificationProblem(net, box, safe, mode="boundary", grid=(100, 100))
     )
     t_bound = time.perf_counter() - t0

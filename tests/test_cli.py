@@ -90,6 +90,16 @@ def test_verify_missing_model_file_exit_three(capsys):
     assert code == 3 and err.strip()
 
 
+@pytest.mark.parametrize("option, value", [("--max-refine", "-1"), ("--falsify-samples", "-5")])
+def test_verify_negative_count_exit_three(identity_model, capsys, option, value):
+    code, out, err = run(
+        capsys, "verify", "--model", identity_model, "--input", "0,1;0,1",
+        "--safe", "-1,2;-1,2", option, value,
+    )
+    assert code == 3 and out == ""
+    assert "nonnegative" in err and "Traceback" not in err
+
+
 def test_usage_error_exit_four(capsys):
     code, _, err = run(capsys, "verify", "--input", "0,1;0,1", "--safe", "0,1;0,1")
     assert code == 4 and "usage" in err.lower()
@@ -136,6 +146,22 @@ def test_compare_small_grid_counts(seeded_model, capsys):
     lines = [l for l in out.splitlines() if l and not l.startswith("mode")]
     cells = {l.split()[0]: int(l.split()[1]) for l in lines}
     assert cells["full"] == 400 and cells["boundary"] == 80
+
+
+def test_compare_reads_model_once(seeded_model, capsys, monkeypatch):
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return rb.read_model(path)
+
+    monkeypatch.setattr("reachbound.cli.read_model", counting_read)
+    code, out, _ = run(
+        capsys, "compare", "--model", seeded_model, "--input", "0,1;0,1",
+        "--safe", "-9,9;-9,9", "--grid", "4",
+    )
+    assert code == 0 and len(out.splitlines()) == 4
+    assert reads == [seeded_model]
 
 
 def test_certify_csv_and_summary(tmp_path, capsys):
@@ -273,7 +299,7 @@ def test_plot_high_dim_needs_projection(tmp_path, capsys):
     assert code == 0
 
 
-def test_verify_auto_zono_with_refinement(seeded_model, capsys):
+def test_cli_auto_zono_with_refinement(seeded_model, capsys):
     code, out, _ = run(
         capsys, "verify", "--model", seeded_model, "--input", "0,1;0,1",
         "--safe", "-2,2;-2,2", "--domain", "zono", "--mode", "auto",

@@ -160,26 +160,24 @@ def test_zono_activation_unknown():
 
 
 # ---------------------------------------------------------------------------
-# unified propagate
+# single-cell entry points
 
 
 def test_propagate_box_matches_box_propagate(unit_square, invertible_net):
-    rs = rb.propagate(invertible_net, unit_square, "box")
-    direct = rb.box_propagate(invertible_net, unit_square)
-    assert rs.domain == "box" and rs.source_cell == unit_square
-    assert rs.hull() == direct
+    lo, hi = box_propagate_arrays(invertible_net, unit_square.lo, unit_square.hi)
+    assert rb.box_propagate(invertible_net, unit_square) == rb.Box.from_arrays(lo, hi)
 
 
 def test_propagate_zono_identity_hull(unit_square):
-    rs = rb.propagate(identity_net(), unit_square, "zonotope")
-    hull = rs.hull()
+    hull = zono_propagate(identity_net(), unit_square).interval_hull()
     assert np.all(np.abs(hull.lo - unit_square.lo) < 1e-12)
     assert np.all(np.abs(hull.hi - unit_square.hi) < 1e-12)
     assert hull.contains_box(unit_square)
 
 
-def test_propagate_accepts_zono_alias(unit_square, invertible_net):
-    assert rb.propagate(invertible_net, unit_square, "zono").domain == "zonotope"
+def test_propagate_accepts_zono_alias():
+    assert normalize_domain("zono") == normalize_domain("zonotope") == "zonotope"
+    assert normalize_domain("box") == "box"
     with pytest.raises(ValueError):
         normalize_domain("polytope")
 
@@ -204,7 +202,10 @@ def test_propagation_soundness_by_sampling(domain, seed):
         rb.Box.from_bounds([(0, 1), (0, 1)]),
         rb.Box.from_bounds([(-1, -0.5), (0.5, 1.5)]),
     ):
-        hull = rb.propagate(net, cell, domain).hull()
+        if domain == "box":
+            hull = rb.box_propagate(net, cell)
+        else:
+            hull = zono_propagate(net, cell).interval_hull()
         images = mc_images(net, cell, 100_000, seed=seed + 11)
         assert np.all(images >= hull.lo) and np.all(images <= hull.hi)
 

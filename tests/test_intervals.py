@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reachbound as rb
-from reachbound.intervals import Box, Interval, IntervalMatrix, interval_combine
+from reachbound.intervals import Box, Interval, IntervalMatrix
 
 def tight(value: float, target: float, ulps: int = 4) -> bool:
     """Within a few float steps of the ideal endpoint."""
@@ -65,12 +65,13 @@ def test_mul_annihilation():
 
 
 def test_combine_dispatch():
-    assert interval_combine("neg", Interval(1, 2)) == Interval(-2, -1)
-    assert interval_combine("sub", Interval(1, 2), Interval(0, 1)).contains(1.0)
-    scaled = interval_combine("scale", Interval(1, 2), -3.0)
+    a, b = Interval(1, 2), Interval(0, 1)
+    assert a.neg() == -a == Interval(-2, -1)
+    assert a.sub(b) == a - b and a.sub(b).contains(1.0)
+    scaled = a.scale(-3.0)
     assert scaled.lo <= -6.0 and scaled.hi >= -3.0
     with pytest.raises(ValueError):
-        interval_combine("pow", Interval(1, 2), Interval(1, 2))
+        a.scale(math.inf)
 
 
 def test_invalid_endpoints_rejected():

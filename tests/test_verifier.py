@@ -20,29 +20,30 @@ def problem(net, input_box, safe_box, **kwargs):
 # inclusion checking
 
 
-def test_check_inclusion_inside(unit_square, invertible_net):
-    sets = [rb.propagate(invertible_net, unit_square, "box")]
-    hull = sets[0].hull()
+def test_inclusion_inside(unit_square, invertible_net):
+    hull = rb.box_propagate(invertible_net, unit_square)
     safe = rb.Box.from_arrays(hull.lo - 0.1, hull.hi + 0.1)
-    assert rb.check_inclusion(sets, safe)
+    assert rb.verify(problem(invertible_net, unit_square, safe, mode="full")).status == rb.SAFE
 
 
-def test_check_inclusion_rejects_small_excess(unit_square):
-    reach = rb.ReachSet("box", rb.Box.from_bounds([(0, 1 + 1e-6), (0, 1)]), unit_square)
-    assert not rb.check_inclusion([reach], unit_square)
+def test_inclusion_rejects_small_excess(unit_square):
+    short = rb.Box.from_bounds([(-1, 1 - 1e-6), (-1, 2)])
+    roomy = rb.Box.from_bounds([(-1, 1 + 1e-6), (-1, 2)])
+    assert rb.verify(problem(identity_net(), unit_square, short, mode="full")).status == rb.UNKNOWN
+    assert rb.verify(problem(identity_net(), unit_square, roomy, mode="full")).status == rb.SAFE
 
 
-def test_check_inclusion_example_style_safe_set(unit_square, invertible_net):
+def test_verify_example_style_safe_set(unit_square, invertible_net):
     # a published-style safe window; the verdict depends on the seeded weights
     safe = rb.Box.from_bounds([(-3.85, -1.85), (-0.9, 1.7)])
-    sets = [rb.propagate(invertible_net, unit_square, "box")]
-    assert rb.check_inclusion(sets, safe) in (True, False)
+    v = rb.verify(problem(invertible_net, unit_square, safe, mode="full"))
+    assert v.status in (rb.SAFE, rb.UNKNOWN)
 
 
-def test_check_inclusion_dimension_mismatch(unit_square):
-    reach = rb.ReachSet("box", rb.Box.from_bounds([(0, 1)] * 3), unit_square)
+def test_check_inclusion_dimension_mismatch(unit_square, invertible_net):
+    # a safe box of the wrong dimension is rejected before any inclusion check
     with pytest.raises(ValueError):
-        rb.check_inclusion([reach], unit_square)
+        problem(invertible_net, unit_square, rb.Box.from_bounds([(0, 1)] * 3))
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +58,7 @@ def test_boundary_identity_safe(unit_square):
         mode="boundary",
         grid=(7, 7),
     )
-    v = rb.verify_boundary(p)
+    v = rb.verify(p)
     assert v.status == rb.SAFE
     assert v.stats["cells_propagated"] == 4 * 7
     assert v.stats["assumes_invertible"] is True
@@ -71,15 +72,15 @@ def test_boundary_identity_unknown(unit_square):
         mode="boundary",
         grid=(10, 10),
     )
-    assert rb.verify_boundary(p).status == rb.UNKNOWN
+    assert rb.verify(p).status == rb.UNKNOWN
 
 
 def test_boundary_cell_ratio_vs_full(invertible_net, unit_square):
-    full = rb.verify_full(
+    full = rb.verify(
         problem(invertible_net, unit_square, _mc_safe(invertible_net, unit_square, 1.3),
                 mode="full", grid=(100, 100))
     )
-    bound = rb.verify_boundary(
+    bound = rb.verify(
         problem(invertible_net, unit_square, _mc_safe(invertible_net, unit_square, 1.3),
                 mode="boundary", grid=(100, 100))
     )
@@ -104,14 +105,14 @@ def test_full_identity_safe(unit_square):
         identity_net(), unit_square, rb.Box.from_bounds([(-1, 2), (-1, 2)]),
         mode="full", grid=(5, 5),
     )
-    v = rb.verify_full(p)
+    v = rb.verify(p)
     assert v.status == rb.SAFE and v.stats["cells_propagated"] == 25
 
 
 def test_full_single_cell_equals_direct_propagation(invertible_net, unit_square):
     p = problem(invertible_net, unit_square, _mc_safe(invertible_net, unit_square, 2.0),
                 mode="full", grid=(1, 1))
-    v = rb.verify_full(p)
+    v = rb.verify(p)
     direct = rb.box_propagate(invertible_net, unit_square)
     assert v.stats["cells_propagated"] == 1
     assert np.allclose(v.output_hull.lo, direct.lo, rtol=0, atol=1e-12)
@@ -120,8 +121,8 @@ def test_full_single_cell_equals_direct_propagation(invertible_net, unit_square)
 
 def test_full_hull_contains_boundary_hull(invertible_net, unit_square):
     safe = _mc_safe(invertible_net, unit_square, 2.0)
-    full = rb.verify_full(problem(invertible_net, unit_square, safe, mode="full", grid=(20, 20)))
-    bound = rb.verify_boundary(
+    full = rb.verify(problem(invertible_net, unit_square, safe, mode="full", grid=(20, 20)))
+    bound = rb.verify(
         problem(invertible_net, unit_square, safe, mode="boundary", grid=(20, 20))
     )
     assert np.all(full.output_hull.lo <= bound.output_hull.lo + 1e-9)
@@ -136,7 +137,7 @@ def test_subset_linear_invertible_propagates_ring(unit_square):
     net = linear_net([[1.0, 0.5], [0.0, 1.0]])
     p = problem(net, unit_square, rb.Box.from_bounds([(-2, 3), (-2, 3)]),
                 mode="subset", grid=(6, 6))
-    v = rb.verify_subset(p)
+    v = rb.verify(p)
     assert v.status == rb.SAFE
     assert v.stats["cells_total"] == 36
     assert v.stats["cells_certified"] == 16
@@ -146,8 +147,8 @@ def test_subset_linear_invertible_propagates_ring(unit_square):
 def test_subset_zero_certified_equals_full(unit_square):
     net = linear_net([[1.0, 1.0], [1.0, 1.0]])
     safe = rb.Box.from_bounds([(-1, 3), (-1, 3)])
-    sub = rb.verify_subset(problem(net, unit_square, safe, mode="subset", grid=(5, 5)))
-    full = rb.verify_full(problem(net, unit_square, safe, mode="full", grid=(5, 5)))
+    sub = rb.verify(problem(net, unit_square, safe, mode="subset", grid=(5, 5)))
+    full = rb.verify(problem(net, unit_square, safe, mode="full", grid=(5, 5)))
     assert sub.stats["cells_certified"] == 0
     assert sub.stats["cells_propagated"] == full.stats["cells_propagated"] == 25
     assert sub.status == full.status
@@ -157,7 +158,7 @@ def test_subset_mixed_net_safe_with_fewer_cells():
     net = make_net(**MIXED)
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
     safe = _mc_safe(net, box, 1.2, n=50_000)
-    v = rb.verify_subset(problem(net, box, safe, mode="subset", grid=(40, 40)))
+    v = rb.verify(problem(net, box, safe, mode="subset", grid=(40, 40)))
     assert v.status == rb.SAFE
     assert v.stats["cells_kept"] < v.stats["cells_total"]
 
@@ -165,7 +166,7 @@ def test_subset_mixed_net_safe_with_fewer_cells():
 def test_subset_never_drops_boundary_cells():
     net = make_net(**MIXED)
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
-    v = rb.verify_subset(
+    v = rb.verify(
         problem(net, box, _mc_safe(net, box, 1.3), mode="subset", grid=(15, 15))
     )
     propagated = {tuple(i) for i in v.cell_batch.index}
@@ -179,7 +180,7 @@ def test_subset_never_drops_boundary_cells():
 def test_subset_non_square_falls_back_to_full(unit_square):
     net = rb.generate_network(3, [2, 6, 3], scale=0.5)
     safe = _mc_safe(net, unit_square, 3.0)
-    v = rb.verify_subset(problem(net, unit_square, safe, mode="subset", grid=(4, 4)))
+    v = rb.verify(problem(net, unit_square, safe, mode="subset", grid=(4, 4)))
     assert v.stats["fallback_full"] is True
     assert v.stats["cells_propagated"] == 16
 
@@ -190,7 +191,7 @@ def test_subset_non_square_falls_back_to_full(unit_square):
 
 def test_auto_certified_takes_boundary_path(unit_square, invertible_net):
     safe = _mc_safe(invertible_net, unit_square, 1.5)
-    v = rb.verify_auto(problem(invertible_net, unit_square, safe, grid=(30, 30)))
+    v = rb.verify(problem(invertible_net, unit_square, safe, grid=(30, 30)))
     assert v.stats["path"] == "boundary"
     assert v.stats["input_certified"] is True
     assert v.stats["assumes_invertible"] is False
@@ -199,9 +200,19 @@ def test_auto_certified_takes_boundary_path(unit_square, invertible_net):
 def test_auto_singular_takes_subset_path(unit_square):
     net = linear_net([[1.0, 1.0], [1.0, 1.0]])
     safe = rb.Box.from_bounds([(-1, 3), (-1, 3)])
-    v = rb.verify_auto(problem(net, unit_square, safe, grid=(4, 4)))
+    v = rb.verify(problem(net, unit_square, safe, grid=(4, 4)))
     assert v.stats["path"] == "subset"
     assert v.status == rb.SAFE
+
+
+def test_auto_non_square_falls_back_to_full_grid(unit_square):
+    net = rb.generate_network(3, [2, 6, 3])
+    safe = _mc_safe(net, unit_square, 3.0)
+    v = rb.verify(problem(net, unit_square, safe, grid=(4, 4)))
+    assert v.stats["path"] == "subset"
+    assert v.stats["fallback_full"] is True
+    assert v.stats["input_certified"] is False
+    assert v.stats["cells_propagated"] == 16
 
 
 def test_auto_refines_until_safe(unit_square, invertible_net):
@@ -209,7 +220,7 @@ def test_auto_refines_until_safe(unit_square, invertible_net):
     hulls = []
     for level in range(3):
         counts = (4 * 2**level,) * 2
-        v = rb.verify_boundary(
+        v = rb.verify(
             problem(invertible_net, unit_square, rb.Box.from_bounds([(-9, 9), (-9, 9)]),
                     mode="boundary", grid=counts)
         )
@@ -218,7 +229,7 @@ def test_auto_refines_until_safe(unit_square, invertible_net):
         0.5 * (hulls[2].lo + hulls[1].lo), 0.5 * (hulls[2].hi + hulls[1].hi)
     )
     assert safe.contains_box(hulls[2]) and not safe.contains_box(hulls[1])
-    v = rb.verify_auto(
+    v = rb.verify(
         problem(invertible_net, unit_square, safe, grid=(4, 4), max_refinements=3)
     )
     assert v.status == rb.SAFE
@@ -226,7 +237,7 @@ def test_auto_refines_until_safe(unit_square, invertible_net):
 
 
 def test_auto_exhausts_refinements(unit_square, invertible_net):
-    v = rb.verify_auto(
+    v = rb.verify(
         problem(invertible_net, unit_square,
                 rb.Box.from_bounds([(1e-9, 2e-9), (0, 1e-9)]), grid=(2, 2),
                 max_refinements=1)
@@ -269,7 +280,7 @@ def test_falsification_promotion(unit_square):
         identity_net(), unit_square, rb.Box.from_bounds([(0.2, 0.8), (0.2, 0.8)]),
         mode="full", grid=(4, 4), falsify_samples=256,
     )
-    v = rb.verify_full(p)
+    v = rb.verify(p)
     assert v.status == rb.FALSIFIED
     assert v.counterexample is not None
     assert not p.safe_box.contains_point(rb.forward_point(p.net, v.counterexample))
@@ -280,7 +291,7 @@ def test_no_falsification_by_default(unit_square):
         identity_net(), unit_square, rb.Box.from_bounds([(0.2, 0.8), (0.2, 0.8)]),
         mode="full", grid=(4, 4),
     )
-    assert rb.verify_full(p).status == rb.UNKNOWN
+    assert rb.verify(p).status == rb.UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +303,7 @@ def test_refinement_never_grows_hull(domain, invertible_net, unit_square):
     safe = rb.Box.from_bounds([(-9, 9), (-9, 9)])
     hulls = []
     for k in (5, 10, 20):
-        v = rb.verify_full(
+        v = rb.verify(
             problem(invertible_net, unit_square, safe, domain=domain, mode="full", grid=(k, k))
         )
         hulls.append(v.output_hull)
@@ -316,3 +327,7 @@ def test_problem_validation(unit_square, invertible_net):
         problem(invertible_net, unit_square, unit_square, mode="guided")
     with pytest.raises(ValueError):
         problem(invertible_net, unit_square, unit_square, grid=(0, 4))
+    with pytest.raises(ValueError):
+        problem(invertible_net, unit_square, unit_square, max_refinements=-1)
+    with pytest.raises(ValueError):
+        problem(invertible_net, unit_square, unit_square, falsify_samples=-5)
