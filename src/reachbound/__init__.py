@@ -7,13 +7,7 @@ interval-box or zonotope abstract domains, with a Monte-Carlo oracle for
 falsification and empirical soundness checks.
 """
 
-from .intervals import (
-    Box,
-    Interval,
-    IntervalMatrix,
-    act_deriv_range,
-    act_range,
-)
+from .intervals import Box, Interval, IntervalMatrix
 from .network import (
     Layer,
     Network,

@@ -28,7 +28,7 @@ from .reports import (
     write_reach_cells,
     write_verdict,
 )
-from .topology import extract_subset
+from .topology import extract_subset, grid_counts
 from .verifier import (
     FALSIFIED,
     SAFE,
@@ -139,9 +139,7 @@ def cmd_compare(args) -> int:
 def cmd_certify(args) -> int:
     net = read_model(args.model)
     input_box = parse_box(args.input)
-    grid = parse_grid(args.grid) if args.grid else (1,) * input_box.dim
-    if len(grid) == 1 and input_box.dim > 1:
-        grid = grid * input_box.dim
+    grid = grid_counts(parse_grid(args.grid) if args.grid else None, input_box.dim)
     extraction = extract_subset(net, input_box, grid)
     if args.out:
         write_certification(extraction, args.out)
@@ -259,7 +257,7 @@ def main(argv=None) -> int:
         return _EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR
 

@@ -1,11 +1,18 @@
-"""Validated interval arithmetic: scalar intervals, boxes, interval matrices.
+"""Validated interval arithmetic as batched ndarray kernels, plus the value types.
 
-Every operation returns an enclosure of the true real-arithmetic result set.
-IEEE-exact operations (+, -, *) are widened by one `nextafter` step per
-endpoint; libm-backed evaluations (tanh, sigmoid and their derivatives) are
-only faithfully rounded, so their endpoints get a wider fixed pad.  Reductions
-(dot products, sums) are bounded with a standard a-priori rounding-error term
-instead of per-term nudging, which keeps them vectorizable.
+The kernels (``_imul_arrays``, ``_sum_enclose``, ``_imat_matmul_arrays``,
+``_interval_matvec_arrays``, ``_idet_arrays``, ``_act_range_arrays`` and
+``_act_deriv_arrays``) are the only interval arithmetic: they take ``(lo, hi)``
+endpoint arrays with leading batch axes and return an enclosure of the true
+real-arithmetic result set.  IEEE-exact operations (+, -, *) are widened by one
+`nextafter` step per endpoint; libm-backed evaluations (tanh, sigmoid and their
+derivatives) are only faithfully rounded, so their endpoints get a wider fixed
+pad.  Reductions (dot products, sums) are bounded with a standard a-priori
+rounding-error term instead of per-term nudging, which keeps them vectorizable.
+
+`Interval`, `Box` and `IntervalMatrix` are validated values, not an algebra:
+a box is a product of intervals, and an interval matrix is the ``(lo, hi)``
+pair that encloses a Jacobian.
 """
 
 from __future__ import annotations
@@ -20,8 +27,6 @@ __all__ = [
     "Interval",
     "Box",
     "IntervalMatrix",
-    "act_range",
-    "act_deriv_range",
     "activation_names",
     "activation_function",
     "activation_derivative",
@@ -46,7 +51,7 @@ def _up(x, steps: int = 1):
 
 
 # ---------------------------------------------------------------------------
-# scalar intervals
+# value types
 
 
 @dataclass(frozen=True)
@@ -83,43 +88,8 @@ class Interval:
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def contains_zero(self) -> bool:
-        return self.lo <= 0.0 <= self.hi
-
-    def add(self, other: "Interval") -> "Interval":
-        return Interval(float(_down(self.lo + other.lo)), float(_up(self.hi + other.hi)))
-
-    def sub(self, other: "Interval") -> "Interval":
-        return Interval(float(_down(self.lo - other.hi)), float(_up(self.hi - other.lo)))
-
-    def mul(self, other: "Interval") -> "Interval":
-        cands = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(float(_down(min(cands))), float(_up(max(cands))))
-
-    def neg(self) -> "Interval":
-        # exact in IEEE, no widening needed
-        return Interval(-self.hi, -self.lo)
-
-    def scale(self, factor: float) -> "Interval":
-        if not math.isfinite(factor):
-            raise ValueError("scale factor must be finite")
-        a, b = self.lo * factor, self.hi * factor
-        if a > b:
-            a, b = b, a
-        return Interval(float(_down(a)), float(_up(b)))
-
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    __add__ = add
-    __sub__ = sub
-    __mul__ = mul
-    __neg__ = neg
 
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
@@ -196,17 +166,6 @@ class Box:
     def hull(self, other: "Box") -> "Box":
         self._check_dim(other.dim)
         return Box(tuple(a.hull(b) for a, b in zip(self.dims, other.dims)))
-
-    @staticmethod
-    def hull_of(boxes: Iterable["Box"]) -> "Box":
-        it = iter(boxes)
-        try:
-            acc = next(it)
-        except StopIteration:
-            raise ValueError("hull of empty collection") from None
-        for b in it:
-            acc = acc.hull(b)
-        return acc
 
     def split(self) -> tuple["Box", "Box"]:
         """Bisect the widest dimension at its midpoint."""
@@ -301,12 +260,9 @@ def _idet_arrays(lo, hi):
 # interval matrices
 
 
-_DET_MAX_DIM = 6
-
-
 @dataclass(frozen=True)
 class IntervalMatrix:
-    """Rectangular matrix of intervals, stored as endpoint arrays."""
+    """Rectangular matrix of intervals, stored as validated endpoint arrays."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -322,54 +278,6 @@ class IntervalMatrix:
             raise ValueError("interval matrix has an entry with lo > hi")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    @staticmethod
-    def from_point(w) -> "IntervalMatrix":
-        w = np.asarray(w, dtype=float)
-        return IntervalMatrix(w.copy(), w.copy())
-
-    @staticmethod
-    def from_intervals(rows: Sequence[Sequence[Interval]]) -> "IntervalMatrix":
-        lo = np.array([[iv.lo for iv in row] for row in rows])
-        hi = np.array([[iv.hi for iv in row] for row in rows])
-        return IntervalMatrix(lo, hi)
-
-    @staticmethod
-    def identity(n: int) -> "IntervalMatrix":
-        return IntervalMatrix.from_point(np.eye(n))
-
-    @property
-    def rows(self) -> int:
-        return self.lo.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.lo.shape[1]
-
-    def entry(self, i: int, j: int) -> Interval:
-        return Interval(float(self.lo[i, j]), float(self.hi[i, j]))
-
-    def matmul(self, other: "IntervalMatrix") -> "IntervalMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"matmul dimension mismatch: {self.cols} vs {other.rows}")
-        lo, hi = _imat_matmul_arrays(self.lo, self.hi, other.lo, other.hi)
-        return IntervalMatrix(lo, hi)
-
-    def det(self) -> Interval:
-        if self.rows != self.cols:
-            raise ValueError("determinant requires a square matrix")
-        if self.rows > _DET_MAX_DIM:
-            raise ValueError(
-                f"determinant unsupported above dimension {_DET_MAX_DIM}, got {self.rows}"
-            )
-        lo, hi = _idet_arrays(self.lo, self.hi)
-        return Interval(float(lo), float(hi))
-
-    def encloses(self, other: "IntervalMatrix") -> bool:
-        return bool(np.all(self.lo <= other.lo) and np.all(other.hi <= self.hi))
-
-    def __matmul__(self, other: "IntervalMatrix") -> "IntervalMatrix":
-        return self.matmul(other)
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +381,3 @@ def _act_deriv_arrays(name: str, lo, hi):
     straddle = (lo <= 0.0) & (0.0 <= hi)
     out_hi = np.where(straddle, act.deriv_max, capped)
     return out_lo, np.maximum(out_hi, out_lo)
-
-
-def act_range(name: str, x: Interval) -> Interval:
-    lo, hi = _act_range_arrays(name, np.array(x.lo), np.array(x.hi))
-    return Interval(float(lo), float(hi))
-
-
-def act_deriv_range(name: str, x: Interval) -> Interval:
-    lo, hi = _act_deriv_arrays(name, np.array(x.lo), np.array(x.hi))
-    return Interval(float(lo), float(hi))

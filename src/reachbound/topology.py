@@ -2,14 +2,15 @@
 
 A network restricted to a cell is certified as a homeomorphism onto its image
 when the interval enclosure of its Jacobian determinant over the cell excludes
-zero.  Certification requires a square network with at most 6 inputs (the
-determinant enclosure uses cofactor expansion).
+zero.  Certification requires a square network with at most 6 inputs, because
+the determinant enclosure uses cofactor expansion.  This module owns that rule:
+`is_certifiable` is the only place it is written.
+Whole boxes and grid cells are certified by the same batched `certify_cells`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -21,7 +22,6 @@ from .intervals import (
     IntervalMatrix,
     _act_deriv_arrays,
     _act_range_arrays,
-    _DET_MAX_DIM,
     _idet_arrays,
     _imat_matmul_arrays,
     _imul_arrays,
@@ -33,6 +33,8 @@ __all__ = [
     "boundary_faces",
     "CellGrid",
     "partition",
+    "grid_counts",
+    "is_certifiable",
     "jacobian_interval",
     "certify_homeomorphism",
     "certify_cells",
@@ -124,18 +126,36 @@ def partition(box: Box, counts) -> CellGrid:
     return CellGrid(box, tuple(int(c) for c in counts))
 
 
+def grid_counts(counts, dim: int) -> tuple[int, ...]:
+    """Per-dimension cell counts: None means one cell, and one count applies to all."""
+    counts = (1,) * dim if counts is None else tuple(int(c) for c in counts)
+    if len(counts) == 1 and dim > 1:
+        counts = counts * dim
+    if len(counts) != dim or any(c < 1 for c in counts):
+        raise ValueError("grid needs one positive count per input dimension")
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # interval Jacobians and certification
 
 
-def _check_certifiable(net: Network) -> None:
-    if not net.is_square:
+_DET_MAX_DIM = 6
+
+
+def is_certifiable(net: Network) -> bool:
+    """Whether the determinant test applies: a square network with at most 6 inputs."""
+    return net.is_square and net.input_dim <= _DET_MAX_DIM
+
+
+def _check_certifiable(net: Network, lo) -> None:
+    if not is_certifiable(net):
         raise ValueError(
-            f"Jacobian certification requires a square network, got "
-            f"{net.input_dim} -> {net.output_dim}"
+            f"Jacobian certification requires a square network with at most "
+            f"{_DET_MAX_DIM} inputs, got {net.input_dim} -> {net.output_dim}"
         )
-    if net.input_dim > _DET_MAX_DIM:
-        raise ValueError(f"certification unsupported above dimension {_DET_MAX_DIM}")
+    if np.shape(lo)[-1] != net.input_dim:
+        raise ValueError(f"cell dimension {np.shape(lo)[-1]} != input dim {net.input_dim}")
 
 
 def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
@@ -157,9 +177,7 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
 
 
 def jacobian_interval(net: Network, cell: Box) -> IntervalMatrix:
-    _check_certifiable(net)
-    if cell.dim != net.input_dim:
-        raise ValueError(f"cell dimension {cell.dim} != input dim {net.input_dim}")
+    _check_certifiable(net, cell.lo)
     jlo, jhi = jacobian_interval_arrays(net, cell.lo, cell.hi)
     return IntervalMatrix(jlo, jhi)
 
@@ -174,13 +192,15 @@ class CertificationResult:
 
 
 def certify_homeomorphism(net: Network, cell: Box) -> CertificationResult:
-    det = jacobian_interval(net, cell).det()
-    return CertificationResult(cell, det, not det.contains_zero())
+    """Certify one box as the one-cell case of `certify_cells`."""
+    # unbatched (n,) bounds: a batch axis changes BLAS call shapes and can move last-ulp bits
+    det_lo, det_hi, certified = certify_cells(net, cell.lo, cell.hi)
+    return CertificationResult(cell, Interval(float(det_lo), float(det_hi)), bool(certified))
 
 
 def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):
-    """Batch certification; returns (det_lo, det_hi, certified) arrays."""
-    _check_certifiable(net)
+    """Batch certification of cells (..., n); returns (det_lo, det_hi, certified) arrays."""
+    _check_certifiable(net, lo)
     jlo, jhi = jacobian_interval_arrays(net, lo, hi)
     dlo, dhi = _idet_arrays(jlo, jhi)
     certified = (dlo > 0.0) | (dhi < 0.0)
@@ -202,6 +222,8 @@ class SubsetExtraction:
 
     grid: CellGrid
     index: np.ndarray  # (N, n) row-major cell indices
+    lo: np.ndarray  # (N, n) cell bounds
+    hi: np.ndarray
     det_lo: np.ndarray
     det_hi: np.ndarray
     certified: np.ndarray  # (N,) bool, determinant excludes zero
@@ -229,4 +251,4 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     grid = partition(input_box, counts)
     idx, lo, hi = grid.bounds_arrays()
     det_lo, det_hi, certified = certify_cells(net, lo, hi)
-    return SubsetExtraction(grid, idx, det_lo, det_hi, certified, grid.interior_mask(idx))
+    return SubsetExtraction(grid, idx, lo, hi, det_lo, det_hi, certified, grid.interior_mask(idx))

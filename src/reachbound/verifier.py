@@ -33,8 +33,9 @@ from .topology import (
     boundary_faces,
     certify_homeomorphism,
     extract_subset,
+    grid_counts,
+    is_certifiable,
     partition,
-    _DET_MAX_DIM,
 )
 
 __all__ = [
@@ -81,13 +82,7 @@ class VerificationProblem:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "domain", normalize_domain(self.domain))
-        grid = self.grid
-        grid = (1,) * self.input_box.dim if grid is None else tuple(int(c) for c in grid)
-        if len(grid) == 1 and self.input_box.dim > 1:
-            grid = grid * self.input_box.dim
-        if len(grid) != self.input_box.dim or any(c < 1 for c in grid):
-            raise ValueError("grid needs one positive count per input dimension")
-        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "grid", grid_counts(self.grid, self.input_box.dim))
 
 
 @dataclass
@@ -218,8 +213,7 @@ def _required_cells(problem: VerificationProblem, path: str, counts):
         return grid_cell_batch(partition(problem.input_box, counts)), None
     extraction = extract_subset(problem.net, problem.input_box, counts)
     kept = extraction.kept_mask
-    _, lo, hi = extraction.grid.bounds_arrays()
-    return CellBatch(extraction.index[kept], lo[kept], hi[kept]), extraction
+    return CellBatch(extraction.index[kept], extraction.lo[kept], extraction.hi[kept]), extraction
 
 
 def verify(problem: VerificationProblem) -> Verdict:
@@ -235,7 +229,7 @@ def verify(problem: VerificationProblem) -> Verdict:
     """
     started = time.perf_counter()
     net = problem.net
-    certifiable = net.is_square and net.input_dim <= _DET_MAX_DIM
+    certifiable = is_certifiable(net)
     stats = {"mode": problem.mode}
     path = problem.mode
     levels = 0

@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +103,44 @@ def test_verify_negative_count_exit_three(identity_model, capsys, option, value)
     )
     assert code == 3 and out == ""
     assert "nonnegative" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mc", "--samples", "0"),
+        ("mc", "--samples", "-5"),
+        ("verify", "--grid", "0"),
+        ("verify", "--grid", "2,x"),
+        ("certify", "--grid", "0"),
+        ("certify", "--grid", "3,4,5"),
+    ],
+    ids=" ".join,
+)
+def test_bad_count_exit_three(identity_model, capsys, argv):
+    command, *options = argv
+    safe = ("--safe", "-1,2;-1,2") if command == "verify" else ()
+    code, out, err = run(
+        capsys, command, "--model", identity_model, "--input", "0,1;0,1", *safe, *options
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_grid_out_of_memory_exit_three(identity_model):
+    # the address-space cap makes the 65.5 TiB cell-index request fail on any
+    # overcommit policy; the two 24 MB edge arrays fit under it
+    cap = 2 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "reachbound", "verify", "--model", identity_model,
+         "--input", "0,1;0,1", "--safe", "-1,2;-1,2", "--mode", "full", "--grid", "3000000"],
+        env=dict(os.environ, PYTHONPATH=str(Path(rb.__file__).parents[1])),
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "allocate" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_usage_error_exit_four(capsys):

@@ -8,7 +8,7 @@ from reachbound.verifier import (
     grid_cell_batch,
     propagate_cells,
 )
-from reachbound.topology import partition
+from reachbound.topology import certify_cells
 from conftest import identity_net, linear_net, make_net, MIXED, sample_box
 
 
@@ -177,12 +177,23 @@ def test_subset_never_drops_boundary_cells():
             assert idx in propagated
 
 
+def _uncertifiable_cases(unit_square, scale):
+    """A non-square net and a square net above the determinant dimension limit."""
+    return (
+        (rb.generate_network(3, [2, 6, 3], scale=scale), unit_square, (4, 4), 16),
+        (rb.generate_network(3, [7, 8, 7], scale=scale), rb.Box.from_bounds([(0, 1)] * 7),
+         (2,), 2**7),
+    )
+
+
 def test_subset_non_square_falls_back_to_full(unit_square):
-    net = rb.generate_network(3, [2, 6, 3], scale=0.5)
-    safe = _mc_safe(net, unit_square, 3.0)
-    v = rb.verify(problem(net, unit_square, safe, mode="subset", grid=(4, 4)))
-    assert v.stats["fallback_full"] is True
-    assert v.stats["cells_propagated"] == 16
+    for net, box, grid, cells in _uncertifiable_cases(unit_square, scale=0.5):
+        safe = _mc_safe(net, box, 3.0)
+        v = rb.verify(problem(net, box, safe, mode="subset", grid=grid))
+        assert v.stats["fallback_full"] is True
+        assert v.stats["cells_propagated"] == cells
+        with pytest.raises(ValueError):
+            certify_cells(net, box.lo, box.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +217,15 @@ def test_auto_singular_takes_subset_path(unit_square):
 
 
 def test_auto_non_square_falls_back_to_full_grid(unit_square):
-    net = rb.generate_network(3, [2, 6, 3])
-    safe = _mc_safe(net, unit_square, 3.0)
-    v = rb.verify(problem(net, unit_square, safe, grid=(4, 4)))
-    assert v.stats["path"] == "subset"
-    assert v.stats["fallback_full"] is True
-    assert v.stats["input_certified"] is False
-    assert v.stats["cells_propagated"] == 16
+    for net, box, grid, cells in _uncertifiable_cases(unit_square, scale=1.0):
+        safe = _mc_safe(net, box, 3.0)
+        v = rb.verify(problem(net, box, safe, grid=grid))
+        assert v.stats["path"] == "subset"
+        assert v.stats["fallback_full"] is True
+        assert v.stats["input_certified"] is False
+        assert v.stats["cells_propagated"] == cells
+        with pytest.raises(ValueError):
+            certify_cells(net, box.lo, box.hi)
 
 
 def test_auto_refines_until_safe(unit_square, invertible_net):
