@@ -1,6 +1,6 @@
 """Validated interval arithmetic as batched ndarray kernels, plus the value types.
 
-The kernels (``_imul_arrays``, ``_sum_enclose``, ``_imat_matmul_arrays``,
+The kernels (``_imul_arrays``, ``_sum_enclose``, ``_point_imatmul_arrays``,
 ``_interval_matvec_arrays``, ``_idet_arrays``, ``_act_range_arrays`` and
 ``_act_deriv_arrays``) are the only interval arithmetic: they take ``(lo, hi)``
 endpoint arrays with leading batch axes and return an enclosure of the true
@@ -17,6 +17,7 @@ pair that encloses a Jacobian.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -214,12 +215,29 @@ def _sum_enclose(lo, hi, axis):
     return _down(slo - err), _up(shi + err)
 
 
-def _imat_matmul_arrays(alo, ahi, blo, bhi):
-    """Interval matrix product; inputs (..., m, k) and (..., k, n)."""
-    plo, phi = _imul_arrays(
-        alo[..., :, :, None], ahi[..., :, :, None], blo[..., None, :, :], bhi[..., None, :, :]
-    )
-    return _sum_enclose(plo, phi, axis=-2)
+def _point_imatmul_arrays(w, blo, bhi):
+    """Enclose w @ B for a point matrix w (m, k) and interval matrices B (..., k, n).
+
+    The sign split ``W+ @ Blo + W- @ Bhi`` and ``W+ @ Bhi + W- @ Blo`` gives
+    the exact real endpoints, since each product w_ik * b_kj is monotone in
+    b_kj with the sign of w_ik.  Rounding: each endpoint is a sum of 2k
+    products, of which at most k are nonzero, so the sum of their magnitudes
+    is at most ``mag = |w| @ max(|Blo|, |Bhi|)``.  Two BLAS products of k
+    terms (any summation order, with or without FMA) and the addition that
+    joins them err by at most ``(gamma_k + u(1 + gamma_k)) * mag`` with
+    ``gamma_k = k u / (1 - k u)``, plus half a subnormal step for each product
+    that underflows.  ``(2k + 4) u * mag + (2k + 2) * tiny`` covers that
+    with room for the rounding of ``mag`` itself, and the final `nextafter`
+    step covers the subtraction of the term.
+    """
+    wp = np.maximum(w, 0.0)
+    wn = np.minimum(w, 0.0)
+    lo = wp @ blo + wn @ bhi
+    hi = wp @ bhi + wn @ blo
+    mag = np.abs(w) @ np.maximum(np.abs(blo), np.abs(bhi))
+    k = w.shape[1]
+    err = (2 * k + 4) * _U * mag + (2 * k + 2) * _TINY
+    return _down(lo - err), _up(hi + err)
 
 
 def _interval_matvec_arrays(w, b, xlo, xhi):
@@ -235,25 +253,36 @@ def _interval_matvec_arrays(w, b, xlo, xhi):
 
 
 def _idet_arrays(lo, hi):
-    """Interval determinant by first-row cofactor expansion; (..., n, n)."""
+    """Interval determinant by first-row cofactor expansion; (..., n, n).
+
+    Every minor the expansion reaches is fixed by its bottom rows and an
+    ascending tuple of columns.  Minors are therefore built once each, from
+    size 1 up, and stored by column tuple: 2^n - 1 minors, where the plain
+    recursion recomputes a minor on every path of deleted columns that leads
+    to it.  Each minor is the same expansion along its own first row, with
+    the same operations in the same order, so the bits equal the recursion's.
+    """
     n = lo.shape[-1]
-    if n == 1:
-        return lo[..., 0, 0], hi[..., 0, 0]
-    acc_lo = None
-    acc_hi = None
-    for j in range(n):
-        mlo = np.delete(lo[..., 1:, :], j, axis=-1)
-        mhi = np.delete(hi[..., 1:, :], j, axis=-1)
-        dlo, dhi = _idet_arrays(mlo, mhi)
-        plo, phi = _imul_arrays(lo[..., 0, j], hi[..., 0, j], dlo, dhi)
-        if j % 2 == 1:
-            plo, phi = -phi, -plo
-        if acc_lo is None:
-            acc_lo, acc_hi = plo, phi
-        else:
-            acc_lo = _down(acc_lo + plo)
-            acc_hi = _up(acc_hi + phi)
-    return acc_lo, acc_hi
+    minors = {(c,): (lo[..., n - 1, c], hi[..., n - 1, c]) for c in range(n)}
+    for size in range(2, n + 1):
+        row = n - size
+        larger = {}
+        for cols in itertools.combinations(range(n), size):
+            acc_lo = None
+            acc_hi = None
+            for j, c in enumerate(cols):
+                dlo, dhi = minors[cols[:j] + cols[j + 1 :]]
+                plo, phi = _imul_arrays(lo[..., row, c], hi[..., row, c], dlo, dhi)
+                if j % 2 == 1:
+                    plo, phi = -phi, -plo
+                if acc_lo is None:
+                    acc_lo, acc_hi = plo, phi
+                else:
+                    acc_lo = _down(acc_lo + plo)
+                    acc_hi = _up(acc_hi + phi)
+            larger[cols] = acc_lo, acc_hi
+        minors = larger
+    return minors[tuple(range(n))]
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def verdict_document(verdict: Verdict) -> dict:
         else [float(v) for v in verdict.counterexample],
     }
     for key in ("mode", "path", "assumes_invertible", "fallback_full", "input_certified",
-                "cells_total"):
+                "cells_total", "certify_ms", "propagate_ms"):
         if key in stats:
             doc["stats"][key] = stats[key]
     return doc

@@ -23,9 +23,9 @@ from .intervals import (
     _act_deriv_arrays,
     _act_range_arrays,
     _idet_arrays,
-    _imat_matmul_arrays,
     _imul_arrays,
     _interval_matvec_arrays,
+    _point_imatmul_arrays,
 )
 from .network import Network
 
@@ -159,19 +159,24 @@ def _check_certifiable(net: Network, lo) -> None:
 
 
 def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
-    """Enclose the Jacobian over batched cells (..., n); returns (..., n, n)."""
+    """Enclose the Jacobian over batched cells (..., n); returns (..., n, n).
+
+    With D_l the enclosure of layer l's activation derivative over the cell,
+    ``J_1 = D_1 W_1`` and ``J_l = D_l (W_l J_{l-1})``.  In real arithmetic
+    ``D (W J)`` is contained in ``(D W) J`` (subdistributivity), so this order
+    is never wider than multiplying the interval matrix ``D W`` into ``J``.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    n = net.input_dim
-    eye = np.broadcast_to(np.eye(n), lo.shape[:-1] + (n, n)).copy()
-    jlo, jhi = eye, eye.copy()
+    jlo = jhi = None
     for layer in net.layers:
         zlo, zhi = _interval_matvec_arrays(layer.weights, layer.bias, lo, hi)
         dlo, dhi = _act_deriv_arrays(layer.activation, zlo, zhi)
-        vlo, vhi = _imul_arrays(
-            dlo[..., :, None], dhi[..., :, None], layer.weights, layer.weights
-        )
-        jlo, jhi = _imat_matmul_arrays(vlo, vhi, jlo, jhi)
+        if jlo is None:
+            blo = bhi = layer.weights
+        else:
+            blo, bhi = _point_imatmul_arrays(layer.weights, jlo, jhi)
+        jlo, jhi = _imul_arrays(dlo[..., :, None], dhi[..., :, None], blo, bhi)
         lo, hi = _act_range_arrays(layer.activation, zlo, zhi)
     return jlo, jhi
 

@@ -226,15 +226,21 @@ def verify(problem: VerificationProblem) -> Verdict:
     dimension limit) propagates the full grid.  An Unknown verdict becomes
     Falsified when Monte-Carlo sampling finds an input whose exact image
     leaves the safe box.
+
+    ``stats`` times two phases over all refinement levels: ``certify_ms``
+    (whole-box certification and subset extraction) and ``propagate_ms``
+    (propagating the required cells).
     """
     started = time.perf_counter()
     net = problem.net
     certifiable = is_certifiable(net)
-    stats = {"mode": problem.mode}
+    stats = {"mode": problem.mode, "certify_ms": 0.0, "propagate_ms": 0.0}
     path = problem.mode
     levels = 0
     if path == "auto":
+        phase = time.perf_counter()
         certified = certifiable and certify_homeomorphism(net, problem.input_box).certified
+        stats["certify_ms"] = (time.perf_counter() - phase) * 1e3
         path = "boundary" if certified else "subset"
         levels = problem.max_refinements
         stats.update(path=path, input_certified=certified)
@@ -248,8 +254,13 @@ def verify(problem: VerificationProblem) -> Verdict:
     safe_lo, safe_hi = safe.lo, safe.hi
     for level in range(levels + 1):
         counts = tuple(c * 2**level for c in problem.grid)
+        phase = time.perf_counter()
         batch, extraction = _required_cells(problem, path, counts)
+        built = time.perf_counter()
         propagate_cells(net, batch, problem.domain)
+        if extraction is not None:  # the subset path's cells come out of certification
+            stats["certify_ms"] += (built - phase) * 1e3
+        stats["propagate_ms"] += (time.perf_counter() - built) * 1e3
         ok = bool(np.all(batch.out_lo >= safe_lo) and np.all(batch.out_hi <= safe_hi))
         if ok:
             break

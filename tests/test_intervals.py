@@ -13,10 +13,12 @@ from reachbound.intervals import (
     Interval,
     _act_deriv_arrays,
     _act_range_arrays,
+    _down,
     _idet_arrays,
-    _imat_matmul_arrays,
     _imul_arrays,
+    _point_imatmul_arrays,
     _sum_enclose,
+    _up,
 )
 
 def tight(value: float, target: float, ulps: int = 4) -> bool:
@@ -113,14 +115,13 @@ def test_add_sub_contain_samples(a, b, ta, tb):
 
 def test_matmul_identity():
     mlo, mhi = np.array([[1.0, -2.0], [0.5, 3.0]]), np.array([[1.5, -1.0], [0.5, 4.0]])
-    rlo, rhi = _imat_matmul_arrays(np.eye(2), np.eye(2), mlo, mhi)
+    rlo, rhi = _point_imatmul_arrays(np.eye(2), mlo, mhi)
     assert np.all(rlo <= mlo) and np.all(rhi >= mhi)
     assert np.all(np.abs(rlo - mlo) < 1e-12) and np.all(np.abs(rhi - mhi) < 1e-12)
 
 
 def test_matmul_scalar_case():
-    b = np.array([[2.0]])
-    rlo, rhi = _imat_matmul_arrays(np.array([[0.0]]), np.array([[1.0]]), b, b)
+    rlo, rhi = _point_imatmul_arrays(np.array([[2.0]]), np.array([[0.0]]), np.array([[1.0]]))
     assert rlo[0, 0] <= 0.0 and rhi[0, 0] >= 2.0
     assert abs(rlo[0, 0]) < 1e-12 and abs(rhi[0, 0] - 2.0) < 1e-12
 
@@ -130,7 +131,7 @@ def test_matmul_point_matrices_vs_exact():
     for _ in range(10):
         a = rng.uniform(-2, 2, (3, 3))
         b = rng.uniform(-2, 2, (3, 3))
-        rlo, rhi = _imat_matmul_arrays(a, a, b, b)
+        rlo, rhi = _point_imatmul_arrays(a, b, b)
         exact = [
             [sum(Fraction(a[i, k]) * Fraction(b[k, j]) for k in range(3)) for j in range(3)]
             for i in range(3)
@@ -318,3 +319,36 @@ def test_box_split_widest():
 def test_box_dimension_mismatch():
     with pytest.raises(ValueError):
         Box.from_bounds([(0, 1)]).hull(Box.from_bounds([(0, 1), (0, 1)]))
+
+
+def recursive_idet(lo, hi):
+    """The plain recursive cofactor expansion, as the reference for minor sharing."""
+    n = lo.shape[-1]
+    if n == 1:
+        return lo[..., 0, 0], hi[..., 0, 0]
+    acc_lo = None
+    acc_hi = None
+    for j in range(n):
+        mlo = np.delete(lo[..., 1:, :], j, axis=-1)
+        mhi = np.delete(hi[..., 1:, :], j, axis=-1)
+        dlo, dhi = recursive_idet(mlo, mhi)
+        plo, phi = _imul_arrays(lo[..., 0, j], hi[..., 0, j], dlo, dhi)
+        if j % 2 == 1:
+            plo, phi = -phi, -plo
+        if acc_lo is None:
+            acc_lo, acc_hi = plo, phi
+        else:
+            acc_lo = _down(acc_lo + plo)
+            acc_hi = _up(acc_hi + phi)
+    return acc_lo, acc_hi
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_det_shared_minors_bit_identical_to_recursion(n):
+    rng = np.random.default_rng(40 + n)
+    lo = rng.uniform(-2, 2, (50, n, n))
+    hi = lo + rng.uniform(0, 1, (50, n, n)) * (rng.random((50, n, n)) < 0.7)
+    assert np.any((lo < 0) & (hi > 0))  # sign-straddling entries
+    got_lo, got_hi = _idet_arrays(lo, hi)
+    ref_lo, ref_hi = recursive_idet(lo, hi)
+    assert np.array_equal(got_lo, ref_lo) and np.array_equal(got_hi, ref_hi)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reachbound as rb
 from reachbound.topology import certify_cells, jacobian_interval_arrays
@@ -124,6 +126,41 @@ def test_jacobian_interval_contains_point_jacobians(invertible_net):
     pts = sample_box(cell, 1000, seed=3)
     jacs = rb.jacobian_batch(invertible_net, pts)
     assert np.all(jacs >= m.lo[None]) and np.all(jacs <= m.hi[None])
+
+
+@st.composite
+def deep_nets(draw):
+    n = draw(st.integers(2, 6))
+    hidden = draw(st.lists(st.integers(2, 8), min_size=1, max_size=3))
+    net = rb.generate_network(
+        draw(st.integers(0, 2**16)),
+        [n, *hidden, n],
+        draw(st.sampled_from(["tanh", "sigmoid"])),
+        draw(st.floats(0.3, 2.0)),
+        draw(st.sampled_from(["linear", "sigmoid"])),
+    )
+    return net, draw(st.integers(0, 2**16))
+
+
+@given(deep_nets())
+@settings(max_examples=40, deadline=None)
+def test_jacobian_and_det_enclose_point_values_at_depth(case):
+    net, seed = case
+    rng = np.random.default_rng(seed)
+    n, cells, per_cell = net.input_dim, 6, 25
+    lo = rng.uniform(-1, 1, (cells, n))
+    width = rng.uniform(0, 0.4, (cells, n)) * (rng.random((cells, n)) < 0.85)
+    hi = lo + width
+    jlo, jhi = jacobian_interval_arrays(net, lo, hi)
+    det_lo, det_hi, _ = certify_cells(net, lo, hi)
+    t = rng.random((cells, per_cell, n))
+    pts = np.minimum(lo[:, None] + t * width[:, None], hi[:, None])
+    jacs = rb.jacobian_batch(net, pts.reshape(-1, n)).reshape(cells, per_cell, n, n)
+    assert np.all(jacs >= jlo[:, None]) and np.all(jacs <= jhi[:, None])
+    # np.linalg.det rounds: allow its error, scaled by the Hadamard bound
+    dets = np.linalg.det(jacs)
+    slack = 1e-12 * np.prod(np.linalg.norm(jacs, axis=-1), axis=-1)
+    assert np.all(dets >= det_lo[:, None] - slack) and np.all(dets <= det_hi[:, None] + slack)
 
 
 def test_jacobian_interval_requires_square():

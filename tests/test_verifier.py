@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 import reachbound as rb
-from reachbound.verifier import (
-    CellBatch,
-    boundary_cell_batch,
-    grid_cell_batch,
-    propagate_cells,
-)
+from reachbound.reports import verdict_document
 from reachbound.topology import certify_cells
-from conftest import identity_net, linear_net, make_net, MIXED, sample_box
+from conftest import identity_net, linear_net, make_net, MIXED
 
 
 def problem(net, input_box, safe_box, **kwargs):
@@ -257,6 +252,22 @@ def test_auto_exhausts_refinements(unit_square, invertible_net):
     )
     assert v.status == rb.UNKNOWN
     assert v.stats["refinement_level"] == 1
+
+
+@pytest.mark.parametrize("mode", ["boundary", "subset", "full", "auto"])
+def test_phase_times_in_stats_and_document(mode):
+    net = make_net(**MIXED)
+    box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
+    safe = rb.Box.from_bounds([(-1e-9, 1e-9), (-1e-9, 1e-9)])  # unknown: every level runs
+    v = rb.verify(problem(net, box, safe, mode=mode, grid=(8, 8), max_refinements=1))
+    doc = verdict_document(v)
+    for stats in (v.stats, doc["stats"]):
+        assert stats["certify_ms"] >= 0 and stats["propagate_ms"] > 0
+        assert stats["certify_ms"] + stats["propagate_ms"] <= stats["wall_ms"]
+    if mode in ("boundary", "full"):
+        assert v.stats["certify_ms"] == 0
+    else:
+        assert v.stats["certify_ms"] > 0
 
 
 # ---------------------------------------------------------------------------
