@@ -69,10 +69,17 @@ def box_propagate(net: Network, cell: Box) -> Box:
 # ---------------------------------------------------------------------------
 # zonotopes
 
+_BLOCK = 1024  # cells per array pass: bounds the (block, d, g) generator arrays
+
 
 @dataclass(frozen=True)
 class Zonotope:
-    """Affine set c + G eps with eps in [-1,1]^g, plus a rounding slack box."""
+    """Affine sets c + G eps with eps in [-1,1]^g, plus a rounding slack box.
+
+    ``center`` and ``slack`` are ``(..., d)`` and ``generators`` is
+    ``(..., d, g)``: the leading axes index a batch of zonotopes that share
+    one generator count.
+    """
 
     center: np.ndarray
     generators: np.ndarray
@@ -81,10 +88,10 @@ class Zonotope:
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
         g = np.asarray(self.generators, dtype=float)
-        if c.ndim != 1:
+        if c.ndim < 1:
             raise ValueError("zonotope center must be a vector")
-        if g.ndim != 2 or g.shape[0] != c.shape[0]:
-            raise ValueError("generators must be a (dim, count) matrix")
+        if g.shape[:-1] != c.shape:
+            raise ValueError("generators must be a (..., dim, count) array matching the center")
         s = self.slack
         s = np.zeros_like(c) if s is None else np.asarray(s, dtype=float)
         if s.shape != c.shape or np.any(s < 0):
@@ -97,17 +104,18 @@ class Zonotope:
 
     @property
     def dim(self) -> int:
-        return self.center.shape[0]
+        return self.center.shape[-1]
 
     @property
     def order(self) -> int:
-        return self.generators.shape[1]
+        return self.generators.shape[-1]
 
     def hull_arrays(self):
+        """Outward-rounded interval hulls, ``(lo, hi)`` of shape (..., d)."""
         g = self.generators
-        if g.shape[1]:
-            rad_raw = np.abs(g).sum(axis=1)
-            err = (g.shape[1] + 2) * _U * rad_raw + (g.shape[1] + 1) * _TINY
+        if g.shape[-1]:
+            rad_raw = np.abs(g).sum(axis=-1)
+            err = (g.shape[-1] + 2) * _U * rad_raw + (g.shape[-1] + 1) * _TINY
             rad = rad_raw + err + self.slack
         else:
             rad = self.slack.copy()
@@ -116,35 +124,50 @@ class Zonotope:
         return lo, hi
 
     def interval_hull(self) -> Box:
+        if self.center.ndim != 1:
+            raise ValueError("interval_hull needs a single zonotope, not a batch")
         lo, hi = self.hull_arrays()
         return Box.from_arrays(lo, hi)
 
 
-def zono_from_box(cell: Box) -> Zonotope:
-    """Axis-aligned zonotope covering a box; degenerate dims get no generator."""
-    lo = cell.lo
-    hi = cell.hi
+def _live_dims(lo, hi):
+    """The dimensions of (..., n) bounds that get a generator: nonzero half-width."""
+    c = 0.5 * (lo + hi)
+    return np.maximum(hi - c, c - lo) > 0.0
+
+
+def _zono_from_bounds(lo, hi, live) -> Zonotope:
+    """Axis-aligned zonotopes covering (..., n) boxes whose live dimensions are ``live``."""
     c = 0.5 * (lo + hi)
     half = np.maximum(hi - c, c - lo)
-    live = half > 0.0
-    gens = np.diag(half)[:, live]
+    gens = (half[..., :, None] * np.eye(lo.shape[-1]))[..., live]
     # midpoint rounding can undershoot by half an ulp per side
     slack = np.where(live, 2.0 * _U * np.maximum(np.abs(lo), np.abs(hi)) + _TINY, 0.0)
     return Zonotope(c, gens, slack)
 
 
+def zono_from_box(cell: Box) -> Zonotope:
+    """Axis-aligned zonotope covering a box; degenerate dims get no generator."""
+    return _zono_from_bounds(cell.lo, cell.hi, _live_dims(cell.lo, cell.hi))
+
+
 def zono_affine(z: Zonotope, w: np.ndarray, b: np.ndarray) -> Zonotope:
-    """Image of a zonotope under x -> w x + b (exact up to absorbed rounding)."""
+    """Image of zonotopes under x -> w x + b (exact up to absorbed rounding).
+
+    Every product is a stacked matmul, so each zonotope of a batch gets the
+    same BLAS call, and the same bits, as it would alone.
+    """
     w = np.asarray(w, dtype=float)
     b = np.asarray(b, dtype=float)
     if w.shape[1] != z.dim:
         raise ValueError(f"affine map expects dimension {w.shape[1]}, zonotope has {z.dim}")
-    c = w @ z.center + b
+    aw = np.abs(w)
+    c = (w @ z.center[..., None])[..., 0] + b
     gens = w @ z.generators
     k = w.shape[1]
-    reach = np.abs(z.center) + np.abs(z.generators).sum(axis=1) + z.slack
-    bound = np.abs(w) @ reach + np.abs(b)
-    slack = np.abs(w) @ z.slack + (k + 4) * _U * bound + (k + 2) * _TINY
+    reach = np.abs(z.center) + np.abs(z.generators).sum(axis=-1) + z.slack
+    bound = (aw @ reach[..., None])[..., 0] + np.abs(b)
+    slack = (aw @ z.slack[..., None])[..., 0] + (k + 4) * _U * bound + (k + 2) * _TINY
     return Zonotope(c, gens, slack)
 
 
@@ -170,19 +193,44 @@ def zono_activation(z: Zonotope, activation: str) -> Zonotope:
     mu1 = 0.5 * ((fu + fl) - lam * (u + l))
     mu2 = np.maximum(0.5 * ((fu - fl) - lam * (u - l)), 0.0)
     c = lam * z.center + mu1
-    gens = lam[:, None] * z.generators
+    gens = lam[..., :, None] * z.generators
     # absorb libm and form-evaluation drift; scaled by lam <= 1 the old slack shrinks
     scale = np.abs(fl) + np.abs(fu) + np.abs(mu1) + np.abs(lam) * (np.abs(l) + np.abs(u)) + 1.0
     slack = lam * z.slack + 64.0 * _U * scale + 4.0 * _TINY
-    fresh = np.diag(mu2)
-    return Zonotope(c, np.hstack([gens, fresh]), slack)
+    fresh = mu2[..., :, None] * np.eye(z.dim)
+    return Zonotope(c, np.concatenate([gens, fresh], axis=-1), slack)
 
 
-def zono_propagate(net: Network, cell: Box) -> Zonotope:
-    if cell.dim != net.input_dim:
-        raise ValueError(f"cell dimension {cell.dim} != input dim {net.input_dim}")
-    z = zono_from_box(cell)
-    for layer in net.layers:
-        z = zono_affine(z, layer.weights, layer.bias)
-        z = zono_activation(z, layer.activation)
-    return z
+def zono_propagate(net: Network, lo: np.ndarray, hi: np.ndarray):
+    """Zonotope hulls of batched boxes (..., input_dim) through every layer.
+
+    Returns ``(out_lo, out_hi)`` of shape (..., output_dim), as
+    `box_propagate_arrays` does.  A degenerate dimension gets no generator,
+    so the cells are grouped by their live dimensions rather than padded
+    with zero generators: padding would change the error count of
+    `Zonotope.hull_arrays` and the order of its sums.  Each group runs in
+    blocks of ``_BLOCK`` cells, which bounds memory; every cell makes the
+    same BLAS calls in a block as alone, so its hull is the one that
+    `zono_from_box`, `zono_affine`, `zono_activation` and `hull_arrays`
+    give for that cell.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.shape[-1] != net.input_dim:
+        raise ValueError(f"cell dimension {lo.shape[-1]} != input dim {net.input_dim}")
+    rows_lo = lo.reshape(-1, net.input_dim)
+    rows_hi = hi.reshape(-1, net.input_dim)
+    out_lo = np.empty((rows_lo.shape[0], net.output_dim))
+    out_hi = np.empty_like(out_lo)
+    patterns, group = np.unique(_live_dims(rows_lo, rows_hi), axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    for p, live in enumerate(patterns):
+        rows = np.flatnonzero(group == p)
+        for start in range(0, rows.size, _BLOCK):
+            block = rows[start : start + _BLOCK]
+            z = _zono_from_bounds(rows_lo[block], rows_hi[block], live)
+            for layer in net.layers:
+                z = zono_activation(zono_affine(z, layer.weights, layer.bias), layer.activation)
+            out_lo[block], out_hi[block] = z.hull_arrays()
+    shape = lo.shape[:-1] + (net.output_dim,)
+    return out_lo.reshape(shape), out_hi.reshape(shape)

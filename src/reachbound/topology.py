@@ -169,7 +169,8 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     jlo = jhi = None
-    for layer in net.layers:
+    last = len(net.layers) - 1
+    for k, layer in enumerate(net.layers):
         zlo, zhi = _interval_matvec_arrays(layer.weights, layer.bias, lo, hi)
         dlo, dhi = _act_deriv_arrays(layer.activation, zlo, zhi)
         if jlo is None:
@@ -177,7 +178,8 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
         else:
             blo, bhi = _point_imatmul_arrays(layer.weights, jlo, jhi)
         jlo, jhi = _imul_arrays(dlo[..., :, None], dhi[..., :, None], blo, bhi)
-        lo, hi = _act_range_arrays(layer.activation, zlo, zhi)
+        if k < last:  # only the next layer reads the activation range
+            lo, hi = _act_range_arrays(layer.activation, zlo, zhi)
     return jlo, jhi
 
 

@@ -143,14 +143,8 @@ def boundary_cell_batch(input_box: Box, counts: Sequence[int]) -> CellBatch:
 
 def propagate_cells(net: Network, batch: CellBatch, domain: str) -> CellBatch:
     """Fill the batch's output hulls under the box or zonotope domain."""
-    if normalize_domain(domain) == "box":
-        batch.out_lo, batch.out_hi = box_propagate_arrays(net, batch.lo, batch.hi)
-        return batch
-    batch.out_lo = np.empty((batch.count, net.output_dim))
-    batch.out_hi = np.empty_like(batch.out_lo)
-    for i in range(batch.count):
-        z = zono_propagate(net, Box.from_arrays(batch.lo[i], batch.hi[i]))
-        batch.out_lo[i], batch.out_hi[i] = z.hull_arrays()
+    propagate = box_propagate_arrays if normalize_domain(domain) == "box" else zono_propagate
+    batch.out_lo, batch.out_hi = propagate(net, batch.lo, batch.hi)
     return batch
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import reachbound as rb
 
@@ -32,6 +33,21 @@ def sample_box(box: rb.Box, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     lo, hi = box.lo, box.hi
     return lo + rng.random((n, box.dim)) * (hi - lo)
+
+
+# random square nets: 2-6 inputs, 1-3 hidden layers, with a cell-sampling seed
+@st.composite
+def deep_nets(draw):
+    n = draw(st.integers(2, 6))
+    hidden = draw(st.lists(st.integers(2, 8), min_size=1, max_size=3))
+    net = rb.generate_network(
+        draw(st.integers(0, 2**16)),
+        [n, *hidden, n],
+        draw(st.sampled_from(["tanh", "sigmoid"])),
+        draw(st.floats(0.3, 2.0)),
+        draw(st.sampled_from(["linear", "sigmoid"])),
+    )
+    return net, draw(st.integers(0, 2**16))
 
 
 @pytest.fixture

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reachbound as rb
+from reachbound import domains
 from reachbound.domains import box_propagate_arrays, normalize_domain, zono_propagate
 from reachbound.intervals import _interval_matvec_arrays
-from conftest import identity_net, make_net, sample_box
+from reachbound.verifier import CellBatch, boundary_cell_batch, grid_cell_batch, propagate_cells
+from conftest import deep_nets, identity_net, make_net, sample_box
 
 
 def mc_images(net, box, n, seed):
@@ -169,7 +171,7 @@ def test_propagate_box_matches_box_propagate(unit_square, invertible_net):
 
 
 def test_propagate_zono_identity_hull(unit_square):
-    hull = zono_propagate(identity_net(), unit_square).interval_hull()
+    hull = rb.Box.from_arrays(*zono_propagate(identity_net(), unit_square.lo, unit_square.hi))
     assert np.all(np.abs(hull.lo - unit_square.lo) < 1e-12)
     assert np.all(np.abs(hull.hi - unit_square.hi) < 1e-12)
     assert hull.contains_box(unit_square)
@@ -190,7 +192,7 @@ def test_zonotope_dominates_box(seed):
         rb.Box.from_bounds([(-0.3, 0.1), (0.2, 0.6)]),
     ):
         bh = rb.box_propagate(net, cell)
-        zh = zono_propagate(net, cell).interval_hull()
+        zh = rb.Box.from_arrays(*zono_propagate(net, cell.lo, cell.hi))
         assert np.all(zh.lo >= bh.lo - 1e-9) and np.all(zh.hi <= bh.hi + 1e-9)
 
 
@@ -205,7 +207,7 @@ def test_propagation_soundness_by_sampling(domain, seed):
         if domain == "box":
             hull = rb.box_propagate(net, cell)
         else:
-            hull = zono_propagate(net, cell).interval_hull()
+            hull = rb.Box.from_arrays(*zono_propagate(net, cell.lo, cell.hi))
         images = mc_images(net, cell, 100_000, seed=seed + 11)
         assert np.all(images >= hull.lo) and np.all(images <= hull.hi)
 
@@ -221,3 +223,78 @@ def test_batched_box_propagation_matches_single(invertible_net):
         # batched BLAS reductions may reorder sums; agreement is only to rounding
         assert np.allclose(single.lo, lo[i], rtol=0, atol=1e-12)
         assert np.allclose(single.hi, hi[i], rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched zonotopes
+
+
+def per_cell_zono_hulls(net, lo, hi):
+    """The one-cell chain zono_from_box -> (zono_affine, zono_activation)* -> hull_arrays."""
+    hulls = []
+    for a, b in zip(lo, hi):
+        z = rb.zono_from_box(rb.Box.from_arrays(a, b))
+        for layer in net.layers:
+            z = rb.zono_activation(rb.zono_affine(z, layer.weights, layer.bias), layer.activation)
+        hulls.append(z.hull_arrays())
+    return np.array([h[0] for h in hulls]), np.array([h[1] for h in hulls])
+
+
+@given(deep_nets())
+@settings(max_examples=30, deadline=None)
+def test_batched_zonotopes_match_per_cell_chain(case):
+    net, seed = case
+    rng = np.random.default_rng(seed)
+    n = net.input_dim
+    box = rb.Box.from_bounds([(-1, 1)] * n)
+    grid = grid_cell_batch(rb.partition(box, (2,) * n))
+    faces = boundary_cell_batch(box, (2,) * n)
+    pick_grid = rng.choice(grid.count, 8)
+    pick_faces = rng.choice(faces.count, 12)
+    # random cells, some with zero-width dimensions inside the box
+    lo = rng.uniform(-1, 0.6, (8, n))
+    hi = lo + rng.uniform(0, 0.4, (8, n)) * (rng.random((8, n)) < 0.7)
+    lo = np.concatenate([grid.lo[pick_grid], faces.lo[pick_faces], lo])
+    hi = np.concatenate([grid.hi[pick_grid], faces.hi[pick_faces], hi])
+    order = rng.permutation(lo.shape[0])  # interleave the live-dimension groups
+    batch = CellBatch(np.zeros(lo.shape, dtype=int), lo[order], hi[order])
+    propagate_cells(net, batch, "zono")
+    want_lo, want_hi = per_cell_zono_hulls(net, batch.lo, batch.hi)
+    assert np.array_equal(batch.out_lo, want_lo) and np.array_equal(batch.out_hi, want_hi)
+    t = rng.random((batch.count, 20, n))
+    pts = batch.lo[:, None] + t * (batch.hi - batch.lo)[:, None]
+    pts = np.minimum(pts, batch.hi[:, None])
+    images = rb.forward_batch(net, pts.reshape(-1, n)).reshape(batch.count, 20, -1)
+    assert np.all(images >= batch.out_lo[:, None]) and np.all(images <= batch.out_hi[:, None])
+
+
+def test_batched_zonotopes_across_a_block_boundary(invertible_net, unit_square):
+    batch = grid_cell_batch(rb.partition(unit_square, (33, 33)))
+    assert batch.count > domains._BLOCK
+    propagate_cells(invertible_net, batch, "zono")
+    want_lo, want_hi = per_cell_zono_hulls(invertible_net, batch.lo, batch.hi)
+    assert np.array_equal(batch.out_lo, want_lo) and np.array_equal(batch.out_hi, want_hi)
+    # leading axes are batch axes
+    lo, hi = zono_propagate(
+        invertible_net, batch.lo.reshape(33, 33, 2), batch.hi.reshape(33, 33, 2)
+    )
+    assert np.array_equal(lo.reshape(-1, 2), want_lo) and np.array_equal(hi.reshape(-1, 2), want_hi)
+
+
+def test_batched_zonotope_validation():
+    c = np.zeros((3, 2))
+    g = np.ones((3, 2, 4))
+    z = rb.Zonotope(c, g)
+    assert (z.dim, z.order) == (2, 4)
+    assert z.hull_arrays()[0].shape == (3, 2)
+    with pytest.raises(ValueError):
+        z.interval_hull()  # one zonotope only
+    for gens in (np.ones((2, 2, 4)), np.ones((3, 3, 4)), np.ones((3, 2))):
+        with pytest.raises(ValueError):
+            rb.Zonotope(c, gens)
+    with pytest.raises(ValueError):
+        rb.Zonotope(c, g, np.zeros(2))
+    slack = np.zeros((3, 2))
+    slack[2, 1] = -1e-300
+    with pytest.raises(ValueError):
+        rb.Zonotope(c, g, slack)

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import reachbound as rb
 from reachbound.topology import certify_cells, jacobian_interval_arrays
-from conftest import MIXED, linear_net, make_net, sample_box
+from conftest import MIXED, deep_nets, linear_net, make_net, sample_box
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +125,6 @@ def test_jacobian_interval_contains_point_jacobians(invertible_net):
     pts = sample_box(cell, 1000, seed=3)
     jacs = rb.jacobian_batch(invertible_net, pts)
     assert np.all(jacs >= m.lo[None]) and np.all(jacs <= m.hi[None])
-
-
-@st.composite
-def deep_nets(draw):
-    n = draw(st.integers(2, 6))
-    hidden = draw(st.lists(st.integers(2, 8), min_size=1, max_size=3))
-    net = rb.generate_network(
-        draw(st.integers(0, 2**16)),
-        [n, *hidden, n],
-        draw(st.sampled_from(["tanh", "sigmoid"])),
-        draw(st.floats(0.3, 2.0)),
-        draw(st.sampled_from(["linear", "sigmoid"])),
-    )
-    return net, draw(st.integers(0, 2**16))
 
 
 @given(deep_nets())
