@@ -331,8 +331,14 @@ def _tanh_deriv(x):
 
 
 def _sigmoid_deriv(x):
-    x = np.asarray(x, dtype=float)
-    return _sigmoid(x) * _sigmoid(-x)
+    # s(x) s(-x) = sech^2(x/2) / 4 exactly.  The product form, once rounded,
+    # is not monotone in |x| near 0, so a nested interval could get an
+    # enclosure that is not nested; every step of cosh -> 1/c -> c^2 -> /4 is
+    # monotone.  Halving and quartering are exact (up to underflow, which
+    # loses under one subnormal step), cosh errs by at most an ulp and 1/c
+    # and the square by half an ulp each, so the result is within about 4 ulp:
+    # inside the `_PAD_DERIV` pad of `_act_deriv_arrays`.
+    return 0.25 * _tanh_deriv(0.5 * np.asarray(x, dtype=float))
 
 
 def _identity(x):

@@ -4,7 +4,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reachbound as rb
@@ -279,6 +279,8 @@ def test_act_soundness_by_sampling(name, iv):
 
 @pytest.mark.parametrize("name", ["tanh", "sigmoid"])
 @given(outer=intervals(st.floats(-20, 20)), t0=st.floats(0, 1), t1=st.floats(0, 1))
+# s(x) * s(-x) rounded is not monotone near 0: the inner sigmoid' enclosure fell below the outer
+@example(outer=Interval(-5.051993014029483e-11, 0.0), t0=0.0, t1=0.31640625)
 def test_act_inclusion_monotone(name, outer, t0, t1):
     a = pick(outer, t0)
     b = pick(outer, t1)
