@@ -24,8 +24,10 @@ def main():
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--grid", type=int, default=200)
     ap.add_argument("--verify-grid", type=int, default=60)
-    # zonotope propagation is the expensive step, so dropping certified cells
-    # pays for the certification pass; with plain boxes it usually does not
+    # dropping certified cells pays only when propagation costs more per cell
+    # than certification.  Measured on a 2-vCPU Xeon VM at --verify-grid 60 (best
+    # of 5): with zonotopes, subset mode takes about 14 ms (10 of them
+    # certifying) against 18 ms for full mode; with plain boxes, 17 ms against 5 ms
     ap.add_argument("--domain", choices=("box", "zono"), default="zono")
     args = ap.parse_args()
 

@@ -3,7 +3,9 @@
 A zonotope holds ``{c + G eps : eps in [-1,1]^g}`` plus a per-dimension
 ``slack`` box that absorbs floating-point drift from affine images and
 activation transformers, so every concretization (and every float evaluation
-of a contained point) stays inside the reported set.
+of a contained point) stays inside the reported set.  Both domains take
+batched cells: `box_propagate_arrays` and `zono_propagate` map ``(..., n)``
+cell bounds to ``(..., m)`` output hulls in whole array passes.
 """
 
 from __future__ import annotations
@@ -148,7 +150,8 @@ def _zono_from_bounds(lo, hi, live) -> Zonotope:
 
 def zono_from_box(cell: Box) -> Zonotope:
     """Axis-aligned zonotope covering a box; degenerate dims get no generator."""
-    return _zono_from_bounds(cell.lo, cell.hi, _live_dims(cell.lo, cell.hi))
+    lo, hi = cell.lo, cell.hi
+    return _zono_from_bounds(lo, hi, _live_dims(lo, hi))
 
 
 def zono_affine(z: Zonotope, w: np.ndarray, b: np.ndarray) -> Zonotope:
@@ -223,7 +226,7 @@ def zono_propagate(net: Network, lo: np.ndarray, hi: np.ndarray):
     out_lo = np.empty((rows_lo.shape[0], net.output_dim))
     out_hi = np.empty_like(out_lo)
     patterns, group = np.unique(_live_dims(rows_lo, rows_hi), axis=0, return_inverse=True)
-    group = group.reshape(-1)
+    group = group.reshape(-1)  # numpy 2.0.0 returns it as (N, 1)
     for p, live in enumerate(patterns):
         rows = np.flatnonzero(group == p)
         for start in range(0, rows.size, _BLOCK):

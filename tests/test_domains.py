@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reachbound as rb
-from reachbound import domains
 from reachbound.domains import box_propagate_arrays, normalize_domain, zono_propagate
 from reachbound.intervals import _interval_matvec_arrays
 from reachbound.verifier import CellBatch, boundary_cell_batch, grid_cell_batch, propagate_cells
@@ -270,7 +269,7 @@ def test_batched_zonotopes_match_per_cell_chain(case):
 
 def test_batched_zonotopes_across_a_block_boundary(invertible_net, unit_square):
     batch = grid_cell_batch(rb.partition(unit_square, (33, 33)))
-    assert batch.count > domains._BLOCK
+    assert batch.count > rb.domains._BLOCK
     propagate_cells(invertible_net, batch, "zono")
     want_lo, want_hi = per_cell_zono_hulls(invertible_net, batch.lo, batch.hi)
     assert np.array_equal(batch.out_lo, want_lo) and np.array_equal(batch.out_hi, want_hi)
