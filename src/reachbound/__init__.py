@@ -33,7 +33,6 @@ from .topology import (
     CellGrid,
     CertificationResult,
     SubsetExtraction,
-    boundary_faces,
     certify_homeomorphism,
     extract_subset,
     jacobian_interval,

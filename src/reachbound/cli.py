@@ -177,8 +177,6 @@ def cmd_plot(args) -> int:
     ):
         if path:
             _, lo, hi = read_reach_cells(path)
-            if lo.shape[0] and max(proj) >= lo.shape[1]:
-                raise ValueError(f"projection {proj} out of range for {lo.shape[1]} outputs")
             layers.append((color, lo, hi))
     mc_points = read_mc_points(args.mc) if args.mc else None
     safe = parse_box(args.safe) if args.safe else None
@@ -189,6 +187,8 @@ def cmd_plot(args) -> int:
         dims.append(safe.dim)
     if any(d > 2 for d in dims) and args.proj is None:
         raise ValueError("data has more than 2 output dimensions; pass --proj i j")
+    if any(not 0 <= p < d for p in proj for d in dims):
+        raise ValueError(f"projection {proj} out of range for {min(dims)} output dimensions")
     svg = render_svg(layers, mc_points, safe, proj)
     Path(args.out).write_text(svg, encoding="utf-8")
     return 0

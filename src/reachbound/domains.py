@@ -190,9 +190,7 @@ def zono_activation(z: Zonotope, activation: str) -> Zonotope:
     l, u = z.hull_arrays()
     fl = act.f(l)
     fu = act.f(u)
-    dl, _ = _act_deriv_arrays(activation, l, l)
-    du, _ = _act_deriv_arrays(activation, u, u)
-    lam = np.minimum(dl, du)
+    lam, _ = _act_deriv_arrays(activation, l, u)
     mu1 = 0.5 * ((fu + fl) - lam * (u + l))
     mu2 = np.maximum(0.5 * ((fu - fl) - lam * (u - l)), 0.0)
     c = lam * z.center + mu1

@@ -76,10 +76,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def contains(self, value: float) -> bool:
         return self.lo <= value <= self.hi
 
@@ -167,17 +163,6 @@ class Box:
     def hull(self, other: "Box") -> "Box":
         self._check_dim(other.dim)
         return Box(tuple(a.hull(b) for a, b in zip(self.dims, other.dims)))
-
-    def split(self) -> tuple["Box", "Box"]:
-        """Bisect the widest dimension at its midpoint."""
-        k = int(np.argmax(self.widths()))
-        iv = self.dims[k]
-        if iv.lo == iv.hi:
-            raise ValueError("cannot split a point box")
-        mid = min(max(iv.mid, iv.lo), iv.hi)
-        left = self.dims[:k] + (Interval(iv.lo, mid),) + self.dims[k + 1 :]
-        right = self.dims[:k] + (Interval(mid, iv.hi),) + self.dims[k + 1 :]
-        return Box(left), Box(right)
 
     def _check_dim(self, d: int) -> None:
         if d != self.dim:

@@ -88,16 +88,23 @@ def write_reach_cells(batch: CellBatch, path) -> None:
             writer.writerow(row)
 
 
-def read_reach_cells(path):
-    """Read a reach-cell CSV back into (indices, out_lo, out_hi) arrays."""
+def _read_csv(path):
+    """(header, data rows) of a CSV with a header and rows of the header's length."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
-        raise ValueError(f"empty cell CSV: {path}")
-    header = rows[0]
+        raise ValueError(f"empty CSV: {path}")
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"{path}:{line}: {len(row)} fields, header has {len(rows[0])}")
+    return rows[0], rows[1:]
+
+
+def read_reach_cells(path):
+    """Read a reach-cell CSV back into (indices, out_lo, out_hi) arrays."""
+    header, data = _read_csv(path)
     n = sum(1 for h in header if h.startswith("idx"))
     m = (len(header) - n) // 2
-    data = rows[1:]
     idx = np.array([[int(r[k]) for k in range(n)] for r in data], dtype=int).reshape(len(data), n)
     lo = np.array([[float(r[n + 2 * j]) for j in range(m)] for r in data]).reshape(len(data), m)
     hi = np.array([[float(r[n + 2 * j + 1]) for j in range(m)] for r in data]).reshape(len(data), m)
@@ -134,13 +141,9 @@ def write_mc_points(result: MonteCarloResult, path) -> None:
 
 def read_mc_points(path) -> np.ndarray:
     """Read the image points (y columns) of an MC dump."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
+    header, data = _read_csv(path)
     ycols = [k for k, h in enumerate(header) if h.startswith("y")]
-    return np.array([[float(r[k]) for k in ycols] for r in rows[1:]]).reshape(
-        len(rows) - 1, len(ycols)
-    )
+    return np.array([[float(r[k]) for k in ycols] for r in data]).reshape(len(data), len(ycols))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Boundary faces, grid partitions, interval Jacobians and certification.
+"""Grid partitions, interval Jacobians and certification.
+
+Every cell batch is rows of a `CellGrid` lattice, built by `bounds_arrays`;
+face cells come from the grids with one count set to 1 (`boundary_cell_batch`).
 
 A network restricted to a cell is certified as a homeomorphism onto its image
 when the interval enclosure of its Jacobian determinant over the cell excludes
@@ -10,9 +13,8 @@ Whole boxes and grid cells are certified by the same batched `certify_cells`.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from .intervals import (
 from .network import Network
 
 __all__ = [
-    "boundary_faces",
     "CellGrid",
     "partition",
     "grid_counts",
@@ -42,18 +43,6 @@ __all__ = [
     "SubsetExtraction",
     "extract_subset",
 ]
-
-
-def boundary_faces(box: Box) -> list[Box]:
-    """The 2n degenerate boxes whose union is the boundary of an n-box."""
-    if box.degenerate_dims():
-        raise ValueError("boundary faces require a box that is non-degenerate in every dimension")
-    faces = []
-    for k in range(box.dim):
-        for v in (box.dims[k].lo, box.dims[k].hi):
-            pinned = box.dims[:k] + (Interval.point(v),) + box.dims[k + 1 :]
-            faces.append(Box(pinned))
-    return faces
 
 
 @dataclass(frozen=True)
@@ -85,27 +74,10 @@ class CellGrid:
 
     @property
     def total(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     def edges(self, k: int) -> np.ndarray:
         return self._edges[k]
-
-    def cell(self, index) -> Box:
-        index = tuple(int(i) for i in index)
-        dims = []
-        for k, i in enumerate(index):
-            if not 0 <= i < self.counts[k]:
-                raise IndexError(f"cell index {index} out of range for counts {self.counts}")
-            e = self.edges(k)
-            dims.append(Interval(float(e[i]), float(e[i + 1])))
-        return Box(tuple(dims))
-
-    def indices(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*(range(c) for c in self.counts))
-
-    def cells(self) -> Iterator[tuple[tuple[int, ...], Box]]:
-        for idx in self.indices():
-            yield idx, self.cell(idx)
 
     def bounds_arrays(self):
         """Row-major (indices, lo, hi) arrays for all cells at once."""

@@ -30,7 +30,6 @@ from .network import Network, forward_batch, forward_point
 from .topology import (
     CellGrid,
     SubsetExtraction,
-    boundary_faces,
     certify_homeomorphism,
     extract_subset,
     grid_counts,
@@ -119,26 +118,29 @@ def grid_cell_batch(grid: CellGrid) -> CellBatch:
 
 
 def boundary_cell_batch(input_box: Box, counts: Sequence[int]) -> CellBatch:
-    """All boundary-face cells of a box partition.
+    """All boundary-face cells of a box partition, as rows of the grid lattice.
 
-    Each face is partitioned with the pinned dimension forced to count 1; the
-    lattice index of a face cell uses 0 for a low face and counts[k] for a
-    high face in the pinned dimension k.
+    For each dimension k, the grid with ``counts[k]`` set to 1 has one cell
+    for each face cell of either k-face.  Its edges in every other dimension
+    are the full grid's, from the same `CellGrid` expression on the same
+    interval, and its only edges in dimension k are the box's endpoints.
+    Pinning ``lo[:, k]`` and ``hi[:, k]`` both to the low edge therefore puts
+    each cell exactly on the low face, and pinning both to the high edge puts
+    it on the high face.  The lattice index in dimension k is 0 on the low
+    face and ``counts[k]`` on the high face.
     """
-    faces = boundary_faces(input_box)
+    if input_box.degenerate_dims():
+        raise ValueError("boundary faces require a box that is non-degenerate in every dimension")
     parts = []
-    for f, face in enumerate(faces):
-        k, side = divmod(f, 2)
-        face_counts = tuple(1 if j == k else counts[j] for j in range(input_box.dim))
-        idx, lo, hi = partition(face, face_counts).bounds_arrays()
-        idx = idx.copy()
-        idx[:, k] = 0 if side == 0 else counts[k]
-        parts.append((idx, lo, hi))
-    return CellBatch(
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-    )
+    for k in range(input_box.dim):
+        face_counts = tuple(1 if j == k else c for j, c in enumerate(counts))
+        idx, lo, hi = partition(input_box, face_counts).bounds_arrays()
+        for label, edge in ((0, lo[:, k]), (counts[k], hi[:, k])):
+            face_idx, face_lo, face_hi = idx.copy(), lo.copy(), hi.copy()
+            face_idx[:, k] = label
+            face_lo[:, k] = face_hi[:, k] = edge
+            parts.append((face_idx, face_lo, face_hi))
+    return CellBatch(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
 def propagate_cells(net: Network, batch: CellBatch, domain: str) -> CellBatch:

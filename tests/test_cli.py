@@ -342,6 +342,33 @@ def test_plot_high_dim_needs_projection(tmp_path, capsys):
     assert code == 0
 
 
+PLOT_CELLS = "idx0,idx1,out0_lo,out0_hi,out1_lo,out1_hi\n0,0,0.0,1.0,0.0,1.0\n"
+PLOT_MC = "x0,x1,y0,y1\n0.5,0.5,0.1,0.2\n"
+
+
+@pytest.mark.parametrize(
+    "files, extra",
+    [
+        ({"--mc": ""}, []),
+        ({"--full-cells": PLOT_CELLS + "1,0,0.0,1.0,0.0\n"}, []),
+        ({"--mc": PLOT_MC + "0.1,0.2,0.3\n"}, []),
+        ({"--mc": PLOT_MC}, ["--proj", "0", "5"]),
+        ({}, ["--safe", "-1,1;-1,1", "--proj", "0", "5"]),
+        ({"--full-cells": PLOT_CELLS}, ["--proj", "0", "-3"]),
+    ],
+    ids=["empty-mc", "short-cell-row", "short-mc-row", "proj-past-mc", "proj-past-safe",
+         "negative-proj"],
+)
+def test_plot_bad_input_exits_3(tmp_path, capsys, files, extra):
+    argv = ["plot", "--out", str(tmp_path / "p.svg"), *extra]
+    for flag, text in files.items():
+        path = tmp_path / f"{flag.strip('-')}.csv"
+        path.write_text(text, encoding="utf-8")
+        argv += [flag, str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and err.startswith("error:") and "Traceback" not in err
+
+
 def test_cli_auto_zono_with_refinement(seeded_model, capsys):
     code, out, _ = run(
         capsys, "verify", "--model", seeded_model, "--input", "0,1;0,1",

@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import runpy
+from pathlib import Path
 
 import reachbound
 
@@ -14,3 +16,10 @@ def test_export_lists_resolve():
         missing = [n for n in exported if not hasattr(module, n)]
         assert not missing, f"reachbound.{name}.__all__ names missing attributes: {missing}"
         assert len(set(exported)) == len(exported), f"duplicate names in reachbound.{name}.__all__"
+
+
+def test_trace_hooks_resolve():
+    """Every benchmark trace hook names a live attribute; a stale one zeroes its metrics."""
+    tracer = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"))
+    missing = [target for target, _, _ in tracer["HOOKS"] if tracer["resolve"](target) is None]
+    assert not missing, f"trace hooks with no target: {missing}"

@@ -290,6 +290,23 @@ def test_act_inclusion_monotone(name, outer, t0, t1):
         assert outer_r.encloses(as_interval(kernel(name, *ends(inner))))
 
 
+edge_floats = st.one_of(st.floats(-60, 60), st.sampled_from([0.0, -0.0, 20.5, -20.5, 700.0]))
+
+
+@pytest.mark.parametrize("name", ["tanh", "sigmoid"])
+@given(a=edge_floats, b=edge_floats)
+@example(a=-0.0, b=0.0)
+@example(a=-25.0, b=0.5)
+@example(a=21.0, b=40.0)
+def test_act_deriv_lower_end_is_min_of_endpoint_lower_ends(name, a, b):
+    # zono_activation takes its slope from one (l, u) call instead of (l, l) and (u, u)
+    l, u = np.array(min(a, b)), np.array(max(a, b))
+    lam, _ = _act_deriv_arrays(name, l, u)
+    dl, _ = _act_deriv_arrays(name, l, l)
+    du, _ = _act_deriv_arrays(name, u, u)
+    assert lam.tobytes() == np.minimum(dl, du).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # boxes
 
@@ -310,12 +327,6 @@ def test_box_intersects_shared_corner():
     b = Box.from_bounds([(1, 2), (1, 2)])
     assert a.intersects(b)
     assert not a.intersects(Box.from_bounds([(1.1, 2), (1, 2)]))
-
-
-def test_box_split_widest():
-    left, right = Box.from_bounds([(0, 4), (0, 1)]).split()
-    assert left.dims[0].hi == right.dims[0].lo == 2.0
-    assert left.dims[1] == right.dims[1] == Interval(0, 1)
 
 
 def test_box_dimension_mismatch():

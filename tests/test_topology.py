@@ -1,9 +1,12 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import reachbound as rb
 from reachbound.topology import certify_cells, jacobian_interval_arrays
+from reachbound.verifier import boundary_cell_batch
 from conftest import MIXED, deep_nets, linear_net, make_net, sample_box
 
 
@@ -12,26 +15,54 @@ from conftest import MIXED, deep_nets, linear_net, make_net, sample_box
 
 
 def test_faces_of_unit_square(unit_square):
-    faces = rb.boundary_faces(unit_square)
+    faces = boundary_cell_batch(unit_square, (1, 1))
     expected = {
         ((0.0, 0.0), (0.0, 1.0)),
         ((1.0, 1.0), (0.0, 1.0)),
         ((0.0, 1.0), (0.0, 0.0)),
         ((0.0, 1.0), (1.0, 1.0)),
     }
-    got = {tuple((d.lo, d.hi) for d in f.dims) for f in faces}
+    got = {tuple(zip(lo.tolist(), hi.tolist())) for lo, hi in zip(faces.lo, faces.hi)}
     assert got == expected
 
 
 def test_faces_count_in_3d():
-    faces = rb.boundary_faces(rb.Box.from_bounds([(-1, 1)] * 3))
-    assert len(faces) == 6
-    assert all(len(f.degenerate_dims()) == 1 for f in faces)
+    faces = boundary_cell_batch(rb.Box.from_bounds([(-1, 1)] * 3), (1, 1, 1))
+    assert faces.count == 6
+    assert np.all(np.sum(faces.lo == faces.hi, axis=1) == 1)
 
 
 def test_faces_reject_degenerate_input():
     with pytest.raises(ValueError):
-        rb.boundary_faces(rb.Box.from_bounds([(0, 0), (0, 1)]))
+        boundary_cell_batch(rb.Box.from_bounds([(0, 0), (0, 1)]), (1, 1))
+
+
+def face_box_cells(box, counts):
+    """The former construction: 2n degenerate face boxes, each partitioned on its own."""
+    parts = []
+    for k in range(box.dim):
+        for side, v in enumerate((box.dims[k].lo, box.dims[k].hi)):
+            face = rb.Box(box.dims[:k] + (rb.Interval.point(v),) + box.dims[k + 1 :])
+            face_counts = tuple(1 if j == k else counts[j] for j in range(box.dim))
+            idx, lo, hi = rb.partition(face, face_counts).bounds_arrays()
+            idx = idx.copy()
+            idx[:, k] = 0 if side == 0 else counts[k]
+            parts.append((idx, lo, hi))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def test_boundary_cell_batch_bit_identical_to_face_boxes():
+    rng = np.random.default_rng(61)
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        counts = tuple(int(c) for c in rng.integers(1, 9 if n <= 3 else 5, size=n))
+        lo = rng.choice([rng.uniform(-10, 10), 0.0, -0.0, -1.0], size=n)
+        hi = lo + rng.choice([rng.uniform(1e-3, 10), 1.0, 2.0**-30], size=n)
+        box = rb.Box.from_arrays(lo, hi)
+        batch = boundary_cell_batch(box, counts)
+        idx, ref_lo, ref_hi = face_box_cells(box, counts)
+        assert np.array_equal(batch.index, idx)
+        assert np.array_equal(batch.lo, ref_lo) and np.array_equal(batch.hi, ref_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -43,19 +74,25 @@ def test_partition_cell_count(unit_square):
     assert grid.total == 10_000
 
 
+def test_partition_total_is_exact_past_int64():
+    grid = rb.partition(rb.Box.from_bounds([(0, 1)] * 7), (1000,) * 7)
+    assert grid.total == 1000**7 == 10**21
+
+
 def test_partition_trivial_is_box(unit_square):
-    grid = rb.partition(unit_square, (1, 1))
-    assert grid.cell((0, 0)) == unit_square
+    idx, lo, hi = rb.partition(unit_square, (1, 1)).bounds_arrays()
+    assert idx.tolist() == [[0, 0]]
+    assert rb.Box.from_arrays(lo[0], hi[0]) == unit_square
 
 
 def test_partition_of_faces_gives_400_boundary_cells(unit_square):
-    total = 0
-    for face in rb.boundary_faces(unit_square):
-        counts = tuple(1 if face.is_degenerate(k) else 100 for k in range(2))
-        grid = rb.partition(face, counts)
-        assert grid.total == 100
-        total += grid.total
-    assert total == 400
+    faces = boundary_cell_batch(unit_square, (100, 100))
+    assert faces.count == 400
+    for f in range(4):  # one block of 100 cells per face, pinned in dimension f // 2
+        k = f // 2
+        rows = slice(100 * f, 100 * (f + 1))
+        assert np.all(faces.lo[rows, k] == faces.hi[rows, k])
+        assert np.all(faces.lo[rows, 1 - k] < faces.hi[rows, 1 - k])
 
 
 def test_partition_rejects_zero_count(unit_square):
@@ -75,28 +112,29 @@ def test_partition_tiles_exactly():
     edges = grid.edges(0)
     assert edges[0] == -0.3 and edges[-1] == 0.7
     assert np.all(np.diff(edges) > 0)
-    cells = [grid.cell((i,)) for i in range(7)]
-    for a, b in zip(cells, cells[1:]):
-        assert a.dims[0].hi == b.dims[0].lo  # shared closed faces
+    _, lo, hi = grid.bounds_arrays()
+    assert lo.shape == (7, 1)
+    assert np.array_equal(hi[:-1, 0], lo[1:, 0])  # shared closed faces
 
 
 def test_face_cover_equals_boundary(unit_square):
     # every point of the boundary lies in some face cell
-    rng = np.random.default_rng(12)
-    for face in rb.boundary_faces(unit_square):
-        counts = tuple(1 if face.is_degenerate(k) else 10 for k in range(2))
-        grid = rb.partition(face, counts)
-        pts = sample_box(face, 200, seed=13)
-        for p in pts:
-            assert any(cell.contains_point(p) for _, cell in grid.cells())
+    faces = boundary_cell_batch(unit_square, (10, 10))
+    for k in range(2):
+        for v in (0.0, 1.0):
+            pts = sample_box(unit_square, 200, seed=13)
+            pts[:, k] = v
+            for p in pts:
+                assert np.any(np.all((faces.lo <= p) & (p <= faces.hi), axis=1))
 
 
 def test_bounds_arrays_row_major(unit_square):
     grid = rb.partition(unit_square, (2, 3))
     idx, lo, hi = grid.bounds_arrays()
-    assert [tuple(i) for i in idx] == list(grid.indices())
-    for row, (i, cell) in zip(range(grid.total), grid.cells()):
-        assert np.array_equal(lo[row], cell.lo) and np.array_equal(hi[row], cell.hi)
+    assert [tuple(i) for i in idx] == list(product(range(2), range(3)))
+    edges = [grid.edges(k) for k in range(2)]
+    assert np.array_equal(lo, np.array(list(product(*(e[:-1] for e in edges)))))
+    assert np.array_equal(hi, np.array(list(product(*(e[1:] for e in edges)))))
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +220,16 @@ def test_certified_cell_has_constant_nonzero_sign(invertible_net):
 
 
 def test_certification_monotone_under_bisection(mixed_net):
-    grid = rb.partition(rb.Box.from_bounds([(-1, 1), (-1, 1)]), (8, 8))
+    # the children of cell (i, j) on the doubled grid are (2i..2i+1, 2j..2j+1)
+    box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
+    _, lo, hi = rb.partition(box, (8, 8)).bounds_arrays()
+    _, child_lo, child_hi = rb.partition(box, (16, 16)).bounds_arrays()
+    parent = certify_cells(mixed_net, lo, hi)[2].reshape(8, 8)
+    children = certify_cells(mixed_net, child_lo, child_hi)[2].reshape(16, 16)
     checked = 0
-    for _, cell in grid.cells():
-        if rb.certify_homeomorphism(mixed_net, cell).certified:
-            left, right = cell.split()
-            for child in (*left.split(), *right.split()):
-                assert rb.certify_homeomorphism(mixed_net, child).certified
-            checked += 1
+    for i, j in zip(*np.nonzero(parent)):
+        assert children[2 * i : 2 * i + 2, 2 * j : 2 * j + 2].all()
+        checked += 1
     assert checked > 4
 
 
@@ -197,8 +237,8 @@ def test_certify_batch_matches_scalar(mixed_net):
     grid = rb.partition(rb.Box.from_bounds([(-1, 1), (-1, 1)]), (5, 5))
     idx, lo, hi = grid.bounds_arrays()
     det_lo, det_hi, certified = certify_cells(mixed_net, lo, hi)
-    for row, (_, cell) in enumerate(grid.cells()):
-        res = rb.certify_homeomorphism(mixed_net, cell)
+    for row in range(grid.total):
+        res = rb.certify_homeomorphism(mixed_net, rb.Box.from_arrays(lo[row], hi[row]))
         assert res.certified == certified[row]
         assert abs(res.det_interval.lo - det_lo[row]) < 1e-9
         assert abs(res.det_interval.hi - det_hi[row]) < 1e-9
@@ -241,7 +281,9 @@ def test_extraction_interior_never_touches_boundary(mixed_net):
 def test_extraction_matches_exhaustive_classification(mixed_net):
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
     ex = rb.extract_subset(mixed_net, box, (20, 20))
-    for row, (i, cell) in enumerate(ex.grid.cells()):
+    e0, e1 = ex.grid.edges(0), ex.grid.edges(1)
+    for row, i in enumerate(product(range(20), range(20))):
+        cell = rb.Box.from_bounds([(e0[i[0]], e0[i[0] + 1]), (e1[i[1]], e1[i[1] + 1])])
         res = rb.certify_homeomorphism(mixed_net, cell)
         interior = all(0 < i[k] and i[k] + 1 < 20 for k in range(2))
         assert (res.certified and interior) == bool(ex.certified_interior_mask[row])
