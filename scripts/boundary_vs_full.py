@@ -40,7 +40,7 @@ def main():
     box = rb.Box.from_bounds([(0, 1), (0, 1)])
 
     cert = rb.certify_homeomorphism(net, box)
-    print(f"whole-box determinant: {cert.det_interval}  certified={cert.certified}")
+    print(f"whole-box determinant: [{cert.det_lo!r}, {cert.det_hi!r}]  certified={cert.certified}")
 
     mc = rb.monte_carlo(net, box, 100_000, seed=0)
     hull = mc.image_hull

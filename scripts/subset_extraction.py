@@ -39,7 +39,8 @@ def main():
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
 
     whole = rb.certify_homeomorphism(net, box)
-    print(f"whole-box determinant: {whole.det_interval}  certified={whole.certified}")
+    print(f"whole-box determinant: [{whole.det_lo!r}, {whole.det_hi!r}]  "
+          f"certified={whole.certified}")
 
     extraction = rb.extract_subset(net, box, (args.grid, args.grid))
     counts = extraction.counts

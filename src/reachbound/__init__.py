@@ -7,7 +7,7 @@ interval-box or zonotope abstract domains, with a Monte-Carlo oracle for
 falsification and empirical soundness checks.
 """
 
-from .intervals import Box, Interval, IntervalMatrix
+from .intervals import Box
 from .network import (
     Layer,
     Network,
@@ -35,7 +35,6 @@ from .topology import (
     SubsetExtraction,
     certify_homeomorphism,
     extract_subset,
-    jacobian_interval,
     partition,
 )
 from .verifier import (

@@ -116,9 +116,7 @@ def cmd_compare(args) -> int:
             "cells": verdict.stats.get("cells_propagated"),
             "verdict": verdict.status,
             "time_ms": verdict.stats.get("wall_ms"),
-            "hull": None
-            if verdict.output_hull is None
-            else [[d.lo, d.hi] for d in verdict.output_hull.dims],
+            "hull": None if verdict.output_hull is None else verdict.output_hull.bounds(),
         }
         for key in ("cells_total", "cells_certified", "cells_kept"):
             if key in verdict.stats:
@@ -158,7 +156,7 @@ def cmd_mc(args) -> int:
         write_mc_points(result, args.out)
     doc = {
         "samples": int(result.points.shape[0]),
-        "image_hull": [[d.lo, d.hi] for d in result.image_hull.dims],
+        "image_hull": result.image_hull.bounds(),
         "violations": int(result.violations.shape[0]),
         "first_violation": None
         if result.violations.shape[0] == 0
@@ -212,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, safe_required=True)
     p.add_argument("--domain", choices=("box", "zono"), default="box")
     p.add_argument("--mode", choices=("boundary", "subset", "full", "auto"), default="auto")
-    p.add_argument("--max-refine", type=int, default=0)
+    p.add_argument("--max-refine", type=int, default=0,
+                   help="grid doublings on unknown; only --mode auto refines, others ignore it")
     p.add_argument("--falsify-samples", type=int, default=0)
     p.add_argument("--out", help="write the verdict JSON here too")
     p.add_argument("--cells-out", help="write per-cell reach hulls CSV")

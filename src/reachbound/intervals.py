@@ -1,6 +1,6 @@
-"""Validated interval arithmetic as batched ndarray kernels, plus the value types.
+"""Validated interval arithmetic as batched ndarray kernels, plus the `Box` value.
 
-The kernels (``_imul_arrays``, ``_sum_enclose``, ``_point_imatmul_arrays``,
+The kernels (``_imul_arrays``, ``_point_imatmul_arrays``,
 ``_interval_matvec_arrays``, ``_idet_arrays``, ``_act_range_arrays`` and
 ``_act_deriv_arrays``) are the only interval arithmetic: they take ``(lo, hi)``
 endpoint arrays with leading batch axes and return an enclosure of the true
@@ -10,9 +10,10 @@ derivatives) are only faithfully rounded, so their endpoints get a wider fixed
 pad.  Reductions (dot products, sums) are bounded with a standard a-priori
 rounding-error term instead of per-term nudging, which keeps them vectorizable.
 
-`Interval`, `Box` and `IntervalMatrix` are validated values, not an algebra:
-a box is a product of intervals, and an interval matrix is the ``(lo, hi)``
-pair that encloses a Jacobian.
+`Box` is the one interval value, not an algebra: a validated, read-only
+``(lo, hi)`` pair of endpoint vectors.  Every other interval quantity (a
+Jacobian or determinant enclosure, a batch of cells) stays a plain pair of
+endpoint arrays.
 """
 
 from __future__ import annotations
@@ -20,14 +21,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Interval",
     "Box",
-    "IntervalMatrix",
     "activation_names",
     "activation_function",
     "activation_derivative",
@@ -52,87 +51,56 @@ def _up(x, steps: int = 1):
 
 
 # ---------------------------------------------------------------------------
-# value types
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed real interval [lo, hi] with finite endpoints."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"interval lower bound exceeds upper: [{self.lo}, {self.hi}]")
-
-    @staticmethod
-    def point(v: float) -> "Interval":
-        return Interval(float(v), float(v))
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
-
-    def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def __repr__(self) -> str:
-        return f"[{self.lo!r}, {self.hi!r}]"
-
-
-# ---------------------------------------------------------------------------
 # boxes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
-    """Axis-aligned product of intervals; degenerate faces are allowed."""
+    """Axis-aligned box [lo, hi] with finite endpoints; degenerate faces are allowed.
 
-    dims: tuple[Interval, ...]
+    ``lo`` and ``hi`` are read-only float64 copies of the inputs, validated
+    once here, so a box never aliases or is changed through a caller's array.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __post_init__(self):
-        if not self.dims:
+        lo = np.array(self.lo, dtype=float).ravel()
+        hi = np.array(self.hi, dtype=float).ravel()
+        if lo.size == 0:
             raise ValueError("box must have at least one dimension")
+        if lo.shape != hi.shape:
+            raise ValueError("bound arrays must have matching shapes")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError(f"box endpoints must be finite, got {lo} and {hi}")
+        if np.any(lo > hi):
+            raise ValueError(f"box lower bound exceeds upper: {lo} and {hi}")
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @staticmethod
     def from_bounds(bounds: Iterable[Sequence[float]]) -> "Box":
-        return Box(tuple(Interval(float(lo), float(hi)) for lo, hi in bounds))
+        pairs = np.array([(float(lo), float(hi)) for lo, hi in bounds]).reshape(-1, 2)
+        return Box(pairs[:, 0], pairs[:, 1])
 
     @staticmethod
     def from_arrays(lo: np.ndarray, hi: np.ndarray) -> "Box":
-        lo = np.asarray(lo, dtype=float).ravel()
-        hi = np.asarray(hi, dtype=float).ravel()
-        if lo.shape != hi.shape:
-            raise ValueError("bound arrays must have matching shapes")
-        return Box(tuple(Interval(float(a), float(b)) for a, b in zip(lo, hi)))
+        return Box(lo, hi)
 
     @staticmethod
-    def point(vec: Iterable[float]) -> "Box":
-        return Box(tuple(Interval.point(v) for v in vec))
+    def point(vec: Sequence[float]) -> "Box":
+        return Box(vec, vec)
 
     @property
     def dim(self) -> int:
-        return len(self.dims)
+        return self.lo.shape[0]
 
-    @property
-    def lo(self) -> np.ndarray:
-        return np.array([d.lo for d in self.dims])
-
-    @property
-    def hi(self) -> np.ndarray:
-        return np.array([d.hi for d in self.dims])
+    def bounds(self) -> list[list[float]]:
+        """``[[lo, hi], ...]`` per dimension, as Python floats."""
+        return [[a, b] for a, b in zip(self.lo.tolist(), self.hi.tolist())]
 
     def widths(self) -> np.ndarray:
         return self.hi - self.lo
@@ -140,11 +108,8 @@ class Box:
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
-    def is_degenerate(self, k: int) -> bool:
-        return self.dims[k].lo == self.dims[k].hi
-
     def degenerate_dims(self) -> tuple[int, ...]:
-        return tuple(k for k in range(self.dim) if self.is_degenerate(k))
+        return tuple(np.flatnonzero(self.lo == self.hi).tolist())
 
     def contains_point(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -153,26 +118,14 @@ class Box:
 
     def contains_box(self, other: "Box") -> bool:
         self._check_dim(other.dim)
-        return all(a.encloses(b) for a, b in zip(self.dims, other.dims))
-
-    def intersects(self, other: "Box") -> bool:
-        # closed convention: shared faces and corners count
-        self._check_dim(other.dim)
-        return all(a.intersects(b) for a, b in zip(self.dims, other.dims))
-
-    def hull(self, other: "Box") -> "Box":
-        self._check_dim(other.dim)
-        return Box(tuple(a.hull(b) for a, b in zip(self.dims, other.dims)))
+        return bool(np.all(self.lo <= other.lo) and np.all(other.hi <= self.hi))
 
     def _check_dim(self, d: int) -> None:
         if d != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {d}")
 
-    def __iter__(self) -> Iterator[Interval]:
-        return iter(self.dims)
-
     def __repr__(self) -> str:
-        return " x ".join(repr(d) for d in self.dims)
+        return " x ".join(f"[{a!r}, {b!r}]" for a, b in self.bounds())
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +141,6 @@ def _imul_arrays(alo, ahi, blo, bhi):
     lo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
     hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
     return _down(lo), _up(hi)
-
-
-def _sum_enclose(lo, hi, axis):
-    """Interval sum along `axis` with an a-priori rounding-error bound."""
-    k = lo.shape[axis]
-    slo = lo.sum(axis=axis)
-    shi = hi.sum(axis=axis)
-    mag = np.maximum(np.abs(lo), np.abs(hi)).sum(axis=axis)
-    err = (k + 2) * _U * mag + (k + 1) * _TINY
-    return _down(slo - err), _up(shi + err)
 
 
 def _point_imatmul_arrays(w, blo, bhi):
@@ -268,30 +211,6 @@ def _idet_arrays(lo, hi):
             larger[cols] = acc_lo, acc_hi
         minors = larger
     return minors[tuple(range(n))]
-
-
-# ---------------------------------------------------------------------------
-# interval matrices
-
-
-@dataclass(frozen=True)
-class IntervalMatrix:
-    """Rectangular matrix of intervals, stored as validated endpoint arrays."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.ndim != 2 or lo.shape != hi.shape:
-            raise ValueError("interval matrix requires two 2-d endpoint arrays of equal shape")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValueError("interval matrix entries must be finite")
-        if np.any(lo > hi):
-            raise ValueError("interval matrix has an entry with lo > hi")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
 
 
 # ---------------------------------------------------------------------------

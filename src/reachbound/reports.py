@@ -36,12 +36,6 @@ SAFE_COLOR = "green"
 MC_COLOR = "yellow"
 
 
-def _hull_list(box: Optional[Box]):
-    if box is None:
-        return None
-    return [[d.lo, d.hi] for d in box.dims]
-
-
 def verdict_document(verdict: Verdict) -> dict:
     stats = verdict.stats
     doc = {
@@ -53,7 +47,7 @@ def verdict_document(verdict: Verdict) -> dict:
             "refinement_level": stats.get("refinement_level", 0),
             "wall_ms": stats.get("wall_ms"),
         },
-        "output_hull": _hull_list(verdict.output_hull),
+        "output_hull": None if verdict.output_hull is None else verdict.output_hull.bounds(),
         "counterexample": None
         if verdict.counterexample is None
         else [float(v) for v in verdict.counterexample],
@@ -71,21 +65,20 @@ def write_verdict(verdict: Verdict, path) -> None:
         fh.write("\n")
 
 
-def write_reach_cells(batch: CellBatch, path) -> None:
-    """Per-cell dump: grid indices then output hull bounds per dimension."""
-    n = batch.index.shape[1]
-    m = batch.out_lo.shape[1]
-    header = [f"idx{k}" for k in range(n)]
-    for j in range(m):
-        header += [f"out{j}_lo", f"out{j}_hi"]
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(batch.count):
-            row = [int(v) for v in batch.index[i]]
-            for j in range(m):
-                row += [repr(float(batch.out_lo[i, j])), repr(float(batch.out_hi[i, j]))]
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def write_reach_cells(batch: CellBatch, path) -> None:
+    """Per-cell dump: grid indices then output hull bounds per dimension."""
+    n, m = batch.index.shape[1], batch.out_lo.shape[1]
+    header = [f"idx{k}" for k in range(n)] + [f"out{j}_{e}" for j in range(m) for e in ("lo", "hi")]
+    bounds = np.stack([batch.out_lo, batch.out_hi], axis=2).reshape(batch.count, 2 * m)
+    rows = zip(batch.index.tolist(), bounds.tolist())
+    _write_csv(path, header, ([*i, *map(repr, b)] for i, b in rows))
 
 
 def _read_csv(path):
@@ -115,28 +108,17 @@ def write_certification(extraction, path) -> None:
     """Per-cell certification dump: indices, determinant bounds, verdict bit."""
     n = extraction.index.shape[1]
     header = [f"idx{k}" for k in range(n)] + ["det_lo", "det_hi", "certified"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(extraction.index.shape[0]):
-            row = [int(v) for v in extraction.index[i]]
-            row += [
-                repr(float(extraction.det_lo[i])),
-                repr(float(extraction.det_hi[i])),
-                int(extraction.certified[i]),
-            ]
-            writer.writerow(row)
+    rows = zip(extraction.index.tolist(), extraction.det_lo.tolist(),
+               extraction.det_hi.tolist(), extraction.certified.tolist())
+    _write_csv(path, header, ([*i, repr(lo), repr(hi), int(c)] for i, lo, hi, c in rows))
 
 
 def write_mc_points(result: MonteCarloResult, path) -> None:
     n = result.points.shape[1]
     m = result.images.shape[1]
     header = [f"x{k}" for k in range(n)] + [f"y{j}" for j in range(m)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for p, q in zip(result.points, result.images):
-            writer.writerow([repr(float(v)) for v in p] + [repr(float(v)) for v in q])
+    rows = np.hstack([result.points, result.images]).tolist()
+    _write_csv(path, header, ([repr(v) for v in row] for row in rows))
 
 
 def read_mc_points(path) -> np.ndarray:
@@ -202,8 +184,8 @@ def render_svg(
         xs += [mc_points[:, px].min(), mc_points[:, px].max()]
         ys += [mc_points[:, py].min(), mc_points[:, py].max()]
     if safe_box is not None:
-        xs += [safe_box.dims[px].lo, safe_box.dims[px].hi]
-        ys += [safe_box.dims[py].lo, safe_box.dims[py].hi]
+        xs += [safe_box.lo[px], safe_box.hi[px]]
+        ys += [safe_box.lo[py], safe_box.hi[py]]
     frame = _Frame(
         _expand((min(xs), max(xs)) if xs else (0.0, 1.0)),
         _expand((min(ys), max(ys)) if ys else (0.0, 1.0)),
@@ -236,8 +218,8 @@ def render_svg(
                 f'r="1.2" fill="{MC_COLOR}"/>\n'
             )
     if safe_box is not None:
-        x0, x1 = frame.x(safe_box.dims[px].lo), frame.x(safe_box.dims[px].hi)
-        y0, y1 = frame.y(safe_box.dims[py].hi), frame.y(safe_box.dims[py].lo)
+        x0, x1 = frame.x(safe_box.lo[px]), frame.x(safe_box.hi[px])
+        y0, y1 = frame.y(safe_box.hi[py]), frame.y(safe_box.lo[py])
         out.write(
             f'<rect class="safe" x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
             f'height="{_fmt(y1 - y0)}" fill="none" stroke="{SAFE_COLOR}" stroke-width="2"/>\n'

@@ -5,10 +5,13 @@ face cells come from the grids with one count set to 1 (`boundary_cell_batch`).
 
 A network restricted to a cell is certified as a homeomorphism onto its image
 when the interval enclosure of its Jacobian determinant over the cell excludes
-zero.  Certification requires a square network with at most 6 inputs, because
-the determinant enclosure uses cofactor expansion.  This module owns that rule:
-`is_certifiable` is the only place it is written.
-Whole boxes and grid cells are certified by the same batched `certify_cells`.
+zero.  The Jacobian enclosure, `jacobian_interval_arrays`, applies to any
+network; only the determinant needs a square one with at most 6 inputs,
+because it uses cofactor expansion.  This module owns that rule:
+`is_certifiable` is the only place it is written, and `certify_cells` the
+only place it is checked.  Whole boxes and grid cells are certified by the
+same batched `certify_cells`, and every enclosure stays a ``(lo, hi)`` pair
+of endpoint arrays.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import numpy as np
 
 from .intervals import (
     Box,
-    Interval,
-    IntervalMatrix,
     _act_deriv_arrays,
     _act_range_arrays,
     _idet_arrays,
@@ -36,7 +37,7 @@ __all__ = [
     "partition",
     "grid_counts",
     "is_certifiable",
-    "jacobian_interval",
+    "jacobian_interval_arrays",
     "certify_homeomorphism",
     "certify_cells",
     "CertificationResult",
@@ -59,11 +60,11 @@ class CellGrid:
             raise ValueError("subdivision counts must be at least 1")
         edges = []
         for k, c in enumerate(self.counts):
-            iv = self.base.dims[k]
-            if iv.lo == iv.hi and c != 1:
+            lo, hi = float(self.base.lo[k]), float(self.base.hi[k])
+            if lo == hi and c != 1:
                 raise ValueError(f"degenerate dimension {k} must have count 1")
-            e = iv.lo + np.arange(c + 1) * ((iv.hi - iv.lo) / c)
-            e[-1] = iv.hi  # exact tiling of the base box
+            e = lo + np.arange(c + 1) * ((hi - lo) / c)
+            e[-1] = hi  # exact tiling of the base box
             e.setflags(write=False)
             edges.append(e)
         object.__setattr__(self, "_edges", tuple(edges))
@@ -120,18 +121,8 @@ def is_certifiable(net: Network) -> bool:
     return net.is_square and net.input_dim <= _DET_MAX_DIM
 
 
-def _check_certifiable(net: Network, lo) -> None:
-    if not is_certifiable(net):
-        raise ValueError(
-            f"Jacobian certification requires a square network with at most "
-            f"{_DET_MAX_DIM} inputs, got {net.input_dim} -> {net.output_dim}"
-        )
-    if np.shape(lo)[-1] != net.input_dim:
-        raise ValueError(f"cell dimension {np.shape(lo)[-1]} != input dim {net.input_dim}")
-
-
 def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
-    """Enclose the Jacobian over batched cells (..., n); returns (..., n, n).
+    """Enclose the Jacobian over batched cells (..., n); returns (..., m, n) bounds.
 
     With D_l the enclosure of layer l's activation derivative over the cell,
     ``J_1 = D_1 W_1`` and ``J_l = D_l (W_l J_{l-1})``.  In real arithmetic
@@ -155,18 +146,13 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
     return jlo, jhi
 
 
-def jacobian_interval(net: Network, cell: Box) -> IntervalMatrix:
-    _check_certifiable(net, cell.lo)
-    jlo, jhi = jacobian_interval_arrays(net, cell.lo, cell.hi)
-    return IntervalMatrix(jlo, jhi)
-
-
 @dataclass(frozen=True)
 class CertificationResult:
-    """Interval determinant over a cell plus the certified verdict."""
+    """Interval determinant [det_lo, det_hi] over a cell plus the certified verdict."""
 
     cell: Box
-    det_interval: Interval
+    det_lo: float
+    det_hi: float
     certified: bool
 
 
@@ -174,12 +160,18 @@ def certify_homeomorphism(net: Network, cell: Box) -> CertificationResult:
     """Certify one box as the one-cell case of `certify_cells`."""
     # unbatched (n,) bounds: a batch axis changes BLAS call shapes and can move last-ulp bits
     det_lo, det_hi, certified = certify_cells(net, cell.lo, cell.hi)
-    return CertificationResult(cell, Interval(float(det_lo), float(det_hi)), bool(certified))
+    return CertificationResult(cell, float(det_lo), float(det_hi), bool(certified))
 
 
 def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):
     """Batch certification of cells (..., n); returns (det_lo, det_hi, certified) arrays."""
-    _check_certifiable(net, lo)
+    if not is_certifiable(net):
+        raise ValueError(
+            f"Jacobian certification requires a square network with at most "
+            f"{_DET_MAX_DIM} inputs, got {net.input_dim} -> {net.output_dim}"
+        )
+    if np.shape(lo)[-1] != net.input_dim:
+        raise ValueError(f"cell dimension {np.shape(lo)[-1]} != input dim {net.input_dim}")
     jlo, jhi = jacobian_interval_arrays(net, lo, hi)
     dlo, dhi = _idet_arrays(jlo, jhi)
     certified = (dlo > 0.0) | (dhi < 0.0)

@@ -67,7 +67,7 @@ class VerificationProblem:
     domain: str = "box"
     mode: str = "auto"
     grid: Optional[tuple[int, ...]] = None
-    max_refinements: int = 0
+    max_refinements: int = 0  # grid doublings on Unknown; only mode "auto" refines
     seed: int = 0
     falsify_samples: int = 0  # 0 disables counterexample search
 

@@ -4,13 +4,20 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import reachbound as rb
 from reachbound.cli import main, parse_box, parse_grid
-from reachbound.reports import read_reach_cells
+from reachbound.reports import (
+    read_reach_cells,
+    write_certification,
+    write_mc_points,
+    write_reach_cells,
+)
+from reachbound.verifier import CellBatch, MonteCarloResult
 from conftest import identity_net, make_net, MIXED
 
 
@@ -395,3 +402,34 @@ def test_cells_out_schema(seeded_model, tmp_path, capsys):
     idx, lo, hi = read_reach_cells(cells)
     assert idx.shape == (12, 2) and lo.shape == (12, 2)
     assert np.all(lo <= hi)
+
+
+def test_csv_writers_exact_bytes(tmp_path):
+    # repr round-trips every float: the sign of -0.0 and all 17 digits of 0.1 + 0.2
+    third = 0.1 + 0.2
+    batch = CellBatch(np.array([[0, 1], [2, 0]]), np.zeros((2, 2)), np.ones((2, 2)),
+                      np.array([[-0.0, third], [1e-300, -2.5]]),
+                      np.array([[0.0, 0.5], [1.0, 2.0]]))
+    extraction = SimpleNamespace(
+        index=np.array([[1, 2], [3, 4]]), det_lo=np.array([-0.0, third]),
+        det_hi=np.array([0.0, 1.7976931348623157e308]), certified=np.array([False, True]),
+    )
+    mc = MonteCarloResult(np.array([[-0.0, third]]), np.array([[5e-324, -2.5]]),
+                          rb.Box.from_bounds([(5e-324, 5e-324), (-2.5, -2.5)]), np.empty((0, 2)))
+    write_reach_cells(batch, tmp_path / "cells.csv")
+    write_certification(extraction, tmp_path / "cert.csv")
+    write_mc_points(mc, tmp_path / "mc.csv")
+    assert (tmp_path / "cells.csv").read_bytes() == (
+        b"idx0,idx1,out0_lo,out0_hi,out1_lo,out1_hi\r\n"
+        b"0,1,-0.0,0.0,0.30000000000000004,0.5\r\n"
+        b"2,0,1e-300,1.0,-2.5,2.0\r\n"
+    )
+    assert (tmp_path / "cert.csv").read_bytes() == (
+        b"idx0,idx1,det_lo,det_hi,certified\r\n"
+        b"1,2,-0.0,0.0,0\r\n"
+        b"3,4,0.30000000000000004,1.7976931348623157e+308,1\r\n"
+    )
+    assert (tmp_path / "mc.csv").read_bytes() == (
+        b"x0,x1,y0,y1\r\n"
+        b"-0.0,0.30000000000000004,5e-324,-2.5\r\n"
+    )

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 import reachbound as rb
 from reachbound.intervals import (
     Box,
-    Interval,
     _act_deriv_arrays,
     _act_range_arrays,
     _down,
     _idet_arrays,
     _imul_arrays,
     _point_imatmul_arrays,
-    _sum_enclose,
     _up,
 )
 
@@ -44,14 +42,14 @@ def exact_det(rows) -> Fraction:
     return total
 
 
-def ends(iv: Interval):
-    """The 0-d endpoint arrays the kernels take for one interval."""
-    return np.array(iv.lo, dtype=float), np.array(iv.hi, dtype=float)
+def ends(lo, hi):
+    """The 0-d endpoint arrays the kernels take for one interval [lo, hi]."""
+    return np.array(lo, dtype=float), np.array(hi, dtype=float)
 
 
-def as_interval(pair) -> Interval:
+def as_pair(pair) -> tuple[float, float]:
     lo, hi = pair
-    return Interval(float(lo), float(hi))
+    return float(lo), float(hi)
 
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -60,7 +58,7 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 @st.composite
 def intervals(draw, bound=finite):
     a, b = draw(bound), draw(bound)
-    return Interval(min(a, b), max(a, b))
+    return min(a, b), max(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -68,45 +66,37 @@ def intervals(draw, bound=finite):
 
 
 def test_mul_corner_products():
-    r = as_interval(_imul_arrays(*ends(Interval(-1, 2)), *ends(Interval(3, 4))))
-    assert r.lo <= -4.0 and r.hi >= 8.0
-    assert tight(r.lo, -4.0) and tight(r.hi, 8.0)
+    lo, hi = as_pair(_imul_arrays(*ends(-1, 2), *ends(3, 4)))
+    assert lo <= -4.0 and hi >= 8.0
+    assert tight(lo, -4.0) and tight(hi, 8.0)
 
 
 def test_mul_annihilation():
-    r = as_interval(_imul_arrays(*ends(Interval(0, 0)), *ends(Interval(-5, 7))))
-    assert r.contains(0.0)
-    assert r.width < 1e-320
+    lo, hi = as_pair(_imul_arrays(*ends(0, 0), *ends(-5, 7)))
+    assert lo <= 0.0 <= hi
+    assert hi - lo < 1e-320
 
 
 def test_invalid_endpoints_rejected():
     with pytest.raises(ValueError):
-        Interval(2, 1)
+        Box.from_bounds([(2, 1)])
     with pytest.raises(ValueError):
-        Interval(0, math.inf)
+        Box.from_bounds([(0, math.inf)])
     with pytest.raises(ValueError):
-        Interval(math.nan, 0)
+        Box.from_bounds([(math.nan, 0)])
 
 
 def pick(iv, t):
     # clamp: the affine form can round just past an endpoint
-    return min(max(iv.lo + t * (iv.hi - iv.lo), iv.lo), iv.hi)
+    lo, hi = iv
+    return min(max(lo + t * (hi - lo), lo), hi)
 
 
 @given(intervals(), intervals(), st.floats(0, 1), st.floats(0, 1))
 def test_mul_contains_samples(a, b, ta, tb):
     x, y = pick(a, ta), pick(b, tb)
-    assert as_interval(_imul_arrays(*ends(a), *ends(b))).contains(x * y)
-
-
-@given(intervals(), intervals(), st.floats(0, 1), st.floats(0, 1))
-def test_add_sub_contain_samples(a, b, ta, tb):
-    # the kernels subtract by adding the exactly negated interval
-    x, y = pick(a, ta), pick(b, tb)
-    total = as_interval(_sum_enclose(np.array([a.lo, b.lo]), np.array([a.hi, b.hi]), axis=0))
-    diff = as_interval(_sum_enclose(np.array([a.lo, -b.hi]), np.array([a.hi, -b.lo]), axis=0))
-    assert total.contains(x + y)
-    assert diff.contains(x - y)
+    lo, hi = as_pair(_imul_arrays(*ends(*a), *ends(*b)))
+    assert lo <= x * y <= hi
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +128,22 @@ def test_matmul_point_matrices_vs_exact():
         ]
         for i in range(3):
             for j in range(3):
-                e = exact[i][j]
-                iv = Interval(float(rlo[i, j]), float(rhi[i, j]))
-                assert Fraction(iv.lo) <= e <= Fraction(iv.hi)
-                assert iv.width < 1e-12
+                lo, hi = float(rlo[i, j]), float(rhi[i, j])
+                assert Fraction(lo) <= exact[i][j] <= Fraction(hi)
+                assert hi - lo < 1e-12
 
 
 def test_det_identity_point():
-    d = as_interval(_idet_arrays(np.eye(2), np.eye(2)))
-    assert d.contains(1.0) and d.width < 1e-13
+    lo, hi = as_pair(_idet_arrays(np.eye(2), np.eye(2)))
+    assert lo <= 1.0 <= hi and hi - lo < 1e-13
 
 
 def test_det_triangular():
-    d = as_interval(
+    lo, hi = as_pair(
         _idet_arrays(np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[2.0, 0.0], [0.0, 1.0]]))
     )
-    assert d.lo <= 0.0 <= 2.0 <= d.hi
-    assert d.lo > -1e-300 and d.hi - 2.0 < 1e-12
+    assert lo <= 0.0 <= 2.0 <= hi
+    assert lo > -1e-300 and hi - 2.0 < 1e-12
 
 
 def test_det_contains_vertex_hull():
@@ -162,7 +151,7 @@ def test_det_contains_vertex_hull():
     for _ in range(5):
         lo = rng.uniform(-1, 1, (3, 3))
         hi = lo + rng.uniform(0, 0.5, (3, 3))
-        d = as_interval(_idet_arrays(lo, hi))
+        dlo, dhi = as_pair(_idet_arrays(lo, hi))
         dets = []
         for choice in product((0, 1), repeat=9):
             m = [
@@ -170,7 +159,7 @@ def test_det_contains_vertex_hull():
                 for i in range(3)
             ]
             dets.append(exact_det(m))
-        assert Fraction(d.lo) <= min(dets) and max(dets) <= Fraction(d.hi)
+        assert Fraction(dlo) <= min(dets) and max(dets) <= Fraction(dhi)
 
 
 def test_det_point_matrices_exact_to_tolerance():
@@ -179,26 +168,29 @@ def test_det_point_matrices_exact_to_tolerance():
     for n in (2, 3, 4):
         for _ in range(10):
             a = rng.uniform(-1, 1, (n, n)) + np.eye(n)  # keep well away from singular
-            d = as_interval(_idet_arrays(a, a))
+            lo, hi = as_pair(_idet_arrays(a, a))
             e = exact_det(a.tolist())
-            assert Fraction(d.lo) <= e <= Fraction(d.hi)
-            assert d.width <= 1e-12 * max(1.0, abs(float(e)))
+            assert Fraction(lo) <= e <= Fraction(hi)
+            assert hi - lo <= 1e-12 * max(1.0, abs(float(e)))
 
 
 @given(intervals(st.floats(-3, 3)), intervals(st.floats(-3, 3)))
 def test_det_inclusion_monotone_in_entries(a, wide):
     # shrink one entry: the determinant interval can only shrink
-    inner = Interval(max(a.lo, wide.lo), min(a.hi, wide.hi)) if a.intersects(wide) else a
+    if a[0] <= wide[1] and wide[0] <= a[1]:
+        inner = max(a[0], wide[0]), min(a[1], wide[1])
+    else:
+        wide = inner = a
     base = np.array([[0.5, -0.25], [1.5, 2.0]])
-    dw = as_interval(_idet_arrays(
-        np.array([[wide.lo if a.intersects(wide) else a.lo, base[0, 1]], base[1]]),
-        np.array([[wide.hi if a.intersects(wide) else a.hi, base[0, 1]], base[1]]),
+    dw = as_pair(_idet_arrays(
+        np.array([[wide[0], base[0, 1]], base[1]]),
+        np.array([[wide[1], base[0, 1]], base[1]]),
     ))
-    di = as_interval(_idet_arrays(
-        np.array([[inner.lo, base[0, 1]], base[1]]),
-        np.array([[inner.hi, base[0, 1]], base[1]]),
+    di = as_pair(_idet_arrays(
+        np.array([[inner[0], base[0, 1]], base[1]]),
+        np.array([[inner[1], base[0, 1]], base[1]]),
     ))
-    assert dw.lo <= di.lo + 1e-12 and di.hi <= dw.hi + 1e-12
+    assert dw[0] <= di[0] + 1e-12 and di[1] <= dw[1] + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -206,88 +198,88 @@ def test_det_inclusion_monotone_in_entries(a, wide):
 
 
 def test_act_range_tanh_origin():
-    r = as_interval(_act_range_arrays("tanh", *ends(Interval(0, 0))))
-    assert r.contains(0.0) and r.width < 1e-320
+    lo, hi = as_pair(_act_range_arrays("tanh", *ends(0, 0)))
+    assert lo <= 0.0 <= hi and hi - lo < 1e-320
 
 
 def test_act_range_sigmoid_origin():
-    r = as_interval(_act_range_arrays("sigmoid", *ends(Interval(0, 0))))
-    assert r.contains(0.5) and r.width < 1e-14
+    lo, hi = as_pair(_act_range_arrays("sigmoid", *ends(0, 0)))
+    assert lo <= 0.5 <= hi and hi - lo < 1e-14
 
 
 def test_act_range_tanh_unit():
     # endpoints are exact under monotonicity: tanh(1) = 0.76159415595576488...
-    r = as_interval(_act_range_arrays("tanh", *ends(Interval(-1, 1))))
-    assert r.lo <= -0.7615941559557649 and r.hi >= 0.7615941559557649
-    assert abs(r.hi - 0.7615941559557649) < 1e-14
-    assert abs(r.lo + 0.7615941559557649) < 1e-14
+    lo, hi = as_pair(_act_range_arrays("tanh", *ends(-1, 1)))
+    assert lo <= -0.7615941559557649 and hi >= 0.7615941559557649
+    assert abs(hi - 0.7615941559557649) < 1e-14
+    assert abs(lo + 0.7615941559557649) < 1e-14
 
 
 def test_act_range_stays_in_codomain():
-    r = as_interval(_act_range_arrays("tanh", *ends(Interval(-50, 60))))
-    assert r.lo >= -1.0 and r.hi <= 1.0
-    s = as_interval(_act_range_arrays("sigmoid", *ends(Interval(-800, 900))))
-    assert s.lo >= 0.0 and s.hi <= 1.0
+    lo, hi = as_pair(_act_range_arrays("tanh", *ends(-50, 60)))
+    assert -1.0 <= lo <= hi <= 1.0
+    lo, hi = as_pair(_act_range_arrays("sigmoid", *ends(-800, 900)))
+    assert 0.0 <= lo <= hi <= 1.0
 
 
 def test_act_deriv_tanh_origin():
-    r = as_interval(_act_deriv_arrays("tanh", *ends(Interval(0, 0))))
-    assert r.hi == 1.0 and r.contains(1.0) and r.width < 1e-14
+    lo, hi = as_pair(_act_deriv_arrays("tanh", *ends(0, 0)))
+    assert hi == 1.0 and lo <= 1.0 and hi - lo < 1e-14
 
 
 def test_act_deriv_sigmoid_origin():
-    r = as_interval(_act_deriv_arrays("sigmoid", *ends(Interval(0, 0))))
-    assert r.hi == 0.25 and r.contains(0.25) and r.width < 1e-14
+    lo, hi = as_pair(_act_deriv_arrays("sigmoid", *ends(0, 0)))
+    assert hi == 0.25 and lo <= 0.25 and hi - lo < 1e-14
 
 
 def test_act_deriv_tanh_unit():
     # min at the endpoints: tanh'(1) = 0.41997434161402606...
-    r = as_interval(_act_deriv_arrays("tanh", *ends(Interval(-1, 1))))
-    assert r.hi == 1.0
-    assert r.lo <= 0.4199743416140261 and abs(r.lo - 0.4199743416140261) < 1e-13
+    lo, hi = as_pair(_act_deriv_arrays("tanh", *ends(-1, 1)))
+    assert hi == 1.0
+    assert lo <= 0.4199743416140261 and abs(lo - 0.4199743416140261) < 1e-13
 
 
 def test_act_unknown_tag():
     with pytest.raises(ValueError):
-        _act_range_arrays("relu", *ends(Interval(0, 1)))
+        _act_range_arrays("relu", *ends(0, 1))
     with pytest.raises(ValueError):
-        _act_deriv_arrays("relu", *ends(Interval(0, 1)))
+        _act_deriv_arrays("relu", *ends(0, 1))
 
 
 def test_act_linear_passthrough():
-    assert as_interval(_act_range_arrays("linear", *ends(Interval(-2, 3)))) == Interval(-2, 3)
-    assert as_interval(_act_deriv_arrays("linear", *ends(Interval(-2, 3)))) == Interval(1, 1)
+    assert as_pair(_act_range_arrays("linear", *ends(-2, 3))) == (-2.0, 3.0)
+    assert as_pair(_act_deriv_arrays("linear", *ends(-2, 3))) == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("name", ["tanh", "sigmoid"])
 @pytest.mark.parametrize(
     "iv",
-    [Interval(-1, 1), Interval(0.3, 2.5), Interval(-4.0, -0.2), Interval(-0.01, 30.0)],
+    [(-1, 1), (0.3, 2.5), (-4.0, -0.2), (-0.01, 30.0)],
 )
 def test_act_soundness_by_sampling(name, iv):
     rng = np.random.default_rng(77)
-    ts = iv.lo + rng.random(10_000) * (iv.hi - iv.lo)
+    ts = iv[0] + rng.random(10_000) * (iv[1] - iv[0])
     f = rb.intervals.activation_function(name)
     d = rb.intervals.activation_derivative(name)
-    r = as_interval(_act_range_arrays(name, *ends(iv)))
-    rd = as_interval(_act_deriv_arrays(name, *ends(iv)))
+    lo, hi = as_pair(_act_range_arrays(name, *ends(*iv)))
+    dlo, dhi = as_pair(_act_deriv_arrays(name, *ends(*iv)))
     vals = f(ts)
     ders = d(ts)
-    assert np.all((r.lo <= vals) & (vals <= r.hi))
-    assert np.all((rd.lo <= ders) & (ders <= rd.hi))
+    assert np.all((lo <= vals) & (vals <= hi))
+    assert np.all((dlo <= ders) & (ders <= dhi))
 
 
 @pytest.mark.parametrize("name", ["tanh", "sigmoid"])
 @given(outer=intervals(st.floats(-20, 20)), t0=st.floats(0, 1), t1=st.floats(0, 1))
 # s(x) * s(-x) rounded is not monotone near 0: the inner sigmoid' enclosure fell below the outer
-@example(outer=Interval(-5.051993014029483e-11, 0.0), t0=0.0, t1=0.31640625)
+@example(outer=(-5.051993014029483e-11, 0.0), t0=0.0, t1=0.31640625)
 def test_act_inclusion_monotone(name, outer, t0, t1):
     a = pick(outer, t0)
     b = pick(outer, t1)
-    inner = Interval(min(a, b), max(a, b))
     for kernel in (_act_range_arrays, _act_deriv_arrays):
-        outer_r = as_interval(kernel(name, *ends(outer)))
-        assert outer_r.encloses(as_interval(kernel(name, *ends(inner))))
+        olo, ohi = as_pair(kernel(name, *ends(*outer)))
+        ilo, ihi = as_pair(kernel(name, *ends(min(a, b), max(a, b))))
+        assert olo <= ilo and ihi <= ohi
 
 
 edge_floats = st.one_of(st.floats(-60, 60), st.sampled_from([0.0, -0.0, 20.5, -20.5, 700.0]))
@@ -317,21 +309,51 @@ def test_box_contains():
     assert not outer.contains_box(Box.from_bounds([(0.2, 1.2), (0.2, 0.3)]))
 
 
-def test_box_hull():
-    h = Box.from_bounds([(0, 1), (0, 0)]).hull(Box.from_bounds([(2, 3), (1, 1)]))
-    assert h == Box.from_bounds([(0, 3), (0, 1)])
-
-
-def test_box_intersects_shared_corner():
-    a = Box.from_bounds([(0, 1), (0, 1)])
-    b = Box.from_bounds([(1, 2), (1, 2)])
-    assert a.intersects(b)
-    assert not a.intersects(Box.from_bounds([(1.1, 2), (1, 2)]))
-
-
 def test_box_dimension_mismatch():
     with pytest.raises(ValueError):
-        Box.from_bounds([(0, 1)]).hull(Box.from_bounds([(0, 1), (0, 1)]))
+        Box.from_bounds([(0, 1)]).contains_box(Box.from_bounds([(0, 1), (0, 1)]))
+
+
+box_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308]),
+)
+box_bounds = st.lists(
+    st.tuples(box_floats, box_floats).map(lambda p: p if p[0] <= p[1] else p[::-1]),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(bounds=box_bounds)
+@example(bounds=[(-0.0, 0.0), (-5e-324, 1.7e308), (-1.7e308, 0.30000000000000004)])
+def test_box_holds_read_only_copies_bit_for_bit(bounds):
+    lo = np.array([a for a, _ in bounds])
+    hi = np.array([b for _, b in bounds])
+    lo_bytes, hi_bytes = lo.tobytes(), hi.tobytes()
+    boxes = (Box.from_arrays(lo, hi), Box.from_bounds(bounds))
+    lo[:] = hi[:] = np.nan  # the boxes must not see writes to the source arrays
+    for box in boxes:
+        assert box.lo.tobytes() == lo_bytes and box.hi.tobytes() == hi_bytes
+        assert repr(box) == " x ".join(f"[{a!r}, {b!r}]" for a, b in bounds)
+        with pytest.raises(ValueError):
+            box.lo[0] = 0.0
+
+
+@given(bounds=box_bounds, k=st.integers(0, 4), on_hi=st.booleans(),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf, "lo > hi"]))
+def test_box_rejects_one_bad_dimension(bounds, k, on_hi, bad):
+    lo = np.array([a for a, _ in bounds])
+    hi = np.array([b for _, b in bounds])
+    k %= len(bounds)
+    if bad == "lo > hi":
+        lo[k] = np.nextafter(hi[k], np.inf)
+    else:
+        (hi if on_hi else lo)[k] = bad
+    with pytest.raises(ValueError):
+        Box.from_arrays(lo, hi)
+    with pytest.raises(ValueError):
+        Box.from_bounds(zip(lo.tolist(), hi.tolist()))
 
 
 def recursive_idet(lo, hi):

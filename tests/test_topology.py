@@ -41,8 +41,10 @@ def face_box_cells(box, counts):
     """The former construction: 2n degenerate face boxes, each partitioned on its own."""
     parts = []
     for k in range(box.dim):
-        for side, v in enumerate((box.dims[k].lo, box.dims[k].hi)):
-            face = rb.Box(box.dims[:k] + (rb.Interval.point(v),) + box.dims[k + 1 :])
+        for side, v in enumerate((box.lo[k], box.hi[k])):
+            face_lo, face_hi = box.lo.copy(), box.hi.copy()
+            face_lo[k] = face_hi[k] = v
+            face = rb.Box.from_arrays(face_lo, face_hi)
             face_counts = tuple(1 if j == k else counts[j] for j in range(box.dim))
             idx, lo, hi = rb.partition(face, face_counts).bounds_arrays()
             idx = idx.copy()
@@ -82,7 +84,7 @@ def test_partition_total_is_exact_past_int64():
 def test_partition_trivial_is_box(unit_square):
     idx, lo, hi = rb.partition(unit_square, (1, 1)).bounds_arrays()
     assert idx.tolist() == [[0, 0]]
-    assert rb.Box.from_arrays(lo[0], hi[0]) == unit_square
+    assert np.array_equal(lo[0], unit_square.lo) and np.array_equal(hi[0], unit_square.hi)
 
 
 def test_partition_of_faces_gives_400_boundary_cells(unit_square):
@@ -143,26 +145,28 @@ def test_bounds_arrays_row_major(unit_square):
 
 def test_jacobian_interval_linear():
     net = linear_net(2 * np.eye(2), b=[1.0, -1.0])
-    m = rb.jacobian_interval(net, rb.Box.from_bounds([(0, 1), (0, 1)]))
+    cell = rb.Box.from_bounds([(0, 1), (0, 1)])
+    jlo, jhi = jacobian_interval_arrays(net, cell.lo, cell.hi)
     target = 2 * np.eye(2)
-    assert np.all(m.lo <= target) and np.all(m.hi >= target)
-    assert np.all(m.hi - m.lo < 1e-12)
+    assert np.all(jlo <= target) and np.all(jhi >= target)
+    assert np.all(jhi - jlo < 1e-12)
 
 
 def test_jacobian_interval_tanh_point_cell():
     net = rb.Network((rb.Layer(np.eye(2), np.zeros(2), "tanh"),))
-    m = rb.jacobian_interval(net, rb.Box.point([0.0, 0.0]))
+    cell = rb.Box.point([0.0, 0.0])
+    jlo, jhi = jacobian_interval_arrays(net, cell.lo, cell.hi)
     eye = np.eye(2)
-    assert np.all(m.lo <= eye) and np.all(m.hi >= eye)
-    assert np.all(m.hi - m.lo < 1e-12)
+    assert np.all(jlo <= eye) and np.all(jhi >= eye)
+    assert np.all(jhi - jlo < 1e-12)
 
 
 def test_jacobian_interval_contains_point_jacobians(invertible_net):
     cell = rb.Box.from_bounds([(0, 0.1), (0, 0.1)])
-    m = rb.jacobian_interval(invertible_net, cell)
+    jlo, jhi = jacobian_interval_arrays(invertible_net, cell.lo, cell.hi)
     pts = sample_box(cell, 1000, seed=3)
     jacs = rb.jacobian_batch(invertible_net, pts)
-    assert np.all(jacs >= m.lo[None]) and np.all(jacs <= m.hi[None])
+    assert np.all(jacs >= jlo[None]) and np.all(jacs <= jhi[None])
 
 
 @given(deep_nets())
@@ -186,10 +190,13 @@ def test_jacobian_and_det_enclose_point_values_at_depth(case):
     assert np.all(dets >= det_lo[:, None] - slack) and np.all(dets <= det_hi[:, None] + slack)
 
 
-def test_jacobian_interval_requires_square():
+def test_certify_homeomorphism_requires_square():
+    # the Jacobian enclosure is (3, 2) here; only the determinant needs a square one
     net = rb.generate_network(0, [2, 4, 3])
+    cell = rb.Box.from_bounds([(0, 1), (0, 1)])
+    assert jacobian_interval_arrays(net, cell.lo, cell.hi)[0].shape == (3, 2)
     with pytest.raises(ValueError):
-        rb.jacobian_interval(net, rb.Box.from_bounds([(0, 1), (0, 1)]))
+        rb.certify_homeomorphism(net, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +206,13 @@ def test_jacobian_interval_requires_square():
 def test_certify_identity_linear(unit_square):
     res = rb.certify_homeomorphism(linear_net(np.eye(2)), unit_square)
     assert res.certified
-    assert res.det_interval.contains(1.0) and res.det_interval.width < 1e-12
+    assert res.det_lo <= 1.0 <= res.det_hi and res.det_hi - res.det_lo < 1e-12
 
 
 def test_certify_exactly_singular(unit_square):
     res = rb.certify_homeomorphism(linear_net([[1.0, 1.0], [1.0, 1.0]]), unit_square)
     assert not res.certified
-    assert res.det_interval.contains(0.0)
+    assert res.det_lo <= 0.0 <= res.det_hi
 
 
 def test_certified_cell_has_constant_nonzero_sign(invertible_net):
@@ -216,7 +223,7 @@ def test_certified_cell_has_constant_nonzero_sign(invertible_net):
     dets = np.linalg.det(rb.jacobian_batch(invertible_net, pts))
     assert np.min(np.abs(dets)) > 0
     assert len(np.unique(np.sign(dets))) == 1
-    assert np.all(dets >= res.det_interval.lo) and np.all(dets <= res.det_interval.hi)
+    assert np.all(dets >= res.det_lo) and np.all(dets <= res.det_hi)
 
 
 def test_certification_monotone_under_bisection(mixed_net):
@@ -240,8 +247,8 @@ def test_certify_batch_matches_scalar(mixed_net):
     for row in range(grid.total):
         res = rb.certify_homeomorphism(mixed_net, rb.Box.from_arrays(lo[row], hi[row]))
         assert res.certified == certified[row]
-        assert abs(res.det_interval.lo - det_lo[row]) < 1e-9
-        assert abs(res.det_interval.hi - det_hi[row]) < 1e-9
+        assert abs(res.det_lo - det_lo[row]) < 1e-9
+        assert abs(res.det_hi - det_hi[row]) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,18 @@ def test_auto_exhausts_refinements(unit_square, invertible_net):
     assert v.stats["refinement_level"] == 1
 
 
+@pytest.mark.parametrize("mode", ["boundary", "subset", "full"])
+def test_max_refinements_only_refines_in_auto_mode(mode, unit_square, invertible_net):
+    # the Unknown problem that auto mode refines above: the other modes stay at level 0
+    v = rb.verify(
+        problem(invertible_net, unit_square,
+                rb.Box.from_bounds([(1e-9, 2e-9), (0, 1e-9)]), mode=mode, grid=(2, 2),
+                max_refinements=2)
+    )
+    assert v.status == rb.UNKNOWN
+    assert v.stats["refinement_level"] == 0
+
+
 @pytest.mark.parametrize("mode", ["boundary", "subset", "full", "auto"])
 def test_phase_times_in_stats_and_document(mode):
     net = make_net(**MIXED)
