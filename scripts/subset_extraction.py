@@ -28,7 +28,7 @@ def main():
     # than certification.  Measured on a 2-vCPU Xeon VM at --verify-grid 60 (best
     # of 5): with zonotopes, subset mode takes about 14 ms (10 of them
     # certifying) against 18 ms for full mode; with plain boxes, 17 ms against 5 ms
-    ap.add_argument("--domain", choices=("box", "zono"), default="zono")
+    ap.add_argument("--domain", choices=rb.domains.DOMAINS, default="zono")
     args = ap.parse_args()
 
     outdir = Path(args.outdir)

@@ -17,13 +17,11 @@ from .network import (
     jacobian_batch,
     load_network,
     network_to_document,
-    point_jacobian,
     read_model,
     write_model,
 )
 from .domains import (
     Zonotope,
-    box_propagate,
     zono_activation,
     zono_affine,
     zono_from_box,

@@ -14,6 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .domains import DOMAINS
 from .intervals import Box
 from .network import read_model
 from .reports import (
@@ -31,6 +32,7 @@ from .reports import (
 from .topology import extract_subset, grid_counts
 from .verifier import (
     FALSIFIED,
+    MODES,
     SAFE,
     UNKNOWN,
     VerificationProblem,
@@ -71,24 +73,16 @@ def parse_box(text: str) -> Box:
     return Box.from_bounds(dims)
 
 
-def parse_grid(text: str) -> tuple[int, ...]:
-    counts = tuple(int(p) for p in text.split(","))
-    if not counts or any(c < 1 for c in counts):
-        raise ValueError(f"grid counts must be positive integers, got {text!r}")
-    return counts
-
-
 def _problem_from_args(args) -> VerificationProblem:
     """The verification problem a ``verify`` or ``compare`` command line describes."""
     input_box, safe_box = parse_box(args.input), parse_box(args.safe)
-    grid = parse_grid(args.grid) if args.grid else None
     return VerificationProblem(
         net=read_model(args.model),
         input_box=input_box,
         safe_box=safe_box,
         domain=args.domain,
         mode=getattr(args, "mode", "auto"),
-        grid=grid,
+        grid=args.grid.split(",") if args.grid else None,
         max_refinements=getattr(args, "max_refine", 0),
         seed=args.seed,
         falsify_samples=getattr(args, "falsify_samples", 0),
@@ -118,7 +112,7 @@ def cmd_compare(args) -> int:
             "time_ms": verdict.stats.get("wall_ms"),
             "hull": None if verdict.output_hull is None else verdict.output_hull.bounds(),
         }
-        for key in ("cells_total", "cells_certified", "cells_kept"):
+        for key in ("cells_total", "cells_certified", "cells_kept", "assumes_invertible"):
             if key in verdict.stats:
                 row[key] = verdict.stats[key]
         rows.append(row)
@@ -137,7 +131,7 @@ def cmd_compare(args) -> int:
 def cmd_certify(args) -> int:
     net = read_model(args.model)
     input_box = parse_box(args.input)
-    grid = grid_counts(parse_grid(args.grid) if args.grid else None, input_box.dim)
+    grid = grid_counts(args.grid.split(",") if args.grid else None, input_box.dim)
     extraction = extract_subset(net, input_box, grid)
     if args.out:
         write_certification(extraction, args.out)
@@ -208,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify one problem and emit a verdict")
     _add_common(p, safe_required=True)
-    p.add_argument("--domain", choices=("box", "zono"), default="box")
-    p.add_argument("--mode", choices=("boundary", "subset", "full", "auto"), default="auto")
+    p.add_argument("--domain", choices=DOMAINS, default="box")
+    p.add_argument("--mode", choices=MODES, default="auto")
     p.add_argument("--max-refine", type=int, default=0,
                    help="grid doublings on unknown; only --mode auto refines, others ignore it")
     p.add_argument("--falsify-samples", type=int, default=0)
@@ -219,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run boundary, subset and full at equal cell width")
     _add_common(p, safe_required=True)
-    p.add_argument("--domain", choices=("box", "zono"), default="box")
+    p.add_argument("--domain", choices=DOMAINS, default="box")
     p.add_argument("--out", help="write the comparison rows as JSON")
     p.set_defaults(func=cmd_compare)
 

@@ -29,7 +29,6 @@ from .network import Network
 __all__ = [
     "Zonotope",
     "normalize_domain",
-    "box_propagate",
     "box_propagate_arrays",
     "zono_from_box",
     "zono_affine",
@@ -37,14 +36,13 @@ __all__ = [
     "zono_propagate",
 ]
 
-_DOMAIN_ALIASES = {"box": "box", "zono": "zonotope", "zonotope": "zonotope"}
+DOMAINS = ("box", "zono")
 
 
 def normalize_domain(tag: str) -> str:
-    try:
-        return _DOMAIN_ALIASES[tag]
-    except KeyError:
-        raise ValueError(f"unknown abstract domain {tag!r}") from None
+    if tag not in DOMAINS:
+        raise ValueError(f"unknown abstract domain {tag!r}")
+    return tag
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +59,6 @@ def box_propagate_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
         zlo, zhi = _interval_matvec_arrays(layer.weights, layer.bias, lo, hi)
         lo, hi = _act_range_arrays(layer.activation, zlo, zhi)
     return lo, hi
-
-
-def box_propagate(net: Network, cell: Box) -> Box:
-    lo, hi = box_propagate_arrays(net, cell.lo, cell.hi)
-    return Box.from_arrays(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +101,6 @@ class Zonotope:
     def dim(self) -> int:
         return self.center.shape[-1]
 
-    @property
-    def order(self) -> int:
-        return self.generators.shape[-1]
-
     def hull_arrays(self):
         """Outward-rounded interval hulls, ``(lo, hi)`` of shape (..., d)."""
         g = self.generators
@@ -124,12 +113,6 @@ class Zonotope:
         lo = np.where(rad > 0.0, _down(self.center - rad), self.center)
         hi = np.where(rad > 0.0, _up(self.center + rad), self.center)
         return lo, hi
-
-    def interval_hull(self) -> Box:
-        if self.center.ndim != 1:
-            raise ValueError("interval_hull needs a single zonotope, not a batch")
-        lo, hi = self.hull_arrays()
-        return Box.from_arrays(lo, hi)
 
 
 def _live_dims(lo, hi):

@@ -1,14 +1,15 @@
 """Validated interval arithmetic as batched ndarray kernels, plus the `Box` value.
 
-The kernels (``_imul_arrays``, ``_point_imatmul_arrays``,
-``_interval_matvec_arrays``, ``_idet_arrays``, ``_act_range_arrays`` and
-``_act_deriv_arrays``) are the only interval arithmetic: they take ``(lo, hi)``
-endpoint arrays with leading batch axes and return an enclosure of the true
-real-arithmetic result set.  IEEE-exact operations (+, -, *) are widened by one
-`nextafter` step per endpoint; libm-backed evaluations (tanh, sigmoid and their
-derivatives) are only faithfully rounded, so their endpoints get a wider fixed
-pad.  Reductions (dot products, sums) are bounded with a standard a-priori
-rounding-error term instead of per-term nudging, which keeps them vectorizable.
+The kernels (``_imul_arrays``, ``_interval_matvec_arrays``, ``_idet_arrays``,
+``_act_range_arrays`` and ``_act_deriv_arrays``) are the only interval
+arithmetic: they take ``(lo, hi)`` endpoint arrays with leading batch axes and
+return an enclosure of the true real-arithmetic result set; the box pass and
+the Jacobian enclosure share ``_interval_matvec_arrays``.  IEEE-exact
+operations (+, -, *) are widened by one `nextafter` step per endpoint;
+libm-backed evaluations (tanh, sigmoid and their derivatives) are only
+faithfully rounded, so their endpoints get a wider fixed pad.  Reductions (dot
+products, sums) are bounded with a standard a-priori rounding-error term
+instead of per-term nudging, which keeps them vectorizable.
 
 `Box` is the one interval value, not an algebra: a validated, read-only
 ``(lo, hi)`` pair of endpoint vectors.  Every other interval quantity (a
@@ -143,41 +144,35 @@ def _imul_arrays(alo, ahi, blo, bhi):
     return _down(lo), _up(hi)
 
 
-def _point_imatmul_arrays(w, blo, bhi):
-    """Enclose w @ B for a point matrix w (m, k) and interval matrices B (..., k, n).
-
-    The sign split ``W+ @ Blo + W- @ Bhi`` and ``W+ @ Bhi + W- @ Blo`` gives
-    the exact real endpoints, since each product w_ik * b_kj is monotone in
-    b_kj with the sign of w_ik.  Rounding: each endpoint is a sum of 2k
-    products, of which at most k are nonzero, so the sum of their magnitudes
-    is at most ``mag = |w| @ max(|Blo|, |Bhi|)``.  Two BLAS products of k
-    terms (any summation order, with or without FMA) and the addition that
-    joins them err by at most ``(gamma_k + u(1 + gamma_k)) * mag`` with
-    ``gamma_k = k u / (1 - k u)``, plus half a subnormal step for each product
-    that underflows.  ``(2k + 4) u * mag + (2k + 2) * tiny`` covers that
-    with room for the rounding of ``mag`` itself, and the final `nextafter`
-    step covers the subtraction of the term.
-    """
-    wp = np.maximum(w, 0.0)
-    wn = np.minimum(w, 0.0)
-    lo = wp @ blo + wn @ bhi
-    hi = wp @ bhi + wn @ blo
-    mag = np.abs(w) @ np.maximum(np.abs(blo), np.abs(bhi))
-    k = w.shape[1]
-    err = (2 * k + 4) * _U * mag + (2 * k + 2) * _TINY
-    return _down(lo - err), _up(hi + err)
-
-
 def _interval_matvec_arrays(w, b, xlo, xhi):
-    """Enclose w @ x + b over per-row interval vectors x; x batched (..., k)."""
+    """Enclose w @ x + b for a point matrix w (m, k) over interval vectors x (..., k).
+
+    The leading axes of x are flattened into one BLAS product, so ``(k,)``
+    bounds make the same call as a ``(1, k)`` batch.  The sign split
+    ``W+ x_lo + W- x_hi`` and ``W+ x_hi + W- x_lo`` gives the exact real
+    endpoints, since each product w_ij * x_j is monotone in x_j with the sign
+    of w_ij.  Rounding: each endpoint is a sum of 2k products, of which at
+    most k are nonzero, so the sum of their magnitudes is at most
+    ``mag = |w| @ max(|x_lo|, |x_hi|)``.  Two BLAS products of k terms (any
+    summation order, with or without FMA), the addition that joins them and
+    the addition of b err by at most
+    ``(gamma_k + 2u(1 + u)(1 + gamma_k)) * mag + u |b|`` with
+    ``gamma_k = k u / (1 - k u)``, plus half a subnormal step for each product
+    that underflows.  ``(2k + 6) u (mag + |b|) + (2k + 4) tiny`` covers that
+    with room for the rounding of ``mag`` and of the bound itself, and the
+    final `nextafter` step covers the subtraction of the term.
+    """
+    m, k = w.shape
+    shape = np.shape(xlo)[:-1] + (m,)
+    xlo = np.reshape(xlo, (-1, k))
+    xhi = np.reshape(xhi, (-1, k))
     wp = np.maximum(w, 0.0)
     wn = np.minimum(w, 0.0)
     lo = xlo @ wp.T + xhi @ wn.T
     hi = xhi @ wp.T + xlo @ wn.T
     mag = np.maximum(np.abs(xlo), np.abs(xhi)) @ np.abs(w).T
-    k = w.shape[1]
     err = (2 * k + 6) * _U * (mag + np.abs(b)) + (2 * k + 4) * _TINY
-    return _down(lo + b - err), _up(hi + b + err)
+    return _down(lo + b - err).reshape(shape), _up(hi + b + err).reshape(shape)
 
 
 def _idet_arrays(lo, hi):

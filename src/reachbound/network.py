@@ -24,7 +24,6 @@ __all__ = [
     "write_model",
     "forward_point",
     "forward_batch",
-    "point_jacobian",
     "jacobian_batch",
     "generate_network",
 ]
@@ -182,13 +181,6 @@ def jacobian_batch(net: Network, xs: np.ndarray) -> np.ndarray:
         jac = d[:, :, None] * np.einsum("oi,nij->noj", layer.weights, jac)
         out = activation_function(layer.activation)(z)
     return jac
-
-
-def point_jacobian(net: Network, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.input_dim,):
-        raise ValueError(f"expected input of shape ({net.input_dim},)")
-    return jacobian_batch(net, x[None, :])[0]
 
 
 def generate_network(

@@ -28,7 +28,6 @@ from .intervals import (
     _idet_arrays,
     _imul_arrays,
     _interval_matvec_arrays,
-    _point_imatmul_arrays,
 )
 from .network import Network
 
@@ -128,6 +127,10 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
     ``J_1 = D_1 W_1`` and ``J_l = D_l (W_l J_{l-1})``.  In real arithmetic
     ``D (W J)`` is contained in ``(D W) J`` (subdistributivity), so this order
     is never wider than multiplying the interval matrix ``D W`` into ``J``.
+    The product is carried transposed, as ``(..., n, m_l)``: row j of ``J^T``
+    is the interval vector of column j of ``J``, so ``W_l J_{l-1}`` is the box
+    pass's own `_interval_matvec_arrays` call on those rows, with bias 0.  The
+    returned bounds are transposed views of it.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -137,20 +140,19 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
         zlo, zhi = _interval_matvec_arrays(layer.weights, layer.bias, lo, hi)
         dlo, dhi = _act_deriv_arrays(layer.activation, zlo, zhi)
         if jlo is None:
-            blo = bhi = layer.weights
+            blo = bhi = layer.weights.T
         else:
-            blo, bhi = _point_imatmul_arrays(layer.weights, jlo, jhi)
-        jlo, jhi = _imul_arrays(dlo[..., :, None], dhi[..., :, None], blo, bhi)
+            blo, bhi = _interval_matvec_arrays(layer.weights, 0.0, jlo, jhi)
+        jlo, jhi = _imul_arrays(dlo[..., None, :], dhi[..., None, :], blo, bhi)
         if k < last:  # only the next layer reads the activation range
             lo, hi = _act_range_arrays(layer.activation, zlo, zhi)
-    return jlo, jhi
+    return np.swapaxes(jlo, -1, -2), np.swapaxes(jhi, -1, -2)
 
 
 @dataclass(frozen=True)
 class CertificationResult:
     """Interval determinant [det_lo, det_hi] over a cell plus the certified verdict."""
 
-    cell: Box
     det_lo: float
     det_hi: float
     certified: bool
@@ -158,9 +160,9 @@ class CertificationResult:
 
 def certify_homeomorphism(net: Network, cell: Box) -> CertificationResult:
     """Certify one box as the one-cell case of `certify_cells`."""
-    # unbatched (n,) bounds: a batch axis changes BLAS call shapes and can move last-ulp bits
+    # (n,) bounds: `_interval_matvec_arrays` runs them as a one-row batch
     det_lo, det_hi, certified = certify_cells(net, cell.lo, cell.hi)
-    return CertificationResult(cell, float(det_lo), float(det_hi), bool(certified))
+    return CertificationResult(float(det_lo), float(det_hi), bool(certified))
 
 
 def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):

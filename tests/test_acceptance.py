@@ -240,7 +240,7 @@ def test_c8_jacobian_correctness():
         net = rb.generate_network(seed, dims, ACTS[seed % 2], 0.8)
         box = rb.Box.from_bounds([(-1, 1)] * dims[0])
         for x in sample_box(box, 5, seed=seed):
-            jac = rb.point_jacobian(net, x)
+            jac = rb.jacobian_batch(net, x[None])[0]
             h = 1e-5
             fd = np.stack(
                 [

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 import reachbound as rb
-from reachbound.cli import main, parse_box, parse_grid
+from reachbound.cli import main, parse_box
 from reachbound.reports import (
     read_reach_cells,
     write_certification,
     write_mc_points,
     write_reach_cells,
 )
+from reachbound.topology import grid_counts
 from reachbound.verifier import CellBatch, MonteCarloResult
 from conftest import identity_net, make_net, MIXED
 
@@ -44,12 +45,12 @@ def run(capsys, *argv):
 def test_parse_box_and_grid():
     box = parse_box("0,1;-2,3")
     assert box.lo.tolist() == [0.0, -2.0] and box.hi.tolist() == [1.0, 3.0]
-    assert parse_grid("100") == (100,)
-    assert parse_grid("10,20") == (10, 20)
+    assert grid_counts("100".split(","), 1) == (100,)
+    assert grid_counts("10,20".split(","), 2) == (10, 20)
     with pytest.raises(ValueError):
         parse_box("0;1")
     with pytest.raises(ValueError):
-        parse_grid("0,5")
+        grid_counts("0,5".split(","), 2)
 
 
 def test_verify_safe_exit_zero(identity_model, capsys):
@@ -212,6 +213,30 @@ def test_compare_reads_model_once(seeded_model, capsys, monkeypatch):
     )
     assert code == 0 and len(out.splitlines()) == 4
     assert reads == [seeded_model]
+
+
+def test_compare_rows_carry_the_boundary_assumption(tmp_path, capsys):
+    # MIXED does not certify on [-1, 1]^2, so its boundary hull is not an image bound
+    net = make_net(**MIXED)
+    box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
+    assert not rb.certify_homeomorphism(net, box).certified
+    roomy = rb.Box.from_bounds([(-99, 99), (-99, 99)])
+    hull = rb.verify(rb.VerificationProblem(net, box, roomy, mode="boundary", grid=(40,))).output_hull
+    safe = rb.Box.from_arrays(hull.lo - 1e-3, hull.hi + 1e-3)
+    assert rb.monte_carlo(net, box, 20_000, seed=0, safe=safe).violations.shape[0] > 0
+    model, out_path = tmp_path / "mixed.json", tmp_path / "compare.json"
+    rb.write_model(net, model)
+    code, out, _ = run(
+        capsys, "compare", "--model", str(model), "--input", "-1,1;-1,1",
+        "--safe", ";".join(f"{a!r},{b!r}" for a, b in safe.bounds()),
+        "--grid", "40", "--out", str(out_path),
+    )
+    assert code == 0
+    assert out.splitlines()[0].split() == ["mode", "cells", "verdict", "time_ms"]
+    rows = {r["mode"]: r for r in json.loads(out_path.read_text())}
+    assert rows["boundary"]["verdict"] == "safe" and rows["boundary"]["assumes_invertible"] is True
+    assert rows["subset"]["verdict"] == rows["full"]["verdict"] == "unknown"
+    assert "assumes_invertible" not in rows["subset"] and "assumes_invertible" not in rows["full"]
 
 
 def test_certify_csv_and_summary(tmp_path, capsys):

@@ -19,7 +19,7 @@ def mc_images(net, box, n, seed):
 
 
 def test_box_propagate_identity(unit_square):
-    out = rb.box_propagate(identity_net(), unit_square)
+    out = rb.Box.from_arrays(*box_propagate_arrays(identity_net(), unit_square.lo, unit_square.hi))
     assert out.contains_box(unit_square)
     assert np.all(np.abs(out.lo - unit_square.lo) < 1e-12)
     assert np.all(np.abs(out.hi - unit_square.hi) < 1e-12)
@@ -27,20 +27,21 @@ def test_box_propagate_identity(unit_square):
 
 def test_box_propagate_point_through_tanh():
     net = rb.Network((rb.Layer(np.eye(2), np.zeros(2), "tanh"),))
-    out = rb.box_propagate(net, rb.Box.point([0.0, 0.0]))
+    point = rb.Box.point([0.0, 0.0])
+    out = rb.Box.from_arrays(*box_propagate_arrays(net, point.lo, point.hi))
     assert out.contains_point([0.0, 0.0])
     assert np.all(out.widths() < 1e-300)
 
 
 def test_box_propagate_contains_monte_carlo_hull(unit_square, invertible_net):
-    out = rb.box_propagate(invertible_net, unit_square)
+    lo, hi = box_propagate_arrays(invertible_net, unit_square.lo, unit_square.hi)
     images = mc_images(invertible_net, unit_square, 100_000, seed=5)
-    assert np.all(images >= out.lo) and np.all(images <= out.hi)
+    assert np.all(images >= lo) and np.all(images <= hi)
 
 
 def test_box_propagate_dimension_mismatch(invertible_net):
     with pytest.raises(ValueError):
-        rb.box_propagate(invertible_net, rb.Box.from_bounds([(0, 1)] * 3))
+        box_propagate_arrays(invertible_net, np.zeros(3), np.ones(3))
 
 
 @given(
@@ -56,7 +57,27 @@ def test_box_propagate_cell_monotone(lo0, w0, t, s):
     inner_lo = lo0 + t * w0 * (1 - s)
     inner = rb.Box.from_bounds([(inner_lo, inner_lo + s * w0 * (1 - t)), (0.1, 0.4)])
     assert outer.contains_box(inner)
-    assert rb.box_propagate(net, outer).contains_box(rb.box_propagate(net, inner))
+    outer_lo, outer_hi = box_propagate_arrays(net, outer.lo, outer.hi)
+    inner_lo, inner_hi = box_propagate_arrays(net, inner.lo, inner.hi)
+    assert np.all(outer_lo <= inner_lo) and np.all(inner_hi <= outer_hi)
+
+
+@given(deep_nets())
+@settings(max_examples=30, deadline=None)
+def test_box_hulls_hold_point_images_of_deep_nets(case):
+    net, seed = case
+    rng = np.random.default_rng(seed)
+    n, cells, per_cell = net.input_dim, 12, 20
+    # random cells, some with zero-width dimensions and one a single point
+    lo = rng.uniform(-1, 1, (cells, n))
+    hi = lo + rng.uniform(0, 1, (cells, n)) * (rng.random((cells, n)) < 0.7)
+    hi[0] = lo[0]
+    out_lo, out_hi = box_propagate_arrays(net, lo, hi)
+    t = rng.random((cells, per_cell, n))
+    pts = np.minimum(lo[:, None] + t * (hi - lo)[:, None], hi[:, None])
+    pts = np.concatenate([lo[:, None], hi[:, None], pts], axis=1)  # corners too
+    images = rb.forward_batch(net, pts.reshape(-1, n)).reshape(cells, per_cell + 2, -1)
+    assert np.all(images >= out_lo[:, None]) and np.all(images <= out_hi[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +93,14 @@ def test_zono_from_box_axis_generators():
 
 def test_zono_from_point_box():
     z = rb.zono_from_box(rb.Box.point([0.3, -0.2, 5.0]))
-    assert z.order == 0
-    hull = z.interval_hull()
-    assert np.array_equal(hull.lo, [0.3, -0.2, 5.0]) and np.array_equal(hull.hi, hull.lo)
+    assert z.generators.shape[-1] == 0
+    lo, hi = z.hull_arrays()
+    assert np.array_equal(lo, [0.3, -0.2, 5.0]) and np.array_equal(hi, lo)
 
 
 def test_zono_from_symmetric_cube():
     z = rb.zono_from_box(rb.Box.from_bounds([(-1, 1)] * 3))
-    assert z.order == 3
+    assert z.generators.shape[-1] == 3
     assert np.array_equal(z.generators, np.eye(3))
 
 
@@ -110,9 +131,9 @@ def test_zono_affine_hull_inside_interval_matvec():
     for _ in range(20):
         w = rng.uniform(-2, 2, (3, 3))
         b = rng.uniform(-1, 1, 3)
-        hull = rb.zono_affine(z, w, b).interval_hull()
+        hull_lo, hull_hi = rb.zono_affine(z, w, b).hull_arrays()
         lo, hi = _interval_matvec_arrays(w, b, cell.lo, cell.hi)
-        assert np.all(hull.lo >= lo - 1e-12) and np.all(hull.hi <= hi + 1e-12)
+        assert np.all(hull_lo >= lo - 1e-12) and np.all(hull_hi <= hi + 1e-12)
 
 
 def test_zono_activation_unit_tanh():
@@ -125,9 +146,9 @@ def test_zono_activation_unit_tanh():
     assert abs(lam - 0.4199743416140261) < 1e-12
     assert abs(mu1) < 1e-14
     assert abs(mu2 - 0.3416198143417388) < 1e-12
-    hull = out.interval_hull()
-    assert abs(hull.hi[0] - 0.7615941559557649) < 1e-9
-    assert abs(hull.lo[0] + 0.7615941559557649) < 1e-9
+    lo, hi = out.hull_arrays()
+    assert abs(hi[0] - 0.7615941559557649) < 1e-9
+    assert abs(lo[0] + 0.7615941559557649) < 1e-9
 
 
 def test_zono_activation_degenerate_dim_maps_to_point():
@@ -145,7 +166,7 @@ def test_zono_activation_sample_containment():
     for name in ("tanh", "sigmoid"):
         out = rb.zono_activation(z, name)
         f = rb.intervals.activation_function(name)
-        g = z.order
+        g = z.generators.shape[-1]
         eps = rng.uniform(-1, 1, (10_000, g))
         points = z.center + eps @ z.generators.T
         target = f(points)
@@ -164,10 +185,15 @@ def test_zono_activation_unknown():
 # single-cell entry points
 
 
-def test_propagate_box_matches_box_propagate(unit_square, invertible_net):
+def test_box_propagate_one_cell_is_a_one_row_batch(unit_square, invertible_net):
+    # the kernels flatten leading axes, so (n,) bounds make the (1, n) calls
     lo, hi = box_propagate_arrays(invertible_net, unit_square.lo, unit_square.hi)
-    out = rb.box_propagate(invertible_net, unit_square)
-    assert np.array_equal(out.lo, lo) and np.array_equal(out.hi, hi)
+    for shape in ((1, 2), (1, 1, 2)):
+        blo, bhi = box_propagate_arrays(
+            invertible_net, unit_square.lo.reshape(shape), unit_square.hi.reshape(shape)
+        )
+        assert blo.shape == shape[:-1] + (2,)
+        assert np.array_equal(blo.reshape(2), lo) and np.array_equal(bhi.reshape(2), hi)
 
 
 def test_propagate_zono_identity_hull(unit_square):
@@ -178,10 +204,11 @@ def test_propagate_zono_identity_hull(unit_square):
 
 
 def test_propagate_accepts_zono_alias():
-    assert normalize_domain("zono") == normalize_domain("zonotope") == "zonotope"
+    assert normalize_domain("zono") == "zono"
     assert normalize_domain("box") == "box"
-    with pytest.raises(ValueError):
-        normalize_domain("polytope")
+    for tag in ("polytope", "zonotope"):
+        with pytest.raises(ValueError):
+            normalize_domain(tag)
 
 
 @pytest.mark.parametrize("seed", [1, 3, 25])
@@ -191,7 +218,7 @@ def test_zonotope_dominates_box(seed):
         rb.Box.from_bounds([(0, 1), (0, 1)]),
         rb.Box.from_bounds([(-0.3, 0.1), (0.2, 0.6)]),
     ):
-        bh = rb.box_propagate(net, cell)
+        bh = rb.Box.from_arrays(*box_propagate_arrays(net, cell.lo, cell.hi))
         zh = rb.Box.from_arrays(*zono_propagate(net, cell.lo, cell.hi))
         assert np.all(zh.lo >= bh.lo - 1e-9) and np.all(zh.hi <= bh.hi + 1e-9)
 
@@ -204,10 +231,8 @@ def test_propagation_soundness_by_sampling(domain, seed):
         rb.Box.from_bounds([(0, 1), (0, 1)]),
         rb.Box.from_bounds([(-1, -0.5), (0.5, 1.5)]),
     ):
-        if domain == "box":
-            hull = rb.box_propagate(net, cell)
-        else:
-            hull = rb.Box.from_arrays(*zono_propagate(net, cell.lo, cell.hi))
+        propagate = box_propagate_arrays if domain == "box" else zono_propagate
+        hull = rb.Box.from_arrays(*propagate(net, cell.lo, cell.hi))
         images = mc_images(net, cell, 100_000, seed=seed + 11)
         assert np.all(images >= hull.lo) and np.all(images <= hull.hi)
 
@@ -217,12 +242,10 @@ def test_batched_box_propagation_matches_single(invertible_net):
     cells_hi = cells_lo + 0.25
     lo, hi = box_propagate_arrays(invertible_net, cells_lo, cells_hi)
     for i in range(3):
-        single = rb.box_propagate(
-            invertible_net, rb.Box.from_arrays(cells_lo[i], cells_hi[i])
-        )
+        single_lo, single_hi = box_propagate_arrays(invertible_net, cells_lo[i], cells_hi[i])
         # batched BLAS reductions may reorder sums; agreement is only to rounding
-        assert np.allclose(single.lo, lo[i], rtol=0, atol=1e-12)
-        assert np.allclose(single.hi, hi[i], rtol=0, atol=1e-12)
+        assert np.allclose(single_lo, lo[i], rtol=0, atol=1e-12)
+        assert np.allclose(single_hi, hi[i], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +308,8 @@ def test_batched_zonotope_validation():
     c = np.zeros((3, 2))
     g = np.ones((3, 2, 4))
     z = rb.Zonotope(c, g)
-    assert (z.dim, z.order) == (2, 4)
+    assert (z.dim, z.generators.shape[-1]) == (2, 4)
     assert z.hull_arrays()[0].shape == (3, 2)
-    with pytest.raises(ValueError):
-        z.interval_hull()  # one zonotope only
     for gens in (np.ones((2, 2, 4)), np.ones((3, 3, 4)), np.ones((3, 2))):
         with pytest.raises(ValueError):
             rb.Zonotope(c, gens)

@@ -15,7 +15,7 @@ from reachbound.intervals import (
     _down,
     _idet_arrays,
     _imul_arrays,
-    _point_imatmul_arrays,
+    _interval_matvec_arrays,
     _up,
 )
 
@@ -105,13 +105,13 @@ def test_mul_contains_samples(a, b, ta, tb):
 
 def test_matmul_identity():
     mlo, mhi = np.array([[1.0, -2.0], [0.5, 3.0]]), np.array([[1.5, -1.0], [0.5, 4.0]])
-    rlo, rhi = _point_imatmul_arrays(np.eye(2), mlo, mhi)
+    rlo, rhi = _interval_matvec_arrays(np.eye(2), 0.0, mlo, mhi)
     assert np.all(rlo <= mlo) and np.all(rhi >= mhi)
     assert np.all(np.abs(rlo - mlo) < 1e-12) and np.all(np.abs(rhi - mhi) < 1e-12)
 
 
 def test_matmul_scalar_case():
-    rlo, rhi = _point_imatmul_arrays(np.array([[2.0]]), np.array([[0.0]]), np.array([[1.0]]))
+    rlo, rhi = _interval_matvec_arrays(np.array([[2.0]]), 0.0, np.array([[0.0]]), np.array([[1.0]]))
     assert rlo[0, 0] <= 0.0 and rhi[0, 0] >= 2.0
     assert abs(rlo[0, 0]) < 1e-12 and abs(rhi[0, 0] - 2.0) < 1e-12
 
@@ -121,7 +121,9 @@ def test_matmul_point_matrices_vs_exact():
     for _ in range(10):
         a = rng.uniform(-2, 2, (3, 3))
         b = rng.uniform(-2, 2, (3, 3))
-        rlo, rhi = _point_imatmul_arrays(a, b, b)
+        # the rows of b.T are the columns of b, so the result is (a @ b).T
+        rlo, rhi = _interval_matvec_arrays(a, 0.0, b.T, b.T)
+        rlo, rhi = rlo.T, rhi.T
         exact = [
             [sum(Fraction(a[i, k]) * Fraction(b[k, j]) for k in range(3)) for j in range(3)]
             for i in range(3)
@@ -131,6 +133,40 @@ def test_matmul_point_matrices_vs_exact():
                 lo, hi = float(rlo[i, j]), float(rhi[i, j])
                 assert Fraction(lo) <= exact[i][j] <= Fraction(hi)
                 assert hi - lo < 1e-12
+
+
+def exact_matvec(w, b, xlo, xhi):
+    """Endpoints of w @ x + b over the box [xlo, xhi], by the sign split in rationals."""
+    lo, hi = [], []
+    for i, row in enumerate(w.tolist()):
+        terms = [(Fraction(c) * Fraction(a), Fraction(c) * Fraction(z))
+                 for c, a, z in zip(row, xlo.tolist(), xhi.tolist())]
+        lo.append(sum(min(t) for t in terms) + Fraction(b[i]))
+        hi.append(sum(max(t) for t in terms) + Fraction(b[i]))
+    return lo, hi
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_matvec_encloses_exact_sign_split(k):
+    rng = np.random.default_rng(k)
+    w = rng.uniform(-3, 3, (4, k))
+    w[0, 0] = 0.0
+    b = rng.uniform(-2, 2, 4)
+    # a (2, 3) batch of interval vectors: straddling 0, one-signed and points
+    xlo = rng.uniform(-2, 1, (2, 3, k))
+    xhi = xlo + rng.uniform(0, 2, (2, 3, k))
+    xhi[0, 1] = xlo[0, 1]
+    xlo[1, 2, 0], xhi[1, 2, 0] = -1e-3, 1e-3
+    rlo, rhi = _interval_matvec_arrays(w, b, xlo, xhi)
+    assert rlo.shape == rhi.shape == (2, 3, 4)
+    # no looser than twice the a-priori rounding term
+    slack = 2 * (2 * k + 6) * 2.0**-53 * (np.maximum(np.abs(xlo), np.abs(xhi)) @ np.abs(w).T + np.abs(b))
+    for idx in np.ndindex(2, 3):
+        lo, hi = exact_matvec(w, b, xlo[idx], xhi[idx])
+        for i in range(4):
+            assert Fraction(float(rlo[idx][i])) <= lo[i] <= hi[i] <= Fraction(float(rhi[idx][i]))
+            assert lo[i] - Fraction(float(rlo[idx][i])) <= slack[idx][i]
+            assert Fraction(float(rhi[idx][i])) - hi[i] <= slack[idx][i]
 
 
 def test_det_identity_point():

@@ -109,12 +109,12 @@ def test_forward_dimension_mismatch():
 def test_jacobian_of_scaled_identity():
     net = linear_net(2 * np.eye(2), b=[5.0, -3.0])
     for x in ([0.0, 0.0], [1.0, 2.0]):
-        assert np.array_equal(rb.point_jacobian(net, x), 2 * np.eye(2))
+        assert np.array_equal(rb.jacobian_batch(net, np.array([x]))[0], 2 * np.eye(2))
 
 
 def test_jacobian_tanh_at_origin():
     net = rb.Network((rb.Layer(np.eye(2), np.zeros(2), "tanh"),))
-    assert np.array_equal(rb.point_jacobian(net, [0.0, 0.0]), np.eye(2))
+    assert np.array_equal(rb.jacobian_batch(net, np.zeros((1, 2)))[0], np.eye(2))
 
 
 def finite_difference_jacobian(net, x, h=1e-5):
@@ -131,7 +131,7 @@ def finite_difference_jacobian(net, x, h=1e-5):
 def test_jacobian_matches_finite_differences(seed):
     net = make_net(seed=seed)
     for x in sample_box(rb.Box.from_bounds([(-1, 1), (-1, 1)]), 5, seed=seed + 100):
-        jac = rb.point_jacobian(net, x)
+        jac = rb.jacobian_batch(net, x[None])[0]
         fd = finite_difference_jacobian(net, x)
         assert np.max(np.abs(jac - fd)) / max(np.max(np.abs(jac)), 1e-12) < 1e-6
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reachbound as rb
+from reachbound.domains import box_propagate_arrays
 from reachbound.reports import verdict_document
 from reachbound.topology import certify_cells
 from conftest import identity_net, linear_net, make_net, MIXED
@@ -18,8 +19,8 @@ def problem(net, input_box, safe_box, **kwargs):
 
 
 def test_inclusion_inside(unit_square, invertible_net):
-    hull = rb.box_propagate(invertible_net, unit_square)
-    safe = rb.Box.from_arrays(hull.lo - 0.1, hull.hi + 0.1)
+    lo, hi = box_propagate_arrays(invertible_net, unit_square.lo, unit_square.hi)
+    safe = rb.Box.from_arrays(lo - 0.1, hi + 0.1)
     assert rb.verify(problem(invertible_net, unit_square, safe, mode="full")).status == rb.SAFE
 
 
@@ -110,10 +111,10 @@ def test_full_single_cell_equals_direct_propagation(invertible_net, unit_square)
     p = problem(invertible_net, unit_square, _mc_safe(invertible_net, unit_square, 2.0),
                 mode="full", grid=(1, 1))
     v = rb.verify(p)
-    direct = rb.box_propagate(invertible_net, unit_square)
+    direct_lo, direct_hi = box_propagate_arrays(invertible_net, unit_square.lo, unit_square.hi)
     assert v.stats["cells_propagated"] == 1
-    assert np.allclose(v.output_hull.lo, direct.lo, rtol=0, atol=1e-12)
-    assert np.allclose(v.output_hull.hi, direct.hi, rtol=0, atol=1e-12)
+    assert np.allclose(v.output_hull.lo, direct_lo, rtol=0, atol=1e-12)
+    assert np.allclose(v.output_hull.hi, direct_hi, rtol=0, atol=1e-12)
 
 
 def test_full_hull_contains_boundary_hull(invertible_net, unit_square):
@@ -303,7 +304,7 @@ def test_monte_carlo_point_region(invertible_net):
 
 def test_monte_carlo_hull_inside_box_propagation(invertible_net, unit_square):
     r = rb.monte_carlo(invertible_net, unit_square, 100_000, seed=4)
-    out = rb.box_propagate(invertible_net, unit_square)
+    out = rb.Box.from_arrays(*box_propagate_arrays(invertible_net, unit_square.lo, unit_square.hi))
     assert out.contains_box(r.image_hull)
 
 
