@@ -1,15 +1,17 @@
 """Validated interval arithmetic as batched ndarray kernels, plus the `Box` value.
 
-The kernels (``_imul_arrays``, ``_interval_matvec_arrays``, ``_idet_arrays``,
-``_act_range_arrays`` and ``_act_deriv_arrays``) are the only interval
-arithmetic: they take ``(lo, hi)`` endpoint arrays with leading batch axes and
-return an enclosure of the true real-arithmetic result set; the box pass and
-the Jacobian enclosure share ``_interval_matvec_arrays``.  IEEE-exact
-operations (+, -, *) are widened by one `nextafter` step per endpoint;
-libm-backed evaluations (tanh, sigmoid and their derivatives) are only
-faithfully rounded, so their endpoints get a wider fixed pad.  Reductions (dot
-products, sums) are bounded with a standard a-priori rounding-error term
-instead of per-term nudging, which keeps them vectorizable.
+The kernels (``_imul_arrays``, ``_nonneg_imul_arrays``,
+``_interval_matvec_arrays``, ``_idet_arrays``, ``_act_range_arrays`` and
+``_act_deriv_arrays``) are the only interval arithmetic: they take
+``(lo, hi)`` endpoint arrays with leading batch axes and return an enclosure
+of the true real-arithmetic result set; the box pass and the Jacobian
+enclosure share ``_interval_matvec_arrays``.  IEEE-exact operations (+, -, *)
+are widened outward by at least one ulp per endpoint, with one arithmetic pad
+per array (`_down`/`_up`); libm-backed evaluations (tanh, sigmoid and their
+derivatives) are only faithfully rounded, so their endpoints get a wider fixed
+pad.  Reductions (dot products, sums) are bounded with a standard a-priori
+rounding-error term instead of per-term nudging, which keeps them
+vectorizable.
 
 `Box` is the one interval value, not an algebra: a validated, read-only
 ``(lo, hi)`` pair of endpoint vectors.  Every other interval quantity (a
@@ -35,20 +37,50 @@ __all__ = [
 
 _U = 2.0 ** -53  # unit roundoff, float64
 _TINY = 5e-324  # one subnormal step, absolute slack per reduction term
-_PAD_ACT = 4  # nextafter steps for direct libm evaluations
-_PAD_DERIV = 8  # nextafter steps for composed derivative evaluations
+_PAD_ACT = 4  # ulps of outward pad for direct libm evaluations
+_PAD_DERIV = 8  # ulps of outward pad for composed derivative evaluations
 
 
 def _down(x, steps: int = 1):
-    for _ in range(steps):
-        x = np.nextafter(x, -np.inf)
-    return x
+    """A float at or below the ``steps``-th float below x, for steps <= 8.
+
+    The pad ``steps * (|x| 2^-52 + tiny)`` is one array expression, and it is
+    at least as wide as ``steps`` passes of ``nextafter`` toward -inf:
+
+    - ``|x| 2^-52 >= ulp(x)`` for normal x, and ``tiny`` is the ulp of zero
+      and of every subnormal.  ``ulp(x)`` is itself a float no larger than
+      the exact per-step pad, and rounding is monotone, so the rounded
+      ``|x| 2^-52 + tiny`` is still at least ``ulp(x)``.
+    - For steps <= 8, ``steps * ulp(x)`` is a float too, so rounding
+      ``steps * (...)`` cannot drop below it.
+    - Moving outward across a power of two at most doubles the ulp, and only
+      for the steps past it.  Just below ``2^e``, with ``j < steps`` floats
+      left below it and ``v = 2^(e-53)`` their ulp, ``|x| 2^-52 = 2v - j v
+      2^-52`` is already about 2 ulp, and ``steps (2v - j v 2^-52)`` is at
+      least ``(2 steps - j) v``, the distance to the float ``steps`` places
+      outward.  That distance is a float, so rounding keeps the pad at least
+      as wide.  Moving inward the ulp only shrinks.
+    - The subtraction rounds to nearest and rounding is monotone, and the
+      ``steps``-th float outward is a float that the exact difference does
+      not pass, so the result is at or beyond it.
+
+    Infinities: ``_down(-inf)`` and ``_up(+inf)`` stay infinite, while
+    ``_down(+inf)`` and ``_up(-inf)`` give NaN where ``nextafter`` gave the
+    largest finite float.  Only an overflow reaches them: a lower end is
+    +inf only when the exact value exceeds the largest float.
+    `_interval_matvec_arrays` turns such a sum into NaN (``inf - inf``)
+    before its pad in any case; `_imul_arrays`, `_nonneg_imul_arrays` and
+    the sums of `_idet_arrays` pass it to the pad, and that interval's upper
+    end is then +inf or NaN too.  A NaN end fails every comparison, so it
+    certifies nothing and passes no safe-box test, and `Box` rejects it:
+    such a verdict ends in an error, not a wrong answer.
+    """
+    return x - steps * (np.abs(x) * (2 * _U) + _TINY)
 
 
 def _up(x, steps: int = 1):
-    for _ in range(steps):
-        x = np.nextafter(x, np.inf)
-    return x
+    """A float at or above the ``steps``-th float above x; see `_down`."""
+    return x + steps * (np.abs(x) * (2 * _U) + _TINY)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +176,21 @@ def _imul_arrays(alo, ahi, blo, bhi):
     return _down(lo), _up(hi)
 
 
+def _nonneg_imul_arrays(dlo, dhi, blo, bhi):
+    """`_imul_arrays` for a factor ``[dlo, dhi]`` with ``dlo >= 0``: two products.
+
+    With ``D >= 0`` the lower end is ``dlo blo`` where ``blo >= 0`` and
+    ``dhi blo`` otherwise, and the upper end ``dhi bhi`` where ``bhi >= 0``
+    and ``dlo bhi`` otherwise.  The selected corner is the extreme real
+    product, rounding is monotone, and both ends get the same one-ulp pad,
+    which maps ``+0`` and ``-0`` alike, so for finite ``B`` the bounds are
+    those of `_imul_arrays` bit for bit.
+    """
+    lo = np.where(blo >= 0.0, dlo, dhi) * blo
+    hi = np.where(bhi >= 0.0, dhi, dlo) * bhi
+    return _down(lo), _up(hi)
+
+
 def _interval_matvec_arrays(w, b, xlo, xhi):
     """Enclose w @ x + b for a point matrix w (m, k) over interval vectors x (..., k).
 
@@ -160,7 +207,7 @@ def _interval_matvec_arrays(w, b, xlo, xhi):
     ``gamma_k = k u / (1 - k u)``, plus half a subnormal step for each product
     that underflows.  ``(2k + 6) u (mag + |b|) + (2k + 4) tiny`` covers that
     with room for the rounding of ``mag`` and of the bound itself, and the
-    final `nextafter` step covers the subtraction of the term.
+    final one-ulp pad covers the subtraction of the term.
     """
     m, k = w.shape
     shape = np.shape(xlo)[:-1] + (m,)
@@ -180,32 +227,36 @@ def _idet_arrays(lo, hi):
 
     Every minor the expansion reaches is fixed by its bottom rows and an
     ascending tuple of columns.  Minors are therefore built once each, from
-    size 1 up, and stored by column tuple: 2^n - 1 minors, where the plain
-    recursion recomputes a minor on every path of deleted columns that leads
-    to it.  Each minor is the same expansion along its own first row, with
-    the same operations in the same order, so the bits equal the recursion's.
+    size 1 up: 2^n - 1 minors, where the plain recursion recomputes a minor
+    on every path of deleted columns that leads to it.  All minors of one
+    size are one array, ``(..., C(n, size))`` in `itertools.combinations`
+    order, so each term of the expansion is one array operation over every
+    minor of that size.  Each minor is the same expansion along its own
+    first row, with the same operations in the same order, so the bits
+    equal the recursion's.
     """
     n = lo.shape[-1]
-    minors = {(c,): (lo[..., n - 1, c], hi[..., n - 1, c]) for c in range(n)}
+    prev = [(c,) for c in range(n)]
+    mlo, mhi = lo[..., n - 1, :], hi[..., n - 1, :]
     for size in range(2, n + 1):
         row = n - size
-        larger = {}
-        for cols in itertools.combinations(range(n), size):
-            acc_lo = None
-            acc_hi = None
-            for j, c in enumerate(cols):
-                dlo, dhi = minors[cols[:j] + cols[j + 1 :]]
-                plo, phi = _imul_arrays(lo[..., row, c], hi[..., row, c], dlo, dhi)
-                if j % 2 == 1:
-                    plo, phi = -phi, -plo
-                if acc_lo is None:
-                    acc_lo, acc_hi = plo, phi
-                else:
-                    acc_lo = _down(acc_lo + plo)
-                    acc_hi = _up(acc_hi + phi)
-            larger[cols] = acc_lo, acc_hi
-        minors = larger
-    return minors[tuple(range(n))]
+        combos = list(itertools.combinations(range(n), size))
+        rank = {cols: i for i, cols in enumerate(prev)}
+        acc_lo = acc_hi = None
+        for j in range(size):
+            col = [cols[j] for cols in combos]
+            minor = [rank[cols[:j] + cols[j + 1 :]] for cols in combos]
+            plo, phi = _imul_arrays(lo[..., row, col], hi[..., row, col],
+                                    mlo[..., minor], mhi[..., minor])
+            if j % 2 == 1:
+                plo, phi = -phi, -plo
+            if acc_lo is None:
+                acc_lo, acc_hi = plo, phi
+            else:
+                acc_lo = _down(acc_lo + plo)
+                acc_hi = _up(acc_hi + phi)
+        prev, mlo, mhi = combos, acc_lo, acc_hi
+    return mlo[..., 0], mhi[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +287,7 @@ def _sigmoid_deriv(x):
     # monotone.  Halving and quartering are exact (up to underflow, which
     # loses under one subnormal step), cosh errs by at most an ulp and 1/c
     # and the square by half an ulp each, so the result is within about 4 ulp:
-    # inside the `_PAD_DERIV` pad of `_act_deriv_arrays`.
+    # inside the 8-ulp `_PAD_DERIV` pad of `_act_deriv_arrays`.
     return 0.25 * _tanh_deriv(0.5 * np.asarray(x, dtype=float))
 
 

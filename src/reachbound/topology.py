@@ -26,8 +26,8 @@ from .intervals import (
     _act_deriv_arrays,
     _act_range_arrays,
     _idet_arrays,
-    _imul_arrays,
     _interval_matvec_arrays,
+    _nonneg_imul_arrays,
 )
 from .network import Network
 
@@ -131,6 +131,10 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
     is the interval vector of column j of ``J``, so ``W_l J_{l-1}`` is the box
     pass's own `_interval_matvec_arrays` call on those rows, with bias 0.  The
     returned bounds are transposed views of it.
+
+    `_act_deriv_arrays` clamps its lower end at 0, so ``D >= 0`` and
+    ``D B`` is the sign-select product `_nonneg_imul_arrays`: two products
+    where `_imul_arrays` takes four corners.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -143,7 +147,7 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
             blo = bhi = layer.weights.T
         else:
             blo, bhi = _interval_matvec_arrays(layer.weights, 0.0, jlo, jhi)
-        jlo, jhi = _imul_arrays(dlo[..., None, :], dhi[..., None, :], blo, bhi)
+        jlo, jhi = _nonneg_imul_arrays(dlo[..., None, :], dhi[..., None, :], blo, bhi)
         if k < last:  # only the next layer reads the activation range
             lo, hi = _act_range_arrays(layer.activation, zlo, zhi)
     return np.swapaxes(jlo, -1, -2), np.swapaxes(jhi, -1, -2)

@@ -14,6 +14,7 @@ caller, while ``auto`` mode discharges it by certifying the whole input box.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -189,6 +190,35 @@ def monte_carlo(
 # the driver
 
 
+# Largest cell batch one level may build.  Building a level holds each
+# cell's lattice index and bounds (24 bytes per input dimension) plus the
+# per-layer interval arrays of its pass, and the subset path an (n, m)
+# Jacobian pair per cell and layer: at 2^22 cells the lattice arrays alone
+# take 0.2 GB at 2 inputs and 0.6 GB at 6, and a pass several times that.
+# The benchmark's largest level is 40 000 cells.
+CELL_BUDGET = 2**22
+
+
+def _check_level_size(path: str, counts) -> int:
+    """The cells `_required_cells` builds for ``path`` on a grid of ``counts``.
+
+    ``boundary`` builds ``2 * sum_k prod_{j != k} counts[j]`` face cells, the
+    other paths every grid cell; the count is an exact Python integer.  Above
+    `CELL_BUDGET` this raises ValueError, before anything is allocated.
+    """
+    counts = tuple(counts)
+    if path == "boundary":
+        cells = 2 * sum(math.prod(counts[:k] + counts[k + 1 :]) for k in range(len(counts)))
+    else:
+        cells = math.prod(counts)
+    if cells > CELL_BUDGET:
+        raise ValueError(
+            f"grid {'x'.join(map(str, counts))} needs {cells} {path} cells, more than the "
+            f"budget of {CELL_BUDGET}; refusing to allocate it"
+        )
+    return cells
+
+
 def _required_cells(problem: VerificationProblem, path: str, counts):
     """The cells that can hold an output extremum, on a grid of ``counts``.
 
@@ -223,6 +253,9 @@ def verify(problem: VerificationProblem) -> Verdict:
     Falsified when Monte-Carlo sampling finds an input whose exact image
     leaves the safe box.
 
+    Each level's cell count is checked against `CELL_BUDGET` before the
+    level is built (`_check_level_size`).
+
     ``stats`` times two phases over all refinement levels: ``certify_ms``
     (whole-box certification and subset extraction) and ``propagate_ms``
     (propagating the required cells).
@@ -250,6 +283,7 @@ def verify(problem: VerificationProblem) -> Verdict:
     safe_lo, safe_hi = safe.lo, safe.hi
     for level in range(levels + 1):
         counts = tuple(c * 2**level for c in problem.grid)
+        _check_level_size(path, counts)
         phase = time.perf_counter()
         batch, extraction = _required_cells(problem, path, counts)
         built = time.perf_counter()

@@ -151,6 +151,27 @@ def test_grid_out_of_memory_exit_three(identity_model):
     assert "allocate" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.fixture
+def overflow_model(tmp_path):
+    # two linear layers of ±1e300 weights: the second layer's sums overflow to ±inf
+    w = np.array([[1e300, -1e300], [1e300, 1e300]])
+    path = tmp_path / "overflow.json"
+    rb.write_model(rb.Network((rb.Layer(w, np.zeros(2), "linear"),) * 2), path)
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["full", "auto"])
+@pytest.mark.parametrize("domain", ["box", "zono"])
+def test_overflowing_model_exit_three(overflow_model, capsys, mode, domain):
+    code, out, err = run(
+        capsys, "verify", "--model", overflow_model, "--input", "0,1;0,1",
+        "--safe", "-1,1;-1,1", "--mode", mode, "--domain", domain, "--grid", "2",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_usage_error_exit_four(capsys):
     code, _, err = run(capsys, "verify", "--input", "0,1;0,1", "--safe", "0,1;0,1")
     assert code == 4 and "usage" in err.lower()

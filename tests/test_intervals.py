@@ -16,6 +16,7 @@ from reachbound.intervals import (
     _idet_arrays,
     _imul_arrays,
     _interval_matvec_arrays,
+    _nonneg_imul_arrays,
     _up,
 )
 
@@ -423,3 +424,81 @@ def test_det_shared_minors_bit_identical_to_recursion(n):
     got_lo, got_hi = _idet_arrays(lo, hi)
     ref_lo, ref_hi = recursive_idet(lo, hi)
     assert np.array_equal(got_lo, ref_lo) and np.array_equal(got_hi, ref_hi)
+    # one matrix, and a batch with two leading axes, give the same bits
+    assert _idet_arrays(lo[0], hi[0]) == (ref_lo[0], ref_hi[0])
+    two_lo, two_hi = _idet_arrays(lo[:6].reshape(2, 3, n, n), hi[:6].reshape(2, 3, n, n))
+    assert np.array_equal(two_lo, ref_lo[:6].reshape(2, 3))
+    assert np.array_equal(two_hi, ref_hi[:6].reshape(2, 3))
+
+
+# ---------------------------------------------------------------------------
+# outward rounding
+
+
+def nextafter_steps(x, steps, toward):
+    """The reference pad: ``steps`` passes of `nextafter` toward ``toward``."""
+    for _ in range(steps):
+        x = np.nextafter(x, toward)
+    return x
+
+
+MAX = float(np.finfo(float).max)
+POWERS = np.ldexp(1.0, np.arange(-1074, 1024))  # every power of two, 5e-324 up
+EDGE_FLOATS = np.concatenate(
+    [[0.0, MAX], POWERS, np.nextafter(POWERS, 0.0), np.nextafter(POWERS, np.inf)]
+)
+
+
+def x_examples(*values):
+    """One hypothesis ``example(x=v)`` per value."""
+
+    def apply(test):
+        for v in values:
+            test = example(x=v)(test)
+        return test
+
+    return apply
+
+
+@pytest.mark.parametrize("steps", [1, 4, 8])
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@x_examples(0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 1.0, -1.0,
+            math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+            2.0**1023, math.nextafter(2.0**1023, 0.0), MAX, -MAX)
+def test_pad_covers_nextafter_passes(steps, x):
+    x = np.float64(x)
+    with np.errstate(over="ignore"):
+        assert _down(x, steps) <= nextafter_steps(x, steps, -np.inf)
+        assert _up(x, steps) >= nextafter_steps(x, steps, np.inf)
+
+
+def test_pad_covers_nextafter_passes_on_every_binade_edge():
+    bits = np.random.default_rng(9).integers(0, 2**64, 200_000, dtype=np.uint64).view(float)
+    x = np.concatenate([EDGE_FLOATS, -EDGE_FLOATS, bits[np.isfinite(bits)]])
+    for steps in range(1, 9):
+        with np.errstate(over="ignore"):
+            assert np.all(_down(x, steps) <= nextafter_steps(x, steps, -np.inf))
+            assert np.all(_up(x, steps) >= nextafter_steps(x, steps, np.inf))
+
+
+def test_pad_infinities():
+    with np.errstate(invalid="ignore"):
+        down, up = _down(np.array([-np.inf, np.inf])), _up(np.array([-np.inf, np.inf]))
+    assert down[0] == -np.inf and np.isnan(down[1])
+    assert np.isnan(up[0]) and up[1] == np.inf
+
+
+def test_nonneg_product_is_the_corner_product_bit_for_bit():
+    d_ends = [0.0, -0.0, 5e-324, 0.25, 1.0, 3.5]
+    b_ends = [-3.0, -1.5, -5e-324, -0.0, 0.0, 5e-324, 2.0, 7.5]
+    d_pairs = [(lo, hi) for lo, hi in product(d_ends, repeat=2) if lo <= hi]
+    # B: point, straddling, one-signed and signed-zero intervals
+    b_pairs = [(lo, hi) for lo, hi in product(b_ends, repeat=2) if lo <= hi]
+    rng = np.random.default_rng(3)
+    d0, b0 = rng.uniform(0.0, 2.0, 500), rng.uniform(-2.0, 2.0, 500)
+    rows = [dd + bb for dd, bb in product(d_pairs, b_pairs)]
+    rows += zip(d0, d0 + rng.uniform(0, 1, 500), b0, b0 + rng.uniform(0, 1, 500))
+    dlo, dhi, blo, bhi = np.array(rows).T
+    got = _nonneg_imul_arrays(dlo, dhi, blo, bhi)
+    ref = _imul_arrays(dlo, dhi, blo, bhi)
+    assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()

@@ -6,7 +6,9 @@ import pytest
 import reachbound as rb
 from reachbound.domains import box_propagate_arrays
 from reachbound.reports import verdict_document
-from reachbound.topology import certify_cells
+from reachbound import verifier
+from reachbound.topology import certify_cells, extract_subset
+from reachbound.verifier import CELL_BUDGET, _check_level_size
 from conftest import identity_net, linear_net, make_net, MIXED
 
 
@@ -370,3 +372,45 @@ def test_problem_validation(unit_square, invertible_net):
         problem(invertible_net, unit_square, unit_square, max_refinements=-1)
     with pytest.raises(ValueError):
         problem(invertible_net, unit_square, unit_square, falsify_samples=-5)
+
+
+@pytest.mark.parametrize(
+    "path, at_budget, past_budget",
+    [
+        # grid cells: 2^22 = 2^11 x 2^11, and 2^22 + 1 = 5 x 838 861
+        ("full", (2**11, 2**11), (5, 838_861)),
+        ("subset", (2**22,), (2**22 + 1,)),
+        # face cells: 2 (c1 + c0) in 2-d is even, so 2 past is the next count
+        ("boundary", (2**20, 2**20), (2**20, 2**20 + 1)),
+    ],
+)
+def test_level_size_checked_against_the_budget(path, at_budget, past_budget):
+    assert _check_level_size(path, at_budget) == CELL_BUDGET
+    with pytest.raises(ValueError, match="allocate"):
+        _check_level_size(path, past_budget)
+
+
+def test_face_cell_count_matches_the_built_batch():
+    counts = (3, 4, 5)
+    batch = verifier.boundary_cell_batch(rb.Box.from_bounds([(0, 1)] * 3), counts)
+    assert _check_level_size("boundary", counts) == batch.count == 2 * (20 + 15 + 12)
+    assert _check_level_size("full", counts) == 60
+
+
+def test_verify_refuses_an_oversized_refinement_level_before_building_it(monkeypatch):
+    monkeypatch.setattr(verifier, "CELL_BUDGET", 100)
+    problem = rb.VerificationProblem(
+        make_net(**MIXED), rb.Box.from_bounds([(-1, 1), (-1, 1)]),
+        rb.Box.from_bounds([(-1e-3, 1e-3)] * 2), mode="auto", grid=(4,),
+        max_refinements=2,
+    )
+    built = []
+
+    def recording_extract_subset(net, box, counts):
+        built.append(counts)
+        return extract_subset(net, box, counts)
+
+    monkeypatch.setattr(verifier, "extract_subset", recording_extract_subset)
+    with pytest.raises(ValueError, match="allocate"):
+        rb.verify(problem)
+    assert built == [(4, 4), (8, 8)]  # 16 and 64 cells; 256 is refused unbuilt
