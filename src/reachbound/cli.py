@@ -29,7 +29,7 @@ from .reports import (
     write_reach_cells,
     write_verdict,
 )
-from .topology import extract_subset, grid_counts
+from .topology import SubsetExtraction, certify_cells, grid_counts, partition
 from .verifier import (
     FALSIFIED,
     MODES,
@@ -131,13 +131,16 @@ def cmd_compare(args) -> int:
 def cmd_certify(args) -> int:
     net = read_model(args.model)
     input_box = parse_box(args.input)
-    grid = grid_counts(args.grid.split(",") if args.grid else None, input_box.dim)
-    extraction = extract_subset(net, input_box, grid)
+    counts = grid_counts(args.grid.split(",") if args.grid else None, input_box.dim)
+    if input_box.degenerate_dims():
+        raise ValueError("certification requires a non-degenerate input box")
+    grid = partition(input_box, counts)
+    idx, lo, hi = grid.bounds_arrays()
+    det_lo, det_hi, certified = certify_cells(net, lo, hi)  # each cell once
     if args.out:
-        write_certification(extraction, args.out)
-    summary = dict(extraction.counts)
-    summary["certified_cells"] = int(extraction.certified.sum())
-    print(json.dumps(summary, indent=1))
+        write_certification(idx, det_lo, det_hi, certified, args.out)
+    extraction = SubsetExtraction(grid, idx, lo, hi, certified & grid.interior_mask(idx))
+    print(json.dumps(dict(extraction.counts, certified_cells=int(certified.sum())), indent=1))
     return 0
 
 

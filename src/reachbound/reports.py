@@ -104,12 +104,10 @@ def read_reach_cells(path):
     return idx, lo, hi
 
 
-def write_certification(extraction, path) -> None:
+def write_certification(index, det_lo, det_hi, certified, path) -> None:
     """Per-cell certification dump: indices, determinant bounds, verdict bit."""
-    n = extraction.index.shape[1]
-    header = [f"idx{k}" for k in range(n)] + ["det_lo", "det_hi", "certified"]
-    rows = zip(extraction.index.tolist(), extraction.det_lo.tolist(),
-               extraction.det_hi.tolist(), extraction.certified.tolist())
+    header = [f"idx{k}" for k in range(index.shape[1])] + ["det_lo", "det_hi", "certified"]
+    rows = zip(index.tolist(), det_lo.tolist(), det_hi.tolist(), certified.tolist())
     _write_csv(path, header, ([*i, repr(lo), repr(hi), int(c)] for i, lo, hi, c in rows))
 
 

@@ -192,23 +192,16 @@ def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):
 class SubsetExtraction:
     """Grid classification into a certified interior subset and the kept rest.
 
-    A certified cell that touches the boundary of the base box is kept, not
-    removed: the removable subset must stay clear of the input boundary, and
-    touching is decided on grid indices, never on float comparisons.
+    The removable subset must stay clear of the input boundary, so a cell on a
+    face is kept whatever its determinant and only interior cells are
+    certified; touching is decided on grid indices, never on float comparisons.
     """
 
     grid: CellGrid
     index: np.ndarray  # (N, n) row-major cell indices
     lo: np.ndarray  # (N, n) cell bounds
     hi: np.ndarray
-    det_lo: np.ndarray
-    det_hi: np.ndarray
-    certified: np.ndarray  # (N,) bool, determinant excludes zero
-    interior: np.ndarray  # (N,) bool, no face on the base boundary
-
-    @property
-    def certified_interior_mask(self) -> np.ndarray:
-        return self.certified & self.interior
+    certified_interior_mask: np.ndarray  # (N,) bool, no face on the boundary, certified
 
     @property
     def kept_mask(self) -> np.ndarray:
@@ -216,16 +209,21 @@ class SubsetExtraction:
 
     @property
     def counts(self) -> dict:
-        total = int(self.certified.shape[0])
+        total = int(self.certified_interior_mask.shape[0])
         removed = int(self.certified_interior_mask.sum())
         return {"total": total, "certified_interior": removed, "kept": total - removed}
 
 
 def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
-    """Classify grid cells; the kept cells cover the closure of the rest."""
+    """Classify grid cells; the kept cells cover the closure of the rest.
+
+    A cell on a face is kept whatever its determinant, so only interior cells
+    are certified; `certify_cells` runs on no rows too, to reject the network.
+    """
     if input_box.degenerate_dims():
         raise ValueError("subset extraction requires a non-degenerate input box")
     grid = partition(input_box, counts)
     idx, lo, hi = grid.bounds_arrays()
-    det_lo, det_hi, certified = certify_cells(net, lo, hi)
-    return SubsetExtraction(grid, idx, lo, hi, det_lo, det_hi, certified, grid.interior_mask(idx))
+    mask = grid.interior_mask(idx)
+    mask[mask] = certify_cells(net, lo[mask], hi[mask])[2]
+    return SubsetExtraction(grid, idx, lo, hi, mask)

@@ -4,7 +4,6 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -456,14 +455,14 @@ def test_csv_writers_exact_bytes(tmp_path):
     batch = CellBatch(np.array([[0, 1], [2, 0]]), np.zeros((2, 2)), np.ones((2, 2)),
                       np.array([[-0.0, third], [1e-300, -2.5]]),
                       np.array([[0.0, 0.5], [1.0, 2.0]]))
-    extraction = SimpleNamespace(
-        index=np.array([[1, 2], [3, 4]]), det_lo=np.array([-0.0, third]),
-        det_hi=np.array([0.0, 1.7976931348623157e308]), certified=np.array([False, True]),
+    certification = (
+        np.array([[1, 2], [3, 4]]), np.array([-0.0, third]),
+        np.array([0.0, 1.7976931348623157e308]), np.array([False, True]),
     )
     mc = MonteCarloResult(np.array([[-0.0, third]]), np.array([[5e-324, -2.5]]),
                           rb.Box.from_bounds([(5e-324, 5e-324), (-2.5, -2.5)]), np.empty((0, 2)))
     write_reach_cells(batch, tmp_path / "cells.csv")
-    write_certification(extraction, tmp_path / "cert.csv")
+    write_certification(*certification, tmp_path / "cert.csv")
     write_mc_points(mc, tmp_path / "mc.csv")
     assert (tmp_path / "cells.csv").read_bytes() == (
         b"idx0,idx1,out0_lo,out0_hi,out1_lo,out1_hi\r\n"

@@ -275,7 +275,8 @@ def test_extraction_accounting_identity(mixed_net):
     c = ex.counts
     assert c["kept"] + c["certified_interior"] == c["total"] == 400
     # uncertified cells are always kept
-    assert np.all(ex.kept_mask[~ex.certified])
+    _, lo, hi = ex.grid.bounds_arrays()
+    assert np.all(ex.kept_mask[~certify_cells(mixed_net, lo, hi)[2]])
 
 
 def test_extraction_interior_never_touches_boundary(mixed_net):
@@ -299,10 +300,10 @@ def test_extraction_matches_exhaustive_classification(mixed_net):
 def test_extraction_refines_consistently(mixed_net):
     # every certified 20x20 cell keeps all its 60x60 children certified
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
-    coarse = rb.extract_subset(mixed_net, box, (20, 20))
-    fine = rb.extract_subset(mixed_net, box, (60, 60))
-    cert_c = coarse.certified.reshape(20, 20)
-    cert_f = fine.certified.reshape(60, 60)
+    _, lo_c, hi_c = rb.partition(box, (20, 20)).bounds_arrays()
+    _, lo_f, hi_f = rb.partition(box, (60, 60)).bounds_arrays()
+    cert_c = certify_cells(mixed_net, lo_c, hi_c)[2].reshape(20, 20)
+    cert_f = certify_cells(mixed_net, lo_f, hi_f)[2].reshape(60, 60)
     for i in range(20):
         for j in range(20):
             if cert_c[i, j]:
