@@ -14,6 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .domains import DOMAINS
 from .intervals import Box
 from .network import read_model
@@ -36,6 +38,7 @@ from .verifier import (
     SAFE,
     UNKNOWN,
     VerificationProblem,
+    _check_level_size,
     monte_carlo,
     verify,
 )
@@ -134,6 +137,7 @@ def cmd_certify(args) -> int:
     counts = grid_counts(args.grid.split(",") if args.grid else None, input_box.dim)
     if input_box.degenerate_dims():
         raise ValueError("certification requires a non-degenerate input box")
+    _check_level_size("full", counts)  # certify builds every grid cell, as full mode does
     grid = partition(input_box, counts)
     idx, lo, hi = grid.bounds_arrays()
     det_lo, det_hi, certified = certify_cells(net, lo, hi)  # each cell once
@@ -252,7 +256,10 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     try:
-        return args.func(args)
+        # overflow becomes exit 3 through the non-finite checks of Box and
+        # Zonotope; numpy's RuntimeWarnings would only show internals on stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR

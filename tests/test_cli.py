@@ -17,7 +17,7 @@ from reachbound.reports import (
     write_reach_cells,
 )
 from reachbound.topology import grid_counts
-from reachbound.verifier import CellBatch, MonteCarloResult
+from reachbound.verifier import CELL_BUDGET, CellBatch, MonteCarloResult
 from conftest import identity_net, make_net, MIXED
 
 
@@ -150,6 +150,22 @@ def test_grid_out_of_memory_exit_three(identity_model):
     assert "allocate" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_certify_refuses_a_grid_above_the_budget(identity_model):
+    # same cap as above: a grid built past the budget would fail with a
+    # MemoryError, whose message also says "allocate"; the budget check names itself
+    cap = 2 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "reachbound", "certify", "--model", identity_model,
+         "--input", "0,1;0,1", "--grid", "3000000"],
+        env=dict(os.environ, PYTHONPATH=str(Path(rb.__file__).parents[1])),
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert f"budget of {CELL_BUDGET}" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.fixture
 def overflow_model(tmp_path):
     # two linear layers of ±1e300 weights: the second layer's sums overflow to ±inf
@@ -159,7 +175,7 @@ def overflow_model(tmp_path):
     return str(path)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mode", ["full", "auto"])
 @pytest.mark.parametrize("domain", ["box", "zono"])
 def test_overflowing_model_exit_three(overflow_model, capsys, mode, domain):
@@ -297,6 +313,14 @@ def test_certify_singular_none_certified(tmp_path, capsys):
         capsys, "certify", "--model", str(model), "--input", "0,1;0,1", "--grid", "4",
     )
     assert json.loads(out)["certified_cells"] == 0
+
+
+def test_certify_degenerate_box_exit_three(identity_model, capsys):
+    code, out, err = run(
+        capsys, "certify", "--model", identity_model, "--input", "0,0;0,1", "--grid", "1,3",
+    )
+    assert code == 3 and out == ""
+    assert "non-degenerate" in err and "Traceback" not in err
 
 
 def test_certify_non_square_exit_three(tmp_path, capsys):

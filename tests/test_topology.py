@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import reachbound as rb
+from reachbound import topology
 from reachbound.topology import certify_cells, jacobian_interval_arrays
 from reachbound.verifier import boundary_cell_batch
 from conftest import MIXED, deep_nets, linear_net, make_net, sample_box
@@ -308,6 +309,48 @@ def test_extraction_refines_consistently(mixed_net):
         for j in range(20):
             if cert_c[i, j]:
                 assert cert_f[3 * i : 3 * i + 3, 3 * j : 3 * j + 3].all()
+
+
+def test_extraction_decision_equals_certifying_every_cell():
+    seen = [0, 0]  # certified and uncertified interior cells, over all examples
+
+    @given(deep_nets())
+    @settings(max_examples=200, deadline=None)
+    def decision_matches(case):
+        net, seed = case
+        rng = np.random.default_rng(seed)
+        n = net.input_dim
+        # small boxes, so that cells certify; counts below 3 leave no interior cell
+        centre, half = rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-3, -0.3, n)
+        box = rb.Box.from_arrays(centre - half, centre + half)
+        ex = rb.extract_subset(net, box, tuple(int(c) for c in rng.integers(1, 6, n)))
+        idx, lo, hi = ex.grid.bounds_arrays()
+        interior = ex.grid.interior_mask(idx)
+        certified = certify_cells(net, lo, hi)[2]
+        assert ex.certified_interior_mask.dtype == bool
+        np.testing.assert_array_equal(ex.certified_interior_mask, certified & interior)
+        seen[0] += int((certified & interior).sum())
+        seen[1] += int((~certified & interior).sum())
+
+    decision_matches()
+    assert seen[0] > 0 and seen[1] > 0
+
+
+@pytest.mark.parametrize("counts, rows", [((5, 5), 9), ((2, 7), 0)])
+def test_extraction_certifies_interior_rows_only(mixed_net, monkeypatch, counts, rows):
+    calls = []
+
+    def recording_certify_cells(net, lo, hi):
+        calls.append((lo, hi))
+        return certify_cells(net, lo, hi)
+
+    monkeypatch.setattr(topology, "certify_cells", recording_certify_cells)
+    ex = rb.extract_subset(mixed_net, rb.Box.from_bounds([(-1, 1), (-1, 1)]), counts)
+    [(lo, hi)] = calls
+    interior = ex.grid.interior_mask(ex.index)
+    assert lo.shape == hi.shape == (rows, 2) and interior.sum() == rows
+    np.testing.assert_array_equal(lo, ex.lo[interior])
+    np.testing.assert_array_equal(hi, ex.hi[interior])
 
 
 def test_extraction_rejects_degenerate_input(mixed_net):
