@@ -47,12 +47,11 @@ def main():
     grid = rb.partition(box, (args.grid, args.grid))
     idx, lo, hi = grid.bounds_arrays()
     det_lo, det_hi, certified = rb.topology.certify_cells(net, lo, hi)
-    total = certified.shape[0]
-    removed = int((certified & grid.interior_mask(idx)).sum())
+    counts = rb.SubsetExtraction(grid, idx, lo, hi, certified & grid.interior_mask(idx)).counts
     print(
-        f"grid {args.grid}x{args.grid}: total={total} "
-        f"certified_interior={removed} kept={total - removed} "
-        f"({100.0 * (total - removed) / total:.1f}% propagated)"
+        f"grid {args.grid}x{args.grid}: total={counts['total']} "
+        f"certified_interior={counts['certified_interior']} kept={counts['kept']} "
+        f"({100.0 * counts['kept'] / counts['total']:.1f}% propagated)"
     )
     write_certification(idx, det_lo, det_hi, certified, outdir / "certification.csv")
 

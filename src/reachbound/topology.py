@@ -11,7 +11,9 @@ because it uses cofactor expansion.  This module owns that rule:
 `is_certifiable` is the only place it is written, and `certify_cells` the
 only place it is checked.  Whole boxes and grid cells are certified by the
 same batched `certify_cells`, and every enclosure stays a ``(lo, hi)`` pair
-of endpoint arrays.
+of endpoint arrays.  `extract_subset` certifies only the cells that touch no
+face of the input box, the only ones it may drop; a per-cell report of every
+cell calls `certify_cells` on the whole grid itself.
 """
 
 from __future__ import annotations

@@ -295,6 +295,22 @@ def test_certify_csv_and_summary(tmp_path, capsys):
     assert first[:2] == ["0", "0"] and first[4] in ("0", "1")
 
 
+def test_certify_summary_agrees_with_the_subset_decision(tmp_path, capsys):
+    # certify reports every cell; its interior count is the one subset mode drops
+    net, box = make_net(**MIXED), rb.Box.from_bounds([(-1, 1), (-1, 1)])
+    rb.write_model(net, tmp_path / "mixed.json")
+    code, out, _ = run(
+        capsys, "certify", "--model", str(tmp_path / "mixed.json"), "--input", "-1,1;-1,1",
+        "--grid", "10,7",
+    )
+    summary = json.loads(out)
+    assert code == 0 and list(summary) == ["total", "certified_interior", "kept", "certified_cells"]
+    assert {k: summary[k] for k in ("total", "certified_interior", "kept")} == (
+        rb.extract_subset(net, box, (10, 7)).counts
+    )
+    assert summary["certified_interior"] < summary["certified_cells"]
+
+
 def test_certify_identity_fully_certified(identity_model, capsys):
     code, out, _ = run(
         capsys, "certify", "--model", identity_model, "--input", "0,1;0,1", "--grid", "4",
