@@ -115,7 +115,8 @@ def cmd_compare(args) -> int:
             "time_ms": verdict.stats.get("wall_ms"),
             "hull": None if verdict.output_hull is None else verdict.output_hull.bounds(),
         }
-        for key in ("cells_total", "cells_certified", "cells_kept", "assumes_invertible"):
+        for key in ("path", "input_certified", "cells_total", "cells_certified", "cells_kept",
+                    "assumes_invertible"):
             if key in verdict.stats:
                 row[key] = verdict.stats[key]
         rows.append(row)
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", choices=DOMAINS, default="box")
     p.add_argument("--mode", choices=MODES, default="auto")
     p.add_argument("--max-refine", type=int, default=0,
-                   help="grid doublings on unknown; only --mode auto refines, others ignore it")
+                   help="grid doublings on unknown, in every mode")
     p.add_argument("--falsify-samples", type=int, default=0)
     p.add_argument("--out", help="write the verdict JSON here too")
     p.add_argument("--cells-out", help="write per-cell reach hulls CSV")

@@ -52,8 +52,8 @@ def verdict_document(verdict: Verdict) -> dict:
         if verdict.counterexample is None
         else [float(v) for v in verdict.counterexample],
     }
-    for key in ("mode", "path", "assumes_invertible", "fallback_full", "input_certified",
-                "cells_total", "certify_ms", "propagate_ms"):
+    for key in ("mode", "path", "assumes_invertible", "input_certified", "cells_total",
+                "certify_ms", "propagate_ms"):
         if key in stats:
             doc["stats"][key] = stats[key]
     return doc

@@ -180,6 +180,9 @@ def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):
         )
     if np.shape(lo)[-1] != net.input_dim:
         raise ValueError(f"cell dimension {np.shape(lo)[-1]} != input dim {net.input_dim}")
+    if np.size(lo) == 0:  # no cells: the Jacobian and determinant would run on no rows
+        shape = np.shape(lo)[:-1]
+        return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
     jlo, jhi = jacobian_interval_arrays(net, lo, hi)
     dlo, dhi = _idet_arrays(jlo, jhi)
     certified = (dlo > 0.0) | (dhi < 0.0)

@@ -1,15 +1,16 @@
 """One verification driver over the cells that can hold an output extremum.
 
-The four modes differ only in which cells they propagate: the input faces
-(``boundary``), the grid minus its certified interior subset (``subset``),
-every grid cell (``full``), or, after certifying the whole input box, the
-faces or the subset (``auto``).
+Three cell sets can be propagated: the input faces (``boundary``), the grid
+minus its certified interior subset (``subset``), or every grid cell
+(``full``).  Modes ``boundary`` and ``full`` name their set; ``subset`` and
+``auto`` are both the paper's method, which certifies the whole input box
+first and picks one of the three (see `verify`).
 
 Soundness contract: a `safe` verdict means the computed over-approximation of
 the required cells' images lies inside the safe box.  The faces suffice only
 when the network is a homeomorphism on the input box: ``boundary`` mode
 records ``assumes_invertible`` in its stats and leaves that obligation to the
-caller, while ``auto`` mode discharges it by certifying the whole input box.
+caller, while ``subset`` and ``auto`` discharge it by certifying the box.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .domains import (
 from .network import Network, forward_batch, forward_point
 from .topology import (
     CellGrid,
-    SubsetExtraction,
     certify_homeomorphism,
     extract_subset,
     grid_counts,
@@ -68,7 +68,7 @@ class VerificationProblem:
     domain: str = "box"
     mode: str = "auto"
     grid: Optional[tuple[int, ...]] = None
-    max_refinements: int = 0  # grid doublings on Unknown; only mode "auto" refines
+    max_refinements: int = 0  # grid doublings on Unknown, in every mode
     seed: int = 0
     falsify_samples: int = 0  # 0 disables counterexample search
 
@@ -110,7 +110,6 @@ class Verdict:
     output_hull: Optional[Box]
     counterexample: Optional[np.ndarray] = None
     cell_batch: Optional[CellBatch] = None  # reporting hook
-    extraction: Optional[SubsetExtraction] = None
 
 
 def grid_cell_batch(grid: CellGrid) -> CellBatch:
@@ -245,13 +244,14 @@ def _required_cells(problem: VerificationProblem, path: str, counts):
 def verify(problem: VerificationProblem) -> Verdict:
     """Propagate the required cells and check that their images lie in the safe box.
 
-    Mode ``auto`` certifies the whole input box first: if it certifies, the
-    boundary suffices, otherwise the certified interior subset is removed, and
-    the grid doubles on Unknown up to ``max_refinements`` times.  Subset mode
-    on a network it cannot certify (non-square, or above the determinant
-    dimension limit) propagates the full grid.  An Unknown verdict becomes
-    Falsified when Monte-Carlo sampling finds an input whose exact image
-    leaves the safe box.
+    Modes ``subset`` and ``auto`` certify the whole input box first: if it
+    certifies, the boundary suffices; otherwise the certified interior subset
+    is removed, or, on a network it cannot certify (non-square, or above the
+    determinant dimension limit), the full grid is propagated.
+    ``stats["path"]`` names the set propagated.  In every mode the grid
+    doubles on Unknown up to ``max_refinements`` times.  An Unknown verdict
+    becomes Falsified when Monte-Carlo sampling finds an input whose exact
+    image leaves the safe box.
 
     Each level's cell count is checked against `CELL_BUDGET` before the
     level is built (`_check_level_size`).
@@ -262,26 +262,21 @@ def verify(problem: VerificationProblem) -> Verdict:
     """
     started = time.perf_counter()
     net = problem.net
-    certifiable = is_certifiable(net)
     stats = {"mode": problem.mode, "certify_ms": 0.0, "propagate_ms": 0.0}
     path = problem.mode
-    levels = 0
-    if path == "auto":
+    if path in ("subset", "auto"):
+        certifiable = is_certifiable(net)
         phase = time.perf_counter()
         certified = certifiable and certify_homeomorphism(net, problem.input_box).certified
         stats["certify_ms"] = (time.perf_counter() - phase) * 1e3
-        path = "boundary" if certified else "subset"
-        levels = problem.max_refinements
+        path = "boundary" if certified else "subset" if certifiable else "full"
         stats.update(path=path, input_certified=certified)
     if path == "boundary":
         stats["assumes_invertible"] = problem.mode == "boundary"
-    if path == "subset" and not certifiable:
-        path = "full"
-        stats["fallback_full"] = True
 
     safe = problem.safe_box
     safe_lo, safe_hi = safe.lo, safe.hi
-    for level in range(levels + 1):
+    for level in range(problem.max_refinements + 1):
         counts = tuple(c * 2**level for c in problem.grid)
         _check_level_size(path, counts)
         phase = time.perf_counter()
@@ -299,8 +294,7 @@ def verify(problem: VerificationProblem) -> Verdict:
         stats.update(cells_total=c["total"], cells_certified=c["certified_interior"],
                      cells_kept=c["kept"])
     stats.update(cells_propagated=batch.count, refinement_level=level)
-    verdict = Verdict(SAFE if ok else UNKNOWN, stats, batch.hull(), cell_batch=batch,
-                      extraction=extraction)
+    verdict = Verdict(SAFE if ok else UNKNOWN, stats, batch.hull(), cell_batch=batch)
 
     if not ok and problem.falsify_samples > 0:
         mc = monte_carlo(net, problem.input_box, problem.falsify_samples, problem.seed, safe=safe)

@@ -264,3 +264,20 @@ def test_c8_jacobian_correctness():
             jacs = rb.jacobian_batch(net, pts)
             assert np.all(jacs >= jlo[None] - 0.0)
             assert np.all(jacs <= jhi[None] + 0.0)
+
+
+def test_subset_and_auto_verdicts_are_identical():
+    # one path: the two modes differ only in the mode they echo and in timings
+    for seed, dims, act, scale, dom, _, box, grid in config_table():
+        sub, auto = (run_config(seed, dims, act, scale, dom, m, box, grid)[2]
+                     for m in ("subset", "auto"))
+        assert sub.status == auto.status, (seed, dims)
+        assert sub.output_hull.lo.tobytes() == auto.output_hull.lo.tobytes()
+        assert sub.output_hull.hi.tobytes() == auto.output_hull.hi.tobytes()
+        for field in ("index", "lo", "hi", "out_lo", "out_hi"):
+            assert (getattr(sub.cell_batch, field).tobytes()
+                    == getattr(auto.cell_batch, field).tobytes()), (seed, dims, field)
+        stats = [{k: v for k, v in s.items() if k != "mode" and not k.endswith("_ms")}
+                 for s in (sub.stats, auto.stats)]
+        assert stats[0] == stats[1], (seed, dims)
+        assert (sub.stats["mode"], auto.stats["mode"]) == ("subset", "auto")

@@ -220,8 +220,22 @@ def test_compare_reports_cell_counts(seeded_model, capsys, tmp_path):
     rows = {r["mode"]: r for r in json.loads(out_path.read_text())}
     assert rows["full"]["cells"] == 10_000
     assert rows["boundary"]["cells"] == 400
-    assert rows["subset"]["cells_kept"] + rows["subset"]["cells_certified"] == 10_000
+    # the seeded net certifies on the unit square, so the subset row is its faces
+    subset = rows["subset"]
+    assert subset["cells"] == 400 and subset["path"] == "boundary"
+    assert subset["input_certified"] is True and subset["assumes_invertible"] is False
     assert "mode" in out and "cells" in out
+
+    mixed = tmp_path / "mixed.json"
+    rb.write_model(make_net(**MIXED), mixed)  # does not certify on [-1, 1]^2
+    code, _, _ = run(
+        capsys, "compare", "--model", str(mixed), "--input", "-1,1;-1,1",
+        "--safe", "-9,9;-9,9", "--grid", "100", "--out", str(out_path),
+    )
+    assert code == 0
+    subset = {r["mode"]: r for r in json.loads(out_path.read_text())}["subset"]
+    assert subset["path"] == "subset" and subset["input_certified"] is False
+    assert subset["cells_kept"] + subset["cells_certified"] == 10_000
 
 
 def test_compare_small_grid_counts(seeded_model, capsys):

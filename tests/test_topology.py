@@ -360,5 +360,21 @@ def test_extraction_rejects_degenerate_input(mixed_net):
 
 def test_extraction_rejects_non_square():
     net = rb.generate_network(1, [2, 5, 3])
-    with pytest.raises(ValueError):
-        rb.extract_subset(net, rb.Box.from_bounds([(0, 1), (0, 1)]), (4, 4))
+    for counts in ((4, 4), (2, 7)):  # (2, 7) has no interior row to certify
+        with pytest.raises(ValueError):
+            rb.extract_subset(net, rb.Box.from_bounds([(0, 1), (0, 1)]), counts)
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (3, 0, 2)])
+def test_certify_cells_skips_the_jacobian_on_no_cells(mixed_net, monkeypatch, shape):
+    calls = []
+
+    def recording_jacobian(net, lo, hi):
+        calls.append(lo)
+        return jacobian_interval_arrays(net, lo, hi)
+
+    monkeypatch.setattr(topology, "jacobian_interval_arrays", recording_jacobian)
+    det_lo, det_hi, certified = certify_cells(mixed_net, np.empty(shape), np.empty(shape))
+    assert calls == []
+    assert det_lo.shape == det_hi.shape == certified.shape == shape[:-1]
+    assert det_lo.dtype == det_hi.dtype == float and certified.dtype == bool
