@@ -5,7 +5,9 @@ A zonotope holds ``{c + G eps : eps in [-1,1]^g}`` plus a per-dimension
 activation transformers, so every concretization (and every float evaluation
 of a contained point) stays inside the reported set.  Both domains take
 batched cells: `box_propagate_arrays` and `zono_propagate` map ``(..., n)``
-cell bounds to ``(..., m)`` output hulls in whole array passes.
+cell bounds to ``(..., m)`` output hulls in whole array passes.  A box gives
+a zonotope one generator per dimension, zero where its width is zero, so
+faces, points and grid cells share one generator count in a batch.
 """
 
 from __future__ import annotations
@@ -102,39 +104,36 @@ class Zonotope:
         return self.center.shape[-1]
 
     def hull_arrays(self):
-        """Outward-rounded interval hulls, ``(lo, hi)`` of shape (..., d)."""
+        """Outward-rounded interval hulls, ``(lo, hi)`` of shape (..., d).
+
+        Dimension i lies within ``r_i + slack_i`` of ``c_i``, ``r_i = sum_j |G_ij|``.
+        The float sum of g terms undershoots ``r_i`` by less than
+        ``(g - 1) u r_i``, which the error term covers with the later additions
+        and underflow; `_down`/`_up` round outward.  A row of exact zeros sums
+        to exactly 0, so it takes only its slack: a point box hulls to itself.
+        """
         g = self.generators
-        if g.shape[-1]:
-            rad_raw = np.abs(g).sum(axis=-1)
-            err = (g.shape[-1] + 2) * _U * rad_raw + (g.shape[-1] + 1) * _TINY
-            rad = rad_raw + err + self.slack
-        else:
-            rad = self.slack.copy()
+        rad_raw = np.abs(g).sum(axis=-1)
+        err = (g.shape[-1] + 2) * _U * rad_raw + (g.shape[-1] + 1) * _TINY
+        rad = np.where(rad_raw > 0.0, rad_raw + err, 0.0) + self.slack
         lo = np.where(rad > 0.0, _down(self.center - rad), self.center)
         hi = np.where(rad > 0.0, _up(self.center + rad), self.center)
         return lo, hi
 
 
-def _live_dims(lo, hi):
-    """The dimensions of (..., n) bounds that get a generator: nonzero half-width."""
-    c = 0.5 * (lo + hi)
-    return np.maximum(hi - c, c - lo) > 0.0
-
-
-def _zono_from_bounds(lo, hi, live) -> Zonotope:
-    """Axis-aligned zonotopes covering (..., n) boxes whose live dimensions are ``live``."""
+def _zono_from_bounds(lo, hi) -> Zonotope:
+    """Axis-aligned zonotopes covering (..., n) boxes: one generator per dimension."""
     c = 0.5 * (lo + hi)
     half = np.maximum(hi - c, c - lo)
-    gens = (half[..., :, None] * np.eye(lo.shape[-1]))[..., live]
-    # midpoint rounding can undershoot by half an ulp per side
-    slack = np.where(live, 2.0 * _U * np.maximum(np.abs(lo), np.abs(hi)) + _TINY, 0.0)
+    gens = half[..., :, None] * np.eye(lo.shape[-1])
+    # midpoint rounding can undershoot by half an ulp per side; a zero width is exact
+    slack = np.where(half > 0.0, 2.0 * _U * np.maximum(np.abs(lo), np.abs(hi)) + _TINY, 0.0)
     return Zonotope(c, gens, slack)
 
 
 def zono_from_box(cell: Box) -> Zonotope:
-    """Axis-aligned zonotope covering a box; degenerate dims get no generator."""
-    lo, hi = cell.lo, cell.hi
-    return _zono_from_bounds(lo, hi, _live_dims(lo, hi))
+    """Axis-aligned zonotope covering a box; a zero-width dimension gets a zero generator."""
+    return _zono_from_bounds(cell.lo, cell.hi)
 
 
 def zono_affine(z: Zonotope, w: np.ndarray, b: np.ndarray) -> Zonotope:
@@ -189,14 +188,11 @@ def zono_propagate(net: Network, lo: np.ndarray, hi: np.ndarray):
     """Zonotope hulls of batched boxes (..., input_dim) through every layer.
 
     Returns ``(out_lo, out_hi)`` of shape (..., output_dim), as
-    `box_propagate_arrays` does.  A degenerate dimension gets no generator,
-    so the cells are grouped by their live dimensions rather than padded
-    with zero generators: padding would change the error count of
-    `Zonotope.hull_arrays` and the order of its sums.  Each group runs in
-    blocks of ``_BLOCK`` cells, which bounds memory; every cell makes the
-    same BLAS calls in a block as alone, so its hull is the one that
-    `zono_from_box`, `zono_affine`, `zono_activation` and `hull_arrays`
-    give for that cell.
+    `box_propagate_arrays` does, in blocks of ``_BLOCK`` cells to bound memory.
+    `zono_from_box` pads a zero-width dimension with a zero generator too, so
+    a cell has the same generator arrays, error counts and BLAS calls in a
+    block as alone: its hull is the one `zono_from_box`, `zono_affine`,
+    `zono_activation` and `hull_arrays` give for that cell.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -206,15 +202,11 @@ def zono_propagate(net: Network, lo: np.ndarray, hi: np.ndarray):
     rows_hi = hi.reshape(-1, net.input_dim)
     out_lo = np.empty((rows_lo.shape[0], net.output_dim))
     out_hi = np.empty_like(out_lo)
-    patterns, group = np.unique(_live_dims(rows_lo, rows_hi), axis=0, return_inverse=True)
-    group = group.reshape(-1)  # numpy 2.0.0 returns it as (N, 1)
-    for p, live in enumerate(patterns):
-        rows = np.flatnonzero(group == p)
-        for start in range(0, rows.size, _BLOCK):
-            block = rows[start : start + _BLOCK]
-            z = _zono_from_bounds(rows_lo[block], rows_hi[block], live)
-            for layer in net.layers:
-                z = zono_activation(zono_affine(z, layer.weights, layer.bias), layer.activation)
-            out_lo[block], out_hi[block] = z.hull_arrays()
+    for start in range(0, rows_lo.shape[0], _BLOCK):
+        block = slice(start, start + _BLOCK)
+        z = _zono_from_bounds(rows_lo[block], rows_hi[block])
+        for layer in net.layers:
+            z = zono_activation(zono_affine(z, layer.weights, layer.bias), layer.activation)
+        out_lo[block], out_hi[block] = z.hull_arrays()
     shape = lo.shape[:-1] + (net.output_dim,)
     return out_lo.reshape(shape), out_hi.reshape(shape)

@@ -114,14 +114,19 @@ def load_network(document) -> Network:
         missing = {"weights", "bias", "activation"} - set(entry)
         if missing:
             raise ValueError(f"layer {k} missing fields: {sorted(missing)}")
-        weights = entry["weights"]
+        weights, bias = entry["weights"], entry["bias"]
         if not isinstance(weights, list) or not weights or not all(
             isinstance(row, list) and len(row) == len(weights[0]) and row for row in weights
         ):
             raise ValueError(f"layer {k} weights must be a rectangular nonempty matrix")
+        # exact types: a JSON true loads as a bool, which subclasses int
+        if not isinstance(bias, list) or any(
+            type(v) not in (int, float) for row in (bias, *weights) for v in row
+        ):
+            raise ValueError(f"layer {k} weights and bias must be lists of JSON numbers")
         try:
-            layers.append(Layer(weights, entry["bias"], entry["activation"]))
-        except (ValueError, TypeError) as exc:
+            layers.append(Layer(weights, bias, entry["activation"]))
+        except (ValueError, TypeError, OverflowError) as exc:  # ints past 1e308 overflow
             raise ValueError(f"layer {k}: {exc}") from None
     return Network(tuple(layers))
 

@@ -247,11 +247,12 @@ def verify(problem: VerificationProblem) -> Verdict:
     Modes ``subset`` and ``auto`` certify the whole input box first: if it
     certifies, the boundary suffices; otherwise the certified interior subset
     is removed, or, on a network it cannot certify (non-square, or above the
-    determinant dimension limit), the full grid is propagated.
-    ``stats["path"]`` names the set propagated.  In every mode the grid
-    doubles on Unknown up to ``max_refinements`` times.  An Unknown verdict
-    becomes Falsified when Monte-Carlo sampling finds an input whose exact
-    image leaves the safe box.
+    determinant dimension limit), the full grid is propagated.  A box with a
+    zero-width dimension has no interior to drop: it takes the full path
+    uncertified.  ``stats["path"]`` names the set propagated.  In every mode
+    the grid doubles on Unknown up to ``max_refinements`` times, except in
+    zero-width dimensions.  An Unknown verdict becomes Falsified when
+    Monte-Carlo sampling finds an input whose exact image leaves the safe box.
 
     Each level's cell count is checked against `CELL_BUDGET` before the
     level is built (`_check_level_size`).
@@ -264,8 +265,9 @@ def verify(problem: VerificationProblem) -> Verdict:
     net = problem.net
     stats = {"mode": problem.mode, "certify_ms": 0.0, "propagate_ms": 0.0}
     path = problem.mode
+    flat = problem.input_box.degenerate_dims()
     if path in ("subset", "auto"):
-        certifiable = is_certifiable(net)
+        certifiable = is_certifiable(net) and not flat
         phase = time.perf_counter()
         certified = certifiable and certify_homeomorphism(net, problem.input_box).certified
         stats["certify_ms"] = (time.perf_counter() - phase) * 1e3
@@ -277,7 +279,7 @@ def verify(problem: VerificationProblem) -> Verdict:
     safe = problem.safe_box
     safe_lo, safe_hi = safe.lo, safe.hi
     for level in range(problem.max_refinements + 1):
-        counts = tuple(c * 2**level for c in problem.grid)
+        counts = tuple(c if k in flat else c * 2**level for k, c in enumerate(problem.grid))
         _check_level_size(path, counts)
         phase = time.perf_counter()
         batch, extraction = _required_cells(problem, path, counts)

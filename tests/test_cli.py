@@ -94,6 +94,36 @@ def test_verify_malformed_model_exit_three(tmp_path, capsys):
     assert err.strip()
 
 
+def _layer(weights=([1, 0], [0, 1]), bias=[0, 0]):
+    return {"weights": list(weights), "bias": bias, "activation": "linear"}
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ([1, 2], "JSON object"),
+        ({"layers": [5]}, "layer 0 must be an object"),
+        ({"layers": [{"weights": [[1, 0], [0, 1]]}]}, "layer 0 missing fields"),
+        ({"layers": [_layer(), _layer(weights=(["1", 0], [0, 1]))]}, "layer 1"),
+        ({"layers": [_layer(weights=([True, 0], [0, 1]))]}, "layer 0"),
+        ({"layers": [_layer(bias=[0, "0"])]}, "layer 0"),
+        ({"layers": [_layer(bias=0)]}, "layer 0"),
+        ({"layers": [_layer(weights=([10**400, 0], [0, 1]))]}, "layer 0"),
+    ],
+    ids=["array", "layer-number", "missing-fields", "string-weight", "bool-weight",
+         "string-bias", "scalar-bias", "int-past-float-range"],
+)
+def test_malformed_model_document_exit_three(tmp_path, capsys, document, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run(
+        capsys, "verify", "--model", str(bad), "--input", "0,1;0,1", "--safe", "0,1;0,1",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+    assert "Traceback" not in err
+
+
 def test_verify_missing_model_file_exit_three(capsys):
     code, _, err = run(
         capsys, "verify", "--model", "/nonexistent/m.json", "--input", "0,1;0,1",

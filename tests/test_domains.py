@@ -87,13 +87,14 @@ def test_box_hulls_hold_point_images_of_deep_nets(case):
 def test_zono_from_box_axis_generators():
     z = rb.zono_from_box(rb.Box.from_bounds([(0, 2), (1, 1)]))
     assert np.array_equal(z.center, [1.0, 1.0])
-    assert z.generators.shape == (2, 1)
-    assert np.array_equal(z.generators, [[1.0], [0.0]])
+    # the zero-width dimension gets a zero column and no slack
+    assert np.array_equal(z.generators, [[1.0, 0.0], [0.0, 0.0]])
+    assert z.slack[1] == 0.0
 
 
 def test_zono_from_point_box():
     z = rb.zono_from_box(rb.Box.point([0.3, -0.2, 5.0]))
-    assert z.generators.shape[-1] == 0
+    assert np.array_equal(z.generators, np.zeros((3, 3)))
     lo, hi = z.hull_arrays()
     assert np.array_equal(lo, [0.3, -0.2, 5.0]) and np.array_equal(hi, lo)
 
@@ -302,6 +303,39 @@ def test_batched_zonotopes_across_a_block_boundary(invertible_net, unit_square):
         invertible_net, batch.lo.reshape(33, 33, 2), batch.hi.reshape(33, 33, 2)
     )
     assert np.array_equal(lo.reshape(-1, 2), want_lo) and np.array_equal(hi.reshape(-1, 2), want_hi)
+
+
+def test_zono_propagate_runs_one_pass_per_layer_over_mixed_cells(monkeypatch):
+    # faces of every side of a 3-d box, points and grid cells in one block
+    net = make_net(seed=4, dims=(3, 6, 3))
+    box = rb.Box.from_bounds([(-1, 1), (-0.5, 0.5), (0, 2)])
+    faces = boundary_cell_batch(box, (3, 3, 3))
+    grid = grid_cell_batch(rb.partition(box, (3, 3, 3)))
+    points = np.random.default_rng(4).uniform(-0.5, 0.5, (5, 3))
+    lo = np.concatenate([faces.lo, grid.lo, points])
+    hi = np.concatenate([faces.hi, grid.hi, points])
+    assert lo.shape[0] <= rb.domains._BLOCK
+    assert len(np.unique(hi > lo, axis=0)) == 5  # 3 face patterns, points, grid cells
+    calls = []
+    affine = rb.domains.zono_affine
+    monkeypatch.setattr(rb.domains, "zono_affine", lambda *a: calls.append(1) or affine(*a))
+    out_lo, out_hi = zono_propagate(net, lo, hi)
+    assert len(calls) == len(net.layers)
+    want_lo, want_hi = per_cell_zono_hulls(net, lo, hi)
+    assert np.array_equal(out_lo, want_lo) and np.array_equal(out_hi, want_hi)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net: zono_propagate(net, np.zeros((4, 3)), np.ones((4, 3))),
+        lambda net: rb.Zonotope(np.float64(0.5), np.ones(1)),
+    ],
+    ids=["zono_propagate-cell-dim", "zonotope-scalar-center"],
+)
+def test_domain_input_checks(call, invertible_net):
+    with pytest.raises(ValueError):
+        call(invertible_net)
 
 
 def test_batched_zonotope_validation():

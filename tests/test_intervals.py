@@ -502,3 +502,13 @@ def test_nonneg_product_is_the_corner_product_bit_for_bit():
     got = _nonneg_imul_arrays(dlo, dhi, blo, bhi)
     ref = _imul_arrays(dlo, dhi, blo, bhi)
     assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [([], []), ([0.0, 0.0], [1.0]), ([[0.0, 0.0]], [1.0, 1.0, 1.0])],
+    ids=["no-dimension", "shorter-hi", "longer-hi"],
+)
+def test_box_input_checks(lo, hi):
+    with pytest.raises(ValueError):
+        Box(lo, hi)

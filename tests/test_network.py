@@ -164,3 +164,22 @@ def test_generate_rejects_bad_args():
         rb.generate_network(0, [2])
     with pytest.raises(ValueError):
         rb.generate_network(0, [2, 3], scale=0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rb.forward_batch(make_net(), np.zeros(2)),
+        lambda: rb.forward_batch(make_net(), np.zeros((4, 3))),
+        lambda: rb.jacobian_batch(make_net(), np.zeros(2)),
+        lambda: rb.jacobian_batch(make_net(), np.zeros((4, 3))),
+        lambda: rb.generate_network(0, [2, 0, 2]),
+        lambda: rb.Network(()),
+        lambda: rb.Layer(np.zeros((2, 0)), np.zeros(2), "linear"),
+    ],
+    ids=["forward-1d", "forward-dim", "jacobian-1d", "jacobian-dim", "generate-zero-size",
+         "empty-network", "empty-weights"],
+)
+def test_network_input_checks(call):
+    with pytest.raises(ValueError):
+        call()

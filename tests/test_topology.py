@@ -378,3 +378,16 @@ def test_certify_cells_skips_the_jacobian_on_no_cells(mixed_net, monkeypatch, sh
     assert calls == []
     assert det_lo.shape == det_hi.shape == certified.shape == shape[:-1]
     assert det_lo.dtype == det_hi.dtype == float and certified.dtype == bool
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net, box: certify_cells(net, np.zeros((4, 3)), np.ones((4, 3))),
+        lambda net, box: rb.CellGrid(box, (2, 2, 2)),
+    ],
+    ids=["certify_cells-cell-dim", "cellgrid-count-per-dim"],
+)
+def test_topology_input_checks(call, mixed_net, unit_square):
+    with pytest.raises(ValueError):
+        call(mixed_net, unit_square)

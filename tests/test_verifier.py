@@ -271,6 +271,51 @@ def test_every_mode_refines(mode, unit_square, invertible_net):
     assert v.stats["refinement_level"] == 2
 
 
+# MIXED over a segment: the second input has zero width
+FLAT = rb.Box.from_bounds([(-1, 1), (0.3, 0.3)])
+TINY_SAFE = rb.Box.from_bounds([(-1e-9, 1e-9)] * 2)  # unknown at every level
+
+
+@pytest.mark.parametrize("domain", ["box", "zono"])
+@pytest.mark.parametrize("mode", ["subset", "full", "auto"])
+def test_refinement_keeps_zero_width_dimensions_at_one_cell(mode, domain):
+    v = rb.verify(problem(make_net(**MIXED), FLAT, TINY_SAFE, mode=mode, domain=domain,
+                          grid=(4, 1), max_refinements=1))
+    assert v.status == rb.UNKNOWN
+    assert v.stats["refinement_level"] == 1 and v.stats["cells_propagated"] == 8
+    assert np.all(v.cell_batch.lo[:, 1] == 0.3) and np.all(v.cell_batch.hi[:, 1] == 0.3)
+
+
+@pytest.mark.parametrize("domain", ["box", "zono"])
+@pytest.mark.parametrize("mode", ["subset", "auto"])
+def test_a_flat_input_box_takes_the_full_path(mode, domain, monkeypatch):
+    # a box with no interior has no cell to drop, so nothing is certified
+    def no_certification(*args):
+        raise AssertionError("a flat box was certified")
+
+    monkeypatch.setattr(verifier, "certify_homeomorphism", no_certification)
+    monkeypatch.setattr(verifier, "extract_subset", no_certification)
+    net = make_net(**MIXED)
+    full, v = (
+        rb.verify(problem(net, FLAT, TINY_SAFE, mode=m, domain=domain, grid=(5, 1),
+                          max_refinements=1))
+        for m in ("full", mode)
+    )
+    assert v.stats["path"] == "full" and v.stats["input_certified"] is False
+    assert v.status == full.status == rb.UNKNOWN
+    for a, b in ((v.output_hull.lo, full.output_hull.lo),
+                 (v.output_hull.hi, full.output_hull.hi)):
+        assert a.tobytes() == b.tobytes()
+    for field in ("index", "lo", "hi", "out_lo", "out_hi"):
+        a, b = getattr(v.cell_batch, field), getattr(full.cell_batch, field)
+        assert a.tobytes() == b.tobytes()
+
+
+def test_boundary_mode_refuses_a_flat_input_box():
+    with pytest.raises(ValueError, match="non-degenerate"):
+        rb.verify(problem(make_net(**MIXED), FLAT, TINY_SAFE, mode="boundary", grid=(4, 1)))
+
+
 @pytest.mark.parametrize("mode", ["boundary", "subset", "full", "auto"])
 def test_phase_times_in_stats_and_document(mode):
     net = make_net(**MIXED)
