@@ -103,10 +103,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    """Run boundary, subset and full modes at the same per-cell width."""
+    """Run boundary, subset and full modes at the same per-cell width.
+
+    A box with a zero-width dimension has no faces to propagate, so its
+    boundary row is marked not applicable.
+    """
     base = _problem_from_args(args)
     rows = []
     for mode in ("boundary", "subset", "full"):
+        if mode == "boundary" and base.input_box.degenerate_dims():
+            rows.append({"mode": mode, "cells": None, "verdict": "n/a", "time_ms": None,
+                         "hull": None, "reason": "the input box has a zero-width dimension"})
+            continue
         verdict = verify(replace(base, mode=mode))
         row = {
             "mode": mode,
@@ -123,10 +131,9 @@ def cmd_compare(args) -> int:
     width = max(len(m["mode"]) for m in rows)
     print(f"{'mode':<{width}}  {'cells':>8}  {'verdict':>9}  {'time_ms':>10}")
     for row in rows:
-        print(
-            f"{row['mode']:<{width}}  {row['cells']:>8}  {row['verdict']:>9}  "
-            f"{row['time_ms']:>10.2f}"
-        )
+        time_ms = "-" if row["time_ms"] is None else f"{row['time_ms']:.2f}"
+        cells = "-" if row["cells"] is None else row["cells"]
+        print(f"{row['mode']:<{width}}  {cells:>8}  {row['verdict']:>9}  {time_ms:>10}")
     if args.out:
         Path(args.out).write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
     return 0

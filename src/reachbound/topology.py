@@ -1,28 +1,38 @@
-"""Grid partitions, interval Jacobians and certification.
+"""Grid partitions, interval Jacobians, certification and subset extraction.
 
 Every cell batch is rows of a `CellGrid` lattice, built by `bounds_arrays`;
 face cells come from the grids with one count set to 1 (`boundary_cell_batch`).
 
-A network restricted to a cell is certified as a homeomorphism onto its image
-when the interval enclosure of its Jacobian determinant over the cell excludes
-zero.  The Jacobian enclosure, `jacobian_interval_arrays`, applies to any
-network; only the determinant needs a square one with at most 6 inputs,
-because it uses cofactor expansion.  This module owns that rule:
-`is_certifiable` is the only place it is written, and `certify_cells` the
-only place it is checked.  Whole boxes and grid cells are certified by the
-same batched `certify_cells`, and every enclosure stays a ``(lo, hi)`` pair
-of endpoint arrays.  `extract_subset` certifies only the cells that touch no
-face of the input box, the only ones it may drop; a per-cell report of every
-cell calls `certify_cells` on the whole grid itself.
+Two tests read the interval enclosure of the Jacobian over a cell,
+`jacobian_interval_arrays`, which applies to any network:
+
+- the determinant test certifies a network restricted to a cell as a
+  homeomorphism onto its image when the enclosure of the determinant
+  excludes zero.  It needs a square network with at most 6 inputs, because
+  it uses cofactor expansion: `is_certifiable` is the only place that rule
+  is written.  `certify_cells` checks it on a batch of cells, and
+  `certify_homeomorphism` on one box, such as the whole input box;
+- the row test passes a cell when every row of the enclosure has an entry
+  that excludes zero, so no output has a critical point there.
+  `extract_subset` runs it on a tree over the interior cells, the only ones
+  it may drop, with one Jacobian call per tree level; it accepts the
+  networks the determinant test accepts.  A determinant that excludes zero
+  implies the row test, so it drops every interior cell `certify_cells`
+  certifies, and more.
+
+Every enclosure stays a ``(lo, hi)`` pair of endpoint arrays.  A per-cell
+report of every cell calls `certify_cells` on the whole grid itself.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import _BLOCK
 from .intervals import (
     Box,
     _act_deriv_arrays,
@@ -100,11 +110,15 @@ def partition(box: Box, counts) -> CellGrid:
     return CellGrid(box, tuple(int(c) for c in counts))
 
 
-def grid_counts(counts, dim: int) -> tuple[int, ...]:
-    """Per-dimension cell counts: None means one cell, and one count applies to all."""
+def grid_counts(counts, dim: int, flat=()) -> tuple[int, ...]:
+    """Per-dimension cell counts: None means one cell per dimension.
+
+    One count applies to every dimension except the zero-width ones listed
+    in ``flat``, which take 1.
+    """
     counts = (1,) * dim if counts is None else tuple(int(c) for c in counts)
-    if len(counts) == 1 and dim > 1:
-        counts = counts * dim
+    if len(counts) == 1:
+        counts = tuple(1 if k in flat else counts[0] for k in range(dim))
     if len(counts) != dim or any(c < 1 for c in counts):
         raise ValueError("grid needs one positive count per input dimension")
     return counts
@@ -171,42 +185,58 @@ def certify_homeomorphism(net: Network, cell: Box) -> CertificationResult:
     return CertificationResult(float(det_lo), float(det_hi), bool(certified))
 
 
-def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):
-    """Batch certification of cells (..., n); returns (det_lo, det_hi, certified) arrays."""
+def _require_certifiable(net: Network) -> None:
     if not is_certifiable(net):
         raise ValueError(
             f"Jacobian certification requires a square network with at most "
             f"{_DET_MAX_DIM} inputs, got {net.input_dim} -> {net.output_dim}"
         )
-    if np.shape(lo)[-1] != net.input_dim:
-        raise ValueError(f"cell dimension {np.shape(lo)[-1]} != input dim {net.input_dim}")
-    if np.size(lo) == 0:  # no cells: the Jacobian and determinant would run on no rows
-        shape = np.shape(lo)[:-1]
-        return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-    jlo, jhi = jacobian_interval_arrays(net, lo, hi)
-    dlo, dhi = _idet_arrays(jlo, jhi)
-    certified = (dlo > 0.0) | (dhi < 0.0)
-    return dlo, dhi, certified
+
+
+def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):
+    """Batch certification of cells (..., n); returns (det_lo, det_hi, certified) arrays.
+
+    Rows run in blocks of ``_BLOCK``, which bounds the per-layer Jacobian
+    arrays on large grids; a row's bounds do not depend on its block.  No
+    rows make no Jacobian call.
+    """
+    _require_certifiable(net)
+    n = np.shape(lo)[-1]
+    if n != net.input_dim:
+        raise ValueError(f"cell dimension {n} != input dim {net.input_dim}")
+    shape = np.shape(lo)[:-1]
+    rows_lo = np.reshape(np.asarray(lo, dtype=float), (-1, n))
+    rows_hi = np.reshape(np.asarray(hi, dtype=float), (-1, n))
+    det_lo = np.empty(rows_lo.shape[0])
+    det_hi = np.empty_like(det_lo)
+    for start in range(0, rows_lo.shape[0], _BLOCK):
+        block = slice(start, start + _BLOCK)
+        jlo, jhi = jacobian_interval_arrays(net, rows_lo[block], rows_hi[block])
+        det_lo[block], det_hi[block] = _idet_arrays(jlo, jhi)
+    det_lo, det_hi = det_lo.reshape(shape), det_hi.reshape(shape)
+    return det_lo, det_hi, (det_lo > 0.0) | (det_hi < 0.0)
 
 
 # ---------------------------------------------------------------------------
-# homeomorphic-subset extraction
+# subset extraction
 
 
 @dataclass(frozen=True)
 class SubsetExtraction:
-    """Grid classification into a certified interior subset and the kept rest.
+    """Grid classification into a dropped interior subset and the kept rest.
 
-    The removable subset must stay clear of the input boundary, so a cell on a
-    face is kept whatever its determinant and only interior cells are
-    certified; touching is decided on grid indices, never on float comparisons.
+    The dropped subset must stay clear of the input boundary, so a cell on a
+    face is kept whatever its Jacobian and only interior cells are tested;
+    touching is decided on grid indices, never on float comparisons.  The
+    ``certified_interior`` count is the interior cells that `extract_subset`
+    drops by the row test.
     """
 
     grid: CellGrid
     index: np.ndarray  # (N, n) row-major cell indices
     lo: np.ndarray  # (N, n) cell bounds
     hi: np.ndarray
-    certified_interior_mask: np.ndarray  # (N,) bool, no face on the boundary, certified
+    certified_interior_mask: np.ndarray  # (N,) bool, touches no face, dropped
 
     @property
     def kept_mask(self) -> np.ndarray:
@@ -219,16 +249,98 @@ class SubsetExtraction:
         return {"total": total, "certified_interior": removed, "kept": total - removed}
 
 
-def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
-    """Classify grid cells; the kept cells cover the closure of the rest.
+def _passes_row_test(jlo: np.ndarray, jhi: np.ndarray) -> np.ndarray:
+    """True where every row of a (..., m, n) Jacobian enclosure has an entry excluding 0."""
+    return np.all(np.any((jlo > 0.0) | (jhi < 0.0), axis=-1), axis=-1)
 
-    A cell on a face is kept whatever its determinant, so only interior cells
-    are certified; `certify_cells` runs on no rows too, to reject the network.
+
+def _split_nodes(a: np.ndarray, b: np.ndarray):
+    """Children of index-range nodes ``[a, b)``: a range of length r splits into ceil(sqrt(r)).
+
+    Part j of a range ``[a, a + r)`` split into p parts is
+    ``[a + j r // p, a + (j + 1) r // p)``.  Any p in ``[1, r]`` keeps every
+    part nonempty, so the rounding of the float square root does not matter,
+    and a node of one cell is its own only child.
     """
+    for k in range(a.shape[1]):
+        r = b[:, k] - a[:, k]
+        p = np.ceil(np.sqrt(r)).astype(np.int64)
+        parent = np.repeat(np.arange(a.shape[0]), p)
+        j = np.arange(parent.shape[0]) - np.repeat(np.cumsum(p) - p, p)
+        start = a[parent, k] + j * r[parent] // p[parent]
+        stop = a[parent, k] + (j + 1) * r[parent] // p[parent]
+        a, b = a[parent], b[parent]
+        a[:, k], b[:, k] = start, stop
+    return a, b
+
+
+def _cover_mask(counts, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-major mask of the grid cells inside any of the disjoint index boxes ``[a, b)``.
+
+    Each box adds ``±1`` at its 2^n corners of a difference array; cumulative
+    sums along every axis then count the boxes over each cell.
+    """
+    shape = tuple(c + 1 for c in counts)
+    corners = np.array(list(itertools.product((0, 1), repeat=len(counts))), dtype=bool)
+    at = np.where(corners, b[:, None, :], a[:, None, :]).reshape(-1, len(counts))
+    signs = np.tile(1 - 2 * (corners.sum(axis=1) % 2), a.shape[0])
+    flat = np.ravel_multi_index(tuple(at.T), shape)
+    diff = np.bincount(flat, signs, minlength=math.prod(shape)).reshape(shape)
+    for k in range(len(counts)):
+        np.cumsum(diff, axis=k, out=diff)
+    return diff[tuple(slice(c) for c in counts)].ravel() > 0.5
+
+
+def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
+    """Drop the interior cells that cannot hold an output extremum; keep the rest.
+
+    Argument.  A safe set S is a box, so ``f(B) ⊆ S`` iff every output
+    ``f_i`` has its minimum and maximum over ``B`` inside ``S``.  Such an
+    extremum lies on ``∂B`` or at an interior point where ``∇f_i = 0``.  Row
+    i of the Jacobian is ``∇f_i``, so a closed region where, for every row
+    i, some entry of the row's enclosure excludes 0 holds neither kind of
+    point if it lies inside ``int(B)``: it can be dropped.  The kept cells,
+    the ring of cells that touch a face plus every cell not dropped, then
+    hold every extremum, and the hull of their images contains that of
+    ``f(B)``.  A determinant enclosure that excludes 0 implies this row
+    test, because a row box that holds 0 contains a singular matrix; so
+    every interior cell that `certify_cells` certifies is dropped too.
+
+    Search.  The interior block of the lattice, index ranges ``[1, c - 1)``,
+    is the root of a tree of index-range nodes.  Each level splits every
+    pending node (`_split_nodes`) and evaluates all the children in one
+    `jacobian_interval_arrays` call, on bounds taken from ``grid.edges(k)``,
+    so a node's bounds are its cells' own floats.  A passing child is dropped
+    with all its cells; a failing child is pending unless it is one cell,
+    which is kept.  The root is never evaluated but a root of one cell is
+    its own child.  A range of length r splits into ceil(sqrt(r)) parts, not
+    two, because each level's call has a fixed cost on top of its cells:
+    the depth stays near log log N.  Only square networks with at most 6
+    inputs are accepted (`is_certifiable`), as for the determinant test.
+    """
+    _require_certifiable(net)
+    if input_box.dim != net.input_dim:
+        raise ValueError(f"input box dimension {input_box.dim} != input dim {net.input_dim}")
     if input_box.degenerate_dims():
         raise ValueError("subset extraction requires a non-degenerate input box")
     grid = partition(input_box, counts)
     idx, lo, hi = grid.bounds_arrays()
-    mask = grid.interior_mask(idx)
-    mask[mask] = certify_cells(net, lo[mask], hi[mask])[2]
+    n = grid.dim
+    edges = [grid.edges(k) for k in range(n)]
+    a = np.ones((1, n), dtype=np.int64)
+    b = np.array([grid.counts], dtype=np.int64) - 1
+    dropped = []
+    if np.all(b > a):  # a grid with a count below 3 has no interior cell
+        while a.shape[0]:
+            a, b = _split_nodes(a, b)
+            nlo = np.stack([edges[k][a[:, k]] for k in range(n)], axis=1)
+            nhi = np.stack([edges[k][b[:, k]] for k in range(n)], axis=1)
+            passed = _passes_row_test(*jacobian_interval_arrays(net, nlo, nhi))
+            dropped.append((a[passed], b[passed]))
+            pending = ~passed & np.any(b - a > 1, axis=1)
+            a, b = a[pending], b[pending]
+    if dropped:
+        mask = _cover_mask(grid.counts, *(np.concatenate(ends) for ends in zip(*dropped)))
+    else:
+        mask = np.zeros(grid.total, dtype=bool)
     return SubsetExtraction(grid, idx, lo, hi, mask)

@@ -1,16 +1,22 @@
 """One verification driver over the cells that can hold an output extremum.
 
 Three cell sets can be propagated: the input faces (``boundary``), the grid
-minus its certified interior subset (``subset``), or every grid cell
-(``full``).  Modes ``boundary`` and ``full`` name their set; ``subset`` and
-``auto`` are both the paper's method, which certifies the whole input box
-first and picks one of the three (see `verify`).
+minus the interior cells where no output has a zero gradient (``subset``),
+or every grid cell (``full``).  Modes ``boundary`` and ``full`` name their
+set; ``subset`` and ``auto`` are both the paper's method, which certifies
+the whole input box first and picks one of the three (see `verify`).
 
 Soundness contract: a `safe` verdict means the computed over-approximation of
 the required cells' images lies inside the safe box.  The faces suffice only
 when the network is a homeomorphism on the input box: ``boundary`` mode
 records ``assumes_invertible`` in its stats and leaves that obligation to the
 caller, while ``subset`` and ``auto`` discharge it by certifying the box.
+The subset path drops interior cells where no output has a critical point
+(`extract_subset`).  Both arguments, the determinant's and the gradient
+rows', are about the network in real arithmetic: the enclosures are sound
+for it, so the verdict bounds its real image.  A float evaluation of an
+interior point can leave that image by a few ulps, and such a point is not
+covered.
 """
 
 from __future__ import annotations
@@ -82,7 +88,10 @@ class VerificationProblem:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "domain", normalize_domain(self.domain))
-        object.__setattr__(self, "grid", grid_counts(self.grid, self.input_box.dim))
+        object.__setattr__(
+            self, "grid",
+            grid_counts(self.grid, self.input_box.dim, self.input_box.degenerate_dims()),
+        )
 
 
 @dataclass
@@ -221,13 +230,12 @@ def _check_level_size(path: str, counts) -> int:
 def _required_cells(problem: VerificationProblem, path: str, counts):
     """The cells that can hold an output extremum, on a grid of ``counts``.
 
-    Where the network is a local homeomorphism it is an open map, so an
-    interior point of such a region maps into the interior of the image and
-    is never an extremum of an output coordinate.  Hence:
-
-    - ``boundary``: the input faces suffice when the whole box is certified;
-    - ``subset``: certified cells that touch no face of the box are dropped,
-      since every boundary point of their union lies in a kept cell;
+    - ``boundary``: the input faces suffice when the whole box is certified:
+      a homeomorphism is an open map, so an interior point maps into the
+      interior of the image and is never an extremum of an output coordinate;
+    - ``subset``: cells that touch no face of the box and where no output
+      has a zero gradient are dropped, since an output extremum lies on the
+      box's faces or where that output's gradient is zero (`extract_subset`);
     - ``full``: every cell.
 
     Returns the cells and the subset extraction, if one was made.
@@ -245,8 +253,9 @@ def verify(problem: VerificationProblem) -> Verdict:
     """Propagate the required cells and check that their images lie in the safe box.
 
     Modes ``subset`` and ``auto`` certify the whole input box first: if it
-    certifies, the boundary suffices; otherwise the certified interior subset
-    is removed, or, on a network it cannot certify (non-square, or above the
+    certifies, the boundary suffices; otherwise the interior cells that pass
+    the gradient-row test are removed (``stats["cells_certified"]`` counts
+    them), or, on a network it cannot certify (non-square, or above the
     determinant dimension limit), the full grid is propagated.  A box with a
     zero-width dimension has no interior to drop: it takes the full path
     uncertified.  ``stats["path"]`` names the set propagated.  In every mode

@@ -46,6 +46,9 @@ def test_parse_box_and_grid():
     assert box.lo.tolist() == [0.0, -2.0] and box.hi.tolist() == [1.0, 3.0]
     assert grid_counts("100".split(","), 1) == (100,)
     assert grid_counts("10,20".split(","), 2) == (10, 20)
+    assert grid_counts(["4"], 3, flat=(1,)) == (4, 1, 4)
+    assert grid_counts(["4"], 1, flat=(0,)) == (1,)
+    assert grid_counts(["4", "2"], 2, flat=(1,)) == (4, 2)  # the cell grid refuses it
     with pytest.raises(ValueError):
         parse_box("0;1")
     with pytest.raises(ValueError):
@@ -340,19 +343,22 @@ def test_certify_csv_and_summary(tmp_path, capsys):
 
 
 def test_certify_summary_agrees_with_the_subset_decision(tmp_path, capsys):
-    # certify reports every cell; its interior count is the one subset mode drops
+    # certify reports every cell; subset mode drops each interior cell it certifies
     net, box = make_net(**MIXED), rb.Box.from_bounds([(-1, 1), (-1, 1)])
     rb.write_model(net, tmp_path / "mixed.json")
     code, out, _ = run(
         capsys, "certify", "--model", str(tmp_path / "mixed.json"), "--input", "-1,1;-1,1",
-        "--grid", "10,7",
+        "--grid", "10,7", "--out", str(tmp_path / "cells.csv"),
     )
     summary = json.loads(out)
     assert code == 0 and list(summary) == ["total", "certified_interior", "kept", "certified_cells"]
-    assert {k: summary[k] for k in ("total", "certified_interior", "kept")} == (
-        rb.extract_subset(net, box, (10, 7)).counts
-    )
+    ex = rb.extract_subset(net, box, (10, 7))
+    assert summary["total"] == ex.counts["total"]
+    assert summary["certified_interior"] <= ex.counts["certified_interior"]
     assert summary["certified_interior"] < summary["certified_cells"]
+    certified = np.loadtxt(tmp_path / "cells.csv", delimiter=",", skiprows=1)[:, -1] == 1
+    assert summary["certified_cells"] == certified.sum()
+    assert np.all(ex.certified_interior_mask[certified & ex.grid.interior_mask(ex.index)])
 
 
 def test_certify_identity_fully_certified(identity_model, capsys):
@@ -562,3 +568,42 @@ def test_csv_writers_exact_bytes(tmp_path):
         b"x0,x1,y0,y1\r\n"
         b"-0.0,0.30000000000000004,5e-324,-2.5\r\n"
     )
+
+
+def test_one_count_grid_skips_zero_width_dimensions(tmp_path, capsys):
+    model = tmp_path / "mixed.json"
+    rb.write_model(make_net(**MIXED), model)
+    for mode in ("full", "subset", "auto"):
+        code, out, err = run(
+            capsys, "verify", "--model", str(model), "--input", "-1,1;0.3,0.3",
+            "--safe", "-99,99;-99,99", "--grid", "4", "--mode", mode, "--cells-out",
+            str(tmp_path / "cells.csv"),
+        )
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["stats"]["cells"] == 4 and doc["stats"].get("path", "full") == "full"
+        idx, _, _ = read_reach_cells(tmp_path / "cells.csv")
+        assert idx.tolist() == [[0, 0], [1, 0], [2, 0], [3, 0]]
+    code, _, err = run(
+        capsys, "verify", "--model", str(model), "--input", "-1,1;0.3,0.3",
+        "--safe", "-9,9;-9,9", "--grid", "4,4",
+    )
+    assert code == 3 and "degenerate dimension 1" in err
+
+
+def test_compare_marks_the_boundary_row_not_applicable_on_a_flat_box(tmp_path, capsys):
+    model, out_path = tmp_path / "mixed.json", tmp_path / "compare.json"
+    rb.write_model(make_net(**MIXED), model)
+    code, out, err = run(
+        capsys, "compare", "--model", str(model), "--input", "-1,1;0.3,0.3",
+        "--safe", "-99,99;-99,99", "--grid", "4", "--out", str(out_path),
+    )
+    assert code == 0 and err == ""
+    rows = {r["mode"]: r for r in json.loads(out_path.read_text())}
+    boundary = rows["boundary"]
+    assert boundary["verdict"] == "n/a" and boundary["cells"] is None and boundary["hull"] is None
+    assert rows["subset"]["path"] == "full" and rows["subset"]["verdict"] == "safe"
+    assert rows["subset"]["cells"] == rows["full"]["cells"] == 4
+    lines = {line.split()[0]: line.split()[1:] for line in out.splitlines()[1:]}
+    assert lines["boundary"] == ["-", "n/a", "-"]
+    assert lines["full"][:2] == ["4", "safe"]

@@ -182,6 +182,17 @@ def test_zono_activation_unknown():
         rb.zono_activation(z, "softmax")
 
 
+def test_zono_activation_refuses_an_activation_without_a_transformer(monkeypatch):
+    # the slope-and-offset transformer holds only for sigmoid-shaped activations
+    relu = rb.intervals._Activation(
+        lambda x: np.maximum(x, 0.0), lambda x: (x > 0).astype(float), 1.0, 0.0, np.inf
+    )
+    monkeypatch.setitem(rb.intervals._ACTIVATIONS, "relu", relu)
+    z = rb.Zonotope(np.zeros(1), np.ones((1, 1)))
+    with pytest.raises(ValueError, match="no zonotope transformer"):
+        rb.zono_activation(z, "relu")
+
+
 # ---------------------------------------------------------------------------
 # single-cell entry points
 

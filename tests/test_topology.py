@@ -266,18 +266,30 @@ def test_extraction_linear_keeps_only_boundary_ring():
 
 
 def test_extraction_singular_keeps_everything(unit_square):
-    net = linear_net([[1.0, 1.0], [1.0, 1.0]])
+    # a zero row has no entry that excludes 0, so no cell passes the row test
+    net = linear_net([[1.0, 1.0], [0.0, 0.0]])
     ex = rb.extract_subset(net, unit_square, (4, 4))
     assert ex.counts == {"total": 16, "certified_interior": 0, "kept": 16}
+
+
+def test_extraction_singular_gradient_free_net_drops_its_interior(unit_square):
+    # det = 0 everywhere, yet each output has a nonzero gradient: no interior extremum
+    net = linear_net([[1.0, 1.0], [1.0, 1.0]])
+    assert not rb.certify_homeomorphism(net, unit_square).certified
+    ex = rb.extract_subset(net, unit_square, (4, 4))
+    assert ex.counts == {"total": 16, "certified_interior": 4, "kept": 12}
+    np.testing.assert_array_equal(ex.certified_interior_mask, ex.grid.interior_mask(ex.index))
 
 
 def test_extraction_accounting_identity(mixed_net):
     ex = rb.extract_subset(mixed_net, rb.Box.from_bounds([(-1, 1), (-1, 1)]), (20, 20))
     c = ex.counts
     assert c["kept"] + c["certified_interior"] == c["total"] == 400
-    # uncertified cells are always kept
+    # face cells are always kept, and every certified interior cell is dropped
     _, lo, hi = ex.grid.bounds_arrays()
-    assert np.all(ex.kept_mask[~certify_cells(mixed_net, lo, hi)[2]])
+    interior = ex.grid.interior_mask(ex.index)
+    assert np.all(ex.kept_mask[~interior])
+    assert np.all(ex.certified_interior_mask[certify_cells(mixed_net, lo, hi)[2] & interior])
 
 
 def test_extraction_interior_never_touches_boundary(mixed_net):
@@ -287,15 +299,25 @@ def test_extraction_interior_never_touches_boundary(mixed_net):
     assert np.all(idx > 0) and np.all(idx + 1 < counts)
 
 
+def row_test(jlo, jhi):
+    """Every row of a Jacobian enclosure has an entry that excludes 0."""
+    return np.all(np.any((jlo > 0) | (jhi < 0), axis=-1), axis=-1)
+
+
 def test_extraction_matches_exhaustive_classification(mixed_net):
+    # each interior cell tested alone: one whose own row test passes is dropped, and
+    # the tree drops a cell whose own test fails only inside a passing node
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
     ex = rb.extract_subset(mixed_net, box, (20, 20))
     e0, e1 = ex.grid.edges(0), ex.grid.edges(1)
+    own = np.zeros(400, dtype=bool)
     for row, i in enumerate(product(range(20), range(20))):
         cell = rb.Box.from_bounds([(e0[i[0]], e0[i[0] + 1]), (e1[i[1]], e1[i[1] + 1])])
-        res = rb.certify_homeomorphism(mixed_net, cell)
         interior = all(0 < i[k] and i[k] + 1 < 20 for k in range(2))
-        assert (res.certified and interior) == bool(ex.certified_interior_mask[row])
+        own[row] = interior and row_test(*jacobian_interval_arrays(mixed_net, cell.lo, cell.hi))
+        assert not ex.certified_interior_mask[row] or interior
+    assert np.all(ex.certified_interior_mask[own])
+    assert 0 < own.sum() < ex.grid.interior_mask(ex.index).sum()
 
 
 def test_extraction_refines_consistently(mixed_net):
@@ -311,46 +333,105 @@ def test_extraction_refines_consistently(mixed_net):
                 assert cert_f[3 * i : 3 * i + 3, 3 * j : 3 * j + 3].all()
 
 
-def test_extraction_decision_equals_certifying_every_cell():
-    seen = [0, 0]  # certified and uncertified interior cells, over all examples
+def test_extraction_decision_contains_certifying_every_cell():
+    seen = [0, 0, 0]  # dropped past the determinant, certified, kept interior cells
 
     @given(deep_nets())
     @settings(max_examples=200, deadline=None)
-    def decision_matches(case):
+    def decision_contains(case):
         net, seed = case
         rng = np.random.default_rng(seed)
         n = net.input_dim
-        # small boxes, so that cells certify; counts below 3 leave no interior cell
-        centre, half = rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-3, -0.3, n)
+        # small boxes, so that cells certify, up to wide ones, so that some interior
+        # cells hold a critical point; counts below 3 leave no interior cell
+        centre, half = rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-3, 0.5, n)
         box = rb.Box.from_arrays(centre - half, centre + half)
         ex = rb.extract_subset(net, box, tuple(int(c) for c in rng.integers(1, 6, n)))
         idx, lo, hi = ex.grid.bounds_arrays()
         interior = ex.grid.interior_mask(idx)
-        certified = certify_cells(net, lo, hi)[2]
-        assert ex.certified_interior_mask.dtype == bool
-        np.testing.assert_array_equal(ex.certified_interior_mask, certified & interior)
-        seen[0] += int((certified & interior).sum())
-        seen[1] += int((~certified & interior).sum())
+        certified = certify_cells(net, lo, hi)[2] & interior
+        own = row_test(*jacobian_interval_arrays(net, lo, hi)) & interior
+        dropped = ex.certified_interior_mask
+        assert dropped.dtype == bool
+        assert np.all(dropped[certified]) and np.all(dropped[own]) and np.all(interior[dropped])
+        seen[0] += int((dropped & ~certified).sum())
+        seen[1] += int(certified.sum())
+        seen[2] += int((interior & ~dropped).sum())
 
-    decision_matches()
-    assert seen[0] > 0 and seen[1] > 0
+    decision_contains()
+    assert min(seen) > 0
 
 
-@pytest.mark.parametrize("counts, rows", [((5, 5), 9), ((2, 7), 0)])
+@given(deep_nets())
+@settings(max_examples=60, deadline=None)
+def test_dropped_cells_hold_no_zero_gradient(case):
+    # oracle: in a dropped cell, every output row has a column whose sampled point
+    # Jacobians share one nonzero sign
+    net, seed = case
+    rng = np.random.default_rng(seed)
+    n = net.input_dim
+    centre, half = rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-2, 0, n)
+    ex = rb.extract_subset(net, rb.Box.from_arrays(centre - half, centre + half), (5,) * n)
+    rows = np.flatnonzero(ex.certified_interior_mask)
+    rows = rng.permutation(rows)[:40]
+    t = rng.random((rows.size, 30, n))
+    t[:, :2] = rng.integers(0, 2, (rows.size, 2, n))  # two corners of each cell
+    lo, hi = ex.lo[rows, None], ex.hi[rows, None]
+    pts = np.minimum(lo + t * (hi - lo), hi)
+    jacs = rb.jacobian_batch(net, pts.reshape(-1, n)).reshape(rows.size, 30, n, n)
+    one_sign = np.all(jacs > 0, axis=1) | np.all(jacs < 0, axis=1)  # (cells, m, n)
+    assert np.all(np.any(one_sign, axis=-1))
+
+
+def node_indices(grid, lo, hi):
+    """Lattice index ranges [a, b) of node bounds that are grid edges."""
+    a = np.stack([np.searchsorted(grid.edges(k), lo[:, k]) for k in range(grid.dim)], axis=1)
+    b = np.stack([np.searchsorted(grid.edges(k), hi[:, k]) for k in range(grid.dim)], axis=1)
+    for k in range(grid.dim):
+        assert np.array_equal(grid.edges(k)[a[:, k]], lo[:, k])
+        assert np.array_equal(grid.edges(k)[b[:, k]], hi[:, k])
+    return a, b
+
+
+@pytest.mark.parametrize(
+    "counts, rows", [((5, 5), 9), ((2, 7), 0), ((20, 20), 324), ((3, 3), 1)]
+)
 def test_extraction_certifies_interior_rows_only(mixed_net, monkeypatch, counts, rows):
+    # one Jacobian call per tree level: its rows are the children of the last level's
+    # failing nodes, and the first level tiles the interior block
     calls = []
 
-    def recording_certify_cells(net, lo, hi):
+    def recording_jacobian(net, lo, hi):
         calls.append((lo, hi))
-        return certify_cells(net, lo, hi)
+        return jacobian_interval_arrays(net, lo, hi)
 
-    monkeypatch.setattr(topology, "certify_cells", recording_certify_cells)
+    monkeypatch.setattr(topology, "jacobian_interval_arrays", recording_jacobian)
     ex = rb.extract_subset(mixed_net, rb.Box.from_bounds([(-1, 1), (-1, 1)]), counts)
-    [(lo, hi)] = calls
     interior = ex.grid.interior_mask(ex.index)
-    assert lo.shape == hi.shape == (rows, 2) and interior.sum() == rows
-    np.testing.assert_array_equal(lo, ex.lo[interior])
-    np.testing.assert_array_equal(hi, ex.hi[interior])
+    assert interior.sum() == rows
+    if rows == 0:
+        assert calls == []
+        return
+    block = np.zeros(counts, dtype=int)
+    pending = np.zeros(counts, dtype=bool)
+    pending[tuple(slice(1, c - 1) for c in counts)] = True
+    for level, (lo, hi) in enumerate(calls):
+        a, b = node_indices(ex.grid, lo, hi)
+        assert np.all(a >= 1) and np.all(b <= np.array(counts) - 1) and np.all(b > a)
+        block[:] = 0
+        for ai, bi in zip(a, b):
+            block[ai[0]:bi[0], ai[1]:bi[1]] += 1
+        np.testing.assert_array_equal(block, pending)  # disjoint, and tile the pending set
+        passed = row_test(*jacobian_interval_arrays(mixed_net, lo, hi))
+        if level == 0:  # ceil(sqrt(r))^2 children of an r x r interior block, itself if r = 1
+            assert a.shape[0] == {1: 1, 9: 4, 324: 25}[rows]
+        pending[:] = False
+        for ai, bi in zip(a[~passed], b[~passed]):
+            if np.any(bi - ai > 1):
+                pending[ai[0]:bi[0], ai[1]:bi[1]] = True
+    assert not pending.any()
+    if counts == (20, 20):
+        assert len(calls) >= 2
 
 
 def test_extraction_rejects_degenerate_input(mixed_net):
@@ -363,6 +444,28 @@ def test_extraction_rejects_non_square():
     for counts in ((4, 4), (2, 7)):  # (2, 7) has no interior row to certify
         with pytest.raises(ValueError):
             rb.extract_subset(net, rb.Box.from_bounds([(0, 1), (0, 1)]), counts)
+
+
+def test_certify_cells_across_a_block_boundary(mixed_net, monkeypatch):
+    grid = rb.partition(rb.Box.from_bounds([(-1, 1), (-1, 1)]), (33, 33))
+    _, lo, hi = grid.bounds_arrays()
+    assert grid.total > topology._BLOCK
+    calls = []
+
+    def recording_jacobian(net, lo, hi):
+        calls.append(lo.shape)
+        return jacobian_interval_arrays(net, lo, hi)
+
+    monkeypatch.setattr(topology, "jacobian_interval_arrays", recording_jacobian)
+    blocked = certify_cells(mixed_net, lo.reshape(33, 33, 2), hi.reshape(33, 33, 2))
+    assert calls == [(topology._BLOCK, 2), (grid.total - topology._BLOCK, 2)]
+    monkeypatch.setattr(topology, "_BLOCK", grid.total)
+    whole = certify_cells(mixed_net, lo, hi)
+    assert len(calls) == 3
+    for got, want in zip(blocked, whole):
+        assert got.shape == (33, 33)
+        assert np.array_equal(got.reshape(-1), want)
+    assert 0 < whole[2].sum() < grid.total
 
 
 @pytest.mark.parametrize("shape", [(0, 2), (3, 0, 2)])
@@ -385,8 +488,9 @@ def test_certify_cells_skips_the_jacobian_on_no_cells(mixed_net, monkeypatch, sh
     [
         lambda net, box: certify_cells(net, np.zeros((4, 3)), np.ones((4, 3))),
         lambda net, box: rb.CellGrid(box, (2, 2, 2)),
+        lambda net, box: rb.extract_subset(net, rb.Box.from_bounds([(0, 1)] * 3), (2, 2, 2)),
     ],
-    ids=["certify_cells-cell-dim", "cellgrid-count-per-dim"],
+    ids=["certify_cells-cell-dim", "cellgrid-count-per-dim", "extract_subset-box-dim"],
 )
 def test_topology_input_checks(call, mixed_net, unit_square):
     with pytest.raises(ValueError):

@@ -146,7 +146,7 @@ def test_subset_on_a_certified_box_propagates_its_faces(unit_square):
 
 
 def test_subset_zero_certified_equals_full(unit_square):
-    net = linear_net([[1.0, 1.0], [1.0, 1.0]])
+    net = linear_net([[1.0, 1.0], [0.0, 0.0]])  # a zero row fails the row test everywhere
     safe = rb.Box.from_bounds([(-1, 3), (-1, 3)])
     sub = rb.verify(problem(net, unit_square, safe, mode="subset", grid=(5, 5)))
     full = rb.verify(problem(net, unit_square, safe, mode="full", grid=(5, 5)))
