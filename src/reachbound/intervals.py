@@ -138,6 +138,17 @@ class Box:
     def widths(self) -> np.ndarray:
         return self.hi - self.lo
 
+    def finite_widths(self) -> np.ndarray:
+        """`widths`, refusing a box to partition or sample where ``hi - lo`` overflows."""
+        with np.errstate(over="ignore"):
+            widths = self.widths()
+        wide = np.flatnonzero(~np.isfinite(widths))
+        if wide.size:
+            k = int(wide[0])
+            raise ValueError(f"dimension {k} of the box is too wide: hi - lo overflows "
+                             f"for [{float(self.lo[k])!r}, {float(self.hi[k])!r}]")
+        return widths
+
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 

@@ -146,7 +146,10 @@ def network_to_document(net: Network) -> dict:
 
 def read_model(path) -> Network:
     with open(path, "r", encoding="utf-8") as fh:
-        document = json.load(fh)
+        try:
+            document = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"model document {path} is nested too deeply") from None
     return load_network(document)
 
 

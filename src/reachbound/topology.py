@@ -1,7 +1,9 @@
 """Grid partitions, interval Jacobians, certification and subset extraction.
 
-Every cell batch is rows of a `CellGrid` lattice, built by `bounds_arrays`;
-face cells come from the grids with one count set to 1 (`boundary_cell_batch`).
+Every cell batch is rows of a `CellGrid` lattice, with bounds read off the
+grid's edges by `CellGrid.range_bounds`: all cells (`bounds_arrays`), the
+kept cells of a subset extraction, or, from the grids with one count set to
+1, the face cells (`boundary_cell_batch`).
 
 Two tests read the interval enclosure of the Jacobian over a cell,
 `jacobian_interval_arrays`, which applies to any network:
@@ -15,10 +17,10 @@ Two tests read the interval enclosure of the Jacobian over a cell,
 - the row test passes a cell when every row of the enclosure has an entry
   that excludes zero, so no output has a critical point there.
   `extract_subset` runs it on a tree over the interior cells, the only ones
-  it may drop, with one Jacobian call per tree level; it accepts the
-  networks the determinant test accepts.  A determinant that excludes zero
-  implies the row test, so it drops every interior cell `certify_cells`
-  certifies, and more.
+  it may drop, with one Jacobian call per tree level, and returns only the
+  cells it keeps; it accepts the networks the determinant test accepts.  A
+  determinant that excludes zero implies the row test, so it drops every
+  interior cell `certify_cells` certifies, and more.
 
 Every enclosure stays a ``(lo, hi)`` pair of endpoint arrays.  A per-cell
 report of every cell calls `certify_cells` on the whole grid itself.
@@ -26,7 +28,6 @@ report of every cell calls `certify_cells` on the whole grid itself.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,12 +70,13 @@ class CellGrid:
             raise ValueError("one subdivision count per dimension required")
         if any(c < 1 for c in self.counts):
             raise ValueError("subdivision counts must be at least 1")
+        widths = self.base.finite_widths()
         edges = []
         for k, c in enumerate(self.counts):
             lo, hi = float(self.base.lo[k]), float(self.base.hi[k])
             if lo == hi and c != 1:
                 raise ValueError(f"degenerate dimension {k} must have count 1")
-            e = lo + np.arange(c + 1) * ((hi - lo) / c)
+            e = lo + np.arange(c + 1) * (widths[k] / c)
             e[-1] = hi  # exact tiling of the base box
             e.setflags(write=False)
             edges.append(e)
@@ -91,14 +93,17 @@ class CellGrid:
     def edges(self, k: int) -> np.ndarray:
         return self._edges[k]
 
+    def range_bounds(self, a: np.ndarray, b: np.ndarray):
+        """(lo, hi) bounds of the (N, n) lattice index ranges ``[a, b)``, taken from the edges."""
+        lo = np.stack([self.edges(k)[a[:, k]] for k in range(self.dim)], axis=1)
+        hi = np.stack([self.edges(k)[b[:, k]] for k in range(self.dim)], axis=1)
+        return lo, hi
+
     def bounds_arrays(self):
         """Row-major (indices, lo, hi) arrays for all cells at once."""
-        per_dim = [self.edges(k) for k in range(self.dim)]
         grids = np.meshgrid(*(np.arange(c) for c in self.counts), indexing="ij")
         idx = np.stack([g.ravel() for g in grids], axis=1)
-        lo = np.stack([per_dim[k][idx[:, k]] for k in range(self.dim)], axis=1)
-        hi = np.stack([per_dim[k][idx[:, k] + 1] for k in range(self.dim)], axis=1)
-        return idx, lo, hi
+        return (idx, *self.range_bounds(idx, idx + 1))
 
     def interior_mask(self, idx: np.ndarray) -> np.ndarray:
         """True where a cell index touches no face of the base box."""
@@ -223,30 +228,24 @@ def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):
 
 @dataclass(frozen=True)
 class SubsetExtraction:
-    """Grid classification into a dropped interior subset and the kept rest.
+    """The cells `extract_subset` keeps: every cell that can hold an output extremum.
 
-    The dropped subset must stay clear of the input boundary, so a cell on a
-    face is kept whatever its Jacobian and only interior cells are tested;
-    touching is decided on grid indices, never on float comparisons.  The
-    ``certified_interior`` count is the interior cells that `extract_subset`
-    drops by the row test.
+    They are the ring of cells that touch a face of the input box, whatever
+    their Jacobian, plus the interior cells the row test could not drop,
+    as lattice indices and bounds in row-major order.  Touching is decided
+    on grid indices, never on float comparisons.  In ``counts``,
+    ``certified_interior`` is the interior cells dropped by the row test.
     """
 
     grid: CellGrid
-    index: np.ndarray  # (N, n) row-major cell indices
-    lo: np.ndarray  # (N, n) cell bounds
+    index: np.ndarray  # (K, n) kept cells' lattice indices, row-major
+    lo: np.ndarray  # (K, n) kept cells' bounds
     hi: np.ndarray
-    certified_interior_mask: np.ndarray  # (N,) bool, touches no face, dropped
-
-    @property
-    def kept_mask(self) -> np.ndarray:
-        return ~self.certified_interior_mask
 
     @property
     def counts(self) -> dict:
-        total = int(self.certified_interior_mask.shape[0])
-        removed = int(self.certified_interior_mask.sum())
-        return {"total": total, "certified_interior": removed, "kept": total - removed}
+        total, kept = self.grid.total, int(self.index.shape[0])
+        return {"total": total, "certified_interior": total - kept, "kept": kept}
 
 
 def _passes_row_test(jlo: np.ndarray, jhi: np.ndarray) -> np.ndarray:
@@ -274,25 +273,8 @@ def _split_nodes(a: np.ndarray, b: np.ndarray):
     return a, b
 
 
-def _cover_mask(counts, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-major mask of the grid cells inside any of the disjoint index boxes ``[a, b)``.
-
-    Each box adds ``±1`` at its 2^n corners of a difference array; cumulative
-    sums along every axis then count the boxes over each cell.
-    """
-    shape = tuple(c + 1 for c in counts)
-    corners = np.array(list(itertools.product((0, 1), repeat=len(counts))), dtype=bool)
-    at = np.where(corners, b[:, None, :], a[:, None, :]).reshape(-1, len(counts))
-    signs = np.tile(1 - 2 * (corners.sum(axis=1) % 2), a.shape[0])
-    flat = np.ravel_multi_index(tuple(at.T), shape)
-    diff = np.bincount(flat, signs, minlength=math.prod(shape)).reshape(shape)
-    for k in range(len(counts)):
-        np.cumsum(diff, axis=k, out=diff)
-    return diff[tuple(slice(c) for c in counts)].ravel() > 0.5
-
-
 def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
-    """Drop the interior cells that cannot hold an output extremum; keep the rest.
+    """Keep the cells that can hold an output extremum, in row-major order.
 
     Argument.  A safe set S is a box, so ``f(B) ⊆ S`` iff every output
     ``f_i`` has its minimum and maximum over ``B`` inside ``S``.  Such an
@@ -317,6 +299,9 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     two, because each level's call has a fixed cost on top of its cells:
     the depth stays near log log N.  Only square networks with at most 6
     inputs are accepted (`is_certifiable`), as for the determinant test.
+
+    The kept cells are marked on a boolean array of the grid's shape, which
+    starts as the ring; `np.argwhere` lists them in row-major order.
     """
     _require_certifiable(net)
     if input_box.dim != net.input_dim:
@@ -324,23 +309,17 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     if input_box.degenerate_dims():
         raise ValueError("subset extraction requires a non-degenerate input box")
     grid = partition(input_box, counts)
-    idx, lo, hi = grid.bounds_arrays()
-    n = grid.dim
-    edges = [grid.edges(k) for k in range(n)]
-    a = np.ones((1, n), dtype=np.int64)
+    kept = np.ones(grid.counts, dtype=bool)
+    kept[tuple(slice(1, c - 1) for c in grid.counts)] = False
+    a = np.ones((1, grid.dim), dtype=np.int64)
     b = np.array([grid.counts], dtype=np.int64) - 1
-    dropped = []
     if np.all(b > a):  # a grid with a count below 3 has no interior cell
         while a.shape[0]:
             a, b = _split_nodes(a, b)
-            nlo = np.stack([edges[k][a[:, k]] for k in range(n)], axis=1)
-            nhi = np.stack([edges[k][b[:, k]] for k in range(n)], axis=1)
-            passed = _passes_row_test(*jacobian_interval_arrays(net, nlo, nhi))
-            dropped.append((a[passed], b[passed]))
-            pending = ~passed & np.any(b - a > 1, axis=1)
+            failed = ~_passes_row_test(*jacobian_interval_arrays(net, *grid.range_bounds(a, b)))
+            leaf = failed & np.all(b - a == 1, axis=1)
+            kept[tuple(a[leaf].T)] = True
+            pending = failed & ~leaf
             a, b = a[pending], b[pending]
-    if dropped:
-        mask = _cover_mask(grid.counts, *(np.concatenate(ends) for ends in zip(*dropped)))
-    else:
-        mask = np.zeros(grid.total, dtype=bool)
-    return SubsetExtraction(grid, idx, lo, hi, mask)
+    index = np.argwhere(kept)
+    return SubsetExtraction(grid, index, *grid.range_bounds(index, index + 1))

@@ -177,13 +177,16 @@ def monte_carlo(
     """Deterministic uniform sampling of a box and its exact float images.
 
     The counter-based Philox generator makes the sample sequence a pure
-    function of the seed, independent of batching.
+    function of the seed, independent of batching.  A ``safe`` box must have
+    the network's output dimension, or it would broadcast over the outputs.
     """
     if n < 1:
         raise ValueError("sample count must be at least 1")
+    if safe is not None and safe.dim != net.output_dim:
+        raise ValueError(f"safe box dimension {safe.dim} != output dim {net.output_dim}")
+    width = region.finite_widths()
     rng = np.random.Generator(np.random.Philox(seed))
-    lo, hi = region.lo, region.hi
-    points = lo + rng.random((n, region.dim)) * (hi - lo)
+    points = region.lo + rng.random((n, region.dim)) * width
     images = forward_batch(net, points)
     hull = Box.from_arrays(images.min(axis=0), images.max(axis=0))
     if safe is None:
@@ -245,8 +248,7 @@ def _required_cells(problem: VerificationProblem, path: str, counts):
     if path == "full":
         return grid_cell_batch(partition(problem.input_box, counts)), None
     extraction = extract_subset(problem.net, problem.input_box, counts)
-    kept = extraction.kept_mask
-    return CellBatch(extraction.index[kept], extraction.lo[kept], extraction.hi[kept]), extraction
+    return CellBatch(extraction.index, extraction.lo, extraction.hi), extraction
 
 
 def verify(problem: VerificationProblem) -> Verdict:

@@ -29,6 +29,13 @@ def linear_net(w, b=None):
     return rb.Network((rb.Layer(w, b, "linear"),))
 
 
+def dropped_mask(ex) -> np.ndarray:
+    """Row-major mask over all the grid's cells: True where `ex.index` lacks the cell."""
+    dropped = np.ones(ex.grid.counts, dtype=bool)
+    dropped[tuple(ex.index.T)] = False
+    return dropped.ravel()
+
+
 def sample_box(box: rb.Box, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     lo, hi = box.lo, box.hi

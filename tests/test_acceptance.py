@@ -15,7 +15,7 @@ import reachbound as rb
 from reachbound.cli import main
 from reachbound.verifier import boundary_cell_batch, grid_cell_batch
 from reachbound.topology import jacobian_interval_arrays, partition
-from conftest import INVERTIBLE, MIXED, make_net, sample_box
+from conftest import INVERTIBLE, MIXED, dropped_mask, make_net, sample_box
 
 
 def criterion(cid, desc, budget_s):
@@ -163,7 +163,7 @@ def test_c4_extraction_accounting():
         ex = rb.extract_subset(net, rb.Box.from_bounds(bounds), counts)
         c = ex.counts
         assert c["kept"] + c["certified_interior"] == c["total"] == int(np.prod(counts))
-        interior_idx = ex.index[ex.certified_interior_mask]
+        interior_idx = ex.grid.bounds_arrays()[0][dropped_mask(ex)]
         assert np.all(interior_idx > 0)
         assert np.all(interior_idx + 1 < np.array(counts))
 

@@ -18,7 +18,7 @@ from reachbound.reports import (
 )
 from reachbound.topology import grid_counts
 from reachbound.verifier import CELL_BUDGET, CellBatch, MonteCarloResult
-from conftest import identity_net, make_net, MIXED
+from conftest import dropped_mask, identity_net, make_net, MIXED
 
 
 @pytest.fixture
@@ -125,6 +125,53 @@ def test_malformed_model_document_exit_three(tmp_path, capsys, document, message
     assert code == 3 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000 + "]" * 100_000, '{"layers": ' + "[" * 5000 + "]" * 5000 + "}"],
+    ids=["arrays", "layers"],
+)
+def test_deeply_nested_model_document_exit_three(tmp_path, capsys, text):
+    bad = tmp_path / "deep.json"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run(
+        capsys, "verify", "--model", str(bad), "--input", "0,1;0,1", "--safe", "0,1;0,1",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--safe", "-1,1;-1,1"),
+        ("verify", "--safe", "-1,1;-1,1", "--mode", "full"),
+        ("verify", "--safe", "-1,1;-1,1", "--mode", "boundary"),
+        ("compare", "--safe", "-1,1;-1,1"),
+        ("certify", "--grid", "4"),
+        ("mc", "--samples", "3"),
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[3:]),
+)
+def test_overflowing_input_width_exit_three(tmp_path, capsys, argv):
+    rb.write_model(make_net(**MIXED), tmp_path / "mixed.json")
+    code, out, err = run(
+        capsys, argv[0], "--model", str(tmp_path / "mixed.json"), "--input", "-1e308,1e308;-1,1",
+        *argv[1:],
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "dimension 0" in err
+
+
+@pytest.mark.parametrize("safe", ["0,1", "0,1;0,1;0,1"])
+def test_mc_safe_box_of_the_wrong_dimension_exit_three(tmp_path, capsys, safe):
+    rb.write_model(make_net(**MIXED), tmp_path / "mixed.json")
+    code, out, err = run(
+        capsys, "mc", "--model", str(tmp_path / "mixed.json"), "--input", "-1,1;-1,1",
+        "--safe", safe, "--samples", "1000",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "safe box dimension" in err
 
 
 def test_verify_missing_model_file_exit_three(capsys):
@@ -358,7 +405,8 @@ def test_certify_summary_agrees_with_the_subset_decision(tmp_path, capsys):
     assert summary["certified_interior"] < summary["certified_cells"]
     certified = np.loadtxt(tmp_path / "cells.csv", delimiter=",", skiprows=1)[:, -1] == 1
     assert summary["certified_cells"] == certified.sum()
-    assert np.all(ex.certified_interior_mask[certified & ex.grid.interior_mask(ex.index)])
+    interior = ex.grid.interior_mask(ex.grid.bounds_arrays()[0])
+    assert np.all(dropped_mask(ex)[certified & interior])
 
 
 def test_certify_identity_fully_certified(identity_model, capsys):

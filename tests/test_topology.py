@@ -8,7 +8,7 @@ import reachbound as rb
 from reachbound import topology
 from reachbound.topology import certify_cells, jacobian_interval_arrays
 from reachbound.verifier import boundary_cell_batch
-from conftest import MIXED, deep_nets, linear_net, make_net, sample_box
+from conftest import MIXED, deep_nets, dropped_mask, linear_net, make_net, sample_box
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +278,8 @@ def test_extraction_singular_gradient_free_net_drops_its_interior(unit_square):
     assert not rb.certify_homeomorphism(net, unit_square).certified
     ex = rb.extract_subset(net, unit_square, (4, 4))
     assert ex.counts == {"total": 16, "certified_interior": 4, "kept": 12}
-    np.testing.assert_array_equal(ex.certified_interior_mask, ex.grid.interior_mask(ex.index))
+    interior = ex.grid.interior_mask(ex.grid.bounds_arrays()[0])
+    np.testing.assert_array_equal(dropped_mask(ex), interior)
 
 
 def test_extraction_accounting_identity(mixed_net):
@@ -286,15 +287,15 @@ def test_extraction_accounting_identity(mixed_net):
     c = ex.counts
     assert c["kept"] + c["certified_interior"] == c["total"] == 400
     # face cells are always kept, and every certified interior cell is dropped
-    _, lo, hi = ex.grid.bounds_arrays()
-    interior = ex.grid.interior_mask(ex.index)
-    assert np.all(ex.kept_mask[~interior])
-    assert np.all(ex.certified_interior_mask[certify_cells(mixed_net, lo, hi)[2] & interior])
+    idx, lo, hi = ex.grid.bounds_arrays()
+    interior, dropped = ex.grid.interior_mask(idx), dropped_mask(ex)
+    assert np.all(~dropped[~interior])
+    assert np.all(dropped[certify_cells(mixed_net, lo, hi)[2] & interior])
 
 
 def test_extraction_interior_never_touches_boundary(mixed_net):
     ex = rb.extract_subset(mixed_net, rb.Box.from_bounds([(-1, 1), (-1, 1)]), (20, 20))
-    idx = ex.index[ex.certified_interior_mask]
+    idx = ex.grid.bounds_arrays()[0][dropped_mask(ex)]
     counts = np.array(ex.grid.counts)
     assert np.all(idx > 0) and np.all(idx + 1 < counts)
 
@@ -310,14 +311,15 @@ def test_extraction_matches_exhaustive_classification(mixed_net):
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
     ex = rb.extract_subset(mixed_net, box, (20, 20))
     e0, e1 = ex.grid.edges(0), ex.grid.edges(1)
+    dropped = dropped_mask(ex)
     own = np.zeros(400, dtype=bool)
     for row, i in enumerate(product(range(20), range(20))):
         cell = rb.Box.from_bounds([(e0[i[0]], e0[i[0] + 1]), (e1[i[1]], e1[i[1] + 1])])
         interior = all(0 < i[k] and i[k] + 1 < 20 for k in range(2))
         own[row] = interior and row_test(*jacobian_interval_arrays(mixed_net, cell.lo, cell.hi))
-        assert not ex.certified_interior_mask[row] or interior
-    assert np.all(ex.certified_interior_mask[own])
-    assert 0 < own.sum() < ex.grid.interior_mask(ex.index).sum()
+        assert not dropped[row] or interior
+    assert np.all(dropped[own])
+    assert 0 < own.sum() < ex.grid.interior_mask(ex.grid.bounds_arrays()[0]).sum()
 
 
 def test_extraction_refines_consistently(mixed_net):
@@ -351,7 +353,7 @@ def test_extraction_decision_contains_certifying_every_cell():
         interior = ex.grid.interior_mask(idx)
         certified = certify_cells(net, lo, hi)[2] & interior
         own = row_test(*jacobian_interval_arrays(net, lo, hi)) & interior
-        dropped = ex.certified_interior_mask
+        dropped = dropped_mask(ex)
         assert dropped.dtype == bool
         assert np.all(dropped[certified]) and np.all(dropped[own]) and np.all(interior[dropped])
         seen[0] += int((dropped & ~certified).sum())
@@ -372,15 +374,37 @@ def test_dropped_cells_hold_no_zero_gradient(case):
     n = net.input_dim
     centre, half = rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-2, 0, n)
     ex = rb.extract_subset(net, rb.Box.from_arrays(centre - half, centre + half), (5,) * n)
-    rows = np.flatnonzero(ex.certified_interior_mask)
+    _, all_lo, all_hi = ex.grid.bounds_arrays()
+    rows = np.flatnonzero(dropped_mask(ex))
     rows = rng.permutation(rows)[:40]
     t = rng.random((rows.size, 30, n))
     t[:, :2] = rng.integers(0, 2, (rows.size, 2, n))  # two corners of each cell
-    lo, hi = ex.lo[rows, None], ex.hi[rows, None]
+    lo, hi = all_lo[rows, None], all_hi[rows, None]
     pts = np.minimum(lo + t * (hi - lo), hi)
     jacs = rb.jacobian_batch(net, pts.reshape(-1, n)).reshape(rows.size, 30, n, n)
     one_sign = np.all(jacs > 0, axis=1) | np.all(jacs < 0, axis=1)  # (cells, m, n)
     assert np.all(np.any(one_sign, axis=-1))
+
+
+@given(deep_nets())
+@settings(max_examples=100, deadline=None)
+def test_extraction_returns_the_kept_cells_in_row_major_order(case):
+    net, seed = case
+    rng = np.random.default_rng(seed)
+    n = net.input_dim
+    centre, half = rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-2, 0.5, n)
+    counts = tuple(int(c) for c in rng.integers(1, 6, n))
+    ex = rb.extract_subset(net, rb.Box.from_arrays(centre - half, centre + half), counts)
+    assert ex.index.dtype == np.int64 and ex.index.shape == ex.lo.shape == ex.hi.shape
+    flat = np.ravel_multi_index(tuple(ex.index.T), counts)
+    assert np.all(np.diff(flat) > 0)
+    idx, lo, hi = ex.grid.bounds_arrays()
+    np.testing.assert_array_equal(ex.index, idx[flat])
+    assert ex.lo.tobytes() == lo[flat].tobytes() and ex.hi.tobytes() == hi[flat].tobytes()
+    assert np.all(~dropped_mask(ex)[~ex.grid.interior_mask(idx)])  # the ring is kept
+    c = ex.counts
+    assert c["kept"] == len(ex.index) and c["kept"] + c["certified_interior"] == c["total"]
+    assert c["total"] == int(np.prod(counts))
 
 
 def node_indices(grid, lo, hi):
@@ -407,7 +431,7 @@ def test_extraction_certifies_interior_rows_only(mixed_net, monkeypatch, counts,
 
     monkeypatch.setattr(topology, "jacobian_interval_arrays", recording_jacobian)
     ex = rb.extract_subset(mixed_net, rb.Box.from_bounds([(-1, 1), (-1, 1)]), counts)
-    interior = ex.grid.interior_mask(ex.index)
+    interior = ex.grid.interior_mask(ex.grid.bounds_arrays()[0])
     assert interior.sum() == rows
     if rows == 0:
         assert calls == []

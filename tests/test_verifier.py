@@ -342,6 +342,21 @@ def test_monte_carlo_deterministic(unit_square, invertible_net):
     assert np.array_equal(a.points, b.points) and np.array_equal(a.images, b.images)
 
 
+def test_monte_carlo_refuses_a_safe_box_of_the_wrong_dimension(unit_square, invertible_net):
+    # a 1-d safe box would broadcast over both outputs and report made-up violations
+    for safe in ([(0, 1)], [(0, 1)] * 3):
+        with pytest.raises(ValueError, match="safe box dimension"):
+            rb.monte_carlo(invertible_net, unit_square, 10, seed=0, safe=rb.Box.from_bounds(safe))
+
+
+def test_partition_and_sampling_refuse_an_overflowing_width(invertible_net):
+    box = rb.Box.from_bounds([(-1, 1), (-1e308, 1e308)])  # hi - lo is inf
+    with pytest.raises(ValueError, match="dimension 1 .* too wide"):
+        rb.partition(box, (4, 4))
+    with pytest.raises(ValueError, match="dimension 1 .* too wide"):
+        rb.monte_carlo(invertible_net, box, 10, seed=0)
+
+
 def test_monte_carlo_point_region(invertible_net):
     region = rb.Box.point([0.25, 0.75])
     r = rb.monte_carlo(invertible_net, region, 1, seed=0)
