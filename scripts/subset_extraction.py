@@ -2,11 +2,14 @@
 """Subset verification of a non-invertible network.
 
 Uses a seeded 2-7-2 tanh network whose Jacobian determinant changes sign on
-[-1,1]^2, so the map is not a homeomorphism there.  Reports the per-cell
-determinant certification of a uniform grid, then verifies safety in subset
-mode, which drops the interior cells where no output has a zero gradient (a
-superset of the certified interior cells), and compares against the full-set
-baseline.
+[-1,1]^2, so the map is not a homeomorphism there, and which fails the
+gradient-row test on the whole box, so subset mode cannot take the faces.
+Reports the per-cell determinant certification of a uniform grid, then
+verifies safety in subset mode, which drops the interior cells where no
+output has a zero gradient, and compares against the full-set baseline.
+Subset mode keeps a certified interior cell only inside a node of at most 2
+cells per dimension, which its tree keeps whole rather than test cell by
+cell.
 """
 
 import argparse
@@ -27,8 +30,8 @@ def main():
     ap.add_argument("--verify-grid", type=int, default=60)
     # dropping cells pays only when propagation costs more per cell than the
     # Jacobian tree.  Measured on a 2-vCPU Xeon VM with one BLAS thread at
-    # --verify-grid 60 (5 runs): with zonotopes, subset mode takes 3.7-4.7 ms
-    # against 8.0-10.2 ms for full mode; with plain boxes, 2.8-4.2 ms against 1.7-2.6 ms
+    # --verify-grid 60 (5 runs): with zonotopes, subset mode takes 2.8-4.1 ms
+    # against 7.2-12.0 ms for full mode; with plain boxes, 2.3-3.8 ms against 1.7-2.6 ms
     ap.add_argument("--domain", choices=rb.domains.DOMAINS, default="zono")
     args = ap.parse_args()
 
@@ -41,7 +44,8 @@ def main():
 
     whole = rb.certify_homeomorphism(net, box)
     print(f"whole-box determinant: [{whole.det_lo!r}, {whole.det_hi!r}]  "
-          f"certified={whole.certified}")
+          f"certified={whole.certified}  "
+          f"row test passed={rb.topology.box_passes_row_test(net, box)}")
 
     # the per-cell report certifies every cell; subset mode below tests only
     # the interior cells, the ones it may drop, with the gradient-row tree

@@ -1,10 +1,10 @@
 """Safety verification for smooth feedforward networks.
 
-Certifies local homeomorphism with interval Jacobian determinants, then
-verifies box safety properties by propagating only the input boundary, only a
-non-certified remainder of the input set, or the full set as a baseline, under
-interval-box or zonotope abstract domains, with a Monte-Carlo oracle for
-falsification and empirical soundness checks.
+Finds with interval Jacobians where no output can have a critical point, then
+verifies box safety properties by propagating only the input boundary, only
+the remainder of the input set that can hold an extremum, or the full set as
+a baseline, under interval-box or zonotope abstract domains, with a
+Monte-Carlo oracle for falsification and empirical soundness checks.
 """
 
 from .intervals import Box

@@ -8,19 +8,19 @@ kept cells of a subset extraction, or, from the grids with one count set to
 Two tests read the interval enclosure of the Jacobian over a cell,
 `jacobian_interval_arrays`, which applies to any network:
 
+- the row test passes a cell when every row of the enclosure has an entry
+  that excludes zero, so no output has a critical point there.
+  `box_passes_row_test` runs it on one box, such as the whole input box,
+  on any network shape; `extract_subset` runs it on a tree over the
+  interior cells, the only ones it may drop, with one Jacobian call per
+  tree level, and returns only the cells it keeps.  The tree accepts a
+  square network with at most 6 inputs (`subset_tree_applies`);
 - the determinant test certifies a network restricted to a cell as a
   homeomorphism onto its image when the enclosure of the determinant
   excludes zero.  It needs a square network with at most 6 inputs, because
-  it uses cofactor expansion: `is_certifiable` is the only place that rule
-  is written.  `certify_cells` checks it on a batch of cells, and
-  `certify_homeomorphism` on one box, such as the whole input box;
-- the row test passes a cell when every row of the enclosure has an entry
-  that excludes zero, so no output has a critical point there.
-  `extract_subset` runs it on a tree over the interior cells, the only ones
-  it may drop, with one Jacobian call per tree level, and returns only the
-  cells it keeps; it accepts the networks the determinant test accepts.  A
-  determinant that excludes zero implies the row test, so it drops every
-  interior cell `certify_cells` certifies, and more.
+  it uses cofactor expansion.  `certify_cells` checks it on a batch of
+  cells, and `certify_homeomorphism` on one box.  A determinant that
+  excludes zero implies the row test; `verify` runs only the row test.
 
 Every enclosure stays a ``(lo, hi)`` pair of endpoint arrays.  A per-cell
 report of every cell calls `certify_cells` on the whole grid itself.
@@ -48,8 +48,9 @@ __all__ = [
     "CellGrid",
     "partition",
     "grid_counts",
-    "is_certifiable",
+    "subset_tree_applies",
     "jacobian_interval_arrays",
+    "box_passes_row_test",
     "certify_homeomorphism",
     "certify_cells",
     "CertificationResult",
@@ -133,12 +134,25 @@ def grid_counts(counts, dim: int, flat=()) -> tuple[int, ...]:
 # interval Jacobians and certification
 
 
-_DET_MAX_DIM = 6
+_MAX_INPUTS = 6
 
 
-def is_certifiable(net: Network) -> bool:
-    """Whether the determinant test applies: a square network with at most 6 inputs."""
-    return net.is_square and net.input_dim <= _DET_MAX_DIM
+def subset_tree_applies(net: Network) -> bool:
+    """Whether `extract_subset` runs its tree: a square network with at most 6 inputs.
+
+    The row test needs neither; the limit is cost, and no workload measures
+    the tree on other shapes.  The determinant test accepts the same shapes,
+    because of its cofactor expansion.
+    """
+    return net.is_square and net.input_dim <= _MAX_INPUTS
+
+
+def _require_square(net: Network, what: str) -> None:
+    if not subset_tree_applies(net):
+        raise ValueError(
+            f"{what} requires a square network with at most {_MAX_INPUTS} inputs, "
+            f"got {net.input_dim} -> {net.output_dim}"
+        )
 
 
 def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
@@ -174,6 +188,22 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
     return np.swapaxes(jlo, -1, -2), np.swapaxes(jhi, -1, -2)
 
 
+def _passes_row_test(jlo: np.ndarray, jhi: np.ndarray) -> np.ndarray:
+    """True where every row of a (..., m, n) Jacobian enclosure has an entry excluding 0."""
+    return np.all(np.any((jlo > 0.0) | (jhi < 0.0), axis=-1), axis=-1)
+
+
+def box_passes_row_test(net: Network, box: Box) -> bool:
+    """The row test on one box, from one `jacobian_interval_arrays` call, on any network shape.
+
+    When it passes, no output has a critical point in the box, so every
+    output's extrema over the box lie on its faces (see `extract_subset`).
+    """
+    if box.dim != net.input_dim:
+        raise ValueError(f"box dimension {box.dim} != input dim {net.input_dim}")
+    return bool(_passes_row_test(*jacobian_interval_arrays(net, box.lo, box.hi)))
+
+
 @dataclass(frozen=True)
 class CertificationResult:
     """Interval determinant [det_lo, det_hi] over a cell plus the certified verdict."""
@@ -190,14 +220,6 @@ def certify_homeomorphism(net: Network, cell: Box) -> CertificationResult:
     return CertificationResult(float(det_lo), float(det_hi), bool(certified))
 
 
-def _require_certifiable(net: Network) -> None:
-    if not is_certifiable(net):
-        raise ValueError(
-            f"Jacobian certification requires a square network with at most "
-            f"{_DET_MAX_DIM} inputs, got {net.input_dim} -> {net.output_dim}"
-        )
-
-
 def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):
     """Batch certification of cells (..., n); returns (det_lo, det_hi, certified) arrays.
 
@@ -205,7 +227,7 @@ def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):
     arrays on large grids; a row's bounds do not depend on its block.  No
     rows make no Jacobian call.
     """
-    _require_certifiable(net)
+    _require_square(net, "the determinant test")
     n = np.shape(lo)[-1]
     if n != net.input_dim:
         raise ValueError(f"cell dimension {n} != input dim {net.input_dim}")
@@ -231,9 +253,10 @@ class SubsetExtraction:
     """The cells `extract_subset` keeps: every cell that can hold an output extremum.
 
     They are the ring of cells that touch a face of the input box, whatever
-    their Jacobian, plus the interior cells the row test could not drop,
-    as lattice indices and bounds in row-major order.  Touching is decided
-    on grid indices, never on float comparisons.  In ``counts``,
+    their Jacobian, plus the interior cells the tree did not drop: each lies
+    in a leaf-sized node that failed the row test or was never evaluated.
+    They come as lattice indices and bounds in row-major order.  Touching is
+    decided on grid indices, never on float comparisons.  In ``counts``,
     ``certified_interior`` is the interior cells dropped by the row test.
     """
 
@@ -246,11 +269,6 @@ class SubsetExtraction:
     def counts(self) -> dict:
         total, kept = self.grid.total, int(self.index.shape[0])
         return {"total": total, "certified_interior": total - kept, "kept": kept}
-
-
-def _passes_row_test(jlo: np.ndarray, jhi: np.ndarray) -> np.ndarray:
-    """True where every row of a (..., m, n) Jacobian enclosure has an entry excluding 0."""
-    return np.all(np.any((jlo > 0.0) | (jhi < 0.0), axis=-1), axis=-1)
 
 
 def _split_nodes(a: np.ndarray, b: np.ndarray):
@@ -285,25 +303,31 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     the ring of cells that touch a face plus every cell not dropped, then
     hold every extremum, and the hull of their images contains that of
     ``f(B)``.  A determinant enclosure that excludes 0 implies this row
-    test, because a row box that holds 0 contains a singular matrix; so
-    every interior cell that `certify_cells` certifies is dropped too.
+    test, because a row box that holds 0 contains a singular matrix.
 
     Search.  The interior block of the lattice, index ranges ``[1, c - 1)``,
-    is the root of a tree of index-range nodes.  Each level splits every
-    pending node (`_split_nodes`) and evaluates all the children in one
-    `jacobian_interval_arrays` call, on bounds taken from ``grid.edges(k)``,
-    so a node's bounds are its cells' own floats.  A passing child is dropped
-    with all its cells; a failing child is pending unless it is one cell,
-    which is kept.  The root is never evaluated but a root of one cell is
-    its own child.  A range of length r splits into ceil(sqrt(r)) parts, not
-    two, because each level's call has a fixed cost on top of its cells:
-    the depth stays near log log N.  Only square networks with at most 6
-    inputs are accepted (`is_certifiable`), as for the determinant test.
+    is the root of a tree of index-range nodes.  Each level keeps the
+    pending nodes that are leaf-sized, at most 2 cells in every dimension,
+    whole; splits the others (`_split_nodes`); evaluates all their children
+    in one `jacobian_interval_arrays` call, on bounds taken from
+    ``grid.edges(k)``, so a node's bounds are its cells' own floats; drops
+    each passing child with all its cells; and leaves the failing children
+    pending.  The root is never evaluated, so a leaf-sized root, on a grid
+    of at most 4 cells in every dimension, is kept without a Jacobian call.
 
-    The kept cells are marked on a boolean array of the grid's shape, which
-    starts as the ring; `np.argwhere` lists them in row-major order.
+    Cost.  A leaf-sized node would split into single cells, and a Jacobian
+    row costs 3-8 box-pass rows (measured over the workload nets), while a
+    single cell it drops saves one box-pass row: keeping the node is cheaper
+    than testing its cells.  Splitting a range of length r into ceil(sqrt(r))
+    parts, not two, keeps the depth near log log N, because each level's call
+    has a fixed cost on top of its cells.
+
+    Only square networks with at most 6 inputs are accepted
+    (`subset_tree_applies`).  The kept cells are marked on a boolean array of
+    the grid's shape, which starts as the ring; `np.argwhere` lists them in
+    row-major order.
     """
-    _require_certifiable(net)
+    _require_square(net, "the subset tree")
     if input_box.dim != net.input_dim:
         raise ValueError(f"input box dimension {input_box.dim} != input dim {net.input_dim}")
     if input_box.degenerate_dims():
@@ -315,11 +339,13 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     b = np.array([grid.counts], dtype=np.int64) - 1
     if np.all(b > a):  # a grid with a count below 3 has no interior cell
         while a.shape[0]:
-            a, b = _split_nodes(a, b)
-            failed = ~_passes_row_test(*jacobian_interval_arrays(net, *grid.range_bounds(a, b)))
-            leaf = failed & np.all(b - a == 1, axis=1)
-            kept[tuple(a[leaf].T)] = True
-            pending = failed & ~leaf
-            a, b = a[pending], b[pending]
+            leaf = np.all(b - a <= 2, axis=1)
+            # ceil(sqrt(r)) = r for r <= 2, so a leaf-sized node splits into its cells
+            cells = _split_nodes(a[leaf], b[leaf])[0]
+            kept[tuple(cells.T)] = True
+            a, b = _split_nodes(a[~leaf], b[~leaf])
+            if a.shape[0]:
+                failed = ~_passes_row_test(*jacobian_interval_arrays(net, *grid.range_bounds(a, b)))
+                a, b = a[failed], b[failed]
     index = np.argwhere(kept)
     return SubsetExtraction(grid, index, *grid.range_bounds(index, index + 1))

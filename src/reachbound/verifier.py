@@ -3,20 +3,20 @@
 Three cell sets can be propagated: the input faces (``boundary``), the grid
 minus the interior cells where no output has a zero gradient (``subset``),
 or every grid cell (``full``).  Modes ``boundary`` and ``full`` name their
-set; ``subset`` and ``auto`` are both the paper's method, which certifies
-the whole input box first and picks one of the three (see `verify`).
+set; ``subset`` and ``auto`` are both the paper's method, which tests the
+whole input box first and picks one of the three (see `verify`).
 
 Soundness contract: a `safe` verdict means the computed over-approximation of
-the required cells' images lies inside the safe box.  The faces suffice only
-when the network is a homeomorphism on the input box: ``boundary`` mode
-records ``assumes_invertible`` in its stats and leaves that obligation to the
-caller, while ``subset`` and ``auto`` discharge it by certifying the box.
-The subset path drops interior cells where no output has a critical point
-(`extract_subset`).  Both arguments, the determinant's and the gradient
-rows', are about the network in real arithmetic: the enclosures are sound
-for it, so the verdict bounds its real image.  A float evaluation of an
-interior point can leave that image by a few ulps, and such a point is not
-covered.
+the required cells' images lies inside the safe box.  The faces alone hold
+every output extremum only when no output has a critical point inside the
+box: ``boundary`` mode records ``assumes_invertible`` in its stats and
+leaves that obligation to the caller, while ``subset`` and ``auto``
+discharge it with the gradient-row test on the whole box.  The subset path
+drops interior cells where no output has a critical point
+(`extract_subset`).  The argument is about the network in real arithmetic:
+the enclosures are sound for it, so the verdict bounds its real image.  A
+float evaluation of an interior point can leave that image by a few ulps,
+and such a point is not covered.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ from .domains import (
 from .network import Network, forward_batch, forward_point
 from .topology import (
     CellGrid,
-    certify_homeomorphism,
+    box_passes_row_test,
+    certify_homeomorphism,  # noqa: F401  (unused; the benchmark tracer hooks this name)
     extract_subset,
     grid_counts,
-    is_certifiable,
     partition,
+    subset_tree_applies,
 )
 
 __all__ = [
@@ -233,9 +234,9 @@ def _check_level_size(path: str, counts) -> int:
 def _required_cells(problem: VerificationProblem, path: str, counts):
     """The cells that can hold an output extremum, on a grid of ``counts``.
 
-    - ``boundary``: the input faces suffice when the whole box is certified:
-      a homeomorphism is an open map, so an interior point maps into the
-      interior of the image and is never an extremum of an output coordinate;
+    - ``boundary``: the input faces suffice when the whole box passes the
+      row test: no output then has a critical point in the box, so every
+      output's extrema lie on its faces;
     - ``subset``: cells that touch no face of the box and where no output
       has a zero gradient are dropped, since an output extremum lies on the
       box's faces or where that output's gradient is zero (`extract_subset`);
@@ -254,22 +255,25 @@ def _required_cells(problem: VerificationProblem, path: str, counts):
 def verify(problem: VerificationProblem) -> Verdict:
     """Propagate the required cells and check that their images lie in the safe box.
 
-    Modes ``subset`` and ``auto`` certify the whole input box first: if it
-    certifies, the boundary suffices; otherwise the interior cells that pass
-    the gradient-row test are removed (``stats["cells_certified"]`` counts
-    them), or, on a network it cannot certify (non-square, or above the
-    determinant dimension limit), the full grid is propagated.  A box with a
-    zero-width dimension has no interior to drop: it takes the full path
-    uncertified.  ``stats["path"]`` names the set propagated.  In every mode
-    the grid doubles on Unknown up to ``max_refinements`` times, except in
-    zero-width dimensions.  An Unknown verdict becomes Falsified when
+    Modes ``subset`` and ``auto`` pick the path with one Jacobian enclosure
+    of the whole input box (`box_passes_row_test`).  If every row has an
+    entry that excludes 0, no output has a critical point in the box, so
+    the faces suffice on any network shape (path ``boundary``, with
+    ``input_certified`` true).  Otherwise the interior cells that pass the
+    row test are dropped (path ``subset``, ``stats["cells_certified"]``
+    counts them) where `extract_subset` runs its tree (`subset_tree_applies`),
+    and the full grid is propagated elsewhere.  A box with a zero-width
+    dimension has no interior and no faces to propagate: it takes the full
+    path untested.  ``stats["path"]`` names the set propagated.  In every
+    mode the grid doubles on Unknown up to ``max_refinements`` times, except
+    in zero-width dimensions.  An Unknown verdict becomes Falsified when
     Monte-Carlo sampling finds an input whose exact image leaves the safe box.
 
     Each level's cell count is checked against `CELL_BUDGET` before the
     level is built (`_check_level_size`).
 
     ``stats`` times two phases over all refinement levels: ``certify_ms``
-    (whole-box certification and subset extraction) and ``propagate_ms``
+    (the whole-box row test and subset extraction) and ``propagate_ms``
     (propagating the required cells).
     """
     started = time.perf_counter()
@@ -278,12 +282,12 @@ def verify(problem: VerificationProblem) -> Verdict:
     path = problem.mode
     flat = problem.input_box.degenerate_dims()
     if path in ("subset", "auto"):
-        certifiable = is_certifiable(net) and not flat
         phase = time.perf_counter()
-        certified = certifiable and certify_homeomorphism(net, problem.input_box).certified
+        passed = not flat and box_passes_row_test(net, problem.input_box)
         stats["certify_ms"] = (time.perf_counter() - phase) * 1e3
-        path = "boundary" if certified else "subset" if certifiable else "full"
-        stats.update(path=path, input_certified=certified)
+        tree = subset_tree_applies(net) and not flat
+        path = "boundary" if passed else "subset" if tree else "full"
+        stats.update(path=path, input_certified=passed)
     if path == "boundary":
         stats["assumes_invertible"] = problem.mode == "boundary"
 

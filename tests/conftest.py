@@ -3,6 +3,8 @@ import pytest
 from hypothesis import strategies as st
 
 import reachbound as rb
+from reachbound import topology
+from reachbound.topology import jacobian_interval_arrays
 
 # Frozen seeded fixtures, chosen so that:
 #  - INVERTIBLE certifies on the whole unit square as a single cell,
@@ -34,6 +36,51 @@ def dropped_mask(ex) -> np.ndarray:
     dropped = np.ones(ex.grid.counts, dtype=bool)
     dropped[tuple(ex.index.T)] = False
     return dropped.ravel()
+
+
+def row_test(jlo, jhi):
+    """Every row of a Jacobian enclosure has an entry that excludes 0."""
+    return np.all(np.any((jlo > 0) | (jhi < 0), axis=-1), axis=-1)
+
+
+def node_indices(grid, lo, hi):
+    """Lattice index ranges [a, b) of node bounds that are grid edges."""
+    a = np.stack([np.searchsorted(grid.edges(k), lo[:, k]) for k in range(grid.dim)], axis=1)
+    b = np.stack([np.searchsorted(grid.edges(k), hi[:, k]) for k in range(grid.dim)], axis=1)
+    for k in range(grid.dim):
+        assert np.array_equal(grid.edges(k)[a[:, k]], lo[:, k])
+        assert np.array_equal(grid.edges(k)[b[:, k]], hi[:, k])
+    return a, b
+
+
+def traced_extraction(net, box, counts):
+    """`extract_subset` plus its tree's levels: per Jacobian call, the nodes' [a, b) and
+    whether each passes the row test, re-run here on the recorded bounds."""
+    calls = []
+
+    def recording(net, lo, hi):
+        calls.append((lo, hi))
+        return jacobian_interval_arrays(net, lo, hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topology, "jacobian_interval_arrays", recording)
+        ex = rb.extract_subset(net, box, counts)
+    levels = [(*node_indices(ex.grid, lo, hi), row_test(*jacobian_interval_arrays(net, lo, hi)))
+              for lo, hi in calls]
+    return ex, levels
+
+
+def kept_whole_mask(grid, levels) -> np.ndarray:
+    """Row-major mask of the cells inside a leaf-sized node (at most 2 cells per dimension)
+    that failed the row test at some level, or that was never evaluated: the interior
+    block, which is the tree's root.  The tree keeps such a node whole."""
+    kept = np.zeros(grid.counts, dtype=bool)
+    root = (np.ones((1, grid.dim), dtype=int), np.array([grid.counts]) - 1)
+    for a, b in [root] + [(a[~passed], b[~passed]) for a, b, passed in levels]:
+        for ai, bi in zip(a, b):
+            if np.all(bi > ai) and np.all(bi - ai <= 2):
+                kept[tuple(slice(x, y) for x, y in zip(ai, bi))] = True
+    return kept.ravel()
 
 
 def sample_box(box: rb.Box, n: int, seed: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from reachbound.reports import (
 )
 from reachbound.topology import grid_counts
 from reachbound.verifier import CELL_BUDGET, CellBatch, MonteCarloResult
-from conftest import dropped_mask, identity_net, make_net, MIXED
+from conftest import dropped_mask, identity_net, kept_whole_mask, make_net, traced_extraction, MIXED
 
 
 @pytest.fixture
@@ -390,7 +390,8 @@ def test_certify_csv_and_summary(tmp_path, capsys):
 
 
 def test_certify_summary_agrees_with_the_subset_decision(tmp_path, capsys):
-    # certify reports every cell; subset mode drops each interior cell it certifies
+    # certify reports every cell; subset mode drops each interior cell it certifies,
+    # unless the cell lies in a leaf-sized node that the tree keeps whole
     net, box = make_net(**MIXED), rb.Box.from_bounds([(-1, 1), (-1, 1)])
     rb.write_model(net, tmp_path / "mixed.json")
     code, out, _ = run(
@@ -399,14 +400,16 @@ def test_certify_summary_agrees_with_the_subset_decision(tmp_path, capsys):
     )
     summary = json.loads(out)
     assert code == 0 and list(summary) == ["total", "certified_interior", "kept", "certified_cells"]
-    ex = rb.extract_subset(net, box, (10, 7))
+    ex, levels = traced_extraction(net, box, (10, 7))
     assert summary["total"] == ex.counts["total"]
-    assert summary["certified_interior"] <= ex.counts["certified_interior"]
     assert summary["certified_interior"] < summary["certified_cells"]
     certified = np.loadtxt(tmp_path / "cells.csv", delimiter=",", skiprows=1)[:, -1] == 1
     assert summary["certified_cells"] == certified.sum()
     interior = ex.grid.interior_mask(ex.grid.bounds_arrays()[0])
-    assert np.all(dropped_mask(ex)[certified & interior])
+    assert summary["certified_interior"] == (certified & interior).sum()
+    dropped, whole = dropped_mask(ex), kept_whole_mask(ex.grid, levels)
+    assert np.all(dropped[certified & interior & ~whole])
+    assert np.all(whole[interior & ~dropped])
 
 
 def test_certify_identity_fully_certified(identity_model, capsys):

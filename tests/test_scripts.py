@@ -39,3 +39,16 @@ def test_script_writes_its_artifacts(script, args, files, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in outdir.iterdir()) == files
+
+
+def test_manifest_diff_finds_no_difference_between_a_tree_and_itself(tmp_path):
+    src = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "manifest_diff.py"), src, src, "--seeds", "0"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["88 problems, 0 with differences"]

@@ -6,9 +6,20 @@ from hypothesis import given, settings
 
 import reachbound as rb
 from reachbound import topology
-from reachbound.topology import certify_cells, jacobian_interval_arrays
+from reachbound.topology import box_passes_row_test, certify_cells, jacobian_interval_arrays
 from reachbound.verifier import boundary_cell_batch
-from conftest import MIXED, deep_nets, dropped_mask, linear_net, make_net, sample_box
+from conftest import (
+    MIXED,
+    deep_nets,
+    dropped_mask,
+    kept_whole_mask,
+    linear_net,
+    make_net,
+    node_indices,
+    row_test,
+    sample_box,
+    traced_extraction,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +252,49 @@ def test_certification_monotone_under_bisection(mixed_net):
     assert checked > 4
 
 
+def test_row_test_monotone_under_bisection(mixed_net):
+    # the children of cell (i, j) on the doubled grid are (2i..2i+1, 2j..2j+1)
+    box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
+    _, lo, hi = rb.partition(box, (8, 8)).bounds_arrays()
+    _, child_lo, child_hi = rb.partition(box, (16, 16)).bounds_arrays()
+    parent = row_test(*jacobian_interval_arrays(mixed_net, lo, hi)).reshape(8, 8)
+    children = row_test(*jacobian_interval_arrays(mixed_net, child_lo, child_hi)).reshape(16, 16)
+    for row, passed in enumerate(parent.ravel()):
+        assert box_passes_row_test(mixed_net, rb.Box.from_arrays(lo[row], hi[row])) == passed
+    checked = 0
+    for i, j in zip(*np.nonzero(parent)):
+        assert children[2 * i : 2 * i + 2, 2 * j : 2 * j + 2].all()
+        checked += 1
+    assert 4 < checked < 64
+
+
+def test_a_box_that_passes_the_row_test_holds_no_zero_gradient():
+    # oracle: every output row has a column whose sampled point Jacobians share one
+    # nonzero sign over the box, corners included
+    passed = [0]
+
+    @given(deep_nets())
+    @settings(max_examples=100, deadline=None)
+    def one_sign_per_row(case):
+        net, seed = case
+        rng = np.random.default_rng(seed)
+        n = net.input_dim
+        centre, half = rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-2, 0.3, n)
+        box = rb.Box.from_arrays(centre - half, centre + half)
+        if not box_passes_row_test(net, box):
+            return
+        passed[0] += 1
+        t = rng.random((200, n))
+        t[:20] = rng.integers(0, 2, (20, n))
+        pts = np.minimum(box.lo + t * (box.hi - box.lo), box.hi)
+        jacs = rb.jacobian_batch(net, pts)
+        one_sign = np.all(jacs > 0, axis=0) | np.all(jacs < 0, axis=0)  # (m, n)
+        assert np.all(np.any(one_sign, axis=-1))
+
+    one_sign_per_row()
+    assert passed[0] > 10
+
+
 def test_certify_batch_matches_scalar(mixed_net):
     grid = rb.partition(rb.Box.from_bounds([(-1, 1), (-1, 1)]), (5, 5))
     idx, lo, hi = grid.bounds_arrays()
@@ -276,21 +330,28 @@ def test_extraction_singular_gradient_free_net_drops_its_interior(unit_square):
     # det = 0 everywhere, yet each output has a nonzero gradient: no interior extremum
     net = linear_net([[1.0, 1.0], [1.0, 1.0]])
     assert not rb.certify_homeomorphism(net, unit_square).certified
-    ex = rb.extract_subset(net, unit_square, (4, 4))
-    assert ex.counts == {"total": 16, "certified_interior": 4, "kept": 12}
+    ex, levels = traced_extraction(net, unit_square, (6, 6))
+    assert ex.counts == {"total": 36, "certified_interior": 16, "kept": 20}
+    assert len(levels) == 1
     interior = ex.grid.interior_mask(ex.grid.bounds_arrays()[0])
     np.testing.assert_array_equal(dropped_mask(ex), interior)
+    # a 2 x 2 interior block is leaf-sized: kept whole, with no Jacobian call
+    ex, levels = traced_extraction(net, unit_square, (4, 4))
+    assert ex.counts == {"total": 16, "certified_interior": 0, "kept": 16} and levels == []
 
 
 def test_extraction_accounting_identity(mixed_net):
-    ex = rb.extract_subset(mixed_net, rb.Box.from_bounds([(-1, 1), (-1, 1)]), (20, 20))
+    ex, levels = traced_extraction(mixed_net, rb.Box.from_bounds([(-1, 1), (-1, 1)]), (20, 20))
     c = ex.counts
     assert c["kept"] + c["certified_interior"] == c["total"] == 400
-    # face cells are always kept, and every certified interior cell is dropped
+    # face cells are always kept, an interior cell is kept only inside a leaf-sized node
+    # kept whole, and every certified interior cell outside such a node is dropped
     idx, lo, hi = ex.grid.bounds_arrays()
     interior, dropped = ex.grid.interior_mask(idx), dropped_mask(ex)
+    whole = kept_whole_mask(ex.grid, levels)
     assert np.all(~dropped[~interior])
-    assert np.all(dropped[certify_cells(mixed_net, lo, hi)[2] & interior])
+    assert np.all(whole[interior & ~dropped])
+    assert np.all(dropped[certify_cells(mixed_net, lo, hi)[2] & interior & ~whole])
 
 
 def test_extraction_interior_never_touches_boundary(mixed_net):
@@ -300,26 +361,24 @@ def test_extraction_interior_never_touches_boundary(mixed_net):
     assert np.all(idx > 0) and np.all(idx + 1 < counts)
 
 
-def row_test(jlo, jhi):
-    """Every row of a Jacobian enclosure has an entry that excludes 0."""
-    return np.all(np.any((jlo > 0) | (jhi < 0), axis=-1), axis=-1)
-
-
 def test_extraction_matches_exhaustive_classification(mixed_net):
-    # each interior cell tested alone: one whose own row test passes is dropped, and
-    # the tree drops a cell whose own test fails only inside a passing node
+    # each interior cell tested alone: one whose own row test passes is dropped unless
+    # it lies in a leaf-sized node kept whole, and the tree drops a cell whose own test
+    # fails only inside a passing node
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
-    ex = rb.extract_subset(mixed_net, box, (20, 20))
+    ex, levels = traced_extraction(mixed_net, box, (20, 20))
     e0, e1 = ex.grid.edges(0), ex.grid.edges(1)
-    dropped = dropped_mask(ex)
+    dropped, whole = dropped_mask(ex), kept_whole_mask(ex.grid, levels)
     own = np.zeros(400, dtype=bool)
     for row, i in enumerate(product(range(20), range(20))):
         cell = rb.Box.from_bounds([(e0[i[0]], e0[i[0] + 1]), (e1[i[1]], e1[i[1] + 1])])
         interior = all(0 < i[k] and i[k] + 1 < 20 for k in range(2))
         own[row] = interior and row_test(*jacobian_interval_arrays(mixed_net, cell.lo, cell.hi))
         assert not dropped[row] or interior
-    assert np.all(dropped[own])
+        assert dropped[row] or not interior or whole[row]
+    assert np.all(dropped[own & ~whole])
     assert 0 < own.sum() < ex.grid.interior_mask(ex.grid.bounds_arrays()[0]).sum()
+    assert 0 < (own & dropped).sum()
 
 
 def test_extraction_refines_consistently(mixed_net):
@@ -345,19 +404,23 @@ def test_extraction_decision_contains_certifying_every_cell():
         rng = np.random.default_rng(seed)
         n = net.input_dim
         # small boxes, so that cells certify, up to wide ones, so that some interior
-        # cells hold a critical point; counts below 3 leave no interior cell
+        # cells hold a critical point; counts below 3 leave no interior cell, and
+        # counts above 4 give the tree a root to split
         centre, half = rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-3, 0.5, n)
         box = rb.Box.from_arrays(centre - half, centre + half)
-        ex = rb.extract_subset(net, box, tuple(int(c) for c in rng.integers(1, 6, n)))
+        counts = tuple(int(c) for c in rng.integers(1, 8 if n <= 3 else 6, n))
+        ex, levels = traced_extraction(net, box, counts)
         idx, lo, hi = ex.grid.bounds_arrays()
         interior = ex.grid.interior_mask(idx)
         certified = certify_cells(net, lo, hi)[2] & interior
         own = row_test(*jacobian_interval_arrays(net, lo, hi)) & interior
-        dropped = dropped_mask(ex)
+        dropped, whole = dropped_mask(ex), kept_whole_mask(ex.grid, levels)
         assert dropped.dtype == bool
-        assert np.all(dropped[certified]) and np.all(dropped[own]) and np.all(interior[dropped])
+        # an interior cell is kept only inside a leaf-sized node kept whole
+        assert np.all(whole[interior & ~dropped]) and np.all(interior[dropped])
+        assert np.all(dropped[certified & ~whole]) and np.all(dropped[own & ~whole])
         seen[0] += int((dropped & ~certified).sum())
-        seen[1] += int(certified.sum())
+        seen[1] += int((dropped & certified).sum())
         seen[2] += int((interior & ~dropped).sum())
 
     decision_contains()
@@ -407,22 +470,12 @@ def test_extraction_returns_the_kept_cells_in_row_major_order(case):
     assert c["total"] == int(np.prod(counts))
 
 
-def node_indices(grid, lo, hi):
-    """Lattice index ranges [a, b) of node bounds that are grid edges."""
-    a = np.stack([np.searchsorted(grid.edges(k), lo[:, k]) for k in range(grid.dim)], axis=1)
-    b = np.stack([np.searchsorted(grid.edges(k), hi[:, k]) for k in range(grid.dim)], axis=1)
-    for k in range(grid.dim):
-        assert np.array_equal(grid.edges(k)[a[:, k]], lo[:, k])
-        assert np.array_equal(grid.edges(k)[b[:, k]], hi[:, k])
-    return a, b
-
-
 @pytest.mark.parametrize(
     "counts, rows", [((5, 5), 9), ((2, 7), 0), ((20, 20), 324), ((3, 3), 1)]
 )
 def test_extraction_certifies_interior_rows_only(mixed_net, monkeypatch, counts, rows):
     # one Jacobian call per tree level: its rows are the children of the last level's
-    # failing nodes, and the first level tiles the interior block
+    # failing nodes that are not leaf-sized, and the first level tiles the interior block
     calls = []
 
     def recording_jacobian(net, lo, hi):
@@ -433,8 +486,9 @@ def test_extraction_certifies_interior_rows_only(mixed_net, monkeypatch, counts,
     ex = rb.extract_subset(mixed_net, rb.Box.from_bounds([(-1, 1), (-1, 1)]), counts)
     interior = ex.grid.interior_mask(ex.grid.bounds_arrays()[0])
     assert interior.sum() == rows
-    if rows == 0:
+    if all(c - 2 <= 2 for c in counts):  # no interior cell, or a leaf-sized root kept whole
         assert calls == []
+        assert np.all(~dropped_mask(ex))
         return
     block = np.zeros(counts, dtype=int)
     pending = np.zeros(counts, dtype=bool)
@@ -447,15 +501,42 @@ def test_extraction_certifies_interior_rows_only(mixed_net, monkeypatch, counts,
             block[ai[0]:bi[0], ai[1]:bi[1]] += 1
         np.testing.assert_array_equal(block, pending)  # disjoint, and tile the pending set
         passed = row_test(*jacobian_interval_arrays(mixed_net, lo, hi))
-        if level == 0:  # ceil(sqrt(r))^2 children of an r x r interior block, itself if r = 1
-            assert a.shape[0] == {1: 1, 9: 4, 324: 25}[rows]
+        if level == 0:  # ceil(sqrt(r))^2 children of an r x r interior block
+            assert a.shape[0] == {9: 4, 324: 25}[rows]
         pending[:] = False
         for ai, bi in zip(a[~passed], b[~passed]):
-            if np.any(bi - ai > 1):
+            if np.any(bi - ai > 2):
                 pending[ai[0]:bi[0], ai[1]:bi[1]] = True
     assert not pending.any()
     if counts == (20, 20):
         assert len(calls) >= 2
+
+
+@given(deep_nets())
+@settings(max_examples=60, deadline=None)
+def test_extraction_never_splits_a_leaf_sized_node(case):
+    # a node of at most 2 cells per dimension is kept whole: every evaluated node is a
+    # child of the root or of a failing node of the last level whose range is longer
+    # than 2 in some dimension, and every such node is split
+    net, seed = case
+    rng = np.random.default_rng(seed)
+    n = net.input_dim
+    centre, half = rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-2, 0.5, n)
+    counts = tuple(int(c) for c in rng.integers(3, 12 if n <= 3 else 7, n))
+    ex, levels = traced_extraction(net, rb.Box.from_arrays(centre - half, centre + half), counts)
+
+    def split(a, b):  # the nodes the tree splits: those with a range longer than 2
+        longer = np.any(b - a > 2, axis=1)
+        return a[longer], b[longer]
+
+    pa, pb = split(np.ones((1, n), dtype=int), np.array([counts]) - 1)
+    for a, b, passed in levels:
+        inside = np.all((pa[None] <= a[:, None]) & (b[:, None] <= pb[None]), axis=-1)
+        assert np.all(inside.sum(axis=1) == 1)
+        # the children tile their parents
+        assert np.prod(b - a, axis=1).sum() == np.prod(pb - pa, axis=1).sum()
+        pa, pb = split(a[~passed], b[~passed])
+    assert pa.shape[0] == 0
 
 
 def test_extraction_rejects_degenerate_input(mixed_net):

@@ -7,7 +7,7 @@ import reachbound as rb
 from reachbound.domains import box_propagate_arrays
 from reachbound.reports import verdict_document
 from reachbound import verifier
-from reachbound.topology import certify_cells, extract_subset
+from reachbound.topology import box_passes_row_test, certify_cells, extract_subset
 from reachbound.verifier import CELL_BUDGET, _check_level_size
 from conftest import identity_net, linear_net, make_net, MIXED
 
@@ -178,8 +178,11 @@ def test_subset_never_drops_boundary_cells():
             assert idx in propagated
 
 
-def _uncertifiable_cases(unit_square, scale):
-    """A non-square net and a square net above the determinant dimension limit."""
+def _tree_refused_cases(unit_square, scale):
+    """A non-square net and a square net above the tree's input limit.
+
+    At scale 1.0 both fail the whole-box row test; at scale 0.5 both pass it.
+    """
     return (
         (rb.generate_network(3, [2, 6, 3], scale=scale), unit_square, (4, 4), 16),
         (rb.generate_network(3, [7, 8, 7], scale=scale), rb.Box.from_bounds([(0, 1)] * 7),
@@ -188,13 +191,29 @@ def _uncertifiable_cases(unit_square, scale):
 
 
 def test_subset_non_square_falls_back_to_full(unit_square):
-    for net, box, grid, cells in _uncertifiable_cases(unit_square, scale=0.5):
+    for net, box, grid, cells in _tree_refused_cases(unit_square, scale=1.0):
         safe = _mc_safe(net, box, 3.0)
         v = rb.verify(problem(net, box, safe, mode="subset", grid=grid))
         assert v.stats["path"] == "full" and "fallback_full" not in v.stats
+        assert v.stats["input_certified"] is False
         assert v.stats["cells_propagated"] == cells
         with pytest.raises(ValueError):
             certify_cells(net, box.lo, box.hi)
+
+
+@pytest.mark.parametrize("mode", ["subset", "auto"])
+def test_a_box_that_passes_the_row_test_takes_the_faces_on_any_net_shape(unit_square, mode):
+    for net, box, grid, _ in _tree_refused_cases(unit_square, scale=0.5):
+        safe = _mc_safe(net, box, 3.0)
+        v = rb.verify(problem(net, box, safe, mode=mode, grid=grid))
+        faces = rb.verify(problem(net, box, safe, mode="boundary", grid=grid))
+        assert v.stats["path"] == "boundary" and v.stats["input_certified"] is True
+        assert v.stats["assumes_invertible"] is False
+        assert v.stats["cells_propagated"] == faces.stats["cells_propagated"]
+        assert v.status == rb.SAFE
+        assert v.output_hull.contains_box(rb.monte_carlo(net, box, 5000, seed=1).image_hull)
+        assert v.output_hull.lo.tobytes() == faces.output_hull.lo.tobytes()
+        assert v.output_hull.hi.tobytes() == faces.output_hull.hi.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +228,37 @@ def test_auto_certified_takes_boundary_path(unit_square, invertible_net):
     assert v.stats["assumes_invertible"] is False
 
 
+@pytest.mark.parametrize("mode", ["subset", "auto"])
+def test_a_box_that_fails_the_determinant_but_passes_the_row_test_takes_the_faces(mode):
+    # sigmoid-2-8-2 of the planar workloads, without their jitter
+    net = rb.generate_network(1, (2, 8, 2), "sigmoid", 2.0)
+    box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
+    assert not rb.certify_homeomorphism(net, box).certified and box_passes_row_test(net, box)
+    v = rb.verify(problem(net, box, _mc_safe(net, box, 1.3), mode=mode, grid=(40, 40)))
+    assert v.stats["path"] == "boundary" and v.stats["input_certified"] is True
+    assert v.stats["assumes_invertible"] is False and v.stats["cells_propagated"] == 160
+    assert v.status == rb.SAFE
+    # the cells the subset path propagates: face cells lie in its ring cells, and the
+    # box pass is inclusion-monotone, so the face hull lies inside its hull
+    ex = extract_subset(net, box, (40, 40))
+    tree = rb.verifier.propagate_cells(net, rb.verifier.CellBatch(ex.index, ex.lo, ex.hi), "box")
+    assert tree.hull().contains_box(v.output_hull)
+    assert v.output_hull.contains_box(rb.monte_carlo(net, box, 20_000, seed=3).image_hull)
+
+
 def test_auto_singular_takes_subset_path(unit_square):
-    net = linear_net([[1.0, 1.0], [1.0, 1.0]])
+    # a zero row fails the row test; a singular net with nonzero gradient rows passes it
     safe = rb.Box.from_bounds([(-1, 3), (-1, 3)])
-    v = rb.verify(problem(net, unit_square, safe, grid=(4, 4)))
-    assert v.stats["path"] == "subset"
+    v = rb.verify(problem(linear_net([[1.0, 1.0], [0.0, 0.0]]), unit_square, safe, grid=(4, 4)))
+    assert v.stats["path"] == "subset" and v.stats["input_certified"] is False
+    assert v.status == rb.SAFE
+    v = rb.verify(problem(linear_net([[1.0, 1.0], [1.0, 1.0]]), unit_square, safe, grid=(4, 4)))
+    assert v.stats["path"] == "boundary" and v.stats["input_certified"] is True
     assert v.status == rb.SAFE
 
 
 def test_auto_non_square_falls_back_to_full_grid(unit_square):
-    for net, box, grid, cells in _uncertifiable_cases(unit_square, scale=1.0):
+    for net, box, grid, cells in _tree_refused_cases(unit_square, scale=1.0):
         safe = _mc_safe(net, box, 3.0)
         v = rb.verify(problem(net, box, safe, grid=grid))
         assert v.stats["path"] == "full" and "fallback_full" not in v.stats
@@ -289,11 +329,11 @@ def test_refinement_keeps_zero_width_dimensions_at_one_cell(mode, domain):
 @pytest.mark.parametrize("domain", ["box", "zono"])
 @pytest.mark.parametrize("mode", ["subset", "auto"])
 def test_a_flat_input_box_takes_the_full_path(mode, domain, monkeypatch):
-    # a box with no interior has no cell to drop, so nothing is certified
+    # a box with no interior has no cell to drop, so nothing is tested
     def no_certification(*args):
-        raise AssertionError("a flat box was certified")
+        raise AssertionError("a flat box was tested")
 
-    monkeypatch.setattr(verifier, "certify_homeomorphism", no_certification)
+    monkeypatch.setattr(verifier, "box_passes_row_test", no_certification)
     monkeypatch.setattr(verifier, "extract_subset", no_certification)
     net = make_net(**MIXED)
     full, v = (
