@@ -13,13 +13,11 @@ cell.
 """
 
 import argparse
-import json
 from pathlib import Path
 
-import numpy as np
-
 import reachbound as rb
-from reachbound.reports import write_certification, write_reach_cells, write_verdict
+from reachbound import cli
+from reachbound.reports import write_reach_cells, write_verdict
 
 
 def main():
@@ -47,19 +45,13 @@ def main():
           f"certified={whole.certified}  "
           f"row test passed={rb.topology.box_passes_row_test(net, box)}")
 
-    # the per-cell report certifies every cell; subset mode below tests only
-    # the interior cells, the ones it may drop, with the gradient-row tree
-    grid = rb.partition(box, (args.grid, args.grid))
-    idx, lo, hi = grid.bounds_arrays()
-    det_lo, det_hi, certified = rb.topology.certify_cells(net, lo, hi)
-    interior = int((certified & grid.interior_mask(idx)).sum())
-    kept = grid.total - interior
-    print(
-        f"grid {args.grid}x{args.grid}: total={grid.total} "
-        f"certified_interior={interior} kept={kept} "
-        f"({100.0 * kept / grid.total:.1f}% propagated)"
-    )
-    write_certification(idx, det_lo, det_hi, certified, outdir / "certification.csv")
+    # the certify command's per-cell report certifies every cell; subset mode
+    # below tests only the interior cells, the ones it may drop, with the
+    # gradient-row tree
+    print(f"certify --grid {args.grid}:")
+    if cli.main(["certify", "--model", str(outdir / "model.json"), "--input", "-1,1;-1,1",
+                 "--grid", str(args.grid), "--out", str(outdir / "certification.csv")]):
+        raise SystemExit(1)
 
     mc = rb.monte_carlo(net, box, 100_000, seed=0)
     hull = mc.image_hull

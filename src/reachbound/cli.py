@@ -85,9 +85,9 @@ def _problem_from_args(args) -> VerificationProblem:
         safe_box=safe_box,
         domain=args.domain,
         mode=getattr(args, "mode", "auto"),
-        grid=args.grid.split(",") if args.grid else None,
+        grid=None if args.grid is None else args.grid.split(","),
         max_refinements=getattr(args, "max_refine", 0),
-        seed=args.seed,
+        seed=getattr(args, "seed", 0),
         falsify_samples=getattr(args, "falsify_samples", 0),
     )
 
@@ -105,44 +105,34 @@ def cmd_verify(args) -> int:
 def cmd_compare(args) -> int:
     """Run boundary, subset and full modes at the same per-cell width.
 
-    A box with a zero-width dimension has no faces to propagate, so its
-    boundary row is marked not applicable.
+    ``--out`` writes the three verdict documents.  A box with a zero-width
+    dimension has no faces to propagate, so its boundary document has status
+    ``n/a`` and a ``reason``.
     """
     base = _problem_from_args(args)
-    rows = []
+    docs = []
     for mode in ("boundary", "subset", "full"):
         if mode == "boundary" and base.input_box.degenerate_dims():
-            rows.append({"mode": mode, "cells": None, "verdict": "n/a", "time_ms": None,
-                         "hull": None, "reason": "the input box has a zero-width dimension"})
-            continue
-        verdict = verify(replace(base, mode=mode))
-        row = {
-            "mode": mode,
-            "cells": verdict.stats.get("cells_propagated"),
-            "verdict": verdict.status,
-            "time_ms": verdict.stats.get("wall_ms"),
-            "hull": None if verdict.output_hull is None else verdict.output_hull.bounds(),
-        }
-        for key in ("path", "input_certified", "cells_total", "cells_certified", "cells_kept",
-                    "assumes_invertible"):
-            if key in verdict.stats:
-                row[key] = verdict.stats[key]
-        rows.append(row)
-    width = max(len(m["mode"]) for m in rows)
-    print(f"{'mode':<{width}}  {'cells':>8}  {'verdict':>9}  {'time_ms':>10}")
-    for row in rows:
-        time_ms = "-" if row["time_ms"] is None else f"{row['time_ms']:.2f}"
-        cells = "-" if row["cells"] is None else row["cells"]
-        print(f"{row['mode']:<{width}}  {cells:>8}  {row['verdict']:>9}  {time_ms:>10}")
+            docs.append({"status": "n/a", "stats": {"mode": mode}, "output_hull": None,
+                         "counterexample": None,
+                         "reason": "the input box has a zero-width dimension"})
+        else:
+            docs.append(verdict_document(verify(replace(base, mode=mode))))
+    print(f"{'mode':<8}  {'cells':>8}  {'verdict':>9}  {'time_ms':>10}")
+    for doc in docs:
+        stats = doc["stats"]
+        time_ms = f"{stats['wall_ms']:.2f}" if "wall_ms" in stats else "-"
+        cells = stats.get("cells_propagated", "-")
+        print(f"{stats['mode']:<8}  {cells:>8}  {doc['status']:>9}  {time_ms:>10}")
     if args.out:
-        Path(args.out).write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
+        Path(args.out).write_text(json.dumps(docs, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
 def cmd_certify(args) -> int:
     net = read_model(args.model)
     input_box = parse_box(args.input)
-    counts = grid_counts(args.grid.split(",") if args.grid else None, input_box.dim)
+    counts = grid_counts(None if args.grid is None else args.grid.split(","), input_box.dim)
     if input_box.degenerate_dims():
         raise ValueError("certification requires a non-degenerate input box")
     _check_level_size("full", counts)  # certify builds every grid cell, as full mode does
@@ -209,8 +199,6 @@ def _add_common(parser, *, safe_required: bool) -> None:
     parser.add_argument(
         "--safe", required=safe_required, help='safe box "lo,hi;lo,hi;..."'
     )
-    parser.add_argument("--grid", help="per-dim cell counts, e.g. 100 or 100,50")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,6 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify one problem and emit a verdict")
     _add_common(p, safe_required=True)
+    p.add_argument("--grid", help="per-dim cell counts, e.g. 100 or 100,50")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--domain", choices=DOMAINS, default="box")
     p.add_argument("--mode", choices=MODES, default="auto")
     p.add_argument("--max-refine", type=int, default=0,
@@ -230,8 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run boundary, subset and full at equal cell width")
     _add_common(p, safe_required=True)
+    p.add_argument("--grid", help="per-dim cell counts, e.g. 100 or 100,50")
     p.add_argument("--domain", choices=DOMAINS, default="box")
-    p.add_argument("--out", help="write the comparison rows as JSON")
+    p.add_argument("--out", help="write the three verdict documents as JSON")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("certify", help="per-cell homeomorphism certification")
@@ -243,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="Monte-Carlo image sampling")
     _add_common(p, safe_required=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--out", help="write sampled points CSV")
     p.set_defaults(func=cmd_mc)

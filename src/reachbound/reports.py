@@ -37,26 +37,18 @@ MC_COLOR = "yellow"
 
 
 def verdict_document(verdict: Verdict) -> dict:
-    stats = verdict.stats
-    doc = {
+    """The verdict as JSON: its ``stats`` exactly as `verify` recorded them.
+
+    A stat that `verify` does not record on a path is absent, not ``null``.
+    """
+    return {
         "status": verdict.status,
-        "stats": {
-            "cells": stats.get("cells_propagated"),
-            "certified": stats.get("cells_certified"),
-            "kept": stats.get("cells_kept"),
-            "refinement_level": stats.get("refinement_level", 0),
-            "wall_ms": stats.get("wall_ms"),
-        },
+        "stats": dict(verdict.stats),
         "output_hull": None if verdict.output_hull is None else verdict.output_hull.bounds(),
         "counterexample": None
         if verdict.counterexample is None
         else [float(v) for v in verdict.counterexample],
     }
-    for key in ("mode", "path", "assumes_invertible", "input_certified", "cells_total",
-                "certify_ms", "propagate_ms"):
-        if key in stats:
-            doc["stats"][key] = stats[key]
-    return doc
 
 
 def write_verdict(verdict: Verdict, path) -> None:

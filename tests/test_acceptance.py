@@ -95,9 +95,9 @@ def test_c1_partition_counts(tmp_path, capsys):
     )
     capsys.readouterr()
     assert code == 0
-    rows = {r["mode"]: r for r in json.loads(out.read_text())}
-    assert rows["full"]["cells"] == 10_000
-    assert rows["boundary"]["cells"] == 400
+    stats = {d["stats"]["mode"]: d["stats"] for d in json.loads(out.read_text())}
+    assert stats["full"]["cells_propagated"] == 10_000
+    assert stats["boundary"]["cells_propagated"] == 400
 
 
 @criterion("C2", "master soundness (Safe verdicts vs 1e5-sample Monte-Carlo)", 60.0)

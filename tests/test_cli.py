@@ -1,14 +1,19 @@
+import argparse
+import ast
+import inspect
 import json
 import os
 import resource
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reachbound as rb
+from reachbound import cli
 from reachbound.cli import main, parse_box
 from reachbound.reports import (
     read_reach_cells,
@@ -63,7 +68,7 @@ def test_verify_safe_exit_zero(identity_model, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["status"] == "safe"
-    assert doc["stats"]["cells"] == 20
+    assert doc["stats"]["cells_propagated"] == 20
 
 
 def test_verify_unknown_exit_one(identity_model, capsys):
@@ -199,6 +204,7 @@ def test_verify_negative_count_exit_three(identity_model, capsys, option, value)
         ("mc", "--samples", "-5"),
         ("verify", "--grid", "0"),
         ("verify", "--grid", "2,x"),
+        ("verify", "--grid", ""),
         ("certify", "--grid", "0"),
         ("certify", "--grid", "3,4,5"),
     ],
@@ -281,7 +287,9 @@ def test_verdict_json_roundtrip(identity_model, tmp_path, capsys):
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert doc == json.loads(out)
-    assert set(doc["stats"]) >= {"cells", "certified", "kept", "refinement_level", "wall_ms"}
+    assert set(doc["stats"]) >= {"cells_propagated", "refinement_level", "wall_ms"}
+    # the full path records no subset counts, so the document holds none
+    assert not {"cells_total", "cells_certified", "cells_kept"} & set(doc["stats"])
     assert doc["output_hull"] == [[0.0, 1.0], [0.0, 1.0]] or all(
         abs(a - b) < 1e-9
         for pair, ref in zip(doc["output_hull"], [[0, 1], [0, 1]])
@@ -297,12 +305,12 @@ def test_compare_reports_cell_counts(seeded_model, capsys, tmp_path):
         "--safe", "-9,9;-9,9", "--grid", "100", "--out", str(out_path),
     )
     assert code == 0
-    rows = {r["mode"]: r for r in json.loads(out_path.read_text())}
-    assert rows["full"]["cells"] == 10_000
-    assert rows["boundary"]["cells"] == 400
-    # the seeded net certifies on the unit square, so the subset row is its faces
-    subset = rows["subset"]
-    assert subset["cells"] == 400 and subset["path"] == "boundary"
+    stats = {d["stats"]["mode"]: d["stats"] for d in json.loads(out_path.read_text())}
+    assert stats["full"]["cells_propagated"] == 10_000
+    assert stats["boundary"]["cells_propagated"] == 400
+    # the seeded net certifies on the unit square, so the subset document is its faces
+    subset = stats["subset"]
+    assert subset["cells_propagated"] == 400 and subset["path"] == "boundary"
     assert subset["input_certified"] is True and subset["assumes_invertible"] is False
     assert "mode" in out and "cells" in out
 
@@ -313,7 +321,7 @@ def test_compare_reports_cell_counts(seeded_model, capsys, tmp_path):
         "--safe", "-9,9;-9,9", "--grid", "100", "--out", str(out_path),
     )
     assert code == 0
-    subset = {r["mode"]: r for r in json.loads(out_path.read_text())}["subset"]
+    subset = {d["stats"]["mode"]: d["stats"] for d in json.loads(out_path.read_text())}["subset"]
     assert subset["path"] == "subset" and subset["input_certified"] is False
     assert subset["cells_kept"] + subset["cells_certified"] == 10_000
 
@@ -363,10 +371,64 @@ def test_compare_rows_carry_the_boundary_assumption(tmp_path, capsys):
     )
     assert code == 0
     assert out.splitlines()[0].split() == ["mode", "cells", "verdict", "time_ms"]
-    rows = {r["mode"]: r for r in json.loads(out_path.read_text())}
-    assert rows["boundary"]["verdict"] == "safe" and rows["boundary"]["assumes_invertible"] is True
-    assert rows["subset"]["verdict"] == rows["full"]["verdict"] == "unknown"
-    assert "assumes_invertible" not in rows["subset"] and "assumes_invertible" not in rows["full"]
+    docs = {d["stats"]["mode"]: d for d in json.loads(out_path.read_text())}
+    assert docs["boundary"]["status"] == "safe"
+    assert docs["boundary"]["stats"]["assumes_invertible"] is True
+    assert docs["subset"]["status"] == docs["full"]["status"] == "unknown"
+    assert "assumes_invertible" not in docs["subset"]["stats"]
+    assert "assumes_invertible" not in docs["full"]["stats"]
+
+
+def test_compare_documents_are_the_verify_documents(tmp_path, capsys):
+    model, out_path = tmp_path / "mixed.json", tmp_path / "doc.json"
+    rb.write_model(make_net(**MIXED), model)
+    argv = ["--model", str(model), "--input", "-1,1;-1,1", "--safe", "-9,9;-9,9", "--grid", "20"]
+
+    def untimed(doc):
+        timings = ("wall_ms", "certify_ms", "propagate_ms")
+        return {**doc, "stats": {k: v for k, v in doc["stats"].items() if k not in timings}}
+
+    code, _, _ = run(capsys, "compare", *argv, "--out", str(out_path))
+    assert code == 0
+    docs = json.loads(out_path.read_text())
+    assert [d["stats"]["mode"] for d in docs] == ["boundary", "subset", "full"]
+    for doc in docs:
+        run(capsys, "verify", *argv, "--mode", doc["stats"]["mode"], "--out", str(out_path))
+        assert untimed(doc) == untimed(json.loads(out_path.read_text()))
+
+
+def _namespace_reads(func):
+    """Names ``func`` reads from ``args``, following the cli helpers it passes ``args`` to."""
+    names = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(func)))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            names.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "getattr" and getattr(node.args[0], "id", None) == "args":
+                names.add(node.args[1].value)
+            elif any(getattr(a, "id", None) == "args" for a in node.args):
+                names |= _namespace_reads(getattr(cli, node.func.id))
+    return names
+
+
+def test_every_option_is_read_by_its_command():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        options = {a.dest for a in sub._actions} - {"help", "func"}
+        unread = options - _namespace_reads(sub.get_default("func"))
+        assert not unread, f"{name} accepts options it never reads: {sorted(unread)}"
+
+
+@pytest.mark.parametrize("argv", [("mc", "--grid", "7"), ("compare", "--seed", "123")],
+                         ids=" ".join)
+def test_removed_options_exit_four(identity_model, capsys, argv):
+    command, *options = argv
+    code, out, err = run(
+        capsys, command, "--model", identity_model, "--input", "0,1;0,1",
+        "--safe", "-1,2;-1,2", *options,
+    )
+    assert code == 4 and out == "" and "unrecognized arguments" in err
 
 
 def test_certify_csv_and_summary(tmp_path, capsys):
@@ -632,7 +694,7 @@ def test_one_count_grid_skips_zero_width_dimensions(tmp_path, capsys):
         )
         assert code == 0 and err == ""
         doc = json.loads(out)
-        assert doc["stats"]["cells"] == 4 and doc["stats"].get("path", "full") == "full"
+        assert doc["stats"]["cells_propagated"] == 4 and doc["stats"].get("path", "full") == "full"
         idx, _, _ = read_reach_cells(tmp_path / "cells.csv")
         assert idx.tolist() == [[0, 0], [1, 0], [2, 0], [3, 0]]
     code, _, err = run(
@@ -650,11 +712,12 @@ def test_compare_marks_the_boundary_row_not_applicable_on_a_flat_box(tmp_path, c
         "--safe", "-99,99;-99,99", "--grid", "4", "--out", str(out_path),
     )
     assert code == 0 and err == ""
-    rows = {r["mode"]: r for r in json.loads(out_path.read_text())}
-    boundary = rows["boundary"]
-    assert boundary["verdict"] == "n/a" and boundary["cells"] is None and boundary["hull"] is None
-    assert rows["subset"]["path"] == "full" and rows["subset"]["verdict"] == "safe"
-    assert rows["subset"]["cells"] == rows["full"]["cells"] == 4
+    docs = {d["stats"]["mode"]: d for d in json.loads(out_path.read_text())}
+    assert docs["boundary"] == {"status": "n/a", "stats": {"mode": "boundary"}, "output_hull": None,
+                                "counterexample": None,
+                                "reason": "the input box has a zero-width dimension"}
+    assert docs["subset"]["stats"]["path"] == "full" and docs["subset"]["status"] == "safe"
+    assert docs["subset"]["stats"]["cells_propagated"] == docs["full"]["stats"]["cells_propagated"] == 4
     lines = {line.split()[0]: line.split()[1:] for line in out.splitlines()[1:]}
     assert lines["boundary"] == ["-", "n/a", "-"]
     assert lines["full"][:2] == ["4", "safe"]

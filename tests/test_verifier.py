@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import numpy as np
@@ -370,6 +371,21 @@ def test_phase_times_in_stats_and_document(mode):
         assert v.stats["certify_ms"] == 0
     else:
         assert v.stats["certify_ms"] > 0
+
+
+@pytest.mark.parametrize("mode", ["boundary", "subset", "full", "auto"])
+@pytest.mark.parametrize("domain", ["box", "zono"])
+@pytest.mark.parametrize("half_width, status", [(99.0, rb.SAFE), (1e-9, rb.UNKNOWN)],
+                         ids=["safe", "unknown"])
+def test_verdict_document_stats_are_the_verdict_stats(mode, domain, half_width, status):
+    box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
+    safe = rb.Box.from_bounds([(-half_width, half_width)] * 2)
+    v = rb.verify(problem(make_net(**MIXED), box, safe, mode=mode, domain=domain, grid=(8, 8),
+                          max_refinements=1))
+    assert v.status == status
+    doc = verdict_document(v)
+    assert doc["stats"] == v.stats
+    assert json.loads(json.dumps(doc)) == doc
 
 
 # ---------------------------------------------------------------------------
