@@ -5,9 +5,10 @@ A zonotope holds ``{c + G eps : eps in [-1,1]^g}`` plus a per-dimension
 activation transformers, so every concretization (and every float evaluation
 of a contained point) stays inside the reported set.  Both domains take
 batched cells: `box_propagate_arrays` and `zono_propagate` map ``(..., n)``
-cell bounds to ``(..., m)`` output hulls in whole array passes.  A box gives
-a zonotope one generator per dimension, zero where its width is zero, so
-faces, points and grid cells share one generator count in a batch.
+cell bounds to ``(..., m)`` output hulls in array passes over blocks of
+``_BLOCK`` cells (`_map_row_blocks`).  A box gives a zonotope one generator
+per dimension, zero where its width is zero, so faces, points and grid cells
+share one generator count in a batch.
 """
 
 from __future__ import annotations
@@ -48,25 +49,55 @@ def normalize_domain(tag: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# interval-box propagation
+# row blocks
+
+_BLOCK = 4096  # rows per array pass: bounds every per-layer array of a batched pass
 
 
-def box_propagate_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
-    """Propagate batched boxes (..., input_dim) through every layer."""
+def _map_row_blocks(net: Network, fn, lo, hi, tails, dtype=float):
+    """``fn(lo, hi)`` over blocks of at most ``_BLOCK`` rows of (..., input_dim) bounds.
+
+    ``fn`` maps (rows, n) bounds to one array per entry of ``tails``, shaped
+    ``(rows,) + tail``, which fills those rows of a preallocated output; the
+    outputs come back shaped ``lo.shape[:-1] + tail``.  No rows make no call.
+    The blocks are near-equal, so a batch of two or more rows never runs a
+    one-row block: NumPy computes a one-row matrix product as a
+    matrix-vector product, whose sums can round differently.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.shape[-1] != net.input_dim:
         raise ValueError(f"cell dimension {lo.shape[-1]} != input dim {net.input_dim}")
-    for layer in net.layers:
-        zlo, zhi = _interval_matvec_arrays(layer.weights, layer.bias, lo, hi)
-        lo, hi = _act_range_arrays(layer.activation, zlo, zhi)
-    return lo, hi
+    rows_lo = lo.reshape(-1, net.input_dim)
+    rows_hi = hi.reshape(rows_lo.shape)
+    rows = rows_lo.shape[0]
+    outs = [np.empty((rows,) + tail, dtype=dtype) for tail in tails]
+    count = -(-rows // _BLOCK)
+    for j in range(count):
+        block = slice(j * rows // count, (j + 1) * rows // count)
+        for out, part in zip(outs, fn(rows_lo[block], rows_hi[block])):
+            out[block] = part
+    return tuple(out.reshape(lo.shape[:-1] + tail) for out, tail in zip(outs, tails))
+
+
+# ---------------------------------------------------------------------------
+# interval-box propagation
+
+
+def box_propagate_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
+    """Propagate batched boxes (..., input_dim) through every layer, in row blocks."""
+
+    def layers(lo, hi):
+        for layer in net.layers:
+            zlo, zhi = _interval_matvec_arrays(layer.weights, layer.bias, lo, hi)
+            lo, hi = _act_range_arrays(layer.activation, zlo, zhi)
+        return lo, hi
+
+    return _map_row_blocks(net, layers, lo, hi, ((net.output_dim,),) * 2)
 
 
 # ---------------------------------------------------------------------------
 # zonotopes
-
-_BLOCK = 1024  # cells per array pass: bounds the (block, d, g) generator arrays
 
 
 @dataclass(frozen=True)
@@ -194,19 +225,11 @@ def zono_propagate(net: Network, lo: np.ndarray, hi: np.ndarray):
     block as alone: its hull is the one `zono_from_box`, `zono_affine`,
     `zono_activation` and `hull_arrays` give for that cell.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.shape[-1] != net.input_dim:
-        raise ValueError(f"cell dimension {lo.shape[-1]} != input dim {net.input_dim}")
-    rows_lo = lo.reshape(-1, net.input_dim)
-    rows_hi = hi.reshape(-1, net.input_dim)
-    out_lo = np.empty((rows_lo.shape[0], net.output_dim))
-    out_hi = np.empty_like(out_lo)
-    for start in range(0, rows_lo.shape[0], _BLOCK):
-        block = slice(start, start + _BLOCK)
-        z = _zono_from_bounds(rows_lo[block], rows_hi[block])
+
+    def layers(lo, hi):
+        z = _zono_from_bounds(lo, hi)
         for layer in net.layers:
             z = zono_activation(zono_affine(z, layer.weights, layer.bias), layer.activation)
-        out_lo[block], out_hi[block] = z.hull_arrays()
-    shape = lo.shape[:-1] + (net.output_dim,)
-    return out_lo.reshape(shape), out_hi.reshape(shape)
+        return z.hull_arrays()
+
+    return _map_row_blocks(net, layers, lo, hi, ((net.output_dim,),) * 2)

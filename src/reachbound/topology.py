@@ -13,8 +13,9 @@ Two tests read the interval enclosure of the Jacobian over a cell,
   `box_passes_row_test` runs it on one box, such as the whole input box,
   on any network shape; `extract_subset` runs it on a tree over the
   interior cells, the only ones it may drop, with one Jacobian call per
-  tree level, and returns only the cells it keeps.  The tree accepts a
-  square network with at most 6 inputs (`subset_tree_applies`);
+  tree level and block of rows, and returns only the cells it keeps.  The
+  tree accepts a square network with at most 6 inputs
+  (`subset_tree_applies`);
 - the determinant test certifies a network restricted to a cell as a
   homeomorphism onto its image when the enclosure of the determinant
   excludes zero.  It needs a square network with at most 6 inputs, because
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import _BLOCK
+from .domains import _map_row_blocks
 from .intervals import (
     Box,
     _act_deriv_arrays,
@@ -223,24 +224,12 @@ def certify_homeomorphism(net: Network, cell: Box) -> CertificationResult:
 def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):
     """Batch certification of cells (..., n); returns (det_lo, det_hi, certified) arrays.
 
-    Rows run in blocks of ``_BLOCK``, which bounds the per-layer Jacobian
-    arrays on large grids; a row's bounds do not depend on its block.  No
-    rows make no Jacobian call.
+    Rows run in blocks (`_map_row_blocks`), which bound the per-layer
+    Jacobian arrays on large grids.  No rows make no Jacobian call.
     """
     _require_square(net, "the determinant test")
-    n = np.shape(lo)[-1]
-    if n != net.input_dim:
-        raise ValueError(f"cell dimension {n} != input dim {net.input_dim}")
-    shape = np.shape(lo)[:-1]
-    rows_lo = np.reshape(np.asarray(lo, dtype=float), (-1, n))
-    rows_hi = np.reshape(np.asarray(hi, dtype=float), (-1, n))
-    det_lo = np.empty(rows_lo.shape[0])
-    det_hi = np.empty_like(det_lo)
-    for start in range(0, rows_lo.shape[0], _BLOCK):
-        block = slice(start, start + _BLOCK)
-        jlo, jhi = jacobian_interval_arrays(net, rows_lo[block], rows_hi[block])
-        det_lo[block], det_hi[block] = _idet_arrays(jlo, jhi)
-    det_lo, det_hi = det_lo.reshape(shape), det_hi.reshape(shape)
+    det_lo, det_hi = _map_row_blocks(
+        net, lambda lo, hi: _idet_arrays(*jacobian_interval_arrays(net, lo, hi)), lo, hi, ((), ()))
     return det_lo, det_hi, (det_lo > 0.0) | (det_hi < 0.0)
 
 
@@ -309,11 +298,12 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     is the root of a tree of index-range nodes.  Each level keeps the
     pending nodes that are leaf-sized, at most 2 cells in every dimension,
     whole; splits the others (`_split_nodes`); evaluates all their children
-    in one `jacobian_interval_arrays` call, on bounds taken from
-    ``grid.edges(k)``, so a node's bounds are its cells' own floats; drops
-    each passing child with all its cells; and leaves the failing children
-    pending.  The root is never evaluated, so a leaf-sized root, on a grid
-    of at most 4 cells in every dimension, is kept without a Jacobian call.
+    in one `jacobian_interval_arrays` call per block of rows
+    (`_map_row_blocks`), on bounds taken from ``grid.edges(k)``, so a node's
+    bounds are its cells' own floats; drops each passing child with all its
+    cells; and leaves the failing children pending.  The root is never
+    evaluated, so a leaf-sized root, on a grid of at most 4 cells in every
+    dimension, is kept without a Jacobian call.
 
     Cost.  A leaf-sized node would split into single cells, and a Jacobian
     row costs 3-8 box-pass rows (measured over the workload nets), while a
@@ -345,7 +335,10 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
             kept[tuple(cells.T)] = True
             a, b = _split_nodes(a[~leaf], b[~leaf])
             if a.shape[0]:
-                failed = ~_passes_row_test(*jacobian_interval_arrays(net, *grid.range_bounds(a, b)))
-                a, b = a[failed], b[failed]
+                (passed,) = _map_row_blocks(
+                    net,
+                    lambda lo, hi: (_passes_row_test(*jacobian_interval_arrays(net, lo, hi)),),
+                    *grid.range_bounds(a, b), ((),), dtype=bool)
+                a, b = a[~passed], b[~passed]
     index = np.argwhere(kept)
     return SubsetExtraction(grid, index, *grid.range_bounds(index, index + 1))

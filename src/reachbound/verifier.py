@@ -154,7 +154,7 @@ def boundary_cell_batch(input_box: Box, counts: Sequence[int]) -> CellBatch:
 
 
 def propagate_cells(net: Network, batch: CellBatch, domain: str) -> CellBatch:
-    """Fill the batch's output hulls under the box or zonotope domain."""
+    """Fill the batch's output hulls under the box or zonotope domain, a block of cells at a time."""
     propagate = box_propagate_arrays if normalize_domain(domain) == "box" else zono_propagate
     batch.out_lo, batch.out_hi = propagate(net, batch.lo, batch.hi)
     return batch
@@ -202,12 +202,13 @@ def monte_carlo(
 # the driver
 
 
-# Largest cell batch one level may build.  Building a level holds each
-# cell's lattice index and bounds (24 bytes per input dimension) plus the
-# per-layer interval arrays of its pass, and the subset path an (n, m)
-# Jacobian pair per cell and layer: at 2^22 cells the lattice arrays alone
-# take 0.2 GB at 2 inputs and 0.6 GB at 6, and a pass several times that.
-# The benchmark's largest level is 40 000 cells.
+# Largest cell batch one level may build.  A level holds each cell's
+# lattice index and bounds (24 bytes per input dimension) and its output
+# hull (16 bytes per output dimension): at 2^22 cells that is 0.3 GB at 2
+# inputs and 1 GB at 6.  The passes themselves (box, zonotope and the
+# subset tree's Jacobian) run in blocks of `domains._BLOCK` cells, so their
+# per-layer arrays do not grow with the grid.  The benchmark's largest
+# level is 40 000 cells.
 CELL_BUDGET = 2**22
 
 

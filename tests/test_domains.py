@@ -249,6 +249,38 @@ def test_propagation_soundness_by_sampling(domain, seed):
         assert np.all(images >= hull.lo) and np.all(images <= hull.hi)
 
 
+def test_box_pass_across_block_boundaries(monkeypatch):
+    net = make_net(seed=6, dims=(3, 8, 5, 2))
+    block = 100
+    rows = 2 * block + 1
+    rng = np.random.default_rng(6)
+    lo = rng.uniform(-1, 1, (rows, 3))
+    hi = lo + rng.uniform(0, 0.5, (rows, 3)) * (rng.random((rows, 3)) < 0.8)
+    calls = []
+    matvec = rb.domains._interval_matvec_arrays
+
+    def recording_matvec(w, b, xlo, xhi):
+        calls.append(np.shape(xlo))
+        return matvec(w, b, xlo, xhi)
+
+    monkeypatch.setattr(rb.domains, "_interval_matvec_arrays", recording_matvec)
+    monkeypatch.setattr(rb.domains, "_BLOCK", rows)
+    whole_lo, whole_hi = box_propagate_arrays(net, lo, hi)
+    assert [r for r, _ in calls] == [rows] * len(net.layers)
+    calls.clear()
+    monkeypatch.setattr(rb.domains, "_BLOCK", block)
+    # leading axes (a, b, n) are batch axes, flattened into rows across blocks
+    out_lo, out_hi = box_propagate_arrays(net, lo.reshape(3, 67, 3), hi.reshape(3, 67, 3))
+    # near-equal blocks of at most `_BLOCK` rows: three of 67, never a one-row block
+    assert [r for r, _ in calls] == [rows // 3] * len(net.layers) * 3
+    assert out_lo.shape == out_hi.shape == (3, 67, 2)
+    assert np.array_equal(out_lo.reshape(rows, 2), whole_lo)
+    assert np.array_equal(out_hi.reshape(rows, 2), whole_hi)
+    calls.clear()
+    empty_lo, empty_hi = box_propagate_arrays(net, np.empty((0, 3)), np.empty((0, 3)))
+    assert empty_lo.shape == empty_hi.shape == (0, 2) and not calls
+
+
 def test_batched_box_propagation_matches_single(invertible_net):
     cells_lo = np.array([[0.0, 0.0], [0.5, 0.25], [-1.0, 0.125]])
     cells_hi = cells_lo + 0.25
@@ -303,7 +335,8 @@ def test_batched_zonotopes_match_per_cell_chain(case):
     assert np.all(images >= batch.out_lo[:, None]) and np.all(images <= batch.out_hi[:, None])
 
 
-def test_batched_zonotopes_across_a_block_boundary(invertible_net, unit_square):
+def test_batched_zonotopes_across_a_block_boundary(invertible_net, unit_square, monkeypatch):
+    monkeypatch.setattr(rb.domains, "_BLOCK", 100)
     batch = grid_cell_batch(rb.partition(unit_square, (33, 33)))
     assert batch.count > rb.domains._BLOCK
     propagate_cells(invertible_net, batch, "zono")

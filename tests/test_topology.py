@@ -512,6 +512,26 @@ def test_extraction_certifies_interior_rows_only(mixed_net, monkeypatch, counts,
         assert len(calls) >= 2
 
 
+def test_extraction_across_a_block_boundary(mixed_net, monkeypatch):
+    box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
+    whole = rb.extract_subset(mixed_net, box, (40, 40))
+    assert 0 < whole.counts["certified_interior"] < 38 * 38
+    block = 7
+    monkeypatch.setattr(rb.domains, "_BLOCK", block)
+    calls = []
+
+    def recording_jacobian(net, lo, hi):
+        calls.append(lo.shape[0])
+        return jacobian_interval_arrays(net, lo, hi)
+
+    monkeypatch.setattr(topology, "jacobian_interval_arrays", recording_jacobian)
+    blocked = rb.extract_subset(mixed_net, box, (40, 40))
+    assert calls[:7] == [block] * 7  # the first level's 7 x 7 children of the 38 x 38 root
+    assert max(calls) == block
+    np.testing.assert_array_equal(blocked.index, whole.index)
+    assert blocked.lo.tobytes() == whole.lo.tobytes() and blocked.hi.tobytes() == whole.hi.tobytes()
+
+
 @given(deep_nets())
 @settings(max_examples=60, deadline=None)
 def test_extraction_never_splits_a_leaf_sized_node(case):
@@ -552,9 +572,11 @@ def test_extraction_rejects_non_square():
 
 
 def test_certify_cells_across_a_block_boundary(mixed_net, monkeypatch):
+    block = 100
+    monkeypatch.setattr(rb.domains, "_BLOCK", block)
     grid = rb.partition(rb.Box.from_bounds([(-1, 1), (-1, 1)]), (33, 33))
     _, lo, hi = grid.bounds_arrays()
-    assert grid.total > topology._BLOCK
+    assert grid.total > block
     calls = []
 
     def recording_jacobian(net, lo, hi):
@@ -563,10 +585,11 @@ def test_certify_cells_across_a_block_boundary(mixed_net, monkeypatch):
 
     monkeypatch.setattr(topology, "jacobian_interval_arrays", recording_jacobian)
     blocked = certify_cells(mixed_net, lo.reshape(33, 33, 2), hi.reshape(33, 33, 2))
-    assert calls == [(topology._BLOCK, 2), (grid.total - topology._BLOCK, 2)]
-    monkeypatch.setattr(topology, "_BLOCK", grid.total)
+    assert calls == [(grid.total // 11, 2)] * 11  # 1089 rows in 11 near-equal blocks
+    calls.clear()
+    monkeypatch.setattr(rb.domains, "_BLOCK", grid.total)
     whole = certify_cells(mixed_net, lo, hi)
-    assert len(calls) == 3
+    assert calls == [(grid.total, 2)]
     for got, want in zip(blocked, whole):
         assert got.shape == (33, 33)
         assert np.array_equal(got.reshape(-1), want)
