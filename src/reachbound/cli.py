@@ -169,6 +169,8 @@ def cmd_mc(args) -> int:
 
 def cmd_plot(args) -> int:
     proj = tuple(args.proj) if args.proj else (0, 1)
+    if proj[0] == proj[1]:
+        raise ValueError(f"projection {proj} needs two different output dimensions")
     layers = []
     for path, color in (
         (args.full_cells, CELL_FULL_COLOR),

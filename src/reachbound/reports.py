@@ -64,13 +64,20 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _reach_header(n: int, m: int) -> list[str]:
+    return [f"idx{k}" for k in range(n)] + [f"out{j}_{e}" for j in range(m) for e in ("lo", "hi")]
+
+
+def _mc_header(n: int, m: int) -> list[str]:
+    return [f"x{k}" for k in range(n)] + [f"y{j}" for j in range(m)]
+
+
 def write_reach_cells(batch: CellBatch, path) -> None:
     """Per-cell dump: grid indices then output hull bounds per dimension."""
     n, m = batch.index.shape[1], batch.out_lo.shape[1]
-    header = [f"idx{k}" for k in range(n)] + [f"out{j}_{e}" for j in range(m) for e in ("lo", "hi")]
     bounds = np.stack([batch.out_lo, batch.out_hi], axis=2).reshape(batch.count, 2 * m)
     rows = zip(batch.index.tolist(), bounds.tolist())
-    _write_csv(path, header, ([*i, *map(repr, b)] for i, b in rows))
+    _write_csv(path, _reach_header(n, m), ([*i, *map(repr, b)] for i, b in rows))
 
 
 def _read_csv(path):
@@ -86,10 +93,15 @@ def _read_csv(path):
 
 
 def read_reach_cells(path):
-    """Read a reach-cell CSV back into (indices, out_lo, out_hi) arrays."""
+    """Read a reach-cell CSV back into (indices, out_lo, out_hi) arrays.
+
+    The header must be `write_reach_cells`' for n >= 1 inputs and m >= 1 outputs.
+    """
     header, data = _read_csv(path)
     n = sum(1 for h in header if h.startswith("idx"))
     m = (len(header) - n) // 2
+    if not (n and m and header == _reach_header(n, m)):
+        raise ValueError(f"{path} is not a reach-cell CSV: its header is {','.join(header)!r}")
     idx = np.array([[int(r[k]) for k in range(n)] for r in data], dtype=int).reshape(len(data), n)
     lo = np.array([[float(r[n + 2 * j]) for j in range(m)] for r in data]).reshape(len(data), m)
     hi = np.array([[float(r[n + 2 * j + 1]) for j in range(m)] for r in data]).reshape(len(data), m)
@@ -104,18 +116,22 @@ def write_certification(index, det_lo, det_hi, certified, path) -> None:
 
 
 def write_mc_points(result: MonteCarloResult, path) -> None:
-    n = result.points.shape[1]
-    m = result.images.shape[1]
-    header = [f"x{k}" for k in range(n)] + [f"y{j}" for j in range(m)]
+    header = _mc_header(result.points.shape[1], result.images.shape[1])
     rows = np.hstack([result.points, result.images]).tolist()
     _write_csv(path, header, ([repr(v) for v in row] for row in rows))
 
 
 def read_mc_points(path) -> np.ndarray:
-    """Read the image points (y columns) of an MC dump."""
+    """Read the image points (y columns) of an MC dump.
+
+    The header must be `write_mc_points`' ``x`` columns then at least one ``y`` column.
+    """
     header, data = _read_csv(path)
-    ycols = [k for k, h in enumerate(header) if h.startswith("y")]
-    return np.array([[float(r[k]) for k in ycols] for r in data]).reshape(len(data), len(ycols))
+    n = sum(1 for h in header if h.startswith("x"))
+    m = len(header) - n
+    if not (m and header == _mc_header(n, m)):
+        raise ValueError(f"{path} is not an MC point CSV: its header is {','.join(header)!r}")
+    return np.array([[float(v) for v in r[n:]] for r in data]).reshape(len(data), m)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Every cell batch is rows of a `CellGrid` lattice, with bounds read off the
 grid's edges by `CellGrid.range_bounds`: all cells (`bounds_arrays`), the
-kept cells of a subset extraction, or, from the grids with one count set to
-1, the face cells (`boundary_cell_batch`).
+kept cells of a subset extraction, or the face cells, ranges ``[a, b)``
+with ``a_k = b_k`` in their pinned dimension (`boundary_cell_batch`).
 
 Two tests read the interval enclosure of the Jacobian over a cell,
 `jacobian_interval_arrays`, which applies to any network:

@@ -82,6 +82,8 @@ class VerificationProblem:
     def __post_init__(self):
         if self.max_refinements < 0 or self.falsify_samples < 0:
             raise ValueError("max_refinements and falsify_samples must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.input_box.dim != self.net.input_dim:
             raise ValueError("input box dimension does not match the network")
         if self.safe_box.dim != self.net.output_dim:
@@ -128,29 +130,25 @@ def grid_cell_batch(grid: CellGrid) -> CellBatch:
 
 
 def boundary_cell_batch(input_box: Box, counts: Sequence[int]) -> CellBatch:
-    """All boundary-face cells of a box partition, as rows of the grid lattice.
+    """All boundary-face cells of a box partition, as lattice ranges of its grid.
 
-    For each dimension k, the grid with ``counts[k]`` set to 1 has one cell
-    for each face cell of either k-face.  Its edges in every other dimension
-    are the full grid's, from the same `CellGrid` expression on the same
-    interval, and its only edges in dimension k are the box's endpoints.
-    Pinning ``lo[:, k]`` and ``hi[:, k]`` both to the low edge therefore puts
-    each cell exactly on the low face, and pinning both to the high edge puts
-    it on the high face.  The lattice index in dimension k is 0 on the low
-    face and ``counts[k]`` on the high face.
+    A face cell is the range ``[a, b)`` with ``a_k = b_k``, 0 on the low
+    k-face and ``counts[k]`` on the high one, and ``b_j = a_j + 1`` in every
+    other dimension; its lattice index is ``a``.  Faces come in order of k,
+    low before high, each in row-major order.
     """
     if input_box.degenerate_dims():
         raise ValueError("boundary faces require a box that is non-degenerate in every dimension")
+    grid = partition(input_box, counts)
     parts = []
-    for k in range(input_box.dim):
-        face_counts = tuple(1 if j == k else c for j, c in enumerate(counts))
-        idx, lo, hi = partition(input_box, face_counts).bounds_arrays()
-        for label, edge in ((0, lo[:, k]), (counts[k], hi[:, k])):
-            face_idx, face_lo, face_hi = idx.copy(), lo.copy(), hi.copy()
-            face_idx[:, k] = label
-            face_lo[:, k] = face_hi[:, k] = edge
-            parts.append((face_idx, face_lo, face_hi))
-    return CellBatch(*(np.concatenate(arrays) for arrays in zip(*parts)))
+    for k, c in enumerate(grid.counts):
+        a = np.argwhere(np.ones(grid.counts[:k] + (1,) + grid.counts[k + 1 :], dtype=bool))
+        b = a + 1
+        for edge in (0, c):
+            a[:, k] = b[:, k] = edge
+            parts.append((a.copy(), b.copy()))
+    a, b = (np.concatenate(ends) for ends in zip(*parts))
+    return CellBatch(a, *grid.range_bounds(a, b))
 
 
 def propagate_cells(net: Network, batch: CellBatch, domain: str) -> CellBatch:
@@ -183,6 +181,8 @@ def monte_carlo(
     """
     if n < 1:
         raise ValueError("sample count must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if safe is not None and safe.dim != net.output_dim:
         raise ValueError(f"safe box dimension {safe.dim} != output dim {net.output_dim}")
     width = region.finite_widths()
@@ -213,7 +213,7 @@ CELL_BUDGET = 2**22
 
 
 def _check_level_size(path: str, counts) -> int:
-    """The cells `_required_cells` builds for ``path`` on a grid of ``counts``.
+    """The cells `verify` builds for ``path`` on a grid of ``counts``.
 
     ``boundary`` builds ``2 * sum_k prod_{j != k} counts[j]`` face cells, the
     other paths every grid cell; the count is an exact Python integer.  Above
@@ -232,27 +232,6 @@ def _check_level_size(path: str, counts) -> int:
     return cells
 
 
-def _required_cells(problem: VerificationProblem, path: str, counts):
-    """The cells that can hold an output extremum, on a grid of ``counts``.
-
-    - ``boundary``: the input faces suffice when the whole box passes the
-      row test: no output then has a critical point in the box, so every
-      output's extrema lie on its faces;
-    - ``subset``: cells that touch no face of the box and where no output
-      has a zero gradient are dropped, since an output extremum lies on the
-      box's faces or where that output's gradient is zero (`extract_subset`);
-    - ``full``: every cell.
-
-    Returns the cells and the subset extraction, if one was made.
-    """
-    if path == "boundary":
-        return boundary_cell_batch(problem.input_box, counts), None
-    if path == "full":
-        return grid_cell_batch(partition(problem.input_box, counts)), None
-    extraction = extract_subset(problem.net, problem.input_box, counts)
-    return CellBatch(extraction.index, extraction.lo, extraction.hi), extraction
-
-
 def verify(problem: VerificationProblem) -> Verdict:
     """Propagate the required cells and check that their images lie in the safe box.
 
@@ -260,12 +239,13 @@ def verify(problem: VerificationProblem) -> Verdict:
     of the whole input box (`box_passes_row_test`).  If every row has an
     entry that excludes 0, no output has a critical point in the box, so
     the faces suffice on any network shape (path ``boundary``, with
-    ``input_certified`` true).  Otherwise the interior cells that pass the
-    row test are dropped (path ``subset``, ``stats["cells_certified"]``
-    counts them) where `extract_subset` runs its tree (`subset_tree_applies`),
-    and the full grid is propagated elsewhere.  A box with a zero-width
-    dimension has no interior and no faces to propagate: it takes the full
-    path untested.  ``stats["path"]`` names the set propagated.  In every
+    ``input_certified`` true).  Otherwise, where `extract_subset` runs its
+    tree (`subset_tree_applies`), the interior cells that pass the row test
+    are dropped (path ``subset``, ``stats["cells_certified"]`` counts them),
+    since an output extremum lies on the box's faces or where that output's
+    gradient is zero; elsewhere every grid cell is propagated (path
+    ``full``).  A box with a zero-width dimension has no interior and no
+    faces to propagate: it takes the full path untested.  ``stats["path"]`` names the set propagated.  In every
     mode the grid doubles on Unknown up to ``max_refinements`` times, except
     in zero-width dimensions.  An Unknown verdict becomes Falsified when
     Monte-Carlo sampling finds an input whose exact image leaves the safe box.
@@ -297,20 +277,24 @@ def verify(problem: VerificationProblem) -> Verdict:
     for level in range(problem.max_refinements + 1):
         counts = tuple(c if k in flat else c * 2**level for k, c in enumerate(problem.grid))
         _check_level_size(path, counts)
+        if path == "boundary":
+            batch = boundary_cell_batch(problem.input_box, counts)
+        elif path == "full":
+            batch = grid_cell_batch(partition(problem.input_box, counts))
+        else:  # the subset path's cells come out of certification
+            phase = time.perf_counter()
+            ex = extract_subset(net, problem.input_box, counts)
+            batch = CellBatch(ex.index, ex.lo, ex.hi)
+            c = ex.counts
+            stats.update(cells_total=c["total"], cells_certified=c["certified_interior"],
+                         cells_kept=c["kept"])
+            stats["certify_ms"] += (time.perf_counter() - phase) * 1e3
         phase = time.perf_counter()
-        batch, extraction = _required_cells(problem, path, counts)
-        built = time.perf_counter()
         propagate_cells(net, batch, problem.domain)
-        if extraction is not None:  # the subset path's cells come out of certification
-            stats["certify_ms"] += (built - phase) * 1e3
-        stats["propagate_ms"] += (time.perf_counter() - built) * 1e3
+        stats["propagate_ms"] += (time.perf_counter() - phase) * 1e3
         ok = bool(np.all(batch.out_lo >= safe_lo) and np.all(batch.out_hi <= safe_hi))
         if ok:
             break
-    if extraction is not None:
-        c = extraction.counts
-        stats.update(cells_total=c["total"], cells_certified=c["certified_interior"],
-                     cells_kept=c["kept"])
     stats.update(cells_propagated=batch.count, refinement_level=level)
     verdict = Verdict(SAFE if ok else UNKNOWN, stats, batch.hull(), cell_batch=batch)
 

@@ -179,6 +179,22 @@ def test_mc_safe_box_of_the_wrong_dimension_exit_three(tmp_path, capsys, safe):
     assert err.startswith("error:") and err.count("\n") == 1 and "safe box dimension" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--safe", "-1,2;-1,2", "--mode", "boundary", "--grid", "5"],
+        ["mc", "--samples", "100"],
+    ],
+    ids=["verify-safe", "mc"],
+)
+def test_negative_seed_exit_three(identity_model, capsys, argv):
+    code, out, err = run(
+        capsys, argv[0], "--model", identity_model, "--input", "0,1;0,1", "--seed", "-1", *argv[1:],
+    )
+    assert code == 3 and out == ""
+    assert err == "error: seed must be nonnegative, got -1\n"
+
+
 def test_verify_missing_model_file_exit_three(capsys):
     code, _, err = run(
         capsys, "verify", "--model", "/nonexistent/m.json", "--input", "0,1;0,1",
@@ -610,9 +626,10 @@ PLOT_MC = "x0,x1,y0,y1\n0.5,0.5,0.1,0.2\n"
         ({"--mc": PLOT_MC}, ["--proj", "0", "5"]),
         ({}, ["--safe", "-1,1;-1,1", "--proj", "0", "5"]),
         ({"--full-cells": PLOT_CELLS}, ["--proj", "0", "-3"]),
+        ({"--full-cells": PLOT_CELLS}, ["--proj", "1", "1"]),
     ],
     ids=["empty-mc", "short-cell-row", "short-mc-row", "proj-past-mc", "proj-past-safe",
-         "negative-proj"],
+         "negative-proj", "same-proj"],
 )
 def test_plot_bad_input_exits_3(tmp_path, capsys, files, extra):
     argv = ["plot", "--out", str(tmp_path / "p.svg"), *extra]
@@ -622,6 +639,23 @@ def test_plot_bad_input_exits_3(tmp_path, capsys, files, extra):
         argv += [flag, str(path)]
     code, _, err = run(capsys, *argv)
     assert code == 3 and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--full-cells", PLOT_MC),
+        ("--mc", PLOT_CELLS),
+        ("--partial-cells", "idx0,idx1,det_lo,det_hi,certified\n0,0,0.5,1.5,1\n"),
+    ],
+    ids=["cells-given-mc", "mc-given-cells", "cells-given-certification"],
+)
+def test_plot_refuses_a_csv_of_the_wrong_kind(tmp_path, capsys, flag, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, "plot", flag, str(path), "--out", str(tmp_path / "p.svg"))
+    assert code == 3 and err.startswith(f"error: {path} is not a") and err.count("\n") == 1
+    assert not (tmp_path / "p.svg").exists()
 
 
 def test_cli_auto_zono_with_refinement(seeded_model, capsys):

@@ -488,6 +488,8 @@ def test_problem_validation(unit_square, invertible_net):
         problem(invertible_net, unit_square, unit_square, max_refinements=-1)
     with pytest.raises(ValueError):
         problem(invertible_net, unit_square, unit_square, falsify_samples=-5)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        problem(invertible_net, unit_square, unit_square, seed=-1)
 
 
 @pytest.mark.parametrize(
@@ -511,6 +513,12 @@ def test_face_cell_count_matches_the_built_batch():
     batch = verifier.boundary_cell_batch(rb.Box.from_bounds([(0, 1)] * 3), counts)
     assert _check_level_size("boundary", counts) == batch.count == 2 * (20 + 15 + 12)
     assert _check_level_size("full", counts) == 60
+    # a 1-d box (its two end points), a count of 1, and a 6-d box
+    for counts, faces in [((7,), 2), ((1, 6), 2 * (6 + 1)), ((5, 1, 3), 2 * (3 + 15 + 5)),
+                          ((2, 3, 1, 2, 3, 2), 2 * (36 + 24 + 72 + 36 + 24 + 36))]:
+        batch = verifier.boundary_cell_batch(rb.Box.from_bounds([(-1, 2)] * len(counts)), counts)
+        assert _check_level_size("boundary", counts) == batch.count == faces
+        assert np.all(np.sum(batch.lo == batch.hi, axis=1) == 1)
 
 
 def test_verify_refuses_an_oversized_refinement_level_before_building_it(monkeypatch):
