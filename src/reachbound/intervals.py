@@ -7,11 +7,14 @@ The kernels (``_imul_arrays``, ``_nonneg_imul_arrays``,
 of the true real-arithmetic result set; the box pass and the Jacobian
 enclosure share ``_interval_matvec_arrays``.  IEEE-exact operations (+, -, *)
 are widened outward by at least one ulp per endpoint, with one arithmetic pad
-per array (`_down`/`_up`); libm-backed evaluations (tanh, sigmoid and their
-derivatives) are only faithfully rounded, so their endpoints get a wider fixed
-pad.  Reductions (dot products, sums) are bounded with a standard a-priori
-rounding-error term instead of per-term nudging, which keeps them
-vectorizable.
+per array (`_down`/`_up`), built in one buffer that then holds the result;
+libm-backed evaluations (tanh, sigmoid and their derivatives) are only
+faithfully rounded, so their endpoints get a wider fixed pad.  Reductions
+(dot products, sums) are bounded with a standard a-priori rounding-error term
+instead of per-term nudging, which keeps them vectorizable.  The kernels
+accumulate and clip in arrays they created, never in their inputs, with the
+float operations of the plain one-expression forms in the same order, so
+working in place changes no bit (``tests/test_intervals.py`` pins them).
 
 `Box` is the one interval value, not an algebra: a validated, read-only
 ``(lo, hi)`` pair of endpoint vectors.  Every other interval quantity (a
@@ -74,13 +77,31 @@ def _down(x, steps: int = 1):
     end is then +inf or NaN too.  A NaN end fails every comparison, so it
     certifies nothing and passes no safe-box test, and `Box` rejects it:
     such a verdict ends in an error, not a wrong answer.
+
+    The pad is built in one new float64 array of x's shape, and the
+    difference is written into it, so x is never written.  Its operations
+    and their order are those of ``x - steps * (|x| 2^-52 + tiny)``; one step
+    skips the multiplication by 1, which is exact.  So the bits are the
+    plain expression's, and a scalar or 0-d x gives a 0-d array.
     """
-    return x - steps * (np.abs(x) * (2 * _U) + _TINY)
+    pad = _pad(x, steps)
+    return np.subtract(x, pad, out=pad)
 
 
 def _up(x, steps: int = 1):
     """A float at or above the ``steps``-th float above x; see `_down`."""
-    return x + steps * (np.abs(x) * (2 * _U) + _TINY)
+    pad = _pad(x, steps)
+    return np.add(x, pad, out=pad)
+
+
+def _pad(x, steps: int):
+    """``steps * (|x| 2^-52 + tiny)`` in one new float64 array of x's shape."""
+    pad = np.abs(x, out=np.empty(np.shape(x)))
+    pad *= 2 * _U
+    pad += _TINY
+    if steps != 1:
+        pad *= steps
+    return pad
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +218,10 @@ def _nonneg_imul_arrays(dlo, dhi, blo, bhi):
     which maps ``+0`` and ``-0`` alike, so for finite ``B`` the bounds are
     those of `_imul_arrays` bit for bit.
     """
-    lo = np.where(blo >= 0.0, dlo, dhi) * blo
-    hi = np.where(bhi >= 0.0, dhi, dlo) * bhi
+    lo = np.where(blo >= 0.0, dlo, dhi)
+    lo *= blo
+    hi = np.where(bhi >= 0.0, dhi, dlo)
+    hi *= bhi
     return _down(lo), _up(hi)
 
 
@@ -218,19 +241,40 @@ def _interval_matvec_arrays(w, b, xlo, xhi):
     ``gamma_k = k u / (1 - k u)``, plus half a subnormal step for each product
     that underflows.  ``(2k + 6) u (mag + |b|) + (2k + 4) tiny`` covers that
     with room for the rounding of ``mag`` and of the bound itself, and the
-    final one-ulp pad covers the subtraction of the term.
+    final one-ulp pad covers the subtraction of the term.  The bound holds
+    for any summation order, so a row's enclosure is sound whatever kernel
+    BLAS picks for the call's row count, even where that choice moves its
+    bits by an ulp.
+
+    The weights enter as C-contiguous ``(k, m)`` copies of ``max(w, 0).T``,
+    ``min(w, 0).T`` and ``|w|.T``, which OpenBLAS multiplies two to three
+    times as fast as the transposed views.  The sums, the bias and the error
+    term accumulate in place in the product arrays, in the order of
+    ``(W+ x_lo + W- x_hi) + b - err``.
     """
     m, k = w.shape
     shape = np.shape(xlo)[:-1] + (m,)
     xlo = np.reshape(xlo, (-1, k))
     xhi = np.reshape(xhi, (-1, k))
-    wp = np.maximum(w, 0.0)
-    wn = np.minimum(w, 0.0)
-    lo = xlo @ wp.T + xhi @ wn.T
-    hi = xhi @ wp.T + xlo @ wn.T
-    mag = np.maximum(np.abs(xlo), np.abs(xhi)) @ np.abs(w).T
-    err = (2 * k + 6) * _U * (mag + np.abs(b)) + (2 * k + 4) * _TINY
-    return _down(lo + b - err).reshape(shape), _up(hi + b + err).reshape(shape)
+    wp = np.ascontiguousarray(np.maximum(w, 0.0).T)
+    wn = np.ascontiguousarray(np.minimum(w, 0.0).T)
+    lo = xlo @ wp
+    hi = xhi @ wp
+    part = xhi @ wn
+    lo += part
+    np.matmul(xlo, wn, out=part)
+    hi += part
+    lo += b
+    hi += b
+    mag = np.abs(xlo)
+    np.maximum(mag, np.abs(xhi), out=mag)
+    err = mag @ np.ascontiguousarray(np.abs(w).T)
+    err += np.abs(b)
+    err *= (2 * k + 6) * _U
+    err += (2 * k + 4) * _TINY
+    lo -= err
+    hi += err
+    return _down(lo).reshape(shape), _up(hi).reshape(shape)
 
 
 def _idet_arrays(lo, hi):
@@ -275,20 +319,21 @@ def _idet_arrays(lo, hi):
 
 
 def _sigmoid(x):
+    # 1/(1 + e^-x) for x >= 0 and e^x/(1 + e^x) below: exp(-|x|) is each form's
+    # exponential, and it never overflows
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    e /= d
+    return np.where(x >= 0, 1.0 / d, e)
 
 
 def _tanh_deriv(x):
     # sech^2 keeps relative accuracy where 1 - tanh^2 cancels to zero
     with np.errstate(over="ignore"):
         s = 1.0 / np.cosh(np.asarray(x, dtype=float))
-    return s * s
+    s *= s
+    return s
 
 
 def _sigmoid_deriv(x):
@@ -299,7 +344,9 @@ def _sigmoid_deriv(x):
     # loses under one subnormal step), cosh errs by at most an ulp and 1/c
     # and the square by half an ulp each, so the result is within about 4 ulp:
     # inside the 8-ulp `_PAD_DERIV` pad of `_act_deriv_arrays`.
-    return 0.25 * _tanh_deriv(0.5 * np.asarray(x, dtype=float))
+    d = _tanh_deriv(0.5 * np.asarray(x, dtype=float))
+    d *= 0.25
+    return d
 
 
 def _identity(x):
@@ -351,11 +398,12 @@ def _act_range_arrays(name: str, lo, hi):
     act = _lookup(name)
     if act.linear:
         return np.asarray(lo, dtype=float).copy(), np.asarray(hi, dtype=float).copy()
-    flo = act.f(lo)
-    fhi = act.f(hi)
-    out_lo = np.maximum(_down(flo, _PAD_ACT), act.clip_lo)
-    out_hi = np.minimum(_up(fhi, _PAD_ACT), act.clip_hi)
-    return np.minimum(out_lo, out_hi), out_hi
+    out_lo = _down(act.f(lo), _PAD_ACT)
+    out_hi = _up(act.f(hi), _PAD_ACT)
+    np.maximum(out_lo, act.clip_lo, out=out_lo)
+    np.minimum(out_hi, act.clip_hi, out=out_hi)
+    np.minimum(out_lo, out_hi, out=out_lo)
+    return out_lo, out_hi
 
 
 def _act_deriv_arrays(name: str, lo, hi):
@@ -372,8 +420,10 @@ def _act_deriv_arrays(name: str, lo, hi):
         return np.ones_like(lo), np.ones_like(hi)
     dlo = act.deriv(lo)
     dhi = act.deriv(hi)
-    out_lo = np.maximum(_down(np.minimum(dlo, dhi), _PAD_DERIV), 0.0)
-    capped = np.minimum(_up(np.maximum(dlo, dhi), _PAD_DERIV), act.deriv_max)
-    straddle = (lo <= 0.0) & (0.0 <= hi)
-    out_hi = np.where(straddle, act.deriv_max, capped)
-    return out_lo, np.maximum(out_hi, out_lo)
+    out_lo = _down(np.minimum(dlo, dhi), _PAD_DERIV)
+    out_hi = _up(np.maximum(dlo, dhi), _PAD_DERIV)
+    np.maximum(out_lo, 0.0, out=out_lo)
+    np.minimum(out_hi, act.deriv_max, out=out_hi)
+    np.copyto(out_hi, act.deriv_max, where=(lo <= 0.0) & (0.0 <= hi))
+    np.maximum(out_hi, out_lo, out=out_hi)
+    return out_lo, out_hi

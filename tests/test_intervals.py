@@ -16,7 +16,14 @@ from reachbound.intervals import (
     _idet_arrays,
     _imul_arrays,
     _interval_matvec_arrays,
+    _lookup,
     _nonneg_imul_arrays,
+    _PAD_ACT,
+    _PAD_DERIV,
+    _sigmoid,
+    _tanh_deriv,
+    _TINY,
+    _U,
     _up,
 )
 
@@ -512,3 +519,175 @@ def test_nonneg_product_is_the_corner_product_bit_for_bit():
 def test_box_input_checks(lo, hi):
     with pytest.raises(ValueError):
         Box(lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# bits: the kernels against their plain allocating expressions
+#
+# Each reference below is the kernel written as one expression per result,
+# with a new array for every intermediate.  The kernels build their results
+# in place, with the same float operations in the same order, so they must
+# give the same bits.  Inputs are read-only: an in-place write to a caller's
+# array raises.
+
+
+def ref_down(x, steps=1):
+    return x - steps * (np.abs(x) * (2 * _U) + _TINY)
+
+
+def ref_up(x, steps=1):
+    return x + steps * (np.abs(x) * (2 * _U) + _TINY)
+
+
+def ref_sigmoid(x):
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_tanh_deriv(x):
+    with np.errstate(over="ignore"):
+        s = 1.0 / np.cosh(np.asarray(x, dtype=float))
+    return s * s
+
+
+REF_F = {"tanh": (np.tanh, ref_tanh_deriv),
+         "sigmoid": (ref_sigmoid, lambda x: 0.25 * ref_tanh_deriv(0.5 * np.asarray(x, dtype=float)))}
+
+
+def ref_act_range(name, lo, hi):
+    act, (f, _) = _lookup(name), REF_F[name]
+    out_lo = np.maximum(ref_down(f(lo), _PAD_ACT), act.clip_lo)
+    out_hi = np.minimum(ref_up(f(hi), _PAD_ACT), act.clip_hi)
+    return np.minimum(out_lo, out_hi), out_hi
+
+
+def ref_act_deriv(name, lo, hi):
+    act, (_, deriv) = _lookup(name), REF_F[name]
+    dlo, dhi = deriv(lo), deriv(hi)
+    out_lo = np.maximum(ref_down(np.minimum(dlo, dhi), _PAD_DERIV), 0.0)
+    capped = np.minimum(ref_up(np.maximum(dlo, dhi), _PAD_DERIV), act.deriv_max)
+    out_hi = np.where((lo <= 0.0) & (0.0 <= hi), act.deriv_max, capped)
+    return out_lo, np.maximum(out_hi, out_lo)
+
+
+def ref_nonneg_imul(dlo, dhi, blo, bhi):
+    lo = np.where(blo >= 0.0, dlo, dhi) * blo
+    hi = np.where(bhi >= 0.0, dhi, dlo) * bhi
+    return ref_down(lo), ref_up(hi)
+
+
+def ref_matvec(w, b, xlo, xhi):
+    m, k = w.shape
+    shape = np.shape(xlo)[:-1] + (m,)
+    xlo = np.reshape(xlo, (-1, k))
+    xhi = np.reshape(xhi, (-1, k))
+    wp = np.maximum(w, 0.0)
+    wn = np.minimum(w, 0.0)
+    lo = xlo @ wp.T + xhi @ wn.T
+    hi = xhi @ wp.T + xlo @ wn.T
+    mag = np.maximum(np.abs(xlo), np.abs(xhi)) @ np.abs(w).T
+    err = (2 * k + 6) * _U * (mag + np.abs(b)) + (2 * k + 4) * _TINY
+    return ref_down(lo + b - err).reshape(shape), ref_up(hi + b + err).reshape(shape)
+
+
+def read_only(*arrays):
+    out = []
+    for a in arrays:
+        a = np.array(a, dtype=float)
+        a.setflags(write=False)
+        out.append(a)
+    return out
+
+
+def same_bits(got, ref):
+    """Equal float64 bytes, results taken pairwise; a scalar counts as its 0-d array."""
+    return all(np.asarray(g, dtype=float).tobytes() == np.asarray(r, dtype=float).tobytes()
+               and np.shape(g) == np.shape(r) for g, r in zip(got, ref))
+
+
+PAD_SCALARS = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 1.0, -1.0,
+               math.nextafter(1.0, 0.0), 2.0**1023, MAX, -MAX, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("steps", range(1, 9))
+def test_pad_bits_match_the_plain_expression(steps):
+    bits = np.random.default_rng(steps).integers(0, 2**64, 20_000, dtype=np.uint64).view(float)
+    vector = np.concatenate([EDGE_FLOATS, -EDGE_FLOATS, [math.inf, -math.inf],
+                             bits[np.isfinite(bits)]])
+    vector = vector[: vector.size - vector.size % 4]
+    inputs = PAD_SCALARS + read_only(*PAD_SCALARS) + read_only(vector, vector.reshape(4, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in inputs:
+            assert same_bits((_down(x, steps), _up(x, steps)), (ref_down(x, steps), ref_up(x, steps)))
+
+
+ACT_POINTS = np.concatenate([np.linspace(-800.0, 800.0, 64_001),
+                             [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 20.5, -20.5, 709.5, -745.5]])
+
+
+@pytest.mark.parametrize("name", ["tanh", "sigmoid"])
+def test_activation_bits_match_the_plain_expressions(name):
+    x, = read_only(ACT_POINTS)
+    y = x[np.random.default_rng(0).permutation(x.size)]
+    lo, hi = read_only(np.minimum(x, y), np.maximum(x, y))
+    f, deriv = REF_F[name]
+    act = _lookup(name)
+    with np.errstate(over="ignore"):
+        assert same_bits((act.f(x), act.deriv(x)), (f(x), deriv(x)))
+        assert same_bits(_act_range_arrays(name, lo, hi), ref_act_range(name, lo, hi))
+        assert same_bits(_act_deriv_arrays(name, lo, hi), ref_act_deriv(name, lo, hi))
+        # 0-d endpoints, and a (rows, width) batch as the passes send
+        for a, b in [(-3.0, 2.0), (-0.0, 0.0), (5e-324, 700.0)]:
+            ends0 = read_only(a, b)
+            assert same_bits(_act_range_arrays(name, *ends0), ref_act_range(name, *ends0))
+            assert same_bits(_act_deriv_arrays(name, *ends0), ref_act_deriv(name, *ends0))
+        rows = read_only(lo[:64_000].reshape(-1, 8), hi[:64_000].reshape(-1, 8))
+        assert same_bits(_act_range_arrays(name, *rows), ref_act_range(name, *rows))
+        assert same_bits(_act_deriv_arrays(name, *rows), ref_act_deriv(name, *rows))
+    assert same_bits((_sigmoid(x), _tanh_deriv(x)), (ref_sigmoid(x), ref_tanh_deriv(x)))
+
+
+def test_nonneg_product_bits_match_the_plain_expression():
+    rng = np.random.default_rng(8)
+    dlo = rng.uniform(0.0, 1.0, (50, 1, 8))
+    dlo[0, 0, :2] = 0.0, -0.0
+    dhi = dlo + rng.uniform(0.0, 1.0, (50, 1, 8))
+    blo = rng.uniform(-2.0, 2.0, (50, 6, 8))
+    blo[1, 0, :3] = 0.0, -0.0, -5e-324
+    bhi = blo + rng.uniform(0.0, 1.0, (50, 6, 8)) * (rng.random((50, 6, 8)) < 0.8)
+    args = read_only(dlo, dhi, blo, bhi)
+    assert same_bits(_nonneg_imul_arrays(*args), ref_nonneg_imul(*args))
+
+
+# (inputs, outputs) of every layer of the benchmark's nets: 2-5-2, 2-7-2,
+# 2-8-2, 2-8-8-2, 3-12-3, 4-12-4, 6-16-6 and 6-16-16-6
+WORKLOAD_LAYERS = [(2, 5), (5, 2), (2, 7), (7, 2), (2, 8), (8, 2), (8, 8), (3, 12), (12, 3),
+                   (4, 12), (12, 4), (6, 16), (16, 6), (16, 16)]
+
+
+@pytest.mark.parametrize("k, m", WORKLOAD_LAYERS, ids=[f"{k}-{m}" for k, m in WORKLOAD_LAYERS])
+def test_matvec_bits_match_the_plain_expression(k, m):
+    rng = np.random.default_rng(100 * k + m)
+    w = rng.uniform(-2.0, 2.0, (m, k))
+    w[0, 0] = 0.0
+    for rows in (2, 3, 67, 4096):
+        xlo = rng.uniform(-3.0, 3.0, (rows, k))
+        xhi = xlo + rng.uniform(0.0, 1.0, (rows, k)) * (rng.random((rows, k)) < 0.8)
+        for b in (rng.uniform(-1.0, 1.0, m), 0.0):
+            args = read_only(w, b, xlo, xhi)
+            assert same_bits(_interval_matvec_arrays(*args), ref_matvec(*args))
+    # leading batch axes, as the Jacobian's (rows, n, k) products send them
+    args = read_only(w, 0.0, xlo[:66].reshape(2, 33, k), xhi[:66].reshape(2, 33, k))
+    assert same_bits(_interval_matvec_arrays(*args), ref_matvec(*args))
+    # One row is a matrix-vector product, and the contiguous (k, m) operand
+    # takes the other BLAS kernel, whose sums may round differently from the
+    # reference; both enclose the exact sign-split endpoints.
+    for got in (_interval_matvec_arrays(w, b, xlo[0], xhi[0]), ref_matvec(w, b, xlo[0], xhi[0])):
+        lo, hi = exact_matvec(w, np.broadcast_to(b, m), xlo[0], xhi[0])
+        for i in range(m):
+            assert Fraction(float(got[0][i])) <= lo[i] <= hi[i] <= Fraction(float(got[1][i]))
