@@ -12,6 +12,11 @@ from reachbound.topology import jacobian_interval_arrays
 INVERTIBLE = dict(seed=25, dims=(2, 5, 2), activation="tanh", scale=0.8)
 MIXED = dict(seed=11, dims=(2, 7, 2), activation="tanh", scale=2.0)
 
+# the benchmark's net shapes (perfbench/workloads.py); sigmoid-2-8-2 is its one sigmoid net
+WORKLOAD_NETS = [((2, 5, 2), "tanh"), ((2, 7, 2), "tanh"), ((2, 8, 2), "sigmoid"),
+                 ((2, 8, 8, 2), "tanh"), ((3, 12, 3), "tanh"), ((4, 12, 4), "tanh"),
+                 ((6, 16, 6), "tanh"), ((6, 16, 16, 6), "tanh")]
+
 
 def make_net(**kwargs):
     params = dict(INVERTIBLE)

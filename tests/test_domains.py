@@ -7,7 +7,7 @@ import reachbound as rb
 from reachbound.domains import box_propagate_arrays, normalize_domain, zono_propagate
 from reachbound.intervals import _interval_matvec_arrays
 from reachbound.verifier import CellBatch, boundary_cell_batch, grid_cell_batch, propagate_cells
-from conftest import deep_nets, identity_net, make_net, sample_box
+from conftest import WORKLOAD_NETS, deep_nets, identity_net, make_net, sample_box
 
 
 def mc_images(net, box, n, seed):
@@ -279,12 +279,6 @@ def test_box_pass_across_block_boundaries(monkeypatch):
     calls.clear()
     empty_lo, empty_hi = box_propagate_arrays(net, np.empty((0, 3)), np.empty((0, 3)))
     assert empty_lo.shape == empty_hi.shape == (0, 2) and not calls
-
-
-# the benchmark's net shapes; sigmoid-2-8-2 is its one sigmoid net
-WORKLOAD_NETS = [((2, 5, 2), "tanh"), ((2, 7, 2), "tanh"), ((2, 8, 2), "sigmoid"),
-                 ((2, 8, 8, 2), "tanh"), ((3, 12, 3), "tanh"), ((4, 12, 4), "tanh"),
-                 ((6, 16, 6), "tanh"), ((6, 16, 16, 6), "tanh")]
 
 
 @pytest.mark.parametrize("dims, activation", WORKLOAD_NETS,

@@ -27,6 +27,9 @@ from reachbound.intervals import (
     _up,
 )
 
+from conftest import WORKLOAD_NETS
+
+
 def tight(value: float, target: float, ulps: int = 4) -> bool:
     """Within a few float steps of the ideal endpoint."""
     return abs(value - target) <= ulps * math.ulp(max(abs(target), 1.0))
@@ -664,10 +667,9 @@ def test_nonneg_product_bits_match_the_plain_expression():
     assert same_bits(_nonneg_imul_arrays(*args), ref_nonneg_imul(*args))
 
 
-# (inputs, outputs) of every layer of the benchmark's nets: 2-5-2, 2-7-2,
-# 2-8-2, 2-8-8-2, 3-12-3, 4-12-4, 6-16-6 and 6-16-16-6
-WORKLOAD_LAYERS = [(2, 5), (5, 2), (2, 7), (7, 2), (2, 8), (8, 2), (8, 8), (3, 12), (12, 3),
-                   (4, 12), (12, 4), (6, 16), (16, 6), (16, 16)]
+# (inputs, outputs) of every layer of the benchmark's nets
+WORKLOAD_LAYERS = sorted({(dims[i], dims[i + 1]) for dims, _ in WORKLOAD_NETS
+                          for i in range(len(dims) - 1)})
 
 
 @pytest.mark.parametrize("k, m", WORKLOAD_LAYERS, ids=[f"{k}-{m}" for k, m in WORKLOAD_LAYERS])
