@@ -6,17 +6,22 @@
 Builds the problems of every workload in ``perfbench/workloads.py`` for each
 seed, then runs all of them once under each source tree, each tree in its
 own subprocess with ``PYTHONPATH`` set to that tree's ``src`` directory.  A
-problem is listed when its status, path, ``cells_propagated`` or the bytes
-of its output hull differ.  For a moved hull the listing says whether it
-lies inside the parent's hull (within 1e-9 per endpoint) and whether it
-still encloses the workload's oracle sample; a hull of ``boundary`` mode,
-which assumes invertibility, need not.  Timing stats are never compared.
+problem is listed when its status, path, ``cells_propagated``, subset stats
+(``cells_total``, ``cells_certified``, ``cells_kept``), cell digest or the
+bytes of its output hull differ.  The cell digest is a SHA-256 over the
+verdict's ``cell_batch``: ``index`` as int64, ``out_lo`` and ``out_hi``.
+For a moved hull the listing says whether it lies inside the parent's hull
+(within 1e-9 per endpoint) and whether it still encloses the workload's
+oracle sample; a hull of ``boundary`` mode, which assumes invertibility,
+need not.  Timing stats are never compared.
 
 Exits 0 when every status is equal and every moved hull lies inside the
-parent's and encloses the oracle, and 1 otherwise.
+parent's and encloses the oracle, and 1 otherwise: a change may alter the
+cells on purpose, so a path, cell or stat difference alone does not fail.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -28,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 SLACK = 1e-9
+SUBSET_STATS = ("cells_total", "cells_certified", "cells_kept")
 
 
 def run_tree(src: Path, manifests: list, out: Path) -> dict:
@@ -39,6 +45,7 @@ def run_tree(src: Path, manifests: list, out: Path) -> dict:
 
 
 def worker(out: str, manifests: list) -> None:
+    import numpy as np
     import probe
     import reachbound as rb
 
@@ -51,11 +58,16 @@ def worker(out: str, manifests: list) -> None:
         nets = probe.read_models(rb, manifest)
         for p in manifest["problems"]:
             v = rb.verify(probe.build_problem(rb, manifest, nets, p))
-            hull = v.output_hull
+            hull, cells = v.output_hull, v.cell_batch
+            digest = hashlib.sha256()
+            for arr in (np.asarray(cells.index, dtype=np.int64), cells.out_lo, cells.out_hi):
+                digest.update(arr.tobytes())
             records[f"{manifest['key']}/{p['pid']}"] = {
                 "status": v.status,
                 "path": v.stats.get("path", v.stats["mode"]),
                 "cells_propagated": v.stats["cells_propagated"],
+                "subset_stats": {k: v.stats[k] for k in SUBSET_STATS if k in v.stats},
+                "cells": digest.hexdigest(),
                 "assumes_invertible": v.stats.get("assumes_invertible", False),
                 "hull_lo": [float(x).hex() for x in hull.lo],
                 "hull_hi": [float(x).hex() for x in hull.hi],
@@ -86,7 +98,8 @@ def compare(parent: dict, change: dict) -> tuple:
     lines, ok = [], True
     for pid, old in parent.items():
         new = change[pid]
-        diffs = [f"{k} {old[k]} -> {new[k]}" for k in ("status", "path", "cells_propagated")
+        diffs = [f"{k} {old[k]} -> {new[k]}"
+                 for k in ("status", "path", "cells_propagated", "subset_stats", "cells")
                  if old[k] != new[k]]
         ok &= old["status"] == new["status"]
         if (old["hull_lo"], old["hull_hi"]) != (new["hull_lo"], new["hull_hi"]):

@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .intervals import Box
-from .verifier import CellBatch, MonteCarloResult, Verdict
+from .topology import CellBatch
+from .verifier import MonteCarloResult, Verdict
 
 __all__ = [
     "verdict_document",

@@ -1,9 +1,9 @@
-"""Grid partitions, interval Jacobians, certification and subset extraction.
+"""Grid partitions, the one cell type, interval Jacobians, certification and subset extraction.
 
-Every cell batch is rows of a `CellGrid` lattice, with bounds read off the
-grid's edges by `CellGrid.range_bounds`: all cells (`bounds_arrays`), the
-kept cells of a subset extraction, or the face cells, ranges ``[a, b)``
-with ``a_k = b_k`` in their pinned dimension (`boundary_cell_batch`).
+Every cell batch is a `CellBatch` of lattice ranges ``[a, b)`` on one
+`CellGrid`, its bounds read off the edges once (`CellGrid.range_bounds`):
+all cells (``b = a + 1``), the kept cells of `extract_subset` (a
+`SubsetExtraction`, which adds its counts), or face cells (``a_k = b_k``).
 
 Two tests read the interval enclosure of the Jacobian over a cell,
 `jacobian_interval_arrays`, which applies to any network:
@@ -30,7 +30,8 @@ report of every cell calls `certify_cells` on the whole grid itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .network import Network
 
 __all__ = [
     "CellGrid",
+    "CellBatch",
     "partition",
     "grid_counts",
     "subset_tree_applies",
@@ -103,14 +105,33 @@ class CellGrid:
 
     def bounds_arrays(self):
         """Row-major (indices, lo, hi) arrays for all cells at once."""
-        grids = np.meshgrid(*(np.arange(c) for c in self.counts), indexing="ij")
-        idx = np.stack([g.ravel() for g in grids], axis=1)
+        idx = np.indices(self.counts).reshape(self.dim, -1).T
         return (idx, *self.range_bounds(idx, idx + 1))
 
     def interior_mask(self, idx: np.ndarray) -> np.ndarray:
         """True where a cell index touches no face of the base box."""
         counts = np.asarray(self.counts)
         return np.all((idx > 0) & (idx + 1 < counts), axis=1)
+
+
+@dataclass
+class CellBatch:
+    """Cells of one grid as lattice index ranges ``[a, b)``, with their bounds and output hulls."""
+
+    grid: CellGrid
+    index: np.ndarray  # (N, n) range starts a, which label the cells in reports
+    b: np.ndarray  # (N, n) range ends
+    lo: np.ndarray = field(init=False)  # (N, n) grid.range_bounds(a, b), read once, here
+    hi: np.ndarray = field(init=False)
+    out_lo: Optional[np.ndarray] = None  # filled by propagate_cells
+    out_hi: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        self.lo, self.hi = self.grid.range_bounds(self.index, self.b)
+
+    @property
+    def count(self) -> int:
+        return int(self.index.shape[0])
 
 
 def partition(box: Box, counts) -> CellGrid:
@@ -237,26 +258,20 @@ def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):
 # subset extraction
 
 
-@dataclass(frozen=True)
-class SubsetExtraction:
+class SubsetExtraction(CellBatch):
     """The cells `extract_subset` keeps: every cell that can hold an output extremum.
 
     They are the ring of cells that touch a face of the input box, whatever
     their Jacobian, plus the interior cells the tree did not drop: each lies
     in a leaf-sized node that failed the row test or was never evaluated.
-    They come as lattice indices and bounds in row-major order.  Touching is
+    They are grid cells, ``b = a + 1``, in row-major order.  Touching is
     decided on grid indices, never on float comparisons.  In ``counts``,
     ``certified_interior`` is the interior cells dropped by the row test.
     """
 
-    grid: CellGrid
-    index: np.ndarray  # (K, n) kept cells' lattice indices, row-major
-    lo: np.ndarray  # (K, n) kept cells' bounds
-    hi: np.ndarray
-
     @property
     def counts(self) -> dict:
-        total, kept = self.grid.total, int(self.index.shape[0])
+        total, kept = self.grid.total, self.count
         return {"total": total, "certified_interior": total - kept, "kept": kept}
 
 
@@ -306,11 +321,12 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     dimension, is kept without a Jacobian call.
 
     Cost.  A leaf-sized node would split into single cells, and a Jacobian
-    row costs 3-8 box-pass rows (measured over the workload nets), while a
-    single cell it drops saves one box-pass row: keeping the node is cheaper
-    than testing its cells.  Splitting a range of length r into ceil(sqrt(r))
-    parts, not two, keeps the depth near log log N, because each level's call
-    has a fixed cost on top of its cells.
+    row costs 2.3-4.0 box-pass rows in a call of 64 rows and 3.5-14 in one
+    of 4096 (the workload nets, one BLAS thread), while a single cell it
+    drops saves one box-pass row: keeping the node is cheaper than testing
+    its cells.  Splitting a range of length r into ceil(sqrt(r)) parts, not
+    two, keeps the depth near log log N, because each level's call has a
+    fixed cost on top of its cells.
 
     Only square networks with at most 6 inputs are accepted
     (`subset_tree_applies`).  The kept cells are marked on a boolean array of
@@ -341,4 +357,4 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
                     *grid.range_bounds(a, b), ((),), dtype=bool)
                 a, b = a[~passed], b[~passed]
     index = np.argwhere(kept)
-    return SubsetExtraction(grid, index, *grid.range_bounds(index, index + 1))
+    return SubsetExtraction(grid, index, index + 1)

@@ -36,6 +36,7 @@ from .domains import (
 )
 from .network import Network, forward_batch, forward_point
 from .topology import (
+    CellBatch,
     CellGrid,
     box_passes_row_test,
     certify_homeomorphism,  # noqa: F401  (unused; the benchmark tracer hooks this name)
@@ -51,7 +52,6 @@ __all__ = [
     "FALSIFIED",
     "VerificationProblem",
     "Verdict",
-    "CellBatch",
     "propagate_cells",
     "boundary_cell_batch",
     "grid_cell_batch",
@@ -97,24 +97,6 @@ class VerificationProblem:
         )
 
 
-@dataclass
-class CellBatch:
-    """Cells to propagate, as arrays, with lattice indices for reporting."""
-
-    index: np.ndarray  # (N, n) integer labels
-    lo: np.ndarray  # (N, n)
-    hi: np.ndarray  # (N, n)
-    out_lo: Optional[np.ndarray] = None  # filled by propagate_cells
-    out_hi: Optional[np.ndarray] = None
-
-    @property
-    def count(self) -> int:
-        return int(self.lo.shape[0])
-
-    def hull(self) -> Box:
-        return Box.from_arrays(*_column_hull(self.out_lo, self.out_hi))
-
-
 def _column_hull(lo: np.ndarray, hi: np.ndarray):
     """Column minima of (N, d) ``lo`` and column maxima of ``hi``, one strided reduction each.
 
@@ -136,8 +118,9 @@ class Verdict:
 
 
 def grid_cell_batch(grid: CellGrid) -> CellBatch:
-    idx, lo, hi = grid.bounds_arrays()
-    return CellBatch(idx, lo, hi)
+    """All cells of a grid, ``b = a + 1``, in row-major order."""
+    a = np.indices(grid.counts).reshape(grid.dim, -1).T
+    return CellBatch(grid, a, a + 1)
 
 
 def boundary_cell_batch(input_box: Box, counts: Sequence[int]) -> CellBatch:
@@ -159,7 +142,7 @@ def boundary_cell_batch(input_box: Box, counts: Sequence[int]) -> CellBatch:
             a[:, k] = b[:, k] = edge
             parts.append((a.copy(), b.copy()))
     a, b = (np.concatenate(ends) for ends in zip(*parts))
-    return CellBatch(a, *grid.range_bounds(a, b))
+    return CellBatch(grid, a, b)
 
 
 def propagate_cells(net: Network, batch: CellBatch, domain: str) -> CellBatch:
@@ -294,9 +277,8 @@ def verify(problem: VerificationProblem) -> Verdict:
             batch = grid_cell_batch(partition(problem.input_box, counts))
         else:  # the subset path's cells come out of certification
             phase = time.perf_counter()
-            ex = extract_subset(net, problem.input_box, counts)
-            batch = CellBatch(ex.index, ex.lo, ex.hi)
-            c = ex.counts
+            batch = extract_subset(net, problem.input_box, counts)
+            c = batch.counts
             stats.update(cells_total=c["total"], cells_certified=c["certified_interior"],
                          cells_kept=c["kept"])
             stats["certify_ms"] += (time.perf_counter() - phase) * 1e3

@@ -21,8 +21,8 @@ from reachbound.reports import (
     write_mc_points,
     write_reach_cells,
 )
-from reachbound.topology import grid_counts
-from reachbound.verifier import CELL_BUDGET, CellBatch, MonteCarloResult
+from reachbound.topology import CellBatch, grid_counts
+from reachbound.verifier import CELL_BUDGET, MonteCarloResult
 from conftest import dropped_mask, identity_net, kept_whole_mask, make_net, traced_extraction, MIXED
 
 
@@ -689,8 +689,9 @@ def test_cells_out_schema(seeded_model, tmp_path, capsys):
 def test_csv_writers_exact_bytes(tmp_path):
     # repr round-trips every float: the sign of -0.0 and all 17 digits of 0.1 + 0.2
     third = 0.1 + 0.2
-    batch = CellBatch(np.array([[0, 1], [2, 0]]), np.zeros((2, 2)), np.ones((2, 2)),
-                      np.array([[-0.0, third], [1e-300, -2.5]]),
+    index = np.array([[0, 1], [2, 0]])
+    batch = CellBatch(rb.partition(rb.Box.from_bounds([(0, 1), (0, 1)]), (3, 2)), index,
+                      index + 1, np.array([[-0.0, third], [1e-300, -2.5]]),
                       np.array([[0.0, 0.5], [1.0, 2.0]]))
     certification = (
         np.array([[1, 2], [3, 4]]), np.array([-0.0, third]),

@@ -1,6 +1,7 @@
 """Each experiment in scripts/ runs end to end on small grids."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +53,18 @@ def test_manifest_diff_finds_no_difference_between_a_tree_and_itself(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["88 problems, 0 with differences"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cells", "1" * 64),
+    ("subset_stats", {"cells_total": 16, "cells_certified": 3, "cells_kept": 13}),
+])
+def test_manifest_diff_lists_a_cell_change_without_failing(field, value):
+    compare = runpy.run_path(str(ROOT / "scripts" / "manifest_diff.py"))["compare"]
+    record = {"status": "safe", "path": "subset", "cells_propagated": 12,
+              "subset_stats": {"cells_total": 16, "cells_certified": 4, "cells_kept": 12},
+              "cells": "0" * 64, "assumes_invertible": False, "hull_lo": [(0.0).hex()],
+              "hull_hi": [(1.0).hex()], "oracle": [[0.25], [0.75]]}
+    parent = {"p/0": record, "p/1": record}
+    lines, ok = compare(parent, {"p/0": record, "p/1": dict(record, **{field: value})})
+    assert lines == [f"p/1: {field} {record[field]} -> {value}"] and ok

@@ -2,7 +2,8 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import reachbound as rb
 from reachbound import topology
@@ -149,6 +150,18 @@ def test_bounds_arrays_row_major(unit_square):
     edges = [grid.edges(k) for k in range(2)]
     assert np.array_equal(lo, np.array(list(product(*(e[:-1] for e in edges)))))
     assert np.array_equal(hi, np.array(list(product(*(e[1:] for e in edges)))))
+
+
+@given(st.floats(-8, 8), st.floats(-1e8, 1e8), st.integers(1, 50), st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+def test_dyadic_refinement_keeps_the_coarse_edges_bit_for_bit(log_width, lo, c, level):
+    # w/(2c) is exactly (w/c)/2 and 2a(r/2) rounds as a r does, so every level of a
+    # refinement is a sublattice of the next: a coarse range is a range of the fine grid
+    hi = lo + 10.0**log_width
+    assume(hi > lo)
+    box = rb.Box.from_bounds([(lo, hi)])
+    fine = rb.partition(box, (c * 2**level,)).edges(0)[:: 2**level]
+    assert fine.tobytes() == rb.partition(box, (c,)).edges(0).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reachbound as rb
 from reachbound.domains import box_propagate_arrays
@@ -10,7 +12,7 @@ from reachbound.reports import verdict_document
 from reachbound import verifier
 from reachbound.topology import box_passes_row_test, certify_cells, extract_subset
 from reachbound.verifier import CELL_BUDGET, _check_level_size
-from conftest import identity_net, linear_net, make_net, MIXED
+from conftest import deep_nets, identity_net, linear_net, make_net, MIXED
 
 
 def problem(net, input_box, safe_box, **kwargs):
@@ -242,9 +244,39 @@ def test_a_box_that_fails_the_determinant_but_passes_the_row_test_takes_the_face
     # the cells the subset path propagates: face cells lie in its ring cells, and the
     # box pass is inclusion-monotone, so the face hull lies inside its hull
     ex = extract_subset(net, box, (40, 40))
-    tree = rb.verifier.propagate_cells(net, rb.verifier.CellBatch(ex.index, ex.lo, ex.hi), "box")
-    assert tree.hull().contains_box(v.output_hull)
+    tree = rb.verifier.propagate_cells(net, ex, "box")
+    assert rb.Box.from_arrays(tree.out_lo.min(axis=0), tree.out_hi.max(axis=0)).contains_box(
+        v.output_hull)
     assert v.output_hull.contains_box(rb.monte_carlo(net, box, 20_000, seed=3).image_hull)
+
+
+@given(deep_nets(), st.sampled_from(["boundary", "subset", "full"]), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_every_batch_is_lattice_ranges_of_its_levels_grid(case, mode, refine):
+    net, _ = case
+    n = net.input_dim
+    box = rb.Box.from_bounds([(-1, 1)] * n)
+    # no hull fits a point, since every enclosure is padded outward; every hull fits 1e6
+    half = np.full(net.output_dim, 0.0 if refine else 1e6)
+    safe = rb.Box.from_arrays(-half, half)
+    p = problem(net, box, safe, mode=mode, grid=({2: 6, 3: 4}.get(n, 3),), max_refinements=1)
+    v = rb.verify(p)
+    batch, level, path = v.cell_batch, v.stats["refinement_level"], v.stats.get("path", mode)
+    assert level == int(refine)
+    counts = np.array(batch.grid.counts)
+    assert np.array_equal(counts, np.array(p.grid) * 2**level)
+    assert batch.grid.base.lo.tobytes() == box.lo.tobytes()
+    assert batch.grid.base.hi.tobytes() == box.hi.tobytes()
+    a, b = batch.index, batch.b
+    assert np.all((0 <= a) & (a <= b) & (b <= counts))
+    if path == "boundary":
+        pinned = a == b
+        assert np.all(pinned.sum(axis=1) == 1)
+        assert np.all((a == 0) | (a == counts) | ~pinned)
+    else:
+        assert np.array_equal(b, a + 1)
+    lo, hi = batch.grid.range_bounds(a, b)
+    assert lo.tobytes() == batch.lo.tobytes() and hi.tobytes() == batch.hi.tobytes()
 
 
 def test_auto_singular_takes_subset_path(unit_square):
