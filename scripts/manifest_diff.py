@@ -5,15 +5,16 @@
 
 Builds the problems of every workload in ``perfbench/workloads.py`` for each
 seed, then runs all of them once under each source tree, each tree in its
-own subprocess with ``PYTHONPATH`` set to that tree's ``src`` directory.  A
-problem is listed when its status, path, ``cells_propagated``, subset stats
-(``cells_total``, ``cells_certified``, ``cells_kept``), cell digest or the
-bytes of its output hull differ.  The cell digest is a SHA-256 over the
-verdict's ``cell_batch``: ``index`` as int64, ``out_lo`` and ``out_hi``.
-For a moved hull the listing says whether it lies inside the parent's hull
-(within 1e-9 per endpoint) and whether it still encloses the workload's
-oracle sample; a hull of ``boundary`` mode, which assumes invertibility,
-need not.  Timing stats are never compared.
+own subprocess with ``PYTHONPATH`` set to that tree's ``src`` directory.
+Each problem's record is its verdict document (`reports.verdict_document`)
+without the timing stats (keys ending in ``_ms``), plus a cell digest, a
+SHA-256 over the verdict's ``cell_batch`` (``index`` as int64, ``out_lo``
+and ``out_hi``), and the workload's oracle sample.  A problem is listed
+when any field differs: its status, a stat, the counterexample, the cell
+digest or its output hull.  For a moved hull the listing says
+whether it lies inside the parent's hull (within 1e-9 per endpoint) and
+whether it still encloses the oracle sample; a hull of ``boundary`` mode,
+which assumes invertibility, need not.
 
 Exits 0 when every status is equal and every moved hull lies inside the
 parent's and encloses the oracle, and 1 otherwise: a change may alter the
@@ -33,7 +34,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 SLACK = 1e-9
-SUBSET_STATS = ("cells_total", "cells_certified", "cells_kept")
 
 
 def run_tree(src: Path, manifests: list, out: Path) -> dict:
@@ -48,6 +48,7 @@ def worker(out: str, manifests: list) -> None:
     import numpy as np
     import probe
     import reachbound as rb
+    from reachbound.reports import verdict_document
 
     src = Path(os.environ["PYTHONPATH"]).resolve()
     if not Path(rb.__file__).resolve().is_relative_to(src):
@@ -58,21 +59,13 @@ def worker(out: str, manifests: list) -> None:
         nets = probe.read_models(rb, manifest)
         for p in manifest["problems"]:
             v = rb.verify(probe.build_problem(rb, manifest, nets, p))
-            hull, cells = v.output_hull, v.cell_batch
-            digest = hashlib.sha256()
+            cells, digest = v.cell_batch, hashlib.sha256()
             for arr in (np.asarray(cells.index, dtype=np.int64), cells.out_lo, cells.out_hi):
                 digest.update(arr.tobytes())
-            records[f"{manifest['key']}/{p['pid']}"] = {
-                "status": v.status,
-                "path": v.stats.get("path", v.stats["mode"]),
-                "cells_propagated": v.stats["cells_propagated"],
-                "subset_stats": {k: v.stats[k] for k in SUBSET_STATS if k in v.stats},
-                "cells": digest.hexdigest(),
-                "assumes_invertible": v.stats.get("assumes_invertible", False),
-                "hull_lo": [float(x).hex() for x in hull.lo],
-                "hull_hi": [float(x).hex() for x in hull.hi],
-                "oracle": manifest["oracle"][p["net"]],
-            }
+            record = verdict_document(v)
+            record["stats"] = {k: s for k, s in record["stats"].items() if not k.endswith("_ms")}
+            record.update(cells=digest.hexdigest(), oracle=manifest["oracle"][p["net"]])
+            records[f"{manifest['key']}/{p['pid']}"] = record
     Path(out).write_text(json.dumps(records), encoding="utf-8")
 
 
@@ -93,22 +86,31 @@ def write_manifests(seeds, tmp: Path) -> list:
     return paths
 
 
+def _changes(old: dict, new: dict, prefix: str = "") -> list:
+    """``field old -> new`` for each field that differs, stats one by one."""
+    out = []
+    for k in dict.fromkeys([*old, *new]):
+        a, b = old.get(k), new.get(k)
+        if isinstance(a, dict) and isinstance(b, dict):
+            out += _changes(a, b, f"{prefix}{k}.")
+        elif a != b and k != "output_hull":
+            out.append(f"{prefix}{k} {a} -> {b}")
+    return out
+
+
 def compare(parent: dict, change: dict) -> tuple:
     """(report lines, whether the change passes) for two runs of the same problems."""
     lines, ok = [], True
     for pid, old in parent.items():
         new = change[pid]
-        diffs = [f"{k} {old[k]} -> {new[k]}"
-                 for k in ("status", "path", "cells_propagated", "subset_stats", "cells")
-                 if old[k] != new[k]]
+        diffs = _changes(old, new)
         ok &= old["status"] == new["status"]
-        if (old["hull_lo"], old["hull_hi"]) != (new["hull_lo"], new["hull_hi"]):
-            ol, oh, nl, nh = ([float.fromhex(x) for x in r[k]]
-                              for r in (old, new) for k in ("hull_lo", "hull_hi"))
+        if old["output_hull"] != new["output_hull"]:
+            (ol, oh), (nl, nh) = (zip(*r["output_hull"]) for r in (old, new))
             inside = all(a >= b - SLACK for a, b in zip(nl, ol)) and all(
                 a <= b + SLACK for a, b in zip(nh, oh))
             image_lo, image_hi = new["oracle"]
-            encloses = new["assumes_invertible"] or (
+            encloses = new["stats"].get("assumes_invertible", False) or (
                 all(a <= b + SLACK for a, b in zip(nl, image_lo))
                 and all(a >= b - SLACK for a, b in zip(nh, image_hi)))
             ok &= inside and encloses

@@ -31,14 +31,13 @@ from .reports import (
     write_reach_cells,
     write_verdict,
 )
-from .topology import certify_cells, grid_counts, partition
+from .topology import certify_cells, grid_cell_batch, grid_counts
 from .verifier import (
     FALSIFIED,
     MODES,
     SAFE,
     UNKNOWN,
     VerificationProblem,
-    _check_level_size,
     monte_carlo,
     verify,
 )
@@ -135,15 +134,13 @@ def cmd_certify(args) -> int:
     counts = grid_counts(None if args.grid is None else args.grid.split(","), input_box.dim)
     if input_box.degenerate_dims():
         raise ValueError("certification requires a non-degenerate input box")
-    _check_level_size("full", counts)  # certify builds every grid cell, as full mode does
-    grid = partition(input_box, counts)
-    idx, lo, hi = grid.bounds_arrays()
-    det_lo, det_hi, certified = certify_cells(net, lo, hi)  # each cell once
+    cells = grid_cell_batch(input_box, counts)  # every grid cell, as full mode builds them
+    det_lo, det_hi, certified = certify_cells(net, cells.lo, cells.hi)  # each cell once
     if args.out:
-        write_certification(idx, det_lo, det_hi, certified, args.out)
-    interior = int((certified & grid.interior_mask(idx)).sum())
-    summary = {"total": grid.total, "certified_interior": interior,
-               "kept": grid.total - interior, "certified_cells": int(certified.sum())}
+        write_certification(cells.index, det_lo, det_hi, certified, args.out)
+    interior = int((certified & cells.grid.interior_mask(cells.index)).sum())
+    summary = {"total": cells.count, "certified_interior": interior,
+               "kept": cells.count - interior, "certified_cells": int(certified.sum())}
     print(json.dumps(summary, indent=1))
     return 0
 

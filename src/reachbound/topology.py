@@ -1,9 +1,11 @@
-"""Grid partitions, the one cell type, interval Jacobians, certification and subset extraction.
+"""Grid partitions, the one cell type and its builders, interval Jacobians and certification.
 
 Every cell batch is a `CellBatch` of lattice ranges ``[a, b)`` on one
-`CellGrid`, its bounds read off the edges once (`CellGrid.range_bounds`):
-all cells (``b = a + 1``), the kept cells of `extract_subset` (a
-`SubsetExtraction`, which adds its counts), or face cells (``a_k = b_k``).
+`CellGrid`, its bounds read off the edges once (`CellGrid.range_bounds`).
+Its three builders take ``(box, counts)``: all cells (`grid_cell_batch`,
+``b = a + 1``), face cells (`boundary_cell_batch`, ``a_k = b_k``) and the
+kept cells of `extract_subset` (a `SubsetExtraction`, which adds its
+counts).  Each refuses a level past `CELL_BUDGET` before it builds a grid.
 
 Two tests read the interval enclosure of the Jacobian over a cell,
 `jacobian_interval_arrays`, which applies to any network:
@@ -24,7 +26,7 @@ Two tests read the interval enclosure of the Jacobian over a cell,
   excludes zero implies the row test; `verify` runs only the row test.
 
 Every enclosure stays a ``(lo, hi)`` pair of endpoint arrays.  A per-cell
-report of every cell calls `certify_cells` on the whole grid itself.
+report of every cell calls `certify_cells` on `grid_cell_batch` itself.
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ from .network import Network
 __all__ = [
     "CellGrid",
     "CellBatch",
+    "CELL_BUDGET",
     "partition",
+    "grid_cell_batch",
+    "boundary_cell_batch",
     "grid_counts",
     "subset_tree_applies",
     "jacobian_interval_arrays",
@@ -104,9 +109,9 @@ class CellGrid:
         return lo, hi
 
     def bounds_arrays(self):
-        """Row-major (indices, lo, hi) arrays for all cells at once."""
-        idx = np.indices(self.counts).reshape(self.dim, -1).T
-        return (idx, *self.range_bounds(idx, idx + 1))
+        """Row-major (indices, lo, hi) arrays for all cells at once, from `grid_cell_batch`."""
+        batch = grid_cell_batch(self.base, self.counts)
+        return batch.index, batch.lo, batch.hi
 
     def interior_mask(self, idx: np.ndarray) -> np.ndarray:
         """True where a cell index touches no face of the base box."""
@@ -136,6 +141,56 @@ class CellBatch:
 
 def partition(box: Box, counts) -> CellGrid:
     return CellGrid(box, tuple(int(c) for c in counts))
+
+
+# Largest cell batch one level may build.  A level holds each cell's
+# lattice range and bounds (32 bytes per input dimension) and its output
+# hull (16 bytes per output dimension): at 2^22 cells, 0.4 GB at 2 inputs
+# and 1.2 GB at 6.  The passes run in blocks of `domains._BLOCK` cells, so
+# their per-layer arrays do not grow with the grid.  The benchmark's
+# largest level is 40 000 cells.
+CELL_BUDGET = 2**22
+
+
+def _refuse_past_budget(cells: int, kind: str, counts) -> None:
+    """Raise ValueError, before anything is allocated, when ``cells`` exceeds `CELL_BUDGET`."""
+    if cells > CELL_BUDGET:
+        raise ValueError(f"grid {'x'.join(map(str, counts))} needs {cells} {kind} cells, more "
+                         f"than the budget of {CELL_BUDGET}; refusing to allocate it")
+
+
+def grid_cell_batch(box: Box, counts) -> CellBatch:
+    """All cells of the grid of ``counts`` on ``box``, ``b = a + 1``, in row-major order."""
+    counts = tuple(int(c) for c in counts)
+    _refuse_past_budget(math.prod(counts), "grid", counts)
+    grid = partition(box, counts)
+    a = np.indices(grid.counts).reshape(grid.dim, -1).T
+    return CellBatch(grid, a, a + 1)
+
+
+def boundary_cell_batch(box: Box, counts) -> CellBatch:
+    """All boundary-face cells of the grid of ``counts`` on ``box``, as lattice ranges.
+
+    A face cell is the range ``[a, b)`` with ``a_k = b_k``, 0 on the low
+    k-face and ``counts[k]`` on the high one, and ``b_j = a_j + 1`` in every
+    other dimension; its lattice index is ``a``.  Faces come in order of k,
+    low before high, each in row-major order: ``2 sum_k prod_{j != k} c_j``.
+    """
+    if box.degenerate_dims():
+        raise ValueError("boundary faces require a box that is non-degenerate in every dimension")
+    counts = tuple(int(c) for c in counts)
+    shapes = [counts[:k] + (1,) + counts[k + 1 :] for k in range(len(counts))]
+    _refuse_past_budget(2 * sum(map(math.prod, shapes)), "face", counts)
+    grid = partition(box, counts)
+    parts = []
+    for k, shape in enumerate(shapes):
+        a = np.argwhere(np.ones(shape, dtype=bool))
+        b = a + 1
+        for edge in (0, counts[k]):
+            a[:, k] = b[:, k] = edge
+            parts.append((a.copy(), b.copy()))
+    a, b = (np.concatenate(ends) for ends in zip(*parts))
+    return CellBatch(grid, a, b)
 
 
 def grid_counts(counts, dim: int, flat=()) -> tuple[int, ...]:
@@ -338,6 +393,8 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
         raise ValueError(f"input box dimension {input_box.dim} != input dim {net.input_dim}")
     if input_box.degenerate_dims():
         raise ValueError("subset extraction requires a non-degenerate input box")
+    counts = tuple(int(c) for c in counts)
+    _refuse_past_budget(math.prod(counts), "grid", counts)
     grid = partition(input_box, counts)
     kept = np.ones(grid.counts, dtype=bool)
     kept[tuple(slice(1, c - 1) for c in grid.counts)] = False

@@ -4,7 +4,9 @@ Three cell sets can be propagated: the input faces (``boundary``), the grid
 minus the interior cells where no output has a zero gradient (``subset``),
 or every grid cell (``full``).  Modes ``boundary`` and ``full`` name their
 set; ``subset`` and ``auto`` are both the paper's method, which tests the
-whole input box first and picks one of the three (see `verify`).
+whole input box first and picks one of the three (see `verify`).  Each set
+has its builder in `topology`, which also refuses a level past its cell
+budget.
 
 Soundness contract: a `safe` verdict means the computed over-approximation of
 the required cells' images lies inside the safe box.  The faces alone hold
@@ -21,10 +23,9 @@ and such a point is not covered.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -37,12 +38,12 @@ from .domains import (
 from .network import Network, forward_batch, forward_point
 from .topology import (
     CellBatch,
-    CellGrid,
+    boundary_cell_batch,
     box_passes_row_test,
     certify_homeomorphism,  # noqa: F401  (unused; the benchmark tracer hooks this name)
     extract_subset,
+    grid_cell_batch,
     grid_counts,
-    partition,
     subset_tree_applies,
 )
 
@@ -53,8 +54,6 @@ __all__ = [
     "VerificationProblem",
     "Verdict",
     "propagate_cells",
-    "boundary_cell_batch",
-    "grid_cell_batch",
     "verify",
     "MonteCarloResult",
     "monte_carlo",
@@ -117,34 +116,6 @@ class Verdict:
     cell_batch: Optional[CellBatch] = None  # reporting hook
 
 
-def grid_cell_batch(grid: CellGrid) -> CellBatch:
-    """All cells of a grid, ``b = a + 1``, in row-major order."""
-    a = np.indices(grid.counts).reshape(grid.dim, -1).T
-    return CellBatch(grid, a, a + 1)
-
-
-def boundary_cell_batch(input_box: Box, counts: Sequence[int]) -> CellBatch:
-    """All boundary-face cells of a box partition, as lattice ranges of its grid.
-
-    A face cell is the range ``[a, b)`` with ``a_k = b_k``, 0 on the low
-    k-face and ``counts[k]`` on the high one, and ``b_j = a_j + 1`` in every
-    other dimension; its lattice index is ``a``.  Faces come in order of k,
-    low before high, each in row-major order.
-    """
-    if input_box.degenerate_dims():
-        raise ValueError("boundary faces require a box that is non-degenerate in every dimension")
-    grid = partition(input_box, counts)
-    parts = []
-    for k, c in enumerate(grid.counts):
-        a = np.argwhere(np.ones(grid.counts[:k] + (1,) + grid.counts[k + 1 :], dtype=bool))
-        b = a + 1
-        for edge in (0, c):
-            a[:, k] = b[:, k] = edge
-            parts.append((a.copy(), b.copy()))
-    a, b = (np.concatenate(ends) for ends in zip(*parts))
-    return CellBatch(grid, a, b)
-
-
 def propagate_cells(net: Network, batch: CellBatch, domain: str) -> CellBatch:
     """Fill the batch's output hulls under the box or zonotope domain, a block of cells at a time."""
     propagate = box_propagate_arrays if normalize_domain(domain) == "box" else zono_propagate
@@ -196,36 +167,6 @@ def monte_carlo(
 # the driver
 
 
-# Largest cell batch one level may build.  A level holds each cell's
-# lattice index and bounds (24 bytes per input dimension) and its output
-# hull (16 bytes per output dimension): at 2^22 cells that is 0.3 GB at 2
-# inputs and 1 GB at 6.  The passes themselves (box, zonotope and the
-# subset tree's Jacobian) run in blocks of `domains._BLOCK` cells, so their
-# per-layer arrays do not grow with the grid.  The benchmark's largest
-# level is 40 000 cells.
-CELL_BUDGET = 2**22
-
-
-def _check_level_size(path: str, counts) -> int:
-    """The cells `verify` builds for ``path`` on a grid of ``counts``.
-
-    ``boundary`` builds ``2 * sum_k prod_{j != k} counts[j]`` face cells, the
-    other paths every grid cell; the count is an exact Python integer.  Above
-    `CELL_BUDGET` this raises ValueError, before anything is allocated.
-    """
-    counts = tuple(counts)
-    if path == "boundary":
-        cells = 2 * sum(math.prod(counts[:k] + counts[k + 1 :]) for k in range(len(counts)))
-    else:
-        cells = math.prod(counts)
-    if cells > CELL_BUDGET:
-        raise ValueError(
-            f"grid {'x'.join(map(str, counts))} needs {cells} {path} cells, more than the "
-            f"budget of {CELL_BUDGET}; refusing to allocate it"
-        )
-    return cells
-
-
 def verify(problem: VerificationProblem) -> Verdict:
     """Propagate the required cells and check that their images lie in the safe box.
 
@@ -244,8 +185,8 @@ def verify(problem: VerificationProblem) -> Verdict:
     in zero-width dimensions.  An Unknown verdict becomes Falsified when
     Monte-Carlo sampling finds an input whose exact image leaves the safe box.
 
-    Each level's cell count is checked against `CELL_BUDGET` before the
-    level is built (`_check_level_size`).
+    Each level's builder refuses a level past `topology.CELL_BUDGET` with
+    ValueError before it builds the level's grid.
 
     ``stats`` times two phases over all refinement levels: ``certify_ms``
     (the whole-box row test and subset extraction) and ``propagate_ms``
@@ -270,11 +211,10 @@ def verify(problem: VerificationProblem) -> Verdict:
     safe_lo, safe_hi = safe.lo, safe.hi
     for level in range(problem.max_refinements + 1):
         counts = tuple(c if k in flat else c * 2**level for k, c in enumerate(problem.grid))
-        _check_level_size(path, counts)
         if path == "boundary":
             batch = boundary_cell_batch(problem.input_box, counts)
         elif path == "full":
-            batch = grid_cell_batch(partition(problem.input_box, counts))
+            batch = grid_cell_batch(problem.input_box, counts)
         else:  # the subset path's cells come out of certification
             phase = time.perf_counter()
             batch = extract_subset(net, problem.input_box, counts)

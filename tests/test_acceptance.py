@@ -194,8 +194,8 @@ def test_c5_conservativeness_and_refinement():
 def test_c6_domain_dominance():
     for seed, dims, act, scale, _, mode, box, grid in config_table()[:12]:
         net = rb.generate_network(seed, dims, act, scale)
-        batch_box = grid_cell_batch(partition(box, grid))
-        batch_zono = grid_cell_batch(partition(box, grid))
+        batch_box = grid_cell_batch(box, grid)
+        batch_zono = grid_cell_batch(box, grid)
         rb.verifier.propagate_cells(net, batch_box, "box")
         rb.verifier.propagate_cells(net, batch_zono, "zono")
         assert np.all(batch_zono.out_lo >= batch_box.out_lo - 1e-9)

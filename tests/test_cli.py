@@ -21,8 +21,8 @@ from reachbound.reports import (
     write_mc_points,
     write_reach_cells,
 )
-from reachbound.topology import CellBatch, grid_counts
-from reachbound.verifier import CELL_BUDGET, MonteCarloResult
+from reachbound.topology import CELL_BUDGET, CellBatch, grid_counts
+from reachbound.verifier import MonteCarloResult
 from conftest import dropped_mask, identity_net, kept_whole_mask, make_net, traced_extraction, MIXED
 
 
@@ -488,6 +488,19 @@ def test_certify_summary_agrees_with_the_subset_decision(tmp_path, capsys):
     dropped, whole = dropped_mask(ex), kept_whole_mask(ex.grid, levels)
     assert np.all(dropped[certified & interior & ~whole])
     assert np.all(whole[interior & ~dropped])
+
+
+def test_certify_and_full_mode_list_the_same_cells(tmp_path, capsys):
+    # both enumerate the grid with `grid_cell_batch`, so their idx columns agree row for row
+    model = tmp_path / "mixed.json"
+    rb.write_model(make_net(**MIXED), model)
+    common = ("--model", str(model), "--input", "-1,1;-0.5,2", "--grid", "6,9")
+    assert run(capsys, "certify", *common, "--out", str(tmp_path / "cert.csv"))[0] == 0
+    run(capsys, "verify", *common, "--safe", "-9,9;-9,9", "--mode", "full",
+        "--cells-out", str(tmp_path / "reach.csv"))
+    cert = np.loadtxt(tmp_path / "cert.csv", delimiter=",", skiprows=1, dtype=float)
+    idx = read_reach_cells(tmp_path / "reach.csv")[0]
+    assert idx.shape == (54, 2) and np.array_equal(cert[:, :2], idx)
 
 
 def test_certify_identity_fully_certified(identity_model, capsys):

@@ -331,7 +331,7 @@ def test_batched_zonotopes_match_per_cell_chain(case):
     rng = np.random.default_rng(seed)
     n = net.input_dim
     box = rb.Box.from_bounds([(-1, 1)] * n)
-    grid = grid_cell_batch(rb.partition(box, (2,) * n))
+    grid = grid_cell_batch(box, (2,) * n)
     faces = boundary_cell_batch(box, (2,) * n)
     pick_grid = rng.choice(grid.count, 8)
     pick_faces = rng.choice(faces.count, 12)
@@ -354,7 +354,7 @@ def test_batched_zonotopes_match_per_cell_chain(case):
 
 def test_batched_zonotopes_across_a_block_boundary(invertible_net, unit_square, monkeypatch):
     monkeypatch.setattr(rb.domains, "_BLOCK", 100)
-    batch = grid_cell_batch(rb.partition(unit_square, (33, 33)))
+    batch = grid_cell_batch(unit_square, (33, 33))
     assert batch.count > rb.domains._BLOCK
     propagate_cells(invertible_net, batch, "zono")
     want_lo, want_hi = per_cell_zono_hulls(invertible_net, batch.lo, batch.hi)
@@ -371,7 +371,7 @@ def test_zono_propagate_runs_one_pass_per_layer_over_mixed_cells(monkeypatch):
     net = make_net(seed=4, dims=(3, 6, 3))
     box = rb.Box.from_bounds([(-1, 1), (-0.5, 0.5), (0, 2)])
     faces = boundary_cell_batch(box, (3, 3, 3))
-    grid = grid_cell_batch(rb.partition(box, (3, 3, 3)))
+    grid = grid_cell_batch(box, (3, 3, 3))
     points = np.random.default_rng(4).uniform(-0.5, 0.5, (5, 3))
     lo = np.concatenate([faces.lo, grid.lo, points])
     hi = np.concatenate([faces.hi, grid.hi, points])

@@ -57,14 +57,21 @@ def test_manifest_diff_finds_no_difference_between_a_tree_and_itself(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("cells", "1" * 64),
-    ("subset_stats", {"cells_total": 16, "cells_certified": 3, "cells_kept": 13}),
+    ("stats", {"cells_certified": 3, "cells_kept": 13, "refinement_level": 1}),
+    ("counterexample", [0.25]),
 ])
 def test_manifest_diff_lists_a_cell_change_without_failing(field, value):
     compare = runpy.run_path(str(ROOT / "scripts" / "manifest_diff.py"))["compare"]
-    record = {"status": "safe", "path": "subset", "cells_propagated": 12,
-              "subset_stats": {"cells_total": 16, "cells_certified": 4, "cells_kept": 12},
-              "cells": "0" * 64, "assumes_invertible": False, "hull_lo": [(0.0).hex()],
-              "hull_hi": [(1.0).hex()], "oracle": [[0.25], [0.75]]}
-    parent = {"p/0": record, "p/1": record}
-    lines, ok = compare(parent, {"p/0": record, "p/1": dict(record, **{field: value})})
-    assert lines == [f"p/1: {field} {record[field]} -> {value}"] and ok
+    stats = {"mode": "subset", "path": "subset", "input_certified": False, "cells_total": 16,
+             "cells_certified": 4, "cells_kept": 12, "cells_propagated": 12,
+             "refinement_level": 0}
+    record = {"status": "falsified", "stats": stats, "output_hull": [[0.0, 1.0]],
+              "counterexample": [0.5], "cells": "0" * 64, "oracle": [[0.25], [0.75]]}
+    if field == "stats":
+        changed = dict(record, stats=dict(stats, **value))
+        want = [f"stats.{k} {stats[k]} -> {v}" for k, v in value.items()]
+    else:
+        changed = dict(record, **{field: value})
+        want = [f"{field} {record[field]} -> {value}"]
+    lines, ok = compare({"p/0": record, "p/1": record}, {"p/0": record, "p/1": changed})
+    assert lines == ["p/1: " + "; ".join(want)] and ok

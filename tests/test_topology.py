@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 
 import reachbound as rb
 from reachbound import topology
-from reachbound.topology import box_passes_row_test, certify_cells, jacobian_interval_arrays
-from reachbound.verifier import boundary_cell_batch
+from reachbound.topology import (
+    boundary_cell_batch,
+    box_passes_row_test,
+    certify_cells,
+    jacobian_interval_arrays,
+)
 from conftest import (
     MIXED,
     deep_nets,
@@ -141,6 +145,27 @@ def test_face_cover_equals_boundary(unit_square):
             pts[:, k] = v
             for p in pts:
                 assert np.any(np.all((faces.lo <= p) & (p <= faces.hi), axis=1))
+
+
+@pytest.mark.parametrize("build, at_budget, past_budget", [
+    (topology.grid_cell_batch, (10, 10), (10, 11)),
+    (lambda box, counts: topology.extract_subset(make_net(**MIXED), box, counts), (10, 10), (10, 11)),
+    (boundary_cell_batch, (25, 25), (25, 26)),  # 100 and 102 face cells
+], ids=["grid", "subset", "boundary"])
+def test_every_builder_refuses_before_it_builds(monkeypatch, build, at_budget, past_budget):
+    monkeypatch.setattr(topology, "CELL_BUDGET", 100)
+    grids = []
+
+    def recording_partition(box, counts):
+        grids.append(tuple(counts))
+        return rb.partition(box, counts)
+
+    monkeypatch.setattr(topology, "partition", recording_partition)
+    box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
+    assert build(box, at_budget).grid.counts == at_budget
+    with pytest.raises(ValueError, match="budget of 100; refusing to allocate"):
+        build(box, past_budget)
+    assert grids == [at_budget]  # the refused level built no grid
 
 
 def test_bounds_arrays_row_major(unit_square):

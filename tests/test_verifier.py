@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 import reachbound as rb
 from reachbound.domains import box_propagate_arrays
 from reachbound.reports import verdict_document
-from reachbound import verifier
+from reachbound import topology, verifier
 from reachbound.topology import box_passes_row_test, certify_cells, extract_subset
-from reachbound.verifier import CELL_BUDGET, _check_level_size
 from conftest import deep_nets, identity_net, linear_net, make_net, MIXED
 
 
@@ -524,6 +523,18 @@ def test_problem_validation(unit_square, invertible_net):
         problem(invertible_net, unit_square, unit_square, seed=-1)
 
 
+# each path's builder, called on a unit box of the counts' dimension
+_BUILDERS = {
+    "full": topology.grid_cell_batch,
+    "subset": lambda box, counts: topology.extract_subset(identity_net(len(counts)), box, counts),
+    "boundary": topology.boundary_cell_batch,
+}
+
+
+class _GridBuilt(Exception):
+    pass
+
+
 @pytest.mark.parametrize(
     "path, at_budget, past_budget",
     [
@@ -534,39 +545,60 @@ def test_problem_validation(unit_square, invertible_net):
         ("boundary", (2**20, 2**20), (2**20, 2**20 + 1)),
     ],
 )
-def test_level_size_checked_against_the_budget(path, at_budget, past_budget):
-    assert _check_level_size(path, at_budget) == CELL_BUDGET
-    with pytest.raises(ValueError, match="allocate"):
-        _check_level_size(path, past_budget)
+def test_level_size_checked_against_the_budget(monkeypatch, path, at_budget, past_budget):
+    def partition(box, counts):  # reached only past the budget check; builds nothing
+        raise _GridBuilt(counts)
+
+    monkeypatch.setattr(topology, "partition", partition)
+    build = _BUILDERS[path]
+    with pytest.raises(_GridBuilt):
+        build(rb.Box.from_bounds([(0, 1)] * len(at_budget)), at_budget)
+    past = topology.CELL_BUDGET + (2 if path == "boundary" else 1)
+    with pytest.raises(ValueError, match=f"needs {past} .*budget of {topology.CELL_BUDGET}.*allocate"):
+        build(rb.Box.from_bounds([(0, 1)] * len(past_budget)), past_budget)
 
 
-def test_face_cell_count_matches_the_built_batch():
-    counts = (3, 4, 5)
-    batch = verifier.boundary_cell_batch(rb.Box.from_bounds([(0, 1)] * 3), counts)
-    assert _check_level_size("boundary", counts) == batch.count == 2 * (20 + 15 + 12)
-    assert _check_level_size("full", counts) == 60
-    # a 1-d box (its two end points), a count of 1, and a 6-d box
-    for counts, faces in [((7,), 2), ((1, 6), 2 * (6 + 1)), ((5, 1, 3), 2 * (3 + 15 + 5)),
+def test_face_cell_count_matches_the_built_batch(monkeypatch):
+    # a 3-d box, a 1-d box (its two end points), a count of 1, and a 6-d box
+    for counts, faces in [((3, 4, 5), 2 * (20 + 15 + 12)), ((7,), 2), ((1, 6), 2 * (6 + 1)),
+                          ((5, 1, 3), 2 * (3 + 15 + 5)),
                           ((2, 3, 1, 2, 3, 2), 2 * (36 + 24 + 72 + 36 + 24 + 36))]:
-        batch = verifier.boundary_cell_batch(rb.Box.from_bounds([(-1, 2)] * len(counts)), counts)
-        assert _check_level_size("boundary", counts) == batch.count == faces
+        box = rb.Box.from_bounds([(-1, 2)] * len(counts))
+        monkeypatch.setattr(topology, "CELL_BUDGET", faces)
+        batch = topology.boundary_cell_batch(box, counts)
+        assert batch.count == faces
         assert np.all(np.sum(batch.lo == batch.hi, axis=1) == 1)
+        monkeypatch.setattr(topology, "CELL_BUDGET", faces - 1)
+        with pytest.raises(ValueError, match=f"needs {faces} face cells"):
+            topology.boundary_cell_batch(box, counts)
+    box = rb.Box.from_bounds([(0, 1)] * 3)
+    monkeypatch.setattr(topology, "CELL_BUDGET", 60)
+    assert topology.grid_cell_batch(box, (3, 4, 5)).count == 60
+    monkeypatch.setattr(topology, "CELL_BUDGET", 59)
+    with pytest.raises(ValueError, match="needs 60 grid cells"):
+        topology.grid_cell_batch(box, (3, 4, 5))
 
 
 def test_verify_refuses_an_oversized_refinement_level_before_building_it(monkeypatch):
-    monkeypatch.setattr(verifier, "CELL_BUDGET", 100)
+    monkeypatch.setattr(topology, "CELL_BUDGET", 100)
     problem = rb.VerificationProblem(
         make_net(**MIXED), rb.Box.from_bounds([(-1, 1), (-1, 1)]),
         rb.Box.from_bounds([(-1e-3, 1e-3)] * 2), mode="auto", grid=(4,),
         max_refinements=2,
     )
-    built = []
+    reached, built = [], []
 
     def recording_extract_subset(net, box, counts):
-        built.append(counts)
+        reached.append(counts)
         return extract_subset(net, box, counts)
 
+    def recording_partition(box, counts):
+        built.append(tuple(counts))
+        return rb.partition(box, counts)
+
     monkeypatch.setattr(verifier, "extract_subset", recording_extract_subset)
+    monkeypatch.setattr(topology, "partition", recording_partition)
     with pytest.raises(ValueError, match="allocate"):
         rb.verify(problem)
+    assert reached == [(4, 4), (8, 8), (16, 16)]
     assert built == [(4, 4), (8, 8)]  # 16 and 64 cells; 256 is refused unbuilt
