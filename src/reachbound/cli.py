@@ -131,7 +131,7 @@ def cmd_compare(args) -> int:
 def cmd_certify(args) -> int:
     net = read_model(args.model)
     input_box = parse_box(args.input)
-    counts = grid_counts(None if args.grid is None else args.grid.split(","), input_box.dim)
+    counts = grid_counts(None if args.grid is None else args.grid.split(","), input_box)
     if input_box.degenerate_dims():
         raise ValueError("certification requires a non-degenerate input box")
     cells = grid_cell_batch(input_box, counts)  # every grid cell, as full mode builds them

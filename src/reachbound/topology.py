@@ -12,12 +12,11 @@ Two tests read the interval enclosure of the Jacobian over a cell,
 
 - the row test passes a cell when every row of the enclosure has an entry
   that excludes zero, so no output has a critical point there.
-  `box_passes_row_test` runs it on one box, such as the whole input box,
-  on any network shape; `extract_subset` runs it on a tree over the
-  interior cells, the only ones it may drop, with one Jacobian call per
-  tree level and block of rows, and returns only the cells it keeps.  The
-  tree accepts a square network with at most 6 inputs
-  (`subset_tree_applies`);
+  `box_passes_row_test` runs it on one box on any network shape (a box
+  with a zero-width dimension fails untested); `extract_subset` runs it on
+  a tree over the interior cells, the only ones it may drop, with one
+  Jacobian call per tree level and block of rows, and returns the cells it
+  keeps: every cell where it can drop none (`subset_tree_applies`);
 - the determinant test certifies a network restricted to a cell as a
   homeomorphism onto its image when the enclosure of the determinant
   excludes zero.  It needs a square network with at most 6 inputs, because
@@ -159,12 +158,17 @@ def _refuse_past_budget(cells: int, kind: str, counts) -> None:
                          f"than the budget of {CELL_BUDGET}; refusing to allocate it")
 
 
+def _lattice_cells(counts: tuple[int, ...]) -> np.ndarray:
+    """(N, n) lattice indices of every cell of a grid of ``counts``, in row-major order."""
+    return np.indices(counts).reshape(len(counts), -1).T
+
+
 def grid_cell_batch(box: Box, counts) -> CellBatch:
     """All cells of the grid of ``counts`` on ``box``, ``b = a + 1``, in row-major order."""
     counts = tuple(int(c) for c in counts)
     _refuse_past_budget(math.prod(counts), "grid", counts)
     grid = partition(box, counts)
-    a = np.indices(grid.counts).reshape(grid.dim, -1).T
+    a = _lattice_cells(grid.counts)
     return CellBatch(grid, a, a + 1)
 
 
@@ -193,18 +197,19 @@ def boundary_cell_batch(box: Box, counts) -> CellBatch:
     return CellBatch(grid, a, b)
 
 
-def grid_counts(counts, dim: int, flat=()) -> tuple[int, ...]:
-    """Per-dimension cell counts: None means one cell per dimension.
+def grid_counts(counts, box: Box, level: int = 0) -> tuple[int, ...]:
+    """Per-dimension cell counts on ``box`` at refinement ``level``: None means one cell each.
 
-    One count applies to every dimension except the zero-width ones listed
-    in ``flat``, which take 1.
+    One count applies to every dimension except the zero-width ones, which
+    take 1.  Each level doubles every count but theirs.
     """
-    counts = (1,) * dim if counts is None else tuple(int(c) for c in counts)
+    flat = box.degenerate_dims()
+    counts = (1,) * box.dim if counts is None else tuple(int(c) for c in counts)
     if len(counts) == 1:
-        counts = tuple(1 if k in flat else counts[0] for k in range(dim))
-    if len(counts) != dim or any(c < 1 for c in counts):
+        counts = tuple(1 if k in flat else counts[0] for k in range(box.dim))
+    if len(counts) != box.dim or any(c < 1 for c in counts):
         raise ValueError("grid needs one positive count per input dimension")
-    return counts
+    return tuple(c if k in flat else c * 2**level for k, c in enumerate(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +227,6 @@ def subset_tree_applies(net: Network) -> bool:
     because of its cofactor expansion.
     """
     return net.is_square and net.input_dim <= _MAX_INPUTS
-
-
-def _require_square(net: Network, what: str) -> None:
-    if not subset_tree_applies(net):
-        raise ValueError(
-            f"{what} requires a square network with at most {_MAX_INPUTS} inputs, "
-            f"got {net.input_dim} -> {net.output_dim}"
-        )
 
 
 def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
@@ -275,9 +272,16 @@ def box_passes_row_test(net: Network, box: Box) -> bool:
 
     When it passes, no output has a critical point in the box, so every
     output's extrema over the box lie on its faces (see `extract_subset`).
+
+    A box with a zero-width dimension fails without a Jacobian call: the
+    argument steps from a point along the gradient, which needs width in
+    every dimension, so an output can peak inside such a box with every row
+    passing on an entry of a zero-width dimension.
     """
     if box.dim != net.input_dim:
         raise ValueError(f"box dimension {box.dim} != input dim {net.input_dim}")
+    if box.degenerate_dims():
+        return False
     return bool(_passes_row_test(*jacobian_interval_arrays(net, box.lo, box.hi)))
 
 
@@ -303,7 +307,9 @@ def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):
     Rows run in blocks (`_map_row_blocks`), which bound the per-layer
     Jacobian arrays on large grids.  No rows make no Jacobian call.
     """
-    _require_square(net, "the determinant test")
+    if not subset_tree_applies(net):
+        raise ValueError(f"the determinant test requires a square network with at most "
+                         f"{_MAX_INPUTS} inputs, got {net.input_dim} -> {net.output_dim}")
     det_lo, det_hi = _map_row_blocks(
         net, lambda lo, hi: _idet_arrays(*jacobian_interval_arrays(net, lo, hi)), lo, hi, ((), ()))
     return det_lo, det_hi, (det_lo > 0.0) | (det_hi < 0.0)
@@ -383,35 +389,36 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     two, keeps the depth near log log N, because each level's call has a
     fixed cost on top of its cells.
 
-    Only square networks with at most 6 inputs are accepted
-    (`subset_tree_applies`).  The kept cells are marked on a boolean array of
-    the grid's shape, which starts as the ring; `np.argwhere` lists them in
-    row-major order.
+    Where no cell can be dropped, every cell is kept untested, as
+    `grid_cell_batch` lists them: on a grid with no interior cell (a count
+    below 3, as in a zero-width dimension) or a network that is not square
+    with at most 6 inputs (`subset_tree_applies`).  Otherwise the kept
+    cells are marked on a boolean array of the grid's shape, which starts
+    as the ring; `np.argwhere` lists them in row-major order.
     """
-    _require_square(net, "the subset tree")
     if input_box.dim != net.input_dim:
         raise ValueError(f"input box dimension {input_box.dim} != input dim {net.input_dim}")
-    if input_box.degenerate_dims():
-        raise ValueError("subset extraction requires a non-degenerate input box")
     counts = tuple(int(c) for c in counts)
     _refuse_past_budget(math.prod(counts), "grid", counts)
     grid = partition(input_box, counts)
-    kept = np.ones(grid.counts, dtype=bool)
-    kept[tuple(slice(1, c - 1) for c in grid.counts)] = False
     a = np.ones((1, grid.dim), dtype=np.int64)
     b = np.array([grid.counts], dtype=np.int64) - 1
-    if np.all(b > a):  # a grid with a count below 3 has no interior cell
-        while a.shape[0]:
-            leaf = np.all(b - a <= 2, axis=1)
-            # ceil(sqrt(r)) = r for r <= 2, so a leaf-sized node splits into its cells
-            cells = _split_nodes(a[leaf], b[leaf])[0]
-            kept[tuple(cells.T)] = True
-            a, b = _split_nodes(a[~leaf], b[~leaf])
-            if a.shape[0]:
-                (passed,) = _map_row_blocks(
-                    net,
-                    lambda lo, hi: (_passes_row_test(*jacobian_interval_arrays(net, lo, hi)),),
-                    *grid.range_bounds(a, b), ((),), dtype=bool)
-                a, b = a[~passed], b[~passed]
+    if not (np.all(b > a) and subset_tree_applies(net)):
+        index = _lattice_cells(grid.counts)
+        return SubsetExtraction(grid, index, index + 1)
+    kept = np.ones(grid.counts, dtype=bool)
+    kept[tuple(map(slice, a[0], b[0]))] = False
+    while a.shape[0]:
+        leaf = np.all(b - a <= 2, axis=1)
+        # ceil(sqrt(r)) = r for r <= 2, so a leaf-sized node splits into its cells
+        cells = _split_nodes(a[leaf], b[leaf])[0]
+        kept[tuple(cells.T)] = True
+        a, b = _split_nodes(a[~leaf], b[~leaf])
+        if a.shape[0]:
+            (passed,) = _map_row_blocks(
+                net,
+                lambda lo, hi: (_passes_row_test(*jacobian_interval_arrays(net, lo, hi)),),
+                *grid.range_bounds(a, b), ((),), dtype=bool)
+            a, b = a[~passed], b[~passed]
     index = np.argwhere(kept)
     return SubsetExtraction(grid, index, index + 1)

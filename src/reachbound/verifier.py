@@ -4,9 +4,9 @@ Three cell sets can be propagated: the input faces (``boundary``), the grid
 minus the interior cells where no output has a zero gradient (``subset``),
 or every grid cell (``full``).  Modes ``boundary`` and ``full`` name their
 set; ``subset`` and ``auto`` are both the paper's method, which tests the
-whole input box first and picks one of the three (see `verify`).  Each set
-has its builder in `topology`, which also refuses a level past its cell
-budget.
+whole input box first and picks the faces or the subset (see `verify`).
+Each set has its builder in `topology`, which also refuses a level past its
+cell budget; where the subset can drop no cell, it is every grid cell.
 
 Soundness contract: a `safe` verdict means the computed over-approximation of
 the required cells' images lies inside the safe box.  The faces alone hold
@@ -44,7 +44,6 @@ from .topology import (
     extract_subset,
     grid_cell_batch,
     grid_counts,
-    subset_tree_applies,
 )
 
 __all__ = [
@@ -90,10 +89,7 @@ class VerificationProblem:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "domain", normalize_domain(self.domain))
-        object.__setattr__(
-            self, "grid",
-            grid_counts(self.grid, self.input_box.dim, self.input_box.degenerate_dims()),
-        )
+        object.__setattr__(self, "grid", grid_counts(self.grid, self.input_box))
 
 
 def _column_hull(lo: np.ndarray, hi: np.ndarray):
@@ -174,16 +170,14 @@ def verify(problem: VerificationProblem) -> Verdict:
     of the whole input box (`box_passes_row_test`).  If every row has an
     entry that excludes 0, no output has a critical point in the box, so
     the faces suffice on any network shape (path ``boundary``, with
-    ``input_certified`` true).  Otherwise, where `extract_subset` runs its
-    tree (`subset_tree_applies`), the interior cells that pass the row test
-    are dropped (path ``subset``, ``stats["cells_certified"]`` counts them),
-    since an output extremum lies on the box's faces or where that output's
-    gradient is zero; elsewhere every grid cell is propagated (path
-    ``full``).  A box with a zero-width dimension has no interior and no
-    faces to propagate: it takes the full path untested.  ``stats["path"]`` names the set propagated.  In every
-    mode the grid doubles on Unknown up to ``max_refinements`` times, except
-    in zero-width dimensions.  An Unknown verdict becomes Falsified when
-    Monte-Carlo sampling finds an input whose exact image leaves the safe box.
+    ``input_certified`` true).  Otherwise `extract_subset` drops the
+    interior cells that pass the row test, or none where it cannot drop
+    one (path ``subset``, ``stats["cells_certified"]`` counts them), since
+    an output extremum lies on the box's faces or where that output's
+    gradient is zero.  ``stats["path"]`` names the set propagated.  In
+    every mode the grid doubles on Unknown up to ``max_refinements`` times
+    (`grid_counts`).  An Unknown verdict becomes Falsified when Monte-Carlo
+    sampling finds an input whose exact image leaves the safe box.
 
     Each level's builder refuses a level past `topology.CELL_BUDGET` with
     ValueError before it builds the level's grid.
@@ -196,13 +190,11 @@ def verify(problem: VerificationProblem) -> Verdict:
     net = problem.net
     stats = {"mode": problem.mode, "certify_ms": 0.0, "propagate_ms": 0.0}
     path = problem.mode
-    flat = problem.input_box.degenerate_dims()
     if path in ("subset", "auto"):
         phase = time.perf_counter()
-        passed = not flat and box_passes_row_test(net, problem.input_box)
+        passed = box_passes_row_test(net, problem.input_box)
         stats["certify_ms"] = (time.perf_counter() - phase) * 1e3
-        tree = subset_tree_applies(net) and not flat
-        path = "boundary" if passed else "subset" if tree else "full"
+        path = "boundary" if passed else "subset"
         stats.update(path=path, input_certified=passed)
     if path == "boundary":
         stats["assumes_invertible"] = problem.mode == "boundary"
@@ -210,7 +202,7 @@ def verify(problem: VerificationProblem) -> Verdict:
     safe = problem.safe_box
     safe_lo, safe_hi = safe.lo, safe.hi
     for level in range(problem.max_refinements + 1):
-        counts = tuple(c if k in flat else c * 2**level for k, c in enumerate(problem.grid))
+        counts = grid_counts(problem.grid, problem.input_box, level)
         if path == "boundary":
             batch = boundary_cell_batch(problem.input_box, counts)
         elif path == "full":

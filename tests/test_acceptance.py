@@ -208,13 +208,12 @@ def test_c7_efficiency_trend():
     box = rb.Box.from_bounds([(0, 1), (0, 1)])
     assert rb.certify_homeomorphism(net, box).certified
 
-    # warm up the numeric stack before timing
-    rb.verify(rb.VerificationProblem(net, box, mc_safe(net, box, 2.0),
-                                     mode="full", grid=(10, 10)))
+    # warm up both timed modes at the timed grid; the full hull sets the safe box
     full_hull = rb.verify(
         rb.VerificationProblem(net, box, mc_safe(net, box, 2.0), mode="full", grid=(100, 100))
     ).output_hull
     safe = rb.Box.from_arrays(full_hull.lo - 0.05, full_hull.hi + 0.05)
+    rb.verify(rb.VerificationProblem(net, box, safe, mode="boundary", grid=(100, 100)))
 
     t0 = time.perf_counter()
     full = rb.verify(rb.VerificationProblem(net, box, safe, mode="full", grid=(100, 100)))

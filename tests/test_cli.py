@@ -49,15 +49,16 @@ def run(capsys, *argv):
 def test_parse_box_and_grid():
     box = parse_box("0,1;-2,3")
     assert box.lo.tolist() == [0.0, -2.0] and box.hi.tolist() == [1.0, 3.0]
-    assert grid_counts("100".split(","), 1) == (100,)
-    assert grid_counts("10,20".split(","), 2) == (10, 20)
-    assert grid_counts(["4"], 3, flat=(1,)) == (4, 1, 4)
-    assert grid_counts(["4"], 1, flat=(0,)) == (1,)
-    assert grid_counts(["4", "2"], 2, flat=(1,)) == (4, 2)  # the cell grid refuses it
+    assert grid_counts("100".split(","), parse_box("0,1")) == (100,)
+    assert grid_counts("10,20".split(","), box) == (10, 20)
+    assert grid_counts(["4"], parse_box("0,1;2,2;0,1")) == (4, 1, 4)
+    assert grid_counts(["4"], parse_box("2,2")) == (1,)
+    assert grid_counts(["4", "2"], parse_box("0,1;2,2")) == (4, 2)  # the cell grid refuses it
+    assert grid_counts(["4", "3"], parse_box("0,1;2,2"), level=2) == (16, 3)
     with pytest.raises(ValueError):
         parse_box("0;1")
     with pytest.raises(ValueError):
-        grid_counts("0,5".split(","), 2)
+        grid_counts("0,5".split(","), box)
 
 
 def test_verify_safe_exit_zero(identity_model, capsys):
@@ -742,7 +743,8 @@ def test_one_count_grid_skips_zero_width_dimensions(tmp_path, capsys):
         )
         assert code == 0 and err == ""
         doc = json.loads(out)
-        assert doc["stats"]["cells_propagated"] == 4 and doc["stats"].get("path", "full") == "full"
+        assert doc["stats"]["cells_propagated"] == 4
+        assert doc["stats"].get("path") == (None if mode == "full" else "subset")
         idx, _, _ = read_reach_cells(tmp_path / "cells.csv")
         assert idx.tolist() == [[0, 0], [1, 0], [2, 0], [3, 0]]
     code, _, err = run(
@@ -764,7 +766,8 @@ def test_compare_marks_the_boundary_row_not_applicable_on_a_flat_box(tmp_path, c
     assert docs["boundary"] == {"status": "n/a", "stats": {"mode": "boundary"}, "output_hull": None,
                                 "counterexample": None,
                                 "reason": "the input box has a zero-width dimension"}
-    assert docs["subset"]["stats"]["path"] == "full" and docs["subset"]["status"] == "safe"
+    assert docs["subset"]["stats"]["path"] == "subset" and docs["subset"]["status"] == "safe"
+    assert docs["subset"]["stats"]["cells_certified"] == 0
     assert docs["subset"]["stats"]["cells_propagated"] == docs["full"]["stats"]["cells_propagated"] == 4
     lines = {line.split()[0]: line.split()[1:] for line in out.splitlines()[1:]}
     assert lines["boundary"] == ["-", "n/a", "-"]

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import runpy
@@ -23,3 +24,32 @@ def test_trace_hooks_resolve():
     tracer = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"))
     missing = [target for target, _, _ in tracer["HOOKS"] if tracer["resolve"](target) is None]
     assert not missing, f"trace hooks with no target: {missing}"
+
+
+def test_no_unused_imports():
+    """Every name a module imports is used, exported, or the target of a benchmark trace hook."""
+    root = Path(__file__).resolve().parents[1]
+    tracer = runpy.run_path(str(root / "perfbench" / "tracer.py"))
+    hooked = {tuple(target.split(".")[1:3]) for target, _, _ in tracer["HOOKS"]}
+    unused = []
+    for path in sorted((root / "src" / "reachbound").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {
+            name
+            for node in tree.body
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"
+            for name in ast.literal_eval(node.value)
+        }
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used - exported)
+                   if (path.stem, name) not in hooked]
+    assert not unused, f"imported names that are never used: {unused}"

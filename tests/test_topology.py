@@ -597,16 +597,49 @@ def test_extraction_never_splits_a_leaf_sized_node(case):
     assert pa.shape[0] == 0
 
 
-def test_extraction_rejects_degenerate_input(mixed_net):
-    with pytest.raises(ValueError):
-        rb.extract_subset(mixed_net, rb.Box.from_bounds([(0, 0), (0, 1)]), (1, 4))
+def _no_jacobian(*args):
+    raise AssertionError("a Jacobian enclosure was computed")
 
 
-def test_extraction_rejects_non_square():
+def _assert_keeps_every_cell(ex, box, counts):
+    full = topology.grid_cell_batch(box, counts)
+    assert ex.counts == {"total": full.count, "certified_interior": 0, "kept": full.count}
+    for field in ("index", "b", "lo", "hi"):
+        assert getattr(ex, field).tobytes() == getattr(full, field).tobytes()
+
+
+def test_extraction_keeps_every_cell_of_a_flat_box(mixed_net, monkeypatch):
+    monkeypatch.setattr(topology, "jacobian_interval_arrays", _no_jacobian)
+    box = rb.Box.from_bounds([(0, 0), (0, 1)])
+    _assert_keeps_every_cell(rb.extract_subset(mixed_net, box, (1, 4)), box, (1, 4))
+
+
+def test_extraction_keeps_every_cell_of_a_non_square_net(monkeypatch):
+    monkeypatch.setattr(topology, "jacobian_interval_arrays", _no_jacobian)
     net = rb.generate_network(1, [2, 5, 3])
-    for counts in ((4, 4), (2, 7)):  # (2, 7) has no interior row to certify
-        with pytest.raises(ValueError):
-            rb.extract_subset(net, rb.Box.from_bounds([(0, 1), (0, 1)]), counts)
+    box = rb.Box.from_bounds([(0, 1), (0, 1)])
+    for counts in ((4, 4), (2, 7)):  # (4, 4) has interior cells the tree would test
+        _assert_keeps_every_cell(rb.extract_subset(net, box, counts), box, counts)
+
+
+def test_a_flat_box_fails_the_row_test_untested(monkeypatch):
+    eps = 0.05
+    net = rb.Network((
+        rb.Layer(np.array([[1.0, 0.0], [1.0, 0.0], [eps, 0.0], [0.0, eps]]),
+                 np.array([1.0, -1.0, 0.0, 0.0]), "tanh"),
+        rb.Layer(np.array([[0.0, 0.0, 1 / eps, 0.0], [1.0, -1.0, 0.0, 1 / eps]]),
+                 np.zeros(2), "linear"),
+    ))
+    flat = rb.Box.from_bounds([(-1, 1), (0, 0)])
+    # every row of the enclosure passes: f1 through x1, f2 through the zero-width x2
+    assert row_test(*jacobian_interval_arrays(net, flat.lo, flat.hi))
+    # yet f2 peaks inside the box, above its values at both relative faces
+    f2 = rb.forward_batch(net, np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))[:, 1]
+    assert f2[1] > max(f2[0], f2[2])
+    calls = []
+    monkeypatch.setattr(topology, "jacobian_interval_arrays",
+                        lambda *a: calls.append(a) or jacobian_interval_arrays(*a))
+    assert box_passes_row_test(net, flat) is False and calls == []
 
 
 def test_certify_cells_across_a_block_boundary(mixed_net, monkeypatch):

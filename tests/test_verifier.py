@@ -192,15 +192,43 @@ def _tree_refused_cases(unit_square, scale):
     )
 
 
-def test_subset_non_square_falls_back_to_full(unit_square):
+def _keeps_the_full_grid(net, box, safe, mode, **kwargs):
+    """Verify in ``mode`` with no Jacobian call; the verdict is full mode's on the subset path."""
+    def no_jacobian(*args):
+        raise AssertionError("a Jacobian enclosure was computed")
+
+    full = rb.verify(problem(net, box, safe, mode="full", **kwargs))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(topology, "jacobian_interval_arrays", no_jacobian)
+        v = rb.verify(problem(net, box, safe, mode=mode, **kwargs))
+    assert v.stats["path"] == "subset" and v.stats["input_certified"] is False
+    assert v.stats["cells_certified"] == 0
+    assert v.stats["cells_kept"] == v.stats["cells_total"] == full.stats["cells_propagated"]
+    assert v.status == full.status
+    for a, b in ((v.output_hull.lo, full.output_hull.lo),
+                 (v.output_hull.hi, full.output_hull.hi)):
+        assert a.tobytes() == b.tobytes()
+    for field in ("index", "lo", "hi", "out_lo", "out_hi"):
+        a, b = getattr(v.cell_batch, field), getattr(full.cell_batch, field)
+        assert a.tobytes() == b.tobytes()
+    return v
+
+
+def _tree_refused_keeps_the_full_grid(unit_square, mode):
     for net, box, grid, cells in _tree_refused_cases(unit_square, scale=1.0):
         safe = _mc_safe(net, box, 3.0)
-        v = rb.verify(problem(net, box, safe, mode="subset", grid=grid))
-        assert v.stats["path"] == "full" and "fallback_full" not in v.stats
-        assert v.stats["input_certified"] is False
-        assert v.stats["cells_propagated"] == cells
+        # the whole-box row test fails with a Jacobian call; extract_subset then makes none
+        assert box_passes_row_test(net, box) is False
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(verifier, "box_passes_row_test", lambda net, box: False)
+            v = _keeps_the_full_grid(net, box, safe, mode, grid=grid)
+        assert v.stats["cells_propagated"] == cells and "fallback_full" not in v.stats
         with pytest.raises(ValueError):
             certify_cells(net, box.lo, box.hi)
+
+
+def test_subset_non_square_falls_back_to_full(unit_square):
+    _tree_refused_keeps_the_full_grid(unit_square, "subset")
 
 
 @pytest.mark.parametrize("mode", ["subset", "auto"])
@@ -290,14 +318,7 @@ def test_auto_singular_takes_subset_path(unit_square):
 
 
 def test_auto_non_square_falls_back_to_full_grid(unit_square):
-    for net, box, grid, cells in _tree_refused_cases(unit_square, scale=1.0):
-        safe = _mc_safe(net, box, 3.0)
-        v = rb.verify(problem(net, box, safe, grid=grid))
-        assert v.stats["path"] == "full" and "fallback_full" not in v.stats
-        assert v.stats["input_certified"] is False
-        assert v.stats["cells_propagated"] == cells
-        with pytest.raises(ValueError):
-            certify_cells(net, box.lo, box.hi)
+    _tree_refused_keeps_the_full_grid(unit_square, "auto")
 
 
 def test_auto_refines_until_safe(unit_square, invertible_net):
@@ -360,27 +381,11 @@ def test_refinement_keeps_zero_width_dimensions_at_one_cell(mode, domain):
 
 @pytest.mark.parametrize("domain", ["box", "zono"])
 @pytest.mark.parametrize("mode", ["subset", "auto"])
-def test_a_flat_input_box_takes_the_full_path(mode, domain, monkeypatch):
+def test_a_flat_input_box_keeps_every_cell(mode, domain):
     # a box with no interior has no cell to drop, so nothing is tested
-    def no_certification(*args):
-        raise AssertionError("a flat box was tested")
-
-    monkeypatch.setattr(verifier, "box_passes_row_test", no_certification)
-    monkeypatch.setattr(verifier, "extract_subset", no_certification)
-    net = make_net(**MIXED)
-    full, v = (
-        rb.verify(problem(net, FLAT, TINY_SAFE, mode=m, domain=domain, grid=(5, 1),
-                          max_refinements=1))
-        for m in ("full", mode)
-    )
-    assert v.stats["path"] == "full" and v.stats["input_certified"] is False
-    assert v.status == full.status == rb.UNKNOWN
-    for a, b in ((v.output_hull.lo, full.output_hull.lo),
-                 (v.output_hull.hi, full.output_hull.hi)):
-        assert a.tobytes() == b.tobytes()
-    for field in ("index", "lo", "hi", "out_lo", "out_hi"):
-        a, b = getattr(v.cell_batch, field), getattr(full.cell_batch, field)
-        assert a.tobytes() == b.tobytes()
+    v = _keeps_the_full_grid(make_net(**MIXED), FLAT, TINY_SAFE, mode, domain=domain,
+                             grid=(5, 1), max_refinements=1)
+    assert v.status == rb.UNKNOWN and v.stats["cells_propagated"] == 10
 
 
 def test_boundary_mode_refuses_a_flat_input_box():
