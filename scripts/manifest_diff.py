@@ -12,9 +12,11 @@ SHA-256 over the verdict's ``cell_batch`` (``index`` as int64, ``out_lo``
 and ``out_hi``), and the workload's oracle sample.  A problem is listed
 when any field differs: its status, a stat, the counterexample, the cell
 digest or its output hull.  For a moved hull the listing says
-whether it lies inside the parent's hull (within 1e-9 per endpoint) and
-whether it still encloses the oracle sample; a hull of ``boundary`` mode,
-which assumes invertibility, need not.
+whether it lies inside the parent's hull (within 1e-9 per endpoint),
+whether it still encloses the oracle sample (a hull of ``boundary`` mode,
+which assumes invertibility, need not), and its largest outward and inward
+endpoint moves.  The summary line adds the largest outward move over all
+problems when any hull moved, since "inside the parent's" allows 1e-9.
 
 Exits 0 when every status is equal and every moved hull lies inside the
 parent's and encloses the oracle, and 1 otherwise: a change may alter the
@@ -98,6 +100,13 @@ def _changes(old: dict, new: dict, prefix: str = "") -> list:
     return out
 
 
+def hull_moves(old: dict, new: dict) -> tuple:
+    """(largest outward, largest inward) endpoint move of the new hull; 0 where none."""
+    (ol, oh), (nl, nh) = (zip(*r["output_hull"]) for r in (old, new))
+    outward = [a - b for a, b in zip(ol, nl)] + [b - a for a, b in zip(oh, nh)]
+    return max([0.0, *outward]), max([0.0, *(-m for m in outward)])
+
+
 def compare(parent: dict, change: dict) -> tuple:
     """(report lines, whether the change passes) for two runs of the same problems."""
     lines, ok = [], True
@@ -114,7 +123,9 @@ def compare(parent: dict, change: dict) -> tuple:
                 all(a <= b + SLACK for a, b in zip(nl, image_lo))
                 and all(a >= b - SLACK for a, b in zip(nh, image_hi)))
             ok &= inside and encloses
-            diffs.append(f"hull moved, inside the parent's: {inside}, encloses the oracle: {encloses}")
+            outward, inward = hull_moves(old, new)
+            diffs.append(f"hull moved, inside the parent's: {inside}, encloses the oracle: "
+                         f"{encloses}, outward {outward:.3g}, inward {inward:.3g}")
         if diffs:
             lines.append(f"{pid}: " + "; ".join(diffs))
     return lines, ok
@@ -137,7 +148,12 @@ def main() -> int:
     lines, ok = compare(parent, change)
     for line in lines:
         print(line)
-    print(f"{len(parent)} problems, {len(lines)} with differences")
+    outward = [hull_moves(old, change[pid])[0] for pid, old in parent.items()
+               if old["output_hull"] != change[pid]["output_hull"]]
+    summary = f"{len(parent)} problems, {len(lines)} with differences"
+    if outward:
+        summary += f", largest outward hull move {max(outward):.3g}"
+    print(summary)
     return 0 if ok else 1
 
 

@@ -3,12 +3,16 @@
 A zonotope holds ``{c + G eps : eps in [-1,1]^g}`` plus a per-dimension
 ``slack`` box that absorbs floating-point drift from affine images and
 activation transformers, so every concretization (and every float evaluation
-of a contained point) stays inside the reported set.  Both domains take
-batched cells: `box_propagate_arrays` and `zono_propagate` map ``(..., n)``
-cell bounds to ``(..., m)`` output hulls in array passes over blocks of
-``_BLOCK`` cells (`_map_row_blocks`).  A box gives a zonotope one generator
-per dimension, zero where its width is zero, so faces, points and grid cells
-share one generator count in a batch.
+of a contained point) stays inside the reported set.  Its generators are
+generator-major, ``(g, ..., d)``: a batch's generators are the rows of one
+matrix, so each affine image is one matrix product and each sum over the
+generators runs over the outermost axis.  Every rounding term is an a-priori
+bound that holds in any summation order.  Both domains take batched cells:
+`box_propagate_arrays` and `zono_propagate` map ``(..., n)`` cell bounds to
+``(..., m)`` output hulls in array passes over blocks of ``_BLOCK`` cells
+(`_map_row_blocks`).  A box gives a zonotope one generator per dimension,
+zero where its width is zero, so faces, points and grid cells share one
+generator count in a batch.
 """
 
 from __future__ import annotations
@@ -104,9 +108,12 @@ def box_propagate_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
 class Zonotope:
     """Affine sets c + G eps with eps in [-1,1]^g, plus a rounding slack box.
 
-    ``center`` and ``slack`` are ``(..., d)`` and ``generators`` is
-    ``(..., d, g)``: the leading axes index a batch of zonotopes that share
-    one generator count.
+    ``center`` and ``slack`` are ``(..., d)``.  ``generators`` is
+    generator-major, ``(g, ..., d)``: ``generators[j]`` is generator j of
+    every zonotope in the batch, so the leading axes after the first index a
+    batch that shares one generator count, a sum over the generators runs
+    over the outermost, contiguous axis, and the generators of a batch are
+    the rows of one 2-D matrix.
     """
 
     center: np.ndarray
@@ -118,8 +125,8 @@ class Zonotope:
         g = np.asarray(self.generators, dtype=float)
         if c.ndim < 1:
             raise ValueError("zonotope center must be a vector")
-        if g.shape[:-1] != c.shape:
-            raise ValueError("generators must be a (..., dim, count) array matching the center")
+        if g.shape[1:] != c.shape:
+            raise ValueError("generators must be a (count, ..., dim) array matching the center")
         s = self.slack
         s = np.zeros_like(c) if s is None else np.asarray(s, dtype=float)
         if s.shape != c.shape or np.any(s < 0):
@@ -138,28 +145,43 @@ class Zonotope:
         """Outward-rounded interval hulls, ``(lo, hi)`` of shape (..., d).
 
         Dimension i lies within ``r_i + slack_i`` of ``c_i``, ``r_i = sum_j |G_ij|``.
-        The float sum of g terms undershoots ``r_i`` by less than
-        ``(g - 1) u r_i``, which the error term covers with the later additions
-        and underflow; `_down`/`_up` round outward.  A row of exact zeros sums
-        to exactly 0, so it takes only its slack: a point box hulls to itself.
+        The float sum of g nonnegative terms, in any order, undershoots
+        ``r_i`` by less than ``(g - 1) u r_i``; adding the error term and the
+        slack rounds by at most ``u`` of each sum.  ``(g + 2) u (r_i +
+        slack_i)`` covers all three and ``(g + 1) tiny`` the underflow of its
+        own product; `_down`/`_up` round the endpoints outward.  The sum runs
+        over the generator axis, one contiguous ``(..., d)`` slice at a time.
+        A row of exact zeros sums to exactly 0, so it takes only its slack,
+        with no rounding: a point box hulls to itself.
         """
-        g = self.generators
-        rad_raw = np.abs(g).sum(axis=-1)
-        err = (g.shape[-1] + 2) * _U * rad_raw + (g.shape[-1] + 1) * _TINY
+        g = self.generators.shape[0]
+        rad_raw = np.abs(self.generators).sum(axis=0)
+        err = (g + 2) * _U * (rad_raw + self.slack) + (g + 1) * _TINY
         rad = np.where(rad_raw > 0.0, rad_raw + err, 0.0) + self.slack
         lo = np.where(rad > 0.0, _down(self.center - rad), self.center)
         hi = np.where(rad > 0.0, _up(self.center + rad), self.center)
         return lo, hi
 
 
+def _diagonal_generators(count: int, diag: np.ndarray) -> np.ndarray:
+    """``(count + d, ..., d)`` generators, zero but for ``[count + i, ..., i] = diag[..., i]``.
+
+    The first ``count`` generators are left for the caller to fill.
+    """
+    d = diag.shape[-1]
+    gens = np.zeros((count + d, diag.size // d, d))
+    i = np.arange(d)
+    gens[count + i, :, i] = diag.reshape(-1, d).T
+    return gens.reshape((count + d,) + diag.shape)
+
+
 def _zono_from_bounds(lo, hi) -> Zonotope:
     """Axis-aligned zonotopes covering (..., n) boxes: one generator per dimension."""
     c = 0.5 * (lo + hi)
     half = np.maximum(hi - c, c - lo)
-    gens = half[..., :, None] * np.eye(lo.shape[-1])
     # midpoint rounding can undershoot by half an ulp per side; a zero width is exact
     slack = np.where(half > 0.0, 2.0 * _U * np.maximum(np.abs(lo), np.abs(hi)) + _TINY, 0.0)
-    return Zonotope(c, gens, slack)
+    return Zonotope(c, _diagonal_generators(0, half), slack)
 
 
 def zono_from_box(cell: Box) -> Zonotope:
@@ -170,21 +192,52 @@ def zono_from_box(cell: Box) -> Zonotope:
 def zono_affine(z: Zonotope, w: np.ndarray, b: np.ndarray) -> Zonotope:
     """Image of zonotopes under x -> w x + b (exact up to absorbed rounding).
 
-    Every product is a stacked matmul, so each zonotope of a batch gets the
-    same BLAS call, and the same bits, as it would alone.
+    The center and the generators are the ``(g + 1) N`` rows of one product
+    with a C-contiguous copy of ``w.T``, and ``reach`` and the old slack the
+    ``2 N`` rows of one product with ``|w|.T``, so even one zonotope makes
+    matrix-matrix calls of two or more rows.
+
+    Rounding: the exact image is ``(w c + b, w G, |w| s)``.  A product of k
+    terms errs by at most ``gamma_k = k u / (1 - k u)`` times the same
+    product of magnitudes, in any summation order, with or without FMA, plus
+    half a subnormal step for each term that underflows; adding b errs by at
+    most ``u |w c + b|``.  So the new center and generators together leave
+    the exact ones by at most ``gamma_k |w| (|c| + sum_j |G_j|) + u (|w| |c|
+    + |b|)(1 + gamma_k)``, and the float ``|w| s`` undershoots the exact one
+    by at most ``gamma_k |w| s``: ``(k + 1) u bound`` to first order, with
+    ``bound = |w| reach + |b|`` and ``reach = |c| + sum_j |G_j| + s``.  Both
+    are computed in float, as sums of nonnegative terms, so whatever their
+    order they undershoot the exact ones by less than a factor ``1 -
+    gamma_{g+k+2}``; this includes the rounding of ``reach``.  ``(k + 4) u
+    bound`` covers the first-order term with room for that undershoot and
+    for the additions that form the new slack, and ``(g + 2) k tiny`` covers
+    the underflow of the ``(g + 2) k`` products.  Every term is an a-priori
+    bound that holds for any summation order, so the image is sound whatever
+    kernel BLAS picks for the call's row count.
     """
     w = np.asarray(w, dtype=float)
     b = np.asarray(b, dtype=float)
-    if w.shape[1] != z.dim:
-        raise ValueError(f"affine map expects dimension {w.shape[1]}, zonotope has {z.dim}")
-    aw = np.abs(w)
-    c = (w @ z.center[..., None])[..., 0] + b
-    gens = w @ z.generators
-    k = w.shape[1]
-    reach = np.abs(z.center) + np.abs(z.generators).sum(axis=-1) + z.slack
-    bound = (aw @ reach[..., None])[..., 0] + np.abs(b)
-    slack = (aw @ z.slack[..., None])[..., 0] + (k + 4) * _U * bound + (k + 2) * _TINY
-    return Zonotope(c, gens, slack)
+    m, k = w.shape
+    if k != z.dim:
+        raise ValueError(f"affine map expects dimension {k}, zonotope has {z.dim}")
+    batch = z.center.shape[:-1]
+    g = z.generators.shape[0]
+    rows = np.empty((g + 1,) + z.center.shape)
+    rows[0] = z.center
+    rows[1:] = z.generators
+    image = (rows.reshape(-1, k) @ np.ascontiguousarray(w.T)).reshape((g + 1,) + batch + (m,))
+    c = image[0]
+    c += b
+    mags = np.empty((2,) + z.center.shape)
+    np.abs(rows, out=rows).sum(axis=0, out=mags[0])  # the product has read the rows
+    mags[0] += z.slack
+    mags[1] = z.slack
+    mags = (mags.reshape(-1, k) @ np.ascontiguousarray(np.abs(w).T)).reshape((2,) + batch + (m,))
+    bound = mags[0]
+    bound += np.abs(b)
+    slack = mags[1]
+    slack += (k + 4) * _U * bound + (g + 2) * k * _TINY
+    return Zonotope(c, image[1:], slack)
 
 
 def zono_activation(z: Zonotope, activation: str) -> Zonotope:
@@ -193,7 +246,8 @@ def zono_activation(z: Zonotope, activation: str) -> Zonotope:
     With pre-activation hull [l, u], slope lam = min(f'(l), f'(u)) and offsets
     mu1 = (f(u)+f(l) - lam(u+l))/2, mu2 = (f(u)-f(l) - lam(u-l))/2, the image
     of every point lies within mu2 of the line lam*x + mu1, so each dimension
-    contributes one fresh generator of magnitude mu2.
+    contributes one fresh generator of magnitude mu2.  The scaled generators
+    and the d fresh ones are written into one new array.
     """
     act = _lookup(activation)
     if act.linear:
@@ -207,12 +261,13 @@ def zono_activation(z: Zonotope, activation: str) -> Zonotope:
     mu1 = 0.5 * ((fu + fl) - lam * (u + l))
     mu2 = np.maximum(0.5 * ((fu - fl) - lam * (u - l)), 0.0)
     c = lam * z.center + mu1
-    gens = lam[..., :, None] * z.generators
+    g = z.generators.shape[0]
+    gens = _diagonal_generators(g, mu2)
+    np.multiply(lam, z.generators, out=gens[:g])
     # absorb libm and form-evaluation drift; scaled by lam <= 1 the old slack shrinks
     scale = np.abs(fl) + np.abs(fu) + np.abs(mu1) + np.abs(lam) * (np.abs(l) + np.abs(u)) + 1.0
     slack = lam * z.slack + 64.0 * _U * scale + 4.0 * _TINY
-    fresh = mu2[..., :, None] * np.eye(z.dim)
-    return Zonotope(c, np.concatenate([gens, fresh], axis=-1), slack)
+    return Zonotope(c, gens, slack)
 
 
 def zono_propagate(net: Network, lo: np.ndarray, hi: np.ndarray):
@@ -220,10 +275,14 @@ def zono_propagate(net: Network, lo: np.ndarray, hi: np.ndarray):
 
     Returns ``(out_lo, out_hi)`` of shape (..., output_dim), as
     `box_propagate_arrays` does, in blocks of ``_BLOCK`` cells to bound memory.
+    It composes the public kernels, one call of each per layer and block.
     `zono_from_box` pads a zero-width dimension with a zero generator too, so
-    a cell has the same generator arrays, error counts and BLAS calls in a
-    block as alone: its hull is the one `zono_from_box`, `zono_affine`,
-    `zono_activation` and `hull_arrays` give for that cell.
+    a cell has the same generator count and error terms in a block as alone.
+    Each product is one matrix-matrix call over all rows of the block, so the
+    hull equals the one-cell chain `zono_from_box`, `zono_affine`,
+    `zono_activation`, `hull_arrays` wherever BLAS gives a row the same bits
+    at every row count: on the layer shapes where the box pass keeps its bits
+    across block splits.  Elsewhere it can move by an ulp and stays sound.
     """
 
     def layers(lo, hi):

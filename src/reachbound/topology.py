@@ -51,6 +51,7 @@ __all__ = [
     "CellGrid",
     "CellBatch",
     "CELL_BUDGET",
+    "CellBudgetError",
     "partition",
     "grid_cell_batch",
     "boundary_cell_batch",
@@ -151,11 +152,15 @@ def partition(box: Box, counts) -> CellGrid:
 CELL_BUDGET = 2**22
 
 
+class CellBudgetError(ValueError):
+    """A level would build more than `CELL_BUDGET` cells; nothing was allocated."""
+
+
 def _refuse_past_budget(cells: int, kind: str, counts) -> None:
-    """Raise ValueError, before anything is allocated, when ``cells`` exceeds `CELL_BUDGET`."""
+    """Raise `CellBudgetError`, before any allocation, when ``cells`` exceeds `CELL_BUDGET`."""
     if cells > CELL_BUDGET:
-        raise ValueError(f"grid {'x'.join(map(str, counts))} needs {cells} {kind} cells, more "
-                         f"than the budget of {CELL_BUDGET}; refusing to allocate it")
+        raise CellBudgetError(f"grid {'x'.join(map(str, counts))} needs {cells} {kind} cells, "
+                              f"more than the budget of {CELL_BUDGET}; refusing to allocate it")
 
 
 def _lattice_cells(counts: tuple[int, ...]) -> np.ndarray:

@@ -38,6 +38,7 @@ from .domains import (
 from .network import Network, forward_batch, forward_point
 from .topology import (
     CellBatch,
+    CellBudgetError,
     boundary_cell_batch,
     box_passes_row_test,
     certify_homeomorphism,  # noqa: F401  (unused; the benchmark tracer hooks this name)
@@ -180,7 +181,10 @@ def verify(problem: VerificationProblem) -> Verdict:
     sampling finds an input whose exact image leaves the safe box.
 
     Each level's builder refuses a level past `topology.CELL_BUDGET` with
-    ValueError before it builds the level's grid.
+    `CellBudgetError`, a ValueError, before it builds the level's grid.  At
+    level 0 that error ends `verify`; at a refinement level, refining stops
+    and the verdict, hull, cells and ``refinement_level`` of the level before
+    it stand, and falsification runs on them.
 
     ``stats`` times two phases over all refinement levels: ``certify_ms``
     (the whole-box row test and subset extraction) and ``propagate_ms``
@@ -203,17 +207,23 @@ def verify(problem: VerificationProblem) -> Verdict:
     safe_lo, safe_hi = safe.lo, safe.hi
     for level in range(problem.max_refinements + 1):
         counts = grid_counts(problem.grid, problem.input_box, level)
-        if path == "boundary":
-            batch = boundary_cell_batch(problem.input_box, counts)
-        elif path == "full":
-            batch = grid_cell_batch(problem.input_box, counts)
-        else:  # the subset path's cells come out of certification
-            phase = time.perf_counter()
-            batch = extract_subset(net, problem.input_box, counts)
-            c = batch.counts
-            stats.update(cells_total=c["total"], cells_certified=c["certified_interior"],
-                         cells_kept=c["kept"])
-            stats["certify_ms"] += (time.perf_counter() - phase) * 1e3
+        try:
+            if path == "boundary":
+                cells = boundary_cell_batch(problem.input_box, counts)
+            elif path == "full":
+                cells = grid_cell_batch(problem.input_box, counts)
+            else:  # the subset path's cells come out of certification
+                phase = time.perf_counter()
+                cells = extract_subset(net, problem.input_box, counts)
+                c = cells.counts
+                stats.update(cells_total=c["total"], cells_certified=c["certified_interior"],
+                             cells_kept=c["kept"])
+                stats["certify_ms"] += (time.perf_counter() - phase) * 1e3
+        except CellBudgetError:
+            if level == 0:
+                raise
+            break  # keep the last level within the budget
+        batch, done = cells, level
         phase = time.perf_counter()
         propagate_cells(net, batch, problem.domain)
         stats["propagate_ms"] += (time.perf_counter() - phase) * 1e3
@@ -221,7 +231,7 @@ def verify(problem: VerificationProblem) -> Verdict:
         ok = bool(np.all(hull_lo >= safe_lo) and np.all(hull_hi <= safe_hi))
         if ok:
             break
-    stats.update(cells_propagated=batch.count, refinement_level=level)
+    stats.update(cells_propagated=batch.count, refinement_level=done)
     verdict = Verdict(SAFE if ok else UNKNOWN, stats, Box.from_arrays(hull_lo, hull_hi),
                       cell_batch=batch)
 

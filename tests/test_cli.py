@@ -93,6 +93,28 @@ def test_verify_falsified_exit_two(identity_model, capsys):
     assert len(doc["counterexample"]) == 2
 
 
+@pytest.mark.parametrize("mode, last_level", [("auto", 2), ("subset", 2), ("full", 2),
+                                              ("boundary", 4)])
+def test_a_refinement_level_past_the_budget_keeps_the_last_verdict(
+        tmp_path, capsys, monkeypatch, mode, last_level):
+    # 256 cells: a 16x16 grid (level 2 from 4x4) or the faces of 64x64
+    # (level 4); refining stops there and the Unknown verdict is falsified
+    monkeypatch.setattr(rb.topology, "CELL_BUDGET", 256)
+    model = tmp_path / "mixed.json"
+    rb.write_model(make_net(**MIXED), model)
+    code, out, err = run(
+        capsys, "verify", "--model", str(model), "--input", "-1,1;-1,1",
+        "--safe", "0,0.001;0,0.001", "--mode", mode, "--grid", "4", "--max-refine", "40",
+        "--falsify-samples", "10",
+    )
+    doc = json.loads(out)
+    assert code == 2 and err == "" and doc["status"] == "falsified"
+    assert doc["stats"]["refinement_level"] == last_level
+    stats = doc["stats"]
+    assert stats.get("cells_total", stats["cells_propagated"]) == 256  # the subset's grid
+    assert doc["output_hull"] is not None
+
+
 def test_verify_malformed_model_exit_three(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not valid json", encoding="utf-8")

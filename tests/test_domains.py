@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,7 +103,7 @@ def test_zono_from_point_box():
 
 def test_zono_from_symmetric_cube():
     z = rb.zono_from_box(rb.Box.from_bounds([(-1, 1)] * 3))
-    assert z.generators.shape[-1] == 3
+    assert z.generators.shape[0] == 3
     assert np.array_equal(z.generators, np.eye(3))
 
 
@@ -137,13 +139,65 @@ def test_zono_affine_hull_inside_interval_matvec():
         assert np.all(hull_lo >= lo - 1e-12) and np.all(hull_hi <= hi + 1e-12)
 
 
+def spread(rng, shape, zeros=0.1, exponents=(-8, 8)):
+    """Signed floats with magnitudes spread over 10**exponents (1e-8 to 1e8), some exact zeros."""
+    mag = 10.0 ** rng.uniform(*exponents, shape)
+    return np.where(rng.random(shape) < zeros, 0.0, mag * rng.choice((-1.0, 1.0), shape))
+
+
+def exact_hull_holds(z):
+    """hull_arrays encloses c ± (sum_j |G_j| + s) in exact arithmetic, per dimension."""
+    lo, hi = z.hull_arrays()
+    for idx in np.ndindex(z.center.shape):
+        rad = sum(abs(Fraction(v)) for v in z.generators[(slice(None),) + idx]) + Fraction(
+            z.slack[idx])
+        c = Fraction(z.center[idx])
+        assert Fraction(lo[idx]) <= c - rad and c + rad <= Fraction(hi[idx])
+    return 2 * z.center.size
+
+
+@pytest.mark.parametrize("seed, exponents", [(0, (-8, 8)), (1, (-8, 8)), (2, (-8, 8)),
+                                             (3, (-8, 8)), (4, (-162, -160))])
+def test_zonotope_rounding_terms_hold_in_exact_arithmetic(seed, exponents):
+    # The image of (c, G, s) under w x + b is (w c + b, w G, |w| s) exactly;
+    # zono_affine's slack must absorb every float error of its center and
+    # generators on top of |w| s, whatever order BLAS sums in.  At 1e-162 to
+    # 1e-160 every product underflows into or below the subnormals.
+    rng = np.random.default_rng(seed)
+    checks = 0
+    for _ in range(25):
+        k, m, g = rng.integers(1, 17), rng.integers(1, 17), rng.integers(0, 21)
+        batch = [(), (1,), (3,)][rng.integers(3)]
+        slack = np.abs(spread(rng, batch + (k,), 0.5, exponents))
+        z = rb.Zonotope(spread(rng, batch + (k,), 0.1, exponents),
+                        spread(rng, (g,) + batch + (k,), 0.1, exponents), slack)
+        w, b = spread(rng, (m, k), 0.1, exponents), spread(rng, m, 0.1, exponents)
+        out = rb.zono_affine(z, w, b)
+        wf = [[Fraction(v) for v in row] for row in w.tolist()]
+        for idx in np.ndindex(batch):
+            c = [Fraction(v) for v in z.center[idx]]
+            gens = [[Fraction(v) for v in z.generators[(j,) + idx]] for j in range(g)]
+            s = [Fraction(v) for v in z.slack[idx]]
+            for i in range(m):
+                err = abs(sum(a * x for a, x in zip(wf[i], c)) + Fraction(b[i])
+                          - Fraction(out.center[idx][i]))
+                err += sum(abs(sum(a * x for a, x in zip(wf[i], gen))
+                               - Fraction(out.generators[(j,) + idx][i]))
+                           for j, gen in enumerate(gens))
+                err += sum(abs(a) * x for a, x in zip(wf[i], s))
+                assert err <= Fraction(out.slack[idx][i])
+                checks += 1
+        checks += exact_hull_holds(z) + exact_hull_holds(out)
+    assert checks > 1000
+
+
 def test_zono_activation_unit_tanh():
     # symmetric 1-dim case: lam = tanh'(1), mu1 = 0, mu2 = tanh(1) - lam
     z = rb.Zonotope(np.zeros(1), np.ones((1, 1)))
     out = rb.zono_activation(z, "tanh")
     lam = out.generators[0, 0]
     mu1 = out.center[0]
-    mu2 = out.generators[0, 1]
+    mu2 = out.generators[1, 0]  # the fresh generator: generator-major (g, d)
     assert abs(lam - 0.4199743416140261) < 1e-12
     assert abs(mu1) < 1e-14
     assert abs(mu2 - 0.3416198143417388) < 1e-12
@@ -153,26 +207,26 @@ def test_zono_activation_unit_tanh():
 
 
 def test_zono_activation_degenerate_dim_maps_to_point():
-    z = rb.Zonotope(np.array([0.7, -0.3]), np.array([[0.2], [0.0]]))
+    z = rb.Zonotope(np.array([0.7, -0.3]), np.array([[0.2, 0.0]]))
     out = rb.zono_activation(z, "tanh")
-    # second dim is a point: fresh generator magnitude collapses to zero
-    assert out.generators[1, 1] == 0.0
+    # second dim is a point: its fresh generator (generator 1 + 1) collapses to zero
+    assert out.generators[2, 1] == 0.0 and out.generators[1, 0] > 0.0
     assert abs(out.center[1] - np.tanh(-0.3)) < 1e-14
     assert out.slack[1] < 1e-13
 
 
 def test_zono_activation_sample_containment():
     rng = np.random.default_rng(21)
-    z = rb.Zonotope(np.array([0.2, -0.4]), rng.uniform(-0.5, 0.5, (2, 4)))
+    z = rb.Zonotope(np.array([0.2, -0.4]), rng.uniform(-0.5, 0.5, (2, 4)).T)
     for name in ("tanh", "sigmoid"):
         out = rb.zono_activation(z, name)
         f = rb.intervals.activation_function(name)
-        g = z.generators.shape[-1]
+        g = z.generators.shape[0]
         eps = rng.uniform(-1, 1, (10_000, g))
-        points = z.center + eps @ z.generators.T
+        points = z.center + eps @ z.generators
         target = f(points)
-        form = out.center + eps @ out.generators[:, :g].T
-        fresh = np.diag(out.generators[:, g:])
+        form = out.center + eps @ out.generators[:g]
+        fresh = np.diag(out.generators[g:])
         assert np.all(np.abs(target - form) <= fresh + out.slack + 1e-300)
 
 
@@ -386,6 +440,26 @@ def test_zono_propagate_runs_one_pass_per_layer_over_mixed_cells(monkeypatch):
     assert np.array_equal(out_lo, want_lo) and np.array_equal(out_hi, want_hi)
 
 
+@pytest.mark.parametrize("dims, activation", WORKLOAD_NETS,
+                         ids=["-".join(map(str, dims)) for dims, _ in WORKLOAD_NETS])
+def test_zonotope_bits_do_not_depend_on_the_block_size(monkeypatch, dims, activation):
+    # Each zonotope product is one matrix-matrix call over the block's rows,
+    # so as with the box pass a cell's bits hold only where BLAS gives a row
+    # the same bits at every row count; this pins it for these shapes, in
+    # blocks and in the one-cell chain alike.
+    net = rb.generate_network(3, dims, activation)
+    rng = np.random.default_rng(len(dims))
+    lo = rng.uniform(-1, 1, (301, dims[0]))
+    hi = lo + rng.uniform(0, 0.5, lo.shape) * (rng.random(lo.shape) < 0.9)
+    monkeypatch.setattr(rb.domains, "_BLOCK", 4096)
+    whole = zono_propagate(net, lo, hi)
+    monkeypatch.setattr(rb.domains, "_BLOCK", 100)
+    blocked = zono_propagate(net, lo, hi)
+    single = per_cell_zono_hulls(net, lo, hi)
+    assert all(a.tobytes() == b.tobytes() == c.tobytes()
+               for a, b, c in zip(whole, blocked, single))
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -401,11 +475,11 @@ def test_domain_input_checks(call, invertible_net):
 
 def test_batched_zonotope_validation():
     c = np.zeros((3, 2))
-    g = np.ones((3, 2, 4))
+    g = np.ones((4, 3, 2))  # generator-major: (count, ..., dim)
     z = rb.Zonotope(c, g)
-    assert (z.dim, z.generators.shape[-1]) == (2, 4)
+    assert (z.dim, z.generators.shape[0]) == (2, 4)
     assert z.hull_arrays()[0].shape == (3, 2)
-    for gens in (np.ones((2, 2, 4)), np.ones((3, 3, 4)), np.ones((3, 2))):
+    for gens in (np.ones((4, 2, 2)), np.ones((4, 3, 3)), np.ones((3, 2, 4)), np.ones((3, 2))):
         with pytest.raises(ValueError):
             rb.Zonotope(c, gens)
     with pytest.raises(ValueError):

@@ -75,3 +75,24 @@ def test_manifest_diff_lists_a_cell_change_without_failing(field, value):
         want = [f"{field} {record[field]} -> {value}"]
     lines, ok = compare({"p/0": record, "p/1": record}, {"p/0": record, "p/1": changed})
     assert lines == ["p/1: " + "; ".join(want)] and ok
+
+
+def test_manifest_diff_says_how_far_a_hull_moved(monkeypatch, capsys):
+    ns = runpy.run_path(str(ROOT / "scripts" / "manifest_diff.py"))
+    stats = {"mode": "full", "cells_propagated": 16, "refinement_level": 0}
+    record = {"status": "safe", "stats": stats, "output_hull": [[0.0, 1.0], [-2.0, 2.0]],
+              "counterexample": None, "cells": "0" * 64, "oracle": [[0.25, -1.0], [0.75, 1.0]]}
+    # dimension 0 widens by 1e-12 below and narrows by 2^-40 above; dimension 1 stays
+    moved = dict(record, output_hull=[[-1e-12, 1.0 - 2.0**-40], [-2.0, 2.0]])
+    lines, ok = ns["compare"]({"p/0": record, "p/1": record}, {"p/0": record, "p/1": moved})
+    assert ok and lines == ["p/1: hull moved, inside the parent's: True, encloses the oracle: "
+                            "True, outward 1e-12, inward 9.09e-13"]
+    # the summary line reports the largest outward move over all problems
+    runs = {"parent": {"p/0": record, "p/1": record}, "change": {"p/0": moved, "p/1": moved}}
+    script = ns["main"].__globals__  # run_path returns a copy of the script's globals
+    monkeypatch.setitem(script, "write_manifests", lambda seeds, tmp: [])
+    monkeypatch.setitem(script, "run_tree", lambda src, manifests, out: runs[src.name])
+    monkeypatch.setattr(sys, "argv", ["manifest_diff.py", "parent", "change"])
+    assert ns["main"]() == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "2 problems, 2 with differences, largest outward hull move 1e-12"

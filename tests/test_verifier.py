@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from itertools import product
 
@@ -603,7 +604,16 @@ def test_verify_refuses_an_oversized_refinement_level_before_building_it(monkeyp
 
     monkeypatch.setattr(verifier, "extract_subset", recording_extract_subset)
     monkeypatch.setattr(topology, "partition", recording_partition)
-    with pytest.raises(ValueError, match="allocate"):
-        rb.verify(problem)
+    verdict = rb.verify(problem)
     assert reached == [(4, 4), (8, 8), (16, 16)]
     assert built == [(4, 4), (8, 8)]  # 16 and 64 cells; 256 is refused unbuilt
+    # refining stops there: level 1's verdict, hull and cells stand
+    level_one = rb.verify(dataclasses.replace(problem, max_refinements=1))
+    assert verdict.status == level_one.status == rb.UNKNOWN
+    assert verdict.stats["refinement_level"] == 1
+    assert verdict.output_hull.lo.tobytes() == level_one.output_hull.lo.tobytes()
+    assert verdict.output_hull.hi.tobytes() == level_one.output_hull.hi.tobytes()
+    assert verdict.cell_batch.index.tobytes() == level_one.cell_batch.index.tobytes()
+    problem = dataclasses.replace(problem, max_refinements=0, grid=(32,))
+    with pytest.raises(topology.CellBudgetError, match="allocate"):
+        rb.verify(problem)  # a level-0 grid past the budget still ends verify
