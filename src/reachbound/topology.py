@@ -12,11 +12,11 @@ Two tests read the interval enclosure of the Jacobian over a cell,
 
 - the row test passes a cell when every row of the enclosure has an entry
   that excludes zero, so no output has a critical point there.
-  `box_passes_row_test` runs it on one box on any network shape (a box
-  with a zero-width dimension fails untested); `extract_subset` runs it on
-  a tree over the interior cells, the only ones it may drop, with one
-  Jacobian call per tree level and block of rows, and returns the cells it
-  keeps: every cell where it can drop none (`subset_tree_applies`);
+  `box_passes_row_test` runs it on one box (a box with a zero-width
+  dimension fails untested); `extract_subset` runs it on a tree over the
+  interior cells, the only ones it may drop, with one Jacobian call per
+  tree level and block of rows, and returns the cells it keeps.  Both run
+  on any network shape: each output's test reads its own gradient row;
 - the determinant test certifies a network restricted to a cell as a
   homeomorphism onto its image when the enclosure of the determinant
   excludes zero.  It needs a square network with at most 6 inputs, because
@@ -56,7 +56,6 @@ __all__ = [
     "grid_cell_batch",
     "boundary_cell_batch",
     "grid_counts",
-    "subset_tree_applies",
     "jacobian_interval_arrays",
     "box_passes_row_test",
     "certify_homeomorphism",
@@ -163,17 +162,12 @@ def _refuse_past_budget(cells: int, kind: str, counts) -> None:
                               f"more than the budget of {CELL_BUDGET}; refusing to allocate it")
 
 
-def _lattice_cells(counts: tuple[int, ...]) -> np.ndarray:
-    """(N, n) lattice indices of every cell of a grid of ``counts``, in row-major order."""
-    return np.indices(counts).reshape(len(counts), -1).T
-
-
 def grid_cell_batch(box: Box, counts) -> CellBatch:
     """All cells of the grid of ``counts`` on ``box``, ``b = a + 1``, in row-major order."""
     counts = tuple(int(c) for c in counts)
     _refuse_past_budget(math.prod(counts), "grid", counts)
     grid = partition(box, counts)
-    a = _lattice_cells(grid.counts)
+    a = np.indices(counts).reshape(len(counts), -1).T
     return CellBatch(grid, a, a + 1)
 
 
@@ -222,16 +216,6 @@ def grid_counts(counts, box: Box, level: int = 0) -> tuple[int, ...]:
 
 
 _MAX_INPUTS = 6
-
-
-def subset_tree_applies(net: Network) -> bool:
-    """Whether `extract_subset` runs its tree: a square network with at most 6 inputs.
-
-    The row test needs neither; the limit is cost, and no workload measures
-    the tree on other shapes.  The determinant test accepts the same shapes,
-    because of its cofactor expansion.
-    """
-    return net.is_square and net.input_dim <= _MAX_INPUTS
 
 
 def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
@@ -312,7 +296,7 @@ def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):
     Rows run in blocks (`_map_row_blocks`), which bound the per-layer
     Jacobian arrays on large grids.  No rows make no Jacobian call.
     """
-    if not subset_tree_applies(net):
+    if not (net.is_square and net.input_dim <= _MAX_INPUTS):  # cofactor expansion
         raise ValueError(f"the determinant test requires a square network with at most "
                          f"{_MAX_INPUTS} inputs, got {net.input_dim} -> {net.output_dim}")
     det_lo, det_hi = _map_row_blocks(
@@ -394,12 +378,12 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     two, keeps the depth near log log N, because each level's call has a
     fixed cost on top of its cells.
 
-    Where no cell can be dropped, every cell is kept untested, as
-    `grid_cell_batch` lists them: on a grid with no interior cell (a count
-    below 3, as in a zero-width dimension) or a network that is not square
-    with at most 6 inputs (`subset_tree_applies`).  Otherwise the kept
-    cells are marked on a boolean array of the grid's shape, which starts
-    as the ring; `np.argwhere` lists them in row-major order.
+    The kept cells are marked on a boolean array of the grid's shape,
+    which starts as the ring; `np.argwhere` lists them in row-major order.
+    A grid with no interior cell (a count below 3, as in a zero-width
+    dimension) has an empty root, so every cell is kept untested.  The
+    argument reads one gradient row per output, so the tree runs on any
+    network shape: it needs neither a square network nor few inputs.
     """
     if input_box.dim != net.input_dim:
         raise ValueError(f"input box dimension {input_box.dim} != input dim {net.input_dim}")
@@ -408,11 +392,10 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     grid = partition(input_box, counts)
     a = np.ones((1, grid.dim), dtype=np.int64)
     b = np.array([grid.counts], dtype=np.int64) - 1
-    if not (np.all(b > a) and subset_tree_applies(net)):
-        index = _lattice_cells(grid.counts)
-        return SubsetExtraction(grid, index, index + 1)
     kept = np.ones(grid.counts, dtype=bool)
     kept[tuple(map(slice, a[0], b[0]))] = False
+    if not np.all(b > a):  # no interior: the root is empty and every cell stays kept
+        a = b = a[:0]
     while a.shape[0]:
         leaf = np.all(b - a <= 2, axis=1)
         # ceil(sqrt(r)) = r for r <= 2, so a leaf-sized node splits into its cells

@@ -88,20 +88,40 @@ def kept_whole_mask(grid, levels) -> np.ndarray:
     return kept.ravel()
 
 
+def assert_dropped_cells_hold_no_zero_gradient(net, ex, rng, cells=40, per_cell=30):
+    """Oracle: in each of up to ``cells`` dropped cells, every output row has a column whose
+    ``per_cell`` sampled point Jacobians, two corners of the cell among them, share one
+    nonzero sign.  Returns the number of dropped cells checked."""
+    n = net.input_dim
+    _, all_lo, all_hi = ex.grid.bounds_arrays()
+    rows = rng.permutation(np.flatnonzero(dropped_mask(ex)))[:cells]
+    t = rng.random((rows.size, per_cell, n))
+    t[:, :2] = rng.integers(0, 2, (rows.size, 2, n))
+    lo, hi = all_lo[rows, None], all_hi[rows, None]
+    pts = np.minimum(lo + t * (hi - lo), hi)
+    jacs = rb.jacobian_batch(net, pts.reshape(-1, n))
+    jacs = jacs.reshape(rows.size, per_cell, net.output_dim, n)
+    one_sign = np.all(jacs > 0, axis=1) | np.all(jacs < 0, axis=1)  # (cells, m, n)
+    assert np.all(np.any(one_sign, axis=-1))
+    return rows.size
+
+
 def sample_box(box: rb.Box, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     lo, hi = box.lo, box.hi
     return lo + rng.random((n, box.dim)) * (hi - lo)
 
 
-# random square nets: 2-6 inputs, 1-3 hidden layers, with a cell-sampling seed
+# random nets: 2-6 inputs, 1-3 hidden layers, with a cell-sampling seed; square, or with
+# 1 to n + 2 outputs other than n
 @st.composite
-def deep_nets(draw):
+def deep_nets(draw, square=True):
     n = draw(st.integers(2, 6))
     hidden = draw(st.lists(st.integers(2, 8), min_size=1, max_size=3))
+    m = n if square else draw(st.integers(1, n + 2).filter(lambda m: m != n))
     net = rb.generate_network(
         draw(st.integers(0, 2**16)),
-        [n, *hidden, n],
+        [n, *hidden, m],
         draw(st.sampled_from(["tanh", "sigmoid"])),
         draw(st.floats(0.3, 2.0)),
         draw(st.sampled_from(["linear", "sigmoid"])),

@@ -15,6 +15,7 @@ from reachbound.topology import (
 )
 from conftest import (
     MIXED,
+    assert_dropped_cells_hold_no_zero_gradient,
     deep_nets,
     dropped_mask,
     kept_whole_mask,
@@ -465,29 +466,18 @@ def test_extraction_decision_contains_certifying_every_cell():
     assert min(seen) > 0
 
 
-@given(deep_nets())
+@given(st.one_of(deep_nets(), deep_nets(square=False)))
 @settings(max_examples=60, deadline=None)
 def test_dropped_cells_hold_no_zero_gradient(case):
-    # oracle: in a dropped cell, every output row has a column whose sampled point
-    # Jacobians share one nonzero sign
     net, seed = case
     rng = np.random.default_rng(seed)
     n = net.input_dim
     centre, half = rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-2, 0, n)
     ex = rb.extract_subset(net, rb.Box.from_arrays(centre - half, centre + half), (5,) * n)
-    _, all_lo, all_hi = ex.grid.bounds_arrays()
-    rows = np.flatnonzero(dropped_mask(ex))
-    rows = rng.permutation(rows)[:40]
-    t = rng.random((rows.size, 30, n))
-    t[:, :2] = rng.integers(0, 2, (rows.size, 2, n))  # two corners of each cell
-    lo, hi = all_lo[rows, None], all_hi[rows, None]
-    pts = np.minimum(lo + t * (hi - lo), hi)
-    jacs = rb.jacobian_batch(net, pts.reshape(-1, n)).reshape(rows.size, 30, n, n)
-    one_sign = np.all(jacs > 0, axis=1) | np.all(jacs < 0, axis=1)  # (cells, m, n)
-    assert np.all(np.any(one_sign, axis=-1))
+    assert_dropped_cells_hold_no_zero_gradient(net, ex, rng)
 
 
-@given(deep_nets())
+@given(st.one_of(deep_nets(), deep_nets(square=False)))
 @settings(max_examples=100, deadline=None)
 def test_extraction_returns_the_kept_cells_in_row_major_order(case):
     net, seed = case
@@ -614,12 +604,27 @@ def test_extraction_keeps_every_cell_of_a_flat_box(mixed_net, monkeypatch):
     _assert_keeps_every_cell(rb.extract_subset(mixed_net, box, (1, 4)), box, (1, 4))
 
 
-def test_extraction_keeps_every_cell_of_a_non_square_net(monkeypatch):
-    monkeypatch.setattr(topology, "jacobian_interval_arrays", _no_jacobian)
-    net = rb.generate_network(1, [2, 5, 3])
+def test_extraction_runs_the_tree_on_a_non_square_net(monkeypatch):
+    # the 10 x 10 interior of a 12 x 12 grid is not leaf-sized, so the tree tests it
+    net, net7 = rb.generate_network(3, [2, 6, 3]), rb.generate_network(3, [7, 8, 7])
     box = rb.Box.from_bounds([(0, 1), (0, 1)])
-    for counts in ((4, 4), (2, 7)):  # (4, 4) has interior cells the tree would test
+    ex, levels = traced_extraction(net, box, (12, 12))
+    assert len(levels) >= 1 and ex.counts["certified_interior"] > 0
+    assert_dropped_cells_hold_no_zero_gradient(net, ex, np.random.default_rng(0))
+    # a grid with no interior cell keeps every cell untested, on either shape
+    monkeypatch.setattr(topology, "jacobian_interval_arrays", _no_jacobian)
+    box7 = rb.Box.from_bounds([(0, 1)] * 7)
+    for net, box, counts in ((net, box, (2, 7)), (net7, box7, (2,) * 7)):
         _assert_keeps_every_cell(rb.extract_subset(net, box, counts), box, counts)
+
+
+def test_extraction_runs_the_tree_on_seven_inputs():
+    # the interior block [1, 5) x [1, 2)^6 splits into two leaf-sized children in one call
+    net = rb.generate_network(3, [7, 8, 7])
+    ex, levels = traced_extraction(net, rb.Box.from_bounds([(0, 1)] * 7), (6,) + (3,) * 6)
+    assert len(levels) == 1 and levels[0][0].shape[0] == 2
+    assert ex.counts == {"total": 4374, "certified_interior": 4, "kept": 4370}
+    assert assert_dropped_cells_hold_no_zero_gradient(net, ex, np.random.default_rng(0)) == 4
 
 
 def test_a_flat_box_fails_the_row_test_untested(monkeypatch):

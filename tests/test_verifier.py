@@ -11,7 +11,12 @@ import reachbound as rb
 from reachbound.domains import box_propagate_arrays
 from reachbound.reports import verdict_document
 from reachbound import topology, verifier
-from reachbound.topology import box_passes_row_test, certify_cells, extract_subset
+from reachbound.topology import (
+    box_passes_row_test,
+    certify_cells,
+    extract_subset,
+    jacobian_interval_arrays,
+)
 from conftest import deep_nets, identity_net, linear_net, make_net, MIXED
 
 
@@ -181,13 +186,14 @@ def test_subset_never_drops_boundary_cells():
             assert idx in propagated
 
 
-def _tree_refused_cases(unit_square, scale):
-    """A non-square net and a square net above the tree's input limit.
+def _other_shape_cases(unit_square, scale):
+    """A non-square net at a grid whose tree root is not leaf-sized, and a square net of
+    7 inputs at a grid with no interior cell.
 
     At scale 1.0 both fail the whole-box row test; at scale 0.5 both pass it.
     """
     return (
-        (rb.generate_network(3, [2, 6, 3], scale=scale), unit_square, (4, 4), 16),
+        (rb.generate_network(3, [2, 6, 3], scale=scale), unit_square, (12, 12), 144),
         (rb.generate_network(3, [7, 8, 7], scale=scale), rb.Box.from_bounds([(0, 1)] * 7),
          (2,), 2**7),
     )
@@ -215,26 +221,41 @@ def _keeps_the_full_grid(net, box, safe, mode, **kwargs):
     return v
 
 
-def _tree_refused_keeps_the_full_grid(unit_square, mode):
-    for net, box, grid, cells in _tree_refused_cases(unit_square, scale=1.0):
-        safe = _mc_safe(net, box, 3.0)
-        # the whole-box row test fails with a Jacobian call; extract_subset then makes none
-        assert box_passes_row_test(net, box) is False
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(verifier, "box_passes_row_test", lambda net, box: False)
-            v = _keeps_the_full_grid(net, box, safe, mode, grid=grid)
-        assert v.stats["cells_propagated"] == cells and "fallback_full" not in v.stats
+def _tree_runs_on_any_net_shape(unit_square, mode):
+    (net, box, grid, cells), (net7, box7, grid7, cells7) = _other_shape_cases(unit_square, 1.0)
+    # the non-square net fails the whole-box test; then the tree makes its own Jacobian
+    # calls and drops cells
+    safe = _mc_safe(net, box, 3.0)
+    full = rb.verify(problem(net, box, safe, mode="full", grid=grid))
+    calls = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(topology, "jacobian_interval_arrays",
+                  lambda *a: calls.append(a) or jacobian_interval_arrays(*a))
+        v = rb.verify(problem(net, box, safe, mode=mode, grid=grid))
+    assert v.stats["path"] == "subset" and v.stats["input_certified"] is False
+    assert len(calls) >= 2 and v.stats["cells_certified"] > 0
+    assert v.stats["cells_propagated"] == v.stats["cells_kept"] < cells == v.stats["cells_total"]
+    assert v.status == full.status == rb.SAFE
+    assert full.output_hull.contains_box(v.output_hull)
+    assert v.output_hull.contains_box(rb.monte_carlo(net, box, 5000, seed=1).image_hull)
+    # the 7-input net at 2^7 cells: no interior cell, so no cell is tested
+    assert box_passes_row_test(net7, box7) is False
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verifier, "box_passes_row_test", lambda net, box: False)
+        v = _keeps_the_full_grid(net7, box7, _mc_safe(net7, box7, 3.0), mode, grid=grid7)
+    assert v.stats["cells_propagated"] == cells7 and "fallback_full" not in v.stats
+    for net, box in ((net, box), (net7, box7)):
         with pytest.raises(ValueError):
             certify_cells(net, box.lo, box.hi)
 
 
-def test_subset_non_square_falls_back_to_full(unit_square):
-    _tree_refused_keeps_the_full_grid(unit_square, "subset")
+def test_subset_runs_the_tree_on_any_net_shape(unit_square):
+    _tree_runs_on_any_net_shape(unit_square, "subset")
 
 
 @pytest.mark.parametrize("mode", ["subset", "auto"])
 def test_a_box_that_passes_the_row_test_takes_the_faces_on_any_net_shape(unit_square, mode):
-    for net, box, grid, _ in _tree_refused_cases(unit_square, scale=0.5):
+    for net, box, grid, _ in _other_shape_cases(unit_square, scale=0.5):
         safe = _mc_safe(net, box, 3.0)
         v = rb.verify(problem(net, box, safe, mode=mode, grid=grid))
         faces = rb.verify(problem(net, box, safe, mode="boundary", grid=grid))
@@ -318,8 +339,8 @@ def test_auto_singular_takes_subset_path(unit_square):
     assert v.status == rb.SAFE
 
 
-def test_auto_non_square_falls_back_to_full_grid(unit_square):
-    _tree_refused_keeps_the_full_grid(unit_square, "auto")
+def test_auto_runs_the_tree_on_any_net_shape(unit_square):
+    _tree_runs_on_any_net_shape(unit_square, "auto")
 
 
 def test_auto_refines_until_safe(unit_square, invertible_net):
