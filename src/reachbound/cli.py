@@ -257,8 +257,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     try:
-        # overflow becomes exit 3 through the non-finite checks of Box and
-        # Zonotope; numpy's RuntimeWarnings would only show internals on stderr
+        # overflow becomes exit 3 through Box's non-finite check, in either
+        # domain; numpy's RuntimeWarnings would only show internals on stderr
         with np.errstate(all="ignore"):
             return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:

@@ -12,7 +12,8 @@ bound that holds in any summation order.  Both domains take batched cells:
 ``(..., m)`` output hulls in array passes over blocks of ``_BLOCK`` cells
 (`_map_row_blocks`).  A box gives a zonotope one generator per dimension,
 zero where its width is zero, so faces, points and grid cells share one
-generator count in a batch.
+generator count in a batch.  Neither domain checks values mid-pass: a NaN or
+infinity propagates to the output hull, and `Box` refuses it (see `_down`).
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ class Zonotope:
     every zonotope in the batch, so the leading axes after the first index a
     batch that shares one generator count, a sum over the generators runs
     over the outermost, contiguous axis, and the generators of a batch are
-    the rows of one 2-D matrix.
+    the rows of one 2-D matrix.  Construction checks shapes and the slack's
+    sign, not finiteness: a non-finite value gives non-finite hull ends.
     """
 
     center: np.ndarray
@@ -131,8 +133,6 @@ class Zonotope:
         s = np.zeros_like(c) if s is None else np.asarray(s, dtype=float)
         if s.shape != c.shape or np.any(s < 0):
             raise ValueError("slack must be a nonnegative vector matching the center")
-        if not (np.isfinite(c).all() and np.isfinite(g).all() and np.isfinite(s).all()):
-            raise ValueError("zonotope data must be finite")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "generators", g)
         object.__setattr__(self, "slack", s)
@@ -151,15 +151,15 @@ class Zonotope:
         slack_i)`` covers all three and ``(g + 1) tiny`` the underflow of its
         own product; `_down`/`_up` round the endpoints outward.  The sum runs
         over the generator axis, one contiguous ``(..., d)`` slice at a time.
-        A row of exact zeros sums to exactly 0, so it takes only its slack,
-        with no rounding: a point box hulls to itself.
+        Only an exact zero skips the rounding: a row of zeros takes only its slack
+        (a point box hulls to itself), and a NaN or infinite radius never hulls to the center.
         """
         g = self.generators.shape[0]
         rad_raw = np.abs(self.generators).sum(axis=0)
         err = (g + 2) * _U * (rad_raw + self.slack) + (g + 1) * _TINY
-        rad = np.where(rad_raw > 0.0, rad_raw + err, 0.0) + self.slack
-        lo = np.where(rad > 0.0, _down(self.center - rad), self.center)
-        hi = np.where(rad > 0.0, _up(self.center + rad), self.center)
+        rad = np.where(rad_raw == 0.0, 0.0, rad_raw + err) + self.slack
+        lo = np.where(rad == 0.0, self.center, _down(self.center - rad))
+        hi = np.where(rad == 0.0, self.center, _up(self.center + rad))
         return lo, hi
 
 

@@ -15,14 +15,15 @@ import pytest
 import reachbound as rb
 from reachbound import cli
 from reachbound.cli import main, parse_box
+from reachbound.domains import box_propagate_arrays, zono_propagate
 from reachbound.reports import (
     read_reach_cells,
     write_certification,
     write_mc_points,
     write_reach_cells,
 )
-from reachbound.topology import CELL_BUDGET, CellBatch, grid_counts
-from reachbound.verifier import MonteCarloResult
+from reachbound.topology import CELL_BUDGET, CellBatch, grid_cell_batch, grid_counts
+from reachbound.verifier import MonteCarloResult, propagate_cells
 from conftest import dropped_mask, identity_net, kept_whole_mask, make_net, traced_extraction, MIXED
 
 
@@ -291,13 +292,35 @@ def test_certify_refuses_a_grid_above_the_budget(identity_model):
     assert f"budget of {CELL_BUDGET}" in proc.stderr and "Traceback" not in proc.stderr
 
 
-@pytest.fixture
-def overflow_model(tmp_path):
+def overflow_net():
     # two linear layers of ±1e300 weights: the second layer's sums overflow to ±inf
     w = np.array([[1e300, -1e300], [1e300, 1e300]])
+    return rb.Network((rb.Layer(w, np.zeros(2), "linear"),) * 2)
+
+
+@pytest.fixture
+def overflow_model(tmp_path):
     path = tmp_path / "overflow.json"
-    rb.write_model(rb.Network((rb.Layer(w, np.zeros(2), "linear"),) * 2), path)
+    rb.write_model(overflow_net(), path)
     return str(path)
+
+
+def test_overflow_gives_non_finite_ends_in_either_domain():
+    # One rule for both domains: no pass checks values mid-way, so an
+    # overflow reaches every output hull as a non-finite end, and Box refuses
+    # it where verify builds the hull (test_overflowing_model_exit_three).
+    net = overflow_net()
+    box = rb.Box.from_bounds([(0, 1), (0, 1)])
+    cells = grid_cell_batch(box, (2, 2))
+    with np.errstate(all="ignore"):
+        hulls = [box_propagate_arrays(net, cells.lo, cells.hi),
+                 zono_propagate(net, cells.lo, cells.hi)]
+        for domain in ("box", "zono"):
+            batch = propagate_cells(net, grid_cell_batch(box, (2, 2)), domain)
+            hulls.append((batch.out_lo, batch.out_hi))
+    for out_lo, out_hi in hulls:
+        assert out_lo.shape == (4, 2)
+        assert not (np.isfinite(out_lo) & np.isfinite(out_hi)).any()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -473,6 +473,27 @@ def test_domain_input_checks(call, invertible_net):
         call(invertible_net)
 
 
+def test_a_non_finite_value_never_hides_in_a_zonotope_hull():
+    # Construction checks structure only; a NaN or infinity in the center, a
+    # generator or the slack must reach both hull ends of its dimension, so
+    # Box refuses it where verify builds the hull.  Dimension 1 stays finite.
+    center = np.array([0.5, -0.25])
+    gens = np.array([[0.25, 0.5], [-0.125, 0.0]])  # generator-major (g, d)
+    cases = [("center", v) for v in (np.nan, np.inf, -np.inf)]
+    cases += [("generators", v) for v in (np.nan, np.inf, -np.inf)]
+    cases += [("slack", v) for v in (np.nan, np.inf)]
+    for part, value in cases:
+        data = {"center": center.copy(), "generators": gens.copy(), "slack": np.zeros(2)}
+        np.put(data[part], 0, value)  # entry 0: dimension 0 of the center, generator 0, slack
+        with np.errstate(all="ignore"):
+            lo, hi = rb.Zonotope(**data).hull_arrays()
+        assert not np.isfinite(lo[0]) and not np.isfinite(hi[0]), (part, value)
+        assert np.isfinite(lo[1]) and np.isfinite(hi[1]), (part, value)
+    for value in (-1e-300, -np.inf):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rb.Zonotope(center, gens, np.array([value, 0.0]))
+
+
 def test_batched_zonotope_validation():
     c = np.zeros((3, 2))
     g = np.ones((4, 3, 2))  # generator-major: (count, ..., dim)
