@@ -28,8 +28,9 @@ def main():
     ap.add_argument("--verify-grid", type=int, default=60)
     # dropping cells pays only when propagation costs more per cell than the
     # Jacobian tree.  Measured on a 2-vCPU Xeon VM with one BLAS thread at
-    # --verify-grid 60 (5 runs): with zonotopes, subset mode takes 2.8-4.1 ms
-    # against 7.2-12.0 ms for full mode; with plain boxes, 2.3-3.8 ms against 1.7-2.6 ms
+    # --verify-grid 60 (process time, best of 15, two runs): with zonotopes,
+    # subset mode takes 3.8-4.0 ms against 4.1-4.4 ms for full mode; with
+    # plain boxes, 3.0-3.5 ms against 1.3-1.4 ms
     ap.add_argument("--domain", choices=rb.domains.DOMAINS, default="zono")
     args = ap.parse_args()
 

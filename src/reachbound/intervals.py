@@ -31,12 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Box",
-    "activation_names",
-    "activation_function",
-    "activation_derivative",
-]
+__all__ = ["Box"]
 
 _U = 2.0 ** -53  # unit roundoff, float64
 _TINY = 5e-324  # one subnormal step, absolute slack per reduction term
@@ -143,10 +138,6 @@ class Box:
     @staticmethod
     def from_arrays(lo: np.ndarray, hi: np.ndarray) -> "Box":
         return Box(lo, hi)
-
-    @staticmethod
-    def point(vec: Sequence[float]) -> "Box":
-        return Box(vec, vec)
 
     @property
     def dim(self) -> int:
@@ -374,23 +365,12 @@ _ACTIVATIONS = {
 }
 
 
-def activation_names() -> tuple[str, ...]:
-    return tuple(_ACTIVATIONS)
-
-
 def _lookup(name: str) -> _Activation:
+    """The activation table's entry for ``name``; any other name, hashable or not, is unknown."""
     try:
         return _ACTIVATIONS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown activation {name!r}") from None
-
-
-def activation_function(name: str) -> Callable:
-    return _lookup(name).f
-
-
-def activation_derivative(name: str) -> Callable:
-    return _lookup(name).deriv
 
 
 def _act_range_arrays(name: str, lo, hi):

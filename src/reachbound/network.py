@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .intervals import activation_derivative, activation_function, activation_names
+from .intervals import _lookup
 
 __all__ = [
     "Layer",
@@ -54,8 +54,7 @@ class Layer:
             )
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError("layer parameters must be finite")
-        if self.activation not in activation_names():
-            raise ValueError(f"unknown activation {self.activation!r}")
+        _lookup(self.activation)  # raises ValueError on an unknown name
         object.__setattr__(self, "weights", _frozen_array(w))
         object.__setattr__(self, "bias", _frozen_array(b))
 
@@ -164,7 +163,7 @@ def forward_batch(net: Network, xs: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected batch of shape (n, {net.input_dim})")
     out = xs
     for layer in net.layers:
-        out = activation_function(layer.activation)(out @ layer.weights.T + layer.bias)
+        out = _lookup(layer.activation).f(out @ layer.weights.T + layer.bias)
     return out
 
 
@@ -185,9 +184,9 @@ def jacobian_batch(net: Network, xs: np.ndarray) -> np.ndarray:
     out = xs
     for layer in net.layers:
         z = out @ layer.weights.T + layer.bias
-        d = activation_derivative(layer.activation)(z)
-        jac = d[:, :, None] * np.einsum("oi,nij->noj", layer.weights, jac)
-        out = activation_function(layer.activation)(z)
+        act = _lookup(layer.activation)
+        jac = act.deriv(z)[:, :, None] * np.einsum("oi,nij->noj", layer.weights, jac)
+        out = act.f(z)
     return jac
 
 

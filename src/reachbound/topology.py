@@ -12,11 +12,12 @@ Two tests read the interval enclosure of the Jacobian over a cell,
 
 - the row test passes a cell when every row of the enclosure has an entry
   that excludes zero, so no output has a critical point there.
-  `box_passes_row_test` runs it on one box (a box with a zero-width
-  dimension fails untested); `extract_subset` runs it on a tree over the
-  interior cells, the only ones it may drop, with one Jacobian call per
-  tree level and block of rows, and returns the cells it keeps.  Both run
-  on any network shape: each output's test reads its own gradient row;
+  `_passes_row_test` is the one row test, on any batch of boxes in blocks
+  of rows.  `box_passes_row_test` is its one-box case (a box with a
+  zero-width dimension fails untested); `extract_subset` runs it on a tree
+  over the interior cells, the only ones it may drop, with one call per
+  tree level, and returns the cells it keeps.  Both run on any network
+  shape: each output's test reads its own gradient row;
 - the determinant test certifies a network restricted to a cell as a
   homeomorphism onto its image when the enclosure of the determinant
   excludes zero.  It needs a square network with at most 6 inputs, because
@@ -251,13 +252,20 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
     return np.swapaxes(jlo, -1, -2), np.swapaxes(jhi, -1, -2)
 
 
-def _passes_row_test(jlo: np.ndarray, jhi: np.ndarray) -> np.ndarray:
-    """True where every row of a (..., m, n) Jacobian enclosure has an entry excluding 0."""
-    return np.all(np.any((jlo > 0.0) | (jhi < 0.0), axis=-1), axis=-1)
+def _passes_row_test(net: Network, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The row test on boxes (..., n), in row blocks: every Jacobian row has an entry excluding 0.
+
+    `box_passes_row_test` is its one-box case; `extract_subset` runs it on tree nodes.
+    """
+    def passes(lo, hi):
+        jlo, jhi = jacobian_interval_arrays(net, lo, hi)
+        return (np.all(np.any((jlo > 0.0) | (jhi < 0.0), axis=-1), axis=-1),)
+
+    return _map_row_blocks(net, passes, lo, hi, ((),), dtype=bool)[0]
 
 
 def box_passes_row_test(net: Network, box: Box) -> bool:
-    """The row test on one box, from one `jacobian_interval_arrays` call, on any network shape.
+    """`_passes_row_test` on one box, on any network shape.
 
     When it passes, no output has a critical point in the box, so every
     output's extrema over the box lie on its faces (see `extract_subset`).
@@ -271,7 +279,7 @@ def box_passes_row_test(net: Network, box: Box) -> bool:
         raise ValueError(f"box dimension {box.dim} != input dim {net.input_dim}")
     if box.degenerate_dims():
         return False
-    return bool(_passes_row_test(*jacobian_interval_arrays(net, box.lo, box.hi)))
+    return bool(_passes_row_test(net, box.lo, box.hi))
 
 
 @dataclass(frozen=True)
@@ -363,12 +371,11 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     is the root of a tree of index-range nodes.  Each level keeps the
     pending nodes that are leaf-sized, at most 2 cells in every dimension,
     whole; splits the others (`_split_nodes`); evaluates all their children
-    in one `jacobian_interval_arrays` call per block of rows
-    (`_map_row_blocks`), on bounds taken from ``grid.edges(k)``, so a node's
-    bounds are its cells' own floats; drops each passing child with all its
-    cells; and leaves the failing children pending.  The root is never
-    evaluated, so a leaf-sized root, on a grid of at most 4 cells in every
-    dimension, is kept without a Jacobian call.
+    in one `_passes_row_test` call, on bounds taken from ``grid.edges(k)``,
+    so a node's bounds are its cells' own floats; drops each passing child
+    with all its cells; and leaves the failing children pending.  The root
+    is never evaluated, so a leaf-sized root, on a grid of at most 4 cells
+    in every dimension, is kept without a Jacobian call.
 
     Cost.  A leaf-sized node would split into single cells, and a Jacobian
     row costs 2.3-4.0 box-pass rows in a call of 64 rows and 3.5-14 in one
@@ -403,10 +410,7 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
         kept[tuple(cells.T)] = True
         a, b = _split_nodes(a[~leaf], b[~leaf])
         if a.shape[0]:
-            (passed,) = _map_row_blocks(
-                net,
-                lambda lo, hi: (_passes_row_test(*jacobian_interval_arrays(net, lo, hi)),),
-                *grid.range_bounds(a, b), ((),), dtype=bool)
+            passed = _passes_row_test(net, *grid.range_bounds(a, b))
             a, b = a[~passed], b[~passed]
     index = np.argwhere(kept)
     return SubsetExtraction(grid, index, index + 1)

@@ -89,7 +89,7 @@ class VerificationProblem:
             raise ValueError("safe box dimension does not match the network output")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "domain", normalize_domain(self.domain))
+        normalize_domain(self.domain)  # raises ValueError on an unknown tag
         object.__setattr__(self, "grid", grid_counts(self.grid, self.input_box))
 
 

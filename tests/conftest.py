@@ -106,6 +106,13 @@ def assert_dropped_cells_hold_no_zero_gradient(net, ex, rng, cells=40, per_cell=
     return rows.size
 
 
+def mc_safe(net, box, inflate, n=20_000, seed=0):
+    hull = rb.monte_carlo(net, box, n, seed).image_hull
+    c = hull.midpoint()
+    half = np.maximum((hull.hi - hull.lo) * 0.5 * inflate, 1e-6)
+    return rb.Box.from_arrays(c - half, c + half)
+
+
 def sample_box(box: rb.Box, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     lo, hi = box.lo, box.hi

@@ -15,7 +15,7 @@ import reachbound as rb
 from reachbound.cli import main
 from reachbound.verifier import boundary_cell_batch, grid_cell_batch
 from reachbound.topology import jacobian_interval_arrays, partition
-from conftest import INVERTIBLE, MIXED, dropped_mask, make_net, sample_box
+from conftest import INVERTIBLE, MIXED, dropped_mask, make_net, mc_safe, sample_box
 
 
 def criterion(cid, desc, budget_s):
@@ -35,13 +35,6 @@ def criterion(cid, desc, budget_s):
         return wrapper
 
     return deco
-
-
-def mc_safe(net, box, inflate, n=20_000, seed=0):
-    hull = rb.monte_carlo(net, box, n, seed).image_hull
-    c = hull.midpoint()
-    half = np.maximum((hull.hi - hull.lo) * 0.5 * inflate, 1e-6)
-    return rb.Box.from_arrays(c - half, c + half)
 
 
 # ---------------------------------------------------------------------------

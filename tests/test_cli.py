@@ -141,9 +141,10 @@ def _layer(weights=([1, 0], [0, 1]), bias=[0, 0]):
         ({"layers": [_layer(bias=[0, "0"])]}, "layer 0"),
         ({"layers": [_layer(bias=0)]}, "layer 0"),
         ({"layers": [_layer(weights=([10**400, 0], [0, 1]))]}, "layer 0"),
+        ({"layers": [dict(_layer(), activation=["tanh"])]}, "unknown activation"),
     ],
     ids=["array", "layer-number", "missing-fields", "string-weight", "bool-weight",
-         "string-bias", "scalar-bias", "int-past-float-range"],
+         "string-bias", "scalar-bias", "int-past-float-range", "list-activation"],
 )
 def test_malformed_model_document_exit_three(tmp_path, capsys, document, message):
     bad = tmp_path / "bad.json"

@@ -291,6 +291,9 @@ def test_act_unknown_tag():
         _act_range_arrays("relu", *ends(0, 1))
     with pytest.raises(ValueError):
         _act_deriv_arrays("relu", *ends(0, 1))
+    # a name the table cannot hash is unknown too, not a TypeError
+    with pytest.raises(ValueError, match="unknown activation"):
+        _act_range_arrays(["tanh"], *ends(0, 1))
 
 
 def test_act_linear_passthrough():
@@ -306,8 +309,8 @@ def test_act_linear_passthrough():
 def test_act_soundness_by_sampling(name, iv):
     rng = np.random.default_rng(77)
     ts = iv[0] + rng.random(10_000) * (iv[1] - iv[0])
-    f = rb.intervals.activation_function(name)
-    d = rb.intervals.activation_derivative(name)
+    f = _lookup(name).f
+    d = _lookup(name).deriv
     lo, hi = as_pair(_act_range_arrays(name, *ends(*iv)))
     dlo, dhi = as_pair(_act_deriv_arrays(name, *ends(*iv)))
     vals = f(ts)

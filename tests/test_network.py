@@ -43,6 +43,12 @@ def test_load_rejects_unknown_activation():
         rb.load_network(doc)
 
 
+@pytest.mark.parametrize("activation", [["tanh"], {"a": 1}], ids=["list", "dict"])
+def test_layer_rejects_an_unhashable_activation(activation):
+    with pytest.raises(ValueError, match="unknown activation"):
+        rb.Layer(np.eye(2), np.zeros(2), activation)
+
+
 def test_load_rejects_nonfinite():
     doc = {"layers": [{"weights": [[math.inf]], "bias": [0.0], "activation": "tanh"}]}
     with pytest.raises(ValueError):

@@ -205,7 +205,7 @@ def test_jacobian_interval_linear():
 
 def test_jacobian_interval_tanh_point_cell():
     net = rb.Network((rb.Layer(np.eye(2), np.zeros(2), "tanh"),))
-    cell = rb.Box.point([0.0, 0.0])
+    cell = rb.Box([0.0, 0.0], [0.0, 0.0])
     jlo, jhi = jacobian_interval_arrays(net, cell.lo, cell.hi)
     eye = np.eye(2)
     assert np.all(jlo <= eye) and np.all(jhi >= eye)

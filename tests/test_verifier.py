@@ -17,7 +17,7 @@ from reachbound.topology import (
     extract_subset,
     jacobian_interval_arrays,
 )
-from conftest import deep_nets, identity_net, linear_net, make_net, MIXED
+from conftest import deep_nets, identity_net, linear_net, make_net, mc_safe, MIXED
 
 
 def problem(net, input_box, safe_box, **kwargs):
@@ -85,23 +85,16 @@ def test_boundary_identity_unknown(unit_square):
 
 def test_boundary_cell_ratio_vs_full(invertible_net, unit_square):
     full = rb.verify(
-        problem(invertible_net, unit_square, _mc_safe(invertible_net, unit_square, 1.3),
+        problem(invertible_net, unit_square, mc_safe(invertible_net, unit_square, 1.3),
                 mode="full", grid=(100, 100))
     )
     bound = rb.verify(
-        problem(invertible_net, unit_square, _mc_safe(invertible_net, unit_square, 1.3),
+        problem(invertible_net, unit_square, mc_safe(invertible_net, unit_square, 1.3),
                 mode="boundary", grid=(100, 100))
     )
     assert full.stats["cells_propagated"] == 10_000
     assert bound.stats["cells_propagated"] == 400
     assert bound.status == full.status == rb.SAFE
-
-
-def _mc_safe(net, box, inflate, n=20_000, seed=0):
-    hull = rb.monte_carlo(net, box, n, seed).image_hull
-    c = hull.midpoint()
-    half = np.maximum((hull.hi - hull.lo) * 0.5 * inflate, 1e-6)
-    return rb.Box.from_arrays(c - half, c + half)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +111,7 @@ def test_full_identity_safe(unit_square):
 
 
 def test_full_single_cell_equals_direct_propagation(invertible_net, unit_square):
-    p = problem(invertible_net, unit_square, _mc_safe(invertible_net, unit_square, 2.0),
+    p = problem(invertible_net, unit_square, mc_safe(invertible_net, unit_square, 2.0),
                 mode="full", grid=(1, 1))
     v = rb.verify(p)
     direct_lo, direct_hi = box_propagate_arrays(invertible_net, unit_square.lo, unit_square.hi)
@@ -128,7 +121,7 @@ def test_full_single_cell_equals_direct_propagation(invertible_net, unit_square)
 
 
 def test_full_hull_contains_boundary_hull(invertible_net, unit_square):
-    safe = _mc_safe(invertible_net, unit_square, 2.0)
+    safe = mc_safe(invertible_net, unit_square, 2.0)
     full = rb.verify(problem(invertible_net, unit_square, safe, mode="full", grid=(20, 20)))
     bound = rb.verify(
         problem(invertible_net, unit_square, safe, mode="boundary", grid=(20, 20))
@@ -166,7 +159,7 @@ def test_subset_zero_certified_equals_full(unit_square):
 def test_subset_mixed_net_safe_with_fewer_cells():
     net = make_net(**MIXED)
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
-    safe = _mc_safe(net, box, 1.2, n=50_000)
+    safe = mc_safe(net, box, 1.2, n=50_000)
     v = rb.verify(problem(net, box, safe, mode="subset", grid=(40, 40)))
     assert v.status == rb.SAFE
     assert v.stats["cells_kept"] < v.stats["cells_total"]
@@ -176,7 +169,7 @@ def test_subset_never_drops_boundary_cells():
     net = make_net(**MIXED)
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
     v = rb.verify(
-        problem(net, box, _mc_safe(net, box, 1.3), mode="subset", grid=(15, 15))
+        problem(net, box, mc_safe(net, box, 1.3), mode="subset", grid=(15, 15))
     )
     propagated = {tuple(i) for i in v.cell_batch.index}
     counts = (15, 15)
@@ -225,7 +218,7 @@ def _tree_runs_on_any_net_shape(unit_square, mode):
     (net, box, grid, cells), (net7, box7, grid7, cells7) = _other_shape_cases(unit_square, 1.0)
     # the non-square net fails the whole-box test; then the tree makes its own Jacobian
     # calls and drops cells
-    safe = _mc_safe(net, box, 3.0)
+    safe = mc_safe(net, box, 3.0)
     full = rb.verify(problem(net, box, safe, mode="full", grid=grid))
     calls = []
     with pytest.MonkeyPatch.context() as m:
@@ -242,7 +235,7 @@ def _tree_runs_on_any_net_shape(unit_square, mode):
     assert box_passes_row_test(net7, box7) is False
     with pytest.MonkeyPatch.context() as m:
         m.setattr(verifier, "box_passes_row_test", lambda net, box: False)
-        v = _keeps_the_full_grid(net7, box7, _mc_safe(net7, box7, 3.0), mode, grid=grid7)
+        v = _keeps_the_full_grid(net7, box7, mc_safe(net7, box7, 3.0), mode, grid=grid7)
     assert v.stats["cells_propagated"] == cells7 and "fallback_full" not in v.stats
     for net, box in ((net, box), (net7, box7)):
         with pytest.raises(ValueError):
@@ -256,7 +249,7 @@ def test_subset_runs_the_tree_on_any_net_shape(unit_square):
 @pytest.mark.parametrize("mode", ["subset", "auto"])
 def test_a_box_that_passes_the_row_test_takes_the_faces_on_any_net_shape(unit_square, mode):
     for net, box, grid, _ in _other_shape_cases(unit_square, scale=0.5):
-        safe = _mc_safe(net, box, 3.0)
+        safe = mc_safe(net, box, 3.0)
         v = rb.verify(problem(net, box, safe, mode=mode, grid=grid))
         faces = rb.verify(problem(net, box, safe, mode="boundary", grid=grid))
         assert v.stats["path"] == "boundary" and v.stats["input_certified"] is True
@@ -273,7 +266,7 @@ def test_a_box_that_passes_the_row_test_takes_the_faces_on_any_net_shape(unit_sq
 
 
 def test_auto_certified_takes_boundary_path(unit_square, invertible_net):
-    safe = _mc_safe(invertible_net, unit_square, 1.5)
+    safe = mc_safe(invertible_net, unit_square, 1.5)
     v = rb.verify(problem(invertible_net, unit_square, safe, grid=(30, 30)))
     assert v.stats["path"] == "boundary"
     assert v.stats["input_certified"] is True
@@ -286,7 +279,7 @@ def test_a_box_that_fails_the_determinant_but_passes_the_row_test_takes_the_face
     net = rb.generate_network(1, (2, 8, 2), "sigmoid", 2.0)
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
     assert not rb.certify_homeomorphism(net, box).certified and box_passes_row_test(net, box)
-    v = rb.verify(problem(net, box, _mc_safe(net, box, 1.3), mode=mode, grid=(40, 40)))
+    v = rb.verify(problem(net, box, mc_safe(net, box, 1.3), mode=mode, grid=(40, 40)))
     assert v.stats["path"] == "boundary" and v.stats["input_certified"] is True
     assert v.stats["assumes_invertible"] is False and v.stats["cells_propagated"] == 160
     assert v.status == rb.SAFE
@@ -472,7 +465,7 @@ def test_partition_and_sampling_refuse_an_overflowing_width(invertible_net):
 
 
 def test_monte_carlo_point_region(invertible_net):
-    region = rb.Box.point([0.25, 0.75])
+    region = rb.Box([0.25, 0.75], [0.25, 0.75])
     r = rb.monte_carlo(invertible_net, region, 1, seed=0)
     assert np.array_equal(r.points[0], [0.25, 0.75])
     assert np.array_equal(r.image_hull.lo, r.image_hull.hi)
@@ -528,7 +521,7 @@ def test_refinement_never_grows_hull(domain, invertible_net, unit_square):
 
 
 def test_verdict_dispatch_by_mode(unit_square, invertible_net):
-    safe = _mc_safe(invertible_net, unit_square, 2.0)
+    safe = mc_safe(invertible_net, unit_square, 2.0)
     for mode in ("boundary", "subset", "full", "auto"):
         v = rb.verify(problem(invertible_net, unit_square, safe, mode=mode, grid=(6, 6)))
         assert v.status in (rb.SAFE, rb.UNKNOWN)
