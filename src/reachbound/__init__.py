@@ -33,7 +33,6 @@ from .topology import (
     SubsetExtraction,
     certify_homeomorphism,
     extract_subset,
-    partition,
 )
 from .verifier import (
     FALSIFIED,

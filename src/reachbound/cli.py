@@ -54,10 +54,10 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # box values like "-1,2;-1,2" must parse as arguments, not option
-        # strings; there are no numeric short options, so anything starting
-        # with "-<digit>" or "-." is data
-        self._negative_number_matcher = re.compile(r"^-[\d.]")
+        # box values like "-1,2;-1,2" or "-inf,0" must parse as arguments, not
+        # option strings; there are no numeric short options, so anything
+        # starting with "-<digit>", "-.", "-inf" or "-nan" is data
+        self._negative_number_matcher = re.compile(r"^-([\d.]|inf|nan)", re.IGNORECASE)
 
     # argparse exits with code 2 by default, which would collide with "falsified"
     def error(self, message):
@@ -138,7 +138,8 @@ def cmd_certify(args) -> int:
     det_lo, det_hi, certified = certify_cells(net, cells.lo, cells.hi)  # each cell once
     if args.out:
         write_certification(cells.index, det_lo, det_hi, certified, args.out)
-    interior = int((certified & cells.grid.interior_mask(cells.index)).sum())
+    # the cells that touch no face: the interior block [1, c - 1) of the row-major grid
+    interior = int(certified.reshape(counts)[tuple(slice(1, c - 1) for c in counts)].sum())
     summary = {"total": cells.count, "certified_interior": interior,
                "kept": cells.count - interior, "certified_cells": int(certified.sum())}
     print(json.dumps(summary, indent=1))

@@ -32,6 +32,7 @@ report of every cell calls `certify_cells` on `grid_cell_batch` itself.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -53,7 +54,6 @@ __all__ = [
     "CellBatch",
     "CELL_BUDGET",
     "CellBudgetError",
-    "partition",
     "grid_cell_batch",
     "boundary_cell_batch",
     "grid_counts",
@@ -69,12 +69,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CellGrid:
-    """Uniform grid of closed cells tiling `base` exactly (shared edges)."""
+    """Uniform grid of closed cells tiling `base` exactly (shared edges); ``counts`` become ints."""
 
     base: Box
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         if len(self.counts) != self.base.dim:
             raise ValueError("one subdivision count per dimension required")
         if any(c < 1 for c in self.counts):
@@ -113,11 +114,6 @@ class CellGrid:
         batch = grid_cell_batch(self.base, self.counts)
         return batch.index, batch.lo, batch.hi
 
-    def interior_mask(self, idx: np.ndarray) -> np.ndarray:
-        """True where a cell index touches no face of the base box."""
-        counts = np.asarray(self.counts)
-        return np.all((idx > 0) & (idx + 1 < counts), axis=1)
-
 
 @dataclass
 class CellBatch:
@@ -137,10 +133,6 @@ class CellBatch:
     @property
     def count(self) -> int:
         return int(self.index.shape[0])
-
-
-def partition(box: Box, counts) -> CellGrid:
-    return CellGrid(box, tuple(int(c) for c in counts))
 
 
 # Largest cell batch one level may build.  A level holds each cell's
@@ -167,7 +159,7 @@ def grid_cell_batch(box: Box, counts) -> CellBatch:
     """All cells of the grid of ``counts`` on ``box``, ``b = a + 1``, in row-major order."""
     counts = tuple(int(c) for c in counts)
     _refuse_past_budget(math.prod(counts), "grid", counts)
-    grid = partition(box, counts)
+    grid = CellGrid(box, counts)
     a = np.indices(counts).reshape(len(counts), -1).T
     return CellBatch(grid, a, a + 1)
 
@@ -185,7 +177,7 @@ def boundary_cell_batch(box: Box, counts) -> CellBatch:
     counts = tuple(int(c) for c in counts)
     shapes = [counts[:k] + (1,) + counts[k + 1 :] for k in range(len(counts))]
     _refuse_past_budget(2 * sum(map(math.prod, shapes)), "face", counts)
-    grid = partition(box, counts)
+    grid = CellGrid(box, counts)
     parts = []
     for k, shape in enumerate(shapes):
         a = np.argwhere(np.ones(shape, dtype=bool))
@@ -201,10 +193,17 @@ def grid_counts(counts, box: Box, level: int = 0) -> tuple[int, ...]:
     """Per-dimension cell counts on ``box`` at refinement ``level``: None means one cell each.
 
     One count applies to every dimension except the zero-width ones, which
-    take 1.  Each level doubles every count but theirs.
+    take 1.  Each level doubles every count but theirs.  A count is an int
+    or a numeric string (the command line's); a float or bare string fails.
     """
     flat = box.degenerate_dims()
-    counts = (1,) * box.dim if counts is None else tuple(int(c) for c in counts)
+    try:
+        if isinstance(counts, str):
+            raise TypeError  # "12" is one count string, not the counts (1, 2)
+        counts = (1,) * box.dim if counts is None else tuple(
+            int(c) if isinstance(c, str) else operator.index(c) for c in counts)
+    except TypeError:
+        raise ValueError(f"grid needs a sequence of integer counts, got {counts!r}") from None
     if len(counts) == 1:
         counts = tuple(1 if k in flat else counts[0] for k in range(box.dim))
     if len(counts) != box.dim or any(c < 1 for c in counts):
@@ -396,7 +395,7 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
         raise ValueError(f"input box dimension {input_box.dim} != input dim {net.input_dim}")
     counts = tuple(int(c) for c in counts)
     _refuse_past_budget(math.prod(counts), "grid", counts)
-    grid = partition(input_box, counts)
+    grid = CellGrid(input_box, counts)
     a = np.ones((1, grid.dim), dtype=np.int64)
     b = np.array([grid.counts], dtype=np.int64) - 1
     kept = np.ones(grid.counts, dtype=bool)

@@ -98,8 +98,7 @@ def _column_hull(lo: np.ndarray, hi: np.ndarray):
 
     NumPy reduces ``min(axis=0)`` of a tall, narrow array one row at a time:
     at 40 000 x 2 that takes about 17 times as long as a reduction per
-    column.  A NaN in a column still gives a NaN end, which fails every
-    comparison and which `Box` rejects.
+    column.  A NaN in a column still gives a NaN end, which `Box` rejects.
     """
     return np.array([col.min() for col in lo.T]), np.array([col.max() for col in hi.T])
 
@@ -175,10 +174,11 @@ def verify(problem: VerificationProblem) -> Verdict:
     interior cells that pass the row test, or none where it cannot drop
     one (path ``subset``, ``stats["cells_certified"]`` counts them), since
     an output extremum lies on the box's faces or where that output's
-    gradient is zero.  ``stats["path"]`` names the set propagated.  In
-    every mode the grid doubles on Unknown up to ``max_refinements`` times
-    (`grid_counts`).  An Unknown verdict becomes Falsified when Monte-Carlo
-    sampling finds an input whose exact image leaves the safe box.
+    gradient is zero.  ``stats["path"]`` names the set propagated.  A level
+    is Safe when the safe box contains its hull, a `Box`.  In every mode the
+    grid doubles on Unknown up to ``max_refinements`` times (`grid_counts`)
+    unless the box has no width.  An Unknown verdict becomes Falsified when
+    Monte-Carlo sampling finds an input whose exact image leaves the safe box.
 
     Each level's builder refuses a level past `topology.CELL_BUDGET` with
     `CellBudgetError`, a ValueError, before it builds the level's grid.  At
@@ -203,10 +203,11 @@ def verify(problem: VerificationProblem) -> Verdict:
     if path == "boundary":
         stats["assumes_invertible"] = problem.mode == "boundary"
 
-    safe = problem.safe_box
-    safe_lo, safe_hi = safe.lo, safe.hi
+    safe, counts = problem.safe_box, None
     for level in range(problem.max_refinements + 1):
-        counts = grid_counts(problem.grid, problem.input_box, level)
+        last, counts = counts, grid_counts(problem.grid, problem.input_box, level)
+        if counts == last:
+            break  # a box with no width has one grid at every level
         try:
             if path == "boundary":
                 cells = boundary_cell_batch(problem.input_box, counts)
@@ -227,13 +228,12 @@ def verify(problem: VerificationProblem) -> Verdict:
         phase = time.perf_counter()
         propagate_cells(net, batch, problem.domain)
         stats["propagate_ms"] += (time.perf_counter() - phase) * 1e3
-        hull_lo, hull_hi = _column_hull(batch.out_lo, batch.out_hi)
-        ok = bool(np.all(hull_lo >= safe_lo) and np.all(hull_hi <= safe_hi))
+        hull = Box.from_arrays(*_column_hull(batch.out_lo, batch.out_hi))
+        ok = safe.contains_box(hull)
         if ok:
             break
     stats.update(cells_propagated=batch.count, refinement_level=done)
-    verdict = Verdict(SAFE if ok else UNKNOWN, stats, Box.from_arrays(hull_lo, hull_hi),
-                      cell_batch=batch)
+    verdict = Verdict(SAFE if ok else UNKNOWN, stats, hull, cell_batch=batch)
 
     if not ok and problem.falsify_samples > 0:
         mc = monte_carlo(net, problem.input_box, problem.falsify_samples, problem.seed, safe=safe)

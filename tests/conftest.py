@@ -43,6 +43,12 @@ def dropped_mask(ex) -> np.ndarray:
     return dropped.ravel()
 
 
+def interior_mask(grid) -> np.ndarray:
+    """Row-major mask over all the grid's cells: True where a cell touches no face of the box."""
+    idx = np.indices(grid.counts).reshape(grid.dim, -1).T
+    return np.all((idx > 0) & (idx + 1 < np.array(grid.counts)), axis=1)
+
+
 def row_test(jlo, jhi):
     """Every row of a Jacobian enclosure has an entry that excludes 0."""
     return np.all(np.any((jlo > 0) | (jhi < 0), axis=-1), axis=-1)

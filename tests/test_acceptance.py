@@ -14,7 +14,7 @@ import pytest
 import reachbound as rb
 from reachbound.cli import main
 from reachbound.verifier import boundary_cell_batch, grid_cell_batch
-from reachbound.topology import jacobian_interval_arrays, partition
+from reachbound.topology import CellGrid, jacobian_interval_arrays
 from conftest import INVERTIBLE, MIXED, dropped_mask, make_net, mc_safe, sample_box
 
 
@@ -130,7 +130,7 @@ def test_c3_certification_validity():
     checked_cells = 0
     for net, bounds in nets:
         box = rb.Box.from_bounds(bounds)
-        grid = partition(box, (4,) * box.dim)
+        grid = CellGrid(box, (4,) * box.dim)
         idx, lo, hi = grid.bounds_arrays()
         det_lo, det_hi, certified = rb.topology.certify_cells(net, lo, hi)
         for row in np.flatnonzero(certified):

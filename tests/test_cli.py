@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import reachbound as rb
-from reachbound import cli
+from reachbound import cli, verifier
 from reachbound.cli import main, parse_box
 from reachbound.domains import box_propagate_arrays, zono_propagate
 from reachbound.reports import (
@@ -24,7 +24,15 @@ from reachbound.reports import (
 )
 from reachbound.topology import CELL_BUDGET, CellBatch, grid_cell_batch, grid_counts
 from reachbound.verifier import MonteCarloResult, propagate_cells
-from conftest import dropped_mask, identity_net, kept_whole_mask, make_net, traced_extraction, MIXED
+from conftest import (
+    MIXED,
+    dropped_mask,
+    identity_net,
+    interior_mask,
+    kept_whole_mask,
+    make_net,
+    traced_extraction,
+)
 
 
 @pytest.fixture
@@ -204,6 +212,16 @@ def test_mc_safe_box_of_the_wrong_dimension_exit_three(tmp_path, capsys, safe):
     assert err.startswith("error:") and err.count("\n") == 1 and "safe box dimension" in err
 
 
+@pytest.mark.parametrize("bound", ["-inf", "-Infinity", "-nan", "-NaN"])
+@pytest.mark.parametrize("option", ["--input", "--safe"])
+def test_a_non_finite_bound_is_a_value_and_exits_three(identity_model, capsys, option, bound):
+    boxes = {"--input": "0,1;0,1", "--safe": "-9,9;-9,9", option: f"{bound},1;0,1"}
+    code, out, err = run(capsys, "verify", "--model", identity_model,
+                         "--input", boxes["--input"], "--safe", boxes["--safe"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: box endpoints must be finite") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -322,6 +340,24 @@ def test_overflow_gives_non_finite_ends_in_either_domain():
     for out_lo, out_hi in hulls:
         assert out_lo.shape == (4, 2)
         assert not (np.isfinite(out_lo) & np.isfinite(out_hi)).any()
+
+
+@pytest.mark.parametrize("domain", ["box", "zono"])
+def test_a_non_finite_hull_ends_verify_at_its_level(monkeypatch, domain):
+    # the level's hull is a Box, which refuses the non-finite end before any refinement
+    propagated = []
+
+    def recording(net, batch, domain):
+        propagated.append(batch.count)
+        return propagate_cells(net, batch, domain)
+
+    monkeypatch.setattr(verifier, "propagate_cells", recording)
+    problem = rb.VerificationProblem(overflow_net(), rb.Box.from_bounds([(0, 1)] * 2),
+                                     rb.Box.from_bounds([(-1, 1)] * 2), domain=domain,
+                                     mode="full", grid=(2,), max_refinements=3)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="must be finite"):
+        rb.verify(problem)
+    assert propagated == [4]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -530,7 +566,7 @@ def test_certify_summary_agrees_with_the_subset_decision(tmp_path, capsys):
     assert summary["certified_interior"] < summary["certified_cells"]
     certified = np.loadtxt(tmp_path / "cells.csv", delimiter=",", skiprows=1)[:, -1] == 1
     assert summary["certified_cells"] == certified.sum()
-    interior = ex.grid.interior_mask(ex.grid.bounds_arrays()[0])
+    interior = interior_mask(ex.grid)
     assert summary["certified_interior"] == (certified & interior).sum()
     dropped, whole = dropped_mask(ex), kept_whole_mask(ex.grid, levels)
     assert np.all(dropped[certified & interior & ~whole])
@@ -750,7 +786,7 @@ def test_csv_writers_exact_bytes(tmp_path):
     # repr round-trips every float: the sign of -0.0 and all 17 digits of 0.1 + 0.2
     third = 0.1 + 0.2
     index = np.array([[0, 1], [2, 0]])
-    batch = CellBatch(rb.partition(rb.Box.from_bounds([(0, 1), (0, 1)]), (3, 2)), index,
+    batch = CellBatch(rb.CellGrid(rb.Box.from_bounds([(0, 1), (0, 1)]), (3, 2)), index,
                       index + 1, np.array([[-0.0, third], [1e-300, -2.5]]),
                       np.array([[0.0, 0.5], [1.0, 2.0]]))
     certification = (

@@ -5,6 +5,16 @@ import runpy
 from pathlib import Path
 
 import reachbound
+from reachbound.domains import DOMAINS
+from reachbound.verifier import MODES
+from conftest import MIXED, make_net
+
+# hooks that `verify` no longer calls, so their per-layer metrics read 0
+UNREACHED_HOOKS = {
+    "reachbound.verifier.certify_homeomorphism",  # ROADMAP item 12
+    "reachbound.topology.certify_cells",  # ROADMAP item 12
+    "reachbound.topology.CellGrid.bounds_arrays",  # ROADMAP item 12
+}
 
 
 def test_export_lists_resolve():
@@ -24,6 +34,28 @@ def test_trace_hooks_resolve():
     tracer = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"))
     missing = [target for target, _, _ in tracer["HOOKS"] if tracer["resolve"](target) is None]
     assert not missing, f"trace hooks with no target: {missing}"
+
+
+def test_trace_hooks_are_reached():
+    """`verify` in every mode and domain records a span on each hook but `UNREACHED_HOOKS`."""
+    tracer = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"))
+    net, box = make_net(**MIXED), reachbound.Box.from_bounds([(-1, 1), (-1, 1)])
+    safe = reachbound.Box.from_bounds([(-1e-3, 1e-3)] * 2)  # unknown: it refines and falsifies
+    spans = tracer["Tracer"]()
+    spans.install()
+    try:
+        for mode in MODES:
+            for domain in DOMAINS:
+                problem = reachbound.VerificationProblem(
+                    net, box, safe, domain=domain, mode=mode, grid=(8,), max_refinements=1,
+                    falsify_samples=256)
+                reachbound.verify(problem)
+    finally:
+        spans.uninstall()
+    assert spans.missing == []
+    recorded = {span[0] for span in spans.spans}
+    unreached = {target for target, name, _ in tracer["HOOKS"] if name not in recorded}
+    assert unreached == UNREACHED_HOOKS
 
 
 def test_no_unused_imports():

@@ -18,6 +18,7 @@ from conftest import (
     assert_dropped_cells_hold_no_zero_gradient,
     deep_nets,
     dropped_mask,
+    interior_mask,
     kept_whole_mask,
     linear_net,
     make_net,
@@ -64,7 +65,7 @@ def face_box_cells(box, counts):
             face_lo[k] = face_hi[k] = v
             face = rb.Box.from_arrays(face_lo, face_hi)
             face_counts = tuple(1 if j == k else counts[j] for j in range(box.dim))
-            idx, lo, hi = rb.partition(face, face_counts).bounds_arrays()
+            idx, lo, hi = rb.CellGrid(face, face_counts).bounds_arrays()
             idx = idx.copy()
             idx[:, k] = 0 if side == 0 else counts[k]
             parts.append((idx, lo, hi))
@@ -90,17 +91,22 @@ def test_boundary_cell_batch_bit_identical_to_face_boxes():
 
 
 def test_partition_cell_count(unit_square):
-    grid = rb.partition(unit_square, (100, 100))
+    grid = rb.CellGrid(unit_square, (100, 100))
     assert grid.total == 10_000
 
 
+def test_cell_grid_counts_are_ints(unit_square):
+    grid = rb.CellGrid(unit_square, [np.int64(3), 2])
+    assert grid.counts == (3, 2) and all(type(c) is int for c in grid.counts)
+
+
 def test_partition_total_is_exact_past_int64():
-    grid = rb.partition(rb.Box.from_bounds([(0, 1)] * 7), (1000,) * 7)
+    grid = rb.CellGrid(rb.Box.from_bounds([(0, 1)] * 7), (1000,) * 7)
     assert grid.total == 1000**7 == 10**21
 
 
 def test_partition_trivial_is_box(unit_square):
-    idx, lo, hi = rb.partition(unit_square, (1, 1)).bounds_arrays()
+    idx, lo, hi = rb.CellGrid(unit_square, (1, 1)).bounds_arrays()
     assert idx.tolist() == [[0, 0]]
     assert np.array_equal(lo[0], unit_square.lo) and np.array_equal(hi[0], unit_square.hi)
 
@@ -117,18 +123,18 @@ def test_partition_of_faces_gives_400_boundary_cells(unit_square):
 
 def test_partition_rejects_zero_count(unit_square):
     with pytest.raises(ValueError):
-        rb.partition(unit_square, (0, 10))
+        rb.CellGrid(unit_square, (0, 10))
 
 
 def test_partition_rejects_subdividing_degenerate_dim():
     face = rb.Box.from_bounds([(0, 0), (0, 1)])
     with pytest.raises(ValueError):
-        rb.partition(face, (2, 10))
+        rb.CellGrid(face, (2, 10))
 
 
 def test_partition_tiles_exactly():
     box = rb.Box.from_bounds([(-0.3, 0.7)])
-    grid = rb.partition(box, (7,))
+    grid = rb.CellGrid(box, (7,))
     edges = grid.edges(0)
     assert edges[0] == -0.3 and edges[-1] == 0.7
     assert np.all(np.diff(edges) > 0)
@@ -157,11 +163,11 @@ def test_every_builder_refuses_before_it_builds(monkeypatch, build, at_budget, p
     monkeypatch.setattr(topology, "CELL_BUDGET", 100)
     grids = []
 
-    def recording_partition(box, counts):
+    def recording_grid(box, counts):
         grids.append(tuple(counts))
-        return rb.partition(box, counts)
+        return rb.CellGrid(box, counts)
 
-    monkeypatch.setattr(topology, "partition", recording_partition)
+    monkeypatch.setattr(topology, "CellGrid", recording_grid)
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
     assert build(box, at_budget).grid.counts == at_budget
     with pytest.raises(ValueError, match="budget of 100; refusing to allocate"):
@@ -170,7 +176,7 @@ def test_every_builder_refuses_before_it_builds(monkeypatch, build, at_budget, p
 
 
 def test_bounds_arrays_row_major(unit_square):
-    grid = rb.partition(unit_square, (2, 3))
+    grid = rb.CellGrid(unit_square, (2, 3))
     idx, lo, hi = grid.bounds_arrays()
     assert [tuple(i) for i in idx] == list(product(range(2), range(3)))
     edges = [grid.edges(k) for k in range(2)]
@@ -186,8 +192,8 @@ def test_dyadic_refinement_keeps_the_coarse_edges_bit_for_bit(log_width, lo, c, 
     hi = lo + 10.0**log_width
     assume(hi > lo)
     box = rb.Box.from_bounds([(lo, hi)])
-    fine = rb.partition(box, (c * 2**level,)).edges(0)[:: 2**level]
-    assert fine.tobytes() == rb.partition(box, (c,)).edges(0).tobytes()
+    fine = rb.CellGrid(box, (c * 2**level,)).edges(0)[:: 2**level]
+    assert fine.tobytes() == rb.CellGrid(box, (c,)).edges(0).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +286,8 @@ def test_certified_cell_has_constant_nonzero_sign(invertible_net):
 def test_certification_monotone_under_bisection(mixed_net):
     # the children of cell (i, j) on the doubled grid are (2i..2i+1, 2j..2j+1)
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
-    _, lo, hi = rb.partition(box, (8, 8)).bounds_arrays()
-    _, child_lo, child_hi = rb.partition(box, (16, 16)).bounds_arrays()
+    _, lo, hi = rb.CellGrid(box, (8, 8)).bounds_arrays()
+    _, child_lo, child_hi = rb.CellGrid(box, (16, 16)).bounds_arrays()
     parent = certify_cells(mixed_net, lo, hi)[2].reshape(8, 8)
     children = certify_cells(mixed_net, child_lo, child_hi)[2].reshape(16, 16)
     checked = 0
@@ -294,8 +300,8 @@ def test_certification_monotone_under_bisection(mixed_net):
 def test_row_test_monotone_under_bisection(mixed_net):
     # the children of cell (i, j) on the doubled grid are (2i..2i+1, 2j..2j+1)
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
-    _, lo, hi = rb.partition(box, (8, 8)).bounds_arrays()
-    _, child_lo, child_hi = rb.partition(box, (16, 16)).bounds_arrays()
+    _, lo, hi = rb.CellGrid(box, (8, 8)).bounds_arrays()
+    _, child_lo, child_hi = rb.CellGrid(box, (16, 16)).bounds_arrays()
     parent = row_test(*jacobian_interval_arrays(mixed_net, lo, hi)).reshape(8, 8)
     children = row_test(*jacobian_interval_arrays(mixed_net, child_lo, child_hi)).reshape(16, 16)
     for row, passed in enumerate(parent.ravel()):
@@ -335,7 +341,7 @@ def test_a_box_that_passes_the_row_test_holds_no_zero_gradient():
 
 
 def test_certify_batch_matches_scalar(mixed_net):
-    grid = rb.partition(rb.Box.from_bounds([(-1, 1), (-1, 1)]), (5, 5))
+    grid = rb.CellGrid(rb.Box.from_bounds([(-1, 1), (-1, 1)]), (5, 5))
     idx, lo, hi = grid.bounds_arrays()
     det_lo, det_hi, certified = certify_cells(mixed_net, lo, hi)
     for row in range(grid.total):
@@ -372,7 +378,7 @@ def test_extraction_singular_gradient_free_net_drops_its_interior(unit_square):
     ex, levels = traced_extraction(net, unit_square, (6, 6))
     assert ex.counts == {"total": 36, "certified_interior": 16, "kept": 20}
     assert len(levels) == 1
-    interior = ex.grid.interior_mask(ex.grid.bounds_arrays()[0])
+    interior = interior_mask(ex.grid)
     np.testing.assert_array_equal(dropped_mask(ex), interior)
     # a 2 x 2 interior block is leaf-sized: kept whole, with no Jacobian call
     ex, levels = traced_extraction(net, unit_square, (4, 4))
@@ -385,8 +391,8 @@ def test_extraction_accounting_identity(mixed_net):
     assert c["kept"] + c["certified_interior"] == c["total"] == 400
     # face cells are always kept, an interior cell is kept only inside a leaf-sized node
     # kept whole, and every certified interior cell outside such a node is dropped
-    idx, lo, hi = ex.grid.bounds_arrays()
-    interior, dropped = ex.grid.interior_mask(idx), dropped_mask(ex)
+    _, lo, hi = ex.grid.bounds_arrays()
+    interior, dropped = interior_mask(ex.grid), dropped_mask(ex)
     whole = kept_whole_mask(ex.grid, levels)
     assert np.all(~dropped[~interior])
     assert np.all(whole[interior & ~dropped])
@@ -416,15 +422,15 @@ def test_extraction_matches_exhaustive_classification(mixed_net):
         assert not dropped[row] or interior
         assert dropped[row] or not interior or whole[row]
     assert np.all(dropped[own & ~whole])
-    assert 0 < own.sum() < ex.grid.interior_mask(ex.grid.bounds_arrays()[0]).sum()
+    assert 0 < own.sum() < interior_mask(ex.grid).sum()
     assert 0 < (own & dropped).sum()
 
 
 def test_extraction_refines_consistently(mixed_net):
     # every certified 20x20 cell keeps all its 60x60 children certified
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
-    _, lo_c, hi_c = rb.partition(box, (20, 20)).bounds_arrays()
-    _, lo_f, hi_f = rb.partition(box, (60, 60)).bounds_arrays()
+    _, lo_c, hi_c = rb.CellGrid(box, (20, 20)).bounds_arrays()
+    _, lo_f, hi_f = rb.CellGrid(box, (60, 60)).bounds_arrays()
     cert_c = certify_cells(mixed_net, lo_c, hi_c)[2].reshape(20, 20)
     cert_f = certify_cells(mixed_net, lo_f, hi_f)[2].reshape(60, 60)
     for i in range(20):
@@ -449,8 +455,8 @@ def test_extraction_decision_contains_certifying_every_cell():
         box = rb.Box.from_arrays(centre - half, centre + half)
         counts = tuple(int(c) for c in rng.integers(1, 8 if n <= 3 else 6, n))
         ex, levels = traced_extraction(net, box, counts)
-        idx, lo, hi = ex.grid.bounds_arrays()
-        interior = ex.grid.interior_mask(idx)
+        _, lo, hi = ex.grid.bounds_arrays()
+        interior = interior_mask(ex.grid)
         certified = certify_cells(net, lo, hi)[2] & interior
         own = row_test(*jacobian_interval_arrays(net, lo, hi)) & interior
         dropped, whole = dropped_mask(ex), kept_whole_mask(ex.grid, levels)
@@ -492,7 +498,7 @@ def test_extraction_returns_the_kept_cells_in_row_major_order(case):
     idx, lo, hi = ex.grid.bounds_arrays()
     np.testing.assert_array_equal(ex.index, idx[flat])
     assert ex.lo.tobytes() == lo[flat].tobytes() and ex.hi.tobytes() == hi[flat].tobytes()
-    assert np.all(~dropped_mask(ex)[~ex.grid.interior_mask(idx)])  # the ring is kept
+    assert np.all(~dropped_mask(ex)[~interior_mask(ex.grid)])  # the ring is kept
     c = ex.counts
     assert c["kept"] == len(ex.index) and c["kept"] + c["certified_interior"] == c["total"]
     assert c["total"] == int(np.prod(counts))
@@ -512,7 +518,7 @@ def test_extraction_certifies_interior_rows_only(mixed_net, monkeypatch, counts,
 
     monkeypatch.setattr(topology, "jacobian_interval_arrays", recording_jacobian)
     ex = rb.extract_subset(mixed_net, rb.Box.from_bounds([(-1, 1), (-1, 1)]), counts)
-    interior = ex.grid.interior_mask(ex.grid.bounds_arrays()[0])
+    interior = interior_mask(ex.grid)
     assert interior.sum() == rows
     if all(c - 2 <= 2 for c in counts):  # no interior cell, or a leaf-sized root kept whole
         assert calls == []
@@ -650,7 +656,7 @@ def test_a_flat_box_fails_the_row_test_untested(monkeypatch):
 def test_certify_cells_across_a_block_boundary(mixed_net, monkeypatch):
     block = 100
     monkeypatch.setattr(rb.domains, "_BLOCK", block)
-    grid = rb.partition(rb.Box.from_bounds([(-1, 1), (-1, 1)]), (33, 33))
+    grid = rb.CellGrid(rb.Box.from_bounds([(-1, 1), (-1, 1)]), (33, 33))
     _, lo, hi = grid.bounds_arrays()
     assert grid.total > block
     calls = []

@@ -48,6 +48,15 @@ def test_verify_example_style_safe_set(unit_square, invertible_net):
     assert v.status in (rb.SAFE, rb.UNKNOWN)
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("12", "sequence"), (4, "sequence"), ((2.7,), "integer counts"), ((4, 2.0), "integer counts"),
+], ids=["string", "int", "float", "integral-float"])
+def test_grid_counts_are_integers(unit_square, invertible_net, grid, message):
+    with pytest.raises(ValueError, match=message):
+        problem(invertible_net, unit_square, unit_square, grid=grid)
+    assert problem(invertible_net, unit_square, unit_square, grid=(np.int64(3), "2")).grid == (3, 2)
+
+
 def test_check_inclusion_dimension_mismatch(unit_square, invertible_net):
     # a safe box of the wrong dimension is rejected before any inclusion check
     with pytest.raises(ValueError):
@@ -403,6 +412,27 @@ def test_a_flat_input_box_keeps_every_cell(mode, domain):
     assert v.status == rb.UNKNOWN and v.stats["cells_propagated"] == 10
 
 
+@pytest.mark.parametrize("domain", ["box", "zono"])
+@pytest.mark.parametrize("mode", ["subset", "full", "auto"])
+def test_a_box_with_no_width_is_not_refined(monkeypatch, mode, domain):
+    # its one cell is the grid of every level, so a refinement would repeat level 0
+    builds = []
+
+    def recording(build):
+        def record(*args):
+            builds.append(args[-1])
+            return build(*args)
+        return record
+
+    for name in ("grid_cell_batch", "extract_subset"):
+        monkeypatch.setattr(verifier, name, recording(getattr(verifier, name)))
+    point = rb.Box.from_bounds([(0.3, 0.3), (-0.2, -0.2)])
+    v = rb.verify(problem(make_net(**MIXED), point, TINY_SAFE, mode=mode, domain=domain,
+                          max_refinements=5))
+    assert v.status == rb.UNKNOWN and v.stats["refinement_level"] == 0
+    assert builds == [(1, 1)]
+
+
 def test_boundary_mode_refuses_a_flat_input_box():
     with pytest.raises(ValueError, match="non-degenerate"):
         rb.verify(problem(make_net(**MIXED), FLAT, TINY_SAFE, mode="boundary", grid=(4, 1)))
@@ -459,7 +489,7 @@ def test_monte_carlo_refuses_a_safe_box_of_the_wrong_dimension(unit_square, inve
 def test_partition_and_sampling_refuse_an_overflowing_width(invertible_net):
     box = rb.Box.from_bounds([(-1, 1), (-1e308, 1e308)])  # hi - lo is inf
     with pytest.raises(ValueError, match="dimension 1 .* too wide"):
-        rb.partition(box, (4, 4))
+        rb.CellGrid(box, (4, 4))
     with pytest.raises(ValueError, match="dimension 1 .* too wide"):
         rb.monte_carlo(invertible_net, box, 10, seed=0)
 
@@ -566,10 +596,10 @@ class _GridBuilt(Exception):
     ],
 )
 def test_level_size_checked_against_the_budget(monkeypatch, path, at_budget, past_budget):
-    def partition(box, counts):  # reached only past the budget check; builds nothing
+    def grid(box, counts):  # reached only past the budget check; builds nothing
         raise _GridBuilt(counts)
 
-    monkeypatch.setattr(topology, "partition", partition)
+    monkeypatch.setattr(topology, "CellGrid", grid)
     build = _BUILDERS[path]
     with pytest.raises(_GridBuilt):
         build(rb.Box.from_bounds([(0, 1)] * len(at_budget)), at_budget)
@@ -612,12 +642,12 @@ def test_verify_refuses_an_oversized_refinement_level_before_building_it(monkeyp
         reached.append(counts)
         return extract_subset(net, box, counts)
 
-    def recording_partition(box, counts):
+    def recording_grid(box, counts):
         built.append(tuple(counts))
-        return rb.partition(box, counts)
+        return rb.CellGrid(box, counts)
 
     monkeypatch.setattr(verifier, "extract_subset", recording_extract_subset)
-    monkeypatch.setattr(topology, "partition", recording_partition)
+    monkeypatch.setattr(topology, "CellGrid", recording_grid)
     verdict = rb.verify(problem)
     assert reached == [(4, 4), (8, 8), (16, 16)]
     assert built == [(4, 4), (8, 8)]  # 16 and 64 cells; 256 is refused unbuilt
