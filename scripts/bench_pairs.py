@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Run the benchmark on two source trees in alternating pairs and summarize it.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --seed S --pairs N \\
+        [--workloads planar-zono planar-box] [--seconds 10] [--baseline BENCH_25.json] \\
+        --out BENCH_30.json
+
+PARENT and CHANGE are checkouts (each with ``src/`` and ``perfbench/``).
+Each is copied once into a fresh temporary directory, without ``.git``,
+``__pycache__`` or earlier benchmark output, at two paths of equal length
+(``.../parent`` and ``.../change``), since a path's length can move memory
+layout.  Every run is ``python3 perfbench/run.py --workload W --seed S
+--seconds T --trace 0`` in its copy with ``PYTHONDONTWRITEBYTECODE=1``, so
+no run leaves byte code for the next.  Pair i runs the parent first when i
+is even and the change first when it is odd.
+
+The output JSON has ``workloads`` (the last stdout line of each side of the
+first pair), ``series`` (per workload and metric: the median, q1 and q3 by
+the inclusive method for each side, ``wins``, the pairs where the change
+reads better by the metric's direction in ``BENCHMARK.json``, ties counting
+for neither, and every run in pair order; plus the summed ``failed`` counts
+and whether every run read ``correct``) and, with ``--baseline``, the change
+medians of an earlier file's series next to this one's.
+"""
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".perfbench_out", ".hypothesis",
+                                ".pytest_cache")
+
+
+def quartiles(values):
+    """(median, q1, q3) by the inclusive method; one value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def summarize(pairs, better):
+    """The ``series`` entry of one workload from its ``[(parent, change), ...]`` run results.
+
+    ``better`` maps a metric name to "lower" or "higher"; a metric missing
+    from it gets no ``wins``.
+    """
+    out = {
+        "pairs": len(pairs),
+        "failed": {side: sum(pair[i]["failed"] for pair in pairs) for i, side in enumerate(SIDES)},
+        "correct": all(run["correct"] for pair in pairs for run in pair),
+        "metrics": {},
+    }
+    for name, first in pairs[0][0]["metrics"].items():
+        runs = {side: [pair[i]["metrics"][name]["value"] for pair in pairs]
+                for i, side in enumerate(SIDES)}
+        entry = {"unit": first["unit"]}
+        for side in SIDES:
+            median, q1, q3 = quartiles(runs[side])
+            entry[side] = {"median": median, "q1": q1, "q3": q3}
+        if name in better:
+            sign = 1 if better[name] == "higher" else -1
+            entry["wins"] = sum(sign * (c - p) > 0 for p, c in zip(runs["parent"], runs["change"]))
+        entry["parent_runs"] = runs["parent"]
+        entry["change_runs"] = runs["change"]
+        out["metrics"][name] = entry
+    return out
+
+
+def baseline_delta(series, baseline: dict, label: str):
+    """Change medians of ``baseline``'s series next to ``series``' for the workloads in both."""
+    delta = {}
+    for wl, entry in series.items():
+        old = baseline.get("series", {}).get(wl)
+        if old is None:
+            continue
+        delta[wl] = {name: {f"{label}_change_median": old["metrics"][name]["change"]["median"],
+                            "change_median": m["change"]["median"]}
+                     for name, m in entry["metrics"].items() if name in old["metrics"]}
+    return delta
+
+
+def last_json_line(stdout: str) -> dict:
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, check=True)
+    return last_json_line(proc.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--workloads", nargs="+", default=["planar-box", "planar-zono", "cube-refine"])
+    ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--baseline", type=Path, help="an earlier BENCH_<pr>.json to compare medians with")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    better = {m["name"]: m["better"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    doc = {
+        "command": f"python3 perfbench/run.py --workload <name> --seed {args.seed} "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "seed": args.seed,
+        "note": "series: medians and quartiles (inclusive method) of alternating pairs from "
+                "fresh copies with no __pycache__ and PYTHONDONTWRITEBYTECODE=1; wins counts "
+                "the pairs where the change reads better, ties counting for neither; *_runs "
+                "list every run in pair order",
+        "env": {"nproc": os.cpu_count(), "python": platform.python_version()},
+        "workloads": {},
+        "series": {},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        for side, src in zip(SIDES, (args.parent, args.change)):
+            shutil.copytree(src, trees[side], ignore=IGNORE)
+        for wl in args.workloads:
+            pairs = []
+            for i in range(args.pairs):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                runs = {side: run_once(trees[side], wl, args.seed, args.seconds) for side in order}
+                pairs.append((runs["parent"], runs["change"]))
+                print(f"{wl} pair {i + 1}/{args.pairs}: problems_per_s "
+                      f"{runs['parent']['metrics']['problems_per_s']['value']:.1f} -> "
+                      f"{runs['change']['metrics']['problems_per_s']['value']:.1f}", flush=True)
+            doc["workloads"][wl] = dict(zip(SIDES, pairs[0]))
+            doc["series"][wl] = summarize(pairs, better)
+    if args.baseline is not None:
+        label = args.baseline.stem
+        doc[f"delta_vs_{label}"] = baseline_delta(doc["series"], json.loads(args.baseline.read_text()),
+                                                  label)
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,7 +12,13 @@ bound that holds in any summation order.  Both domains take batched cells:
 ``(..., m)`` output hulls in array passes over blocks of ``_BLOCK`` cells
 (`_map_row_blocks`).  A box gives a zonotope one generator per dimension,
 zero where its width is zero, so faces, points and grid cells share one
-generator count in a batch.  Neither domain checks values mid-pass: a NaN or
+generator count in a batch.  Both passes read each layer's weight operands
+as the `Layer` prepared them once (`intervals._Operands`).  The zonotope
+pass keeps a block's centers and generators in one ``[c; G]`` array of
+shape ``(1 + g, rows, d)`` per layer, and its kernels (`_box_rows`,
+`_affine_rows`, `_activation_rows`, `_hull`) are also what the one-cell
+functions `zono_from_box`, `zono_affine`, `zono_activation` and
+`Zonotope.hull_arrays` call.  Neither domain checks values mid-pass: a NaN or
 infinity propagates to the output hull, and `Box` refuses it (see `_down`).
 """
 
@@ -23,11 +29,12 @@ import numpy as np
 
 from .intervals import (
     Box,
-    _act_deriv_arrays,
     _act_range_arrays,
+    _act_slope_arrays,
     _down,
     _interval_matvec_arrays,
     _lookup,
+    _operands,
     _TINY,
     _U,
     _up,
@@ -94,7 +101,7 @@ def box_propagate_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
 
     def layers(lo, hi):
         for layer in net.layers:
-            zlo, zhi = _interval_matvec_arrays(layer.weights, layer.bias, lo, hi)
+            zlo, zhi = _interval_matvec_arrays(layer._ops, lo, hi)
             lo, hi = _act_range_arrays(layer.activation, zlo, zhi)
         return lo, hi
 
@@ -142,60 +149,72 @@ class Zonotope:
         return self.center.shape[-1]
 
     def hull_arrays(self):
-        """Outward-rounded interval hulls, ``(lo, hi)`` of shape (..., d).
-
-        Dimension i lies within ``r_i + slack_i`` of ``c_i``, ``r_i = sum_j |G_ij|``.
-        The float sum of g nonnegative terms, in any order, undershoots
-        ``r_i`` by less than ``(g - 1) u r_i``; adding the error term and the
-        slack rounds by at most ``u`` of each sum.  ``(g + 2) u (r_i +
-        slack_i)`` covers all three and ``(g + 1) tiny`` the underflow of its
-        own product; `_down`/`_up` round the endpoints outward.  The sum runs
-        over the generator axis, one contiguous ``(..., d)`` slice at a time.
-        Only an exact zero skips the rounding: a row of zeros takes only its slack
-        (a point box hulls to itself), and a NaN or infinite radius never hulls to the center.
-        """
-        g = self.generators.shape[0]
-        rad_raw = np.abs(self.generators).sum(axis=0)
-        err = (g + 2) * _U * (rad_raw + self.slack) + (g + 1) * _TINY
-        rad = np.where(rad_raw == 0.0, 0.0, rad_raw + err) + self.slack
-        lo = np.where(rad == 0.0, self.center, _down(self.center - rad))
-        hi = np.where(rad == 0.0, self.center, _up(self.center + rad))
-        return lo, hi
+        """Outward-rounded interval hulls, ``(lo, hi)`` of shape (..., d); see `_hull`."""
+        return _hull(self.center, self.generators, self.slack)
 
 
-def _diagonal_generators(count: int, diag: np.ndarray) -> np.ndarray:
-    """``(count + d, ..., d)`` generators, zero but for ``[count + i, ..., i] = diag[..., i]``.
+# The array kernels of the zonotope pass.  A batch's centers and generators
+# are one array ``rows`` of shape ``(1 + g, ..., d)``: ``rows[0]`` holds the
+# centers and ``rows[1:]`` the generators, generator-major as in `Zonotope`,
+# and the slack is a separate ``(..., d)`` array.
 
-    The first ``count`` generators are left for the caller to fill.
+
+def _hull(center, gens, slack, spare=None):
+    """Outward-rounded interval hulls ``(lo, hi)`` of zonotopes ``(center, gens, slack)``.
+
+    Dimension i lies within ``r_i + slack_i`` of ``c_i``, ``r_i = sum_j |G_ij|``.
+    The float sum of g nonnegative terms, in any order, undershoots
+    ``r_i`` by less than ``(g - 1) u r_i``; adding the error term and the
+    slack rounds by at most ``u`` of each sum.  ``(g + 2) u (r_i +
+    slack_i)`` covers all three and ``(g + 1) tiny`` the underflow of its
+    own product; `_down`/`_up` round the endpoints outward.  The sum runs
+    over the generator axis, one contiguous ``(..., d)`` slice at a time.
+    Only an exact zero skips the rounding: a row of zeros takes only its slack
+    (a point box hulls to itself), and a NaN or infinite radius never hulls to the center.
+
+    ``spare``, a dead contiguous array, holds ``|G|`` when it is large enough.
     """
+    g = gens.shape[0]
+    mags = None
+    if spare is not None and spare.size >= gens.size:
+        mags = spare.reshape(-1)[:gens.size].reshape(gens.shape)
+    rad_raw = np.abs(gens, out=mags).sum(axis=0)
+    err = (g + 2) * _U * (rad_raw + slack) + (g + 1) * _TINY
+    rad = np.where(rad_raw == 0.0, 0.0, rad_raw + err) + slack
+    lo = np.where(rad == 0.0, center, _down(center - rad))
+    hi = np.where(rad == 0.0, center, _up(center + rad))
+    return lo, hi
+
+
+def _set_diagonal(block, diag):
+    """Zero the ``(d, ..., d)`` block and write ``diag`` (..., d) to ``block[i, ..., i]``."""
     d = diag.shape[-1]
-    gens = np.zeros((count + d, diag.size // d, d))
-    i = np.arange(d)
-    gens[count + i, :, i] = diag.reshape(-1, d).T
-    return gens.reshape((count + d,) + diag.shape)
+    block.fill(0.0)
+    # a writable view of the diagonal, not fancy indexing
+    np.einsum("iji->ij", block.reshape(d, diag.size // d, d))[...] = diag.reshape(-1, d).T
 
 
-def _zono_from_bounds(lo, hi) -> Zonotope:
-    """Axis-aligned zonotopes covering (..., n) boxes: one generator per dimension."""
-    c = 0.5 * (lo + hi)
+def _box_rows(lo, hi):
+    """Axis-aligned zonotopes ``(rows, slack)`` covering (..., n) boxes, one generator per dimension."""
+    rows = np.empty((1 + lo.shape[-1],) + lo.shape)
+    c = np.add(lo, hi, out=rows[0])
+    c *= 0.5
     half = np.maximum(hi - c, c - lo)
     # midpoint rounding can undershoot by half an ulp per side; a zero width is exact
     slack = np.where(half > 0.0, 2.0 * _U * np.maximum(np.abs(lo), np.abs(hi)) + _TINY, 0.0)
-    return Zonotope(c, _diagonal_generators(0, half), slack)
+    _set_diagonal(rows[1:], half)
+    return rows, slack
 
 
-def zono_from_box(cell: Box) -> Zonotope:
-    """Axis-aligned zonotope covering a box; a zero-width dimension gets a zero generator."""
-    return _zono_from_bounds(cell.lo, cell.hi)
+def _affine_rows(rows, slack, op, fresh: int = 0):
+    """Image ``(out, slack)`` of zonotopes ``(rows, slack)`` under x -> w x + b, given as `_Operands`.
 
-
-def zono_affine(z: Zonotope, w: np.ndarray, b: np.ndarray) -> Zonotope:
-    """Image of zonotopes under x -> w x + b (exact up to absorbed rounding).
-
-    The center and the generators are the ``(g + 1) N`` rows of one product
-    with a C-contiguous copy of ``w.T``, and ``reach`` and the old slack the
-    ``2 N`` rows of one product with ``|w|.T``, so even one zonotope makes
-    matrix-matrix calls of two or more rows.
+    ``out`` is ``(1 + g + fresh, ..., m)``: the center and the generators are
+    the ``(g + 1) N`` rows of one product with ``w.T``, written into its head,
+    and the ``fresh`` rows after them are left for `_activation_rows`.
+    ``reach`` and the old slack are the ``2 N`` rows of one product with
+    ``|w|.T``, so even one zonotope makes matrix-matrix calls of two or more
+    rows.  ``rows`` is overwritten with ``|rows|``.
 
     Rounding: the exact image is ``(w c + b, w G, |w| s)``.  A product of k
     terms errs by at most ``gamma_k = k u / (1 - k u)`` times the same
@@ -215,59 +234,85 @@ def zono_affine(z: Zonotope, w: np.ndarray, b: np.ndarray) -> Zonotope:
     bound that holds for any summation order, so the image is sound whatever
     kernel BLAS picks for the call's row count.
     """
-    w = np.asarray(w, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, k = w.shape
-    if k != z.dim:
-        raise ValueError(f"affine map expects dimension {k}, zonotope has {z.dim}")
-    batch = z.center.shape[:-1]
-    g = z.generators.shape[0]
-    rows = np.empty((g + 1,) + z.center.shape)
-    rows[0] = z.center
-    rows[1:] = z.generators
-    image = (rows.reshape(-1, k) @ np.ascontiguousarray(w.T)).reshape((g + 1,) + batch + (m,))
-    c = image[0]
-    c += b
-    mags = np.empty((2,) + z.center.shape)
+    k, m = op.t.shape
+    g = rows.shape[0] - 1
+    batch = rows.shape[1:-1]
+    out = np.empty((1 + g + fresh,) + batch + (m,))
+    np.matmul(rows.reshape(-1, k), op.t, out=out[:1 + g].reshape(-1, m))
+    out[0] += op.bias
+    mags = np.empty((2,) + batch + (k,))
     np.abs(rows, out=rows).sum(axis=0, out=mags[0])  # the product has read the rows
-    mags[0] += z.slack
-    mags[1] = z.slack
-    mags = (mags.reshape(-1, k) @ np.ascontiguousarray(np.abs(w).T)).reshape((2,) + batch + (m,))
+    mags[0] += slack
+    mags[1] = slack
+    mags = (mags.reshape(-1, k) @ op.mag).reshape((2,) + batch + (m,))
     bound = mags[0]
-    bound += np.abs(b)
+    bound += op.bias_mag
     slack = mags[1]
     slack += (k + 4) * _U * bound + (g + 2) * k * _TINY
-    return Zonotope(c, image[1:], slack)
+    return out, slack
+
+
+def _activation_rows(out, slack, activation: str, spare=None):
+    """Slope-and-offset transformer, in place on ``out`` from `_affine_rows`; returns the new slack.
+
+    ``out`` is ``(1 + g + d, ..., d)``: the image's center and g generators,
+    then d free rows.  With pre-activation hull [l, u], slope lam =
+    min(f'(l), f'(u)) and offsets mu1 = (f(u)+f(l) - lam(u+l))/2, mu2 =
+    (f(u)-f(l) - lam(u-l))/2, the image of every point lies within mu2 of the
+    line lam*x + mu1, so each dimension's free row becomes one fresh generator
+    of magnitude mu2.  The center and the generators are scaled in place.
+    ``spare`` is passed to `_hull`.
+    """
+    act = _lookup(activation)
+    if activation not in ("tanh", "sigmoid"):
+        raise ValueError(f"no zonotope transformer for activation {activation!r}")
+    g = out.shape[0] - 1 - out.shape[-1]
+    head = out[:1 + g]
+    l, u = _hull(head[0], head[1:], slack, spare)
+    fl = act.f(l)
+    fu = act.f(u)
+    lam = _act_slope_arrays(activation, l, u)
+    mu1 = 0.5 * ((fu + fl) - lam * (u + l))
+    mu2 = np.maximum(0.5 * ((fu - fl) - lam * (u - l)), 0.0)
+    head *= lam
+    head[0] += mu1
+    _set_diagonal(out[1 + g:], mu2)
+    # absorb libm and form-evaluation drift; scaled by lam <= 1 the old slack shrinks
+    scale = np.abs(fl) + np.abs(fu) + np.abs(mu1) + np.abs(lam) * (np.abs(l) + np.abs(u)) + 1.0
+    return lam * slack + 64.0 * _U * scale + 4.0 * _TINY
+
+
+def zono_from_box(cell: Box) -> Zonotope:
+    """Axis-aligned zonotope covering a box; a zero-width dimension gets a zero generator."""
+    rows, slack = _box_rows(cell.lo, cell.hi)
+    return Zonotope(rows[0], rows[1:], slack)
+
+
+def zono_affine(z: Zonotope, w: np.ndarray, b: np.ndarray) -> Zonotope:
+    """Image of zonotopes under x -> w x + b (exact up to absorbed rounding); see `_affine_rows`."""
+    w = np.asarray(w, dtype=float)
+    if w.shape[1] != z.dim:
+        raise ValueError(f"affine map expects dimension {w.shape[1]}, zonotope has {z.dim}")
+    rows = np.empty((1 + z.generators.shape[0],) + z.center.shape)
+    rows[0] = z.center
+    rows[1:] = z.generators
+    out, slack = _affine_rows(rows, z.slack, _operands(w, b))
+    return Zonotope(out[0], out[1:], slack)
 
 
 def zono_activation(z: Zonotope, activation: str) -> Zonotope:
     """Per-dimension slope-and-offset transformer for sigmoid-shaped activations.
 
-    With pre-activation hull [l, u], slope lam = min(f'(l), f'(u)) and offsets
-    mu1 = (f(u)+f(l) - lam(u+l))/2, mu2 = (f(u)-f(l) - lam(u-l))/2, the image
-    of every point lies within mu2 of the line lam*x + mu1, so each dimension
-    contributes one fresh generator of magnitude mu2.  The scaled generators
-    and the d fresh ones are written into one new array.
+    The identity for a linear activation; see `_activation_rows`.
     """
-    act = _lookup(activation)
-    if act.linear:
+    if _lookup(activation).linear:
         return z
-    if activation not in ("tanh", "sigmoid"):
-        raise ValueError(f"no zonotope transformer for activation {activation!r}")
-    l, u = z.hull_arrays()
-    fl = act.f(l)
-    fu = act.f(u)
-    lam, _ = _act_deriv_arrays(activation, l, u)
-    mu1 = 0.5 * ((fu + fl) - lam * (u + l))
-    mu2 = np.maximum(0.5 * ((fu - fl) - lam * (u - l)), 0.0)
-    c = lam * z.center + mu1
     g = z.generators.shape[0]
-    gens = _diagonal_generators(g, mu2)
-    np.multiply(lam, z.generators, out=gens[:g])
-    # absorb libm and form-evaluation drift; scaled by lam <= 1 the old slack shrinks
-    scale = np.abs(fl) + np.abs(fu) + np.abs(mu1) + np.abs(lam) * (np.abs(l) + np.abs(u)) + 1.0
-    slack = lam * z.slack + 64.0 * _U * scale + 4.0 * _TINY
-    return Zonotope(c, gens, slack)
+    out = np.empty((1 + g + z.dim,) + z.center.shape)
+    out[0] = z.center
+    out[1:1 + g] = z.generators
+    slack = _activation_rows(out, z.slack, activation)
+    return Zonotope(out[0], out[1:], slack)
 
 
 def zono_propagate(net: Network, lo: np.ndarray, hi: np.ndarray):
@@ -275,20 +320,29 @@ def zono_propagate(net: Network, lo: np.ndarray, hi: np.ndarray):
 
     Returns ``(out_lo, out_hi)`` of shape (..., output_dim), as
     `box_propagate_arrays` does, in blocks of ``_BLOCK`` cells to bound memory.
-    It composes the public kernels, one call of each per layer and block.
-    `zono_from_box` pads a zero-width dimension with a zero generator too, so
-    a cell has the same generator count and error terms in a block as alone.
-    Each product is one matrix-matrix call over all rows of the block, so the
-    hull equals the one-cell chain `zono_from_box`, `zono_affine`,
-    `zono_activation`, `hull_arrays` wherever BLAS gives a row the same bits
-    at every row count: on the layer shapes where the box pass keeps its bits
-    across block splits.  Elsewhere it can move by an ulp and stays sound.
+    Each layer maps one ``[center; generators]`` array to a new one with room
+    for its fresh generators: `_affine_rows` writes the affine image into its
+    head with the layer's prepared operands, `_activation_rows` scales it in
+    place and writes the fresh generators, and the dead input array serves
+    as scratch for the hull.  No `Zonotope` is built on the way.  The
+    one-cell functions `zono_from_box`, `zono_affine`, `zono_activation` and
+    `hull_arrays` wrap the same kernels, and `_box_rows` pads a zero-width
+    dimension with a zero generator too, so a cell has the same generator
+    count and error terms in a block as alone.  Each product is one
+    matrix-matrix call over all rows of the block, so the hull equals the
+    one-cell chain wherever BLAS gives a row the same bits at every row
+    count: on the layer shapes where the box pass keeps its bits across
+    block splits.  Elsewhere it can move by an ulp and stays sound.
     """
 
     def layers(lo, hi):
-        z = _zono_from_bounds(lo, hi)
+        rows, slack = _box_rows(lo, hi)
         for layer in net.layers:
-            z = zono_activation(zono_affine(z, layer.weights, layer.bias), layer.activation)
-        return z.hull_arrays()
+            fresh = 0 if _lookup(layer.activation).linear else layer.out_dim
+            out, slack = _affine_rows(rows, slack, layer._ops, fresh)
+            if fresh:
+                slack = _activation_rows(out, slack, layer.activation, rows)
+            rows, spare = out, rows
+        return _hull(rows[0], rows[1:], slack, spare)
 
     return _map_row_blocks(net, layers, lo, hi, ((net.output_dim,),) * 2)

@@ -1,15 +1,18 @@
 """Validated interval arithmetic as batched ndarray kernels, plus the `Box` value.
 
 The kernels (``_imul_arrays``, ``_nonneg_imul_arrays``,
-``_interval_matvec_arrays``, ``_idet_arrays``, ``_act_range_arrays`` and
-``_act_deriv_arrays``) are the only interval arithmetic: they take
-``(lo, hi)`` endpoint arrays with leading batch axes and return an enclosure
-of the true real-arithmetic result set; the box pass and the Jacobian
-enclosure share ``_interval_matvec_arrays``.  IEEE-exact operations (+, -, *)
-are widened outward by at least one ulp per endpoint, with one arithmetic pad
-per array (`_down`/`_up`), built in one buffer that then holds the result;
-libm-backed evaluations (tanh, sigmoid and their derivatives) are only
-faithfully rounded, so their endpoints get a wider fixed pad.  Reductions
+``_interval_matvec_arrays``, ``_idet_arrays``, ``_act_range_arrays``,
+``_act_deriv_arrays`` and its lower end ``_act_slope_arrays``) are the only
+interval arithmetic: they take ``(lo, hi)`` endpoint arrays with leading
+batch axes and return an enclosure of the true real-arithmetic result set;
+the box pass and the Jacobian enclosure share ``_interval_matvec_arrays``.
+Its weight operands are an `_Operands` record that each `Layer` prepares
+once (`_operands`), and the zonotope pass reads the same record.
+IEEE-exact operations (+, -, *) are widened outward by at least one ulp per
+endpoint, with one arithmetic pad per array (`_down`/`_up`), built in one
+buffer that then holds the result; libm-backed evaluations (tanh, sigmoid
+and their derivatives) are only faithfully rounded, so their endpoints get a
+wider fixed pad.  Reductions
 (dot products, sums) are bounded with a standard a-priori rounding-error term
 instead of per-term nudging, which keeps them vectorizable.  The kernels
 accumulate and clip in arrays they created, never in their inputs, with the
@@ -27,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -216,8 +219,35 @@ def _nonneg_imul_arrays(dlo, dhi, blo, bhi):
     return _down(lo), _up(hi)
 
 
-def _interval_matvec_arrays(w, b, xlo, xhi):
-    """Enclose w @ x + b for a point matrix w (m, k) over interval vectors x (..., k).
+class _Operands(NamedTuple):
+    """``x -> w x + b`` for a point matrix w (m, k), as the kernels read it.
+
+    Read-only C-contiguous ``(k, m)`` copies of ``w.T``, ``max(w, 0).T``,
+    ``min(w, 0).T`` and ``|w|.T``, which OpenBLAS multiplies two to three
+    times as fast as the transposed views, then ``b`` and ``|b|``.  A `Layer`
+    builds its own once, so no pass rebuilds them per call.
+    """
+
+    t: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+    mag: np.ndarray
+    bias: np.ndarray
+    bias_mag: np.ndarray
+
+
+def _operands(w, b) -> _Operands:
+    """The `_Operands` of ``x -> w x + b``, as copies: the caller's arrays stay writable."""
+    t = np.array(np.asarray(w, dtype=float).T, order="C")
+    b = np.array(b, dtype=float)
+    parts = (t, np.maximum(t, 0.0), np.minimum(t, 0.0), np.abs(t), b, np.abs(b))
+    for p in parts:
+        p.setflags(write=False)
+    return _Operands(*parts)
+
+
+def _interval_matvec_arrays(op: _Operands, xlo, xhi, bias: bool = True):
+    """Enclose w @ x + b for `_Operands` of a point matrix w (m, k) over interval vectors x (..., k).
 
     The leading axes of x are flattened into one BLAS product, so ``(k,)``
     bounds make the same call as a ``(1, k)`` batch.  The sign split
@@ -237,30 +267,31 @@ def _interval_matvec_arrays(w, b, xlo, xhi):
     BLAS picks for the call's row count, even where that choice moves its
     bits by an ulp.
 
-    The weights enter as C-contiguous ``(k, m)`` copies of ``max(w, 0).T``,
-    ``min(w, 0).T`` and ``|w|.T``, which OpenBLAS multiplies two to three
-    times as fast as the transposed views.  The sums, the bias and the error
-    term accumulate in place in the product arrays, in the order of
-    ``(W+ x_lo + W- x_hi) + b - err``.
+    The sums, the bias and the error term accumulate in place in the
+    product arrays, in the order of ``(W+ x_lo + W- x_hi) + b - err``.
+    ``bias=False`` encloses ``w @ x`` (the Jacobian's ``W J``) and skips the
+    three bias additions: adding ``+0`` only turns ``-0`` into ``+0``, and
+    the positive ``err`` subtracted next maps both to the same float, so the
+    bits are those of ``b = 0``.
     """
-    m, k = w.shape
+    k, m = op.t.shape
     shape = np.shape(xlo)[:-1] + (m,)
     xlo = np.reshape(xlo, (-1, k))
     xhi = np.reshape(xhi, (-1, k))
-    wp = np.ascontiguousarray(np.maximum(w, 0.0).T)
-    wn = np.ascontiguousarray(np.minimum(w, 0.0).T)
-    lo = xlo @ wp
-    hi = xhi @ wp
-    part = xhi @ wn
+    lo = xlo @ op.pos
+    hi = xhi @ op.pos
+    part = xhi @ op.neg
     lo += part
-    np.matmul(xlo, wn, out=part)
+    np.matmul(xlo, op.neg, out=part)
     hi += part
-    lo += b
-    hi += b
+    if bias:
+        lo += op.bias
+        hi += op.bias
     mag = np.abs(xlo)
     np.maximum(mag, np.abs(xhi), out=mag)
-    err = mag @ np.ascontiguousarray(np.abs(w).T)
-    err += np.abs(b)
+    err = mag @ op.mag
+    if bias:
+        err += op.bias_mag
     err *= (2 * k + 6) * _U
     err += (2 * k + 4) * _TINY
     lo -= err
@@ -400,10 +431,22 @@ def _act_deriv_arrays(name: str, lo, hi):
         return np.ones_like(lo), np.ones_like(hi)
     dlo = act.deriv(lo)
     dhi = act.deriv(hi)
-    out_lo = _down(np.minimum(dlo, dhi), _PAD_DERIV)
+    out_lo = _deriv_lower(dlo, dhi)
     out_hi = _up(np.maximum(dlo, dhi), _PAD_DERIV)
-    np.maximum(out_lo, 0.0, out=out_lo)
     np.minimum(out_hi, act.deriv_max, out=out_hi)
     np.copyto(out_hi, act.deriv_max, where=(lo <= 0.0) & (0.0 <= hi))
     np.maximum(out_hi, out_lo, out=out_hi)
     return out_lo, out_hi
+
+
+def _act_slope_arrays(name: str, lo, hi):
+    """The lower end of `_act_deriv_arrays` for tanh or sigmoid, bit for bit: the zonotope slope."""
+    deriv = _lookup(name).deriv
+    return _deriv_lower(deriv(np.asarray(lo, dtype=float)), deriv(np.asarray(hi, dtype=float)))
+
+
+def _deriv_lower(dlo, dhi):
+    """``max(down(min(dlo, dhi)), 0)``: derivatives are nonnegative, and the infimum is at an end."""
+    out = _down(np.minimum(dlo, dhi), _PAD_DERIV)
+    np.maximum(out, 0.0, out=out)
+    return out

@@ -3,6 +3,11 @@
 The model document format is
 ``{"layers": [{"weights": [[...], ...], "bias": [...], "activation": "tanh"}]}``
 with decimal floats that round-trip exactly through ``repr``/``json``.
+
+A `Layer` is validated once and read-only; it also keeps the weight operands
+of the interval and zonotope kernels (`intervals._Operands`), built once when
+the layer is.  `Layer` and `Network` compare and hash by identity, as `Box`
+does: their fields hold arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .intervals import _lookup
+from .intervals import _lookup, _operands
 
 __all__ = [
     "Layer",
@@ -35,9 +40,13 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Layer:
-    """One dense layer: y = f(W x + b)."""
+    """One dense layer: y = f(W x + b).
+
+    ``_ops`` holds the `intervals._Operands` of ``W x + b``, prepared here
+    once for every pass that reads them.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
@@ -57,6 +66,7 @@ class Layer:
         _lookup(self.activation)  # raises ValueError on an unknown name
         object.__setattr__(self, "weights", _frozen_array(w))
         object.__setattr__(self, "bias", _frozen_array(b))
+        object.__setattr__(self, "_ops", _operands(self.weights, self.bias))
 
     @property
     def out_dim(self) -> int:
@@ -67,7 +77,7 @@ class Layer:
         return self.weights.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
     """Immutable stack of dense layers with chained dimensions."""
 

@@ -43,9 +43,12 @@ from .intervals import (
     Box,
     _act_deriv_arrays,
     _act_range_arrays,
+    _down,
     _idet_arrays,
     _interval_matvec_arrays,
+    _lookup,
     _nonneg_imul_arrays,
+    _up,
 )
 from .network import Network
 
@@ -227,24 +230,33 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
     is never wider than multiplying the interval matrix ``D W`` into ``J``.
     The product is carried transposed, as ``(..., n, m_l)``: row j of ``J^T``
     is the interval vector of column j of ``J``, so ``W_l J_{l-1}`` is the box
-    pass's own `_interval_matvec_arrays` call on those rows, with bias 0.  The
+    pass's own `_interval_matvec_arrays` call on those rows, without the bias.  The
     returned bounds are transposed views of it.
 
     `_act_deriv_arrays` clamps its lower end at 0, so ``D >= 0`` and
     ``D B`` is the sign-select product `_nonneg_imul_arrays`: two products
     where `_imul_arrays` takes four corners.
+
+    A linear last layer after at least one other (every benchmark net's
+    output layer) has ``D = [1, 1]``, whose product returns ``B`` exactly, so
+    its ``J`` is ``B`` padded one ulp outward, the bits of the general step,
+    and its pre-activation enclosure, which only gave ``D`` its shape, is
+    never computed.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     jlo = jhi = None
     last = len(net.layers) - 1
     for k, layer in enumerate(net.layers):
-        zlo, zhi = _interval_matvec_arrays(layer.weights, layer.bias, lo, hi)
+        if jlo is not None:
+            blo, bhi = _interval_matvec_arrays(layer._ops, jlo, jhi, bias=False)
+            if k == last and _lookup(layer.activation).linear:
+                jlo, jhi = _down(blo), _up(bhi)
+                break
+        zlo, zhi = _interval_matvec_arrays(layer._ops, lo, hi)
         dlo, dhi = _act_deriv_arrays(layer.activation, zlo, zhi)
         if jlo is None:
-            blo = bhi = layer.weights.T
-        else:
-            blo, bhi = _interval_matvec_arrays(layer.weights, 0.0, jlo, jhi)
+            blo = bhi = layer._ops.t
         jlo, jhi = _nonneg_imul_arrays(dlo[..., None, :], dhi[..., None, :], blo, bhi)
         if k < last:  # only the next layer reads the activation range
             lo, hi = _act_range_arrays(layer.activation, zlo, zhi)

@@ -4,6 +4,13 @@ from hypothesis import strategies as st
 
 import reachbound as rb
 from reachbound import topology
+from reachbound.intervals import (
+    _act_deriv_arrays,
+    _act_range_arrays,
+    _interval_matvec_arrays,
+    _nonneg_imul_arrays,
+    _operands,
+)
 from reachbound.topology import jacobian_interval_arrays
 
 # Frozen seeded fixtures, chosen so that:
@@ -28,6 +35,34 @@ def identity_net(dim=2):
     return rb.Network(
         (rb.Layer(np.eye(dim), np.zeros(dim), "linear"),)
     )
+
+
+def linear_hidden_net(seed=7):
+    """A 3 -> 6 -> 5 -> 4 -> 2 net whose second hidden layer is linear, which `deep_nets` never draws."""
+    rng = np.random.default_rng(seed)
+    dims, acts = (3, 6, 5, 4, 2), ("tanh", "linear", "sigmoid", "linear")
+    return rb.Network(tuple(rb.Layer(rng.uniform(-1.5, 1.5, (m, k)), rng.uniform(-1, 1, m), a)
+                            for k, m, a in zip(dims, dims[1:], acts)))
+
+
+def ref_jacobian_interval_arrays(net, lo, hi):
+    """The plain Jacobian chain: every layer's pre-activation enclosure and derivative
+    enclosure, a linear one's too, and ``W J`` with a zero bias added."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    jlo = jhi = None
+    last = len(net.layers) - 1
+    for k, layer in enumerate(net.layers):
+        zlo, zhi = _interval_matvec_arrays(_operands(layer.weights, layer.bias), lo, hi)
+        dlo, dhi = _act_deriv_arrays(layer.activation, zlo, zhi)
+        if jlo is None:
+            blo = bhi = layer.weights.T
+        else:
+            blo, bhi = _interval_matvec_arrays(_operands(layer.weights, 0.0), jlo, jhi)
+        jlo, jhi = _nonneg_imul_arrays(dlo[..., None, :], dhi[..., None, :], blo, bhi)
+        if k < last:
+            lo, hi = _act_range_arrays(layer.activation, zlo, zhi)
+    return np.swapaxes(jlo, -1, -2), np.swapaxes(jhi, -1, -2)
 
 
 def linear_net(w, b=None):

@@ -2,14 +2,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reachbound as rb
 from reachbound.domains import box_propagate_arrays, normalize_domain, zono_propagate
-from reachbound.intervals import _interval_matvec_arrays
+from reachbound.intervals import _interval_matvec_arrays, _operands
 from reachbound.verifier import boundary_cell_batch, grid_cell_batch, propagate_cells
-from conftest import WORKLOAD_NETS, deep_nets, identity_net, make_net, sample_box
+from conftest import (
+    WORKLOAD_NETS,
+    deep_nets,
+    identity_net,
+    linear_hidden_net,
+    make_net,
+    sample_box,
+)
 
 
 def mc_images(net, box, n, seed):
@@ -135,7 +142,7 @@ def test_zono_affine_hull_inside_interval_matvec():
         w = rng.uniform(-2, 2, (3, 3))
         b = rng.uniform(-1, 1, 3)
         hull_lo, hull_hi = rb.zono_affine(z, w, b).hull_arrays()
-        lo, hi = _interval_matvec_arrays(w, b, cell.lo, cell.hi)
+        lo, hi = _interval_matvec_arrays(_operands(w, b), cell.lo, cell.hi)
         assert np.all(hull_lo >= lo - 1e-12) and np.all(hull_hi <= hi + 1e-12)
 
 
@@ -313,9 +320,9 @@ def test_box_pass_across_block_boundaries(monkeypatch):
     calls = []
     matvec = rb.domains._interval_matvec_arrays
 
-    def recording_matvec(w, b, xlo, xhi):
+    def recording_matvec(op, xlo, xhi):
         calls.append(np.shape(xlo))
-        return matvec(w, b, xlo, xhi)
+        return matvec(op, xlo, xhi)
 
     monkeypatch.setattr(rb.domains, "_interval_matvec_arrays", recording_matvec)
     monkeypatch.setattr(rb.domains, "_BLOCK", rows)
@@ -379,6 +386,7 @@ def per_cell_zono_hulls(net, lo, hi):
 
 
 @given(deep_nets())
+@example(case=(linear_hidden_net(), 3))
 @settings(max_examples=30, deadline=None)
 def test_batched_zonotopes_match_per_cell_chain(case):
     net, seed = case
@@ -432,8 +440,8 @@ def test_zono_propagate_runs_one_pass_per_layer_over_mixed_cells(monkeypatch):
     assert lo.shape[0] <= rb.domains._BLOCK
     assert len(np.unique(hi > lo, axis=0)) == 5  # 3 face patterns, points, grid cells
     calls = []
-    affine = rb.domains.zono_affine
-    monkeypatch.setattr(rb.domains, "zono_affine", lambda *a: calls.append(1) or affine(*a))
+    affine = rb.domains._affine_rows
+    monkeypatch.setattr(rb.domains, "_affine_rows", lambda *a: calls.append(1) or affine(*a))
     out_lo, out_hi = zono_propagate(net, lo, hi)
     assert len(calls) == len(net.layers)
     want_lo, want_hi = per_cell_zono_hulls(net, lo, hi)

@@ -12,12 +12,14 @@ from reachbound.intervals import (
     Box,
     _act_deriv_arrays,
     _act_range_arrays,
+    _act_slope_arrays,
     _down,
     _idet_arrays,
     _imul_arrays,
     _interval_matvec_arrays,
     _lookup,
     _nonneg_imul_arrays,
+    _operands,
     _PAD_ACT,
     _PAD_DERIV,
     _sigmoid,
@@ -114,15 +116,20 @@ def test_mul_contains_samples(a, b, ta, tb):
 # matrices
 
 
+def matvec(w, b, xlo, xhi, bias=True):
+    """`_interval_matvec_arrays` on a raw ``(w, b)``, through the operands a `Layer` prepares."""
+    return _interval_matvec_arrays(_operands(w, b), xlo, xhi, bias)
+
+
 def test_matmul_identity():
     mlo, mhi = np.array([[1.0, -2.0], [0.5, 3.0]]), np.array([[1.5, -1.0], [0.5, 4.0]])
-    rlo, rhi = _interval_matvec_arrays(np.eye(2), 0.0, mlo, mhi)
+    rlo, rhi = matvec(np.eye(2), 0.0, mlo, mhi)
     assert np.all(rlo <= mlo) and np.all(rhi >= mhi)
     assert np.all(np.abs(rlo - mlo) < 1e-12) and np.all(np.abs(rhi - mhi) < 1e-12)
 
 
 def test_matmul_scalar_case():
-    rlo, rhi = _interval_matvec_arrays(np.array([[2.0]]), 0.0, np.array([[0.0]]), np.array([[1.0]]))
+    rlo, rhi = matvec(np.array([[2.0]]), 0.0, np.array([[0.0]]), np.array([[1.0]]))
     assert rlo[0, 0] <= 0.0 and rhi[0, 0] >= 2.0
     assert abs(rlo[0, 0]) < 1e-12 and abs(rhi[0, 0] - 2.0) < 1e-12
 
@@ -133,7 +140,7 @@ def test_matmul_point_matrices_vs_exact():
         a = rng.uniform(-2, 2, (3, 3))
         b = rng.uniform(-2, 2, (3, 3))
         # the rows of b.T are the columns of b, so the result is (a @ b).T
-        rlo, rhi = _interval_matvec_arrays(a, 0.0, b.T, b.T)
+        rlo, rhi = matvec(a, 0.0, b.T, b.T)
         rlo, rhi = rlo.T, rhi.T
         exact = [
             [sum(Fraction(a[i, k]) * Fraction(b[k, j]) for k in range(3)) for j in range(3)]
@@ -168,7 +175,7 @@ def test_matvec_encloses_exact_sign_split(k):
     xhi = xlo + rng.uniform(0, 2, (2, 3, k))
     xhi[0, 1] = xlo[0, 1]
     xlo[1, 2, 0], xhi[1, 2, 0] = -1e-3, 1e-3
-    rlo, rhi = _interval_matvec_arrays(w, b, xlo, xhi)
+    rlo, rhi = matvec(w, b, xlo, xhi)
     assert rlo.shape == rhi.shape == (2, 3, 4)
     # no looser than twice the a-priori rounding term
     slack = 2 * (2 * k + 6) * 2.0**-53 * (np.maximum(np.abs(xlo), np.abs(xhi)) @ np.abs(w).T + np.abs(b))
@@ -658,6 +665,18 @@ def test_activation_bits_match_the_plain_expressions(name):
     assert same_bits((_sigmoid(x), _tanh_deriv(x)), (ref_sigmoid(x), ref_tanh_deriv(x)))
 
 
+@pytest.mark.parametrize("name", ["tanh", "sigmoid"])
+def test_slope_bits_match_the_derivative_lower_end(name):
+    x, = read_only(ACT_POINTS)
+    y = x[np.random.default_rng(1).permutation(x.size)]
+    lo, hi = read_only(np.minimum(x, y), np.maximum(x, y))
+    with np.errstate(over="ignore"):
+        for ends_ in [(lo, hi), read_only(-3.0, 2.0), read_only(-0.0, 0.0),
+                      (lo[:64_000].reshape(-1, 8), hi[:64_000].reshape(-1, 8))]:
+            assert same_bits((_act_slope_arrays(name, *ends_),),
+                             (_act_deriv_arrays(name, *ends_)[0],))
+
+
 def test_nonneg_product_bits_match_the_plain_expression():
     rng = np.random.default_rng(8)
     dlo = rng.uniform(0.0, 1.0, (50, 1, 8))
@@ -685,14 +704,18 @@ def test_matvec_bits_match_the_plain_expression(k, m):
         xhi = xlo + rng.uniform(0.0, 1.0, (rows, k)) * (rng.random((rows, k)) < 0.8)
         for b in (rng.uniform(-1.0, 1.0, m), 0.0):
             args = read_only(w, b, xlo, xhi)
-            assert same_bits(_interval_matvec_arrays(*args), ref_matvec(*args))
+            assert same_bits(matvec(*args), ref_matvec(*args))
+            # the zero-bias path (the Jacobian's W J) skips the bias, not a bit
+            args[1] = 0.0
+            assert same_bits(matvec(*args, bias=False), ref_matvec(*args))
     # leading batch axes, as the Jacobian's (rows, n, k) products send them
     args = read_only(w, 0.0, xlo[:66].reshape(2, 33, k), xhi[:66].reshape(2, 33, k))
-    assert same_bits(_interval_matvec_arrays(*args), ref_matvec(*args))
+    assert same_bits(matvec(*args), ref_matvec(*args))
+    assert same_bits(matvec(*args, bias=False), ref_matvec(*args))
     # One row is a matrix-vector product, and the contiguous (k, m) operand
     # takes the other BLAS kernel, whose sums may round differently from the
     # reference; both enclose the exact sign-split endpoints.
-    for got in (_interval_matvec_arrays(w, b, xlo[0], xhi[0]), ref_matvec(w, b, xlo[0], xhi[0])):
+    for got in (matvec(w, b, xlo[0], xhi[0]), ref_matvec(w, b, xlo[0], xhi[0])):
         lo, hi = exact_matvec(w, np.broadcast_to(b, m), xlo[0], xhi[0])
         for i in range(m):
             assert Fraction(float(got[0][i])) <= lo[i] <= hi[i] <= Fraction(float(got[1][i]))

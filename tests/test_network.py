@@ -189,3 +189,30 @@ def test_generate_rejects_bad_args():
 def test_network_input_checks(call):
     with pytest.raises(ValueError):
         call()
+
+
+def twin_nets():
+    return rb.generate_network(0, (2, 3, 2)), rb.generate_network(0, (2, 3, 2))
+
+
+# Networks and layers hold arrays, so they compare and hash by identity, as `Box` does;
+# field-wise comparison raised on the arrays' ambiguous truth value.
+@pytest.mark.parametrize("check", [
+    lambda a, b: a != b and a == a and a.layers[0] != b.layers[0],
+    lambda a, b: (rb.VerificationProblem(a, rb.Box([0, 0], [1, 1]), rb.Box([0, 0], [1, 1]))
+                  != rb.VerificationProblem(b, rb.Box([0, 0], [1, 1]), rb.Box([0, 0], [1, 1]))),
+    lambda a, b: hash(a) == hash(a) and hash(a.layers[0]) == hash(a.layers[0]),
+    lambda a, b: {a: 1, b: 2}[a] == 1 and {a.layers[0]: 1}.get(b.layers[0]) is None,
+], ids=["eq", "problem-eq", "hash", "dict-key"])
+def test_networks_and_layers_compare_and_hash_by_identity(check):
+    assert check(*twin_nets())
+
+
+def test_layer_operands_are_prepared_read_only_copies():
+    w = np.array([[1.0, -2.0, 0.0], [-0.5, 3.0, 4.0]])
+    b = np.array([0.25, -1.0])
+    layer = rb.Layer(w, b, "tanh")
+    want = (w.T, np.maximum(w, 0).T, np.minimum(w, 0).T, np.abs(w).T, b, np.abs(b))
+    for got, ref in zip(layer._ops, want):
+        assert np.array_equal(got, ref) and got.flags.c_contiguous and not got.flags.writeable
+    assert w.flags.writeable and b.flags.writeable

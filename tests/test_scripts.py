@@ -1,5 +1,7 @@
-"""Each experiment in scripts/ runs end to end on small grids."""
+"""Each experiment in scripts/ runs end to end on small grids; the benchmark pair runner
+is checked on canned run lines, since tier-1 runs no benchmark."""
 
+import json
 import os
 import runpy
 import subprocess
@@ -96,3 +98,38 @@ def test_manifest_diff_says_how_far_a_hull_moved(monkeypatch, capsys):
     assert ns["main"]() == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "2 problems, 2 with differences, largest outward hull move 1e-12"
+
+
+def bench_run_line(pps, p50, failed=0):
+    """One ``perfbench/run.py`` result line."""
+    return json.dumps({"correct": failed == 0, "attempted": 100, "failed": failed,
+                       "metrics": {"problems_per_s": {"value": pps, "unit": "1/s"},
+                                   "verify_ms_p50": {"value": p50, "unit": "ms"}}})
+
+
+def test_bench_pairs_summarizes_canned_runs():
+    ns = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))
+    parse = lambda line: ns["last_json_line"](f"workload planar-zono seed 3: 1 call\n{line}\n")
+    parent = [(100.0, 2.0), (110.0, 2.0), (120.0, 2.0), (130.0, 2.0)]
+    change = [(120.0, 1.0), (110.0, 3.0), (150.0, 2.0), (125.0, 1.5)]
+    pairs = [(parse(bench_run_line(*p)), parse(bench_run_line(*c, failed=int(i == 2))))
+             for i, (p, c) in enumerate(zip(parent, change))]
+    series = ns["summarize"](pairs, {"problems_per_s": "higher", "verify_ms_p50": "lower"})
+    assert series["pairs"] == 4 and series["failed"] == {"parent": 0, "change": 1}
+    assert series["correct"] is False
+    pps = series["metrics"]["problems_per_s"]
+    # inclusive quartiles of 100..130; a tie (110 against 110) counts for neither side
+    assert pps["parent"] == {"median": 115.0, "q1": 107.5, "q3": 122.5}
+    assert pps["change"] == {"median": 122.5, "q1": 117.5, "q3": 131.25}
+    assert pps["wins"] == 2 and pps["unit"] == "1/s"
+    assert pps["parent_runs"] == [100.0, 110.0, 120.0, 130.0]
+    assert pps["change_runs"] == [120.0, 110.0, 150.0, 125.0]
+    # lower is better for a latency
+    assert series["metrics"]["verify_ms_p50"]["wins"] == 2
+    one = ns["summarize"](pairs[:1], {})
+    assert one["metrics"]["problems_per_s"]["change"] == {"median": 120.0, "q1": 120.0, "q3": 120.0}
+    assert "wins" not in one["metrics"]["problems_per_s"]
+    old = {"series": {"planar-zono": {"metrics": {"problems_per_s": {"change": {"median": 99.0}}}}}}
+    delta = ns["baseline_delta"]({"planar-zono": series}, old, "BENCH_25")
+    assert delta == {"planar-zono": {"problems_per_s": {"BENCH_25_change_median": 99.0,
+                                                        "change_median": 122.5}}}

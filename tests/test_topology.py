@@ -2,7 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reachbound as rb
@@ -20,9 +20,11 @@ from conftest import (
     dropped_mask,
     interior_mask,
     kept_whole_mask,
+    linear_hidden_net,
     linear_net,
     make_net,
     node_indices,
+    ref_jacobian_interval_arrays,
     row_test,
     sample_box,
     traced_extraction,
@@ -245,6 +247,23 @@ def test_jacobian_and_det_enclose_point_values_at_depth(case):
     dets = np.linalg.det(jacs)
     slack = 1e-12 * np.prod(np.linalg.norm(jacs, axis=-1), axis=-1)
     assert np.all(dets >= det_lo[:, None] - slack) and np.all(dets <= det_hi[:, None] + slack)
+
+
+@given(deep_nets(square=False))
+@example(case=(linear_hidden_net(), 5))
+@example(case=(linear_net([[2.0, -1.0], [0.5, 3.0]], [1.0, -1.0]), 6))
+@settings(max_examples=30, deadline=None)
+def test_jacobian_bits_match_the_plain_chain(case):
+    # the linear last layer skips its pre-activation enclosure and D = 1 product
+    net, seed = case
+    rng = np.random.default_rng(seed)
+    n = net.input_dim
+    lo = rng.uniform(-1, 1, (37, n))
+    hi = lo + rng.uniform(0, 0.4, lo.shape) * (rng.random(lo.shape) < 0.85)
+    for ends in ((lo, hi), (lo[0], hi[0]), (lo[:6].reshape(2, 3, n), hi[:6].reshape(2, 3, n))):
+        got = jacobian_interval_arrays(net, *ends)
+        want = ref_jacobian_interval_arrays(net, *ends)
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 def test_certify_homeomorphism_requires_square():
