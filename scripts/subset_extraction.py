@@ -27,10 +27,11 @@ def main():
     ap.add_argument("--grid", type=int, default=200)
     ap.add_argument("--verify-grid", type=int, default=60)
     # dropping cells pays only when propagation costs more per cell than the
-    # Jacobian tree.  Measured on a 2-vCPU Xeon VM with one BLAS thread at
-    # --verify-grid 60 (process time, best of 15, two runs): with zonotopes,
-    # subset mode takes 3.8-4.0 ms against 4.1-4.4 ms for full mode; with
-    # plain boxes, 3.0-3.5 ms against 1.3-1.4 ms
+    # Jacobian tree.  Measured on a shared 2-vCPU Xeon VM with one BLAS
+    # thread at --verify-grid 60 (process time of `verify`, best of 15 in one
+    # process, the three quietest of five runs): with zonotopes, subset mode
+    # takes 1.8 ms against 2.6-2.8 ms for full mode; with plain boxes,
+    # 1.5-1.6 ms against 1.0 ms
     ap.add_argument("--domain", choices=rb.domains.DOMAINS, default="zono")
     args = ap.parse_args()
 

@@ -14,10 +14,10 @@ Two tests read the interval enclosure of the Jacobian over a cell,
   that excludes zero, so no output has a critical point there.
   `_passes_row_test` is the one row test, on any batch of boxes in blocks
   of rows.  `box_passes_row_test` is its one-box case (a box with a
-  zero-width dimension fails untested); `extract_subset` runs it on a tree
-  over the interior cells, the only ones it may drop, with one call per
-  tree level, and returns the cells it keeps.  Both run on any network
-  shape: each output's test reads its own gradient row;
+  zero-width dimension fails untested); `extract_subset` runs it once per
+  level of a tree over the interior cells, the only ones it may drop, a
+  level being a coarse grid with a mask of pending nodes.  Both run on any
+  network shape: each output's test reads its own gradient row;
 - the determinant test certifies a network restricted to a cell as a
   homeomorphism onto its image when the enclosure of the determinant
   excludes zero.  It needs a square network with at most 6 inputs, because
@@ -264,10 +264,7 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
 
 
 def _passes_row_test(net: Network, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The row test on boxes (..., n), in row blocks: every Jacobian row has an entry excluding 0.
-
-    `box_passes_row_test` is its one-box case; `extract_subset` runs it on tree nodes.
-    """
+    """The row test on boxes (..., n), in row blocks: every Jacobian row has an entry excluding 0."""
     def passes(lo, hi):
         jlo, jhi = jacobian_interval_arrays(net, lo, hi)
         return (np.all(np.any((jlo > 0.0) | (jhi < 0.0), axis=-1), axis=-1),)
@@ -331,10 +328,10 @@ class SubsetExtraction(CellBatch):
     """The cells `extract_subset` keeps: every cell that can hold an output extremum.
 
     They are the ring of cells that touch a face of the input box, whatever
-    their Jacobian, plus the interior cells the tree did not drop: each lies
-    in a leaf-sized node that failed the row test or was never evaluated.
-    They are grid cells, ``b = a + 1``, in row-major order.  Touching is
-    decided on grid indices, never on float comparisons.  In ``counts``,
+    their Jacobian, plus the interior cells of the leaf-sized nodes left
+    pending on a level's coarse grid: failed, or never evaluated.  They are
+    grid cells, ``b = a + 1``, in row-major order.  Touching is decided on
+    grid indices, never on float comparisons.  In ``counts``,
     ``certified_interior`` is the interior cells dropped by the row test.
     """
 
@@ -344,24 +341,19 @@ class SubsetExtraction(CellBatch):
         return {"total": total, "certified_interior": total - kept, "kept": kept}
 
 
-def _split_nodes(a: np.ndarray, b: np.ndarray):
-    """Children of index-range nodes ``[a, b)``: a range of length r splits into ceil(sqrt(r)).
+def _split_cuts(cuts: np.ndarray):
+    """New cuts and each range's part count: a range of length r splits into ceil(sqrt(r)).
 
     Part j of a range ``[a, a + r)`` split into p parts is
     ``[a + j r // p, a + (j + 1) r // p)``.  Any p in ``[1, r]`` keeps every
     part nonempty, so the rounding of the float square root does not matter,
-    and a node of one cell is its own only child.
+    and a range of one cell is its own only part.
     """
-    for k in range(a.shape[1]):
-        r = b[:, k] - a[:, k]
-        p = np.ceil(np.sqrt(r)).astype(np.int64)
-        parent = np.repeat(np.arange(a.shape[0]), p)
-        j = np.arange(parent.shape[0]) - np.repeat(np.cumsum(p) - p, p)
-        start = a[parent, k] + j * r[parent] // p[parent]
-        stop = a[parent, k] + (j + 1) * r[parent] // p[parent]
-        a, b = a[parent], b[parent]
-        a[:, k], b[:, k] = start, stop
-    return a, b
+    r = np.diff(cuts)
+    p = np.ceil(np.sqrt(r)).astype(np.int64)
+    i = np.repeat(np.arange(r.size), p)
+    j = np.arange(i.size) - np.repeat(np.cumsum(p) - p, p)
+    return np.append(cuts[i] + j * r[i] // p[i], cuts[-1]), p
 
 
 def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
@@ -379,14 +371,17 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     test, because a row box that holds 0 contains a singular matrix.
 
     Search.  The interior block of the lattice, index ranges ``[1, c - 1)``,
-    is the root of a tree of index-range nodes.  Each level keeps the
-    pending nodes that are leaf-sized, at most 2 cells in every dimension,
-    whole; splits the others (`_split_nodes`); evaluates all their children
-    in one `_passes_row_test` call, on bounds taken from ``grid.edges(k)``,
-    so a node's bounds are its cells' own floats; drops each passing child
-    with all its cells; and leaves the failing children pending.  The root
-    is never evaluated, so a leaf-sized root, on a grid of at most 4 cells
-    in every dimension, is kept without a Jacobian call.
+    is the root of a tree.  A level is a coarse grid, one cut array per
+    dimension, with a boolean mask of its pending nodes.  Each level keeps
+    the pending nodes that are leaf-sized, at most 2 cells in every
+    dimension, whole, marking their cells through `np.repeat` on a boolean
+    array of the grid's shape that starts as the ring; splits every range
+    (`_split_cuts`) and the mask with it; evaluates the pending children in
+    one `_passes_row_test` call, on bounds taken from ``grid.edges(k)``, so
+    a node's bounds are its cells' own floats; and clears each passing
+    child, which drops all its cells.  The root is never evaluated, so a
+    leaf-sized root, on a grid of at most 4 cells in every dimension, is
+    kept without a Jacobian call.  The tree stops once no node is pending.
 
     Cost.  A leaf-sized node would split into single cells, and a Jacobian
     row costs 2.3-4.0 box-pass rows in a call of 64 rows and 3.5-14 in one
@@ -396,32 +391,37 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     two, keeps the depth near log log N, because each level's call has a
     fixed cost on top of its cells.
 
-    The kept cells are marked on a boolean array of the grid's shape,
-    which starts as the ring; `np.argwhere` lists them in row-major order.
-    A grid with no interior cell (a count below 3, as in a zero-width
-    dimension) has an empty root, so every cell is kept untested.  The
-    argument reads one gradient row per output, so the tree runs on any
-    network shape: it needs neither a square network nor few inputs.
+    `np.argwhere` lists the kept cells in row-major order.  A grid with no
+    interior cell (a count below 3, as in a zero-width dimension) has an
+    empty root, so every cell is kept untested.  The argument reads one
+    gradient row per output, so the tree runs on any network shape: it
+    needs neither a square network nor few inputs.
     """
     if input_box.dim != net.input_dim:
         raise ValueError(f"input box dimension {input_box.dim} != input dim {net.input_dim}")
     counts = tuple(int(c) for c in counts)
     _refuse_past_budget(math.prod(counts), "grid", counts)
     grid = CellGrid(input_box, counts)
-    a = np.ones((1, grid.dim), dtype=np.int64)
-    b = np.array([grid.counts], dtype=np.int64) - 1
     kept = np.ones(grid.counts, dtype=bool)
-    kept[tuple(map(slice, a[0], b[0]))] = False
-    if not np.all(b > a):  # no interior: the root is empty and every cell stays kept
-        a = b = a[:0]
-    while a.shape[0]:
-        leaf = np.all(b - a <= 2, axis=1)
-        # ceil(sqrt(r)) = r for r <= 2, so a leaf-sized node splits into its cells
-        cells = _split_nodes(a[leaf], b[leaf])[0]
-        kept[tuple(cells.T)] = True
-        a, b = _split_nodes(a[~leaf], b[~leaf])
-        if a.shape[0]:
-            passed = _passes_row_test(net, *grid.range_bounds(a, b))
-            a, b = a[~passed], b[~passed]
+    interior = tuple(slice(1, c - 1) for c in grid.counts)
+    kept[interior] = False
+    cuts = [np.array([1, c - 1]) for c in grid.counts] if min(grid.counts) > 2 else []
+    pending = np.ones((1,) * grid.dim, dtype=bool)
+    while cuts:
+        lengths = [np.diff(c) for c in cuts]
+        leaf = pending & (sum(r > 2 for r in np.ix_(*lengths)) == 0)
+        if leaf.any():
+            pending &= ~leaf
+            for k, r in enumerate(lengths):
+                leaf = np.repeat(leaf, r, axis=k)
+            kept[interior] |= leaf
+        if not pending.any():
+            break
+        for k in range(grid.dim):
+            cuts[k], parts = _split_cuts(cuts[k])
+            pending = np.repeat(pending, parts, axis=k)
+        nodes = np.nonzero(pending)
+        a, b = (np.stack([c[i + e] for c, i in zip(cuts, nodes)], axis=1) for e in (0, 1))
+        pending[nodes] = ~_passes_row_test(net, *grid.range_bounds(a, b))
     index = np.argwhere(kept)
     return SubsetExtraction(grid, index, index + 1)

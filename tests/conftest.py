@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -11,7 +13,13 @@ from reachbound.intervals import (
     _nonneg_imul_arrays,
     _operands,
 )
-from reachbound.topology import jacobian_interval_arrays
+from reachbound.topology import (
+    CellGrid,
+    SubsetExtraction,
+    _passes_row_test,
+    _refuse_past_budget,
+    jacobian_interval_arrays,
+)
 
 # Frozen seeded fixtures, chosen so that:
 #  - INVERTIBLE certifies on the whole unit square as a single cell,
@@ -114,6 +122,56 @@ def traced_extraction(net, box, counts):
     levels = [(*node_indices(ex.grid, lo, hi), row_test(*jacobian_interval_arrays(net, lo, hi)))
               for lo, hi in calls]
     return ex, levels
+
+
+def _split_nodes(a: np.ndarray, b: np.ndarray):
+    """Children of index-range nodes ``[a, b)``: a range of length r splits into ceil(sqrt(r)).
+
+    Part j of a range ``[a, a + r)`` split into p parts is
+    ``[a + j r // p, a + (j + 1) r // p)``.  Any p in ``[1, r]`` keeps every
+    part nonempty, so the rounding of the float square root does not matter,
+    and a node of one cell is its own only child.
+    """
+    for k in range(a.shape[1]):
+        r = b[:, k] - a[:, k]
+        p = np.ceil(np.sqrt(r)).astype(np.int64)
+        parent = np.repeat(np.arange(a.shape[0]), p)
+        j = np.arange(parent.shape[0]) - np.repeat(np.cumsum(p) - p, p)
+        start = a[parent, k] + j * r[parent] // p[parent]
+        stop = a[parent, k] + (j + 1) * r[parent] // p[parent]
+        a, b = a[parent], b[parent]
+        a[:, k], b[:, k] = start, stop
+    return a, b
+
+
+def ref_extract_subset(net, input_box, counts):
+    """`extract_subset` as a tree of index-range nodes ``[a, b)``, each node split on its
+    own: the oracle for the mask tree.  Returns the extraction and, per level, the
+    ``(a, b)`` of the nodes its `_passes_row_test` call evaluated."""
+    levels = []
+    if input_box.dim != net.input_dim:
+        raise ValueError(f"input box dimension {input_box.dim} != input dim {net.input_dim}")
+    counts = tuple(int(c) for c in counts)
+    _refuse_past_budget(math.prod(counts), "grid", counts)
+    grid = CellGrid(input_box, counts)
+    a = np.ones((1, grid.dim), dtype=np.int64)
+    b = np.array([grid.counts], dtype=np.int64) - 1
+    kept = np.ones(grid.counts, dtype=bool)
+    kept[tuple(map(slice, a[0], b[0]))] = False
+    if not np.all(b > a):  # no interior: the root is empty and every cell stays kept
+        a = b = a[:0]
+    while a.shape[0]:
+        leaf = np.all(b - a <= 2, axis=1)
+        # ceil(sqrt(r)) = r for r <= 2, so a leaf-sized node splits into its cells
+        cells = _split_nodes(a[leaf], b[leaf])[0]
+        kept[tuple(cells.T)] = True
+        a, b = _split_nodes(a[~leaf], b[~leaf])
+        if a.shape[0]:
+            levels.append((a, b))
+            passed = _passes_row_test(net, *grid.range_bounds(a, b))
+            a, b = a[~passed], b[~passed]
+    index = np.argwhere(kept)
+    return SubsetExtraction(grid, index, index + 1), levels
 
 
 def kept_whole_mask(grid, levels) -> np.ndarray:

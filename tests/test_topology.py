@@ -24,6 +24,7 @@ from conftest import (
     linear_net,
     make_net,
     node_indices,
+    ref_extract_subset,
     ref_jacobian_interval_arrays,
     row_test,
     sample_box,
@@ -650,6 +651,52 @@ def test_extraction_runs_the_tree_on_seven_inputs():
     assert len(levels) == 1 and levels[0][0].shape[0] == 2
     assert ex.counts == {"total": 4374, "certified_interior": 4, "kept": 4370}
     assert assert_dropped_cells_hold_no_zero_gradient(net, ex, np.random.default_rng(0)) == 4
+
+
+def _assert_matches_the_node_tree(net, box, counts):
+    """The mask tree keeps the node tree's cells, bytes and counts, and each level's call
+    evaluates the node tree's ranges [a, b), in another row order."""
+    calls, passes = [], topology._passes_row_test
+
+    def recording(net, lo, hi):
+        calls.append((lo, hi))
+        return passes(net, lo, hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topology, "_passes_row_test", recording)
+        ex = rb.extract_subset(net, box, counts)
+    ref, ref_levels = ref_extract_subset(net, box, counts)
+    assert ex.counts == ref.counts
+    for field in ("index", "b", "lo", "hi"):
+        assert getattr(ex, field).tobytes() == getattr(ref, field).tobytes()
+    assert len(calls) == len(ref_levels)
+    for (lo, hi), ends in zip(calls, ref_levels):
+        got = np.hstack(node_indices(ex.grid, lo, hi))
+        assert sorted(map(tuple, got)) == sorted(map(tuple, np.hstack(ends)))
+    return ex
+
+
+@given(st.one_of(deep_nets(), deep_nets(square=False)))
+@settings(max_examples=60, deadline=None)
+def test_extraction_matches_the_node_tree(case):
+    net, seed = case
+    rng = np.random.default_rng(seed)
+    n = net.input_dim
+    centre, half = rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-2, 0.5, n)
+    # counts of 3 or more give an interior, and one dimension of 1-39 cells makes the
+    # grid non-square, takes the tree two or three levels deep, or leaves no interior
+    counts = rng.integers(3, {2: 60, 3: 16, 4: 9}.get(n, 6), n)
+    counts[rng.integers(n)] = rng.integers(1, 40)
+    counts = tuple(int(c) for c in counts)
+    _assert_matches_the_node_tree(net, rb.Box.from_arrays(centre - half, centre + half), counts)
+
+
+@pytest.mark.parametrize("count, kept", [(1, 1), (3, 3), (5, 5), (9, 8), (50, 14), (1000, 12)])
+def test_extraction_matches_the_node_tree_on_one_input(count, kept):
+    # deep_nets draws 2-6 inputs: here each level's leaf test reads one cut array
+    net = rb.generate_network(3, (1, 6, 1), "tanh", 3.0)
+    ex = _assert_matches_the_node_tree(net, rb.Box.from_bounds([(-2, 2)]), (count,))
+    assert ex.counts["kept"] == kept
 
 
 def test_a_flat_box_fails_the_row_test_untested(monkeypatch):
