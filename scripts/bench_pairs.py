@@ -18,9 +18,12 @@ The output JSON has ``workloads`` (the last stdout line of each side of the
 first pair), ``series`` (per workload and metric: the median, q1 and q3 by
 the inclusive method for each side, ``wins``, the pairs where the change
 reads better by the metric's direction in ``BENCHMARK.json``, ties counting
-for neither, and every run in pair order; plus the summed ``failed`` counts
-and whether every run read ``correct``) and, with ``--baseline``, the change
-medians of an earlier file's series next to this one's.
+for neither, ``resolved``, false when either side's interquartile spread
+exceeds the metric's ``BENCHMARK.json`` bound times that side's median, so
+the runs spread too widely to tell, and every run in pair order; plus the
+summed ``failed`` counts and whether every run read ``correct``) and, with
+``--baseline``, the change medians of an earlier file's series next to this
+one's.
 """
 
 import argparse
@@ -48,11 +51,12 @@ def quartiles(values):
     return median, q1, q3
 
 
-def summarize(pairs, better):
+def summarize(pairs, specs):
     """The ``series`` entry of one workload from its ``[(parent, change), ...]`` run results.
 
-    ``better`` maps a metric name to "lower" or "higher"; a metric missing
-    from it gets no ``wins``.
+    ``specs`` maps a metric name to its ``BENCHMARK.json`` end-to-end entry,
+    of which ``better`` ("lower" or "higher") and ``bound`` are read; a
+    metric missing from it gets no ``wins`` and no ``resolved``.
     """
     out = {
         "pairs": len(pairs),
@@ -67,9 +71,12 @@ def summarize(pairs, better):
         for side in SIDES:
             median, q1, q3 = quartiles(runs[side])
             entry[side] = {"median": median, "q1": q1, "q3": q3}
-        if name in better:
-            sign = 1 if better[name] == "higher" else -1
+        spec = specs.get(name)
+        if spec is not None:
+            sign = 1 if spec["better"] == "higher" else -1
             entry["wins"] = sum(sign * (c - p) > 0 for p, c in zip(runs["parent"], runs["change"]))
+            entry["resolved"] = all(entry[side]["q3"] - entry[side]["q1"]
+                                    <= spec["bound"] * abs(entry[side]["median"]) for side in SIDES)
         entry["parent_runs"] = runs["parent"]
         entry["change_runs"] = runs["change"]
         out["metrics"][name] = entry
@@ -112,16 +119,16 @@ def main(argv=None) -> int:
     ap.add_argument("--baseline", type=Path, help="an earlier BENCH_<pr>.json to compare medians with")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    specs = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     doc = {
         "command": f"python3 perfbench/run.py --workload <name> --seed {args.seed} "
                    f"--seconds {args.seconds:g} --trace 0",
         "seed": args.seed,
         "note": "series: medians and quartiles (inclusive method) of alternating pairs from "
                 "fresh copies with no __pycache__ and PYTHONDONTWRITEBYTECODE=1; wins counts "
-                "the pairs where the change reads better, ties counting for neither; *_runs "
-                "list every run in pair order",
+                "the pairs where the change reads better, ties counting for neither; resolved "
+                "is false when a side's q3 - q1 exceeds the metric's BENCHMARK.json bound "
+                "times its median; *_runs list every run in pair order",
         "env": {"nproc": os.cpu_count(), "python": platform.python_version()},
         "workloads": {},
         "series": {},
@@ -140,7 +147,7 @@ def main(argv=None) -> int:
                       f"{runs['parent']['metrics']['problems_per_s']['value']:.1f} -> "
                       f"{runs['change']['metrics']['problems_per_s']['value']:.1f}", flush=True)
             doc["workloads"][wl] = dict(zip(SIDES, pairs[0]))
-            doc["series"][wl] = summarize(pairs, better)
+            doc["series"][wl] = summarize(pairs, specs)
     if args.baseline is not None:
         label = args.baseline.stem
         doc[f"delta_vs_{label}"] = baseline_delta(doc["series"], json.loads(args.baseline.read_text()),

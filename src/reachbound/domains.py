@@ -31,6 +31,7 @@ from .intervals import (
     Box,
     _act_range_arrays,
     _act_slope_arrays,
+    _add_bias,
     _down,
     _interval_matvec_arrays,
     _lookup,
@@ -214,7 +215,8 @@ def _affine_rows(rows, slack, op, fresh: int = 0):
     and the ``fresh`` rows after them are left for `_activation_rows`.
     ``reach`` and the old slack are the ``2 N`` rows of one product with
     ``|w|.T``, so even one zonotope makes matrix-matrix calls of two or more
-    rows.  ``rows`` is overwritten with ``|rows|``.
+    rows.  ``rows`` is overwritten with ``|rows|``.  The center takes ``b``
+    and the bound ``|b|`` through `_add_bias`, one addition per element.
 
     Rounding: the exact image is ``(w c + b, w G, |w| s)``.  A product of k
     terms errs by at most ``gamma_k = k u / (1 - k u)`` times the same
@@ -239,14 +241,14 @@ def _affine_rows(rows, slack, op, fresh: int = 0):
     batch = rows.shape[1:-1]
     out = np.empty((1 + g + fresh,) + batch + (m,))
     np.matmul(rows.reshape(-1, k), op.t, out=out[:1 + g].reshape(-1, m))
-    out[0] += op.bias
+    _add_bias(out[0], op.bias_tile)
     mags = np.empty((2,) + batch + (k,))
     np.abs(rows, out=rows).sum(axis=0, out=mags[0])  # the product has read the rows
     mags[0] += slack
     mags[1] = slack
     mags = (mags.reshape(-1, k) @ op.mag).reshape((2,) + batch + (m,))
     bound = mags[0]
-    bound += op.bias_mag
+    _add_bias(bound, op.bias_mag_tile)
     slack = mags[1]
     slack += (k + 4) * _U * bound + (g + 2) * k * _TINY
     return out, slack

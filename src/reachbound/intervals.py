@@ -7,7 +7,8 @@ interval arithmetic: they take ``(lo, hi)`` endpoint arrays with leading
 batch axes and return an enclosure of the true real-arithmetic result set;
 the box pass and the Jacobian enclosure share ``_interval_matvec_arrays``.
 Its weight operands are an `_Operands` record that each `Layer` prepares
-once (`_operands`), and the zonotope pass reads the same record.
+once (`_operands`), and the zonotope pass reads the same record.  Every
+batched pass adds its bias through `_add_bias`, tile by tile.
 IEEE-exact operations (+, -, *) are widened outward by at least one ulp per
 endpoint, with one arithmetic pad per array (`_down`/`_up`), built in one
 buffer that then holds the result; libm-backed evaluations (tanh, sigmoid
@@ -40,6 +41,7 @@ _U = 2.0 ** -53  # unit roundoff, float64
 _TINY = 5e-324  # one subnormal step, absolute slack per reduction term
 _PAD_ACT = 4  # ulps of outward pad for direct libm evaluations
 _PAD_DERIV = 8  # ulps of outward pad for composed derivative evaluations
+_TILE = 512  # rows of the bias tiles in `_Operands`
 
 
 def _down(x, steps: int = 1):
@@ -224,26 +226,54 @@ class _Operands(NamedTuple):
 
     Read-only C-contiguous ``(k, m)`` copies of ``w.T``, ``max(w, 0).T``,
     ``min(w, 0).T`` and ``|w|.T``, which OpenBLAS multiplies two to three
-    times as fast as the transposed views, then ``b`` and ``|b|``.  A `Layer`
-    builds its own once, so no pass rebuilds them per call.
+    times as fast as the transposed views, then ``b`` and ``|b|`` as
+    ``(_TILE, m)`` tiles of equal rows for `_add_bias`.  A `Layer` builds
+    its own once, so no pass rebuilds them per call.
     """
 
     t: np.ndarray
     pos: np.ndarray
     neg: np.ndarray
     mag: np.ndarray
-    bias: np.ndarray
-    bias_mag: np.ndarray
+    bias_tile: np.ndarray
+    bias_mag_tile: np.ndarray
 
 
 def _operands(w, b) -> _Operands:
-    """The `_Operands` of ``x -> w x + b``, as copies: the caller's arrays stay writable."""
+    """The `_Operands` of ``x -> w x + b``, as copies: the caller's arrays stay writable.
+
+    A 0-d ``b`` (a zero bias) is broadcast to ``(m,)`` before it is tiled.
+    """
     t = np.array(np.asarray(w, dtype=float).T, order="C")
-    b = np.array(b, dtype=float)
-    parts = (t, np.maximum(t, 0.0), np.minimum(t, 0.0), np.abs(t), b, np.abs(b))
+    tile = np.tile(np.broadcast_to(np.asarray(b, dtype=float), t.shape[1:]), (_TILE, 1))
+    parts = (t, np.maximum(t, 0.0), np.minimum(t, 0.0), np.abs(t), tile, np.abs(tile))
     for p in parts:
         p.setflags(write=False)
     return _Operands(*parts)
+
+
+def _add_bias(rows, tile):
+    """``rows += tile[0]`` for C-contiguous rows (..., m) and a `_Operands` bias tile (T, m).
+
+    NumPy runs that ``(N, m) += (m,)`` broadcast row by row, up to three
+    times as slow on narrow rows, so from T rows on the first ``N - N % T``
+    are a ``(N // T, T, m)`` view that takes the whole tile and the rest
+    take its head: contiguous operands only.  Fewer rows keep the one
+    broadcast call, which costs least there.  Each element gets the same
+    one IEEE addition either way.  ``copy=False`` refuses rows that only a
+    copy can flatten to ``(N, m)``: the add would be lost in the copy.
+    """
+    if rows.size < tile.size:
+        rows += tile[0]
+        return
+    t, m = tile.shape
+    rows = rows.reshape(-1, m, copy=False)
+    n = len(rows)
+    body = n - n % t
+    blocks = rows[:body].reshape(body // t, t, m)
+    blocks += tile
+    if body < n:
+        rows[body:] += tile[:n - body]
 
 
 def _interval_matvec_arrays(op: _Operands, xlo, xhi, bias: bool = True):
@@ -268,7 +298,8 @@ def _interval_matvec_arrays(op: _Operands, xlo, xhi, bias: bool = True):
     bits by an ulp.
 
     The sums, the bias and the error term accumulate in place in the
-    product arrays, in the order of ``(W+ x_lo + W- x_hi) + b - err``.
+    product arrays, in the order of ``(W+ x_lo + W- x_hi) + b - err``,
+    the same with the bias added through `_add_bias`'s tiles.
     ``bias=False`` encloses ``w @ x`` (the Jacobian's ``W J``) and skips the
     three bias additions: adding ``+0`` only turns ``-0`` into ``+0``, and
     the positive ``err`` subtracted next maps both to the same float, so the
@@ -285,13 +316,13 @@ def _interval_matvec_arrays(op: _Operands, xlo, xhi, bias: bool = True):
     np.matmul(xlo, op.neg, out=part)
     hi += part
     if bias:
-        lo += op.bias
-        hi += op.bias
+        _add_bias(lo, op.bias_tile)
+        _add_bias(hi, op.bias_tile)
     mag = np.abs(xlo)
     np.maximum(mag, np.abs(xhi), out=mag)
     err = mag @ op.mag
     if bias:
-        err += op.bias_mag
+        _add_bias(err, op.bias_mag_tile)
     err *= (2 * k + 6) * _U
     err += (2 * k + 4) * _TINY
     lo -= err

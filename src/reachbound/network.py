@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .intervals import _lookup, _operands
+from .intervals import _add_bias, _lookup, _operands
 
 __all__ = [
     "Layer",
@@ -167,13 +167,22 @@ def write_model(net: Network, path) -> None:
 
 
 def forward_batch(net: Network, xs: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a batch of points, shape (n, input_dim)."""
+    """Evaluate the network on a batch of points, shape (n, input_dim).
+
+    Each layer is ``f(x @ W.T + b)`` with the bias added through
+    `intervals._add_bias`, the same one addition per element.  The product
+    reads the transposed view ``W.T``, not the contiguous copy in ``_ops``:
+    BLAS rounds the two differently on some rows, and a moved image would
+    move a counterexample.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != net.input_dim:
         raise ValueError(f"expected batch of shape (n, {net.input_dim})")
     out = xs
     for layer in net.layers:
-        out = _lookup(layer.activation).f(out @ layer.weights.T + layer.bias)
+        z = out @ layer.weights.T
+        _add_bias(z, layer._ops.bias_tile)
+        out = _lookup(layer.activation).f(z)
     return out
 
 

@@ -1,7 +1,8 @@
 """Grid partitions, the one cell type and its builders, interval Jacobians and certification.
 
 Every cell batch is a `CellBatch` of lattice ranges ``[a, b)`` on one
-`CellGrid`, its bounds read off the edges once (`CellGrid.range_bounds`).
+`CellGrid`, its bounds read off the edges once: gathered through
+`CellGrid.range_bounds`, or for a whole grid broadcast from the edges.
 Its three builders take ``(box, counts)``: all cells (`grid_cell_batch`,
 ``b = a + 1``), face cells (`boundary_cell_batch`, ``a_k = b_k``) and the
 kept cells of `extract_subset` (a `SubsetExtraction`, which adds its
@@ -120,18 +121,30 @@ class CellGrid:
 
 @dataclass
 class CellBatch:
-    """Cells of one grid as lattice index ranges ``[a, b)``, with their bounds and output hulls."""
+    """Cells of one grid as lattice index ranges ``[a, b)``, with their bounds and output hulls.
+
+    The constructor gathers the bounds through `CellGrid.range_bounds`;
+    `grid_cell_batch` passes its own to `_with_bounds`.
+    """
 
     grid: CellGrid
     index: np.ndarray  # (N, n) range starts a, which label the cells in reports
     b: np.ndarray  # (N, n) range ends
-    lo: np.ndarray = field(init=False)  # (N, n) grid.range_bounds(a, b), read once, here
+    lo: np.ndarray = field(init=False)  # (N, n) edges at a and b, read once
     hi: np.ndarray = field(init=False)
     out_lo: Optional[np.ndarray] = None  # filled by propagate_cells
     out_hi: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.lo, self.hi = self.grid.range_bounds(self.index, self.b)
+
+    @classmethod
+    def _with_bounds(cls, grid: CellGrid, index, b, lo, hi) -> "CellBatch":
+        """The batch of ``(grid, index, b)`` with bounds the caller read off the edges."""
+        batch = cls.__new__(cls)
+        batch.grid, batch.index, batch.b, batch.lo, batch.hi = grid, index, b, lo, hi
+        batch.out_lo = batch.out_hi = None
+        return batch
 
     @property
     def count(self) -> int:
@@ -159,12 +172,25 @@ def _refuse_past_budget(cells: int, kind: str, counts) -> None:
 
 
 def grid_cell_batch(box: Box, counts) -> CellBatch:
-    """All cells of the grid of ``counts`` on ``box``, ``b = a + 1``, in row-major order."""
+    """All cells of the grid of ``counts`` on ``box``, ``b = a + 1``, in row-major order.
+
+    The bounds are C-contiguous ``(N, n)`` arrays written by broadcasting
+    ``grid.edges(k)[:-1]`` and ``[1:]`` along axis k of the grid's shape:
+    the edge floats that `CellGrid.range_bounds` would gather through
+    ``2 N n`` indices, copied without the indices.
+    """
     counts = tuple(int(c) for c in counts)
     _refuse_past_budget(math.prod(counts), "grid", counts)
     grid = CellGrid(box, counts)
-    a = np.indices(counts).reshape(len(counts), -1).T
-    return CellBatch(grid, a, a + 1)
+    n = len(counts)
+    a = np.indices(counts).reshape(n, -1).T
+    lo = np.empty(counts + (n,))
+    hi = np.empty_like(lo)
+    for k, c in enumerate(counts):
+        axis = (1,) * k + (c,) + (1,) * (n - 1 - k)
+        lo[..., k] = grid.edges(k)[:-1].reshape(axis)
+        hi[..., k] = grid.edges(k)[1:].reshape(axis)
+    return CellBatch._with_bounds(grid, a, a + 1, lo.reshape(-1, n), hi.reshape(-1, n))
 
 
 def boundary_cell_batch(box: Box, counts) -> CellBatch:

@@ -12,6 +12,7 @@ from reachbound.intervals import (
     _interval_matvec_arrays,
     _nonneg_imul_arrays,
     _operands,
+    _TILE,
 )
 from reachbound.topology import (
     CellGrid,
@@ -31,6 +32,15 @@ MIXED = dict(seed=11, dims=(2, 7, 2), activation="tanh", scale=2.0)
 WORKLOAD_NETS = [((2, 5, 2), "tanh"), ((2, 7, 2), "tanh"), ((2, 8, 2), "sigmoid"),
                  ((2, 8, 8, 2), "tanh"), ((3, 12, 3), "tanh"), ((4, 12, 4), "tanh"),
                  ((6, 16, 6), "tanh"), ((6, 16, 16, 6), "tanh")]
+
+
+# row counts around the bias tile: none, some and only leftover rows past the whole tiles
+BIAS_ROWS = (1, _TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5, 4000, 4096)
+
+
+def plain_add_bias(rows, tile):
+    """The ``(N, m) += (m,)`` broadcast that `intervals._add_bias` replaces."""
+    rows += tile[0]
 
 
 def make_net(**kwargs):

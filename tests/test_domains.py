@@ -10,11 +10,13 @@ from reachbound.domains import box_propagate_arrays, normalize_domain, zono_prop
 from reachbound.intervals import _interval_matvec_arrays, _operands
 from reachbound.verifier import boundary_cell_batch, grid_cell_batch, propagate_cells
 from conftest import (
+    BIAS_ROWS,
     WORKLOAD_NETS,
     deep_nets,
     identity_net,
     linear_hidden_net,
     make_net,
+    plain_add_bias,
     sample_box,
 )
 
@@ -517,3 +519,25 @@ def test_batched_zonotope_validation():
     slack[2, 1] = -1e-300
     with pytest.raises(ValueError):
         rb.Zonotope(c, g, slack)
+
+
+@pytest.mark.parametrize("k, m", [(2, 1), (2, 8), (8, 2), (16, 6)], ids=lambda v: str(v))
+def test_affine_rows_bias_bits_match_the_broadcast(monkeypatch, k, m):
+    """`_affine_rows` with `_add_bias` and with the plain broadcast, on the same products."""
+    rng = np.random.default_rng(20 * k + m)
+    w = rng.uniform(-2.0, 2.0, (m, k))
+    ops = [_operands(w, rng.uniform(-1.0, 1.0, m)), _operands(w, 0.0)]
+    # (k,) is one zonotope, as `zono_affine` sends it
+    for shape in [(k,)] + [(rows, k) for rows in BIAS_ROWS]:
+        lo = rng.uniform(-3.0, 3.0, shape)
+        hi = lo + rng.uniform(0.0, 1.0, shape)
+        box_rows, slack = rb.domains._box_rows(lo, hi)
+        for op in ops:
+            got = rb.domains._affine_rows(box_rows.copy(), slack, op, m)
+            with monkeypatch.context() as patch:
+                patch.setattr(rb.domains, "_add_bias", plain_add_bias)
+                ref = rb.domains._affine_rows(box_rows.copy(), slack, op, m)
+            assert got[0].shape == (1 + k + m,) + lo.shape[:-1] + (m,)
+            # the fresh rows are left unwritten, for the activation transformer
+            assert got[0][:1 + k].tobytes() == ref[0][:1 + k].tobytes()
+            assert got[1].tobytes() == ref[1].tobytes()

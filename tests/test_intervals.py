@@ -13,6 +13,7 @@ from reachbound.intervals import (
     _act_deriv_arrays,
     _act_range_arrays,
     _act_slope_arrays,
+    _add_bias,
     _down,
     _idet_arrays,
     _imul_arrays,
@@ -24,12 +25,13 @@ from reachbound.intervals import (
     _PAD_DERIV,
     _sigmoid,
     _tanh_deriv,
+    _TILE,
     _TINY,
     _U,
     _up,
 )
 
-from conftest import WORKLOAD_NETS
+from conftest import BIAS_ROWS, WORKLOAD_NETS, plain_add_bias
 
 
 def tight(value: float, target: float, ulps: int = 4) -> bool:
@@ -719,3 +721,67 @@ def test_matvec_bits_match_the_plain_expression(k, m):
         lo, hi = exact_matvec(w, np.broadcast_to(b, m), xlo[0], xhi[0])
         for i in range(m):
             assert Fraction(float(got[0][i])) <= lo[i] <= hi[i] <= Fraction(float(got[1][i]))
+
+
+# ---------------------------------------------------------------------------
+# the bias tile
+
+
+@pytest.mark.parametrize("m", [1, 2, 8])
+def test_bias_add_bits_match_the_broadcast(m):
+    rng = np.random.default_rng(m)
+    b = rng.uniform(-1.0, 1.0, m)
+    b[1:2] = -0.0
+    op = _operands(np.ones((m, 3)), b)
+    assert op.bias_tile.shape == (_TILE, m) and op.bias_tile.flags.c_contiguous
+    assert not op.bias_tile.flags.writeable and not op.bias_mag_tile.flags.writeable
+    for rows in BIAS_ROWS:
+        x = rng.uniform(-2.0, 2.0, (rows, m))
+        x[0] = -0.0  # -0 + -0 stays -0 and -0 + |-0| is +0, in a tile or a leftover row
+        for tile, ref in ((op.bias_tile, x + b), (op.bias_mag_tile, x + np.abs(b))):
+            got = x.copy()
+            _add_bias(got, tile)
+            assert same_bits((got,), (ref,))
+    # (m,) rows, one zonotope's center, are all leftover
+    got = b.copy()
+    _add_bias(got, op.bias_tile)
+    assert same_bits((got,), (b + b,))
+
+
+def test_bias_add_refuses_rows_that_only_a_copy_can_reshape():
+    op = _operands(np.ones((2, 3)), np.array([1.0, 2.0]))
+    # (2, N, m) rows that are a transposed view: flattening them to (2N, m) needs a copy
+    rows = np.zeros((_TILE, 2, 2)).transpose(1, 0, 2)
+    with pytest.raises(ValueError):
+        _add_bias(rows, op.bias_tile)
+    assert not rows.any()
+    # splitting the row axis never needs a copy, so strided rows take the add in place
+    strided = np.zeros((2 * _TILE + 1, 4))[:, ::2]
+    _add_bias(strided, op.bias_tile)
+    assert np.all(strided == [1.0, 2.0])
+
+
+def test_zero_bias_operands_are_tiled():
+    op = _operands(np.ones((3, 2)), 0.0)
+    assert op.bias_tile.shape == op.bias_mag_tile.shape == (_TILE, 3)
+    assert not op.bias_tile.any() and not op.bias_mag_tile.any()
+
+
+@pytest.mark.parametrize("k, m", [(2, 1), (1, 1), (2, 8), (8, 2), (16, 6)],
+                         ids=lambda v: str(v))
+def test_matvec_bias_bits_match_the_broadcast(monkeypatch, k, m):
+    """The kernel with `_add_bias` and with the plain broadcast, on the same BLAS products."""
+    rng = np.random.default_rng(10 * k + m)
+    w = rng.uniform(-2.0, 2.0, (m, k))
+    ops = [_operands(w, rng.uniform(-1.0, 1.0, m)), _operands(w, 0.0)]
+    for rows in BIAS_ROWS:
+        xlo = rng.uniform(-3.0, 3.0, (rows, k))
+        xhi = xlo + rng.uniform(0.0, 1.0, (rows, k))
+        xlo, xhi = read_only(xlo, xhi)
+        for op in ops:
+            for bias in (True, False):
+                got = _interval_matvec_arrays(op, xlo, xhi, bias)
+                with monkeypatch.context() as patch:
+                    patch.setattr("reachbound.intervals._add_bias", plain_add_bias)
+                    ref = _interval_matvec_arrays(op, xlo, xhi, bias)
+                assert same_bits(got, ref)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import reachbound as rb
-from conftest import identity_net, linear_net, make_net, sample_box
+from reachbound.intervals import _TILE
+from conftest import BIAS_ROWS, identity_net, linear_net, make_net, sample_box
 
 
 def doc_252():
@@ -105,6 +106,22 @@ def test_forward_matches_straightforward_reimplementation():
         fast = rb.forward_point(net, np.array(x))
         slow = slow_forward(x)
         assert np.allclose(fast, slow, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("dims, activation", [((2, 8, 8, 2), "tanh"), ((2, 8, 2), "sigmoid"),
+                                               ((16, 3), "tanh"), ((20, 10, 2), "tanh"),
+                                               ((3, 5, 1), "tanh")],
+                         ids=["2-8-8-2", "2-8-2", "16-3", "20-10-2", "3-5-1"])
+def test_forward_bits_match_the_plain_expression(dims, activation):
+    # f(x @ W.T + b) per layer, the bias as the (N, m) + (m,) broadcast
+    net = rb.generate_network(5, dims, activation, 2.0)
+    rng = np.random.default_rng(len(dims))
+    for rows in BIAS_ROWS:
+        xs = rng.uniform(-2.0, 2.0, (rows, dims[0]))
+        want = xs
+        for layer in net.layers:
+            want = rb.intervals._lookup(layer.activation).f(want @ layer.weights.T + layer.bias)
+        assert rb.forward_batch(net, xs).tobytes() == want.tobytes()
 
 
 def test_forward_dimension_mismatch():
@@ -212,7 +229,9 @@ def test_layer_operands_are_prepared_read_only_copies():
     w = np.array([[1.0, -2.0, 0.0], [-0.5, 3.0, 4.0]])
     b = np.array([0.25, -1.0])
     layer = rb.Layer(w, b, "tanh")
-    want = (w.T, np.maximum(w, 0).T, np.minimum(w, 0).T, np.abs(w).T, b, np.abs(b))
+    want = (w.T, np.maximum(w, 0).T, np.minimum(w, 0).T, np.abs(w).T,
+            np.tile(b, (_TILE, 1)), np.tile(np.abs(b), (_TILE, 1)))
+    assert len(layer._ops) == len(want)
     for got, ref in zip(layer._ops, want):
         assert np.array_equal(got, ref) and got.flags.c_contiguous and not got.flags.writeable
     assert w.flags.writeable and b.flags.writeable

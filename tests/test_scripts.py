@@ -114,7 +114,9 @@ def test_bench_pairs_summarizes_canned_runs():
     change = [(120.0, 1.0), (110.0, 3.0), (150.0, 2.0), (125.0, 1.5)]
     pairs = [(parse(bench_run_line(*p)), parse(bench_run_line(*c, failed=int(i == 2))))
              for i, (p, c) in enumerate(zip(parent, change))]
-    series = ns["summarize"](pairs, {"problems_per_s": "higher", "verify_ms_p50": "lower"})
+    specs = {"problems_per_s": {"better": "higher", "bound": 0.25},
+             "verify_ms_p50": {"better": "lower", "bound": 0.25}}
+    series = ns["summarize"](pairs, specs)
     assert series["pairs"] == 4 and series["failed"] == {"parent": 0, "change": 1}
     assert series["correct"] is False
     pps = series["metrics"]["problems_per_s"]
@@ -124,11 +126,23 @@ def test_bench_pairs_summarizes_canned_runs():
     assert pps["wins"] == 2 and pps["unit"] == "1/s"
     assert pps["parent_runs"] == [100.0, 110.0, 120.0, 130.0]
     assert pps["change_runs"] == [120.0, 110.0, 150.0, 125.0]
+    # spreads of 15 / 115 and 13.75 / 122.5 are within the bound of 0.25
+    assert pps["resolved"] is True
     # lower is better for a latency
-    assert series["metrics"]["verify_ms_p50"]["wins"] == 2
+    p50 = series["metrics"]["verify_ms_p50"]
+    assert p50["wins"] == 2
+    # the change's runs 1.0-3.0 spread 2.25 - 1.375 = 0.875, half of its median 1.75
+    assert p50["change"] == {"median": 1.75, "q1": 1.375, "q3": 2.25}
+    assert p50["resolved"] is False
+    # a spread exactly at the bound still resolves; the parent's spread of 0 is within any
+    at_bound = {"verify_ms_p50": {"better": "lower", "bound": 0.5}}
+    assert ns["summarize"](pairs, at_bound)["metrics"]["verify_ms_p50"]["resolved"] is True
+    tighter = {"verify_ms_p50": {"better": "lower", "bound": 0.49}}
+    assert ns["summarize"](pairs, tighter)["metrics"]["verify_ms_p50"]["resolved"] is False
     one = ns["summarize"](pairs[:1], {})
     assert one["metrics"]["problems_per_s"]["change"] == {"median": 120.0, "q1": 120.0, "q3": 120.0}
     assert "wins" not in one["metrics"]["problems_per_s"]
+    assert "resolved" not in one["metrics"]["problems_per_s"]
     old = {"series": {"planar-zono": {"metrics": {"problems_per_s": {"change": {"median": 99.0}}}}}}
     delta = ns["baseline_delta"]({"planar-zono": series}, old, "BENCH_25")
     assert delta == {"planar-zono": {"problems_per_s": {"BENCH_25_change_median": 99.0,

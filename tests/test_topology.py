@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import reachbound as rb
 from reachbound import topology
 from reachbound.topology import (
+    CellBatch,
     boundary_cell_batch,
     box_passes_row_test,
     certify_cells,
@@ -30,6 +31,40 @@ from conftest import (
     sample_box,
     traced_extraction,
 )
+
+
+# ---------------------------------------------------------------------------
+# grid cells
+
+
+@pytest.mark.parametrize("bounds, counts", [
+    ([(-1.0, 2.0)], (7,)),
+    ([(-1.0, 1.0), (0.1, 0.7)], (13, 200)),
+    ([(0.0, 1.0), (-3.0, 3.0), (1e-3, 2e-3)], (3, 4, 5)),
+    ([(-1.0, 1.0)] * 6, (4,) * 6),
+    ([(-1.0, 1.0), (0.5, 0.5), (0.0, 0.3)], (6, 1, 9)),
+], ids=["1d", "13x200", "3d", "4^6", "zero-width"])
+def test_grid_cell_bounds_are_the_gathered_edges(bounds, counts):
+    batch = topology.grid_cell_batch(rb.Box.from_bounds(bounds), counts)
+    assert np.array_equal(batch.index, np.argwhere(np.ones(counts, dtype=bool)))  # row-major
+    assert np.array_equal(batch.b, batch.index + 1)
+    lo, hi = batch.grid.range_bounds(batch.index, batch.b)
+    assert batch.lo.tobytes() == lo.tobytes() and batch.hi.tobytes() == hi.tobytes()
+    assert batch.lo.shape == batch.hi.shape == (np.prod(counts), len(counts))
+    assert batch.lo.flags.c_contiguous and batch.hi.flags.c_contiguous
+    assert batch.out_lo is None and batch.out_hi is None
+    # every attribute the constructor sets, and no other
+    assert vars(batch).keys() == vars(CellBatch(batch.grid, batch.index[:1], batch.b[:1])).keys()
+
+
+def test_cell_batch_positional_constructor_reads_the_edges():
+    grid = topology.CellGrid(rb.Box.from_bounds([(0, 1), (0, 1)]), (3, 2))
+    index = np.array([[0, 1], [2, 0]])
+    out_lo, out_hi = np.zeros((2, 2)), np.ones((2, 2))
+    batch = CellBatch(grid, index, index + 1, out_lo, out_hi)
+    assert batch.out_lo is out_lo and batch.out_hi is out_hi
+    assert np.array_equal(batch.lo, [[0.0, 0.5], [2 / 3, 0.0]])
+    assert np.array_equal(batch.hi, [[1 / 3, 1.0], [1.0, 0.5]])
 
 
 # ---------------------------------------------------------------------------
