@@ -20,7 +20,10 @@ the inclusive method for each side, ``wins``, the pairs where the change
 reads better by the metric's direction in ``BENCHMARK.json``, ties counting
 for neither, ``resolved``, false when either side's interquartile spread
 exceeds the metric's ``BENCHMARK.json`` bound times that side's median, so
-the runs spread too widely to tell, and every run in pair order; plus the
+the runs spread too widely to tell, ``regressed``, true when the change's
+median is worse than the parent's by more than that bound times the
+parent's median, the rule that refuses a change, and every run in pair
+order; plus the
 summed ``failed`` counts and whether every run read ``correct``) and, with
 ``--baseline``, the change medians of an earlier file's series next to this
 one's.
@@ -56,7 +59,7 @@ def summarize(pairs, specs):
 
     ``specs`` maps a metric name to its ``BENCHMARK.json`` end-to-end entry,
     of which ``better`` ("lower" or "higher") and ``bound`` are read; a
-    metric missing from it gets no ``wins`` and no ``resolved``.
+    metric missing from it gets no ``wins``, ``resolved`` or ``regressed``.
     """
     out = {
         "pairs": len(pairs),
@@ -77,6 +80,8 @@ def summarize(pairs, specs):
             entry["wins"] = sum(sign * (c - p) > 0 for p, c in zip(runs["parent"], runs["change"]))
             entry["resolved"] = all(entry[side]["q3"] - entry[side]["q1"]
                                     <= spec["bound"] * abs(entry[side]["median"]) for side in SIDES)
+            parent, change = entry["parent"]["median"], entry["change"]["median"]
+            entry["regressed"] = sign * (parent - change) > spec["bound"] * abs(parent)
         entry["parent_runs"] = runs["parent"]
         entry["change_runs"] = runs["change"]
         out["metrics"][name] = entry
@@ -128,7 +133,9 @@ def main(argv=None) -> int:
                 "fresh copies with no __pycache__ and PYTHONDONTWRITEBYTECODE=1; wins counts "
                 "the pairs where the change reads better, ties counting for neither; resolved "
                 "is false when a side's q3 - q1 exceeds the metric's BENCHMARK.json bound "
-                "times its median; *_runs list every run in pair order",
+                "times its median; regressed is true when the change's median is worse than "
+                "the parent's by more than the bound times the parent's median; *_runs list "
+                "every run in pair order",
         "env": {"nproc": os.cpu_count(), "python": platform.python_version()},
         "workloads": {},
         "series": {},

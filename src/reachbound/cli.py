@@ -169,6 +169,8 @@ def cmd_plot(args) -> int:
     proj = tuple(args.proj) if args.proj else (0, 1)
     if proj[0] == proj[1]:
         raise ValueError(f"projection {proj} needs two different output dimensions")
+    if min(proj) < 0:
+        raise ValueError(f"projection {proj} needs nonnegative output dimensions")
     layers = []
     for path, color in (
         (args.full_cells, CELL_FULL_COLOR),
@@ -186,7 +188,7 @@ def cmd_plot(args) -> int:
         dims.append(safe.dim)
     if any(d > 2 for d in dims) and args.proj is None:
         raise ValueError("data has more than 2 output dimensions; pass --proj i j")
-    if any(not 0 <= p < d for p in proj for d in dims):
+    if any(p >= d for p in proj for d in dims):
         raise ValueError(f"projection {proj} out of range for {min(dims)} output dimensions")
     svg = render_svg(layers, mc_points, safe, proj)
     Path(args.out).write_text(svg, encoding="utf-8")

@@ -13,18 +13,21 @@ bound that holds in any summation order.  Both domains take batched cells:
 (`_map_row_blocks`).  A box gives a zonotope one generator per dimension,
 zero where its width is zero, so faces, points and grid cells share one
 generator count in a batch.  Both passes read each layer's weight operands
-as the `Layer` prepared them once (`intervals._Operands`).  The zonotope
-pass keeps a block's centers and generators in one ``[c; G]`` array of
-shape ``(1 + g, rows, d)`` per layer, and its kernels (`_box_rows`,
-`_affine_rows`, `_activation_rows`, `_hull`) are also what the one-cell
-functions `zono_from_box`, `zono_affine`, `zono_activation` and
-`Zonotope.hull_arrays` call.  Neither domain checks values mid-pass: a NaN or
-infinity propagates to the output hull, and `Box` refuses it (see `_down`).
+as the `Layer` prepared them once (`intervals._Operands`).  Zonotopes have
+one layout, the `Zonotope` record ``(rows, slack)``: the centers and
+generators in one ``[c; G]`` array of shape ``(1 + g, ..., d)`` and the
+slack apart.  The pass keeps one such pair per layer for a block of cells,
+and the one-cell functions `zono_from_box`, `zono_affine`, `zono_activation`
+and `Zonotope.hull_arrays` call its kernels (`_box_rows`, `_affine_rows`,
+`_activation_rows`, `_hull`) on one record.  Neither domain checks values
+mid-pass: a NaN or infinity propagates to the output hull, and `Box`
+refuses it (see `_down`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
 import numpy as np
 
 from .intervals import (
@@ -113,55 +116,27 @@ def box_propagate_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
 # zonotopes
 
 
-@dataclass(frozen=True)
-class Zonotope:
-    """Affine sets c + G eps with eps in [-1,1]^g, plus a rounding slack box.
+class Zonotope(NamedTuple):
+    """Zonotopes ``{c + G eps : eps in [-1,1]^g}`` plus a rounding slack box, as the pass holds them.
 
-    ``center`` and ``slack`` are ``(..., d)``.  ``generators`` is
-    generator-major, ``(g, ..., d)``: ``generators[j]`` is generator j of
-    every zonotope in the batch, so the leading axes after the first index a
-    batch that shares one generator count, a sum over the generators runs
-    over the outermost, contiguous axis, and the generators of a batch are
-    the rows of one 2-D matrix.  Construction checks shapes and the slack's
-    sign, not finiteness: a non-finite value gives non-finite hull ends.
+    ``rows`` is ``[c; G]``, shape ``(1 + g, ..., d)``: ``rows[0]`` holds the
+    centers and ``rows[1:]`` the generators, generator-major, so the axes
+    after the first index a batch that shares one generator count, a sum
+    over the generators runs over the outermost, contiguous axis, and the
+    centers and generators of a batch are the rows of one 2-D matrix.
+    ``slack`` is a nonnegative ``(..., d)`` array.
     """
 
-    center: np.ndarray
-    generators: np.ndarray
-    slack: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        g = np.asarray(self.generators, dtype=float)
-        if c.ndim < 1:
-            raise ValueError("zonotope center must be a vector")
-        if g.shape[1:] != c.shape:
-            raise ValueError("generators must be a (count, ..., dim) array matching the center")
-        s = self.slack
-        s = np.zeros_like(c) if s is None else np.asarray(s, dtype=float)
-        if s.shape != c.shape or np.any(s < 0):
-            raise ValueError("slack must be a nonnegative vector matching the center")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "generators", g)
-        object.__setattr__(self, "slack", s)
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[-1]
+    rows: np.ndarray
+    slack: np.ndarray
 
     def hull_arrays(self):
         """Outward-rounded interval hulls, ``(lo, hi)`` of shape (..., d); see `_hull`."""
-        return _hull(self.center, self.generators, self.slack)
+        return _hull(self.rows, self.slack)
 
 
-# The array kernels of the zonotope pass.  A batch's centers and generators
-# are one array ``rows`` of shape ``(1 + g, ..., d)``: ``rows[0]`` holds the
-# centers and ``rows[1:]`` the generators, generator-major as in `Zonotope`,
-# and the slack is a separate ``(..., d)`` array.
-
-
-def _hull(center, gens, slack, spare=None):
-    """Outward-rounded interval hulls ``(lo, hi)`` of zonotopes ``(center, gens, slack)``.
+def _hull(rows, slack, spare=None):
+    """Outward-rounded interval hulls ``(lo, hi)`` of zonotopes ``(rows, slack)``.
 
     Dimension i lies within ``r_i + slack_i`` of ``c_i``, ``r_i = sum_j |G_ij|``.
     The float sum of g nonnegative terms, in any order, undershoots
@@ -175,6 +150,7 @@ def _hull(center, gens, slack, spare=None):
 
     ``spare``, a dead contiguous array, holds ``|G|`` when it is large enough.
     """
+    center, gens = rows[0], rows[1:]
     g = gens.shape[0]
     mags = None
     if spare is not None and spare.size >= gens.size:
@@ -270,7 +246,7 @@ def _activation_rows(out, slack, activation: str, spare=None):
         raise ValueError(f"no zonotope transformer for activation {activation!r}")
     g = out.shape[0] - 1 - out.shape[-1]
     head = out[:1 + g]
-    l, u = _hull(head[0], head[1:], slack, spare)
+    l, u = _hull(head, slack, spare)
     fl = act.f(l)
     fu = act.f(u)
     lam = _act_slope_arrays(activation, l, u)
@@ -286,20 +262,17 @@ def _activation_rows(out, slack, activation: str, spare=None):
 
 def zono_from_box(cell: Box) -> Zonotope:
     """Axis-aligned zonotope covering a box; a zero-width dimension gets a zero generator."""
-    rows, slack = _box_rows(cell.lo, cell.hi)
-    return Zonotope(rows[0], rows[1:], slack)
+    return Zonotope(*_box_rows(cell.lo, cell.hi))
 
 
 def zono_affine(z: Zonotope, w: np.ndarray, b: np.ndarray) -> Zonotope:
     """Image of zonotopes under x -> w x + b (exact up to absorbed rounding); see `_affine_rows`."""
     w = np.asarray(w, dtype=float)
-    if w.shape[1] != z.dim:
-        raise ValueError(f"affine map expects dimension {w.shape[1]}, zonotope has {z.dim}")
-    rows = np.empty((1 + z.generators.shape[0],) + z.center.shape)
-    rows[0] = z.center
-    rows[1:] = z.generators
-    out, slack = _affine_rows(rows, z.slack, _operands(w, b))
-    return Zonotope(out[0], out[1:], slack)
+    d = z.rows.shape[-1]
+    if w.shape[1] != d:
+        raise ValueError(f"affine map expects dimension {w.shape[1]}, zonotope has {d}")
+    # `_affine_rows` overwrites its rows with their magnitudes
+    return Zonotope(*_affine_rows(z.rows.copy(), z.slack, _operands(w, b)))
 
 
 def zono_activation(z: Zonotope, activation: str) -> Zonotope:
@@ -309,12 +282,9 @@ def zono_activation(z: Zonotope, activation: str) -> Zonotope:
     """
     if _lookup(activation).linear:
         return z
-    g = z.generators.shape[0]
-    out = np.empty((1 + g + z.dim,) + z.center.shape)
-    out[0] = z.center
-    out[1:1 + g] = z.generators
-    slack = _activation_rows(out, z.slack, activation)
-    return Zonotope(out[0], out[1:], slack)
+    rows = z.rows
+    out = np.concatenate([rows, np.empty((rows.shape[-1],) + rows.shape[1:])])
+    return Zonotope(out, _activation_rows(out, z.slack, activation))
 
 
 def zono_propagate(net: Network, lo: np.ndarray, hi: np.ndarray):
@@ -326,11 +296,12 @@ def zono_propagate(net: Network, lo: np.ndarray, hi: np.ndarray):
     for its fresh generators: `_affine_rows` writes the affine image into its
     head with the layer's prepared operands, `_activation_rows` scales it in
     place and writes the fresh generators, and the dead input array serves
-    as scratch for the hull.  No `Zonotope` is built on the way.  The
-    one-cell functions `zono_from_box`, `zono_affine`, `zono_activation` and
-    `hull_arrays` wrap the same kernels, and `_box_rows` pads a zero-width
-    dimension with a zero generator too, so a cell has the same generator
-    count and error terms in a block as alone.  Each product is one
+    as scratch for the hull.  The arrays and the slack are a `Zonotope`
+    record's ``(rows, slack)``, held without building one.  The one-cell
+    functions `zono_from_box`, `zono_affine`, `zono_activation` and
+    `hull_arrays` call the same kernels on one record, and `_box_rows` pads
+    a zero-width dimension with a zero generator too, so a cell has the same
+    generator count and error terms in a block as alone.  Each product is one
     matrix-matrix call over all rows of the block, so the hull equals the
     one-cell chain wherever BLAS gives a row the same bits at every row
     count: on the layer shapes where the box pass keeps its bits across
@@ -345,6 +316,6 @@ def zono_propagate(net: Network, lo: np.ndarray, hi: np.ndarray):
             if fresh:
                 slack = _activation_rows(out, slack, layer.activation, rows)
             rows, spare = out, rows
-        return _hull(rows[0], rows[1:], slack, spare)
+        return _hull(rows, slack, spare)
 
     return _map_row_blocks(net, layers, lo, hi, ((net.output_dim,),) * 2)

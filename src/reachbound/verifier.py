@@ -23,6 +23,7 @@ and such a point is not covered.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -66,6 +67,14 @@ FALSIFIED = "falsified"
 MODES = ("boundary", "subset", "full", "auto")
 
 
+def _index(name: str, value) -> int:
+    """``value`` as an int, read through `operator.index`: a float or a string is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class VerificationProblem:
     net: Network
@@ -79,6 +88,8 @@ class VerificationProblem:
     falsify_samples: int = 0  # 0 disables counterexample search
 
     def __post_init__(self):
+        for name in ("max_refinements", "seed", "falsify_samples"):
+            object.__setattr__(self, name, _index(name, getattr(self, name)))
         if self.max_refinements < 0 or self.falsify_samples < 0:
             raise ValueError("max_refinements and falsify_samples must be nonnegative")
         if self.seed < 0:
@@ -140,6 +151,7 @@ def monte_carlo(
     function of the seed, independent of batching.  A ``safe`` box must have
     the network's output dimension, or it would broadcast over the outputs.
     """
+    n, seed = _index("sample count", n), _index("seed", seed)
     if n < 1:
         raise ValueError("sample count must be at least 1")
     if seed < 0:

@@ -722,10 +722,11 @@ PLOT_MC = "x0,x1,y0,y1\n0.5,0.5,0.1,0.2\n"
         ({"--mc": PLOT_MC}, ["--proj", "0", "5"]),
         ({}, ["--safe", "-1,1;-1,1", "--proj", "0", "5"]),
         ({"--full-cells": PLOT_CELLS}, ["--proj", "0", "-3"]),
+        ({"--full-cells": PLOT_CELLS.splitlines()[0]}, ["--proj", "0", "-1"]),
         ({"--full-cells": PLOT_CELLS}, ["--proj", "1", "1"]),
     ],
     ids=["empty-mc", "short-cell-row", "short-mc-row", "proj-past-mc", "proj-past-safe",
-         "negative-proj", "same-proj"],
+         "negative-proj", "negative-proj-no-data", "same-proj"],
 )
 def test_plot_bad_input_exits_3(tmp_path, capsys, files, extra):
     argv = ["plot", "--out", str(tmp_path / "p.svg"), *extra]

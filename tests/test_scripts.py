@@ -139,10 +139,20 @@ def test_bench_pairs_summarizes_canned_runs():
     assert ns["summarize"](pairs, at_bound)["metrics"]["verify_ms_p50"]["resolved"] is True
     tighter = {"verify_ms_p50": {"better": "lower", "bound": 0.49}}
     assert ns["summarize"](pairs, tighter)["metrics"]["verify_ms_p50"]["resolved"] is False
+    # neither median is worse than the parent's; exactly at the bound does not regress
+    assert pps["regressed"] is False and p50["regressed"] is False
+    for better, worse in (("lower", 2.5), ("higher", 1.5)):
+        pair = [(parse(bench_run_line(100.0, 2.0)), parse(bench_run_line(100.0, worse)))]
+        for bound, regressed in ((0.3, False), (0.25, False), (0.2, True)):
+            spec = {"verify_ms_p50": {"better": better, "bound": bound}}
+            p50 = ns["summarize"](pair, spec)["metrics"]["verify_ms_p50"]
+            assert p50["regressed"] is regressed, (better, bound)
+            assert p50["wins"] == 0
     one = ns["summarize"](pairs[:1], {})
     assert one["metrics"]["problems_per_s"]["change"] == {"median": 120.0, "q1": 120.0, "q3": 120.0}
     assert "wins" not in one["metrics"]["problems_per_s"]
     assert "resolved" not in one["metrics"]["problems_per_s"]
+    assert "regressed" not in one["metrics"]["problems_per_s"]
     old = {"series": {"planar-zono": {"metrics": {"problems_per_s": {"change": {"median": 99.0}}}}}}
     delta = ns["baseline_delta"]({"planar-zono": series}, old, "BENCH_25")
     assert delta == {"planar-zono": {"problems_per_s": {"BENCH_25_change_median": 99.0,

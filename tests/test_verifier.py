@@ -573,6 +573,23 @@ def test_problem_validation(unit_square, invertible_net):
         problem(invertible_net, unit_square, unit_square, seed=-1)
 
 
+@pytest.mark.parametrize("value", [1.5, "1"])
+@pytest.mark.parametrize("field", ["max_refinements", "falsify_samples", "seed"])
+def test_problem_refuses_a_count_that_is_not_an_integer(unit_square, invertible_net, field,
+                                                         value):
+    # refused at construction, before `verify` builds a grid or draws a sample
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        problem(invertible_net, unit_square, unit_square, **{field: value})
+
+
+@pytest.mark.parametrize("value", [1.5, "1"])
+def test_monte_carlo_refuses_a_count_that_is_not_an_integer(unit_square, invertible_net, value):
+    with pytest.raises(ValueError, match="sample count must be an integer"):
+        rb.monte_carlo(invertible_net, unit_square, value, seed=0)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        rb.monte_carlo(invertible_net, unit_square, 10, seed=value)
+
+
 # each path's builder, called on a unit box of the counts' dimension
 _BUILDERS = {
     "full": topology.grid_cell_batch,
