@@ -7,10 +7,10 @@ Builds the problems of every workload in ``perfbench/workloads.py`` for each
 seed, then runs all of them once under each source tree, each tree in its
 own subprocess with ``PYTHONPATH`` set to that tree's ``src`` directory.
 Each problem's record is its verdict document (`reports.verdict_document`)
-without the timing stats (keys ending in ``_ms``), plus a cell digest, a
-SHA-256 over the verdict's ``cell_batch`` (``index`` as int64, ``out_lo``
-and ``out_hi``), and the workload's oracle sample.  A problem is listed
-when any field differs: its status, a stat, the counterexample, the cell
+without the timing stats (keys ending in ``_ms``), plus a cell digest
+(`cell_digest`: a SHA-256 over the verdict's ``cell_batch``, its lattice
+ranges, bounds and output hulls), and the workload's oracle sample.  A
+problem is listed when any field differs: its status, a stat, the counterexample, the cell
 digest or its output hull.  For a moved hull the listing says
 whether it lies inside the parent's hull (within 1e-9 per endpoint),
 whether it still encloses the oracle sample (a hull of ``boundary`` mode,
@@ -46,8 +46,18 @@ def run_tree(src: Path, manifests: list, out: Path) -> dict:
     return json.loads(out.read_text(encoding="utf-8"))
 
 
-def worker(out: str, manifests: list) -> None:
+def cell_digest(batch) -> str:
+    """SHA-256 over a batch's ``index`` and ``b`` as int64, ``lo``, ``hi``, ``out_lo``, ``out_hi``."""
     import numpy as np
+
+    digest = hashlib.sha256()
+    for arr in (np.asarray(batch.index, dtype=np.int64), np.asarray(batch.b, dtype=np.int64),
+                batch.lo, batch.hi, batch.out_lo, batch.out_hi):
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+def worker(out: str, manifests: list) -> None:
     import probe
     import reachbound as rb
     from reachbound.reports import verdict_document
@@ -61,12 +71,9 @@ def worker(out: str, manifests: list) -> None:
         nets = probe.read_models(rb, manifest)
         for p in manifest["problems"]:
             v = rb.verify(probe.build_problem(rb, manifest, nets, p))
-            cells, digest = v.cell_batch, hashlib.sha256()
-            for arr in (np.asarray(cells.index, dtype=np.int64), cells.out_lo, cells.out_hi):
-                digest.update(arr.tobytes())
             record = verdict_document(v)
             record["stats"] = {k: s for k, s in record["stats"].items() if not k.endswith("_ms")}
-            record.update(cells=digest.hexdigest(), oracle=manifest["oracle"][p["net"]])
+            record.update(cells=cell_digest(v.cell_batch), oracle=manifest["oracle"][p["net"]])
             records[f"{manifest['key']}/{p['pid']}"] = record
     Path(out).write_text(json.dumps(records), encoding="utf-8")
 

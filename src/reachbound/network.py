@@ -13,6 +13,7 @@ does: their fields hold arrays.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,8 +35,22 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _index(name: str, value) -> int:
+    """``value`` as an int, read through `operator.index`: a bool, a float or a string is refused.
+
+    The one integer rule for counts, sizes and seeds: ``True`` is an int to
+    `operator.index`, but a flag passed where a count belongs is an error.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -209,20 +224,14 @@ def jacobian_batch(net: Network, xs: np.ndarray) -> np.ndarray:
     return jac
 
 
-def generate_network(
-    seed: int,
-    dims,
-    activation: str = "tanh",
-    scale: float = 1.0,
-    output_activation: str = "linear",
-) -> Network:
+def generate_network(seed: int, dims, activation: str = "tanh", scale: float = 1.0) -> Network:
     """Deterministic seeded network with uniform weights in [-scale, scale].
 
-    Hidden layers use `activation`; the final layer uses `output_activation`.
-    The counter-based Philox generator makes equal seeds give bit-identical
+    Hidden layers use `activation`; the output layer is linear.  The
+    counter-based Philox generator makes equal seeds give bit-identical
     networks.
     """
-    dims = [int(d) for d in dims]
+    dims = [_index("layer size", d) for d in dims]
     if len(dims) < 2:
         raise ValueError("dims must list input and output sizes")
     if any(d < 1 for d in dims):
@@ -235,5 +244,5 @@ def generate_network(
     for k in range(len(dims) - 1):
         w = rng.uniform(-scale, scale, size=(dims[k + 1], dims[k]))
         b = rng.uniform(-scale, scale, size=dims[k + 1])
-        layers.append(Layer(w, b, output_activation if k == last else activation))
+        layers.append(Layer(w, b, "linear" if k == last else activation))
     return Network(tuple(layers))

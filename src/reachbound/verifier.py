@@ -23,7 +23,6 @@ and such a point is not covered.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -36,7 +35,7 @@ from .domains import (
     normalize_domain,
     zono_propagate,
 )
-from .network import Network, forward_batch, forward_point
+from .network import Network, _index, forward_batch, forward_point
 from .topology import (
     CellBatch,
     CellBudgetError,
@@ -65,14 +64,6 @@ UNKNOWN = "unknown"
 FALSIFIED = "falsified"
 
 MODES = ("boundary", "subset", "full", "auto")
-
-
-def _index(name: str, value) -> int:
-    """``value`` as an int, read through `operator.index`: a float or a string is refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

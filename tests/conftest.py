@@ -181,7 +181,7 @@ def ref_extract_subset(net, input_box, counts):
             passed = _passes_row_test(net, *grid.range_bounds(a, b))
             a, b = a[~passed], b[~passed]
     index = np.argwhere(kept)
-    return SubsetExtraction(grid, index, index + 1), levels
+    return SubsetExtraction(grid, index, index + 1, *grid.range_bounds(index, index + 1)), levels
 
 
 def kept_whole_mask(grid, levels) -> np.ndarray:
@@ -240,8 +240,10 @@ def deep_nets(draw, square=True):
         [n, *hidden, m],
         draw(st.sampled_from(["tanh", "sigmoid"])),
         draw(st.floats(0.3, 2.0)),
-        draw(st.sampled_from(["linear", "sigmoid"])),
     )
+    last = net.layers[-1]  # the generated output layer is linear; some nets take a sigmoid
+    output = rb.Layer(last.weights, last.bias, draw(st.sampled_from(["linear", "sigmoid"])))
+    net = rb.Network(net.layers[:-1] + (output,))
     return net, draw(st.integers(0, 2**16))
 
 

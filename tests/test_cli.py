@@ -787,9 +787,9 @@ def test_csv_writers_exact_bytes(tmp_path):
     # repr round-trips every float: the sign of -0.0 and all 17 digits of 0.1 + 0.2
     third = 0.1 + 0.2
     index = np.array([[0, 1], [2, 0]])
-    batch = CellBatch(rb.CellGrid(rb.Box.from_bounds([(0, 1), (0, 1)]), (3, 2)), index,
-                      index + 1, np.array([[-0.0, third], [1e-300, -2.5]]),
-                      np.array([[0.0, 0.5], [1.0, 2.0]]))
+    grid = rb.CellGrid(rb.Box.from_bounds([(0, 1), (0, 1)]), (3, 2))
+    batch = CellBatch(grid, index, index + 1, *grid.range_bounds(index, index + 1),
+                      np.array([[-0.0, third], [1e-300, -2.5]]), np.array([[0.0, 0.5], [1.0, 2.0]]))
     certification = (
         np.array([[1, 2], [3, 4]]), np.array([-0.0, third]),
         np.array([0.0, 1.7976931348623157e308]), np.array([False, True]),

@@ -189,6 +189,14 @@ def test_generate_rejects_bad_args():
         rb.generate_network(0, [2, 3], scale=0.0)
 
 
+@pytest.mark.parametrize("dims", [(2.5, 4, 2), (2, "4", 2), (2, True, 2), (2, 4, 2.0)],
+                         ids=["float", "string", "bool", "integral-float"])
+def test_generate_refuses_a_layer_size_that_is_not_an_integer(dims):
+    with pytest.raises(ValueError, match="layer size must be an integer, got "):
+        rb.generate_network(0, dims)
+    assert rb.generate_network(0, (2, np.int64(4), 2)).dims() == (2, 4, 2)
+
+
 @pytest.mark.parametrize(
     "call",
     [

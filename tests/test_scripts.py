@@ -8,7 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import reachbound as rb
+from reachbound.topology import CellBatch, grid_cell_batch
+from reachbound.verifier import propagate_cells
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,6 +60,22 @@ def test_manifest_diff_finds_no_difference_between_a_tree_and_itself(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["88 problems, 0 with differences"]
+
+
+def test_manifest_diff_cell_digest_reads_the_ranges_and_bounds():
+    cell_digest = runpy.run_path(str(ROOT / "scripts" / "manifest_diff.py"))["cell_digest"]
+    net = rb.generate_network(0, (2, 4, 2))
+    batch = propagate_cells(net, grid_cell_batch(rb.Box.from_bounds([(0, 1)] * 2), (3, 3)), "box")
+    digest = cell_digest(batch)
+    assert digest == cell_digest(batch) and len(digest) == 64
+    moved = batch.lo.copy()
+    moved[4, 1] = np.nextafter(moved[4, 1], -np.inf)
+    assert cell_digest(CellBatch(batch.grid, batch.index, batch.b, moved, batch.hi,
+                                 batch.out_lo, batch.out_hi)) != digest
+    b = batch.b.copy()
+    b[4, 0] += 1
+    assert cell_digest(CellBatch(batch.grid, batch.index, b, batch.lo, batch.hi,
+                                 batch.out_lo, batch.out_hi)) != digest
 
 
 @pytest.mark.parametrize("field, value", [

@@ -53,18 +53,25 @@ def test_grid_cell_bounds_are_the_gathered_edges(bounds, counts):
     assert batch.lo.shape == batch.hi.shape == (np.prod(counts), len(counts))
     assert batch.lo.flags.c_contiguous and batch.hi.flags.c_contiguous
     assert batch.out_lo is None and batch.out_hi is None
-    # every attribute the constructor sets, and no other
-    assert vars(batch).keys() == vars(CellBatch(batch.grid, batch.index[:1], batch.b[:1])).keys()
+    # every attribute the full constructor sets, and no other
+    full = CellBatch(batch.grid, batch.index[:1], batch.b[:1], batch.lo[:1], batch.hi[:1])
+    assert vars(batch).keys() == vars(full).keys()
 
 
-def test_cell_batch_positional_constructor_reads_the_edges():
-    grid = topology.CellGrid(rb.Box.from_bounds([(0, 1), (0, 1)]), (3, 2))
-    index = np.array([[0, 1], [2, 0]])
-    out_lo, out_hi = np.zeros((2, 2)), np.ones((2, 2))
-    batch = CellBatch(grid, index, index + 1, out_lo, out_hi)
-    assert batch.out_lo is out_lo and batch.out_hi is out_hi
-    assert np.array_equal(batch.lo, [[0.0, 0.5], [2 / 3, 0.0]])
-    assert np.array_equal(batch.hi, [[1 / 3, 1.0], [1.0, 0.5]])
+_COUNT_BUILDERS = {
+    "grid": topology.grid_cell_batch,
+    "faces": boundary_cell_batch,
+    "subset": lambda box, counts: topology.extract_subset(make_net(), box, counts),
+    "CellGrid": rb.CellGrid,
+}
+
+
+@pytest.mark.parametrize("counts", [(2.7, 3), ("3", "2"), (True, 3), (5, 5.0)],
+                         ids=["float", "string", "bool", "integral-float"])
+@pytest.mark.parametrize("build", list(_COUNT_BUILDERS.values()), ids=list(_COUNT_BUILDERS))
+def test_counts_must_be_integers(unit_square, build, counts):
+    with pytest.raises(ValueError, match=r"subdivision count must be an integer, got "):
+        build(unit_square, counts)
 
 
 # ---------------------------------------------------------------------------

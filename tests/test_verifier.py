@@ -50,7 +50,8 @@ def test_verify_example_style_safe_set(unit_square, invertible_net):
 
 @pytest.mark.parametrize("grid, message", [
     ("12", "sequence"), (4, "sequence"), ((2.7,), "integer counts"), ((4, 2.0), "integer counts"),
-], ids=["string", "int", "float", "integral-float"])
+    ((True,), "integer counts"),
+], ids=["string", "int", "float", "integral-float", "bool"])
 def test_grid_counts_are_integers(unit_square, invertible_net, grid, message):
     with pytest.raises(ValueError, match=message):
         problem(invertible_net, unit_square, unit_square, grid=grid)
@@ -573,7 +574,7 @@ def test_problem_validation(unit_square, invertible_net):
         problem(invertible_net, unit_square, unit_square, seed=-1)
 
 
-@pytest.mark.parametrize("value", [1.5, "1"])
+@pytest.mark.parametrize("value", [1.5, "1", True])
 @pytest.mark.parametrize("field", ["max_refinements", "falsify_samples", "seed"])
 def test_problem_refuses_a_count_that_is_not_an_integer(unit_square, invertible_net, field,
                                                          value):
@@ -582,7 +583,7 @@ def test_problem_refuses_a_count_that_is_not_an_integer(unit_square, invertible_
         problem(invertible_net, unit_square, unit_square, **{field: value})
 
 
-@pytest.mark.parametrize("value", [1.5, "1"])
+@pytest.mark.parametrize("value", [1.5, "1", True])
 def test_monte_carlo_refuses_a_count_that_is_not_an_integer(unit_square, invertible_net, value):
     with pytest.raises(ValueError, match="sample count must be an integer"):
         rb.monte_carlo(invertible_net, unit_square, value, seed=0)
