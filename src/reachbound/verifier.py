@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import topology
 from .domains import (
     Box,
     box_propagate_arrays,
@@ -83,6 +84,7 @@ class VerificationProblem:
             object.__setattr__(self, name, _index(name, getattr(self, name)))
         if self.max_refinements < 0 or self.falsify_samples < 0:
             raise ValueError("max_refinements and falsify_samples must be nonnegative")
+        _check_sample_budget(self.falsify_samples)
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.input_box.dim != self.net.input_dim:
@@ -133,6 +135,13 @@ class MonteCarloResult:
     violations: np.ndarray  # inputs whose images leave the safe box
 
 
+def _check_sample_budget(n: int) -> None:
+    """Refuse more than `topology.CELL_BUDGET` samples, before any is drawn."""
+    if n > topology.CELL_BUDGET:
+        raise ValueError(f"sample count {n} is more than the budget of {topology.CELL_BUDGET}; "
+                         "refusing to allocate it")
+
+
 def monte_carlo(
     net: Network, region: Box, n: int, seed: int, safe: Optional[Box] = None
 ) -> MonteCarloResult:
@@ -141,10 +150,13 @@ def monte_carlo(
     The counter-based Philox generator makes the sample sequence a pure
     function of the seed, independent of batching.  A ``safe`` box must have
     the network's output dimension, or it would broadcast over the outputs.
+    All ``n`` points are drawn and evaluated at once, so ``n`` past
+    `topology.CELL_BUDGET` is refused as a grid level is.
     """
     n, seed = _index("sample count", n), _index("seed", seed)
     if n < 1:
         raise ValueError("sample count must be at least 1")
+    _check_sample_budget(n)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     if safe is not None and safe.dim != net.output_dim:
@@ -157,7 +169,10 @@ def monte_carlo(
     if safe is None:
         violations = np.empty((0, region.dim))
     else:
-        bad = np.any(images < safe.lo, axis=1) | np.any(images > safe.hi, axis=1)
+        # one column at a time: a row-wise any() over (n, d) is NumPy's slow path
+        bad = np.zeros(n, dtype=bool)
+        for col, lo, hi in zip(images.T, safe.lo, safe.hi):
+            bad |= (col < lo) | (col > hi)
         violations = points[bad]
     return MonteCarloResult(points, images, hull, violations)
 
@@ -180,22 +195,30 @@ def verify(problem: VerificationProblem) -> Verdict:
     gradient is zero.  ``stats["path"]`` names the set propagated.  A level
     is Safe when the safe box contains its hull, a `Box`.  In every mode the
     grid doubles on Unknown up to ``max_refinements`` times (`grid_counts`)
-    unless the box has no width.  An Unknown verdict becomes Falsified when
-    Monte-Carlo sampling finds an input whose exact image leaves the safe box.
+    unless the box has no width.
+
+    With ``falsify_samples`` set, an Unknown level 0 draws one Monte-Carlo
+    sample of the input box before any refinement (`monte_carlo`).  The
+    sample depends on the box, the count and the seed only, so drawing it
+    again at a later level would find the same points.  If a sampled input's
+    image, re-checked as one point (`forward_point`), leaves the safe box,
+    the verdict is Falsified with level 0's hull and cells; if none does,
+    the grid refines as without falsification.  A Safe level 0 draws nothing.
 
     Each level's builder refuses a level past `topology.CELL_BUDGET` with
     `CellBudgetError`, a ValueError, before it builds the level's grid.  At
     level 0 that error ends `verify`; at a refinement level, refining stops
     and the verdict, hull, cells and ``refinement_level`` of the level before
-    it stand, and falsification runs on them.
+    it stand.
 
-    ``stats`` times two phases over all refinement levels: ``certify_ms``
-    (the whole-box row test and subset extraction) and ``propagate_ms``
-    (propagating the required cells).
+    ``stats`` times three phases: ``certify_ms`` (the whole-box row test and
+    subset extraction) and ``propagate_ms`` (propagating the required cells),
+    both over all refinement levels, and ``falsify_ms`` (the one sample and
+    its re-checks, 0.0 when it is not drawn).
     """
     started = time.perf_counter()
     net = problem.net
-    stats = {"mode": problem.mode, "certify_ms": 0.0, "propagate_ms": 0.0}
+    stats = {"mode": problem.mode, "certify_ms": 0.0, "propagate_ms": 0.0, "falsify_ms": 0.0}
     path = problem.mode
     if path in ("subset", "auto"):
         phase = time.perf_counter()
@@ -206,7 +229,7 @@ def verify(problem: VerificationProblem) -> Verdict:
     if path == "boundary":
         stats["assumes_invertible"] = problem.mode == "boundary"
 
-    safe, counts = problem.safe_box, None
+    safe, counts, counterexample = problem.safe_box, None, None
     for level in range(problem.max_refinements + 1):
         last, counts = counts, grid_counts(problem.grid, problem.input_box, level)
         if counts == last:
@@ -235,16 +258,17 @@ def verify(problem: VerificationProblem) -> Verdict:
         ok = safe.contains_box(hull)
         if ok:
             break
-    stats.update(cells_propagated=batch.count, refinement_level=done)
-    verdict = Verdict(SAFE if ok else UNKNOWN, stats, hull, cell_batch=batch)
-
-    if not ok and problem.falsify_samples > 0:
-        mc = monte_carlo(net, problem.input_box, problem.falsify_samples, problem.seed, safe=safe)
-        for x in mc.violations:
+        if level == 0 and problem.falsify_samples > 0:  # the first Unknown level
+            phase = time.perf_counter()
+            mc = monte_carlo(net, problem.input_box, problem.falsify_samples, problem.seed,
+                             safe=safe)
             # promote only on an exact point re-check
-            if not safe.contains_point(forward_point(net, x)):
-                verdict.status = FALSIFIED
-                verdict.counterexample = x
+            counterexample = next((x for x in mc.violations
+                                   if not safe.contains_point(forward_point(net, x))), None)
+            stats["falsify_ms"] = (time.perf_counter() - phase) * 1e3
+            if counterexample is not None:
                 break
+    stats.update(cells_propagated=batch.count, refinement_level=done)
+    status = SAFE if ok else UNKNOWN if counterexample is None else FALSIFIED
     stats["wall_ms"] = (time.perf_counter() - started) * 1e3
-    return verdict
+    return Verdict(status, stats, hull, counterexample, cell_batch=batch)

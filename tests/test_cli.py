@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import inspect
 import json
 import os
@@ -107,21 +108,51 @@ def test_verify_falsified_exit_two(identity_model, capsys):
 def test_a_refinement_level_past_the_budget_keeps_the_last_verdict(
         tmp_path, capsys, monkeypatch, mode, last_level):
     # 256 cells: a 16x16 grid (level 2 from 4x4) or the faces of 64x64
-    # (level 4); refining stops there and the Unknown verdict is falsified
+    # (level 4); refining stops there and the verdict stays Unknown
     monkeypatch.setattr(rb.topology, "CELL_BUDGET", 256)
     model = tmp_path / "mixed.json"
     rb.write_model(make_net(**MIXED), model)
     code, out, err = run(
         capsys, "verify", "--model", str(model), "--input", "-1,1;-1,1",
         "--safe", "0,0.001;0,0.001", "--mode", mode, "--grid", "4", "--max-refine", "40",
-        "--falsify-samples", "10",
     )
     doc = json.loads(out)
-    assert code == 2 and err == "" and doc["status"] == "falsified"
+    assert code == 1 and err == "" and doc["status"] == "unknown"
     assert doc["stats"]["refinement_level"] == last_level
     stats = doc["stats"]
     assert stats.get("cells_total", stats["cells_propagated"]) == 256  # the subset's grid
     assert doc["output_hull"] is not None
+
+
+@pytest.mark.parametrize("mode", ["auto", "subset", "full", "boundary"])
+def test_falsification_stops_refining(tmp_path, capsys, mode):
+    # the level-0 sample holds a violation, so no level past 0 is built
+    model = tmp_path / "mixed.json"
+    rb.write_model(make_net(**MIXED), model)
+    argv = ["verify", "--model", str(model), "--input", "-1,1;-1,1",
+            "--safe", "0,0.001;0,0.001", "--mode", mode, "--grid", "4", "--falsify-samples", "10"]
+    docs, cells = [], []
+    for max_refine in ("40", "0"):
+        cells_out = tmp_path / f"cells{max_refine}.csv"
+        code, out, err = run(capsys, *argv, "--max-refine", max_refine,
+                             "--cells-out", str(cells_out))
+        assert code == 2 and err == ""
+        docs.append(json.loads(out))
+        cells.append(cells_out.read_bytes())
+    doc, level_zero = docs
+    assert doc["status"] == "falsified" and doc["stats"]["refinement_level"] == 0
+    stats = doc["stats"]
+    assert stats.get("cells_total", stats["cells_propagated"]) == 16  # 4x4, or its 16 faces
+    assert stats["falsify_ms"] > 0
+    # JSON floats round-trip, so equal documents are equal bits
+    assert doc["output_hull"] == level_zero["output_hull"]
+    assert doc["counterexample"] == level_zero["counterexample"]
+    assert cells[0] == cells[1]
+    problem = cli._problem_from_args(cli.build_parser().parse_args(argv + ["--max-refine", "40"]))
+    batches = [verifier.verify(dataclasses.replace(problem, max_refinements=k)).cell_batch
+               for k in (40, 0)]
+    for name in ("lo", "hi", "out_lo", "out_hi"):
+        assert getattr(batches[0], name).tobytes() == getattr(batches[1], name).tobytes()
 
 
 def test_verify_malformed_model_exit_three(tmp_path, capsys):
@@ -236,6 +267,20 @@ def test_negative_seed_exit_three(identity_model, capsys, argv):
     )
     assert code == 3 and out == ""
     assert err == "error: seed must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [("verify", "--falsify-samples"), ("mc", "--samples")],
+                         ids=" ".join)
+def test_a_sample_count_past_the_budget_exit_three(identity_model, capsys, monkeypatch, argv):
+    monkeypatch.setattr(rb.topology, "CELL_BUDGET", 100)
+    command, option = argv
+    safe = ("--safe", "-1,2;-1,2") if command == "verify" else ()
+    for count, code in (("100", 0), ("101", 3)):
+        got, out, err = run(capsys, command, "--model", identity_model, "--input", "0,1;0,1",
+                            *safe, option, count)
+        assert got == code
+    assert out == "" and err == "error: sample count 101 is more than the budget of 100; " \
+        "refusing to allocate it\n"
 
 
 def test_verify_missing_model_file_exit_three(capsys):
@@ -484,7 +529,7 @@ def test_compare_documents_are_the_verify_documents(tmp_path, capsys):
     argv = ["--model", str(model), "--input", "-1,1;-1,1", "--safe", "-9,9;-9,9", "--grid", "20"]
 
     def untimed(doc):
-        timings = ("wall_ms", "certify_ms", "propagate_ms")
+        timings = ("wall_ms", "certify_ms", "propagate_ms", "falsify_ms")
         return {**doc, "stats": {k: v for k, v in doc["stats"].items() if k not in timings}}
 
     code, _, _ = run(capsys, "compare", *argv, "--out", str(out_path))

@@ -40,16 +40,18 @@ def test_trace_hooks_are_reached():
     """`verify` in every mode and domain records a span on each hook but `UNREACHED_HOOKS`."""
     tracer = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"))
     net, box = make_net(**MIXED), reachbound.Box.from_bounds([(-1, 1), (-1, 1)])
-    safe = reachbound.Box.from_bounds([(-1e-3, 1e-3)] * 2)  # unknown: it refines and falsifies
+    # unknown: without samples it refines, and with them it falsifies at level 0
+    safe = reachbound.Box.from_bounds([(-1e-3, 1e-3)] * 2)
     spans = tracer["Tracer"]()
     spans.install()
     try:
         for mode in MODES:
             for domain in DOMAINS:
-                problem = reachbound.VerificationProblem(
-                    net, box, safe, domain=domain, mode=mode, grid=(8,), max_refinements=1,
-                    falsify_samples=256)
-                reachbound.verify(problem)
+                for samples in (0, 256):
+                    problem = reachbound.VerificationProblem(
+                        net, box, safe, domain=domain, mode=mode, grid=(8,), max_refinements=1,
+                        falsify_samples=samples)
+                    reachbound.verify(problem)
     finally:
         spans.uninstall()
     assert spans.missing == []

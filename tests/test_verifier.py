@@ -448,7 +448,13 @@ def test_phase_times_in_stats_and_document(mode):
     doc = verdict_document(v)
     for stats in (v.stats, doc["stats"]):
         assert stats["certify_ms"] >= 0 and stats["propagate_ms"] > 0
-        assert stats["certify_ms"] + stats["propagate_ms"] <= stats["wall_ms"]
+        assert stats["falsify_ms"] == 0.0  # no sample is drawn
+        assert stats["certify_ms"] + stats["propagate_ms"] + stats["falsify_ms"] <= stats["wall_ms"]
+    falsified = rb.verify(problem(net, box, safe, mode=mode, grid=(8, 8), max_refinements=1,
+                                  falsify_samples=64))
+    stats = falsified.stats
+    assert falsified.status == rb.FALSIFIED and stats["falsify_ms"] > 0
+    assert stats["certify_ms"] + stats["propagate_ms"] + stats["falsify_ms"] <= stats["wall_ms"]
     if mode in ("boundary", "full"):
         assert v.stats["certify_ms"] == 0
     else:
@@ -478,6 +484,19 @@ def test_monte_carlo_deterministic(unit_square, invertible_net):
     a = rb.monte_carlo(invertible_net, unit_square, 500, seed=9)
     b = rb.monte_carlo(invertible_net, unit_square, 500, seed=9)
     assert np.array_equal(a.points, b.points) and np.array_equal(a.images, b.images)
+
+
+def test_monte_carlo_violations_read_every_output(unit_square):
+    net = make_net(seed=5, dims=(2, 6, 3))
+    r = rb.monte_carlo(net, unit_square, 500, seed=3)
+    for k in range(3):  # a safe box that only output k can leave, on either side
+        lo, hi = np.full(3, -99.0), np.full(3, 99.0)
+        lo[k], hi[k] = np.quantile(r.images[:, k], [0.2, 0.7])
+        safe = rb.Box.from_arrays(lo, hi)
+        bad = np.any((r.images < lo) | (r.images > hi), axis=1)
+        assert 0 < bad.sum() < 500
+        violations = rb.monte_carlo(net, unit_square, 500, seed=3, safe=safe).violations
+        assert violations.tobytes() == r.points[bad].tobytes()
 
 
 def test_monte_carlo_refuses_a_safe_box_of_the_wrong_dimension(unit_square, invertible_net):
@@ -531,6 +550,82 @@ def test_no_falsification_by_default(unit_square):
         mode="full", grid=(4, 4),
     )
     assert rb.verify(p).status == rb.UNKNOWN
+
+
+def _counted_monte_carlo(monkeypatch):
+    """Route `verify`'s falsifier through a counter; returns the list of calls."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return rb.monte_carlo(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "monte_carlo", counting)
+    return calls
+
+
+@pytest.mark.parametrize("safe, samples, status, level, draws", [
+    ("sampled", 256, rb.UNKNOWN, 2, 1),  # Unknown at every level: one sample, at level 0
+    ("wide", 256, rb.SAFE, 0, 0),  # Safe at level 0: nothing to falsify
+    ("sampled", 0, rb.UNKNOWN, 2, 0),
+], ids=["unknown", "safe", "no-samples"])
+def test_the_falsifier_runs_at_most_once(monkeypatch, safe, samples, status, level, draws):
+    net, box = make_net(**MIXED), rb.Box.from_bounds([(-1, 1), (-1, 1)])
+    # "sampled" holds the 256 points the falsifier draws, so it finds no violation
+    safe_box = {"sampled": mc_safe(net, box, 1.01, n=256, seed=0),
+                "wide": rb.Box.from_bounds([(-99, 99)] * 2)}[safe]
+    calls = _counted_monte_carlo(monkeypatch)
+    v = rb.verify(problem(net, box, safe_box, mode="full", grid=(4, 4), max_refinements=2,
+                          falsify_samples=samples))
+    assert v.status == status and v.stats["refinement_level"] == level
+    assert len(calls) == draws and (v.stats["falsify_ms"] > 0) == (draws == 1)
+
+
+def test_a_verdict_safe_after_refining_draws_one_sample_and_keeps_its_hull(monkeypatch):
+    net, box = make_net(**MIXED), rb.Box.from_bounds([(-1, 1), (-1, 1)])
+    wide = rb.Box.from_bounds([(-99, 99)] * 2)
+    coarse, fine = (rb.verify(problem(net, box, wide, mode="full", grid=(4 * 2**k,))).output_hull
+                    for k in (0, 1))
+    # a safe box between the two levels' hulls: Unknown at level 0, Safe at level 1
+    between = rb.Box.from_arrays((coarse.lo + fine.lo) / 2, (coarse.hi + fine.hi) / 2)
+    plain = problem(net, box, between, mode="full", grid=(4,), max_refinements=1)
+    expected = rb.verify(plain)
+    assert expected.status == rb.SAFE and expected.stats["refinement_level"] == 1
+    calls = _counted_monte_carlo(monkeypatch)
+    v = rb.verify(dataclasses.replace(plain, falsify_samples=256))
+    assert len(calls) == 1
+    assert v.status == rb.SAFE and v.stats["refinement_level"] == 1
+    assert v.output_hull.lo.tobytes() == expected.output_hull.lo.tobytes()
+    assert v.output_hull.hi.tobytes() == expected.output_hull.hi.tobytes()
+
+
+def test_a_sampled_violation_needs_the_point_recheck(monkeypatch):
+    # every sampled image leaves this box, but the one-point re-check says it
+    # stays inside: nothing is promoted, and the grid refines as without samples
+    net, box = make_net(**MIXED), rb.Box.from_bounds([(-1, 1), (-1, 1)])
+    tiny = rb.Box.from_bounds([(0, 1e-3)] * 2)
+    monkeypatch.setattr(verifier, "forward_point", lambda net, x: tiny.midpoint())
+    calls = _counted_monte_carlo(monkeypatch)
+    v = rb.verify(problem(net, box, tiny, mode="full", grid=(4,), max_refinements=2,
+                          falsify_samples=64))
+    assert len(calls) == 1 and len(rb.monte_carlo(*calls[0], safe=tiny).violations) == 64
+    assert v.status == rb.UNKNOWN and v.counterexample is None
+    assert v.stats["refinement_level"] == 2
+
+
+def test_sample_counts_past_the_cell_budget_are_refused(monkeypatch, unit_square, invertible_net):
+    monkeypatch.setattr(topology, "CELL_BUDGET", 100)
+    assert len(rb.monte_carlo(invertible_net, unit_square, 100, seed=0).points) == 100
+    assert problem(invertible_net, unit_square, unit_square, falsify_samples=100)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(verifier.np.random, "Philox", no_draw)
+    with pytest.raises(ValueError, match="sample count 101 is more than the budget of 100"):
+        rb.monte_carlo(invertible_net, unit_square, 101, seed=0)
+    with pytest.raises(ValueError, match="sample count 101 is more than the budget of 100"):
+        problem(invertible_net, unit_square, unit_square, falsify_samples=101)
 
 
 # ---------------------------------------------------------------------------
