@@ -18,9 +18,12 @@ which assumes invertibility, need not), and its largest outward and inward
 endpoint moves.  The summary line adds the largest outward move over all
 problems when any hull moved, since "inside the parent's" allows 1e-9.
 
-Exits 0 when every status is equal and every moved hull lies inside the
-parent's and encloses the oracle, and 1 otherwise: a change may alter the
-cells on purpose, so a path, cell or stat difference alone does not fail.
+Exits 0 when every status is equal and every moved hull encloses the
+oracle and, on a Safe or Unknown verdict, lies inside the parent's, and 1
+otherwise.  A Falsified verdict rests on its counterexample, not on its
+hull, so a change that draws the sample at another level may widen that
+hull; and a change may alter the cells on purpose, so a path, cell or stat
+difference alone does not fail.
 """
 
 import argparse
@@ -129,7 +132,7 @@ def compare(parent: dict, change: dict) -> tuple:
             encloses = new["stats"].get("assumes_invertible", False) or (
                 all(a <= b + SLACK for a, b in zip(nl, image_lo))
                 and all(a >= b - SLACK for a, b in zip(nh, image_hi)))
-            ok &= inside and encloses
+            ok &= encloses and (inside or new["status"] == "falsified")
             outward, inward = hull_moves(old, new)
             diffs.append(f"hull moved, inside the parent's: {inside}, encloses the oracle: "
                          f"{encloses}, outward {outward:.3g}, inward {inward:.3g}")

@@ -93,10 +93,18 @@ def _read_csv(path):
     return rows[0], rows[1:]
 
 
+def _refuse_non_finite(path, values: np.ndarray) -> np.ndarray:
+    """``values``; a ValueError naming ``path`` if one is not finite, which no plot can place."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path} holds a non-finite value")
+    return values
+
+
 def read_reach_cells(path):
     """Read a reach-cell CSV back into (indices, out_lo, out_hi) arrays.
 
-    The header must be `write_reach_cells`' for n >= 1 inputs and m >= 1 outputs.
+    The header must be `write_reach_cells`' for n >= 1 inputs and m >= 1
+    outputs, and every bound finite.
     """
     header, data = _read_csv(path)
     n = sum(1 for h in header if h.startswith("idx"))
@@ -106,7 +114,7 @@ def read_reach_cells(path):
     idx = np.array([[int(r[k]) for k in range(n)] for r in data], dtype=int).reshape(len(data), n)
     lo = np.array([[float(r[n + 2 * j]) for j in range(m)] for r in data]).reshape(len(data), m)
     hi = np.array([[float(r[n + 2 * j + 1]) for j in range(m)] for r in data]).reshape(len(data), m)
-    return idx, lo, hi
+    return idx, _refuse_non_finite(path, lo), _refuse_non_finite(path, hi)
 
 
 def write_certification(index, det_lo, det_hi, certified, path) -> None:
@@ -125,14 +133,16 @@ def write_mc_points(result: MonteCarloResult, path) -> None:
 def read_mc_points(path) -> np.ndarray:
     """Read the image points (y columns) of an MC dump.
 
-    The header must be `write_mc_points`' ``x`` columns then at least one ``y`` column.
+    The header must be `write_mc_points`' ``x`` columns then at least one
+    ``y`` column, and every image value finite.
     """
     header, data = _read_csv(path)
     n = sum(1 for h in header if h.startswith("x"))
     m = len(header) - n
     if not (m and header == _mc_header(n, m)):
         raise ValueError(f"{path} is not an MC point CSV: its header is {','.join(header)!r}")
-    return np.array([[float(v) for v in r[n:]] for r in data]).reshape(len(data), m)
+    points = np.array([[float(v) for v in r[n:]] for r in data]).reshape(len(data), m)
+    return _refuse_non_finite(path, points)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +172,6 @@ class _Frame:
 
 def _expand(lim):
     lo, hi = lim
-    if not np.isfinite(lo) or not np.isfinite(hi):
-        return 0.0, 1.0
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     pad = 0.05 * (hi - lo)

@@ -18,8 +18,8 @@ Two tests read the interval enclosure of the Jacobian over a cell,
   of rows.  `box_passes_row_test` is its one-box case (a box with a
   zero-width dimension fails untested); `extract_subset` runs it once per
   level of a tree over the interior cells, the only ones it may drop, a
-  level being a coarse grid with a mask of pending nodes.  Both run on any
-  network shape: each output's test reads its own gradient row;
+  level being a coarse grid with an array of node states.  Both run on
+  any network shape: each output's test reads its own gradient row;
 - the determinant test certifies a network restricted to a cell as a
   homeomorphism onto its image when the enclosure of the determinant
   excludes zero.  It needs a square network with at most 6 inputs, because
@@ -84,6 +84,7 @@ class CellGrid:
             raise ValueError("one subdivision count per dimension required")
         if any(c < 1 for c in self.counts):
             raise ValueError("subdivision counts must be at least 1")
+        _refuse_past_budget(0, "grid", self.counts)  # before a count's c + 1 edges
         widths = self.base.finite_widths()
         edges = []
         for k, c in enumerate(self.counts):
@@ -159,9 +160,15 @@ def _int_counts(counts) -> tuple[int, ...]:
 
 
 def _refuse_past_budget(cells: int, kind: str, counts) -> None:
-    """Raise `CellBudgetError`, before any allocation, when ``cells`` exceeds `CELL_BUDGET`."""
-    if cells > CELL_BUDGET:
-        raise CellBudgetError(f"grid {'x'.join(map(str, counts))} needs {cells} {kind} cells, "
+    """Raise `CellBudgetError` before any allocation when ``cells`` or a count passes `CELL_BUDGET`.
+
+    A count is bounded on its own because `CellGrid` builds ``c + 1`` edges
+    for it however few cells a builder keeps: a 1-d box has 2 face cells.
+    """
+    if max([cells, *counts]) > CELL_BUDGET:
+        need = (f"{cells} {kind} cells" if cells > CELL_BUDGET
+                else f"{max(counts)} cells on one axis")
+        raise CellBudgetError(f"grid {'x'.join(map(str, counts))} needs {need}, "
                               f"more than the budget of {CELL_BUDGET}; refusing to allocate it")
 
 
@@ -344,13 +351,15 @@ def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):
 # ---------------------------------------------------------------------------
 # subset extraction
 
+_DROPPED, _TO_TEST, _WHOLE = 0, 1, 2  # the states of a node in `extract_subset`'s tree
+
 
 class SubsetExtraction(CellBatch):
     """The cells `extract_subset` keeps: every cell that can hold an output extremum.
 
     They are the ring of cells that touch a face of the input box, whatever
-    their Jacobian, plus the interior cells of the leaf-sized nodes left
-    pending on a level's coarse grid: failed, or never evaluated.  They are
+    their Jacobian, plus the interior cells of the tree's nodes kept whole:
+    leaf-sized, and failed or never evaluated.  They are
     grid cells, ``b = a + 1``, in row-major order.  Touching is decided on
     grid indices, never on float comparisons.  In ``counts``,
     ``certified_interior`` is the interior cells dropped by the row test.
@@ -393,16 +402,16 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
 
     Search.  The interior block of the lattice, index ranges ``[1, c - 1)``,
     is the root of a tree.  A level is a coarse grid, one cut array per
-    dimension, with a boolean mask of its pending nodes.  Each level keeps
-    the pending nodes that are leaf-sized, at most 2 cells in every
-    dimension, whole, marking their cells through `np.repeat` on a boolean
-    array of the grid's shape that starts as the ring; splits every range
-    (`_split_cuts`) and the mask with it; evaluates the pending children in
-    one `_passes_row_test` call, on bounds read from ``grid.edges(k)`` at
-    their cut indices, so a node's bounds are its cells' own floats; and
-    clears each passing child, which drops all its cells.  The root is never
-    evaluated, so a leaf-sized root, on a grid of at most 4 cells in every
-    dimension, is kept without a Jacobian call.  The tree stops once no node is pending.
+    dimension, and an ``int8`` array of node states (`_DROPPED`, `_TO_TEST`,
+    `_WHOLE`).  Each level keeps the to-test nodes that are leaf-sized, at
+    most 2 cells in every dimension, whole; splits every range
+    (`_split_cuts`) and the states with it, so children inherit them; tests
+    the to-test children in one `_passes_row_test` call, on bounds read from
+    ``grid.edges(k)`` at their cut indices, so a node's bounds are its cells'
+    own floats; and drops each passing child.  The root is never tested, so
+    a leaf-sized root (a grid of at most 4 cells in every dimension) is kept
+    without a Jacobian call.  Once none is left to test, `np.repeat` spreads
+    the states over the interior cells, and every cell not dropped is kept.
 
     Cost.  A leaf-sized node would split into single cells, and a Jacobian
     row costs 2.3-4.0 box-pass rows in a call of 64 rows and 3.5-14 in one
@@ -425,27 +434,23 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     _refuse_past_budget(math.prod(counts), "grid", counts)
     grid = CellGrid(input_box, counts)
     kept = np.ones(grid.counts, dtype=bool)
-    interior = tuple(slice(1, c - 1) for c in grid.counts)
-    kept[interior] = False
     cuts = [np.array([1, c - 1]) for c in grid.counts] if min(grid.counts) > 2 else []
-    pending = np.ones((1,) * grid.dim, dtype=bool)
+    state = np.full((1,) * grid.dim, _TO_TEST, dtype=np.int8)
     while cuts:
         lengths = [np.diff(c) for c in cuts]
-        leaf = pending & (sum(r > 2 for r in np.ix_(*lengths)) == 0)
-        if leaf.any():
-            pending &= ~leaf
+        state[(state == _TO_TEST) & (sum(r > 2 for r in np.ix_(*lengths)) == 0)] = _WHOLE
+        if not (state == _TO_TEST).any():
             for k, r in enumerate(lengths):
-                leaf = np.repeat(leaf, r, axis=k)
-            kept[interior] |= leaf
-        if not pending.any():
+                state = np.repeat(state, r, axis=k)
+            kept[tuple(slice(1, c - 1) for c in grid.counts)] = state != _DROPPED
             break
         for k in range(grid.dim):
             cuts[k], parts = _split_cuts(cuts[k])
-            pending = np.repeat(pending, parts, axis=k)
-        nodes = np.nonzero(pending)
+            state = np.repeat(state, parts, axis=k)
+        nodes = np.nonzero(state == _TO_TEST)
         lo, hi = (np.stack([grid.edges(k)[c[i + e]] for k, (c, i) in enumerate(zip(cuts, nodes))],
                            axis=1) for e in (0, 1))
-        pending[nodes] = ~_passes_row_test(net, lo, hi)
+        state[nodes] = np.where(_passes_row_test(net, lo, hi), _DROPPED, _TO_TEST)
     index = np.argwhere(kept)
     b = index + 1
     return SubsetExtraction(grid, index, b, *grid.range_bounds(index, b))

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -738,6 +739,17 @@ def test_plot_empty_inputs_axes_only(tmp_path, capsys):
     assert 'class="cell"' not in svg.read_text()
 
 
+def test_plot_pads_a_single_point_to_a_unit_frame(tmp_path, capsys):
+    # one MC point has no extent: each axis widens by 0.5 both ways, then pads by 5%
+    mc = tmp_path / "one.csv"
+    mc.write_text("x0,x1,y0,y1\n0.0,0.0,0.5,0.5\n", encoding="utf-8")
+    svg = tmp_path / "one.svg"
+    code, _, _ = run(capsys, "plot", "--mc", str(mc), "--out", str(svg))
+    assert code == 0
+    labels = re.findall(r'class="axis"[^>]*>([^<]*)<', svg.read_text())
+    assert labels == ["-0.05", "1.05", "-0.05", "1.05"]
+
+
 def test_plot_high_dim_needs_projection(tmp_path, capsys):
     cells = tmp_path / "three.csv"
     cells.write_text(
@@ -769,9 +781,11 @@ PLOT_MC = "x0,x1,y0,y1\n0.5,0.5,0.1,0.2\n"
         ({"--full-cells": PLOT_CELLS}, ["--proj", "0", "-3"]),
         ({"--full-cells": PLOT_CELLS.splitlines()[0]}, ["--proj", "0", "-1"]),
         ({"--full-cells": PLOT_CELLS}, ["--proj", "1", "1"]),
+        ({"--mc": PLOT_MC + "0.5,0.5,nan,0.2\n"}, []),
+        ({"--full-cells": PLOT_CELLS + "1,0,0.0,inf,0.0,1.0\n"}, []),
     ],
     ids=["empty-mc", "short-cell-row", "short-mc-row", "proj-past-mc", "proj-past-safe",
-         "negative-proj", "negative-proj-no-data", "same-proj"],
+         "negative-proj", "negative-proj-no-data", "same-proj", "nan-mc", "inf-cell"],
 )
 def test_plot_bad_input_exits_3(tmp_path, capsys, files, extra):
     argv = ["plot", "--out", str(tmp_path / "p.svg"), *extra]

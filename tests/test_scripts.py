@@ -1,5 +1,6 @@
 """Each experiment in scripts/ runs end to end on small grids; the benchmark pair runner
-is checked on canned run lines, since tier-1 runs no benchmark."""
+is checked on canned run lines, since tier-1 runs no benchmark, and the mutant catalogue
+on its snippets, since tier-1 runs no mutant."""
 
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 import reachbound as rb
 from reachbound.topology import CellBatch, grid_cell_batch
 from reachbound.verifier import propagate_cells
+from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -119,6 +121,33 @@ def test_manifest_diff_says_how_far_a_hull_moved(monkeypatch, capsys):
     assert ns["main"]() == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "2 problems, 2 with differences, largest outward hull move 1e-12"
+
+
+@pytest.mark.parametrize("status, passes", [("falsified", True), ("unknown", False),
+                                            ("safe", False)])
+def test_manifest_diff_lets_only_a_falsified_hull_widen(status, passes):
+    compare = runpy.run_path(str(ROOT / "scripts" / "manifest_diff.py"))["compare"]
+    stats = {"mode": "auto", "path": "subset", "cells_propagated": 16, "refinement_level": 1}
+    record = {"status": status, "stats": stats, "output_hull": [[0.0, 1.0]],
+              "counterexample": None, "cells": "0" * 64, "oracle": [[0.25], [0.75]]}
+    # a coarser level's hull: wider than the parent's, and still around the oracle sample
+    wider = dict(record, output_hull=[[-0.5, 1.0]])
+    lines, ok = compare({"p/0": record}, {"p/0": wider})
+    assert ok is passes and lines == ["p/0: hull moved, inside the parent's: False, encloses "
+                                      "the oracle: True, outward 0.5, inward 0"]
+    # a hull that no longer encloses the oracle fails in every status
+    short = dict(record, output_hull=[[0.5, 1.0]])
+    assert compare({"p/0": record}, {"p/0": short})[1] is False
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m["name"] for m in MUTANTS])
+def test_every_mutant_snippet_occurs_once(mutant):
+    # `scripts/mutate.py` runs the catalogue; this keeps it applicable to the tree
+    assert mutant["old"] != mutant["new"] and mutant["tests"]
+    assert (ROOT / mutant["file"]).read_text(encoding="utf-8").count(mutant["old"]) == 1
+    for test in mutant["tests"]:
+        path, _, name = test.partition("::")
+        assert f"def {name.split('[')[0]}(" in (ROOT / path).read_text(encoding="utf-8")
 
 
 def bench_run_line(pps, p50, failed=0):

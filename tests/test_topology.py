@@ -203,7 +203,8 @@ def test_face_cover_equals_boundary(unit_square):
     (topology.grid_cell_batch, (10, 10), (10, 11)),
     (lambda box, counts: topology.extract_subset(make_net(**MIXED), box, counts), (10, 10), (10, 11)),
     (boundary_cell_batch, (25, 25), (25, 26)),  # 100 and 102 face cells
-], ids=["grid", "subset", "boundary"])
+    (boundary_cell_batch, (100,), (101,)),  # 2 face cells each, on 101 and 102 edges
+], ids=["grid", "subset", "boundary", "boundary-1d"])
 def test_every_builder_refuses_before_it_builds(monkeypatch, build, at_budget, past_budget):
     monkeypatch.setattr(topology, "CELL_BUDGET", 100)
     grids = []
@@ -213,11 +214,21 @@ def test_every_builder_refuses_before_it_builds(monkeypatch, build, at_budget, p
         return rb.CellGrid(box, counts)
 
     monkeypatch.setattr(topology, "CellGrid", recording_grid)
-    box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
+    box = rb.Box.from_bounds([(-1, 1)] * len(at_budget))
     assert build(box, at_budget).grid.counts == at_budget
     with pytest.raises(ValueError, match="budget of 100; refusing to allocate"):
         build(box, past_budget)
     assert grids == [at_budget]  # the refused level built no grid
+
+
+def test_cell_grid_refuses_a_count_past_the_budget(monkeypatch):
+    monkeypatch.setattr(topology, "CELL_BUDGET", 256)
+    box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
+    # a face level may sit on a grid of more cells than the budget; only a count is bounded
+    assert rb.CellGrid(box, (256, 256)).edges(1).size == 257
+    with pytest.raises(topology.CellBudgetError, match="grid 2x257 needs 257 cells on one axis, "
+                                                       "more than the budget of 256"):
+        rb.CellGrid(box, (2, 257))
 
 
 def test_bounds_arrays_row_major(unit_square):
@@ -759,6 +770,11 @@ def test_a_flat_box_fails_the_row_test_untested(monkeypatch):
     monkeypatch.setattr(topology, "jacobian_interval_arrays",
                         lambda *a: calls.append(a) or jacobian_interval_arrays(*a))
     assert box_passes_row_test(net, flat) is False and calls == []
+
+
+def test_box_passes_row_test_refuses_a_box_of_another_dimension(mixed_net):
+    with pytest.raises(ValueError, match="box dimension 3 != input dim 2"):
+        box_passes_row_test(mixed_net, rb.Box.from_bounds([(-1, 1)] * 3))
 
 
 def test_certify_cells_across_a_block_boundary(mixed_net, monkeypatch):

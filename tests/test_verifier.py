@@ -722,8 +722,9 @@ def test_level_size_checked_against_the_budget(monkeypatch, path, at_budget, pas
 
 
 def test_face_cell_count_matches_the_built_batch(monkeypatch):
-    # a 3-d box, a 1-d box (its two end points), a count of 1, and a 6-d box
-    for counts, faces in [((3, 4, 5), 2 * (20 + 15 + 12)), ((7,), 2), ((1, 6), 2 * (6 + 1)),
+    # a 3-d box, a 1-d box (its two end points; a count past the budget is refused on
+    # its own), a count of 1, and a 6-d box
+    for counts, faces in [((3, 4, 5), 2 * (20 + 15 + 12)), ((2,), 2), ((1, 6), 2 * (6 + 1)),
                           ((5, 1, 3), 2 * (3 + 15 + 5)),
                           ((2, 3, 1, 2, 3, 2), 2 * (36 + 24 + 72 + 36 + 24 + 36))]:
         box = rb.Box.from_bounds([(-1, 2)] * len(counts))
@@ -774,3 +775,16 @@ def test_verify_refuses_an_oversized_refinement_level_before_building_it(monkeyp
     problem = dataclasses.replace(problem, max_refinements=0, grid=(32,))
     with pytest.raises(topology.CellBudgetError, match="allocate"):
         rb.verify(problem)  # a level-0 grid past the budget still ends verify
+
+
+@pytest.mark.parametrize("mode", ["boundary", "auto", "subset"])
+def test_one_input_faces_stop_refining_at_the_budget(monkeypatch, mode):
+    # a 1-d box has 2 face cells at every level, so only its count can pass the budget
+    monkeypatch.setattr(topology, "CELL_BUDGET", 256)
+    net, box = rb.generate_network(0, (1, 4, 1)), rb.Box.from_bounds([(-1, 1)])
+    assert box_passes_row_test(net, box)  # auto and subset take the faces too
+    verdict = rb.verify(problem(net, box, rb.Box.from_bounds([(-1e-6, 1e-6)]), mode=mode,
+                                grid=(4,), max_refinements=8))
+    assert verdict.status == rb.UNKNOWN and verdict.stats.get("path", mode) == "boundary"
+    assert verdict.stats["refinement_level"] == 6  # a count of 256; 512 is refused
+    assert verdict.cell_batch.grid.counts == (256,) and verdict.cell_batch.count == 2
