@@ -187,8 +187,13 @@ def render_svg(
     """Render reach cells, MC image points and a safe box into an SVG string.
 
     `cell_layers` holds (color, out_lo, out_hi) triples with (N, m) bounds;
-    the two projected output dimensions are taken from `proj`.
+    the two projected output dimensions are taken from `proj`.  A non-finite
+    cell bound or MC point, which no plot can place, raises ValueError.
     """
+    arrays = [a for _, lo, hi in cell_layers for a in (lo, hi)]
+    arrays += [] if mc_points is None else [mc_points]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("render_svg needs finite cell bounds and MC points")
     px, py = proj
     xs, ys = [], []
     for _, lo, hi in cell_layers:

@@ -17,8 +17,8 @@ Two tests read the interval enclosure of the Jacobian over a cell,
   `_passes_row_test` is the one row test, on any batch of boxes in blocks
   of rows.  `box_passes_row_test` is its one-box case (a box with a
   zero-width dimension fails untested); `extract_subset` runs it once per
-  level of a tree over the interior cells, the only ones it may drop, a
-  level being a coarse grid with an array of node states.  Both run on
+  level of a tree, a level being a coarse grid with node states over the
+  whole lattice, whose interior nodes alone are tested.  Both run on
   any network shape: each output's test reads its own gradient row;
 - the determinant test certifies a network restricted to a cell as a
   homeomorphism onto its image when the enclosure of the determinant
@@ -115,9 +115,24 @@ class CellGrid:
         return lo, hi
 
     def bounds_arrays(self):
-        """Row-major (indices, lo, hi) arrays for all cells at once, from `grid_cell_batch`."""
-        batch = grid_cell_batch(self.base, self.counts)
-        return batch.index, batch.lo, batch.hi
+        """Row-major (indices, lo, hi) arrays for all cells, refused past `CELL_BUDGET`.
+
+        The bounds are C-contiguous ``(N, n)`` arrays written by broadcasting
+        ``edges(k)[:-1]`` and ``[1:]`` along axis k of the grid's shape: the
+        edge floats that `range_bounds` would gather through ``2 N n``
+        indices, copied without the indices.  `np.indices` lists the
+        row-major index (at 200^2 in 0.36 ms, against 0.56 ms for `np.argwhere`).
+        """
+        _refuse_past_budget(self.total, "grid", self.counts)
+        n = self.dim
+        a = np.indices(self.counts).reshape(n, -1).T
+        lo = np.empty(self.counts + (n,))
+        hi = np.empty_like(lo)
+        for k, c in enumerate(self.counts):
+            axis = (1,) * k + (c,) + (1,) * (n - 1 - k)
+            lo[..., k] = self.edges(k)[:-1].reshape(axis)
+            hi[..., k] = self.edges(k)[1:].reshape(axis)
+        return a, lo.reshape(-1, n), hi.reshape(-1, n)
 
 
 @dataclass
@@ -173,26 +188,12 @@ def _refuse_past_budget(cells: int, kind: str, counts) -> None:
 
 
 def grid_cell_batch(box: Box, counts) -> CellBatch:
-    """All cells of the grid of ``counts`` on ``box``, ``b = a + 1``, in row-major order.
-
-    The bounds are C-contiguous ``(N, n)`` arrays written by broadcasting
-    ``grid.edges(k)[:-1]`` and ``[1:]`` along axis k of the grid's shape:
-    the edge floats that `CellGrid.range_bounds` would gather through
-    ``2 N n`` indices, copied without the indices.  `np.indices` lists the
-    row-major index (at 200^2 in 0.36 ms, against 0.56 ms for `np.argwhere`).
-    """
+    """All cells of the grid of ``counts`` on ``box``, ``b = a + 1``: `CellGrid.bounds_arrays`."""
     counts = _int_counts(counts)
     _refuse_past_budget(math.prod(counts), "grid", counts)
     grid = CellGrid(box, counts)
-    n = len(counts)
-    a = np.indices(counts).reshape(n, -1).T
-    lo = np.empty(counts + (n,))
-    hi = np.empty_like(lo)
-    for k, c in enumerate(counts):
-        axis = (1,) * k + (c,) + (1,) * (n - 1 - k)
-        lo[..., k] = grid.edges(k)[:-1].reshape(axis)
-        hi[..., k] = grid.edges(k)[1:].reshape(axis)
-    return CellBatch(grid, a, a + 1, lo.reshape(-1, n), hi.reshape(-1, n))
+    a, lo, hi = grid.bounds_arrays()
+    return CellBatch(grid, a, a + 1, lo, hi)
 
 
 def boundary_cell_batch(box: Box, counts) -> CellBatch:
@@ -357,9 +358,9 @@ _DROPPED, _TO_TEST, _WHOLE = 0, 1, 2  # the states of a node in `extract_subset`
 class SubsetExtraction(CellBatch):
     """The cells `extract_subset` keeps: every cell that can hold an output extremum.
 
-    They are the ring of cells that touch a face of the input box, whatever
-    their Jacobian, plus the interior cells of the tree's nodes kept whole:
-    leaf-sized, and failed or never evaluated.  They are
+    They are the cells of the tree's nodes kept whole: the root's ring of
+    cells that touch a face of the input box, whatever their Jacobian, and
+    the leaf-sized interior nodes that failed or were never tested.  They are
     grid cells, ``b = a + 1``, in row-major order.  Touching is decided on
     grid indices, never on float comparisons.  In ``counts``,
     ``certified_interior`` is the interior cells dropped by the row test.
@@ -400,18 +401,18 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     ``f(B)``.  A determinant enclosure that excludes 0 implies this row
     test, because a row box that holds 0 contains a singular matrix.
 
-    Search.  The interior block of the lattice, index ranges ``[1, c - 1)``,
-    is the root of a tree.  A level is a coarse grid, one cut array per
-    dimension, and an ``int8`` array of node states (`_DROPPED`, `_TO_TEST`,
-    `_WHOLE`).  Each level keeps the to-test nodes that are leaf-sized, at
-    most 2 cells in every dimension, whole; splits every range
+    Search.  A level is a coarse grid, one cut array per dimension, and an
+    ``int8`` array of node states (`_DROPPED`, `_TO_TEST`, `_WHOLE`) over
+    the whole lattice.  The root cuts each dimension at ``[0, 1, c - 1, c]``
+    and keeps its nodes whole, the ring that touches a face, but the centre:
+    the interior block ``[1, c - 1)``, to test unless it is leaf-sized, at
+    most 2 cells in every dimension.  Each level splits every range
     (`_split_cuts`) and the states with it, so children inherit them; tests
     the to-test children in one `_passes_row_test` call, on bounds read from
     ``grid.edges(k)`` at their cut indices, so a node's bounds are its cells'
-    own floats; and drops each passing child.  The root is never tested, so
-    a leaf-sized root (a grid of at most 4 cells in every dimension) is kept
-    without a Jacobian call.  Once none is left to test, `np.repeat` spreads
-    the states over the interior cells, and every cell not dropped is kept.
+    own floats; drops each passing child; and keeps a failing one whole if
+    leaf-sized, else to test.  Once none is left to test, `np.repeat` spreads
+    the states over the lattice, and every cell not dropped is kept.
 
     Cost.  A leaf-sized node would split into single cells, and a Jacobian
     row costs 2.3-4.0 box-pass rows in a call of 64 rows and 3.5-14 in one
@@ -423,34 +424,33 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
 
     `np.argwhere` lists the kept cells in row-major order, and
     `CellGrid.range_bounds` gathers their bounds.  A grid with no interior
-    cell (a count below 3, as in a zero-width dimension) has an empty root,
-    so every cell is kept untested.  The argument reads one gradient row
-    per output, so the tree runs on any network shape: it needs neither a
-    square network nor few inputs.
+    cell (a count below 3, as in a zero-width dimension) has one root node,
+    kept whole, so every cell is kept untested.  The argument reads one
+    gradient row per output, so the tree runs on any network shape: it
+    needs neither a square network nor few inputs.
     """
     if input_box.dim != net.input_dim:
         raise ValueError(f"input box dimension {input_box.dim} != input dim {net.input_dim}")
     counts = _int_counts(counts)
     _refuse_past_budget(math.prod(counts), "grid", counts)
     grid = CellGrid(input_box, counts)
-    kept = np.ones(grid.counts, dtype=bool)
-    cuts = [np.array([1, c - 1]) for c in grid.counts] if min(grid.counts) > 2 else []
-    state = np.full((1,) * grid.dim, _TO_TEST, dtype=np.int8)
-    while cuts:
-        lengths = [np.diff(c) for c in cuts]
-        state[(state == _TO_TEST) & (sum(r > 2 for r in np.ix_(*lengths)) == 0)] = _WHOLE
-        if not (state == _TO_TEST).any():
-            for k, r in enumerate(lengths):
-                state = np.repeat(state, r, axis=k)
-            kept[tuple(slice(1, c - 1) for c in grid.counts)] = state != _DROPPED
-            break
+    inner = min(grid.counts) > 2
+    cuts = [np.array([0, 1, c - 1, c] if inner else [0, c]) for c in grid.counts]
+    state = np.full([len(c) - 1 for c in cuts], _WHOLE, dtype=np.int8)
+    if inner and max(grid.counts) > 4:
+        state[(1,) * grid.dim] = _TO_TEST
+    while (state == _TO_TEST).any():
         for k in range(grid.dim):
             cuts[k], parts = _split_cuts(cuts[k])
             state = np.repeat(state, parts, axis=k)
         nodes = np.nonzero(state == _TO_TEST)
         lo, hi = (np.stack([grid.edges(k)[c[i + e]] for k, (c, i) in enumerate(zip(cuts, nodes))],
                            axis=1) for e in (0, 1))
-        state[nodes] = np.where(_passes_row_test(net, lo, hi), _DROPPED, _TO_TEST)
-    index = np.argwhere(kept)
+        failed = np.where(np.all([np.diff(c)[i] <= 2 for c, i in zip(cuts, nodes)], axis=0),
+                          _WHOLE, _TO_TEST)
+        state[nodes] = np.where(_passes_row_test(net, lo, hi), _DROPPED, failed)
+    for k, c in enumerate(cuts):
+        state = np.repeat(state, np.diff(c), axis=k)
+    index = np.argwhere(state != _DROPPED)
     b = index + 1
     return SubsetExtraction(grid, index, b, *grid.range_bounds(index, b))

@@ -195,7 +195,8 @@ def verify(problem: VerificationProblem) -> Verdict:
     gradient is zero.  ``stats["path"]`` names the set propagated.  A level
     is Safe when the safe box contains its hull, a `Box`.  In every mode the
     grid doubles on Unknown up to ``max_refinements`` times (`grid_counts`)
-    unless the box has no width.
+    unless doubling cannot change the cells: on a box with no width, or on
+    the faces of a 1-d box, which are its two end points at every count.
 
     With ``falsify_samples`` set, an Unknown level 0 draws one Monte-Carlo
     sample of the input box before any refinement (`monte_carlo`).  The
@@ -217,31 +218,31 @@ def verify(problem: VerificationProblem) -> Verdict:
     its re-checks, 0.0 when it is not drawn).
     """
     started = time.perf_counter()
-    net = problem.net
+    net, box = problem.net, problem.input_box
     stats = {"mode": problem.mode, "certify_ms": 0.0, "propagate_ms": 0.0, "falsify_ms": 0.0}
     path = problem.mode
     if path in ("subset", "auto"):
         phase = time.perf_counter()
-        passed = box_passes_row_test(net, problem.input_box)
+        passed = box_passes_row_test(net, box)
         stats["certify_ms"] = (time.perf_counter() - phase) * 1e3
         path = "boundary" if passed else "subset"
         stats.update(path=path, input_certified=passed)
     if path == "boundary":
         stats["assumes_invertible"] = problem.mode == "boundary"
 
-    safe, counts, counterexample = problem.safe_box, None, None
-    for level in range(problem.max_refinements + 1):
-        last, counts = counts, grid_counts(problem.grid, problem.input_box, level)
-        if counts == last:
-            break  # a box with no width has one grid at every level
+    # the cells of a box without width, or the faces of a 1-d box, are the same at every count
+    safe, counterexample = problem.safe_box, None
+    refinable = box.dim - len(box.degenerate_dims()) > (path == "boundary")
+    for level in range(problem.max_refinements + 1 if refinable else 1):
+        counts = grid_counts(problem.grid, box, level)
         try:
             if path == "boundary":
-                cells = boundary_cell_batch(problem.input_box, counts)
+                cells = boundary_cell_batch(box, counts)
             elif path == "full":
-                cells = grid_cell_batch(problem.input_box, counts)
+                cells = grid_cell_batch(box, counts)
             else:  # the subset path's cells come out of certification
                 phase = time.perf_counter()
-                cells = extract_subset(net, problem.input_box, counts)
+                cells = extract_subset(net, box, counts)
                 c = cells.counts
                 stats.update(cells_total=c["total"], cells_certified=c["certified_interior"],
                              cells_kept=c["kept"])
@@ -260,8 +261,7 @@ def verify(problem: VerificationProblem) -> Verdict:
             break
         if level == 0 and problem.falsify_samples > 0:  # the first Unknown level
             phase = time.perf_counter()
-            mc = monte_carlo(net, problem.input_box, problem.falsify_samples, problem.seed,
-                             safe=safe)
+            mc = monte_carlo(net, box, problem.falsify_samples, problem.seed, safe=safe)
             # promote only on an exact point re-check
             counterexample = next((x for x in mc.violations
                                    if not safe.contains_point(forward_point(net, x))), None)

@@ -20,6 +20,7 @@ from reachbound.cli import main, parse_box
 from reachbound.domains import box_propagate_arrays, zono_propagate
 from reachbound.reports import (
     read_reach_cells,
+    render_svg,
     write_certification,
     write_mc_points,
     write_reach_cells,
@@ -748,6 +749,17 @@ def test_plot_pads_a_single_point_to_a_unit_frame(tmp_path, capsys):
     assert code == 0
     labels = re.findall(r'class="axis"[^>]*>([^<]*)<', svg.read_text())
     assert labels == ["-0.05", "1.05", "-0.05", "1.05"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_render_svg_refuses_a_non_finite_value(bad):
+    # the CSV readers refuse one with the file's name; a direct call must not plot it either
+    lo, hi = np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])
+    assert 'class="cell"' in render_svg([("blue", lo, hi)], mc_points=lo)
+    for layers, points in (([("blue", np.array([[0.0, bad]]), hi)], None),
+                           ([], np.array([[bad, 0.5]]))):
+        with pytest.raises(ValueError, match="finite"):
+            render_svg(layers, mc_points=points)
 
 
 def test_plot_high_dim_needs_projection(tmp_path, capsys):

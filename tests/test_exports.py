@@ -13,7 +13,6 @@ from conftest import MIXED, make_net
 UNREACHED_HOOKS = {
     "reachbound.verifier.certify_homeomorphism",  # ROADMAP item 12
     "reachbound.topology.certify_cells",  # ROADMAP item 12
-    "reachbound.topology.CellGrid.bounds_arrays",  # ROADMAP item 12
 }
 
 

@@ -231,6 +231,17 @@ def test_cell_grid_refuses_a_count_past_the_budget(monkeypatch):
         rb.CellGrid(box, (2, 257))
 
 
+def test_bounds_arrays_refuses_a_grid_past_the_budget(monkeypatch):
+    # `CellGrid` bounds each count alone, so the full layout checks its own cell count
+    monkeypatch.setattr(topology, "CELL_BUDGET", 100)
+    box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
+    assert rb.CellGrid(box, (10, 10)).bounds_arrays()[1].shape == (100, 2)
+    grid = rb.CellGrid(box, (10, 11))
+    with pytest.raises(topology.CellBudgetError, match="grid 10x11 needs 110 grid cells, "
+                                                       "more than the budget of 100"):
+        grid.bounds_arrays()
+
+
 def test_bounds_arrays_row_major(unit_square):
     grid = rb.CellGrid(unit_square, (2, 3))
     idx, lo, hi = grid.bounds_arrays()

@@ -779,12 +779,21 @@ def test_verify_refuses_an_oversized_refinement_level_before_building_it(monkeyp
 
 @pytest.mark.parametrize("mode", ["boundary", "auto", "subset"])
 def test_one_input_faces_stop_refining_at_the_budget(monkeypatch, mode):
-    # a 1-d box has 2 face cells at every level, so only its count can pass the budget
+    # a 1-d box's faces are its two end points at every count, so no level is refined,
+    # though the budget would let the count grow to 256
     monkeypatch.setattr(topology, "CELL_BUDGET", 256)
+    builds = []
+
+    def recording(box, counts):
+        builds.append(counts)
+        return topology.boundary_cell_batch(box, counts)
+
+    monkeypatch.setattr(verifier, "boundary_cell_batch", recording)
     net, box = rb.generate_network(0, (1, 4, 1)), rb.Box.from_bounds([(-1, 1)])
     assert box_passes_row_test(net, box)  # auto and subset take the faces too
     verdict = rb.verify(problem(net, box, rb.Box.from_bounds([(-1e-6, 1e-6)]), mode=mode,
                                 grid=(4,), max_refinements=8))
     assert verdict.status == rb.UNKNOWN and verdict.stats.get("path", mode) == "boundary"
-    assert verdict.stats["refinement_level"] == 6  # a count of 256; 512 is refused
-    assert verdict.cell_batch.grid.counts == (256,) and verdict.cell_batch.count == 2
+    assert verdict.stats["refinement_level"] == 0
+    assert verdict.cell_batch.grid.counts == (4,) and verdict.cell_batch.count == 2
+    assert builds == [(4,)]
