@@ -75,6 +75,11 @@ def parse_box(text: str) -> Box:
     return Box.from_bounds(dims)
 
 
+def parse_grid(text: str | None) -> tuple[int, ...] | None:
+    """Parse "c" or "c,c,..." into integer counts; None (no ``--grid``) stays None."""
+    return None if text is None else tuple(int(c) for c in text.split(","))
+
+
 def _problem_from_args(args) -> VerificationProblem:
     """The verification problem a ``verify`` or ``compare`` command line describes."""
     input_box, safe_box = parse_box(args.input), parse_box(args.safe)
@@ -84,7 +89,7 @@ def _problem_from_args(args) -> VerificationProblem:
         safe_box=safe_box,
         domain=args.domain,
         mode=getattr(args, "mode", "auto"),
-        grid=None if args.grid is None else args.grid.split(","),
+        grid=parse_grid(args.grid),
         max_refinements=getattr(args, "max_refine", 0),
         seed=getattr(args, "seed", 0),
         falsify_samples=getattr(args, "falsify_samples", 0),
@@ -131,7 +136,7 @@ def cmd_compare(args) -> int:
 def cmd_certify(args) -> int:
     net = read_model(args.model)
     input_box = parse_box(args.input)
-    counts = grid_counts(None if args.grid is None else args.grid.split(","), input_box)
+    counts = grid_counts(parse_grid(args.grid), input_box)
     if input_box.degenerate_dims():
         raise ValueError("certification requires a non-degenerate input box")
     cells = grid_cell_batch(input_box, counts)  # every grid cell, as full mode builds them
@@ -166,11 +171,6 @@ def cmd_mc(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    proj = tuple(args.proj) if args.proj else (0, 1)
-    if proj[0] == proj[1]:
-        raise ValueError(f"projection {proj} needs two different output dimensions")
-    if min(proj) < 0:
-        raise ValueError(f"projection {proj} needs nonnegative output dimensions")
     layers = []
     for path, color in (
         (args.full_cells, CELL_FULL_COLOR),
@@ -181,16 +181,7 @@ def cmd_plot(args) -> int:
             layers.append((color, lo, hi))
     mc_points = read_mc_points(args.mc) if args.mc else None
     safe = parse_box(args.safe) if args.safe else None
-    dims = [lo.shape[1] for _, lo, _ in layers if lo.shape[0]]
-    if mc_points is not None and mc_points.shape[0]:
-        dims.append(mc_points.shape[1])
-    if safe is not None:
-        dims.append(safe.dim)
-    if any(d > 2 for d in dims) and args.proj is None:
-        raise ValueError("data has more than 2 output dimensions; pass --proj i j")
-    if any(p >= d for p in proj for d in dims):
-        raise ValueError(f"projection {proj} out of range for {min(dims)} output dimensions")
-    svg = render_svg(layers, mc_points, safe, proj)
+    svg = render_svg(layers, mc_points, safe, args.proj)
     Path(args.out).write_text(svg, encoding="utf-8")
     return 0
 

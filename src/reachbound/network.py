@@ -13,6 +13,7 @@ does: their fields hold arrays.
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -236,8 +237,11 @@ def generate_network(seed: int, dims, activation: str = "tanh", scale: float = 1
         raise ValueError("dims must list input and output sizes")
     if any(d < 1 for d in dims):
         raise ValueError("layer sizes must be positive")
-    if not scale > 0:
-        raise ValueError("scale must be positive")
+    seed = _index("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if not (isinstance(scale, numbers.Real) and 0 < scale < np.inf):
+        raise ValueError(f"scale must be a positive, finite number, got {scale!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     layers = []
     last = len(dims) - 2

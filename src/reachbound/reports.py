@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .intervals import Box
+from .network import _index
 from .topology import CellBatch
 from .verifier import MonteCarloResult, Verdict
 
@@ -182,19 +183,26 @@ def render_svg(
     cell_layers: Sequence[tuple[str, np.ndarray, np.ndarray]] = (),
     mc_points: Optional[np.ndarray] = None,
     safe_box: Optional[Box] = None,
-    proj: tuple[int, int] = (0, 1),
+    proj: Optional[Sequence[int]] = None,
 ) -> str:
     """Render reach cells, MC image points and a safe box into an SVG string.
 
     `cell_layers` holds (color, out_lo, out_hi) triples with (N, m) bounds;
-    the two projected output dimensions are taken from `proj`.  A non-finite
-    cell bound or MC point, which no plot can place, raises ValueError.
+    `proj` names the two different output dimensions drawn, which every
+    array and the safe box must have; ``None`` draws (0, 1) of data at most
+    2 wide.  A bad `proj`, or a non-finite cell bound or MC point, which no
+    plot can place, raises ValueError.
     """
     arrays = [a for _, lo, hi in cell_layers for a in (lo, hi)]
     arrays += [] if mc_points is None else [mc_points]
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("render_svg needs finite cell bounds and MC points")
-    px, py = proj
+    widths = [a.shape[1] for a in arrays] + ([] if safe_box is None else [safe_box.dim])
+    if proj is None and max(widths, default=0) > 2:
+        raise ValueError("data has more than 2 output dimensions; name the two to draw in proj")
+    px, py = proj = (0, 1) if proj is None else tuple(_index("proj", p) for p in proj)
+    if px == py or min(proj) < 0 or max(proj) >= min(widths, default=np.inf):
+        raise ValueError(f"proj {proj} needs two different output dimensions the data has")
     xs, ys = [], []
     for _, lo, hi in cell_layers:
         if lo.shape[0]:

@@ -225,15 +225,12 @@ def grid_counts(counts, box: Box, level: int = 0) -> tuple[int, ...]:
     """Per-dimension cell counts on ``box`` at refinement ``level``: None means one cell each.
 
     One count applies to every dimension except the zero-width ones, which
-    take 1.  Each level doubles every count but theirs.  A count is an int
-    or a numeric string (the command line's); a bool, float or bare string fails.
+    take 1.  Each level doubles every count but theirs.  Counts are read
+    through `_int_counts`: a bool, float or string fails.
     """
     flat = box.degenerate_dims()
     try:
-        if isinstance(counts, str):
-            raise TypeError  # "12" is one count string, not the counts (1, 2)
-        counts = (1,) * box.dim if counts is None else tuple(
-            int(c) if isinstance(c, str) else _index("grid count", c) for c in counts)
+        counts = (1,) * box.dim if counts is None else _int_counts(counts)
     except (TypeError, ValueError):
         raise ValueError(f"grid needs a sequence of integer counts, got {counts!r}") from None
     if len(counts) == 1:

@@ -16,7 +16,7 @@ import pytest
 
 import reachbound as rb
 from reachbound import cli, verifier
-from reachbound.cli import main, parse_box
+from reachbound.cli import main, parse_box, parse_grid
 from reachbound.domains import box_propagate_arrays, zono_propagate
 from reachbound.reports import (
     read_reach_cells,
@@ -61,16 +61,21 @@ def run(capsys, *argv):
 def test_parse_box_and_grid():
     box = parse_box("0,1;-2,3")
     assert box.lo.tolist() == [0.0, -2.0] and box.hi.tolist() == [1.0, 3.0]
-    assert grid_counts("100".split(","), parse_box("0,1")) == (100,)
-    assert grid_counts("10,20".split(","), box) == (10, 20)
-    assert grid_counts(["4"], parse_box("0,1;2,2;0,1")) == (4, 1, 4)
-    assert grid_counts(["4"], parse_box("2,2")) == (1,)
-    assert grid_counts(["4", "2"], parse_box("0,1;2,2")) == (4, 2)  # the cell grid refuses it
-    assert grid_counts(["4", "3"], parse_box("0,1;2,2"), level=2) == (16, 3)
+    assert parse_grid(None) is None and parse_grid("100") == (100,)
+    assert grid_counts(parse_grid("100"), parse_box("0,1")) == (100,)
+    assert grid_counts(parse_grid("10,20"), box) == (10, 20)
+    assert grid_counts(parse_grid("4"), parse_box("0,1;2,2;0,1")) == (4, 1, 4)
+    assert grid_counts(parse_grid("4"), parse_box("2,2")) == (1,)
+    # the cell grid refuses this one
+    assert grid_counts(parse_grid("4,2"), parse_box("0,1;2,2")) == (4, 2)
+    assert grid_counts(parse_grid("4,3"), parse_box("0,1;2,2"), level=2) == (16, 3)
     with pytest.raises(ValueError):
         parse_box("0;1")
+    for text in ("2.5", "2,x", ""):
+        with pytest.raises(ValueError):
+            parse_grid(text)
     with pytest.raises(ValueError):
-        grid_counts("0,5".split(","), box)
+        grid_counts(parse_grid("0,5"), box)
 
 
 def test_verify_safe_exit_zero(identity_model, capsys):
@@ -760,6 +765,18 @@ def test_render_svg_refuses_a_non_finite_value(bad):
                            ([], np.array([[bad, 0.5]]))):
         with pytest.raises(ValueError, match="finite"):
             render_svg(layers, mc_points=points)
+
+
+@pytest.mark.parametrize("proj, safe", [
+    ((1, 1), None), ((0, -1), None), ((0, 5), None), ((0, 1.0), None), (None, None),
+    ((0, 2), rb.Box.from_bounds([(0, 1)] * 2)),
+], ids=["same", "negative", "past-cells", "float", "wide-data-no-proj", "past-safe"])
+def test_render_svg_refuses_a_projection_it_cannot_draw(proj, safe):
+    # the checks `plot` relies on, made by the exported function for every caller
+    layers = [("blue", np.zeros((1, 3)), np.ones((1, 3)))]
+    assert 'class="cell"' in render_svg(layers, proj=(0, 2))
+    with pytest.raises(ValueError, match="proj"):
+        render_svg(layers, safe_box=safe, **({} if proj is None else {"proj": proj}))
 
 
 def test_plot_high_dim_needs_projection(tmp_path, capsys):

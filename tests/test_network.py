@@ -189,6 +189,16 @@ def test_generate_rejects_bad_args():
         rb.generate_network(0, [2, 3], scale=0.0)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"seed": True}, "seed"), ({"seed": 1.5}, "seed"), ({"seed": "3"}, "seed"),
+    ({"seed": -1}, "seed"), ({"scale": np.inf}, "scale"), ({"scale": np.nan}, "scale"),
+], ids=["bool-seed", "float-seed", "string-seed", "negative-seed", "inf-scale", "nan-scale"])
+def test_generate_refuses_a_bad_seed_or_scale(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        rb.generate_network(**{"seed": 0, "dims": (2, 3, 2), **kwargs})
+    assert rb.generate_network(np.int64(1), (2, 3, 2), scale=np.float32(2)).dims() == (2, 3, 2)
+
+
 @pytest.mark.parametrize("dims", [(2.5, 4, 2), (2, "4", 2), (2, True, 2), (2, 4, 2.0)],
                          ids=["float", "string", "bool", "integral-float"])
 def test_generate_refuses_a_layer_size_that_is_not_an_integer(dims):
