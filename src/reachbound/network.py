@@ -36,17 +36,24 @@ __all__ = [
 ]
 
 
-def _index(name: str, value) -> int:
-    """``value`` as an int, read through `operator.index`: a bool, a float or a string is refused.
+def _index(name: str, value, low: int = 0) -> int:
+    """``value`` as an int of at least ``low``, read through `operator.index`.
 
-    The one integer rule for counts, sizes and seeds: ``True`` is an int to
-    `operator.index`, but a flag passed where a count belongs is an error.
+    The one integer rule for counts, sizes and seeds, type and floor alike:
+    a bool, a float or a string is refused (``True`` is an int to
+    `operator.index`, but a flag passed where a count belongs is an error),
+    and so is a value below the floor its caller passes.
     """
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            v = operator.index(value)
         except TypeError:
             pass
+        else:
+            if v >= low:
+                return v
+            floor = "nonnegative" if low == 0 else f"at least {low}"
+            raise ValueError(f"{name} must be {floor}, got {v}")
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -232,14 +239,10 @@ def generate_network(seed: int, dims, activation: str = "tanh", scale: float = 1
     counter-based Philox generator makes equal seeds give bit-identical
     networks.
     """
-    dims = [_index("layer size", d) for d in dims]
+    dims = [_index("layer size", d, 1) for d in dims]
     if len(dims) < 2:
         raise ValueError("dims must list input and output sizes")
-    if any(d < 1 for d in dims):
-        raise ValueError("layer sizes must be positive")
     seed = _index("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
     if not (isinstance(scale, numbers.Real) and 0 < scale < np.inf):
         raise ValueError(f"scale must be a positive, finite number, got {scale!r}")
     rng = np.random.Generator(np.random.Philox(seed))

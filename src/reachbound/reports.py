@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -172,11 +173,15 @@ class _Frame:
 
 
 def _expand(lim):
-    lo, hi = lim
+    """``lim`` padded 5% a side (a point by max(0.5, ulp) first); ValueError if the span overflows."""
+    lo, hi = lim = tuple(map(float, lim))  # Python floats overflow to inf without a warning
     if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
+        lo, hi = lo - max(0.5, math.ulp(lo)), hi + max(0.5, math.ulp(hi))
     pad = 0.05 * (hi - lo)
-    return lo - pad, hi + pad
+    lo, hi = lo - pad, hi + pad
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"render_svg cannot frame the span from {lim[0]!r} to {lim[1]!r}")
+    return lo, hi
 
 
 def render_svg(
@@ -201,7 +206,7 @@ def render_svg(
     if proj is None and max(widths, default=0) > 2:
         raise ValueError("data has more than 2 output dimensions; name the two to draw in proj")
     px, py = proj = (0, 1) if proj is None else tuple(_index("proj", p) for p in proj)
-    if px == py or min(proj) < 0 or max(proj) >= min(widths, default=np.inf):
+    if px == py or max(proj) >= min(widths, default=np.inf):
         raise ValueError(f"proj {proj} needs two different output dimensions the data has")
     xs, ys = [], []
     for _, lo, hi in cell_layers:

@@ -82,8 +82,6 @@ class CellGrid:
         object.__setattr__(self, "counts", _int_counts(self.counts))
         if len(self.counts) != self.base.dim:
             raise ValueError("one subdivision count per dimension required")
-        if any(c < 1 for c in self.counts):
-            raise ValueError("subdivision counts must be at least 1")
         _refuse_past_budget(0, "grid", self.counts)  # before a count's c + 1 edges
         widths = self.base.finite_widths()
         edges = []
@@ -170,8 +168,8 @@ class CellBudgetError(ValueError):
 
 
 def _int_counts(counts) -> tuple[int, ...]:
-    """``counts`` as a tuple of ints through `network._index`: a bool, float or string fails."""
-    return tuple(_index("subdivision count", c) for c in counts)
+    """``counts`` as ints of at least 1 through `network._index`: a bool, float or string fails."""
+    return tuple(_index("subdivision count", c, 1) for c in counts)
 
 
 def _refuse_past_budget(cells: int, kind: str, counts) -> None:
@@ -226,17 +224,18 @@ def grid_counts(counts, box: Box, level: int = 0) -> tuple[int, ...]:
 
     One count applies to every dimension except the zero-width ones, which
     take 1.  Each level doubles every count but theirs.  Counts are read
-    through `_int_counts`: a bool, float or string fails.
+    through `_int_counts`: a bool, float, string or count below 1 fails.
     """
     flat = box.degenerate_dims()
     try:
         counts = (1,) * box.dim if counts is None else _int_counts(counts)
     except (TypeError, ValueError):
-        raise ValueError(f"grid needs a sequence of integer counts, got {counts!r}") from None
+        raise ValueError("grid needs a sequence of positive integer counts, "
+                         f"got {counts!r}") from None
     if len(counts) == 1:
         counts = tuple(1 if k in flat else counts[0] for k in range(box.dim))
-    if len(counts) != box.dim or any(c < 1 for c in counts):
-        raise ValueError("grid needs one positive count per input dimension")
+    if len(counts) != box.dim:
+        raise ValueError("grid needs one count per input dimension")
     return tuple(c if k in flat else c * 2**level for k, c in enumerate(counts))
 
 

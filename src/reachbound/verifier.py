@@ -82,11 +82,7 @@ class VerificationProblem:
     def __post_init__(self):
         for name in ("max_refinements", "seed", "falsify_samples"):
             object.__setattr__(self, name, _index(name, getattr(self, name)))
-        if self.max_refinements < 0 or self.falsify_samples < 0:
-            raise ValueError("max_refinements and falsify_samples must be nonnegative")
         _check_sample_budget(self.falsify_samples)
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.input_box.dim != self.net.input_dim:
             raise ValueError("input box dimension does not match the network")
         if self.safe_box.dim != self.net.output_dim:
@@ -153,12 +149,8 @@ def monte_carlo(
     All ``n`` points are drawn and evaluated at once, so ``n`` past
     `topology.CELL_BUDGET` is refused as a grid level is.
     """
-    n, seed = _index("sample count", n), _index("seed", seed)
-    if n < 1:
-        raise ValueError("sample count must be at least 1")
+    n, seed = _index("sample count", n, 1), _index("seed", seed)
     _check_sample_budget(n)
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
     if safe is not None and safe.dim != net.output_dim:
         raise ValueError(f"safe box dimension {safe.dim} != output dim {net.output_dim}")
     width = region.finite_widths()

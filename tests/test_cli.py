@@ -767,6 +767,20 @@ def test_render_svg_refuses_a_non_finite_value(bad):
             render_svg(layers, mc_points=points)
 
 
+def test_render_svg_frames_a_single_value_past_half_an_ulp():
+    # at 1e17 the ulp is 16: widening by 0.5 alone left a zero-width frame and cx="nan"
+    svg = render_svg([], np.array([[1e17, 0.0]]))
+    assert 'cx="320" cy="240"' in svg and "nan" not in svg and "inf" not in svg
+
+
+def test_render_svg_refuses_a_span_past_the_float_range():
+    # finite bounds whose difference overflows: the parent drew x="nan" and labels -inf, inf
+    layers = [("blue", np.array([[-1e308, 0.0]]), np.array([[1e308, 1.0]]))]
+    with pytest.raises(ValueError, match="cannot frame"):
+        render_svg(layers)
+    assert "nan" not in render_svg([("blue", np.array([[-1e307, 0.0]]), np.array([[1e307, 1.0]]))])
+
+
 @pytest.mark.parametrize("proj, safe", [
     ((1, 1), None), ((0, -1), None), ((0, 5), None), ((0, 1.0), None), (None, None),
     ((0, 2), rb.Box.from_bounds([(0, 1)] * 2)),

@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import reachbound as rb
 from reachbound.intervals import _TILE
+from reachbound.reports import render_svg
 from conftest import BIAS_ROWS, identity_net, linear_net, make_net, sample_box
 
 
@@ -192,7 +194,9 @@ def test_generate_rejects_bad_args():
 @pytest.mark.parametrize("kwargs, name", [
     ({"seed": True}, "seed"), ({"seed": 1.5}, "seed"), ({"seed": "3"}, "seed"),
     ({"seed": -1}, "seed"), ({"scale": np.inf}, "scale"), ({"scale": np.nan}, "scale"),
-], ids=["bool-seed", "float-seed", "string-seed", "negative-seed", "inf-scale", "nan-scale"])
+    ({"dims": (2, 0, 2)}, "layer size must be at least 1, got 0"),
+], ids=["bool-seed", "float-seed", "string-seed", "negative-seed", "inf-scale", "nan-scale",
+        "zero-layer-size"])
 def test_generate_refuses_a_bad_seed_or_scale(kwargs, name):
     with pytest.raises(ValueError, match=name):
         rb.generate_network(**{"seed": 0, "dims": (2, 3, 2), **kwargs})
@@ -205,6 +209,46 @@ def test_generate_refuses_a_layer_size_that_is_not_an_integer(dims):
     with pytest.raises(ValueError, match="layer size must be an integer, got "):
         rb.generate_network(0, dims)
     assert rb.generate_network(0, (2, np.int64(4), 2)).dims() == (2, 4, 2)
+
+
+_SQUARE = rb.Box.from_bounds([(0, 1), (0, 1)])
+
+
+def _problem(**kwargs):
+    return rb.VerificationProblem(identity_net(), _SQUARE, _SQUARE, **kwargs)
+
+
+# entry point -> (floor, the refusal one below it, a call with the value v)
+_FLOORS = {
+    "problem-max_refinements": (0, "max_refinements must be nonnegative, got -1",
+                                lambda v: _problem(max_refinements=v)),
+    "problem-seed": (0, "seed must be nonnegative, got -1", lambda v: _problem(seed=v)),
+    "problem-falsify_samples": (0, "falsify_samples must be nonnegative, got -1",
+                                lambda v: _problem(falsify_samples=v)),
+    "problem-grid": (1, "grid needs a sequence of positive integer counts, got (0,)",
+                     lambda v: _problem(grid=(v,))),
+    "monte_carlo-count": (1, "sample count must be at least 1, got 0",
+                          lambda v: rb.monte_carlo(identity_net(), _SQUARE, v, 0)),
+    "monte_carlo-seed": (0, "seed must be nonnegative, got -1",
+                         lambda v: rb.monte_carlo(identity_net(), _SQUARE, 1, v)),
+    "generate-layer-size": (1, "layer size must be at least 1, got 0",
+                            lambda v: rb.generate_network(0, (2, v, 2))),
+    "generate-seed": (0, "seed must be nonnegative, got -1",
+                      lambda v: rb.generate_network(v, (2, 2))),
+    "CellGrid": (1, "subdivision count must be at least 1, got 0",
+                 lambda v: rb.CellGrid(_SQUARE, (3, v))),
+    "render_svg-proj": (0, "proj must be nonnegative, got -1",
+                        lambda v: render_svg([], np.zeros((1, 2)), proj=(1, v))),
+}
+
+
+@pytest.mark.parametrize("entry", list(_FLOORS))
+def test_each_integer_floor_is_accepted_and_one_below_refused(entry):
+    # `network._index` holds every floor; `grid_counts` words its own refusal
+    low, message, call = _FLOORS[entry]
+    call(low)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(low - 1)
 
 
 @pytest.mark.parametrize(

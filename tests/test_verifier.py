@@ -51,7 +51,10 @@ def test_verify_example_style_safe_set(unit_square, invertible_net):
 @pytest.mark.parametrize("grid, message", [
     ("12", "sequence"), (4, "sequence"), ((2.7,), "integer counts"), ((4, 2.0), "integer counts"),
     ((True,), "integer counts"), ((3, "2"), "integer counts"),
-], ids=["string", "int", "float", "integral-float", "bool", "numeric-string"])
+    ((0,), "positive integer counts"), ((-2,), "positive integer counts"),
+    ((3, 0), "positive integer counts"),
+], ids=["string", "int", "float", "integral-float", "bool", "numeric-string", "zero", "negative",
+        "zero-of-two"])
 def test_grid_counts_are_integers(unit_square, invertible_net, grid, message):
     with pytest.raises(ValueError, match=message):
         problem(invertible_net, unit_square, unit_square, grid=grid)
