@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Check that the tests kill every mutant of the catalogue in ``tests/mutants.py``.
 
-    python3 scripts/mutate.py
+    python3 scripts/mutate.py [--touching FILE...]
 
-First runs every catalogued test on an unmutated copy of the tree, which
-must pass, or no kill would mean anything.  Then, for each mutant: copies
-the tree, without ``.git`` and caches, into a fresh temporary directory,
+``--touching`` keeps only the mutants whose ``file`` is one of the FILEs,
+written as the catalogue writes them, relative to the repository root,
+prints how many it skipped, and exits 0 when none is left.
+
+First runs every test of the kept mutants on an unmutated copy of the tree,
+which must pass, or no kill would mean anything.  Then, for each mutant:
+copies the tree, without ``.git`` and caches, into a fresh temporary directory,
 replaces the mutant's one ``old`` snippet with ``new``, and runs
 ``python -m pytest -x -q`` on the mutant's tests there, with ``PYTHONPATH``
 set to the copy's ``src``.  A failing run or a timeout kills the mutant.
@@ -15,6 +19,7 @@ that never stops.  Prints the timeout, one line per mutant and a summary
 line, and exits 1 if any mutant survives.
 """
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -54,9 +59,26 @@ def run_tests(tests: list, mutant=None, timeout=None) -> str:
         return "passed" if proc.returncode == 0 else "failed"
 
 
+def touching(mutants: list, files) -> list:
+    """The mutants whose ``file`` is one of ``files``, all of them for ``None``."""
+    if files is None:
+        return list(mutants)
+    paths = {os.path.normpath(f) for f in files}
+    return [m for m in mutants if os.path.normpath(m["file"]) in paths]
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Run the mutant catalogue.")
+    parser.add_argument("--touching", nargs="+", metavar="FILE",
+                        help="run only the mutants of these files")
+    files = parser.parse_args().touching
+    mutants = touching(MUTANTS, files)
+    if files is not None:
+        print(f"{len(MUTANTS) - len(mutants)} of {len(MUTANTS)} mutants skipped", flush=True)
+    if not mutants:
+        return 0
     started = time.perf_counter()
-    tests = list(dict.fromkeys(t for m in MUTANTS for t in m["tests"]))
+    tests = list(dict.fromkeys(t for m in mutants for t in m["tests"]))
     baseline = run_tests(tests)
     if baseline != "passed":
         print(f"the catalogue's tests {baseline} without a mutant")
@@ -64,13 +86,13 @@ def main() -> int:
     timeout = 10 * (time.perf_counter() - started)
     print(f"baseline passed; mutant timeout {timeout:.0f} s", flush=True)
     survivors = []
-    for mutant in MUTANTS:
+    for mutant in mutants:
         outcome = run_tests(mutant["tests"], mutant, timeout)
         if outcome == "passed":
             survivors.append(mutant["name"])
         print(f"{mutant['name']}: {'survived' if outcome == 'passed' else 'killed'} ({outcome})",
               flush=True)
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed "
+    print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed "
           f"in {time.perf_counter() - started:.0f} s")
     return 1 if survivors else 0
 

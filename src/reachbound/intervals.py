@@ -9,16 +9,18 @@ the box pass and the Jacobian enclosure share ``_interval_matvec_arrays``.
 Its weight operands are an `_Operands` record that each `Layer` prepares
 once (`_operands`), and the zonotope pass reads the same record.  Every
 batched pass adds its bias through `_add_bias`, tile by tile.
-IEEE-exact operations (+, -, *) are widened outward by at least one ulp per
-endpoint, with one arithmetic pad per array (`_down`/`_up`), built in one
-buffer that then holds the result; libm-backed evaluations (tanh, sigmoid
-and their derivatives) are only faithfully rounded, so their endpoints get a
-wider fixed pad.  Reductions
-(dot products, sums) are bounded with a standard a-priori rounding-error term
-instead of per-term nudging, which keeps them vectorizable.  The kernels
-accumulate and clip in arrays they created, never in their inputs, with the
-float operations of the plain one-expression forms in the same order, so
-working in place changes no bit (``tests/test_intervals.py`` pins them).
+Products and the sums of `_idet_arrays` are widened outward by at least one
+ulp per endpoint, with one arithmetic pad per array (`_down`/`_up`), built
+in one buffer that then holds the result; libm-backed evaluations (tanh,
+sigmoid and their derivatives) are only faithfully rounded, so their
+endpoints get a wider fixed pad.  The matrix-vector reduction is bounded by
+one standard a-priori rounding-error term instead of per-term nudging, which
+keeps it vectorizable, and that term also covers its own subtraction, so
+its endpoints take no pad.  The kernels accumulate and clip in arrays they
+created, never in their inputs, with the float operations of the plain
+one-expression forms in the same order, so working in place changes no bit
+(``tests/test_intervals.py`` pins them); a linear activation hands its
+input arrays back unwritten.
 
 `Box` is the one interval value, not an algebra: a validated, read-only
 ``(lo, hi)`` pair of endpoint vectors.  Every other interval quantity (a
@@ -71,12 +73,19 @@ def _down(x, steps: int = 1):
     ``_down(+inf)`` and ``_up(-inf)`` give NaN where ``nextafter`` gave the
     largest finite float.  Only an overflow reaches them: a lower end is
     +inf only when the exact value exceeds the largest float.
-    `_interval_matvec_arrays` turns such a sum into NaN (``inf - inf``)
-    before its pad in any case; `_imul_arrays`, `_nonneg_imul_arrays` and
-    the sums of `_idet_arrays` pass it to the pad, and that interval's upper
-    end is then +inf or NaN too.  A NaN end fails every comparison, so it
-    certifies nothing and passes no safe-box test, and `Box` rejects it:
-    such a verdict ends in an error, not a wrong answer.
+    `_imul_arrays`, `_nonneg_imul_arrays` and the sums of `_idet_arrays`
+    pass it to the pad, and that interval's upper end is then +inf or NaN
+    too.  `_interval_matvec_arrays` has no pad.  A sum that overflows there
+    becomes NaN (``inf - inf``) when its rounding term overflows too, and
+    stays infinite when the term is finite.  That infinity lies on the exact
+    value's side: every partial sum is bounded by the magnitude sum ``M``,
+    and a finite term bounds ``M`` by ``MAX / (1 - gamma_k)``, so a sum that
+    overflows to +inf has a positive exact value.  A finite sum that the
+    term pushes past the float range gives an outward infinity.  A NaN end
+    fails every comparison, so it certifies nothing and passes no safe-box
+    test, an infinite end passes only a sign test that holds of the exact
+    value, and `Box` rejects both: such a verdict ends in an error, not a
+    wrong answer.
 
     The pad is built in one new float64 array of x's shape, and the
     difference is written into it, so x is never written.  Its operations
@@ -291,19 +300,37 @@ def _interval_matvec_arrays(op: _Operands, xlo, xhi, bias: bool = True):
     ``(gamma_k + 2u(1 + u)(1 + gamma_k)) * mag + u |b|`` with
     ``gamma_k = k u / (1 - k u)``, plus half a subnormal step for each product
     that underflows.  ``(2k + 6) u (mag + |b|) + (2k + 4) tiny`` covers that
-    with room for the rounding of ``mag`` and of the bound itself, and the
-    final one-ulp pad covers the subtraction of the term.  The bound holds
-    for any summation order, so a row's enclosure is sound whatever kernel
-    BLAS picks for the call's row count, even where that choice moves its
-    bits by an ulp.
+    with room for the rounding of ``mag``, of the bound itself and of its
+    subtraction, so ``lo - err`` and ``hi + err`` are returned as they are:
+
+    - Take one output's lower end ``L*``, its entry ``M`` of ``mag`` and
+      its computed sum ``S``.  By the above, ``|S - L*| <= e1 =
+      (gamma_k + 2u(1 + u)(1 + gamma_k)) M + u|b| + k tiny``.
+    - The computed term ``E`` is at least ``(1 - u)^(k + 4)`` times
+      ``(2k + 6) u (M + |b|) + (2k + 4) tiny``, less under one tiny for the
+      term's own underflow: the k roundings of ``mag``, the ``+ |b|``, the
+      scaling and the ``+ tiny`` each lose at most a factor ``1 - u``.
+    - ``S - E`` rounds to nearest, so ``fl(S - E) <= S - E + u|S - E|``,
+      and a subnormal difference is exact.  With ``|S| <= M + |b| + e1``,
+      ``fl(S - E) <= L*`` holds once ``E(1 - u) >= e1(1 + u) + u(M + |b|)``.
+      To first order that asks ``(k + 3) u (M + |b|)``; the term charges
+      ``(2k + 6) u``, twice as much.  The tiny parts likewise:
+      ``(2k + 4) tiny`` leaves more than ``k tiny + tiny / 2``.
+    - The upper end is symmetric.
+
+    The bound holds for any summation order, so a row's enclosure is sound
+    whatever kernel BLAS picks for the call's row count, even where that
+    choice moves its bits by an ulp.  An overflowed sum gives NaN or an
+    infinite end on the exact value's side; see `_down`.
 
     The sums, the bias and the error term accumulate in place in the
     product arrays, in the order of ``(W+ x_lo + W- x_hi) + b - err``,
-    the same with the bias added through `_add_bias`'s tiles.
+    the same with the bias added through `_add_bias`'s tiles.  The results
+    are those product arrays, new on every call.
     ``bias=False`` encloses ``w @ x`` (the Jacobian's ``W J``) and skips the
     three bias additions: adding ``+0`` only turns ``-0`` into ``+0``, and
-    the positive ``err`` subtracted next maps both to the same float, so the
-    bits are those of ``b = 0``.
+    the positive ``err`` subtracted or added next maps both to the same
+    float, so the bits are those of ``b = 0``.
     """
     k, m = op.t.shape
     shape = np.shape(xlo)[:-1] + (m,)
@@ -327,7 +354,7 @@ def _interval_matvec_arrays(op: _Operands, xlo, xhi, bias: bool = True):
     err += (2 * k + 4) * _TINY
     lo -= err
     hi += err
-    return _down(lo).reshape(shape), _up(hi).reshape(shape)
+    return lo.reshape(shape), hi.reshape(shape)
 
 
 def _idet_arrays(lo, hi):
@@ -436,10 +463,15 @@ def _lookup(name: str) -> _Activation:
 
 
 def _act_range_arrays(name: str, lo, hi):
-    """Range enclosure of a monotone activation over [lo, hi] arrays."""
+    """Range enclosure of a monotone activation over [lo, hi] arrays.
+
+    A linear layer's ``lo`` and ``hi`` are returned as they are, unwritten
+    and not copied: callers pass fresh `_interval_matvec_arrays` results and
+    only read what comes back.
+    """
     act = _lookup(name)
     if act.linear:
-        return np.asarray(lo, dtype=float).copy(), np.asarray(hi, dtype=float).copy()
+        return lo, hi
     out_lo = _down(act.f(lo), _PAD_ACT)
     out_hi = _up(act.f(hi), _PAD_ACT)
     np.maximum(out_lo, act.clip_lo, out=out_lo)

@@ -264,7 +264,9 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
 
     A linear last layer after at least one other (every benchmark net's
     output layer) has ``D = [1, 1]``, whose product returns ``B`` exactly, so
-    its ``J`` is ``B`` padded one ulp outward, the bits of the general step,
+    its ``J`` is ``B`` padded one ulp outward, the bits of the general step
+    (whose product pads every entry, though ``B``, as every
+    `_interval_matvec_arrays` result, is already an enclosure without it),
     and its pre-activation enclosure, which only gave ``D`` its shape, is
     never computed.
     """

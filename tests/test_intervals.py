@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -8,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reachbound as rb
+from reachbound.domains import box_propagate_arrays
 from reachbound.intervals import (
     Box,
     _act_deriv_arrays,
@@ -24,6 +26,7 @@ from reachbound.intervals import (
     _PAD_ACT,
     _PAD_DERIV,
     _sigmoid,
+    _sigmoid_deriv,
     _tanh_deriv,
     _TILE,
     _TINY,
@@ -189,6 +192,93 @@ def test_matvec_encloses_exact_sign_split(k):
             assert Fraction(float(rhi[idx][i])) - hi[i] <= slack[idx][i]
 
 
+def matvec_worst_cases(k):
+    """``{name: (w, b, xlo, xhi)}`` with 3 outputs that push the unpadded product's rounding.
+
+    Every case but the cancelling one has 24 rows, point and interval, and
+    the batch case is ``(2, 33, k)``.
+    """
+    rng = np.random.default_rng(4100 + k)
+    cases = {}
+    # no cancellation: positive products summing to just above 2^4, where a
+    # float's ulp is largest against its value, so the sum and the term's
+    # subtraction round by the most they can
+    w = rng.uniform(1.0, 2.0, (3, k))
+    x = 16.0 / k / w[0] * (1.0 + rng.uniform(0.0, 2.0**-40, (24, k)))
+    xhi = x * (1.0 + (rng.random((24, k)) < 0.5) * 2.0**-45)
+    cases["above-a-power-of-two"] = (w, 2.0**-30, x, xhi)
+    # |b| far above M, and the inputs' low bits below its ulp
+    w = rng.uniform(-1.0, 1.0, (3, k))
+    xlo = rng.uniform(-1.0, 1.0, (24, k))
+    xhi = xlo + rng.uniform(0.0, 1.0, (24, k)) * (rng.random((24, k)) < 0.5)
+    cases["bias-far-above-M"] = (w, rng.uniform(1e6, 1e8, 3) * [1, -1, 1], xlo, xhi)
+    # products below the normal range, and a bias of a few subnormal steps
+    w = rng.uniform(-1.0, 1.0, (3, k)) * 1e-160
+    xlo = rng.uniform(-1.0, 1.0, (24, k)) * 1e-160
+    cases["subnormal-products"] = (w, np.array([0.0, 3 * _TINY, -7 * _TINY]), xlo, xlo + 1e-161)
+    # magnitudes from 1e-300 to 1e300 across the inputs of one row
+    w = rng.uniform(-2.0, 2.0, (3, k))
+    xlo = rng.uniform(-1.0, 1.0, (24, k)) * 10.0 ** rng.integers(-300, 300, (24, 1))
+    cases["scaled-1e-300-to-1e300"] = (w, rng.uniform(-1.0, 1.0, 3), xlo, xlo + np.abs(xlo) * 1e-3)
+    # a (2, 33, k) batch, as the Jacobian's (rows, n, k) products send it
+    xlo = rng.uniform(-3.0, 3.0, (2, 33, k))
+    cases["batch"] = (w, rng.uniform(-1.0, 1.0, 3), xlo, xlo + rng.uniform(0.0, 1.0, (2, 33, k)))
+    return cases
+
+
+def assert_matvec_encloses_exactly(w, b, xlo, xhi, bias=True):
+    """Each end of `_interval_matvec_arrays` against the exact sign-split end, in rationals."""
+    lo, hi = matvec(w, b, xlo, xhi, bias)
+    # inside what the padded kernel returned: ``_down(lo)`` and ``_up(hi)``
+    assert np.all(_down(lo) <= lo) and np.all(hi <= _up(hi))
+    b_exact = np.broadcast_to(b if bias else 0.0, w.shape[:1])
+    for idx in np.ndindex(np.shape(xlo)[:-1]):
+        exact_lo, exact_hi = exact_matvec(w, b_exact, xlo[idx], xhi[idx])
+        for i in range(w.shape[0]):
+            assert Fraction(float(lo[idx][i])) <= exact_lo[i], (idx, i)
+            assert exact_hi[i] <= Fraction(float(hi[idx][i])), (idx, i)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 16, 40])
+def test_unpadded_matvec_encloses_the_exact_worst_cases(k):
+    """The error term covers the sums and its own subtraction, with no pad after it."""
+    for w, b, xlo, xhi in matvec_worst_cases(k).values():
+        for bias in (True, False):
+            assert_matvec_encloses_exactly(w, b, xlo, xhi, bias)
+    # cancellation to near 0: each row's bias is minus its float sum
+    rng = np.random.default_rng(4200 + k)
+    w = rng.uniform(-2.0, 2.0, (3, k))
+    for x in rng.uniform(-3.0, 3.0, (12, k)):
+        x = x[None]
+        assert_matvec_encloses_exactly(w, -(x @ w.T)[0], x, x)
+
+
+def test_matvec_overflow_gives_nan_or_an_infinity_on_the_exact_side():
+    """A sum past the float range has no pad to turn it into NaN: the rule in `_down`."""
+    big = 0.75 * MAX
+    w = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+    x = np.array([big, big])
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = matvec(w, 0.0, x, x)
+        # exact 1.5 MAX, 0 and -1.5 MAX: the term overflows with the sums
+        assert np.array_equal(lo, [math.nan, -math.inf, -math.inf], equal_nan=True)
+        assert np.array_equal(hi, [math.inf, math.inf, math.nan], equal_nan=True)
+        # a finite term subtracted past the float range gives an outward infinity
+        ends_ = np.array([[-MAX], [MAX]])
+        lo, hi = matvec(np.array([[1.0]]), 0.0, ends_, ends_)
+        assert lo[0, 0] == -math.inf and -MAX <= hi[0, 0] < math.inf
+        assert -math.inf < lo[1, 0] <= MAX and hi[1, 0] == math.inf
+        # the box pass hands such ends on, `Box` refuses them, and verify ends in an error
+        net = rb.Network((rb.Layer(w, np.zeros(3), "linear"),))
+        out_lo, out_hi = box_propagate_arrays(net, x[None], x[None])
+        with pytest.raises(ValueError, match="must be finite"):
+            Box(out_lo[0], out_hi[0])
+        problem = rb.VerificationProblem(net, Box.from_bounds([(0.5 * MAX, big)] * 2),
+                                         Box.from_bounds([(-1, 1)] * 3), mode="full", grid=(2,))
+        with pytest.raises(ValueError, match="must be finite"):
+            rb.verify(problem)
+
+
 def test_det_identity_point():
     lo, hi = as_pair(_idet_arrays(np.eye(2), np.eye(2)))
     assert lo <= 1.0 <= hi and hi - lo < 1e-13
@@ -293,6 +383,75 @@ def test_act_deriv_tanh_unit():
     lo, hi = as_pair(_act_deriv_arrays("tanh", *ends(-1, 1)))
     assert hi == 1.0
     assert lo <= 0.4199743416140261 and abs(lo - 0.4199743416140261) < 1e-13
+
+
+def dec_expm1(x: Decimal) -> Decimal:
+    """``e^x - 1``, by its series below 1/2, where ``exp(x) - 1`` would cancel."""
+    if abs(x) >= Decimal("0.5"):
+        return x.exp() - 1
+    term = total = x
+    n = 1
+    while abs(term) > abs(total) * Decimal("1e-60"):
+        n += 1
+        term = term * x / n
+        total += term
+    return total
+
+
+def dec_tanh(x: Decimal) -> Decimal:
+    e = dec_expm1(-2 * abs(x))  # in (-1, 0]: no overflow, and the series near 0
+    return (-e / (e + 2)).copy_sign(x)
+
+
+def dec_sigmoid(x: Decimal) -> Decimal:
+    return 1 / (1 + (-x).exp())
+
+
+def dec_tanh_deriv(x: Decimal) -> Decimal:
+    e = x.exp()
+    return 4 / (e + 1 / e) ** 2  # sech^2 = (2 / (e^x + e^-x))^2
+
+
+def dec_sigmoid_deriv(x: Decimal) -> Decimal:
+    return dec_tanh_deriv(x / 2) / 4
+
+
+# near 0, around the saturation knees (tanh near 19, sigmoid near 37 and
+# near -745 where e^x leaves the float range, sech^2 near 372) and at large |x|
+HARD_POINTS = np.unique(np.concatenate([
+    [0.0, 5e-324, 1e-310, 2.0**-1022, 1e-300, 1e-200, 1e-100, 2.0**-30, 1e-8, 1e-4,
+     0.1, 0.25, 0.5, 1.0, 2.0, 100.0, 300.0, 354.0, 372.0, 400.0, 700.0, 709.78,
+     710.5, 744.0, 745.1, 746.0, 800.0],
+    np.logspace(-12, 0, 97),
+    np.linspace(0.0, 1.0, 1001),  # the derivatives err most just below their peak
+    np.linspace(0.0, 40.0, 801),
+    np.linspace(360.0, 380.0, 41),
+    np.linspace(700.0, 760.0, 61),
+]))
+HARD_POINTS = np.concatenate([-HARD_POINTS[::-1], HARD_POINTS])
+
+
+@pytest.mark.parametrize("f, ref, pad", [
+    (np.tanh, dec_tanh, _PAD_ACT),
+    (_sigmoid, dec_sigmoid, _PAD_ACT),
+    (_tanh_deriv, dec_tanh_deriv, _PAD_DERIV),
+    (_sigmoid_deriv, dec_sigmoid_deriv, _PAD_DERIV),
+], ids=["tanh", "sigmoid", "tanh_deriv", "sigmoid_deriv"])
+def test_activation_error_stays_below_its_pad(f, ref, pad):
+    """This platform's libm against a 50-digit reference, in ulps of the float result.
+
+    `_down`/`_up` with ``steps`` pad by at least ``steps`` ulps of the value
+    they widen, so an error below ``pad`` ulps leaves every range and
+    derivative end on its side of the exact value.
+    """
+    with np.errstate(over="ignore"):
+        got = f(HARD_POINTS)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        errors = [abs(Decimal(y) - ref(Decimal(x))) / Decimal(math.ulp(y))
+                  for x, y in zip(HARD_POINTS.tolist(), got.tolist())]
+    worst = int(np.argmax(errors))
+    assert errors[worst] < pad, (HARD_POINTS[worst], float(errors[worst]))
 
 
 def test_act_unknown_tag():
@@ -607,7 +766,7 @@ def ref_matvec(w, b, xlo, xhi):
     hi = xhi @ wp.T + xlo @ wn.T
     mag = np.maximum(np.abs(xlo), np.abs(xhi)) @ np.abs(w).T
     err = (2 * k + 6) * _U * (mag + np.abs(b)) + (2 * k + 4) * _TINY
-    return ref_down(lo + b - err).reshape(shape), ref_up(hi + b + err).reshape(shape)
+    return (lo + b - err).reshape(shape), (hi + b + err).reshape(shape)
 
 
 def read_only(*arrays):

@@ -150,6 +150,15 @@ def test_every_mutant_snippet_occurs_once(mutant):
         assert f"def {name.split('[')[0]}(" in (ROOT / path).read_text(encoding="utf-8")
 
 
+def test_mutate_touching_selects_the_mutants_of_the_files_named():
+    touching = runpy.run_path(str(ROOT / "scripts" / "mutate.py"))["touching"]
+    intervals = [m for m in MUTANTS if m["file"] == "src/reachbound/intervals.py"]
+    assert intervals and touching(MUTANTS, ["src/reachbound/intervals.py"]) == intervals
+    assert touching(MUTANTS, ["./src/reachbound/intervals.py"]) == intervals
+    assert touching(MUTANTS, ["src/reachbound/nowhere.py"]) == []
+    assert touching(MUTANTS, None) == MUTANTS
+
+
 def bench_run_line(pps, p50, failed=0):
     """One ``perfbench/run.py`` result line."""
     return json.dumps({"correct": failed == 0, "attempted": 100, "failed": failed,
