@@ -8,15 +8,16 @@ batch axes and return an enclosure of the true real-arithmetic result set;
 the box pass and the Jacobian enclosure share ``_interval_matvec_arrays``.
 Its weight operands are an `_Operands` record that each `Layer` prepares
 once (`_operands`), and the zonotope pass reads the same record.  Every
-batched pass adds its bias through `_add_bias`, tile by tile.
-Products and the sums of `_idet_arrays` are widened outward by at least one
-ulp per endpoint, with one arithmetic pad per array (`_down`/`_up`), built
-in one buffer that then holds the result; libm-backed evaluations (tanh,
-sigmoid and their derivatives) are only faithfully rounded, so their
-endpoints get a wider fixed pad.  The matrix-vector reduction is bounded by
-one standard a-priori rounding-error term instead of per-term nudging, which
-keeps it vectorizable, and that term also covers its own subtraction, so
-its endpoints take no pad.  The kernels accumulate and clip in arrays they
+batched pass adds its bias through `_add_bias`, in same-shape adds of tiles
+of `_TILE` elements.  Products and the sums of `_idet_arrays` are widened
+outward by at least one ulp per endpoint, with one arithmetic pad per array
+(`_down`/`_up`: one product and one sum), built in one buffer that then
+holds the result; libm-backed evaluations (tanh, sigmoid and their
+derivatives) are only faithfully rounded, so their endpoints get a wider
+fixed pad.  The matrix-vector reduction is bounded by one standard a-priori
+rounding-error term instead of per-term nudging, which keeps it
+vectorizable, and that term also covers its own subtraction, so its
+endpoints take no pad.  The kernels accumulate and clip in arrays they
 created, never in their inputs, with the float operations of the plain
 one-expression forms in the same order, so working in place changes no bit
 (``tests/test_intervals.py`` pins them); a linear activation hands its
@@ -43,28 +44,32 @@ _U = 2.0 ** -53  # unit roundoff, float64
 _TINY = 5e-324  # one subnormal step, absolute slack per reduction term
 _PAD_ACT = 4  # ulps of outward pad for direct libm evaluations
 _PAD_DERIV = 8  # ulps of outward pad for composed derivative evaluations
-_TILE = 512  # rows of the bias tiles in `_Operands`
+_TILE = 8192  # elements of a bias tile in `_Operands`: np.getbufsize(), NumPy's ufunc buffer
 
 
 def _down(x, steps: int = 1):
     """A float at or below the ``steps``-th float below x, for steps <= 8.
 
-    The pad ``steps * (|x| 2^-52 + tiny)`` is one array expression, and it is
-    at least as wide as ``steps`` passes of ``nextafter`` toward -inf:
+    The pad ``|x| (steps 2^-52) + steps tiny`` is one array expression, and
+    it is at least as wide as ``steps`` passes of ``nextafter`` toward -inf:
 
-    - ``|x| 2^-52 >= ulp(x)`` for normal x, and ``tiny`` is the ulp of zero
-      and of every subnormal.  ``ulp(x)`` is itself a float no larger than
-      the exact per-step pad, and rounding is monotone, so the rounded
-      ``|x| 2^-52 + tiny`` is still at least ``ulp(x)``.
-    - For steps <= 8, ``steps * ulp(x)`` is a float too, so rounding
-      ``steps * (...)`` cannot drop below it.
+    - ``steps 2^-52`` and ``steps tiny`` are floats, so the pad takes one
+      rounded product and one rounded sum.  ``|x| 2^-52 >= ulp(x)`` for
+      normal x, ``steps ulp(x)`` is a float for steps <= 8, and rounding is
+      monotone, so the rounded product is at least ``steps ulp(x)``, and
+      adding ``steps tiny >= 0`` keeps it so.
+    - ``tiny`` is the ulp of zero and of every subnormal, so there the sum
+      alone gives at least ``steps tiny``.  For ``|x| > 2^-968`` the product
+      is normal and ``steps tiny`` is under half its ulp, so the sum rounds
+      back to the product; at and below ``2^-968`` the sum can round up by
+      one ulp of the product, never down.
     - Moving outward across a power of two at most doubles the ulp, and only
       for the steps past it.  Just below ``2^e``, with ``j < steps`` floats
-      left below it and ``v = 2^(e-53)`` their ulp, ``|x| 2^-52 = 2v - j v
-      2^-52`` is already about 2 ulp, and ``steps (2v - j v 2^-52)`` is at
-      least ``(2 steps - j) v``, the distance to the float ``steps`` places
-      outward.  That distance is a float, so rounding keeps the pad at least
-      as wide.  Moving inward the ulp only shrinks.
+      left below it and ``v = 2^(e-53)`` their ulp, the exact product
+      ``steps (2v - j v 2^-52)`` is at least ``(2 steps - j) v``, the
+      distance to the float ``steps`` places outward.  That distance is a
+      float, so rounding keeps the pad at least as wide.  Moving inward the
+      ulp only shrinks.
     - The subtraction rounds to nearest and rounding is monotone, and the
       ``steps``-th float outward is a float that the exact difference does
       not pass, so the result is at or beyond it.
@@ -89,9 +94,9 @@ def _down(x, steps: int = 1):
 
     The pad is built in one new float64 array of x's shape, and the
     difference is written into it, so x is never written.  Its operations
-    and their order are those of ``x - steps * (|x| 2^-52 + tiny)``; one step
-    skips the multiplication by 1, which is exact.  So the bits are the
-    plain expression's, and a scalar or 0-d x gives a 0-d array.
+    and their order are those of ``x - (|x| (steps 2^-52) + steps tiny)``,
+    so the bits are the plain expression's, and a scalar or 0-d x gives a
+    0-d array.
     """
     pad = _pad(x, steps)
     return np.subtract(x, pad, out=pad)
@@ -104,12 +109,10 @@ def _up(x, steps: int = 1):
 
 
 def _pad(x, steps: int):
-    """``steps * (|x| 2^-52 + tiny)`` in one new float64 array of x's shape."""
+    """``|x| (steps 2^-52) + steps tiny`` in one new float64 array of x's shape: three passes."""
     pad = np.abs(x, out=np.empty(np.shape(x)))
-    pad *= 2 * _U
-    pad += _TINY
-    if steps != 1:
-        pad *= steps
+    pad *= steps * 2 * _U
+    pad += steps * _TINY
     return pad
 
 
@@ -236,8 +239,9 @@ class _Operands(NamedTuple):
     Read-only C-contiguous ``(k, m)`` copies of ``w.T``, ``max(w, 0).T``,
     ``min(w, 0).T`` and ``|w|.T``, which OpenBLAS multiplies two to three
     times as fast as the transposed views, then ``b`` and ``|b|`` as
-    ``(_TILE, m)`` tiles of equal rows for `_add_bias`.  A `Layer` builds
-    its own once, so no pass rebuilds them per call.
+    ``(ceil(_TILE / m), m)`` tiles of equal rows for `_add_bias`: at least
+    `_TILE` elements, whatever the width.  A `Layer` builds its own once,
+    so no pass rebuilds them per call.
     """
 
     t: np.ndarray
@@ -254,7 +258,8 @@ def _operands(w, b) -> _Operands:
     A 0-d ``b`` (a zero bias) is broadcast to ``(m,)`` before it is tiled.
     """
     t = np.array(np.asarray(w, dtype=float).T, order="C")
-    tile = np.tile(np.broadcast_to(np.asarray(b, dtype=float), t.shape[1:]), (_TILE, 1))
+    m = t.shape[1]
+    tile = np.tile(np.broadcast_to(np.asarray(b, dtype=float), (m,)), (-(-_TILE // m), 1))
     parts = (t, np.maximum(t, 0.0), np.minimum(t, 0.0), np.abs(t), tile, np.abs(tile))
     for p in parts:
         p.setflags(write=False)
@@ -265,19 +270,22 @@ def _add_bias(rows, tile):
     """``rows += tile[0]`` for C-contiguous rows (..., m) and a `_Operands` bias tile (T, m).
 
     NumPy runs that ``(N, m) += (m,)`` broadcast row by row, up to three
-    times as slow on narrow rows, so from T rows on the first ``N - N % T``
-    are a ``(N // T, T, m)`` view that takes the whole tile and the rest
-    take its head: contiguous operands only.  Fewer rows keep the one
-    broadcast call, which costs least there.  Each element gets the same
-    one IEEE addition either way.  ``copy=False`` refuses rows that only a
-    copy can flatten to ``(N, m)``: the add would be lost in the copy.
+    times as slow on narrow rows, so every add here has operands of one
+    shape.  A batch of at most one tile takes the tile's head, ``rows +=
+    tile[:N]``.  A longer one is viewed as ``(N, m)``: its first ``N - N %
+    T`` rows as ``(N // T, T, m)`` blocks that take the whole tile, and the
+    rest the tile's head.  With tiles of `_TILE` elements, one ufunc
+    buffer, a ``(4096, 8)`` add costs about what a same-shape add does.
+    Each element gets the same one IEEE addition as in the broadcast.
+    ``copy=False`` refuses rows that only a copy can flatten to ``(N, m)``:
+    the add would be lost in the copy.
     """
-    if rows.size < tile.size:
-        rows += tile[0]
-        return
     t, m = tile.shape
+    n = rows.size // m
+    if n <= t:
+        rows += tile[:n].reshape(rows.shape)
+        return
     rows = rows.reshape(-1, m, copy=False)
-    n = len(rows)
     body = n - n % t
     blocks = rows[:body].reshape(body // t, t, m)
     blocks += tile
@@ -294,9 +302,12 @@ def _interval_matvec_arrays(op: _Operands, xlo, xhi, bias: bool = True):
     endpoints, since each product w_ij * x_j is monotone in x_j with the sign
     of w_ij.  Rounding: each endpoint is a sum of 2k products, of which at
     most k are nonzero, so the sum of their magnitudes is at most
-    ``mag = |w| @ max(|x_lo|, |x_hi|)``.  Two BLAS products of k terms (any
-    summation order, with or without FMA), the addition that joins them and
-    the addition of b err by at most
+    ``mag = |w| @ max(|x_lo|, |x_hi|)``.  Every caller passes ordered
+    enclosures, ``x_lo <= x_hi``, and there ``max(-x_lo, x_hi)`` is that
+    maximum bit for bit (up to the sign of a zero, which the ``+ tiny`` term
+    erases), in two array passes where the absolute values take three.  Two
+    BLAS products of k terms (any summation order, with or without FMA), the
+    addition that joins them and the addition of b err by at most
     ``(gamma_k + 2u(1 + u)(1 + gamma_k)) * mag + u |b|`` with
     ``gamma_k = k u / (1 - k u)``, plus half a subnormal step for each product
     that underflows.  ``(2k + 6) u (mag + |b|) + (2k + 4) tiny`` covers that
@@ -345,8 +356,8 @@ def _interval_matvec_arrays(op: _Operands, xlo, xhi, bias: bool = True):
     if bias:
         _add_bias(lo, op.bias_tile)
         _add_bias(hi, op.bias_tile)
-    mag = np.abs(xlo)
-    np.maximum(mag, np.abs(xhi), out=mag)
+    mag = np.negative(xlo)
+    np.maximum(mag, xhi, out=mag)
     err = mag @ op.mag
     if bias:
         _add_bias(err, op.bias_mag_tile)
@@ -400,12 +411,14 @@ def _idet_arrays(lo, hi):
 
 def _sigmoid(x):
     # 1/(1 + e^-x) for x >= 0 and e^x/(1 + e^x) below: exp(-|x|) is each form's
-    # exponential, and it never overflows
+    # exponential, and it never overflows.  One division serves both forms:
+    # where(x >= 0, 1, e) / (1 + e).
     x = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    e /= d
-    return np.where(x >= 0, 1.0 / d, e)
+    out = np.where(x >= 0, 1.0, e)
+    out /= d
+    return out
 
 
 def _tanh_deriv(x):

@@ -253,10 +253,15 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
     ``J_1 = D_1 W_1`` and ``J_l = D_l (W_l J_{l-1})``.  In real arithmetic
     ``D (W J)`` is contained in ``(D W) J`` (subdistributivity), so this order
     is never wider than multiplying the interval matrix ``D W`` into ``J``.
-    The product is carried transposed, as ``(..., n, m_l)``: row j of ``J^T``
-    is the interval vector of column j of ``J``, so ``W_l J_{l-1}`` is the box
-    pass's own `_interval_matvec_arrays` call on those rows, without the bias.  The
-    returned bounds are transposed views of it.
+    The product is carried tangent-major, as ``(n, ..., m_l)``: slice j is
+    the interval vector of column j of ``J`` for every cell, so ``W_l
+    J_{l-1}`` is the box pass's own `_interval_matvec_arrays` call on those
+    ``n`` times as many rows, without the bias, and ``D_l``, shaped like the
+    cells' pre-activations ``(..., m_l)``, broadcasts along the leading axis.
+    The returned bounds are views of it with the tangent axis moved last
+    (`np.moveaxis`'s view, by one `np.transpose`).  BLAS may round a row
+    differently at another position in the call (a 2-8-1 net does), so the
+    row order is part of the bits.
 
     `_act_deriv_arrays` clamps its lower end at 0, so ``D >= 0`` and
     ``D B`` is the sign-select product `_nonneg_imul_arrays`: two products
@@ -282,12 +287,14 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
                 break
         zlo, zhi = _interval_matvec_arrays(layer._ops, lo, hi)
         dlo, dhi = _act_deriv_arrays(layer.activation, zlo, zhi)
-        if jlo is None:
-            blo = bhi = layer._ops.t
-        jlo, jhi = _nonneg_imul_arrays(dlo[..., None, :], dhi[..., None, :], blo, bhi)
+        if jlo is None:  # W_1^T (n, m_1) as (n, 1, ..., 1, m_1), against D's (..., m_1)
+            t = layer._ops.t
+            blo = bhi = t.reshape(t.shape[:1] + (1,) * (dlo.ndim - 1) + t.shape[1:])
+        jlo, jhi = _nonneg_imul_arrays(dlo, dhi, blo, bhi)
         if k < last:  # only the next layer reads the activation range
             lo, hi = _act_range_arrays(layer.activation, zlo, zhi)
-    return np.swapaxes(jlo, -1, -2), np.swapaxes(jhi, -1, -2)
+    axes = (*range(1, jlo.ndim), 0)
+    return jlo.transpose(axes), jhi.transpose(axes)
 
 
 def _passes_row_test(net: Network, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

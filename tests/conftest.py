@@ -34,8 +34,14 @@ WORKLOAD_NETS = [((2, 5, 2), "tanh"), ((2, 7, 2), "tanh"), ((2, 8, 2), "sigmoid"
                  ((6, 16, 6), "tanh"), ((6, 16, 16, 6), "tanh")]
 
 
-# row counts around the bias tile: none, some and only leftover rows past the whole tiles
-BIAS_ROWS = (1, _TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5, 4000, 4096)
+def bias_rows(*widths):
+    """Row counts around the bias tiles of these widths, ``ceil(_TILE / m)`` rows each: one
+    row, a tile less one, a tile, a tile and one, and leftover rows past whole tiles, plus
+    the box pass's block."""
+    rows = {4000, 4096}
+    for t in (math.ceil(_TILE / m) for m in widths):
+        rows |= {1, t - 1, t, t + 1, 3 * t + 5}
+    return sorted(rows)
 
 
 def plain_add_bias(rows, tile):
@@ -65,22 +71,26 @@ def linear_hidden_net(seed=7):
 
 def ref_jacobian_interval_arrays(net, lo, hi):
     """The plain Jacobian chain: every layer's pre-activation enclosure and derivative
-    enclosure, a linear one's too, and ``W J`` with a zero bias added."""
+    enclosure, a linear one's too, and ``W J`` with a zero bias added.
+
+    ``J`` is tangent-major, ``(n, ..., m_l)``, as in the kernel: BLAS may round a
+    row of ``W J`` differently at another position in the call."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    cells = tuple(range(1, lo.ndim))  # W_1^T's axes for the cells' batch axes
     jlo = jhi = None
     last = len(net.layers) - 1
     for k, layer in enumerate(net.layers):
         zlo, zhi = _interval_matvec_arrays(_operands(layer.weights, layer.bias), lo, hi)
         dlo, dhi = _act_deriv_arrays(layer.activation, zlo, zhi)
         if jlo is None:
-            blo = bhi = layer.weights.T
+            blo = bhi = np.expand_dims(layer.weights.T, cells)
         else:
             blo, bhi = _interval_matvec_arrays(_operands(layer.weights, 0.0), jlo, jhi)
-        jlo, jhi = _nonneg_imul_arrays(dlo[..., None, :], dhi[..., None, :], blo, bhi)
+        jlo, jhi = _nonneg_imul_arrays(dlo, dhi, blo, bhi)
         if k < last:
             lo, hi = _act_range_arrays(layer.activation, zlo, zhi)
-    return np.swapaxes(jlo, -1, -2), np.swapaxes(jhi, -1, -2)
+    return np.moveaxis(jlo, 0, -1), np.moveaxis(jhi, 0, -1)
 
 
 def linear_net(w, b=None):

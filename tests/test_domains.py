@@ -12,8 +12,8 @@ from reachbound.domains import box_propagate_arrays, normalize_domain, zono_prop
 from reachbound.intervals import _interval_matvec_arrays, _operands
 from reachbound.verifier import boundary_cell_batch, grid_cell_batch, propagate_cells
 from conftest import (
-    BIAS_ROWS,
     WORKLOAD_NETS,
+    bias_rows,
     deep_nets,
     identity_net,
     linear_hidden_net,
@@ -532,7 +532,7 @@ def test_affine_rows_bias_bits_match_the_broadcast(monkeypatch, k, m):
     w = rng.uniform(-2.0, 2.0, (m, k))
     ops = [_operands(w, rng.uniform(-1.0, 1.0, m)), _operands(w, 0.0)]
     # (k,) is one zonotope, as `zono_affine` sends it
-    for shape in [(k,)] + [(rows, k) for rows in BIAS_ROWS]:
+    for shape in [(k,)] + [(rows, k) for rows in bias_rows(m)]:
         lo = rng.uniform(-3.0, 3.0, shape)
         hi = lo + rng.uniform(0.0, 1.0, shape)
         box_rows, slack = rb.domains._box_rows(lo, hi)

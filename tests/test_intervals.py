@@ -34,7 +34,7 @@ from reachbound.intervals import (
     _up,
 )
 
-from conftest import BIAS_ROWS, WORKLOAD_NETS, plain_add_bias
+from conftest import WORKLOAD_NETS, bias_rows, plain_add_bias
 
 
 def tight(value: float, target: float, ulps: int = 4) -> bool:
@@ -207,6 +207,8 @@ def matvec_worst_cases(k):
     x = 16.0 / k / w[0] * (1.0 + rng.uniform(0.0, 2.0**-40, (24, k)))
     xhi = x * (1.0 + (rng.random((24, k)) < 0.5) * 2.0**-45)
     cases["above-a-power-of-two"] = (w, 2.0**-30, x, xhi)
+    # the same sums negated, with upper ends at 0: the magnitude is |x_lo|
+    cases["lower-ends-dominate"] = (w, 0.0, -xhi, np.zeros_like(x))
     # |b| far above M, and the inputs' low bits below its ulp
     w = rng.uniform(-1.0, 1.0, (3, k))
     xlo = rng.uniform(-1.0, 1.0, (24, k))
@@ -532,6 +534,7 @@ def test_box_dimension_mismatch():
         Box.from_bounds([(0, 1)]).contains_box(Box.from_bounds([(0, 1), (0, 1)]))
 
 
+MAX = float(np.finfo(float).max)
 box_floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308]),
@@ -560,11 +563,14 @@ def test_box_holds_read_only_copies_bit_for_bit(bounds):
 
 @given(bounds=box_bounds, k=st.integers(0, 4), on_hi=st.booleans(),
        bad=st.sampled_from([math.nan, math.inf, -math.inf, "lo > hi"]))
+@example(bounds=[(0.0, MAX)], k=0, on_hi=False, bad="lo > hi")
 def test_box_rejects_one_bad_dimension(bounds, k, on_hi, bad):
     lo = np.array([a for a, _ in bounds])
     hi = np.array([b for _, b in bounds])
     k %= len(bounds)
     if bad == "lo > hi":
+        if hi[k] == MAX:  # the float above it is inf, a different bad value
+            hi[k] = np.nextafter(MAX, 0.0)
         lo[k] = np.nextafter(hi[k], np.inf)
     else:
         (hi if on_hi else lo)[k] = bad
@@ -623,7 +629,6 @@ def nextafter_steps(x, steps, toward):
     return x
 
 
-MAX = float(np.finfo(float).max)
 POWERS = np.ldexp(1.0, np.arange(-1074, 1024))  # every power of two, 5e-324 up
 EDGE_FLOATS = np.concatenate(
     [[0.0, MAX], POWERS, np.nextafter(POWERS, 0.0), np.nextafter(POWERS, np.inf)]
@@ -706,11 +711,11 @@ def test_box_input_checks(lo, hi):
 
 
 def ref_down(x, steps=1):
-    return x - steps * (np.abs(x) * (2 * _U) + _TINY)
+    return x - (np.abs(x) * (steps * 2 * _U) + steps * _TINY)
 
 
 def ref_up(x, steps=1):
-    return x + steps * (np.abs(x) * (2 * _U) + _TINY)
+    return x + (np.abs(x) * (steps * 2 * _U) + steps * _TINY)
 
 
 def ref_sigmoid(x):
@@ -850,6 +855,11 @@ def test_nonneg_product_bits_match_the_plain_expression():
     assert same_bits(_nonneg_imul_arrays(*args), ref_nonneg_imul(*args))
 
 
+# ordered (lo, hi) ends that the magnitude must read as max(|lo|, |hi|) does
+SPECIAL_ENDS = [(-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (1.5, 1.5), (-2.5, -2.5),
+                (-math.inf, 1.0), (-1.0, math.inf), (-math.inf, math.inf), (math.inf, math.inf),
+                (-math.inf, -math.inf), (math.nan, math.nan), (math.nan, 1.0), (-1.0, math.nan)]
+
 # (inputs, outputs) of every layer of the benchmark's nets
 WORKLOAD_LAYERS = sorted({(dims[i], dims[i + 1]) for dims, _ in WORKLOAD_NETS
                           for i in range(len(dims) - 1)})
@@ -869,10 +879,22 @@ def test_matvec_bits_match_the_plain_expression(k, m):
             # the zero-bias path (the Jacobian's W J) skips the bias, not a bit
             args[1] = 0.0
             assert same_bits(matvec(*args, bias=False), ref_matvec(*args))
-    # leading batch axes, as the Jacobian's (rows, n, k) products send them
+    # leading batch axes, as the Jacobian's (n, rows, k) products send them
     args = read_only(w, 0.0, xlo[:66].reshape(2, 33, k), xhi[:66].reshape(2, 33, k))
     assert same_bits(matvec(*args), ref_matvec(*args))
     assert same_bits(matvec(*args, bias=False), ref_matvec(*args))
+    # the magnitude max(-lo, hi) is max(|lo|, |hi|) bit for bit on signed zeros,
+    # equal ends, infinities and NaN: each pair in each column of a random row
+    lo_rows, hi_rows = (np.repeat(x[:1], len(SPECIAL_ENDS) * k, axis=0) for x in (xlo, xhi))
+    for i, (a, z) in enumerate(SPECIAL_ENDS):
+        lo_rows[i * k:(i + 1) * k][np.diag_indices(k)] = a
+        hi_rows[i * k:(i + 1) * k][np.diag_indices(k)] = z
+    for b in (rng.uniform(-1.0, 1.0, m), 0.0):
+        args = read_only(w, b, lo_rows, hi_rows)
+        with np.errstate(invalid="ignore"):
+            assert same_bits(matvec(*args), ref_matvec(*args))
+            args[1] = 0.0
+            assert same_bits(matvec(*args, bias=False), ref_matvec(*args))
     # One row is a matrix-vector product, and the contiguous (k, m) operand
     # takes the other BLAS kernel, whose sums may round differently from the
     # reference; both enclose the exact sign-split endpoints.
@@ -886,15 +908,17 @@ def test_matvec_bits_match_the_plain_expression(k, m):
 # the bias tile
 
 
-@pytest.mark.parametrize("m", [1, 2, 8])
+@pytest.mark.parametrize("m", [1, 2, 8, 16])
 def test_bias_add_bits_match_the_broadcast(m):
     rng = np.random.default_rng(m)
     b = rng.uniform(-1.0, 1.0, m)
     b[1:2] = -0.0
     op = _operands(np.ones((m, 3)), b)
-    assert op.bias_tile.shape == (_TILE, m) and op.bias_tile.flags.c_contiguous
+    assert op.bias_tile.shape == (_TILE // m, m) and op.bias_tile.flags.c_contiguous
     assert not op.bias_tile.flags.writeable and not op.bias_mag_tile.flags.writeable
-    for rows in BIAS_ROWS:
+    # one row, a tile less one, a tile and a tile and one: a batch of at most one
+    # tile takes the tile's head, a longer one whole tiles and then the head
+    for rows in bias_rows(m):
         x = rng.uniform(-2.0, 2.0, (rows, m))
         x[0] = -0.0  # -0 + -0 stays -0 and -0 + |-0| is +0, in a tile or a leftover row
         for tile, ref in ((op.bias_tile, x + b), (op.bias_mag_tile, x + np.abs(b))):
@@ -922,7 +946,8 @@ def test_bias_add_refuses_rows_that_only_a_copy_can_reshape():
 
 def test_zero_bias_operands_are_tiled():
     op = _operands(np.ones((3, 2)), 0.0)
-    assert op.bias_tile.shape == op.bias_mag_tile.shape == (_TILE, 3)
+    # at least _TILE elements: ceil(_TILE / 3) rows
+    assert op.bias_tile.shape == op.bias_mag_tile.shape == (_TILE // 3 + 1, 3)
     assert not op.bias_tile.any() and not op.bias_mag_tile.any()
 
 
@@ -933,7 +958,7 @@ def test_matvec_bias_bits_match_the_broadcast(monkeypatch, k, m):
     rng = np.random.default_rng(10 * k + m)
     w = rng.uniform(-2.0, 2.0, (m, k))
     ops = [_operands(w, rng.uniform(-1.0, 1.0, m)), _operands(w, 0.0)]
-    for rows in BIAS_ROWS:
+    for rows in bias_rows(m):
         xlo = rng.uniform(-3.0, 3.0, (rows, k))
         xhi = xlo + rng.uniform(0.0, 1.0, (rows, k))
         xlo, xhi = read_only(xlo, xhi)

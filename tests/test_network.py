@@ -8,7 +8,7 @@ import pytest
 import reachbound as rb
 from reachbound.intervals import _TILE
 from reachbound.reports import render_svg
-from conftest import BIAS_ROWS, identity_net, linear_net, make_net, sample_box
+from conftest import bias_rows, identity_net, linear_net, make_net, sample_box
 
 
 def doc_252():
@@ -118,7 +118,7 @@ def test_forward_bits_match_the_plain_expression(dims, activation):
     # f(x @ W.T + b) per layer, the bias as the (N, m) + (m,) broadcast
     net = rb.generate_network(5, dims, activation, 2.0)
     rng = np.random.default_rng(len(dims))
-    for rows in BIAS_ROWS:
+    for rows in bias_rows(*dims[1:]):
         xs = rng.uniform(-2.0, 2.0, (rows, dims[0]))
         want = xs
         for layer in net.layers:
@@ -291,8 +291,9 @@ def test_layer_operands_are_prepared_read_only_copies():
     w = np.array([[1.0, -2.0, 0.0], [-0.5, 3.0, 4.0]])
     b = np.array([0.25, -1.0])
     layer = rb.Layer(w, b, "tanh")
+    # two outputs: bias tiles of _TILE / 2 rows
     want = (w.T, np.maximum(w, 0).T, np.minimum(w, 0).T, np.abs(w).T,
-            np.tile(b, (_TILE, 1)), np.tile(np.abs(b), (_TILE, 1)))
+            np.tile(b, (_TILE // 2, 1)), np.tile(np.abs(b), (_TILE // 2, 1)))
     assert len(layer._ops) == len(want)
     for got, ref in zip(layer._ops, want):
         assert np.array_equal(got, ref) and got.flags.c_contiguous and not got.flags.writeable
