@@ -5,9 +5,9 @@ Every cell batch is a `CellBatch` of lattice ranges ``[a, b)`` on one
 builders take ``(box, counts)``: all cells (`grid_cell_batch`, ``b = a +
 1``, bounds broadcast from the edges), face cells (`boundary_cell_batch`,
 ``a_k = b_k``) and the kept cells of `extract_subset` (a
-`SubsetExtraction`, which adds its counts); the last two gather their
-bounds through `CellGrid.range_bounds`.  Each reads its counts as integers
-and refuses a level past `CELL_BUDGET` before it builds a grid.
+`SubsetExtraction`, which adds its counts); the last two, and the tree's
+nodes, gather their bounds through `CellGrid.range_bounds`.  Each reads its
+counts as integers and refuses a level past `CELL_BUDGET` before building.
 
 Two tests read the interval enclosure of the Jacobian over a cell,
 `jacobian_interval_arrays`, which applies to any network:
@@ -106,11 +106,10 @@ class CellGrid:
     def edges(self, k: int) -> np.ndarray:
         return self._edges[k]
 
-    def range_bounds(self, a: np.ndarray, b: np.ndarray):
-        """(lo, hi) bounds of the (N, n) lattice index ranges ``[a, b)``, taken from the edges."""
-        lo = np.stack([self.edges(k)[a[:, k]] for k in range(self.dim)], axis=1)
-        hi = np.stack([self.edges(k)[b[:, k]] for k in range(self.dim)], axis=1)
-        return lo, hi
+    def range_bounds(self, a, b):
+        """(lo, hi) bounds (..., n) of lattice ranges ``[a, b)``, one index array per dimension."""
+        return tuple(np.stack([self.edges(k)[e[k]] for k in range(self.dim)], axis=-1)
+                     for e in (a, b))
 
     def bounds_arrays(self):
         """Row-major (indices, lo, hi) arrays for all cells, refused past `CELL_BUDGET`.
@@ -210,13 +209,13 @@ def boundary_cell_batch(box: Box, counts) -> CellBatch:
     grid = CellGrid(box, counts)
     parts = []
     for k, shape in enumerate(shapes):
-        a = np.argwhere(np.ones(shape, dtype=bool))
+        a = np.indices(shape).reshape(len(shape), -1).T
         b = a + 1
         for edge in (0, counts[k]):
             a[:, k] = b[:, k] = edge
             parts.append((a.copy(), b.copy()))
     a, b = (np.concatenate(ends) for ends in zip(*parts))
-    return CellBatch(grid, a, b, *grid.range_bounds(a, b))
+    return CellBatch(grid, a, b, *grid.range_bounds(a.T, b.T))
 
 
 def grid_counts(counts, box: Box, level: int = 0) -> tuple[int, ...]:
@@ -358,6 +357,7 @@ def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):
 # subset extraction
 
 _DROPPED, _TO_TEST, _WHOLE = 0, 1, 2  # the states of a node in `extract_subset`'s tree
+_LEAF = 2  # a node of at most this many cells in every dimension is kept whole, untested
 
 
 class SubsetExtraction(CellBatch):
@@ -411,13 +411,14 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     the whole lattice.  The root cuts each dimension at ``[0, 1, c - 1, c]``
     and keeps its nodes whole, the ring that touches a face, but the centre:
     the interior block ``[1, c - 1)``, to test unless it is leaf-sized, at
-    most 2 cells in every dimension.  Each level splits every range
+    most `_LEAF` cells in every dimension.  Each level splits every range
     (`_split_cuts`) and the states with it, so children inherit them; tests
-    the to-test children in one `_passes_row_test` call, on bounds read from
-    ``grid.edges(k)`` at their cut indices, so a node's bounds are its cells'
-    own floats; drops each passing child; and keeps a failing one whole if
-    leaf-sized, else to test.  Once none is left to test, `np.repeat` spreads
-    the states over the lattice, and every cell not dropped is kept.
+    the to-test children in one `_passes_row_test` call, on bounds that
+    `CellGrid.range_bounds` reads at their cut indices, so a node's bounds
+    are its cells' own floats; drops each passing child; and keeps a failing
+    one whole if leaf-sized, else to test.  Once none is left to test,
+    `np.repeat` spreads the states over the lattice, and every cell not
+    dropped is kept.
 
     Cost.  A leaf-sized node would split into single cells, and a Jacobian
     row costs 2.3-4.0 box-pass rows in a call of 64 rows and 3.5-14 in one
@@ -442,20 +443,19 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     inner = min(grid.counts) > 2
     cuts = [np.array([0, 1, c - 1, c] if inner else [0, c]) for c in grid.counts]
     state = np.full([len(c) - 1 for c in cuts], _WHOLE, dtype=np.int8)
-    if inner and max(grid.counts) > 4:
+    if inner and max(grid.counts) - 2 > _LEAF:
         state[(1,) * grid.dim] = _TO_TEST
     while (state == _TO_TEST).any():
         for k in range(grid.dim):
             cuts[k], parts = _split_cuts(cuts[k])
             state = np.repeat(state, parts, axis=k)
         nodes = np.nonzero(state == _TO_TEST)
-        lo, hi = (np.stack([grid.edges(k)[c[i + e]] for k, (c, i) in enumerate(zip(cuts, nodes))],
-                           axis=1) for e in (0, 1))
-        failed = np.where(np.all([np.diff(c)[i] <= 2 for c, i in zip(cuts, nodes)], axis=0),
+        lo, hi = grid.range_bounds(*([c[i + e] for c, i in zip(cuts, nodes)] for e in (0, 1)))
+        failed = np.where(np.all([np.diff(c)[i] <= _LEAF for c, i in zip(cuts, nodes)], axis=0),
                           _WHOLE, _TO_TEST)
         state[nodes] = np.where(_passes_row_test(net, lo, hi), _DROPPED, failed)
     for k, c in enumerate(cuts):
         state = np.repeat(state, np.diff(c), axis=k)
     index = np.argwhere(state != _DROPPED)
     b = index + 1
-    return SubsetExtraction(grid, index, b, *grid.range_bounds(index, b))
+    return SubsetExtraction(grid, index, b, *grid.range_bounds(index.T, b.T))

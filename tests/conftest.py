@@ -188,10 +188,11 @@ def ref_extract_subset(net, input_box, counts):
         a, b = _split_nodes(a[~leaf], b[~leaf])
         if a.shape[0]:
             levels.append((a, b))
-            passed = _passes_row_test(net, *grid.range_bounds(a, b))
+            passed = _passes_row_test(net, *grid.range_bounds(a.T, b.T))
             a, b = a[~passed], b[~passed]
     index = np.argwhere(kept)
-    return SubsetExtraction(grid, index, index + 1, *grid.range_bounds(index, index + 1)), levels
+    b = index + 1
+    return SubsetExtraction(grid, index, b, *grid.range_bounds(index.T, b.T)), levels
 
 
 def kept_whole_mask(grid, levels) -> np.ndarray:

@@ -119,6 +119,28 @@ def test_zono_from_point_box():
     assert np.array_equal(lo, [0.3, -0.2, 5.0]) and np.array_equal(hi, lo)
 
 
+def test_box_rows_enclose_their_box_in_exact_arithmetic():
+    # The rounded midpoint c and half-width can each fall half an ulp short of
+    # [lo, hi]; the slack makes up for it, so c ± (half + slack) encloses the
+    # box exactly.  The three fixed boxes, of mixed signs and far-apart
+    # exponents, escape a slack of `_TINY` alone; the sweep's ends are signed,
+    # 1e-18 to 1e18 (exponents -60..60), a quarter subnormal, some zero.
+    fixed = np.array([[-244077461.09371138, 3.488864608158717e-14],
+                      [-7.801965875733519e-11, 9.50665409756695e-18],
+                      [-10270311839.841127, 196097421739.98822]])
+    rng = np.random.default_rng(43)
+    ends = spread(rng, (3000, 2, 2), 0.05, (-18, 18))
+    tiny = rng.integers(1, 2**52, ends.shape) * np.copysign(2.0**-1074, ends)
+    ends = np.sort(np.where(rng.random(ends.shape) < 0.25, tiny, ends), axis=1)
+    for lo, hi in [(fixed[:, :1], fixed[:, 1:]), (ends[:, 0], ends[:, 1])]:
+        rows, slack = rb.domains._box_rows(lo, hi)
+        half = np.einsum("iji->ji", rows[1:])
+        assert np.count_nonzero(rows[1:]) == np.count_nonzero(half)  # off the diagonal: 0
+        for idx in np.ndindex(lo.shape):
+            c, rad = Fraction(rows[0][idx]), Fraction(half[idx]) + Fraction(slack[idx])
+            assert c - rad <= Fraction(lo[idx]) and Fraction(hi[idx]) <= c + rad, idx
+
+
 def test_zono_from_symmetric_cube():
     z = rb.zono_from_box(rb.Box.from_bounds([(-1, 1)] * 3))
     assert z.rows[1:].shape[0] == 3

@@ -48,7 +48,7 @@ def test_grid_cell_bounds_are_the_gathered_edges(bounds, counts):
     batch = topology.grid_cell_batch(rb.Box.from_bounds(bounds), counts)
     assert np.array_equal(batch.index, np.argwhere(np.ones(counts, dtype=bool)))  # row-major
     assert np.array_equal(batch.b, batch.index + 1)
-    lo, hi = batch.grid.range_bounds(batch.index, batch.b)
+    lo, hi = batch.grid.range_bounds(batch.index.T, batch.b.T)
     assert batch.lo.tobytes() == lo.tobytes() and batch.hi.tobytes() == hi.tobytes()
     assert batch.lo.shape == batch.hi.shape == (np.prod(counts), len(counts))
     assert batch.lo.flags.c_contiguous and batch.hi.flags.c_contiguous

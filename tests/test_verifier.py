@@ -330,7 +330,7 @@ def test_every_batch_is_lattice_ranges_of_its_levels_grid(case, mode, refine):
         assert np.all((a == 0) | (a == counts) | ~pinned)
     else:
         assert np.array_equal(b, a + 1)
-    lo, hi = batch.grid.range_bounds(a, b)
+    lo, hi = batch.grid.range_bounds(a.T, b.T)
     assert lo.tobytes() == batch.lo.tobytes() and hi.tobytes() == batch.hi.tobytes()
 
 
