@@ -26,7 +26,10 @@ parent's median, the rule that refuses a change, and every run in pair
 order; plus the
 summed ``failed`` counts and whether every run read ``correct``) and, with
 ``--baseline``, the change medians of an earlier file's series next to this
-one's.
+one's.  After writing it, the script prints one summary line per workload and
+metric: the parent and change medians, the change in percent of the
+parent's, and, for a metric of ``BENCHMARK.json``, the wins of N pairs,
+``resolved`` or ``unresolved`` and ``regressed`` or ``not regressed``.
 """
 
 import argparse
@@ -86,6 +89,22 @@ def summarize(pairs, specs):
         entry["change_runs"] = runs["change"]
         out["metrics"][name] = entry
     return out
+
+
+def summary_lines(series) -> list:
+    """One line per workload and metric of ``series``: medians, percent change, wins and flags."""
+    lines = []
+    for wl, entry in series.items():
+        for name, m in entry["metrics"].items():
+            parent, change = m["parent"]["median"], m["change"]["median"]
+            pct = f"{100 * (change - parent) / abs(parent):+.1f}%" if parent else "n/a"
+            line = f"{wl} {name}: {parent:.4g} -> {change:.4g} {m['unit']} ({pct})"
+            if "wins" in m:
+                line += (f", wins {m['wins']} of {entry['pairs']}, "
+                         f"{'resolved' if m['resolved'] else 'unresolved'}, "
+                         f"{'regressed' if m['regressed'] else 'not regressed'}")
+            lines.append(line)
+    return lines
 
 
 def baseline_delta(series, baseline: dict, label: str):
@@ -160,6 +179,7 @@ def main(argv=None) -> int:
         doc[f"delta_vs_{label}"] = baseline_delta(doc["series"], json.loads(args.baseline.read_text()),
                                                   label)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    print("\n".join(summary_lines(doc["series"])))
     return 0
 
 

@@ -7,9 +7,8 @@ gradient-row test on the whole box, so subset mode cannot take the faces.
 Reports the per-cell determinant certification of a uniform grid, then
 verifies safety in subset mode, which drops the interior cells where no
 output has a zero gradient, and compares against the full-set baseline.
-Subset mode keeps a certified interior cell only inside a node of at most 2
-cells per dimension, which its tree keeps whole rather than test cell by
-cell.
+Subset mode keeps a certified interior cell only inside a node of at most 4
+cells per dimension, which its tree keeps whole rather than split once more.
 """
 
 import argparse
@@ -27,11 +26,11 @@ def main():
     ap.add_argument("--grid", type=int, default=200)
     ap.add_argument("--verify-grid", type=int, default=60)
     # dropping cells pays only when propagation costs more per cell than the
-    # Jacobian tree.  Measured on a shared 2-vCPU Xeon VM with one BLAS
-    # thread at --verify-grid 60 (process time of `verify`, best of 15 in one
-    # process, the three quietest of five runs): with zonotopes, subset mode
-    # takes 1.8 ms against 2.6-2.8 ms for full mode; with plain boxes,
-    # 1.5-1.6 ms against 1.0 ms
+    # Jacobian tree.  Measured on a shared 2-vCPU VM with one BLAS thread at
+    # --verify-grid 60 (process time of `verify`, best of 15 in each of ten
+    # fresh processes; subset mode keeps 267 of 3600 cells): with zonotopes,
+    # subset mode takes 1.1-2.0 ms against 2.5-3.5 ms for full mode; with
+    # plain boxes, 0.9-1.6 ms against 0.65-1.0 ms, slower in every process
     ap.add_argument("--domain", choices=rb.domains.DOMAINS, default="zono")
     args = ap.parse_args()
 

@@ -357,7 +357,9 @@ def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):
 # subset extraction
 
 _DROPPED, _TO_TEST, _WHOLE = 0, 1, 2  # the states of a node in `extract_subset`'s tree
-_LEAF = 2  # a node of at most this many cells in every dimension is kept whole, untested
+# a node of at most this many cells in every dimension is kept whole, untested: its
+# children, at most 2 cells per dimension, cannot repay a level's call (`extract_subset`)
+_LEAF = 4
 
 
 class SubsetExtraction(CellBatch):
@@ -411,22 +413,26 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     the whole lattice.  The root cuts each dimension at ``[0, 1, c - 1, c]``
     and keeps its nodes whole, the ring that touches a face, but the centre:
     the interior block ``[1, c - 1)``, to test unless it is leaf-sized, at
-    most `_LEAF` cells in every dimension.  Each level splits every range
-    (`_split_cuts`) and the states with it, so children inherit them; tests
-    the to-test children in one `_passes_row_test` call, on bounds that
-    `CellGrid.range_bounds` reads at their cut indices, so a node's bounds
-    are its cells' own floats; drops each passing child; and keeps a failing
-    one whole if leaf-sized, else to test.  Once none is left to test,
-    `np.repeat` spreads the states over the lattice, and every cell not
-    dropped is kept.
+    most `_LEAF` (4) cells in every dimension.  Each level splits every
+    range (`_split_cuts`) and the states with it, so children inherit them;
+    tests the to-test children in one `_passes_row_test` call, on bounds
+    that `CellGrid.range_bounds` reads at their cut indices, so a node's
+    bounds are its cells' own floats; drops each passing child; and keeps a
+    failing one whole if leaf-sized, else to test.  Once none is left to
+    test, `np.repeat` spreads the states over the lattice, and every cell
+    not dropped is kept.
 
-    Cost.  A leaf-sized node would split into single cells, and a Jacobian
-    row costs 2.3-4.0 box-pass rows in a call of 64 rows and 3.5-14 in one
-    of 4096 (the workload nets, one BLAS thread), while a single cell it
-    drops saves one box-pass row: keeping the node is cheaper than testing
-    its cells.  Splitting a range of length r into ceil(sqrt(r)) parts, not
-    two, keeps the depth near log log N, because each level's call has a
-    fixed cost on top of its cells.
+    Cost.  A tree level costs one `_passes_row_test` call: 0.09-0.16 ms for
+    one row on the planar workload nets, and each further row 3.9-5.8 times
+    a box-pass row between 64 and 576 rows (10th percentile of 200 calls,
+    one BLAS thread).  A dropped cell saves one box-pass row.  A failing
+    leaf-sized node would split into children of at most 2 cells per
+    dimension, so in the plane a tested row could drop at most 4 box-pass
+    rows, and the level cannot repay its call: on tanh-2-8-8-2 at 200^2
+    such a level tested 576 rows in 0.57-0.60 ms to drop 991 cells whose box
+    pass took 0.29-0.32 ms (best of 40).  Splitting a range of length r into
+    ceil(sqrt(r)) parts, not two, keeps the depth near log log N, because
+    each level's call has a fixed cost on top of its cells.
 
     `np.argwhere` lists the kept cells in row-major order, and
     `CellGrid.range_bounds` gathers their bounds.  A grid with no interior

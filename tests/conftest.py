@@ -181,10 +181,9 @@ def ref_extract_subset(net, input_box, counts):
     if not np.all(b > a):  # no interior: the root is empty and every cell stays kept
         a = b = a[:0]
     while a.shape[0]:
-        leaf = np.all(b - a <= 2, axis=1)
-        # ceil(sqrt(r)) = r for r <= 2, so a leaf-sized node splits into its cells
-        cells = _split_nodes(a[leaf], b[leaf])[0]
-        kept[tuple(cells.T)] = True
+        leaf = np.all(b - a <= topology._LEAF, axis=1)
+        for ai, bi in zip(a[leaf], b[leaf]):
+            kept[tuple(map(slice, ai, bi))] = True
         a, b = _split_nodes(a[~leaf], b[~leaf])
         if a.shape[0]:
             levels.append((a, b))
@@ -196,14 +195,14 @@ def ref_extract_subset(net, input_box, counts):
 
 
 def kept_whole_mask(grid, levels) -> np.ndarray:
-    """Row-major mask of the cells inside a leaf-sized node (at most 2 cells per dimension)
-    that failed the row test at some level, or that was never evaluated: the interior
-    block, which is the tree's root.  The tree keeps such a node whole."""
+    """Row-major mask of the cells inside a leaf-sized node (at most `topology._LEAF` cells
+    per dimension) that failed the row test at some level, or that was never evaluated: the
+    interior block, which is the tree's root.  The tree keeps such a node whole."""
     kept = np.zeros(grid.counts, dtype=bool)
     root = (np.ones((1, grid.dim), dtype=int), np.array([grid.counts]) - 1)
     for a, b in [root] + [(a[~passed], b[~passed]) for a, b, passed in levels]:
         for ai, bi in zip(a, b):
-            if np.all(bi > ai) and np.all(bi - ai <= 2):
+            if np.all(bi > ai) and np.all(bi - ai <= topology._LEAF):
                 kept[tuple(slice(x, y) for x, y in zip(ai, bi))] = True
     return kept.ravel()
 

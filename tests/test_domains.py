@@ -1,4 +1,5 @@
 import importlib
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from conftest import (
     plain_add_bias,
     sample_box,
 )
+from test_intervals import HARD_POINTS, dec_sigmoid, dec_tanh
 
 
 def mc_images(net, box, n, seed):
@@ -269,6 +271,20 @@ def test_zono_activation_sample_containment():
         form = out.rows[0] + eps @ out.rows[1:1 + g]
         fresh = np.diag(out.rows[1 + g:])
         assert np.all(np.abs(target - form) <= fresh + out.slack + 1e-300)
+
+
+@pytest.mark.parametrize("activation, ref", [("tanh", dec_tanh), ("sigmoid", dec_sigmoid)])
+def test_zono_activation_hulls_enclose_the_decimal_reference(activation, ref):
+    # one-input layers on point boxes: the hull of f(x) rests on libm's f(l), f(u) and the
+    # drift slack alone, so it must still hold the 50-digit value at each hard point
+    net = rb.Network((rb.Layer(np.array([[1.0]]), np.array([0.0]), activation),))
+    x = HARD_POINTS[np.abs(HARD_POINTS) <= 40.0]
+    lo, hi = zono_propagate(net, x[:, None], x[:, None])
+    with localcontext() as ctx:
+        ctx.prec = 50
+        missed = [xi for xi, l, h in zip(x.tolist(), lo[:, 0].tolist(), hi[:, 0].tolist())
+                  if not Decimal(l) <= ref(Decimal(xi)) <= Decimal(h)]
+    assert missed == []
 
 
 def test_zono_activation_unknown():

@@ -207,11 +207,25 @@ def test_bench_pairs_summarizes_canned_runs():
             p50 = ns["summarize"](pair, spec)["metrics"]["verify_ms_p50"]
             assert p50["regressed"] is regressed, (better, bound)
             assert p50["wins"] == 0
+    lines = ns["summary_lines"]({"planar-zono": series})
+    assert lines == [
+        "planar-zono problems_per_s: 115 -> 122.5 1/s (+6.5%), wins 2 of 4, resolved, "
+        "not regressed",
+        "planar-zono verify_ms_p50: 2 -> 1.75 ms (-12.5%), wins 2 of 4, unresolved, "
+        "not regressed",
+    ]
     one = ns["summarize"](pairs[:1], {})
     assert one["metrics"]["problems_per_s"]["change"] == {"median": 120.0, "q1": 120.0, "q3": 120.0}
     assert "wins" not in one["metrics"]["problems_per_s"]
     assert "resolved" not in one["metrics"]["problems_per_s"]
     assert "regressed" not in one["metrics"]["problems_per_s"]
+    # a metric outside BENCHMARK.json prints its medians alone; a parent median of 0 no percent
+    one["metrics"]["problems_per_s"]["parent"]["median"] = 0.0
+    line = ns["summary_lines"]({"planar-box": one})[0]
+    assert line == "planar-box problems_per_s: 0 -> 120 1/s (n/a)"
+    pair = [(parse(bench_run_line(100.0, 2.0)), parse(bench_run_line(100.0, 3.0)))]
+    line = ns["summary_lines"]({"cube-refine": ns["summarize"](pair, specs)})[1]
+    assert line == "cube-refine verify_ms_p50: 2 -> 3 ms (+50.0%), wins 0 of 1, resolved, regressed"
     old = {"series": {"planar-zono": {"metrics": {"problems_per_s": {"change": {"median": 99.0}}}}}}
     delta = ns["baseline_delta"]({"planar-zono": series}, old, "BENCH_25")
     assert delta == {"planar-zono": {"problems_per_s": {"BENCH_25_change_median": 99.0,

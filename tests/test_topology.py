@@ -440,12 +440,13 @@ def test_certify_batch_matches_scalar(mixed_net):
 
 
 def test_extraction_linear_keeps_only_boundary_ring():
+    # the 6 x 5 interior of an 8 x 7 grid is not leaf-sized, so the tree tests it
     net = linear_net([[2.0, 1.0], [0.0, 1.0]])
-    ex = rb.extract_subset(net, rb.Box.from_bounds([(0, 1), (0, 1)]), (6, 5))
+    ex = rb.extract_subset(net, rb.Box.from_bounds([(0, 1), (0, 1)]), (8, 7))
     counts = ex.counts
-    assert counts["total"] == 30
-    assert counts["certified_interior"] == (6 - 2) * (5 - 2)
-    assert counts["kept"] == 30 - 12
+    assert counts["total"] == 56
+    assert counts["certified_interior"] == (8 - 2) * (7 - 2)
+    assert counts["kept"] == 56 - 30
 
 
 def test_extraction_singular_keeps_everything(unit_square):
@@ -459,14 +460,26 @@ def test_extraction_singular_gradient_free_net_drops_its_interior(unit_square):
     # det = 0 everywhere, yet each output has a nonzero gradient: no interior extremum
     net = linear_net([[1.0, 1.0], [1.0, 1.0]])
     assert not rb.certify_homeomorphism(net, unit_square).certified
-    ex, levels = traced_extraction(net, unit_square, (6, 6))
-    assert ex.counts == {"total": 36, "certified_interior": 16, "kept": 20}
+    ex, levels = traced_extraction(net, unit_square, (7, 7))
+    assert ex.counts == {"total": 49, "certified_interior": 25, "kept": 24}
     assert len(levels) == 1
     interior = interior_mask(ex.grid)
     np.testing.assert_array_equal(dropped_mask(ex), interior)
-    # a 2 x 2 interior block is leaf-sized: kept whole, with no Jacobian call
-    ex, levels = traced_extraction(net, unit_square, (4, 4))
-    assert ex.counts == {"total": 16, "certified_interior": 0, "kept": 16} and levels == []
+    # a 4 x 4 interior block is leaf-sized: kept whole, with no Jacobian call
+    ex, levels = traced_extraction(net, unit_square, (6, 6))
+    assert ex.counts == {"total": 36, "certified_interior": 0, "kept": 36} and levels == []
+
+
+@pytest.mark.parametrize("count, rows", [(6, []), (7, [9])])
+def test_a_failing_node_of_at_most_4_cells_per_dimension_is_kept_whole(unit_square, count,
+                                                                        rows):
+    # a zero row fails everywhere: a 4 x 4 interior is kept whole untested, while a 5 x 5
+    # one is split once into 3 x 3 children of 1 or 2 cells per dimension, kept whole
+    net = linear_net([[1.0, 1.0], [0.0, 0.0]])
+    ex, levels = traced_extraction(net, unit_square, (count, count))
+    assert [a.shape[0] for a, _, _ in levels] == rows
+    assert not any(passed.any() for _, _, passed in levels)
+    assert ex.counts == {"total": count**2, "certified_interior": 0, "kept": count**2}
 
 
 def test_extraction_accounting_identity(mixed_net):
@@ -533,11 +546,13 @@ def test_extraction_decision_contains_certifying_every_cell():
         rng = np.random.default_rng(seed)
         n = net.input_dim
         # small boxes, so that cells certify, up to wide ones, so that some interior
-        # cells hold a critical point; counts below 3 leave no interior cell, and
-        # counts above 4 give the tree a root to split
+        # cells hold a critical point; counts below 3 leave no interior cell, and a
+        # count above `_LEAF + 2`, here in one dimension, gives the tree a root to split
         centre, half = rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-3, 0.5, n)
         box = rb.Box.from_arrays(centre - half, centre + half)
-        counts = tuple(int(c) for c in rng.integers(1, 8 if n <= 3 else 6, n))
+        counts = rng.integers(1, 8 if n <= 3 else 6, n)
+        counts[rng.integers(n)] = rng.integers(1, 12)
+        counts = tuple(int(c) for c in counts)
         ex, levels = traced_extraction(net, box, counts)
         _, lo, hi = ex.grid.bounds_arrays()
         interior = interior_mask(ex.grid)
@@ -589,7 +604,8 @@ def test_extraction_returns_the_kept_cells_in_row_major_order(case):
 
 
 @pytest.mark.parametrize(
-    "counts, rows", [((5, 5), 9), ((2, 7), 0), ((20, 20), 324), ((3, 3), 1)]
+    "counts, rows",
+    [((5, 5), 9), ((2, 7), 0), ((20, 20), 324), ((3, 3), 1), ((7, 7), 25), ((40, 40), 1444)],
 )
 def test_extraction_certifies_interior_rows_only(mixed_net, monkeypatch, counts, rows):
     # one Jacobian call per tree level: its rows are the children of the last level's
@@ -604,7 +620,7 @@ def test_extraction_certifies_interior_rows_only(mixed_net, monkeypatch, counts,
     ex = rb.extract_subset(mixed_net, rb.Box.from_bounds([(-1, 1), (-1, 1)]), counts)
     interior = interior_mask(ex.grid)
     assert interior.sum() == rows
-    if all(c - 2 <= 2 for c in counts):  # no interior cell, or a leaf-sized root kept whole
+    if min(counts) < 3 or max(counts) - 2 <= topology._LEAF:  # no interior, or a leaf root
         assert calls == []
         assert np.all(~dropped_mask(ex))
         return
@@ -620,14 +636,13 @@ def test_extraction_certifies_interior_rows_only(mixed_net, monkeypatch, counts,
         np.testing.assert_array_equal(block, pending)  # disjoint, and tile the pending set
         passed = row_test(*jacobian_interval_arrays(mixed_net, lo, hi))
         if level == 0:  # ceil(sqrt(r))^2 children of an r x r interior block
-            assert a.shape[0] == {9: 4, 324: 25}[rows]
+            assert a.shape[0] == {25: 9, 324: 25, 1444: 49}[rows]
         pending[:] = False
         for ai, bi in zip(a[~passed], b[~passed]):
-            if np.any(bi - ai > 2):
+            if np.any(bi - ai > topology._LEAF):
                 pending[ai[0]:bi[0], ai[1]:bi[1]] = True
     assert not pending.any()
-    if counts == (20, 20):
-        assert len(calls) >= 2
+    assert len(calls) == (1 if counts[0] < 40 else 2)
 
 
 def test_extraction_across_a_block_boundary(mixed_net, monkeypatch):
@@ -653,18 +668,21 @@ def test_extraction_across_a_block_boundary(mixed_net, monkeypatch):
 @given(deep_nets())
 @settings(max_examples=60, deadline=None)
 def test_extraction_never_splits_a_leaf_sized_node(case):
-    # a node of at most 2 cells per dimension is kept whole: every evaluated node is a
-    # child of the root or of a failing node of the last level whose range is longer
-    # than 2 in some dimension, and every such node is split
+    # a node of at most `_LEAF` cells per dimension is kept whole: every evaluated node is
+    # a child of the root or of a failing node of the last level whose range is longer
+    # than `_LEAF` in some dimension, and every such node is split; one dimension of
+    # 7-29 cells gives the root a range longer than `_LEAF`
     net, seed = case
     rng = np.random.default_rng(seed)
     n = net.input_dim
     centre, half = rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-2, 0.5, n)
-    counts = tuple(int(c) for c in rng.integers(3, 12 if n <= 3 else 7, n))
+    counts = rng.integers(3, 12 if n <= 3 else 7, n)
+    counts[rng.integers(n)] = rng.integers(7, 30)
+    counts = tuple(int(c) for c in counts)
     ex, levels = traced_extraction(net, rb.Box.from_arrays(centre - half, centre + half), counts)
 
-    def split(a, b):  # the nodes the tree splits: those with a range longer than 2
-        longer = np.any(b - a > 2, axis=1)
+    def split(a, b):  # the nodes the tree splits: those with a range longer than `_LEAF`
+        longer = np.any(b - a > topology._LEAF, axis=1)
         return a[longer], b[longer]
 
     pa, pb = split(np.ones((1, n), dtype=int), np.array([counts]) - 1)
@@ -709,12 +727,12 @@ def test_extraction_runs_the_tree_on_a_non_square_net(monkeypatch):
 
 
 def test_extraction_runs_the_tree_on_seven_inputs():
-    # the interior block [1, 5) x [1, 2)^6 splits into two leaf-sized children in one call
+    # the interior block [1, 6) x [1, 2)^6 splits into three leaf-sized children in one call
     net = rb.generate_network(3, [7, 8, 7])
-    ex, levels = traced_extraction(net, rb.Box.from_bounds([(0, 1)] * 7), (6,) + (3,) * 6)
-    assert len(levels) == 1 and levels[0][0].shape[0] == 2
-    assert ex.counts == {"total": 4374, "certified_interior": 4, "kept": 4370}
-    assert assert_dropped_cells_hold_no_zero_gradient(net, ex, np.random.default_rng(0)) == 4
+    ex, levels = traced_extraction(net, rb.Box.from_bounds([(0, 1)] * 7), (7,) + (3,) * 6)
+    assert len(levels) == 1 and levels[0][0].shape[0] == 3
+    assert ex.counts == {"total": 5103, "certified_interior": 5, "kept": 5098}
+    assert assert_dropped_cells_hold_no_zero_gradient(net, ex, np.random.default_rng(0)) == 5
 
 
 def _assert_matches_the_node_tree(net, box, counts):
@@ -755,7 +773,7 @@ def test_extraction_matches_the_node_tree(case):
     _assert_matches_the_node_tree(net, rb.Box.from_arrays(centre - half, centre + half), counts)
 
 
-@pytest.mark.parametrize("count, kept", [(1, 1), (3, 3), (5, 5), (9, 8), (50, 14), (1000, 12)])
+@pytest.mark.parametrize("count, kept", [(1, 1), (3, 3), (5, 5), (9, 9), (50, 16), (1000, 12)])
 def test_extraction_matches_the_node_tree_on_one_input(count, kept):
     # deep_nets draws 2-6 inputs: here each level's leaf test reads one cut array
     net = rb.generate_network(3, (1, 6, 1), "tanh", 3.0)
