@@ -2,10 +2,11 @@
 """Run the benchmark on two source trees in alternating pairs and summarize it.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --seed S --pairs N \\
-        [--workloads planar-zono planar-box] [--seconds 10] [--baseline BENCH_25.json] \\
+        [--workloads planar-zono planar-box] [--seconds T] [--baseline BENCH_25.json] \\
         --out BENCH_30.json
 
 PARENT and CHANGE are checkouts (each with ``src/`` and ``perfbench/``).
+``--seconds`` defaults to ``BENCHMARK.json``'s ``run_seconds``.
 Each is copied once into a fresh temporary directory, without ``.git``,
 ``__pycache__`` or earlier benchmark output, at two paths of equal length
 (``.../parent`` and ``.../change``), since a path's length can move memory
@@ -22,18 +23,22 @@ for neither, ``resolved``, false when either side's interquartile spread
 exceeds the metric's ``BENCHMARK.json`` bound times that side's median, so
 the runs spread too widely to tell, ``regressed``, true when the change's
 median is worse than the parent's by more than that bound times the
-parent's median, the rule that refuses a change, and every run in pair
-order; plus the
+parent's median, the rule that refuses a change, ``claim_met``, true when
+the change wins at least ceil(0.9 N) of N pairs and its median beats the
+parent's by more than the parent's q3 - q1, the rule a claimed gain must
+pass, and every run in pair order; plus the
 summed ``failed`` counts and whether every run read ``correct``) and, with
 ``--baseline``, the change medians of an earlier file's series next to this
 one's.  After writing it, the script prints one summary line per workload and
 metric: the parent and change medians, the change in percent of the
 parent's, and, for a metric of ``BENCHMARK.json``, the wins of N pairs,
-``resolved`` or ``unresolved`` and ``regressed`` or ``not regressed``.
+``resolved`` or ``unresolved``, ``regressed`` or ``not regressed`` and
+``claim met`` or ``claim not met``.
 """
 
 import argparse
 import json
+import math
 import os
 import platform
 import shutil
@@ -62,7 +67,8 @@ def summarize(pairs, specs):
 
     ``specs`` maps a metric name to its ``BENCHMARK.json`` end-to-end entry,
     of which ``better`` ("lower" or "higher") and ``bound`` are read; a
-    metric missing from it gets no ``wins``, ``resolved`` or ``regressed``.
+    metric missing from it gets no ``wins``, ``resolved``, ``regressed`` or
+    ``claim_met``.
     """
     out = {
         "pairs": len(pairs),
@@ -85,6 +91,9 @@ def summarize(pairs, specs):
                                     <= spec["bound"] * abs(entry[side]["median"]) for side in SIDES)
             parent, change = entry["parent"]["median"], entry["change"]["median"]
             entry["regressed"] = sign * (parent - change) > spec["bound"] * abs(parent)
+            spread = entry["parent"]["q3"] - entry["parent"]["q1"]
+            entry["claim_met"] = (entry["wins"] >= math.ceil(0.9 * len(pairs))
+                                  and sign * (change - parent) > spread)
         entry["parent_runs"] = runs["parent"]
         entry["change_runs"] = runs["change"]
         out["metrics"][name] = entry
@@ -102,7 +111,8 @@ def summary_lines(series) -> list:
             if "wins" in m:
                 line += (f", wins {m['wins']} of {entry['pairs']}, "
                          f"{'resolved' if m['resolved'] else 'unresolved'}, "
-                         f"{'regressed' if m['regressed'] else 'not regressed'}")
+                         f"{'regressed' if m['regressed'] else 'not regressed'}, "
+                         f"{'claim met' if m['claim_met'] else 'claim not met'}")
             lines.append(line)
     return lines
 
@@ -133,17 +143,18 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--workloads", nargs="+", default=["planar-box", "planar-zono", "cube-refine"])
-    ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     ap.add_argument("--baseline", type=Path, help="an earlier BENCH_<pr>.json to compare medians with")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    specs = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    specs = {m["name"]: m for m in bench["end_to_end"]}
     doc = {
         "command": f"python3 perfbench/run.py --workload <name> --seed {args.seed} "
                    f"--seconds {args.seconds:g} --trace 0",
@@ -153,8 +164,10 @@ def main(argv=None) -> int:
                 "the pairs where the change reads better, ties counting for neither; resolved "
                 "is false when a side's q3 - q1 exceeds the metric's BENCHMARK.json bound "
                 "times its median; regressed is true when the change's median is worse than "
-                "the parent's by more than the bound times the parent's median; *_runs list "
-                "every run in pair order",
+                "the parent's by more than the bound times the parent's median; claim_met is "
+                "true when the change wins at least ceil(0.9 pairs) pairs and its median beats "
+                "the parent's by more than the parent's q3 - q1; *_runs list every run in pair "
+                "order",
         "env": {"nproc": os.cpu_count(), "python": platform.python_version()},
         "workloads": {},
         "series": {},

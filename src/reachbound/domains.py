@@ -135,7 +135,7 @@ class Zonotope(NamedTuple):
         return _hull(self.rows, self.slack)
 
 
-def _hull(rows, slack, spare=None):
+def _hull(rows, slack):
     """Outward-rounded interval hulls ``(lo, hi)`` of zonotopes ``(rows, slack)``.
 
     Dimension i lies within ``r_i + slack_i`` of ``c_i``, ``r_i = sum_j |G_ij|``.
@@ -147,15 +147,10 @@ def _hull(rows, slack, spare=None):
     over the generator axis, one contiguous ``(..., d)`` slice at a time.
     Only an exact zero skips the rounding: a row of zeros takes only its slack
     (a point box hulls to itself), and a NaN or infinite radius never hulls to the center.
-
-    ``spare``, a dead contiguous array, holds ``|G|`` when it is large enough.
     """
     center, gens = rows[0], rows[1:]
     g = gens.shape[0]
-    mags = None
-    if spare is not None and spare.size >= gens.size:
-        mags = spare.reshape(-1)[:gens.size].reshape(gens.shape)
-    rad_raw = np.abs(gens, out=mags).sum(axis=0)
+    rad_raw = np.abs(gens).sum(axis=0)
     err = (g + 2) * _U * (rad_raw + slack) + (g + 1) * _TINY
     rad = np.where(rad_raw == 0.0, 0.0, rad_raw + err) + slack
     lo = np.where(rad == 0.0, center, _down(center - rad))
@@ -230,7 +225,7 @@ def _affine_rows(rows, slack, op, fresh: int = 0):
     return out, slack
 
 
-def _activation_rows(out, slack, activation: str, spare=None):
+def _activation_rows(out, slack, activation: str):
     """Slope-and-offset transformer, in place on ``out`` from `_affine_rows`; returns the new slack.
 
     ``out`` is ``(1 + g + d, ..., d)``: the image's center and g generators,
@@ -239,14 +234,13 @@ def _activation_rows(out, slack, activation: str, spare=None):
     (f(u)-f(l) - lam(u-l))/2, the image of every point lies within mu2 of the
     line lam*x + mu1, so each dimension's free row becomes one fresh generator
     of magnitude mu2.  The center and the generators are scaled in place.
-    ``spare`` is passed to `_hull`.
     """
     act = _lookup(activation)
     if activation not in ("tanh", "sigmoid"):
         raise ValueError(f"no zonotope transformer for activation {activation!r}")
     g = out.shape[0] - 1 - out.shape[-1]
     head = out[:1 + g]
-    l, u = _hull(head, slack, spare)
+    l, u = _hull(head, slack)
     fl = act.f(l)
     fu = act.f(u)
     lam = _act_slope_arrays(activation, l, u)
@@ -294,11 +288,10 @@ def zono_propagate(net: Network, lo: np.ndarray, hi: np.ndarray):
     `box_propagate_arrays` does, in blocks of ``_BLOCK`` cells to bound memory.
     Each layer maps one ``[center; generators]`` array to a new one with room
     for its fresh generators: `_affine_rows` writes the affine image into its
-    head with the layer's prepared operands, `_activation_rows` scales it in
-    place and writes the fresh generators, and the dead input array serves
-    as scratch for the hull.  The arrays and the slack are a `Zonotope`
-    record's ``(rows, slack)``, held without building one.  The one-cell
-    functions `zono_from_box`, `zono_affine`, `zono_activation` and
+    head with the layer's prepared operands, and `_activation_rows` scales it
+    in place and writes the fresh generators.  The arrays and the slack are a
+    `Zonotope` record's ``(rows, slack)``, held without building one.  The
+    one-cell functions `zono_from_box`, `zono_affine`, `zono_activation` and
     `hull_arrays` call the same kernels on one record, and `_box_rows` pads
     a zero-width dimension with a zero generator too, so a cell has the same
     generator count and error terms in a block as alone.  Each product is one
@@ -312,10 +305,9 @@ def zono_propagate(net: Network, lo: np.ndarray, hi: np.ndarray):
         rows, slack = _box_rows(lo, hi)
         for layer in net.layers:
             fresh = 0 if _lookup(layer.activation).linear else layer.out_dim
-            out, slack = _affine_rows(rows, slack, layer._ops, fresh)
+            rows, slack = _affine_rows(rows, slack, layer._ops, fresh)
             if fresh:
-                slack = _activation_rows(out, slack, layer.activation, rows)
-            rows, spare = out, rows
-        return _hull(rows, slack, spare)
+                slack = _activation_rows(rows, slack, layer.activation)
+        return _hull(rows, slack)
 
     return _map_row_blocks(net, layers, lo, hi, ((net.output_dim,),) * 2)

@@ -32,6 +32,8 @@ MIXED = dict(seed=11, dims=(2, 7, 2), activation="tanh", scale=2.0)
 WORKLOAD_NETS = [((2, 5, 2), "tanh"), ((2, 7, 2), "tanh"), ((2, 8, 2), "sigmoid"),
                  ((2, 8, 8, 2), "tanh"), ((3, 12, 3), "tanh"), ((4, 12, 4), "tanh"),
                  ((6, 16, 6), "tanh"), ((6, 16, 16, 6), "tanh")]
+# nets planned past six inputs (ROADMAP item 23), checked for bits across block splits
+PLANNED_NETS = [((8, 16, 8), "tanh"), ((8, 24, 8), "tanh")]
 
 
 def bias_rows(*widths):

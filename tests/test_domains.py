@@ -13,6 +13,7 @@ from reachbound.domains import box_propagate_arrays, normalize_domain, zono_prop
 from reachbound.intervals import _interval_matvec_arrays, _operands
 from reachbound.verifier import boundary_cell_batch, grid_cell_batch, propagate_cells
 from conftest import (
+    PLANNED_NETS,
     WORKLOAD_NETS,
     bias_rows,
     deep_nets,
@@ -392,8 +393,11 @@ def test_box_pass_across_block_boundaries(monkeypatch):
     assert empty_lo.shape == empty_hi.shape == (0, 2) and not calls
 
 
-@pytest.mark.parametrize("dims, activation", WORKLOAD_NETS,
-                         ids=["-".join(map(str, dims)) for dims, _ in WORKLOAD_NETS])
+BIT_NETS = WORKLOAD_NETS + PLANNED_NETS
+
+
+@pytest.mark.parametrize("dims, activation", BIT_NETS,
+                         ids=["-".join(map(str, dims)) for dims, _ in BIT_NETS])
 def test_box_pass_bits_do_not_depend_on_the_block_size(monkeypatch, dims, activation):
     # A cell's hull must not move with the blocks its batch is cut into, or
     # verdicts and hulls would depend on the batch around a cell.  BLAS does
@@ -498,8 +502,8 @@ def test_zono_propagate_runs_one_pass_per_layer_over_mixed_cells(monkeypatch):
     assert np.array_equal(out_lo, want_lo) and np.array_equal(out_hi, want_hi)
 
 
-@pytest.mark.parametrize("dims, activation", WORKLOAD_NETS,
-                         ids=["-".join(map(str, dims)) for dims, _ in WORKLOAD_NETS])
+@pytest.mark.parametrize("dims, activation", BIT_NETS,
+                         ids=["-".join(map(str, dims)) for dims, _ in BIT_NETS])
 def test_zonotope_bits_do_not_depend_on_the_block_size(monkeypatch, dims, activation):
     # Each zonotope product is one matrix-matrix call over the block's rows,
     # so as with the box pass a cell's bits hold only where BLAS gives a row

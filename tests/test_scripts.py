@@ -207,25 +207,51 @@ def test_bench_pairs_summarizes_canned_runs():
             p50 = ns["summarize"](pair, spec)["metrics"]["verify_ms_p50"]
             assert p50["regressed"] is regressed, (better, bound)
             assert p50["wins"] == 0
+    # a claim needs ceil(0.9 N) wins of N
+    assert pps["claim_met"] is False
+    assert series["metrics"]["verify_ms_p50"]["claim_met"] is False
     lines = ns["summary_lines"]({"planar-zono": series})
     assert lines == [
         "planar-zono problems_per_s: 115 -> 122.5 1/s (+6.5%), wins 2 of 4, resolved, "
-        "not regressed",
+        "not regressed, claim not met",
         "planar-zono verify_ms_p50: 2 -> 1.75 ms (-12.5%), wins 2 of 4, unresolved, "
-        "not regressed",
+        "not regressed, claim not met",
     ]
+    # ten pairs: the parent's 100..109 spread q3 - q1 = 106.75 - 102.25 = 4.5 about 104.5
+    base = [100.0 + i for i in range(10)]
+
+    def claim(gain, losses):
+        runs = [(p, p + gain) if i >= losses else (p, p - 1.0) for i, p in enumerate(base)]
+        pairs = [(parse(bench_run_line(p, 2.0)), parse(bench_run_line(c, 1.0))) for p, c in runs]
+        return ns["summarize"](pairs, specs)["metrics"]
+
+    met = claim(5.0, 1)
+    # 9 of 10 wins, and the median 109.5 beats 104.5 by 5 > 4.5
+    assert met["problems_per_s"]["wins"] == 9 and met["problems_per_s"]["change"]["median"] == 109.5
+    assert met["problems_per_s"]["claim_met"] is True
+    # lower is better for a latency, and a parent spread of 0 asks only for a lower median
+    assert met["verify_ms_p50"]["claim_met"] is True
+    # 9 of 10 wins, but the median 108.5 beats 104.5 by 4, within the parent's spread
+    short = claim(4.0, 1)["problems_per_s"]
+    assert short["wins"] == 9 and short["change"]["median"] == 108.5
+    assert short["claim_met"] is False
+    # a median far ahead with 8 of 10 wins
+    few = claim(20.0, 2)["problems_per_s"]
+    assert few["wins"] == 8 and few["claim_met"] is False
     one = ns["summarize"](pairs[:1], {})
     assert one["metrics"]["problems_per_s"]["change"] == {"median": 120.0, "q1": 120.0, "q3": 120.0}
     assert "wins" not in one["metrics"]["problems_per_s"]
     assert "resolved" not in one["metrics"]["problems_per_s"]
     assert "regressed" not in one["metrics"]["problems_per_s"]
+    assert "claim_met" not in one["metrics"]["problems_per_s"]
     # a metric outside BENCHMARK.json prints its medians alone; a parent median of 0 no percent
     one["metrics"]["problems_per_s"]["parent"]["median"] = 0.0
     line = ns["summary_lines"]({"planar-box": one})[0]
     assert line == "planar-box problems_per_s: 0 -> 120 1/s (n/a)"
     pair = [(parse(bench_run_line(100.0, 2.0)), parse(bench_run_line(100.0, 3.0)))]
     line = ns["summary_lines"]({"cube-refine": ns["summarize"](pair, specs)})[1]
-    assert line == "cube-refine verify_ms_p50: 2 -> 3 ms (+50.0%), wins 0 of 1, resolved, regressed"
+    assert line == ("cube-refine verify_ms_p50: 2 -> 3 ms (+50.0%), wins 0 of 1, resolved, "
+                    "regressed, claim not met")
     old = {"series": {"planar-zono": {"metrics": {"problems_per_s": {"change": {"median": 99.0}}}}}}
     delta = ns["baseline_delta"]({"planar-zono": series}, old, "BENCH_25")
     assert delta == {"planar-zono": {"problems_per_s": {"BENCH_25_change_median": 99.0,
