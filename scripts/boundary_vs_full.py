@@ -17,6 +17,8 @@ import numpy as np
 
 import reachbound as rb
 from reachbound.reports import (
+    CELL_FULL_COLOR,
+    CELL_PARTIAL_COLOR,
     render_svg,
     write_mc_points,
     write_reach_cells,
@@ -39,10 +41,12 @@ def main():
     rb.write_model(net, outdir / "model.json")
     box = rb.Box.from_bounds([(0, 1), (0, 1)])
 
-    cert = rb.certify_homeomorphism(net, box)
-    print(f"whole-box determinant: [{cert.det_lo!r}, {cert.det_hi!r}]  certified={cert.certified}")
+    det_lo, det_hi, certified = rb.certify_homeomorphism(net, box)
+    print(f"whole-box determinant: [{det_lo!r}, {det_hi!r}]  certified={certified}")
 
-    mc = rb.monte_carlo(net, box, 100_000, seed=0)
+    # one sample sets the safe box and is both written and drawn, so
+    # `reachbound plot` on the written CSVs rebuilds the figure
+    mc = rb.monte_carlo(net, box, 2000, seed=0)
     hull = mc.image_hull
     half = (hull.hi - hull.lo) * 0.5
     safe = rb.Box.from_arrays(hull.midpoint() - 1.3 * half, hull.midpoint() + 1.3 * half)
@@ -74,13 +78,13 @@ def main():
         path = outdir / f"cells_{mode}.csv"
         write_reach_cells(verdict.cell_batch, path)
         dumps[mode] = verdict.cell_batch
-    write_mc_points(rb.monte_carlo(net, box, 2000, seed=1), outdir / "mc.csv")
+    write_mc_points(mc, outdir / "mc.csv")
     svg = render_svg(
         [
-            ("blue", dumps["full"].out_lo, dumps["full"].out_hi),
-            ("red", dumps["boundary"].out_lo, dumps["boundary"].out_hi),
+            (CELL_FULL_COLOR, dumps["full"].out_lo, dumps["full"].out_hi),
+            (CELL_PARTIAL_COLOR, dumps["boundary"].out_lo, dumps["boundary"].out_hi),
         ],
-        mc.images[:2000],
+        mc.images,
         safe,
     )
     (outdir / "reach.svg").write_text(svg, encoding="utf-8")

@@ -29,7 +29,6 @@ from .domains import (
 )
 from .topology import (
     CellGrid,
-    CertificationResult,
     SubsetExtraction,
     certify_homeomorphism,
     extract_subset,

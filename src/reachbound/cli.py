@@ -255,7 +255,7 @@ def main(argv=None) -> int:
         # domain; numpy's RuntimeWarnings would only show internals on stderr
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR
 

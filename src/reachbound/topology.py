@@ -65,7 +65,6 @@ __all__ = [
     "box_passes_row_test",
     "certify_homeomorphism",
     "certify_cells",
-    "CertificationResult",
     "SubsetExtraction",
     "extract_subset",
 ]
@@ -323,20 +322,11 @@ def box_passes_row_test(net: Network, box: Box) -> bool:
     return bool(_passes_row_test(net, box.lo, box.hi))
 
 
-@dataclass(frozen=True)
-class CertificationResult:
-    """Interval determinant [det_lo, det_hi] over a cell plus the certified verdict."""
-
-    det_lo: float
-    det_hi: float
-    certified: bool
-
-
-def certify_homeomorphism(net: Network, cell: Box) -> CertificationResult:
-    """Certify one box as the one-cell case of `certify_cells`."""
+def certify_homeomorphism(net: Network, cell: Box) -> tuple[float, float, bool]:
+    """`certify_cells` on one box: its ``(det_lo, det_hi, certified)`` as Python scalars."""
     # (n,) bounds: `_interval_matvec_arrays` runs them as a one-row batch
     det_lo, det_hi, certified = certify_cells(net, cell.lo, cell.hi)
-    return CertificationResult(float(det_lo), float(det_hi), bool(certified))
+    return float(det_lo), float(det_hi), bool(certified)
 
 
 def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):

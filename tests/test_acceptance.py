@@ -199,7 +199,7 @@ def test_c6_domain_dominance():
 def test_c7_efficiency_trend():
     net = make_net(**INVERTIBLE)
     box = rb.Box.from_bounds([(0, 1), (0, 1)])
-    assert rb.certify_homeomorphism(net, box).certified
+    assert rb.certify_homeomorphism(net, box)[2]
 
     # warm up both timed modes at the timed grid; the full hull sets the safe box
     full_hull = rb.verify(

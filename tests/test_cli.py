@@ -508,7 +508,7 @@ def test_compare_rows_carry_the_boundary_assumption(tmp_path, capsys):
     # MIXED does not certify on [-1, 1]^2, so its boundary hull is not an image bound
     net = make_net(**MIXED)
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
-    assert not rb.certify_homeomorphism(net, box).certified
+    assert not rb.certify_homeomorphism(net, box)[2]
     roomy = rb.Box.from_bounds([(-99, 99), (-99, 99)])
     hull = rb.verify(rb.VerificationProblem(net, box, roomy, mode="boundary", grid=(40,))).output_hull
     safe = rb.Box.from_arrays(hull.lo - 1e-3, hull.hi + 1e-3)

@@ -4,6 +4,7 @@ on its snippets, since tier-1 runs no mutant."""
 
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import reachbound as rb
+from reachbound import cli
 from reachbound.topology import CellBatch, grid_cell_batch
 from reachbound.verifier import propagate_cells
 from mutants import MUTANTS
@@ -39,16 +41,62 @@ ROOT = Path(__file__).resolve().parents[1]
 )
 def test_script_writes_its_artifacts(script, args, files, tmp_path):
     outdir = tmp_path / "out"
+    run_script(script, outdir, *args)
+    assert sorted(p.name for p in outdir.iterdir()) == files
+
+
+def run_script(script, outdir, *args) -> str:
+    """Run one experiment script into `outdir`; returns what it prints."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), "--outdir", str(outdir), *args],
-        cwd=tmp_path,
+        cwd=outdir.parent,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert sorted(p.name for p in outdir.iterdir()) == files
+    return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def default_runs(tmp_path_factory):
+    """Both experiment scripts at their default arguments: script -> (outdir, printed text)."""
+    runs = {}
+    for script in ("boundary_vs_full.py", "subset_extraction.py"):
+        outdir = tmp_path_factory.mktemp("defaults") / "out"
+        runs[script] = outdir, run_script(script, outdir)
+    return runs
+
+
+def printed_cells(text) -> dict:
+    """The cells each mode propagated, from a script's table of modes."""
+    return {m: int(c) for m, c in re.findall(r"^(full|boundary|subset) +(\d+) ", text, re.M)}
+
+
+def test_readme_quotes_the_experiment_cell_counts(default_runs):
+    cells = {script: printed_cells(text) for script, (_, text) in default_runs.items()}
+    b, s = cells["boundary_vs_full.py"], cells["subset_extraction.py"]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quoted = dict(re.findall(r"^python scripts/(\S+) +# (.*)$", readme, re.M))
+    assert quoted == {
+        "boundary_vs_full.py": f"certified net: {b['boundary']} boundary vs {b['full']} full cells",
+        "subset_extraction.py":
+            f"sign-varying det: subset mode keeps {s['subset']} of {s['full']} cells",
+    }
+
+
+def test_reachbound_plot_rebuilds_the_boundary_vs_full_figure(default_runs, tmp_path):
+    outdir, text = default_runs["boundary_vs_full.py"]
+    bounds = re.search(r"^safe box from inflated MC hull: (.*)$", text, re.M).group(1)
+    safe = ";".join(re.findall(r"\[(\S+, \S+)\]", bounds)).replace(" ", "")
+    rebuilt = tmp_path / "reach.svg"
+    assert cli.main([
+        "plot", "--full-cells", str(outdir / "cells_full.csv"),
+        "--partial-cells", str(outdir / "cells_boundary.csv"), "--mc", str(outdir / "mc.csv"),
+        "--safe", safe, "--out", str(rebuilt),
+    ]) == 0
+    assert rebuilt.read_bytes() == (outdir / "reach.svg").read_bytes()
 
 
 def test_manifest_diff_finds_no_difference_between_a_tree_and_itself(tmp_path):

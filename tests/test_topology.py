@@ -345,26 +345,27 @@ def test_certify_homeomorphism_requires_square():
 
 
 def test_certify_identity_linear(unit_square):
-    res = rb.certify_homeomorphism(linear_net(np.eye(2)), unit_square)
-    assert res.certified
-    assert res.det_lo <= 1.0 <= res.det_hi and res.det_hi - res.det_lo < 1e-12
+    det_lo, det_hi, certified = rb.certify_homeomorphism(linear_net(np.eye(2)), unit_square)
+    assert certified
+    assert det_lo <= 1.0 <= det_hi and det_hi - det_lo < 1e-12
 
 
 def test_certify_exactly_singular(unit_square):
-    res = rb.certify_homeomorphism(linear_net([[1.0, 1.0], [1.0, 1.0]]), unit_square)
-    assert not res.certified
-    assert res.det_lo <= 0.0 <= res.det_hi
+    det_lo, det_hi, certified = rb.certify_homeomorphism(
+        linear_net([[1.0, 1.0], [1.0, 1.0]]), unit_square)
+    assert not certified
+    assert det_lo <= 0.0 <= det_hi
 
 
 def test_certified_cell_has_constant_nonzero_sign(invertible_net):
     cell = rb.Box.from_bounds([(-0.1, 0.1), (-0.1, 0.1)])
-    res = rb.certify_homeomorphism(invertible_net, cell)
-    assert res.certified
+    det_lo, det_hi, certified = rb.certify_homeomorphism(invertible_net, cell)
+    assert certified
     pts = sample_box(cell, 10_000, seed=8)
     dets = np.linalg.det(rb.jacobian_batch(invertible_net, pts))
     assert np.min(np.abs(dets)) > 0
     assert len(np.unique(np.sign(dets))) == 1
-    assert np.all(dets >= res.det_lo) and np.all(dets <= res.det_hi)
+    assert np.all(dets >= det_lo) and np.all(dets <= det_hi)
 
 
 def test_certification_monotone_under_bisection(mixed_net):
@@ -429,10 +430,11 @@ def test_certify_batch_matches_scalar(mixed_net):
     idx, lo, hi = grid.bounds_arrays()
     det_lo, det_hi, certified = certify_cells(mixed_net, lo, hi)
     for row in range(grid.total):
-        res = rb.certify_homeomorphism(mixed_net, rb.Box.from_arrays(lo[row], hi[row]))
-        assert res.certified == certified[row]
-        assert abs(res.det_lo - det_lo[row]) < 1e-9
-        assert abs(res.det_hi - det_hi[row]) < 1e-9
+        cell = rb.Box.from_arrays(lo[row], hi[row])
+        one_lo, one_hi, one = rb.certify_homeomorphism(mixed_net, cell)
+        assert one == certified[row]
+        assert abs(one_lo - det_lo[row]) < 1e-9
+        assert abs(one_hi - det_hi[row]) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +461,7 @@ def test_extraction_singular_keeps_everything(unit_square):
 def test_extraction_singular_gradient_free_net_drops_its_interior(unit_square):
     # det = 0 everywhere, yet each output has a nonzero gradient: no interior extremum
     net = linear_net([[1.0, 1.0], [1.0, 1.0]])
-    assert not rb.certify_homeomorphism(net, unit_square).certified
+    assert not rb.certify_homeomorphism(net, unit_square)[2]
     ex, levels = traced_extraction(net, unit_square, (7, 7))
     assert ex.counts == {"total": 49, "certified_interior": 25, "kept": 24}
     assert len(levels) == 1

@@ -291,7 +291,7 @@ def test_a_box_that_fails_the_determinant_but_passes_the_row_test_takes_the_face
     # sigmoid-2-8-2 of the planar workloads, without their jitter
     net = rb.generate_network(1, (2, 8, 2), "sigmoid", 2.0)
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
-    assert not rb.certify_homeomorphism(net, box).certified and box_passes_row_test(net, box)
+    assert not rb.certify_homeomorphism(net, box)[2] and box_passes_row_test(net, box)
     v = rb.verify(problem(net, box, mc_safe(net, box, 1.3), mode=mode, grid=(40, 40)))
     assert v.stats["path"] == "boundary" and v.stats["input_certified"] is True
     assert v.stats["assumes_invertible"] is False and v.stats["cells_propagated"] == 160
