@@ -31,7 +31,7 @@ from .reports import (
     write_reach_cells,
     write_verdict,
 )
-from .topology import certify_cells, grid_cell_batch, grid_counts
+from .topology import _check_determinant_test, certify_cells, grid_cell_batch, grid_counts
 from .verifier import (
     FALSIFIED,
     MODES,
@@ -139,6 +139,7 @@ def cmd_certify(args) -> int:
     counts = grid_counts(parse_grid(args.grid), input_box)
     if input_box.degenerate_dims():
         raise ValueError("certification requires a non-degenerate input box")
+    _check_determinant_test(net, input_box.dim)  # before the grid is built
     cells = grid_cell_batch(input_box, counts)  # every grid cell, as full mode builds them
     det_lo, det_hi, certified = certify_cells(net, cells.lo, cells.hi)  # each cell once
     if args.out:

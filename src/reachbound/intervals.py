@@ -31,7 +31,7 @@ endpoint arrays.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -371,38 +371,28 @@ def _interval_matvec_arrays(op: _Operands, xlo, xhi, bias: bool = True):
 def _idet_arrays(lo, hi):
     """Interval determinant by first-row cofactor expansion; (..., n, n).
 
-    Every minor the expansion reaches is fixed by its bottom rows and an
-    ascending tuple of columns.  Minors are therefore built once each, from
-    size 1 up: 2^n - 1 minors, where the plain recursion recomputes a minor
-    on every path of deleted columns that leads to it.  All minors of one
-    size are one array, ``(..., C(n, size))`` in `itertools.combinations`
-    order, so each term of the expansion is one array operation over every
-    minor of that size.  Each minor is the same expansion along its own
-    first row, with the same operations in the same order, so the bits
-    equal the recursion's.
+    ``minor(cols)``, on the bottom rows and the ascending columns ``cols``,
+    expands along its own first row.  Its cache, one per call, expands each
+    of the 2^n - 1 minors once, in n 2^(n-1) - n interval products (186 at
+    n = 6, where the plain recursion makes 1 236), with the recursion's
+    operations in its order, so the bits are the recursion's.
     """
     n = lo.shape[-1]
-    prev = [(c,) for c in range(n)]
-    mlo, mhi = lo[..., n - 1, :], hi[..., n - 1, :]
-    for size in range(2, n + 1):
-        row = n - size
-        combos = list(itertools.combinations(range(n), size))
-        rank = {cols: i for i, cols in enumerate(prev)}
-        acc_lo = acc_hi = None
-        for j in range(size):
-            col = [cols[j] for cols in combos]
-            minor = [rank[cols[:j] + cols[j + 1 :]] for cols in combos]
-            plo, phi = _imul_arrays(lo[..., row, col], hi[..., row, col],
-                                    mlo[..., minor], mhi[..., minor])
+
+    @functools.cache
+    def minor(cols):
+        row = n - len(cols)
+        if len(cols) == 1:
+            return lo[..., row, cols[0]], hi[..., row, cols[0]]
+        for j, c in enumerate(cols):
+            sub_lo, sub_hi = minor(cols[:j] + cols[j + 1:])
+            plo, phi = _imul_arrays(lo[..., row, c], hi[..., row, c], sub_lo, sub_hi)
             if j % 2 == 1:
                 plo, phi = -phi, -plo
-            if acc_lo is None:
-                acc_lo, acc_hi = plo, phi
-            else:
-                acc_lo = _down(acc_lo + plo)
-                acc_hi = _up(acc_hi + phi)
-        prev, mlo, mhi = combos, acc_lo, acc_hi
-    return mlo[..., 0], mhi[..., 0]
+            acc = (plo, phi) if j == 0 else (_down(acc[0] + plo), _up(acc[1] + phi))
+        return acc
+
+    return minor(tuple(range(n)))
 
 
 # ---------------------------------------------------------------------------

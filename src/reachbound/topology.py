@@ -322,6 +322,14 @@ def box_passes_row_test(net: Network, box: Box) -> bool:
     return bool(_passes_row_test(net, box.lo, box.hi))
 
 
+def _check_determinant_test(net: Network, dim: int) -> None:
+    """Refuse ``dim``-d cells that `certify_cells` cannot test, before any is built."""
+    if not (net.is_square and dim == net.input_dim <= _MAX_INPUTS):  # cofactor expansion
+        raise ValueError(f"the determinant test requires a square network with at most "
+                         f"{_MAX_INPUTS} inputs and cells of its input dimension, got "
+                         f"{dim}-d cells for a {net.input_dim} -> {net.output_dim} network")
+
+
 def certify_homeomorphism(net: Network, cell: Box) -> tuple[float, float, bool]:
     """`certify_cells` on one box: its ``(det_lo, det_hi, certified)`` as Python scalars."""
     # (n,) bounds: `_interval_matvec_arrays` runs them as a one-row batch
@@ -335,9 +343,7 @@ def certify_cells(net: Network, lo: np.ndarray, hi: np.ndarray):
     Rows run in blocks (`_map_row_blocks`), which bound the per-layer
     Jacobian arrays on large grids.  No rows make no Jacobian call.
     """
-    if not (net.is_square and net.input_dim <= _MAX_INPUTS):  # cofactor expansion
-        raise ValueError(f"the determinant test requires a square network with at most "
-                         f"{_MAX_INPUTS} inputs, got {net.input_dim} -> {net.output_dim}")
+    _check_determinant_test(net, np.shape(lo)[-1])
     det_lo, det_hi = _map_row_blocks(
         net, lambda lo, hi: _idet_arrays(*jacobian_interval_arrays(net, lo, hi)), lo, hi, ((), ()))
     return det_lo, det_hi, (det_lo > 0.0) | (det_hi < 0.0)

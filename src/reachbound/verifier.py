@@ -144,13 +144,15 @@ def monte_carlo(
     """Deterministic uniform sampling of a box and its exact float images.
 
     The counter-based Philox generator makes the sample sequence a pure
-    function of the seed, independent of batching.  A ``safe`` box must have
-    the network's output dimension, or it would broadcast over the outputs.
+    function of the seed, independent of batching.  A region or ``safe`` box
+    off the network's input or output dimension is refused before any draw.
     All ``n`` points are drawn and evaluated at once, so ``n`` past
     `topology.CELL_BUDGET` is refused as a grid level is.
     """
     n, seed = _index("sample count", n, 1), _index("seed", seed)
     _check_sample_budget(n)
+    if region.dim != net.input_dim:
+        raise ValueError(f"region dimension {region.dim} != input dim {net.input_dim}")
     if safe is not None and safe.dim != net.output_dim:
         raise ValueError(f"safe box dimension {safe.dim} != output dim {net.output_dim}")
     width = region.finite_widths()

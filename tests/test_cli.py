@@ -675,6 +675,19 @@ def test_certify_non_square_exit_three(tmp_path, capsys):
     assert code == 3 and err.strip()
 
 
+@pytest.mark.parametrize("sizes,box", [([7, 8, 7], "0,1;" * 6 + "0,1"), ([2, 8, 2], "0,1;0,1;0,1")],
+                         ids=["seven-inputs", "box-of-the-wrong-dimension"])
+def test_certify_refuses_before_it_builds_the_grid(tmp_path, capsys, monkeypatch, sizes, box):
+    def unreachable(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(cli, "grid_cell_batch", unreachable)
+    model = tmp_path / "net.json"
+    rb.write_model(rb.generate_network(0, sizes), model)
+    code, out, err = run(capsys, "certify", "--model", str(model), "--input", box, "--grid", "7")
+    assert code == 3 and out == "" and err.startswith("error:")
+
+
 def test_mc_deterministic_output(seeded_model, tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

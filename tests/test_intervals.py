@@ -618,6 +618,21 @@ def test_det_shared_minors_bit_identical_to_recursion(n):
     assert np.array_equal(two_hi, ref_hi[:6].reshape(2, 3))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_det_expands_each_minor_once(n, monkeypatch):
+    # equal bits cannot tell a lost cache: the plain recursion makes 1 236 products at n = 6
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _imul_arrays(*args)
+
+    monkeypatch.setattr("reachbound.intervals._imul_arrays", counted)
+    a = np.eye(n)
+    _idet_arrays(a, a)
+    assert len(calls) == n * 2 ** (n - 1) - n  # 0, 2, 9, 28, 75, 186
+
+
 # ---------------------------------------------------------------------------
 # outward rounding
 

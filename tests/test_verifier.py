@@ -509,6 +509,14 @@ def test_monte_carlo_refuses_a_safe_box_of_the_wrong_dimension(unit_square, inve
             rb.monte_carlo(invertible_net, unit_square, 10, seed=0, safe=rb.Box.from_bounds(safe))
 
 
+def test_monte_carlo_refuses_a_region_of_the_wrong_dimension(invertible_net, monkeypatch):
+    # refused before a point is drawn, by a message that names both dimensions
+    monkeypatch.setattr(np.random, "Philox", None)
+    for dim in (1, 6):
+        with pytest.raises(ValueError, match=f"region dimension {dim} != input dim 2"):
+            rb.monte_carlo(invertible_net, rb.Box.from_bounds([(0, 1)] * dim), 10, seed=0)
+
+
 def test_partition_and_sampling_refuse_an_overflowing_width(invertible_net):
     box = rb.Box.from_bounds([(-1, 1), (-1e308, 1e308)])  # hi - lo is inf
     with pytest.raises(ValueError, match="dimension 1 .* too wide"):
