@@ -19,7 +19,10 @@ generators in one ``[c; G]`` array of shape ``(1 + g, ..., d)`` and the
 slack apart.  The pass keeps one such pair per layer for a block of cells,
 and the one-cell functions `zono_from_box`, `zono_affine`, `zono_activation`
 and `Zonotope.hull_arrays` call its kernels (`_box_rows`, `_affine_rows`,
-`_activation_rows`, `_hull`) on one record.  Neither domain checks values
+`_activation_rows`, `_hull`) on one record.  `_hull` writes both ends into
+one ``(2, ..., d)`` array, so the activation evaluates f and f' once each
+on it.  Centers and sums of ends are formed from halves, so ends near
+the largest float overflow neither.  Neither domain checks values
 mid-pass: a NaN or infinity propagates to the output hull, and `Box`
 refuses it (see `_down`).
 """
@@ -33,15 +36,14 @@ import numpy as np
 from .intervals import (
     Box,
     _act_range_arrays,
-    _act_slope_arrays,
     _add_bias,
-    _down,
+    _deriv_lower,
     _interval_matvec_arrays,
     _lookup,
     _operands,
+    _pad,
     _TINY,
     _U,
-    _up,
 )
 from .network import Network
 
@@ -131,31 +133,49 @@ class Zonotope(NamedTuple):
     slack: np.ndarray
 
     def hull_arrays(self):
-        """Outward-rounded interval hulls, ``(lo, hi)`` of shape (..., d); see `_hull`."""
+        """Outward-rounded interval hulls, ``lo`` and ``hi`` (..., d) stacked; see `_hull`."""
         return _hull(self.rows, self.slack)
 
 
 def _hull(rows, slack):
-    """Outward-rounded interval hulls ``(lo, hi)`` of zonotopes ``(rows, slack)``.
+    """Outward-rounded interval hulls of zonotopes ``(rows, slack)``, ``(2, ..., d)``: lo, then hi.
 
     Dimension i lies within ``r_i + slack_i`` of ``c_i``, ``r_i = sum_j |G_ij|``.
     The float sum of g nonnegative terms, in any order, undershoots
     ``r_i`` by less than ``(g - 1) u r_i``; adding the error term and the
     slack rounds by at most ``u`` of each sum.  ``(g + 2) u (r_i +
-    slack_i)`` covers all three and ``(g + 1) tiny`` the underflow of its
-    own product; `_down`/`_up` round the endpoints outward.  The sum runs
-    over the generator axis, one contiguous ``(..., d)`` slice at a time.
-    Only an exact zero skips the rounding: a row of zeros takes only its slack
-    (a point box hulls to itself), and a NaN or infinite radius never hulls to the center.
+    slack_i)`` covers all three, and `_down`/`_up` round the endpoints
+    outward, by one step past the rounded ``c -+ rad``, so the ends hold
+    ``c -+ rad`` for the computed ``rad``.  No absolute term is needed.  A
+    float addition never underflows: a sum below ``2^-1021`` is exact.  So
+    when ``T = r_i + slack_i`` is below ``2^-1021``, the radius sums are
+    exact, and rounding is monotone, so ``rad >= T`` without the term.
+    Above it, the term's first-order spare ``u T >= tiny`` outweighs the
+    half subnormal step that its own product can lose.  The sum runs over
+    the generator axis, one contiguous ``(..., d)`` slice at a time.  Only
+    an exact zero skips the rounding: a row of zeros takes only its slack
+    (a point box hulls to itself), and a NaN or infinite radius never hulls
+    to the center.  Both ends are built in one array, in place, with the
+    float operations of ``np.where(rad == 0, c, _down(c - rad))`` and its
+    upper twin.
     """
     center, gens = rows[0], rows[1:]
     g = gens.shape[0]
-    rad_raw = np.abs(gens).sum(axis=0)
-    err = (g + 2) * _U * (rad_raw + slack) + (g + 1) * _TINY
-    rad = np.where(rad_raw == 0.0, 0.0, rad_raw + err) + slack
-    lo = np.where(rad == 0.0, center, _down(center - rad))
-    hi = np.where(rad == 0.0, center, _up(center + rad))
-    return lo, hi
+    rad = np.abs(gens).sum(axis=0)
+    zero = rad == 0.0
+    err = rad + slack
+    err *= (g + 2) * _U
+    rad += err
+    np.copyto(rad, 0.0, where=zero)
+    rad += slack
+    ends = np.empty((2,) + rad.shape)
+    np.subtract(center, rad, out=ends[0])
+    np.add(center, rad, out=ends[1])
+    pad = _pad(ends, 1)
+    ends[0] -= pad[0]
+    ends[1] += pad[1]
+    np.copyto(ends, center, where=rad == 0.0)
+    return ends
 
 
 def _set_diagonal(block, diag):
@@ -167,12 +187,22 @@ def _set_diagonal(block, diag):
 
 
 def _box_rows(lo, hi):
-    """Axis-aligned zonotopes ``(rows, slack)`` covering (..., n) boxes, one generator per dimension."""
+    """Axis-aligned zonotopes ``(rows, slack)`` covering (..., n) boxes, one generator per dimension.
+
+    The center is ``0.5 lo + 0.5 hi``, which cannot overflow where ``lo +
+    hi`` can; halving is exact for normal floats, so elsewhere the bits are
+    those of ``(lo + hi) 0.5``.  A zero width gets a zero generator and no
+    slack, except at an odd multiple of the subnormal step, whose halves
+    round: there the center moves one step, and the generator and the
+    slack are one step each.
+    """
     rows = np.empty((1 + lo.shape[-1],) + lo.shape)
-    c = np.add(lo, hi, out=rows[0])
-    c *= 0.5
-    half = np.maximum(hi - c, c - lo)
-    # midpoint rounding can undershoot by half an ulp per side; a zero width is exact
+    c = np.multiply(lo, 0.5, out=rows[0])
+    half = np.multiply(hi, 0.5)
+    c += half
+    np.subtract(hi, c, out=half)
+    np.maximum(half, c - lo, out=half)
+    # midpoint rounding can undershoot by half an ulp per side
     slack = np.where(half > 0.0, 2.0 * _U * np.maximum(np.abs(lo), np.abs(hi)) + _TINY, 0.0)
     _set_diagonal(rows[1:], half)
     return rows, slack
@@ -220,8 +250,10 @@ def _affine_rows(rows, slack, op, fresh: int = 0):
     mags = (mags.reshape(-1, k) @ op.mag).reshape((2,) + batch + (m,))
     bound = mags[0]
     _add_bias(bound, op.bias_mag_tile)
+    bound *= (k + 4) * _U
+    bound += (g + 2) * k * _TINY
     slack = mags[1]
-    slack += (k + 4) * _U * bound + (g + 2) * k * _TINY
+    slack += bound
     return out, slack
 
 
@@ -234,28 +266,63 @@ def _activation_rows(out, slack, activation: str):
     (f(u)-f(l) - lam(u-l))/2, the image of every point lies within mu2 of the
     line lam*x + mu1, so each dimension's free row becomes one fresh generator
     of magnitude mu2.  The center and the generators are scaled in place.
+
+    ``f`` and ``f'`` run once each, on `_hull`'s stacked ``(2, ..., d)``
+    ends, and lam is the lower end of `_act_deriv_arrays` (`_deriv_lower`).
+    The sums of the ends are formed from their halves, ``0.5 u + 0.5 l``,
+    so they cannot overflow where ``u + l`` would.  Halving is exact for
+    normal floats, so elsewhere the bits are those of the plain
+    expressions, built in place in the same order.
     """
     act = _lookup(activation)
     if activation not in ("tanh", "sigmoid"):
         raise ValueError(f"no zonotope transformer for activation {activation!r}")
     g = out.shape[0] - 1 - out.shape[-1]
     head = out[:1 + g]
-    l, u = _hull(head, slack)
-    fl = act.f(l)
-    fu = act.f(u)
-    lam = _act_slope_arrays(activation, l, u)
-    mu1 = 0.5 * ((fu + fl) - lam * (u + l))
-    mu2 = np.maximum(0.5 * ((fu - fl) - lam * (u - l)), 0.0)
+    ends = _hull(head, slack)
+    f = act.f(ends)
+    lam = _deriv_lower(*act.deriv(ends))
+    ends *= 0.5
+    (l, u), (fl, fu) = ends, f
+    mu1 = fu + fl
+    mu1 *= 0.5
+    part = u + l
+    part *= lam
+    mu1 -= part
+    mu2 = fu - fl
+    mu2 *= 0.5
+    np.subtract(u, l, out=part)
+    part *= lam
+    mu2 -= part
+    np.maximum(mu2, 0.0, out=mu2)
     head *= lam
     head[0] += mu1
     _set_diagonal(out[1 + g:], mu2)
-    # absorb libm and form-evaluation drift; scaled by lam <= 1 the old slack shrinks
-    scale = np.abs(fl) + np.abs(fu) + np.abs(mu1) + np.abs(lam) * (np.abs(l) + np.abs(u)) + 1.0
-    return lam * slack + 64.0 * _U * scale + 4.0 * _TINY
+    # absorb libm and form-evaluation drift; scaled by lam <= 1 the old slack shrinks.
+    # scale = |f(l)| + |f(u)| + |mu1| + lam (|l| + |u|) + 1, the product doubled from
+    # the halves: lam |x| <= max x f'(x) < 1/2, so the doubling cannot overflow
+    np.abs(f, out=f)
+    scale = fl
+    scale += fu
+    scale += np.abs(mu1, out=mu1)
+    np.abs(ends, out=ends)
+    np.add(l, u, out=part)
+    part *= lam
+    part *= 2.0
+    scale += part
+    scale += 1.0
+    scale *= 64.0 * _U
+    new = np.multiply(lam, slack, out=part)
+    new += scale
+    new += 4.0 * _TINY
+    return new
 
 
 def zono_from_box(cell: Box) -> Zonotope:
-    """Axis-aligned zonotope covering a box; a zero-width dimension gets a zero generator."""
+    """Axis-aligned zonotope covering a box; a zero-width dimension gets a zero generator.
+
+    Except at an odd multiple of the subnormal step; see `_box_rows`.
+    """
     return Zonotope(*_box_rows(cell.lo, cell.hi))
 
 

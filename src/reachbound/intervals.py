@@ -1,27 +1,31 @@
 """Validated interval arithmetic as batched ndarray kernels, plus the `Box` value.
 
 The kernels (``_imul_arrays``, ``_nonneg_imul_arrays``,
-``_interval_matvec_arrays``, ``_idet_arrays``, ``_act_range_arrays``,
-``_act_deriv_arrays`` and its lower end ``_act_slope_arrays``) are the only
-interval arithmetic: they take ``(lo, hi)`` endpoint arrays with leading
-batch axes and return an enclosure of the true real-arithmetic result set;
-the box pass and the Jacobian enclosure share ``_interval_matvec_arrays``.
-Its weight operands are an `_Operands` record that each `Layer` prepares
-once (`_operands`), and the zonotope pass reads the same record.  Every
-batched pass adds its bias through `_add_bias`, in same-shape adds of tiles
-of `_TILE` elements.  Products and the sums of `_idet_arrays` are widened
-outward by at least one ulp per endpoint, with one arithmetic pad per array
-(`_down`/`_up`: one product and one sum), built in one buffer that then
-holds the result; libm-backed evaluations (tanh, sigmoid and their
-derivatives) are only faithfully rounded, so their endpoints get a wider
-fixed pad.  The matrix-vector reduction is bounded by one standard a-priori
-rounding-error term instead of per-term nudging, which keeps it
-vectorizable, and that term also covers its own subtraction, so its
-endpoints take no pad.  The kernels accumulate and clip in arrays they
-created, never in their inputs, with the float operations of the plain
-one-expression forms in the same order, so working in place changes no bit
-(``tests/test_intervals.py`` pins them); a linear activation hands its
-input arrays back unwritten.
+``_interval_matvec_arrays``, ``_idet_arrays``, ``_act_range_arrays`` and
+``_act_deriv_arrays``, whose lower end ``_deriv_lower`` is the zonotope
+slope) are the only interval arithmetic: they take ``(lo, hi)`` endpoint
+arrays with leading batch axes and return an enclosure of the true
+real-arithmetic result set; the box pass and the Jacobian enclosure share
+``_interval_matvec_arrays``.  Its weight operands are an `_Operands` record
+that each `Layer` prepares once (`_operands`), and the zonotope pass reads
+the same record.  Every batched pass adds its bias through `_add_bias`, in
+same-shape adds of tiles of `_TILE` elements.  Products and the sums of
+`_idet_arrays` are widened outward by at least one ulp per endpoint, with
+one arithmetic pad per array (`_down`/`_up`: one product and one sum),
+built in one buffer that then holds the result; libm-backed evaluations
+(tanh, sigmoid and their derivatives) are only faithfully rounded, so their
+endpoints get a wider fixed pad.  The matrix-vector reduction is bounded by
+one standard a-priori rounding-error term instead of per-term nudging,
+which keeps it vectorizable, and that term also covers its own subtraction,
+so its endpoints take no pad.  The Jacobian's hidden layers skip the other
+pads too (``pad=False``): their activation ranges, derivative enclosures
+and ``D B`` products lie within a stated number of ulps of enclosures, and
+the next product's term charges those ulps (``x_ulps``), so each such
+layer takes one outward step.  The kernels accumulate and clip in arrays
+they created, never in their inputs, with the float operations of the
+plain one-expression forms in the same order, so working in place changes
+no bit (``tests/test_intervals.py`` pins them); a linear activation hands
+its input arrays back unwritten.
 
 `Box` is the one interval value, not an algebra: a validated, read-only
 ``(lo, hi)`` pair of endpoint vectors.  Every other interval quantity (a
@@ -45,6 +49,8 @@ _TINY = 5e-324  # one subnormal step, absolute slack per reduction term
 _PAD_ACT = 4  # ulps of outward pad for direct libm evaluations
 _PAD_DERIV = 8  # ulps of outward pad for composed derivative evaluations
 _TILE = 8192  # elements of a bias tile in `_Operands`: np.getbufsize(), NumPy's ufunc buffer
+_NORMAL = 2.0 ** -1022  # the smallest normal float: ulp(v) <= 2^-52 max(|v|, _NORMAL)
+_J_ULPS = _PAD_DERIV + 1  # ulps of an unpadded ``D B`` end: D's, and the product's rounding
 
 
 def _down(x, steps: int = 1):
@@ -78,9 +84,12 @@ def _down(x, steps: int = 1):
     ``_down(+inf)`` and ``_up(-inf)`` give NaN where ``nextafter`` gave the
     largest finite float.  Only an overflow reaches them: a lower end is
     +inf only when the exact value exceeds the largest float.
-    `_imul_arrays`, `_nonneg_imul_arrays` and the sums of `_idet_arrays`
-    pass it to the pad, and that interval's upper end is then +inf or NaN
-    too.  `_interval_matvec_arrays` has no pad.  A sum that overflows there
+    `_imul_arrays`, `_nonneg_imul_arrays` (the Jacobian's last layer), the
+    sums of `_idet_arrays`, the activation ranges of the box pass and the
+    Jacobian's last layer, and the derivative enclosures of that layer and
+    of the zonotope slope pass it to the pad, and that interval's upper end
+    is then +inf or NaN too.  `_interval_matvec_arrays` and the Jacobian's
+    unpadded hidden layers have no pad.  A sum that overflows there
     becomes NaN (``inf - inf``) when its rounding term overflows too, and
     stays infinite when the term is finite.  That infinity lies on the exact
     value's side: every partial sum is bounded by the magnitude sum ``M``,
@@ -216,7 +225,7 @@ def _imul_arrays(alo, ahi, blo, bhi):
     return _down(lo), _up(hi)
 
 
-def _nonneg_imul_arrays(dlo, dhi, blo, bhi):
+def _nonneg_imul_arrays(dlo, dhi, blo, bhi, pad: bool = True):
     """`_imul_arrays` for a factor ``[dlo, dhi]`` with ``dlo >= 0``: two products.
 
     With ``D >= 0`` the lower end is ``dlo blo`` where ``blo >= 0`` and
@@ -225,11 +234,22 @@ def _nonneg_imul_arrays(dlo, dhi, blo, bhi):
     product, rounding is monotone, and both ends get the same one-ulp pad,
     which maps ``+0`` and ``-0`` alike, so for finite ``B`` the bounds are
     those of `_imul_arrays` bit for bit.
+
+    ``pad=False`` returns the rounded corner products.  When the exact D
+    lies in ``[dlo (1 - r), dhi (1 + r)]`` (an unpadded `_act_deriv_arrays`,
+    ``r = _PAD_DERIV 2^-52``), the exact lower end is at least ``P - r|P|``
+    for the selected corner ``P = d blo``, and ``|P - fl(P)| <= u max(|fl(P)|,
+    _NORMAL)`` (half an ulp, or half a subnormal step).  So each end lies
+    within ``(u + r (1 + u)) max(|end|, _NORMAL)``, under `_J_ULPS` ulps in
+    the sense of ``x_ulps`` of `_interval_matvec_arrays`; the upper end is
+    symmetric.
     """
     lo = np.where(blo >= 0.0, dlo, dhi)
     lo *= blo
     hi = np.where(bhi >= 0.0, dhi, dlo)
     hi *= bhi
+    if not pad:
+        return lo, hi
     return _down(lo), _up(hi)
 
 
@@ -293,7 +313,7 @@ def _add_bias(rows, tile):
         rows[body:] += tile[:n - body]
 
 
-def _interval_matvec_arrays(op: _Operands, xlo, xhi, bias: bool = True):
+def _interval_matvec_arrays(op: _Operands, xlo, xhi, bias: bool = True, x_ulps: int = 0):
     """Enclose w @ x + b for `_Operands` of a point matrix w (m, k) over interval vectors x (..., k).
 
     The leading axes of x are flattened into one BLAS product, so ``(k,)``
@@ -334,6 +354,22 @@ def _interval_matvec_arrays(op: _Operands, xlo, xhi, bias: bool = True):
     choice moves its bits by an ulp.  An overflowed sum gives NaN or an
     infinite end on the exact value's side; see `_down`.
 
+    ``x_ulps = s > 0`` (the Jacobian's hidden layers only) encloses w x + b
+    over a box wider than ``[xlo, xhi]``: each end may lie inside an
+    enclosure by up to ``s 2^-52 max(|end|, _NORMAL)``, s ulps of the end
+    (a subnormal's ulp is ``tiny = 2^-52 _NORMAL``).  The term charges them:
+
+    - Widening ``x_j`` by ``e_j`` moves each exact end by at most
+      ``|w_ij| e_j``, so by at most ``s 2^-52 M'`` in all, with ``M' =
+      |w| @ max(mag, _NORMAL)``.  The magnitude takes that floor, one more
+      pass, and its coefficient ``(2k + 6 + 2s) u`` is a float.
+    - The argument above holds with ``M'`` for ``M``, since ``M' >= M``.
+      The term is ``(2k + 6) u (M' + |b|) + (2k + 4) tiny`` as before, plus
+      ``s 2^-52 (M' + |b|)``, computed at most a factor ``(1 - u)^(k + 5)``
+      short.  That falls short of ``s 2^-52 M'`` by at most ``s 2^-52 (k + 5)
+      u M'``, and the first-order spare ``(k + 3) u M'`` above covers it for
+      any ``s 2^-52 <= 1/2``, with room for the spare's own second-order terms.
+
     The sums, the bias and the error term accumulate in place in the
     product arrays, in the order of ``(W+ x_lo + W- x_hi) + b - err``,
     the same with the bias added through `_add_bias`'s tiles.  The results
@@ -358,10 +394,12 @@ def _interval_matvec_arrays(op: _Operands, xlo, xhi, bias: bool = True):
         _add_bias(hi, op.bias_tile)
     mag = np.negative(xlo)
     np.maximum(mag, xhi, out=mag)
+    if x_ulps:
+        np.maximum(mag, _NORMAL, out=mag)
     err = mag @ op.mag
     if bias:
         _add_bias(err, op.bias_mag_tile)
-    err *= (2 * k + 6) * _U
+    err *= (2 * k + 6 + 2 * x_ulps) * _U
     err += (2 * k + 4) * _TINY
     lo -= err
     hi += err
@@ -465,30 +503,46 @@ def _lookup(name: str) -> _Activation:
         raise ValueError(f"unknown activation {name!r}") from None
 
 
-def _act_range_arrays(name: str, lo, hi):
+def _act_range_arrays(name: str, lo, hi, pad: bool = True):
     """Range enclosure of a monotone activation over [lo, hi] arrays.
 
     A linear layer's ``lo`` and ``hi`` are returned as they are, unwritten
     and not copied: callers pass fresh `_interval_matvec_arrays` results and
     only read what comes back.
+
+    ``pad=False`` (the Jacobian's hidden layers, on arrays) drops the
+    `_PAD_ACT` pads: libm's value lies within `_PAD_ACT` ulps of the exact
+    one (``test_activation_error_stays_below_its_pad``), the clips move an
+    end only to a true bound, and ``v -+ c max(|v|, _NORMAL)`` is monotone in
+    v, so each end lies within `_PAD_ACT` ulps of an enclosure, as the next
+    product's ``x_ulps`` reads them.
     """
     act = _lookup(name)
     if act.linear:
         return lo, hi
-    out_lo = _down(act.f(lo), _PAD_ACT)
-    out_hi = _up(act.f(hi), _PAD_ACT)
+    out_lo, out_hi = act.f(lo), act.f(hi)
+    if pad:
+        out_lo, out_hi = _down(out_lo, _PAD_ACT), _up(out_hi, _PAD_ACT)
     np.maximum(out_lo, act.clip_lo, out=out_lo)
     np.minimum(out_hi, act.clip_hi, out=out_hi)
     np.minimum(out_lo, out_hi, out=out_lo)
     return out_lo, out_hi
 
 
-def _act_deriv_arrays(name: str, lo, hi):
+def _act_deriv_arrays(name: str, lo, hi, pad: bool = True):
     """Enclosure of the activation derivative over [lo, hi] arrays.
 
     tanh' and sigmoid' are even and unimodal with their maximum at zero, so
     the supremum is the exact peak value when the interval straddles zero and
     an endpoint value otherwise; the infimum is always at an endpoint.
+
+    ``pad=False`` (the Jacobian's hidden layers) drops the `_PAD_DERIV`
+    pads.  Then the exact derivative lies in ``[lo' (1 - r), hi' (1 + r)]``
+    with ``r = _PAD_DERIV 2^-52``, a relative error alone, as
+    `_nonneg_imul_arrays` needs it.  Libm's value lies within `_PAD_DERIV`
+    ulps, ``r max(d, _NORMAL)``, so the upper end is floored at `_NORMAL`,
+    and a lower end below `_NORMAL` becomes 0, which the nonnegative
+    derivative never passes.
     """
     act = _lookup(name)
     lo = np.asarray(lo, dtype=float)
@@ -497,18 +551,18 @@ def _act_deriv_arrays(name: str, lo, hi):
         return np.ones_like(lo), np.ones_like(hi)
     dlo = act.deriv(lo)
     dhi = act.deriv(hi)
-    out_lo = _deriv_lower(dlo, dhi)
-    out_hi = _up(np.maximum(dlo, dhi), _PAD_DERIV)
+    if pad:
+        out_lo = _deriv_lower(dlo, dhi)
+        out_hi = _up(np.maximum(dlo, dhi), _PAD_DERIV)
+    else:
+        out_lo = np.minimum(dlo, dhi)
+        np.copyto(out_lo, 0.0, where=out_lo < _NORMAL)
+        out_hi = np.maximum(dlo, dhi, out=dhi)
+        np.maximum(out_hi, _NORMAL, out=out_hi)
     np.minimum(out_hi, act.deriv_max, out=out_hi)
     np.copyto(out_hi, act.deriv_max, where=(lo <= 0.0) & (0.0 <= hi))
     np.maximum(out_hi, out_lo, out=out_hi)
     return out_lo, out_hi
-
-
-def _act_slope_arrays(name: str, lo, hi):
-    """The lower end of `_act_deriv_arrays` for tanh or sigmoid, bit for bit: the zonotope slope."""
-    deriv = _lookup(name).deriv
-    return _deriv_lower(deriv(np.asarray(lo, dtype=float)), deriv(np.asarray(hi, dtype=float)))
 
 
 def _deriv_lower(dlo, dhi):

@@ -44,12 +44,12 @@ from .intervals import (
     Box,
     _act_deriv_arrays,
     _act_range_arrays,
-    _down,
     _idet_arrays,
     _interval_matvec_arrays,
+    _J_ULPS,
     _lookup,
     _nonneg_imul_arrays,
-    _up,
+    _PAD_ACT,
 )
 from .network import Network, _index
 
@@ -265,32 +265,37 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
     ``D B`` is the sign-select product `_nonneg_imul_arrays`: two products
     where `_imul_arrays` takes four corners.
 
-    A linear last layer after at least one other (every benchmark net's
-    output layer) has ``D = [1, 1]``, whose product returns ``B`` exactly, so
-    its ``J`` is ``B`` padded one ulp outward, the bits of the general step
-    (whose product pads every entry, though ``B``, as every
-    `_interval_matvec_arrays` result, is already an enclosure without it),
-    and its pre-activation enclosure, which only gave ``D`` its shape, is
-    never computed.
+    Each hidden layer takes one outward step.  Its activation range, its
+    derivative enclosure and its ``D B`` product go unpadded
+    (``pad=False``).  The range's ends lie within `_PAD_ACT` ulps of an
+    enclosure and the product's within `_J_ULPS`, and the next layer's two
+    products charge those ulps in their a-priori terms (``x_ulps`` of
+    `_interval_matvec_arrays`, whose docstring holds the argument).  A
+    nonlinear last layer keeps its pads, so the returned ends enclose on
+    their own.  A linear last layer after at least one other (every
+    benchmark net's output layer) has ``D = [1, 1]``, so its ``J`` is
+    ``B``, returned as the product computed it, and its pre-activation
+    enclosure, which only gave ``D`` its shape, is never computed.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     jlo = jhi = None
     last = len(net.layers) - 1
     for k, layer in enumerate(net.layers):
+        pad = k == last
         if jlo is not None:
-            blo, bhi = _interval_matvec_arrays(layer._ops, jlo, jhi, bias=False)
-            if k == last and _lookup(layer.activation).linear:
-                jlo, jhi = _down(blo), _up(bhi)
+            blo, bhi = _interval_matvec_arrays(layer._ops, jlo, jhi, bias=False, x_ulps=_J_ULPS)
+            if pad and _lookup(layer.activation).linear:
+                jlo, jhi = blo, bhi
                 break
-        zlo, zhi = _interval_matvec_arrays(layer._ops, lo, hi)
-        dlo, dhi = _act_deriv_arrays(layer.activation, zlo, zhi)
+        zlo, zhi = _interval_matvec_arrays(layer._ops, lo, hi, x_ulps=0 if k == 0 else _PAD_ACT)
+        dlo, dhi = _act_deriv_arrays(layer.activation, zlo, zhi, pad)
         if jlo is None:  # W_1^T (n, m_1) as (n, 1, ..., 1, m_1), against D's (..., m_1)
             t = layer._ops.t
             blo = bhi = t.reshape(t.shape[:1] + (1,) * (dlo.ndim - 1) + t.shape[1:])
-        jlo, jhi = _nonneg_imul_arrays(dlo, dhi, blo, bhi)
-        if k < last:  # only the next layer reads the activation range
-            lo, hi = _act_range_arrays(layer.activation, zlo, zhi)
+        jlo, jhi = _nonneg_imul_arrays(dlo, dhi, blo, bhi, pad)
+        if not pad:  # only the next layer reads the activation range
+            lo, hi = _act_range_arrays(layer.activation, zlo, zhi, pad)
     axes = (*range(1, jlo.ndim), 0)
     return jlo.transpose(axes), jhi.transpose(axes)
 

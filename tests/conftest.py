@@ -10,8 +10,11 @@ from reachbound.intervals import (
     _act_deriv_arrays,
     _act_range_arrays,
     _interval_matvec_arrays,
+    _J_ULPS,
+    _lookup,
     _nonneg_imul_arrays,
     _operands,
+    _PAD_ACT,
     _TILE,
 )
 from reachbound.topology import (
@@ -75,7 +78,10 @@ def ref_jacobian_interval_arrays(net, lo, hi):
     """The plain Jacobian chain: every layer's pre-activation enclosure and derivative
     enclosure, a linear one's too, and ``W J`` with a zero bias added.
 
-    ``J`` is tangent-major, ``(n, ..., m_l)``, as in the kernel: BLAS may round a
+    Hidden layers go unpadded and the next products charge their ulps; the
+    last layer is padded, unless it is linear after another, where ``D = 1``
+    and the unpadded product hands ``W J`` back as computed.  ``J`` is
+    tangent-major, ``(n, ..., m_l)``, as in the kernel: BLAS may round a
     row of ``W J`` differently at another position in the call."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -83,15 +89,19 @@ def ref_jacobian_interval_arrays(net, lo, hi):
     jlo = jhi = None
     last = len(net.layers) - 1
     for k, layer in enumerate(net.layers):
-        zlo, zhi = _interval_matvec_arrays(_operands(layer.weights, layer.bias), lo, hi)
-        dlo, dhi = _act_deriv_arrays(layer.activation, zlo, zhi)
-        if jlo is None:
-            blo = bhi = np.expand_dims(layer.weights.T, cells)
+        pad = k == last and not (k > 0 and _lookup(layer.activation).linear)
+        zlo, zhi = _interval_matvec_arrays(_operands(layer.weights, layer.bias), lo, hi,
+                                           x_ulps=0 if k == 0 else _PAD_ACT)
+        dlo, dhi = _act_deriv_arrays(layer.activation, zlo, zhi, pad)
+        if jlo is None:  # a C-ordered W_1^T: the unpadded product keeps its operand's order,
+            # and BLAS may round an F-ordered J's rows differently
+            blo = bhi = np.expand_dims(layer.weights.T.copy(), cells)
         else:
-            blo, bhi = _interval_matvec_arrays(_operands(layer.weights, 0.0), jlo, jhi)
-        jlo, jhi = _nonneg_imul_arrays(dlo, dhi, blo, bhi)
+            blo, bhi = _interval_matvec_arrays(_operands(layer.weights, 0.0), jlo, jhi,
+                                               x_ulps=_J_ULPS)
+        jlo, jhi = _nonneg_imul_arrays(dlo, dhi, blo, bhi, pad)
         if k < last:
-            lo, hi = _act_range_arrays(layer.activation, zlo, zhi)
+            lo, hi = _act_range_arrays(layer.activation, zlo, zhi, pad)
     return np.moveaxis(jlo, 0, -1), np.moveaxis(jhi, 0, -1)
 
 

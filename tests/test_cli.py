@@ -424,6 +424,25 @@ def test_overflowing_model_exit_three(overflow_model, capsys, mode, domain):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("domain", ["box", "zono"])
+def test_an_input_box_near_the_largest_float_is_safe_in_either_domain(tmp_path, capsys, domain):
+    # lo + hi, u + l, u - l and |l| + |u| overflow here; the zonotopes form them from halves
+    path = tmp_path / "near_max.json"
+    rb.write_model(rb.Network((
+        rb.Layer(np.array([[1.0, 0.5], [0.2, -1.0]]), np.array([0.0, 0.1]), "tanh"),
+        rb.Layer(np.eye(2), np.zeros(2), "linear"))), path)
+    code, out, err = run(
+        capsys, "verify", "--model", str(path), "--input", "1e308,1.7e308;0,1",
+        "--safe", "-2,2;-2,2", "--mode", "full", "--grid", "2", "--domain", domain,
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["status"] == "safe"
+    for lo, hi in doc["output_hull"]:
+        assert -2.0 <= lo <= 1.0 <= hi <= 2.0
+
+
 def test_usage_error_exit_four(capsys):
     code, _, err = run(capsys, "verify", "--input", "0,1;0,1", "--safe", "0,1;0,1")
     assert code == 4 and "usage" in err.lower()

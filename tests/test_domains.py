@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import reachbound as rb
 from reachbound.domains import box_propagate_arrays, normalize_domain, zono_propagate
-from reachbound.intervals import _interval_matvec_arrays, _operands
+from reachbound.intervals import _interval_matvec_arrays, _operands, _PAD_DERIV, _TINY, _U
 from reachbound.verifier import boundary_cell_batch, grid_cell_batch, propagate_cells
 from conftest import (
     PLANNED_NETS,
@@ -23,7 +24,15 @@ from conftest import (
     plain_add_bias,
     sample_box,
 )
-from test_intervals import HARD_POINTS, dec_sigmoid, dec_tanh
+from test_intervals import (
+    HARD_POINTS,
+    MAX,
+    dec_sigmoid,
+    dec_tanh,
+    ref_down,
+    ref_up,
+    same_bits,
+)
 
 
 def mc_images(net, box, n, seed):
@@ -120,6 +129,10 @@ def test_zono_from_point_box():
     assert np.array_equal(z.rows[1:], np.zeros((3, 3)))
     lo, hi = z.hull_arrays()
     assert np.array_equal(lo, [0.3, -0.2, 5.0]) and np.array_equal(hi, lo)
+    # a row of zeros takes only its slack, rounded outward by one step
+    c, s = np.array([0.0, 2.0**-30, -0.0]), np.array([1e-3, 2.0**-40, 0.25])
+    lo, hi = zonotope(c, np.zeros((2, 3)), s).hull_arrays()
+    assert same_bits((lo, hi), (ref_down(c - s), ref_up(c + s)))
 
 
 def test_box_rows_enclose_their_box_in_exact_arithmetic():
@@ -128,17 +141,29 @@ def test_box_rows_enclose_their_box_in_exact_arithmetic():
     # box exactly.  The three fixed boxes, of mixed signs and far-apart
     # exponents, escape a slack of `_TINY` alone; the sweep's ends are signed,
     # 1e-18 to 1e18 (exponents -60..60), a quarter subnormal, some zero.
+    # The center is formed from halves, so ends near the largest float do not
+    # overflow it, and subnormal halves round; both sweeps below hold such ends.
     fixed = np.array([[-244077461.09371138, 3.488864608158717e-14],
                       [-7.801965875733519e-11, 9.50665409756695e-18],
-                      [-10270311839.841127, 196097421739.98822]])
+                      [-10270311839.841127, 196097421739.98822],
+                      [1e308, 1.7e308], [-MAX, MAX], [-MAX, -MAX], [0.5 * MAX, MAX],
+                      [5e-324, 5e-324], [-5e-324, 5e-324], [3 * 5e-324, 2.0**-1022],
+                      [-(2.0**-1022), 7 * 5e-324]])
     rng = np.random.default_rng(43)
     ends = spread(rng, (3000, 2, 2), 0.05, (-18, 18))
     tiny = rng.integers(1, 2**52, ends.shape) * np.copysign(2.0**-1074, ends)
     ends = np.sort(np.where(rng.random(ends.shape) < 0.25, tiny, ends), axis=1)
-    for lo, hi in [(fixed[:, :1], fixed[:, 1:]), (ends[:, 0], ends[:, 1])]:
+    # ends within a factor 2^8 of the largest float, and odd multiples of the subnormal step
+    huge = np.sort(MAX * rng.uniform(2.0**-8, 1.0, (500, 2, 2)) * rng.choice((-1.0, 1.0),
+                                                                          (500, 2, 2)), axis=1)
+    odd = np.sort((2 * rng.integers(0, 2**20, (500, 2, 2)) + 1) * 5e-324
+                  * rng.choice((-1.0, 1.0), (500, 2, 2)), axis=1)
+    for lo, hi in [(fixed[:, :1], fixed[:, 1:]), (ends[:, 0], ends[:, 1]), (huge[:, 0], huge[:, 1]),
+                   (odd[:, 0], odd[:, 1])]:
         rows, slack = rb.domains._box_rows(lo, hi)
         half = np.einsum("iji->ji", rows[1:])
         assert np.count_nonzero(rows[1:]) == np.count_nonzero(half)  # off the diagonal: 0
+        assert np.isfinite(rows).all() and np.isfinite(slack).all()
         for idx in np.ndindex(lo.shape):
             c, rad = Fraction(rows[0][idx]), Fraction(half[idx]) + Fraction(slack[idx])
             assert c - rad <= Fraction(lo[idx]) and Fraction(hi[idx]) <= c + rad, idx
@@ -286,6 +311,73 @@ def test_zono_activation_hulls_enclose_the_decimal_reference(activation, ref):
         missed = [xi for xi, l, h in zip(x.tolist(), lo[:, 0].tolist(), hi[:, 0].tolist())
                   if not Decimal(l) <= ref(Decimal(xi)) <= Decimal(h)]
     assert missed == []
+
+
+def test_one_zonotope_activation_layer_evaluates_f_and_its_derivative_once(monkeypatch):
+    # both hull ends go through f and f' in one call each, on the stacked (2, ..., d) ends
+    calls = []
+    for name in ("tanh", "sigmoid"):
+        act = rb.intervals._lookup(name)
+
+        def count(fn, tag):
+            def counted(x):
+                calls.append((tag, np.shape(x)))
+                return fn(x)
+            return counted
+
+        monkeypatch.setitem(rb.intervals._ACTIVATIONS, name, dataclasses.replace(
+            act, f=count(act.f, "f"), deriv=count(act.deriv, "deriv")))
+    for dims, activation in [((2, 8, 8, 2), "tanh"), ((2, 8, 2), "sigmoid")]:
+        net = make_net(seed=0, dims=dims, activation=activation)
+        lo = np.random.default_rng(0).uniform(-1.0, 1.0, (80, 2))
+        calls.clear()
+        zono_propagate(net, lo, lo + 0.05)
+        hidden = len(dims) - 2
+        assert calls == [("f", (2, 80, 8)), ("deriv", (2, 80, 8))] * hidden
+        calls.clear()
+        rb.zono_activation(rb.zono_from_box(rb.Box(lo[0], lo[0] + 0.05)), activation)
+        assert calls == [("f", (2, 2)), ("deriv", (2, 2))]
+
+
+def plain_activation_rows(out, slack, activation):
+    """`_activation_rows` as plain expressions, a new array for every intermediate."""
+    act = rb.intervals._lookup(activation)
+    g = out.shape[0] - 1 - out.shape[-1]
+    head = out[:1 + g]
+    center, gens = head[0], head[1:]
+    rad_raw = np.abs(gens).sum(axis=0)
+    err = (g + 2) * _U * (rad_raw + slack)
+    rad = np.where(rad_raw == 0.0, 0.0, rad_raw + err) + slack
+    l = np.where(rad == 0.0, center, ref_down(center - rad))
+    u = np.where(rad == 0.0, center, ref_up(center + rad))
+    fl, fu = act.f(l), act.f(u)
+    lam = np.maximum(ref_down(np.minimum(act.deriv(l), act.deriv(u)), _PAD_DERIV), 0.0)
+    mu1 = 0.5 * ((fu + fl) - lam * (u + l))
+    mu2 = np.maximum(0.5 * ((fu - fl) - lam * (u - l)), 0.0)
+    head *= lam
+    head[0] += mu1
+    fresh = out[1 + g:]
+    fresh[...] = 0.0
+    for i in range(fresh.shape[0]):
+        fresh[i, ..., i] = mu2[..., i]
+    scale = np.abs(fl) + np.abs(fu) + np.abs(mu1) + np.abs(lam) * (np.abs(l) + np.abs(u)) + 1.0
+    return lam * slack + 64.0 * _U * scale + 4.0 * _TINY
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+def test_zono_activation_bits_match_the_plain_expressions(activation):
+    # the in-place kernel, with its sums formed from halves, against the plain
+    # forms on cells of the benchmark's scale, a zero generator and point cells
+    rng = np.random.default_rng(7)
+    for shape, g in [((8,), 3), ((50, 8), 2), ((4096, 2), 5), ((3, 4, 6), 1)]:
+        rows = rng.uniform(-2.0, 2.0, (1 + g + shape[-1],) + shape)
+        rows[1:1 + g] *= rng.random((g,) + shape) < 0.8
+        rows[1:1 + g, ..., 0] = 0.0
+        slack = np.abs(spread(rng, shape, 0.3, (-17, -12)))
+        got, ref = rows.copy(), rows.copy()
+        new = rb.domains._activation_rows(got, slack, activation)
+        want = plain_activation_rows(ref, slack, activation)
+        assert same_bits((got, new), (ref, want))
 
 
 def test_zono_activation_unknown():

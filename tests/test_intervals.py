@@ -14,12 +14,13 @@ from reachbound.intervals import (
     Box,
     _act_deriv_arrays,
     _act_range_arrays,
-    _act_slope_arrays,
     _add_bias,
+    _deriv_lower,
     _down,
     _idet_arrays,
     _imul_arrays,
     _interval_matvec_arrays,
+    _J_ULPS,
     _lookup,
     _nonneg_imul_arrays,
     _operands,
@@ -456,6 +457,53 @@ def test_activation_error_stays_below_its_pad(f, ref, pad):
     assert errors[worst] < pad, (HARD_POINTS[worst], float(errors[worst]))
 
 
+def stated_error(v) -> Fraction:
+    """``2^-52 max(|v|, 2^-1022)``: one ulp of ``v`` or more, as ``x_ulps`` counts them."""
+    return Fraction(2) ** -52 * max(abs(Fraction(v)), Fraction(2) ** -1022)
+
+
+@pytest.mark.parametrize("name, dec_deriv", [("tanh", dec_tanh_deriv),
+                                             ("sigmoid", dec_sigmoid_deriv)])
+def test_the_tangent_product_encloses_the_decimal_derivatives(name, dec_deriv):
+    """A hidden Jacobian layer goes unpadded, and the next product charges its ulps.
+
+    At each hard point x (two to a row, as two hidden units), the unpadded
+    derivative enclosure of [x, x] holds the 50-digit derivative within its
+    relative error, the unpadded ``D B`` lies within `_J_ULPS` ulps of the
+    exact ``d b``, and the next product, charging them, encloses ``W (d b)``
+    and ``W J`` for each ``J`` end moved outward by all `_J_ULPS` ulps.  At
+    ``|x| >= 354`` the derivative underflows, so whole rows are zero or
+    subnormal there, and only the magnitude's floor at 2^-1022 covers them.
+    """
+    x = HARD_POINTS.reshape(-1, 2)
+    b = np.array([0.7, -(2.0**-60)])  # the columns of W_1 that D multiplies
+    w = np.array([[1.5, -1.25], [-1.0, 1.0], [3.0, 2.0]])
+    with np.errstate(over="ignore"):
+        dlo, dhi = _act_deriv_arrays(name, x, x, pad=False)
+    jlo, jhi = _nonneg_imul_arrays(dlo, dhi, b, b, pad=False)
+    lo, hi = _interval_matvec_arrays(_operands(w, 0.0), jlo, jhi, bias=False, x_ulps=_J_ULPS)
+    r = Fraction(_PAD_DERIV) * Fraction(2) ** -52
+    wf = [[Fraction(v) for v in row] for row in w.tolist()]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for idx in np.ndindex(x.shape[0]):
+            d = [Fraction(dec_deriv(Decimal(v))) for v in x[idx].tolist()]
+            exact, moved_lo, moved_hi = [], [], []
+            for j, bj in enumerate(b.tolist()):
+                assert Fraction(dlo[idx][j]) * (1 - r) <= d[j] <= Fraction(dhi[idx][j]) * (1 + r)
+                exact.append(d[j] * Fraction(bj))
+                a, z = float(jlo[idx][j]), float(jhi[idx][j])
+                moved_lo.append(Fraction(a) - _J_ULPS * stated_error(a))
+                moved_hi.append(Fraction(z) + _J_ULPS * stated_error(z))
+                assert moved_lo[j] <= exact[j] <= moved_hi[j], (idx, j)
+            for i, row in enumerate(wf):
+                value = sum(c * e for c, e in zip(row, exact))
+                low = sum(min(c * p, c * q) for c, p, q in zip(row, moved_lo, moved_hi))
+                high = sum(max(c * p, c * q) for c, p, q in zip(row, moved_lo, moved_hi))
+                assert Fraction(lo[idx][i]) <= low <= value <= high, (idx, i)
+                assert high <= Fraction(hi[idx][i]), (idx, i)
+
+
 def test_act_unknown_tag():
     with pytest.raises(ValueError):
         _act_range_arrays("relu", *ends(0, 1))
@@ -848,13 +896,15 @@ def test_activation_bits_match_the_plain_expressions(name):
 
 @pytest.mark.parametrize("name", ["tanh", "sigmoid"])
 def test_slope_bits_match_the_derivative_lower_end(name):
+    # the zonotope slope: one derivative call on the stacked (2, ..., d) ends
     x, = read_only(ACT_POINTS)
     y = x[np.random.default_rng(1).permutation(x.size)]
     lo, hi = read_only(np.minimum(x, y), np.maximum(x, y))
+    deriv = _lookup(name).deriv
     with np.errstate(over="ignore"):
         for ends_ in [(lo, hi), read_only(-3.0, 2.0), read_only(-0.0, 0.0),
                       (lo[:64_000].reshape(-1, 8), hi[:64_000].reshape(-1, 8))]:
-            assert same_bits((_act_slope_arrays(name, *ends_),),
+            assert same_bits((_deriv_lower(*deriv(np.stack(ends_))),),
                              (_act_deriv_arrays(name, *ends_)[0],))
 
 

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -329,6 +330,30 @@ def test_jacobian_bits_match_the_plain_chain(case):
         got = jacobian_interval_arrays(net, *ends)
         want = ref_jacobian_interval_arrays(net, *ends)
         assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_a_nonlinear_output_layer_keeps_its_product_pads(monkeypatch):
+    # Hidden products go unpadded, for the next product to charge; the last one
+    # has no next product, so each end must hold its exact corner products.
+    calls = []
+
+    def recording(*args):
+        calls.append((args, topology_nonneg_imul(*args)))
+        return calls[-1][1]
+
+    topology_nonneg_imul = topology._nonneg_imul_arrays
+    monkeypatch.setattr(topology, "_nonneg_imul_arrays", recording)
+    hidden, out = rb.generate_network(3, [2, 6, 3], "tanh", 1.5).layers
+    net = rb.Network((hidden, rb.Layer(out.weights, out.bias, "tanh")))
+    lo = np.random.default_rng(3).uniform(-1.0, 1.0, (20, 2))
+    jacobian_interval_arrays(net, lo, lo + 0.125)
+    assert [args[-1] for args, _ in calls] == [False, True]  # the pad flag
+    (dlo, dhi, blo, bhi, _), (jlo, jhi) = calls[-1]
+    dlo, dhi, blo, bhi = np.broadcast_arrays(dlo, dhi, blo, bhi)
+    for idx in np.ndindex(jlo.shape):
+        corners = [Fraction(d) * Fraction(b) for d in (dlo[idx], dhi[idx])
+                   for b in (blo[idx], bhi[idx])]
+        assert Fraction(jlo[idx]) <= min(corners) and max(corners) <= Fraction(jhi[idx]), idx
 
 
 def test_certify_homeomorphism_requires_square():
