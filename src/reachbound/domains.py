@@ -103,7 +103,12 @@ def _map_row_blocks(net: Network, fn, lo, hi, tails, dtype=float):
 
 
 def box_propagate_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
-    """Propagate batched boxes (..., input_dim) through every layer, in row blocks."""
+    """Propagate batched boxes (..., input_dim) through every layer, in row blocks.
+
+    Each layer ends in an enclosure of its own: the product's a-priori term,
+    then for tanh and sigmoid one absolute outward step per range end
+    (`_act_range_arrays`), so chaining one-layer passes gives the same bits.
+    """
 
     def layers(lo, hi):
         for layer in net.layers:

@@ -14,7 +14,9 @@ same-shape adds of tiles of `_TILE` elements.  Products and the sums of
 one arithmetic pad per array (`_down`/`_up`: one product and one sum),
 built in one buffer that then holds the result; libm-backed evaluations
 (tanh, sigmoid and their derivatives) are only faithfully rounded, so their
-endpoints get a wider fixed pad.  The matrix-vector reduction is bounded by
+endpoints get a wider fixed pad.  Tanh and sigmoid are bounded by 1, so
+their padded ranges (the box pass's) take one absolute step per end,
+``_PAD_ACT 2^-53``, in place.  The matrix-vector reduction is bounded by
 one standard a-priori rounding-error term instead of per-term nudging,
 which keeps it vectorizable, and that term also covers its own subtraction,
 so its endpoints take no pad.  The Jacobian's hidden layers skip the other
@@ -47,6 +49,7 @@ __all__ = ["Box"]
 _U = 2.0 ** -53  # unit roundoff, float64
 _TINY = 5e-324  # one subnormal step, absolute slack per reduction term
 _PAD_ACT = 4  # ulps of outward pad for direct libm evaluations
+_ACT_STEP = _PAD_ACT * _U  # P: a padded activation range end's one absolute outward step
 _PAD_DERIV = 8  # ulps of outward pad for composed derivative evaluations
 _TILE = 8192  # elements of a bias tile in `_Operands`: np.getbufsize(), NumPy's ufunc buffer
 _NORMAL = 2.0 ** -1022  # the smallest normal float: ulp(v) <= 2^-52 max(|v|, _NORMAL)
@@ -85,11 +88,13 @@ def _down(x, steps: int = 1):
     largest finite float.  Only an overflow reaches them: a lower end is
     +inf only when the exact value exceeds the largest float.
     `_imul_arrays`, `_nonneg_imul_arrays` (the Jacobian's last layer), the
-    sums of `_idet_arrays`, the activation ranges of the box pass and the
-    Jacobian's last layer, and the derivative enclosures of that layer and
+    sums of `_idet_arrays`, and the derivative enclosures of that layer and
     of the zonotope slope pass it to the pad, and that interval's upper end
-    is then +inf or NaN too.  `_interval_matvec_arrays` and the Jacobian's
-    unpadded hidden layers have no pad.  A sum that overflows there
+    is then +inf or NaN too.  The box pass's activation ranges take an
+    absolute step and a clip instead (`_act_range_arrays`): their ends stay
+    within the activation's bounds, and a NaN stays NaN.
+    `_interval_matvec_arrays` and the Jacobian's unpadded hidden layers have
+    no pad.  A sum that overflows there
     becomes NaN (``inf - inf``) when its rounding term overflows too, and
     stays infinite when the term is finite.  That infinity lies on the exact
     value's side: every partial sum is bounded by the magnitude sum ``M``,
@@ -510,22 +515,62 @@ def _act_range_arrays(name: str, lo, hi, pad: bool = True):
     and not copied: callers pass fresh `_interval_matvec_arrays` results and
     only read what comes back.
 
+    Tanh and sigmoid are bounded: their exact values lie in ``[clip_lo,
+    clip_hi]``, ``[-1, 1]`` or ``[0, 1]``, and so do libm's (`_sigmoid`
+    divides 1 or e by a rounded ``1 + e``, which is at least both; the
+    decimal test named below checks ``np.tanh``).  So a padded range
+    (the box pass) moves each end of libm's values ``y = f(lo)`` and
+    ``f(hi)`` outward by one absolute step, ``P = _PAD_ACT 2^-53``
+    (`_ACT_STEP`), in place, and then clips: four array passes after the
+    two libm calls, and no new array.  Floats in ``[-1, 1]`` lie at most
+    ``2^-53`` apart, so P spans at least `_PAD_ACT` of them.  With ``t``
+    the exact value and ``y_k`` the k-th float below y, ``k = _PAD_ACT``:
+
+    - libm's value lies within k floats of the exact one (checked at the
+      hard points by ``test_padded_ranges_enclose_the_decimal_values``),
+      so ``t >= y_k``, and ``t >= clip_lo`` as the range's own bound.
+    - If ``y_k >= -1``, the k steps from y down to ``y_k`` each span at most
+      ``2^-53``, so the exact ``y - P`` is at or below ``y_k``.  Rounding is
+      monotone and ``y_k`` is a float, so the rounded difference is at or
+      below it too, in whatever binade it lands: where ``y - P`` crosses a
+      power of two and the spacing changes, the float ``y_k`` still caps
+      the rounding, as in `_down`.
+    - If ``y_k < -1``, y lies fewer than k floats above -1, so ``y + 1 <
+      P``, the difference rounds to -1 or below (-1 is a float), and the
+      clip sets the end to -1.
+    - So the clipped end is at or below ``max(y_k, clip_lo) <= t``.  The
+      clips are exact: each moves an end only to a bound of the exact
+      range.  The upper end is symmetric, with ``y + P`` and ``clip_hi``.
+    - Padded ends cannot cross.  For ``lo <= hi`` each end holds the exact
+      value at its own point, and exact tanh and sigmoid are monotone, so
+      ``out_lo <= f(lo) <= f(hi) <= out_hi`` with no ``min(out_lo,
+      out_hi)`` guard.  A NaN input gives NaN ends either way.
+
+    Against `_down`/`_up`'s relative pad of ``k 2^-52 |y| + k tiny``: for
+    ``|y| >= 1/2`` that pad is at least P, so the new ends are never wider
+    there; near 0 they are, and a point range at tanh's origin is exactly
+    ``2P`` (about 8.9e-16) wide, where `_down`/`_up` give 8 subnormal
+    steps.
+
     ``pad=False`` (the Jacobian's hidden layers, on arrays) drops the
     `_PAD_ACT` pads: libm's value lies within `_PAD_ACT` ulps of the exact
     one (``test_activation_error_stays_below_its_pad``), the clips move an
     end only to a true bound, and ``v -+ c max(|v|, _NORMAL)`` is monotone in
     v, so each end lies within `_PAD_ACT` ulps of an enclosure, as the next
-    product's ``x_ulps`` reads them.
+    product's ``x_ulps`` reads them.  Libm need not be monotone, so these
+    ends keep the guard ``min(out_lo, out_hi)``.
     """
     act = _lookup(name)
     if act.linear:
         return lo, hi
-    out_lo, out_hi = act.f(lo), act.f(hi)
+    out_lo, out_hi = np.asarray(act.f(lo)), np.asarray(act.f(hi))  # np.tanh: 0-d in, scalar out
     if pad:
-        out_lo, out_hi = _down(out_lo, _PAD_ACT), _up(out_hi, _PAD_ACT)
+        out_lo -= _ACT_STEP
+        out_hi += _ACT_STEP
     np.maximum(out_lo, act.clip_lo, out=out_lo)
     np.minimum(out_hi, act.clip_hi, out=out_hi)
-    np.minimum(out_lo, out_hi, out=out_lo)
+    if not pad:
+        np.minimum(out_lo, out_hi, out=out_lo)
     return out_lo, out_hi
 
 

@@ -435,7 +435,10 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     ceil(sqrt(r)) parts, not two, keeps the depth near log log N, because
     each level's call has a fixed cost on top of its cells.
 
-    `np.argwhere` lists the kept cells in row-major order, and
+    When the tree dropped no node, every cell is kept, and
+    `CellGrid.bounds_arrays` lists them without spreading the states.
+    Otherwise one `np.flatnonzero` of the spread keep mask and
+    `np.unravel_index` list the kept cells in row-major order, and
     `CellGrid.range_bounds` gathers their bounds.  A grid with no interior
     cell (a count below 3, as in a zero-width dimension) has one root node,
     kept whole, so every cell is kept untested.  The argument reads one
@@ -461,8 +464,11 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
         failed = np.where(np.all([np.diff(c)[i] <= _LEAF for c, i in zip(cuts, nodes)], axis=0),
                           _WHOLE, _TO_TEST)
         state[nodes] = np.where(_passes_row_test(net, lo, hi), _DROPPED, failed)
+    if not (state == _DROPPED).any():
+        a, lo, hi = grid.bounds_arrays()
+        return SubsetExtraction(grid, a, a + 1, lo, hi)
     for k, c in enumerate(cuts):
         state = np.repeat(state, np.diff(c), axis=k)
-    index = np.argwhere(state != _DROPPED)
+    index = np.stack(np.unravel_index(np.flatnonzero(state != _DROPPED), state.shape), axis=-1)
     b = index + 1
     return SubsetExtraction(grid, index, b, *grid.range_bounds(index.T, b.T))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -14,9 +15,11 @@ from reachbound.intervals import (
     Box,
     _act_deriv_arrays,
     _act_range_arrays,
+    _ACTIVATIONS,
     _add_bias,
     _deriv_lower,
     _down,
+    _identity,
     _idet_arrays,
     _imul_arrays,
     _interval_matvec_arrays,
@@ -347,8 +350,9 @@ def test_det_inclusion_monotone_in_entries(a, wide):
 
 
 def test_act_range_tanh_origin():
+    # one absolute step P = _PAD_ACT 2^-53 per end
     lo, hi = as_pair(_act_range_arrays("tanh", *ends(0, 0)))
-    assert lo <= 0.0 <= hi and hi - lo < 1e-320
+    assert lo <= 0.0 <= hi and hi - lo == 2 * _PAD_ACT * 2.0**-53
 
 
 def test_act_range_sigmoid_origin():
@@ -444,8 +448,10 @@ def test_activation_error_stays_below_its_pad(f, ref, pad):
     """This platform's libm against a 50-digit reference, in ulps of the float result.
 
     `_down`/`_up` with ``steps`` pad by at least ``steps`` ulps of the value
-    they widen, so an error below ``pad`` ulps leaves every range and
-    derivative end on its side of the exact value.
+    they widen, so an error below ``pad`` ulps leaves every derivative end
+    on its side of the exact value.  The box pass's range ends take one
+    absolute step instead, whose premise, in floats, is checked by
+    `test_padded_ranges_enclose_the_decimal_values`.
     """
     with np.errstate(over="ignore"):
         got = f(HARD_POINTS)
@@ -455,6 +461,109 @@ def test_activation_error_stays_below_its_pad(f, ref, pad):
                   for x, y in zip(HARD_POINTS.tolist(), got.tolist())]
     worst = int(np.argmax(errors))
     assert errors[worst] < pad, (HARD_POINTS[worst], float(errors[worst]))
+
+
+@pytest.mark.parametrize("name, ref", [("tanh", dec_tanh), ("sigmoid", dec_sigmoid)])
+def test_padded_ranges_enclose_the_decimal_values(name, ref):
+    """The box pass's activation ranges hold the 50-digit values at the hard points.
+
+    Libm's value at each hard point lies in the activation's range and
+    within `_PAD_ACT` floats of the 50-digit value, the premise of
+    `_act_range_arrays`' argument; then the padded range of each point, and
+    of each span between neighbouring hard points, holds the 50-digit
+    values at its ends.
+    """
+    act, x = _lookup(name), HARD_POINTS
+    y = act.f(x)
+    below, above = nextafter_steps(y, _PAD_ACT, -np.inf), nextafter_steps(y, _PAD_ACT, np.inf)
+    lo, hi = _act_range_arrays(name, x, x)
+    span_lo, span_hi = _act_range_arrays(name, x[:-1], x[1:])
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = [ref(Decimal(v)) for v in x.tolist()]
+    assert np.all((act.clip_lo <= y) & (y <= act.clip_hi))
+    for i, t in enumerate(exact):
+        assert Decimal(below[i]) <= t <= Decimal(above[i]), x[i]
+        assert Decimal(lo[i]) <= t <= Decimal(hi[i]), x[i]
+    for i in range(x.size - 1):
+        assert Decimal(span_lo[i]) <= exact[i] and exact[i + 1] <= Decimal(span_hi[i]), x[i]
+
+
+def identity_activation(monkeypatch, name):
+    """``name``'s entry with ``f`` the identity, so its range over ``[y, y]`` pads and clips y."""
+    act = _lookup(name)
+    monkeypatch.setitem(_ACTIVATIONS, name, dataclasses.replace(act, f=_identity))
+    return act
+
+
+BELOW_ONE = np.ldexp(1.0, np.arange(-1074, 1))  # every power of two from 5e-324 to 1
+PADDED_VALUES = np.unique(np.concatenate([
+    [0.0, 2 * 5e-324, 3 * 5e-324, 1e-310, 1e-300, 0.1, 1 / 3, 0.75],
+    BELOW_ONE, np.nextafter(BELOW_ONE, 0.0), np.nextafter(BELOW_ONE[:-1], 1.0),
+    0.5 - np.arange(1, 9) * 2.0**-54, 1.0 - np.arange(1, 9) * 2.0**-53,  # just below 1/2 and 1
+    np.random.default_rng(51).random(2_000),
+]))
+
+
+@pytest.mark.parametrize("name", ["tanh", "sigmoid"])
+def test_padded_range_ends_lie_k_floats_outside(monkeypatch, name):
+    """In exact arithmetic, each clipped end of ``y -+ P`` lies `_PAD_ACT` floats or more outside y.
+
+    That is, at or below ``max(y_k, clip_lo)`` and at or above ``min(y^k,
+    clip_hi)``, for ``y_k`` and ``y^k`` the k-th floats below and above y:
+    at +-0, subnormals, every power of two up to 1 and its neighbours,
+    values just below 1/2 and 1, and +-1, across every binade edge that
+    ``y -+ P`` crosses.  Each end also stays within ``P + 2^-53`` of y, so
+    the step is one absolute step, not more.
+    """
+    act = identity_activation(monkeypatch, name)
+    values = PADDED_VALUES if act.clip_lo == 0.0 else np.concatenate([-PADDED_VALUES,
+                                                                       PADDED_VALUES])
+    y = np.append(values, -0.0)
+    lo, hi = _act_range_arrays(name, y, y)
+    below = nextafter_steps(y, _PAD_ACT, -np.inf)
+    above = nextafter_steps(y, _PAD_ACT, np.inf)
+    step, slack = Fraction(_PAD_ACT, 2**53), Fraction(1, 2**53)
+    clip_lo, clip_hi = Fraction(act.clip_lo), Fraction(act.clip_hi)
+    for v, a, z, b, t in zip(*(arr.tolist() for arr in (y, lo, hi, below, above))):
+        v, a, z = Fraction(v), Fraction(a), Fraction(z)
+        assert clip_lo <= a <= max(Fraction(b), clip_lo), v
+        assert min(Fraction(t), clip_hi) <= z <= clip_hi, v
+        assert v - a <= step + slack and z - v <= step + slack, v
+
+
+@pytest.mark.parametrize("name", ["tanh", "sigmoid"])
+@given(a=st.floats(allow_nan=False), b=st.floats(allow_nan=False))
+@example(a=-0.0, b=0.0)
+@example(a=0.0, b=0.0)
+@example(a=19.0, b=19.000000000000004)
+def test_padded_range_ends_never_cross(name, a, b):
+    # no min(lo, hi) guard: each padded end holds the exact value at its point
+    lo, hi = as_pair(_act_range_arrays(name, *ends(min(a, b), max(a, b))))
+    assert lo <= hi
+
+
+@pytest.mark.parametrize("name", ["tanh", "sigmoid"])
+def test_the_absolute_step_widens_ranges_only_below_one_half(name):
+    """Where precision moves: `_down`/`_up`'s relative pad against one absolute step P.
+
+    Where ``|f(x)| >= 1/2`` the new ends are never wider than the relative
+    pad's; below it they can be, and at tanh's origin the point range is
+    exactly ``2P`` wide (about 8.9e-16) where it was 8 subnormal steps.
+    """
+    act = _lookup(name)
+    x = np.sort(ACT_POINTS)
+    y = act.f(x)
+    lo, hi = _act_range_arrays(name, x, x)
+    rel_lo = np.maximum(_down(y, _PAD_ACT), act.clip_lo)
+    rel_hi = np.minimum(_up(y, _PAD_ACT), act.clip_hi)
+    big = np.abs(y) >= 0.5
+    assert big.sum() > 1_000 and np.any(lo[~big] < rel_lo[~big])
+    assert np.all(lo[big] >= rel_lo[big]) and np.all(hi[big] <= rel_hi[big])
+    if name == "tanh":
+        lo, hi = as_pair(_act_range_arrays(name, *ends(0.0, 0.0)))
+        assert hi - lo == 2 * _PAD_ACT * 2.0**-53
+        assert float(_up(0.0, _PAD_ACT) - _down(0.0, _PAD_ACT)) == 8 * 5e-324
 
 
 def stated_error(v) -> Fraction:
@@ -803,9 +912,8 @@ REF_F = {"tanh": (np.tanh, ref_tanh_deriv),
 
 def ref_act_range(name, lo, hi):
     act, (f, _) = _lookup(name), REF_F[name]
-    out_lo = np.maximum(ref_down(f(lo), _PAD_ACT), act.clip_lo)
-    out_hi = np.minimum(ref_up(f(hi), _PAD_ACT), act.clip_hi)
-    return np.minimum(out_lo, out_hi), out_hi
+    step = _PAD_ACT * 2.0**-53
+    return np.maximum(f(lo) - step, act.clip_lo), np.minimum(f(hi) + step, act.clip_hi)
 
 
 def ref_act_deriv(name, lo, hi):
