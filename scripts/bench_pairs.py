@@ -6,7 +6,9 @@
         --out BENCH_30.json
 
 PARENT and CHANGE are checkouts (each with ``src/`` and ``perfbench/``).
-``--seconds`` defaults to ``BENCHMARK.json``'s ``run_seconds``.
+``--seconds`` defaults to ``BENCHMARK.json``'s ``run_seconds``, and
+``--workloads`` takes only the names ``BENCHMARK.json`` lists: any other is
+refused before a tree is copied.
 Each is copied once into a fresh temporary directory, without ``.git``,
 ``__pycache__`` or earlier benchmark output, at two paths of equal length
 (``.../parent`` and ``.../change``), since a path's length can move memory
@@ -29,7 +31,10 @@ parent's by more than the parent's q3 - q1, the rule a claimed gain must
 pass, and every run in pair order; plus the
 summed ``failed`` counts and whether every run read ``correct``) and, with
 ``--baseline``, the change medians of an earlier file's series next to this
-one's.  After writing it, the script prints one summary line per workload and
+one's.  Its ``env`` records the CPU count, the Python and NumPy versions and
+the L2 cache size in bytes (``os.sysconf("SC_LEVEL2_CACHE_SIZE")``, null
+where the platform does not report it), to which the passes' row blocks are
+sized.  After writing it, the script prints one summary line per workload and
 metric: the parent and change medians, the change in percent of the
 parent's, and, for a metric of ``BENCHMARK.json``, the wins of N pairs,
 ``resolved`` or ``unresolved``, ``regressed`` or ``not regressed`` and
@@ -37,6 +42,7 @@ parent's, and, for a metric of ``BENCHMARK.json``, the wins of N pairs,
 """
 
 import argparse
+import importlib.metadata
 import json
 import math
 import os
@@ -130,6 +136,15 @@ def baseline_delta(series, baseline: dict, label: str):
     return delta
 
 
+def l2_cache_bytes():
+    """The L2 cache size in bytes from ``os.sysconf``, or None where it is not reported."""
+    try:
+        size = os.sysconf("SC_LEVEL2_CACHE_SIZE")
+    except (ValueError, OSError):  # a name this platform does not know, or no value
+        return None
+    return size if size > 0 else None
+
+
 def last_json_line(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
@@ -149,7 +164,8 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--workloads", nargs="+", default=["planar-box", "planar-zono", "cube-refine"])
+    names = [w["name"] for w in bench["workloads"]]
+    ap.add_argument("--workloads", nargs="+", default=names, choices=names)
     ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     ap.add_argument("--baseline", type=Path, help="an earlier BENCH_<pr>.json to compare medians with")
     ap.add_argument("--out", type=Path, required=True)
@@ -168,7 +184,8 @@ def main(argv=None) -> int:
                 "true when the change wins at least ceil(0.9 pairs) pairs and its median beats "
                 "the parent's by more than the parent's q3 - q1; *_runs list every run in pair "
                 "order",
-        "env": {"nproc": os.cpu_count(), "python": platform.python_version()},
+        "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                "numpy": importlib.metadata.version("numpy"), "l2_cache_bytes": l2_cache_bytes()},
         "workloads": {},
         "series": {},
     }

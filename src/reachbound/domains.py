@@ -9,19 +9,20 @@ matrix, so each affine image is one matrix product and each sum over the
 generators runs over the outermost axis.  Every rounding term is an a-priori
 bound that holds in any summation order.  Both domains take batched cells:
 `box_propagate_arrays` and `zono_propagate` map ``(..., n)`` cell bounds to
-``(..., m)`` output hulls in array passes over blocks of ``_BLOCK`` cells
-(`_map_row_blocks`).  A box gives a zonotope one generator per dimension,
-zero where its width is zero, so faces, points and grid cells share one
-generator count in a batch.  Both passes read each layer's weight operands
-as the `Layer` prepared them once (`intervals._Operands`).  Zonotopes have
-one layout, the `Zonotope` record ``(rows, slack)``: the centers and
-generators in one ``[c; G]`` array of shape ``(1 + g, ..., d)`` and the
-slack apart.  The pass keeps one such pair per layer for a block of cells,
-and the one-cell functions `zono_from_box`, `zono_affine`, `zono_activation`
-and `Zonotope.hull_arrays` call its kernels (`_box_rows`, `_affine_rows`,
-`_activation_rows`, `_hull`) on one record.  `_hull` writes both ends into
-one ``(2, ..., d)`` array, so the activation evaluates f and f' once each
-on it.  Centers and sums of ends are formed from halves, so ends near
+``(..., m)`` output hulls in array passes over row blocks sized by the
+network's widest layer, so a block's per-layer arrays stay in the cache
+(`_block_rows`, `_map_row_blocks`).  A box gives a zonotope one generator
+per dimension, zero where its width is zero, so faces, points and grid
+cells share one generator count in a batch.  Both passes read each layer's
+weight operands as the `Layer` prepared them once (`intervals._Operands`).
+Zonotopes have one layout, the `Zonotope` record ``(rows, slack)``: the
+centers and generators in one ``[c; G]`` array of shape ``(1 + g, ..., d)``
+and the slack apart.  The pass keeps one such pair per layer for a block of
+cells, and the one-cell functions `zono_from_box`, `zono_affine`,
+`zono_activation` and `Zonotope.hull_arrays` call its kernels
+(`_box_rows`, `_affine_rows`, `_activation_rows`, `_hull`) on one record.
+`_hull` writes both ends into one ``(2, ..., d)`` array, so the activation
+evaluates f and f' once each on it.  Centers and sums of ends are formed from halves, so ends near
 the largest float overflow neither.  Neither domain checks values
 mid-pass: a NaN or infinity propagates to the output hull, and `Box`
 refuses it (see `_down`).
@@ -69,18 +70,38 @@ def normalize_domain(tag: str) -> str:
 # ---------------------------------------------------------------------------
 # row blocks
 
-_BLOCK = 4096  # rows per array pass: bounds every per-layer array of a batched pass
+_BLOCK_ELEMENTS = 2**15  # float64 elements of the widest layer per block: 256 KiB an array
+
+
+def _block_rows(net: Network) -> int:
+    """Rows per block of ``net``'s passes: `_BLOCK_ELEMENTS` over the widest layer.
+
+    The widest layer counts the inputs.  The quotient is rounded down to a
+    power of two: 4096 rows at a width of 8 or less, 2048 at 9 to 16, 1024
+    at 17 to 32.  A block's per-layer box-pass arrays (the two product
+    ends, the magnitude and the error term) are then 256 KiB each at most,
+    so a layer's temporaries stay within a 2 MiB L2 cache.  The box,
+    zonotope and Jacobian passes take the same rule.  Past a width of 2^13
+    the rows are held at 4, because `_map_row_blocks`' near-equal cut can
+    halve a block, and a one-row block is a matrix-vector product.  With
+    2048-row blocks for every net the benchmark's cube-refine verdicts ran
+    5.8% faster than with 4096 and its planar-box verdicts 2.9% slower
+    (ROADMAP item 13), hence 4096 rows at a width of 8 or less.
+    """
+    return 1 << max(2, (_BLOCK_ELEMENTS // max(net.dims())).bit_length() - 1)
 
 
 def _map_row_blocks(net: Network, fn, lo, hi, tails, dtype=float):
-    """``fn(lo, hi)`` over blocks of at most ``_BLOCK`` rows of (..., input_dim) bounds.
+    """``fn(lo, hi)`` over blocks of at most `_block_rows` rows of (..., input_dim) bounds.
 
     ``fn`` maps (rows, n) bounds to one array per entry of ``tails``, shaped
     ``(rows,) + tail``, which fills those rows of a preallocated output; the
     outputs come back shaped ``lo.shape[:-1] + tail``.  No rows make no call.
-    The blocks are near-equal, so a batch of two or more rows never runs a
-    one-row block: NumPy computes a one-row matrix product as a
-    matrix-vector product, whose sums can round differently.
+    The blocks are near-equal, at least half of `_block_rows` rows each
+    when there are two or more, and `_block_rows` is at least 4, so a batch
+    of two or more rows never runs a one-row block: NumPy computes a
+    one-row matrix product as a matrix-vector product, whose sums can round
+    differently.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -90,7 +111,7 @@ def _map_row_blocks(net: Network, fn, lo, hi, tails, dtype=float):
     rows_hi = hi.reshape(rows_lo.shape)
     rows = rows_lo.shape[0]
     outs = [np.empty((rows,) + tail, dtype=dtype) for tail in tails]
-    count = -(-rows // _BLOCK)
+    count = -(-rows // _block_rows(net))
     for j in range(count):
         block = slice(j * rows // count, (j + 1) * rows // count)
         for out, part in zip(outs, fn(rows_lo[block], rows_hi[block])):
@@ -108,12 +129,15 @@ def box_propagate_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
     Each layer ends in an enclosure of its own: the product's a-priori term,
     then for tanh and sigmoid one absolute outward step per range end
     (`_act_range_arrays`), so chaining one-layer passes gives the same bits.
+    The activation range is written into the two product arrays the layer
+    has just made (``out=``), so a layer allocates no array past its
+    product's; the float operations are those of a range on fresh arrays.
     """
 
     def layers(lo, hi):
         for layer in net.layers:
             zlo, zhi = _interval_matvec_arrays(layer._ops, lo, hi)
-            lo, hi = _act_range_arrays(layer.activation, zlo, zhi)
+            lo, hi = _act_range_arrays(layer.activation, zlo, zhi, out=(zlo, zhi))
         return lo, hi
 
     return _map_row_blocks(net, layers, lo, hi, ((net.output_dim,),) * 2)
@@ -357,7 +381,8 @@ def zono_propagate(net: Network, lo: np.ndarray, hi: np.ndarray):
     """Zonotope hulls of batched boxes (..., input_dim) through every layer.
 
     Returns ``(out_lo, out_hi)`` of shape (..., output_dim), as
-    `box_propagate_arrays` does, in blocks of ``_BLOCK`` cells to bound memory.
+    `box_propagate_arrays` does, in blocks of `_block_rows` cells, which
+    bound its per-layer arrays by the network's widest layer, not the batch.
     Each layer maps one ``[center; generators]`` array to a new one with room
     for its fresh generators: `_affine_rows` writes the affine image into its
     head with the layer's prepared operands, and `_activation_rows` scales it

@@ -27,7 +27,9 @@ layer takes one outward step.  The kernels accumulate and clip in arrays
 they created, never in their inputs, with the float operations of the
 plain one-expression forms in the same order, so working in place changes
 no bit (``tests/test_intervals.py`` pins them); a linear activation hands
-its input arrays back unwritten.
+its input arrays back unwritten.  Only ``_act_range_arrays(..., out=)``
+writes where its caller says: the box pass and the Jacobian's hidden
+layers put each range in the product arrays it came from.
 
 `Box` is the one interval value, not an algebra: a validated, read-only
 ``(lo, hi)`` pair of endpoint vectors.  Every other interval quantity (a
@@ -442,16 +444,19 @@ def _idet_arrays(lo, hi):
 # activations and their enclosures
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     # 1/(1 + e^-x) for x >= 0 and e^x/(1 + e^x) below: exp(-|x|) is each form's
     # exponential, and it never overflows.  One division serves both forms:
-    # where(x >= 0, 1, e) / (1 + e).
+    # where(x >= 0, 1, e) / (1 + e), the numerator built in e and the divisor
+    # in ``out`` (a new array, or the caller's, which may be x itself).
     x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    out = np.where(x >= 0, 1.0, e)
-    out /= d
-    return out
+    pos = x >= 0
+    e = np.abs(x, out=np.empty(x.shape))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.add(e, 1.0, out=np.empty(x.shape) if out is None else out)
+    np.copyto(e, 1.0, where=pos)
+    return np.divide(e, out, out=out)
 
 
 def _tanh_deriv(x):
@@ -508,12 +513,17 @@ def _lookup(name: str) -> _Activation:
         raise ValueError(f"unknown activation {name!r}") from None
 
 
-def _act_range_arrays(name: str, lo, hi, pad: bool = True):
+def _act_range_arrays(name: str, lo, hi, pad: bool = True, out=None):
     """Range enclosure of a monotone activation over [lo, hi] arrays.
 
+    The range is built in two new arrays, or in ``out``, a pair of float64
+    arrays of the inputs' shape, which may be ``(lo, hi)`` themselves: the
+    box pass and the Jacobian's hidden layers hand over the product arrays
+    they have just made.  Either way the float operations and their order
+    are the same, and so are the bits.
     A linear layer's ``lo`` and ``hi`` are returned as they are, unwritten
-    and not copied: callers pass fresh `_interval_matvec_arrays` results and
-    only read what comes back.
+    and not copied, whatever ``out``: callers pass fresh
+    `_interval_matvec_arrays` results and only read what comes back.
 
     Tanh and sigmoid are bounded: their exact values lie in ``[clip_lo,
     clip_hi]``, ``[-1, 1]`` or ``[0, 1]``, and so do libm's (`_sigmoid`
@@ -563,7 +573,10 @@ def _act_range_arrays(name: str, lo, hi, pad: bool = True):
     act = _lookup(name)
     if act.linear:
         return lo, hi
-    out_lo, out_hi = np.asarray(act.f(lo)), np.asarray(act.f(hi))  # np.tanh: 0-d in, scalar out
+    if out is None:  # np.tanh: 0-d in, scalar out
+        out_lo, out_hi = np.asarray(act.f(lo)), np.asarray(act.f(hi))
+    else:
+        out_lo, out_hi = act.f(lo, out=out[0]), act.f(hi, out=out[1])
     if pad:
         out_lo -= _ACT_STEP
         out_hi += _ACT_STEP

@@ -3,11 +3,12 @@
 Every cell batch is a `CellBatch` of lattice ranges ``[a, b)`` on one
 `CellGrid`, with the bounds its builder read off the edges once.  Its three
 builders take ``(box, counts)``: all cells (`grid_cell_batch`, ``b = a +
-1``, bounds broadcast from the edges), face cells (`boundary_cell_batch`,
-``a_k = b_k``) and the kept cells of `extract_subset` (a
-`SubsetExtraction`, which adds its counts); the last two, and the tree's
-nodes, gather their bounds through `CellGrid.range_bounds`.  Each reads its
-counts as integers and refuses a level past `CELL_BUDGET` before building.
+1``, bounds broadcast from the edges, ranges derived when read), face cells
+(`boundary_cell_batch`, ``a_k = b_k``) and the kept cells of
+`extract_subset` (a `SubsetExtraction`, which adds its counts); the last
+two, and the tree's nodes, gather their bounds through
+`CellGrid.range_bounds`.  Each reads its counts as integers and refuses a
+level past `CELL_BUDGET` before building.
 
 Two tests read the interval enclosure of the Jacobian over a cell,
 `jacobian_interval_arrays`, which applies to any network:
@@ -111,24 +112,24 @@ class CellGrid:
                      for e in (a, b))
 
     def bounds_arrays(self):
-        """Row-major (indices, lo, hi) arrays for all cells, refused past `CELL_BUDGET`.
+        """Row-major ``(lo, hi)`` bounds of all cells, refused past `CELL_BUDGET`.
 
         The bounds are C-contiguous ``(N, n)`` arrays written by broadcasting
         ``edges(k)[:-1]`` and ``[1:]`` along axis k of the grid's shape: the
         edge floats that `range_bounds` would gather through ``2 N n``
-        indices, copied without the indices.  `np.indices` lists the
-        row-major index (at 200^2 in 0.36 ms, against 0.56 ms for `np.argwhere`).
+        indices, copied without the indices.  No index array is built: a
+        full batch derives its lattice indices when a report reads them
+        (`CellBatch.index`).
         """
         _refuse_past_budget(self.total, "grid", self.counts)
         n = self.dim
-        a = np.indices(self.counts).reshape(n, -1).T
         lo = np.empty(self.counts + (n,))
         hi = np.empty_like(lo)
         for k, c in enumerate(self.counts):
             axis = (1,) * k + (c,) + (1,) * (n - 1 - k)
             lo[..., k] = self.edges(k)[:-1].reshape(axis)
             hi[..., k] = self.edges(k)[1:].reshape(axis)
-        return a, lo.reshape(-1, n), hi.reshape(-1, n)
+        return lo.reshape(-1, n), hi.reshape(-1, n)
 
 
 @dataclass
@@ -136,28 +137,45 @@ class CellBatch:
     """Cells of one grid as lattice index ranges ``[a, b)``, with their bounds and output hulls.
 
     The builder passes the bounds it read off ``grid``'s edges: the edge
-    floats at ``a`` and ``b``, as `CellGrid.range_bounds` gathers them.
+    floats at ``a`` and ``b``, as `CellGrid.range_bounds` gathers them.  A
+    batch of every grid cell in row-major order passes ``None`` for both
+    index arrays: the passes read only the bounds, so `index` and `b` are
+    derived from the grid when a report, ``reachbound certify`` or
+    ``scripts/manifest_diff.py`` reads them, and never stored.
     """
 
     grid: CellGrid
-    index: np.ndarray  # (N, n) range starts a, which label the cells in reports
-    b: np.ndarray  # (N, n) range ends
+    _index: Optional[np.ndarray]  # (N, n) range starts a; None for every cell, row-major
+    _b: Optional[np.ndarray]  # (N, n) range ends; None likewise
     lo: np.ndarray  # (N, n) edges at a and b, read once
     hi: np.ndarray
     out_lo: Optional[np.ndarray] = None  # filled by propagate_cells
     out_hi: Optional[np.ndarray] = None
 
     @property
+    def index(self) -> np.ndarray:
+        """(N, n) range starts a, which label the cells in reports."""
+        if self._index is not None:
+            return self._index
+        return np.indices(self.grid.counts).reshape(self.grid.dim, -1).T
+
+    @property
+    def b(self) -> np.ndarray:
+        """(N, n) range ends: ``a + 1`` for a batch of every grid cell."""
+        return self.index + 1 if self._b is None else self._b
+
+    @property
     def count(self) -> int:
-        return int(self.index.shape[0])
+        return int(self.lo.shape[0])
 
 
 # Largest cell batch one level may build.  A level holds each cell's
-# lattice range and bounds (32 bytes per input dimension) and its output
-# hull (16 bytes per output dimension): at 2^22 cells, 0.4 GB at 2 inputs
-# and 1.2 GB at 6.  The passes run in blocks of `domains._BLOCK` cells, so
-# their per-layer arrays do not grow with the grid.  The benchmark's
-# largest level is 40 000 cells.
+# lattice range and bounds (32 bytes per input dimension; a full grid's
+# range is derived when read) and its output hull (16 bytes per output
+# dimension): at 2^22 cells, 0.4 GB at 2 inputs and 1.2 GB at 6.  The
+# passes run in blocks of `domains._block_rows` cells, so their per-layer
+# arrays do not grow with the grid.  The benchmark's largest level is
+# 40 000 cells.
 CELL_BUDGET = 2**22
 
 
@@ -184,12 +202,16 @@ def _refuse_past_budget(cells: int, kind: str, counts) -> None:
 
 
 def grid_cell_batch(box: Box, counts) -> CellBatch:
-    """All cells of the grid of ``counts`` on ``box``, ``b = a + 1``: `CellGrid.bounds_arrays`."""
+    """All cells of the grid of ``counts`` on ``box``, ``b = a + 1``: `CellGrid.bounds_arrays`.
+
+    The batch holds no index arrays: its row-major `CellBatch.index` and
+    ``b`` are derived when read, so a full-mode level builds only its
+    bounds.
+    """
     counts = _int_counts(counts)
     _refuse_past_budget(math.prod(counts), "grid", counts)
     grid = CellGrid(box, counts)
-    a, lo, hi = grid.bounds_arrays()
-    return CellBatch(grid, a, a + 1, lo, hi)
+    return CellBatch(grid, None, None, *grid.bounds_arrays())
 
 
 def boundary_cell_batch(box: Box, counts) -> CellBatch:
@@ -294,8 +316,8 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
             t = layer._ops.t
             blo = bhi = t.reshape(t.shape[:1] + (1,) * (dlo.ndim - 1) + t.shape[1:])
         jlo, jhi = _nonneg_imul_arrays(dlo, dhi, blo, bhi, pad)
-        if not pad:  # only the next layer reads the activation range
-            lo, hi = _act_range_arrays(layer.activation, zlo, zhi, pad)
+        if not pad:  # only the next layer reads the range, and D is built: reuse z's arrays
+            lo, hi = _act_range_arrays(layer.activation, zlo, zhi, pad, out=(zlo, zhi))
     axes = (*range(1, jlo.ndim), 0)
     return jlo.transpose(axes), jhi.transpose(axes)
 
@@ -436,7 +458,8 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
     each level's call has a fixed cost on top of its cells.
 
     When the tree dropped no node, every cell is kept, and
-    `CellGrid.bounds_arrays` lists them without spreading the states.
+    `CellGrid.bounds_arrays` lists them without spreading the states and
+    without index arrays, as `grid_cell_batch` does.
     Otherwise one `np.flatnonzero` of the spread keep mask and
     `np.unravel_index` list the kept cells in row-major order, and
     `CellGrid.range_bounds` gathers their bounds.  A grid with no interior
@@ -465,8 +488,7 @@ def extract_subset(net: Network, input_box: Box, counts) -> SubsetExtraction:
                           _WHOLE, _TO_TEST)
         state[nodes] = np.where(_passes_row_test(net, lo, hi), _DROPPED, failed)
     if not (state == _DROPPED).any():
-        a, lo, hi = grid.bounds_arrays()
-        return SubsetExtraction(grid, a, a + 1, lo, hi)
+        return SubsetExtraction(grid, None, None, *grid.bounds_arrays())
     for k, c in enumerate(cuts):
         state = np.repeat(state, np.diff(c), axis=k)
     index = np.stack(np.unravel_index(np.flatnonzero(state != _DROPPED), state.shape), axis=-1)

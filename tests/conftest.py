@@ -224,7 +224,7 @@ def assert_dropped_cells_hold_no_zero_gradient(net, ex, rng, cells=40, per_cell=
     ``per_cell`` sampled point Jacobians, two corners of the cell among them, share one
     nonzero sign.  Returns the number of dropped cells checked."""
     n = net.input_dim
-    _, all_lo, all_hi = ex.grid.bounds_arrays()
+    all_lo, all_hi = ex.grid.bounds_arrays()
     rows = rng.permutation(np.flatnonzero(dropped_mask(ex)))[:cells]
     t = rng.random((rows.size, per_cell, n))
     t[:, :2] = rng.integers(0, 2, (rows.size, 2, n))

@@ -917,6 +917,26 @@ def test_cells_out_schema(seeded_model, tmp_path, capsys):
     assert np.all(lo <= hi)
 
 
+@pytest.mark.parametrize("mode", ["full", "subset"])
+def test_cells_out_of_every_grid_cell_matches_stored_ranges(tmp_path, capsys, mode):
+    # a full-mode level, and a subset whose tree drops nothing (a 3 x 3 interior is
+    # kept whole), hold no index arrays: the CSV reads ranges derived from the grid,
+    # byte for byte those of a batch that stores them
+    model = tmp_path / "mixed.json"
+    rb.write_model(make_net(**MIXED), model)
+    argv = ["verify", "--model", str(model), "--input", "-1,1;-1,1", "--safe", "-99,99;-99,99",
+            "--mode", mode, "--grid", "5", "--cells-out", str(tmp_path / "cells.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["stats"].get("path") == (None if mode == "full" else "subset")
+    batch = verifier.verify(cli._problem_from_args(cli.build_parser().parse_args(argv))).cell_batch
+    assert batch._index is None and batch._b is None and batch.count == 25
+    a = np.argwhere(np.ones(batch.grid.counts, dtype=bool))
+    stored = CellBatch(batch.grid, a, a + 1, batch.lo, batch.hi, batch.out_lo, batch.out_hi)
+    write_reach_cells(stored, tmp_path / "stored.csv")
+    assert (tmp_path / "cells.csv").read_bytes() == (tmp_path / "stored.csv").read_bytes()
+
+
 def test_csv_writers_exact_bytes(tmp_path):
     # repr round-trips every float: the sign of -0.0 and all 17 digits of 0.1 + 0.2
     third = 0.1 + 0.2

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import reachbound as rb
 from reachbound.domains import box_propagate_arrays, normalize_domain, zono_propagate
 from reachbound.intervals import (
-    _interval_matvec_arrays, _operands, _PAD_ACT, _PAD_DERIV, _TINY, _U,
+    _act_range_arrays, _interval_matvec_arrays, _operands, _PAD_ACT, _PAD_DERIV, _TINY, _U,
 )
 from reachbound.verifier import boundary_cell_batch, grid_cell_batch, propagate_cells
 from conftest import (
@@ -471,14 +471,14 @@ def test_box_pass_across_block_boundaries(monkeypatch):
         return matvec(op, xlo, xhi)
 
     monkeypatch.setattr(rb.domains, "_interval_matvec_arrays", recording_matvec)
-    monkeypatch.setattr(rb.domains, "_BLOCK", rows)
+    monkeypatch.setattr(rb.domains, "_block_rows", lambda net: rows)
     whole_lo, whole_hi = box_propagate_arrays(net, lo, hi)
     assert [r for r, _ in calls] == [rows] * len(net.layers)
     calls.clear()
-    monkeypatch.setattr(rb.domains, "_BLOCK", block)
+    monkeypatch.setattr(rb.domains, "_block_rows", lambda net: block)
     # leading axes (a, b, n) are batch axes, flattened into rows across blocks
     out_lo, out_hi = box_propagate_arrays(net, lo.reshape(3, 67, 3), hi.reshape(3, 67, 3))
-    # near-equal blocks of at most `_BLOCK` rows: three of 67, never a one-row block
+    # near-equal blocks of at most `_block_rows` rows: three of 67, never a one-row block
     assert [r for r, _ in calls] == [rows // 3] * len(net.layers) * 3
     assert out_lo.shape == out_hi.shape == (3, 67, 2)
     assert np.array_equal(out_lo.reshape(rows, 2), whole_lo)
@@ -501,11 +501,95 @@ def test_box_pass_bits_do_not_depend_on_the_block_size(monkeypatch, dims, activa
     rng = np.random.default_rng(len(dims))
     lo = rng.uniform(-1, 1, (301, dims[0]))
     hi = lo + rng.uniform(0, 0.5, lo.shape) * (rng.random(lo.shape) < 0.9)
-    monkeypatch.setattr(rb.domains, "_BLOCK", 4096)
+    monkeypatch.setattr(rb.domains, "_block_rows", lambda net: 4096)
     whole = box_propagate_arrays(net, lo, hi)
-    monkeypatch.setattr(rb.domains, "_BLOCK", 100)
+    monkeypatch.setattr(rb.domains, "_block_rows", lambda net: 100)
     blocked = box_propagate_arrays(net, lo, hi)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, blocked))
+
+
+def recorded_blocks(net, rows):
+    """The row counts `_map_row_blocks` hands its function for ``rows`` rows of ``net``."""
+    seen = []
+
+    def record(lo, hi):
+        seen.append(lo.shape[0])
+        return (lo[:, 0],)
+
+    zeros = np.zeros((rows, net.input_dim))
+    rb.domains._map_row_blocks(net, record, zeros, zeros, ((),))
+    return seen
+
+
+@pytest.mark.parametrize("dims, rows", [
+    ((2, 5, 2), 4096), ((2, 7, 2), 4096), ((2, 8, 8, 2), 4096), ((3, 12, 3), 2048),
+    ((6, 16, 16, 6), 2048), ((2, 16, 2), 2048), ((8, 24, 8), 1024), ((24, 2), 1024),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_row_blocks_are_sized_by_the_widest_layer(dims, rows):
+    # 2^15 elements of the widest layer, inputs included, rounded down to a power of two
+    net = rb.generate_network(0, dims, "tanh")
+    assert rb.domains._block_rows(net) == rows
+    assert recorded_blocks(net, rows) == [rows]
+    assert recorded_blocks(net, 2 * rows) == [rows, rows]
+    assert recorded_blocks(net, rows + 1) == [rows // 2, rows // 2 + 1]
+
+
+@pytest.mark.parametrize("width", [2**13 + 1, 2**14, 2**14 + 1, 2**15 + 1])
+def test_row_blocks_never_hold_one_row(width):
+    # past a width of 2^13 the quotient falls below 4 rows; the floor of 4 keeps the
+    # near-equal cut at 2 rows or more, since it never halves a block
+    net = rb.Network((rb.Layer(np.zeros((1, width)), np.zeros(1), "linear"),))
+    assert rb.domains._block_rows(net) == 4
+    for rows in range(2, 12):
+        blocks = recorded_blocks(net, rows)
+        assert sum(blocks) == rows and 2 <= min(blocks) and max(blocks) <= 4, rows
+
+
+CUBE_LEVELS = [((6, 16, 16, 6), 4), ((6, 16, 6), 4), ((4, 12, 4), 8), ((3, 12, 3), 16)]
+
+
+@pytest.mark.parametrize("dims, count", CUBE_LEVELS,
+                         ids=["-".join(map(str, dims)) for dims, _ in CUBE_LEVELS])
+def test_cube_level_box_pass_bits_match_one_block(monkeypatch, dims, count):
+    # the benchmark's refined cube levels, every cell and the subset, in the rule's
+    # 2048-row blocks and in one block
+    net = rb.generate_network(10, dims, "tanh")
+    box = rb.Box.from_bounds([(-1, 1)] * dims[0])
+    grid, subset = grid_cell_batch(box, (count,) * dims[0]), rb.extract_subset(net, box, (count,) * dims[0])
+    assert grid.count == 4096 and rb.domains._block_rows(net) == 2048
+    for batch in (grid, subset):
+        blocked = box_propagate_arrays(net, batch.lo, batch.hi)
+        with monkeypatch.context() as m:
+            m.setattr(rb.domains, "_block_rows", lambda net: batch.count)
+            whole = box_propagate_arrays(net, batch.lo, batch.hi)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, blocked))
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+def test_box_pass_writes_each_range_into_its_product_arrays(monkeypatch, activation):
+    # the pass equals a chain of plain one-layer calls on fresh arrays, bit for bit
+    net = rb.Network(rb.generate_network(5, (3, 12, 8, 3), activation).layers
+                     + (rb.Layer(np.eye(3), np.zeros(3), activation),))
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(-3, 3, (500, 3))
+    hi = lo + rng.uniform(0, 1, lo.shape) * (rng.random(lo.shape) < 0.9)
+    want_lo, want_hi = lo, hi
+    for layer in net.layers:
+        zlo, zhi = _interval_matvec_arrays(layer._ops, want_lo, want_hi)
+        want_lo, want_hi = _act_range_arrays(layer.activation, zlo.copy(), zhi.copy())
+    seen = []
+    act_range = rb.domains._act_range_arrays
+
+    def recording_range(name, zlo, zhi, out=None):
+        got = act_range(name, zlo, zhi, out=out)
+        seen.append(out is not None and out[0] is zlo and out[1] is zhi
+                    and got[0] is zlo and got[1] is zhi)
+        return got
+
+    monkeypatch.setattr(rb.domains, "_act_range_arrays", recording_range)
+    got_lo, got_hi = box_propagate_arrays(net, lo, hi)
+    assert seen == [True] * len(net.layers)
+    assert got_lo.tobytes() == want_lo.tobytes() and got_hi.tobytes() == want_hi.tobytes()
 
 
 def test_batched_box_propagation_matches_single(invertible_net):
@@ -564,9 +648,9 @@ def test_batched_zonotopes_match_per_cell_chain(case):
 
 
 def test_batched_zonotopes_across_a_block_boundary(invertible_net, unit_square, monkeypatch):
-    monkeypatch.setattr(rb.domains, "_BLOCK", 100)
+    monkeypatch.setattr(rb.domains, "_block_rows", lambda net: 100)
     batch = grid_cell_batch(unit_square, (33, 33))
-    assert batch.count > rb.domains._BLOCK
+    assert batch.count > rb.domains._block_rows(invertible_net)
     propagate_cells(invertible_net, batch, "zono")
     want_lo, want_hi = per_cell_zono_hulls(invertible_net, batch.lo, batch.hi)
     assert np.array_equal(batch.out_lo, want_lo) and np.array_equal(batch.out_hi, want_hi)
@@ -586,7 +670,7 @@ def test_zono_propagate_runs_one_pass_per_layer_over_mixed_cells(monkeypatch):
     points = np.random.default_rng(4).uniform(-0.5, 0.5, (5, 3))
     lo = np.concatenate([faces.lo, grid.lo, points])
     hi = np.concatenate([faces.hi, grid.hi, points])
-    assert lo.shape[0] <= rb.domains._BLOCK
+    assert lo.shape[0] <= rb.domains._block_rows(net)
     assert len(np.unique(hi > lo, axis=0)) == 5  # 3 face patterns, points, grid cells
     calls = []
     affine = rb.domains._affine_rows
@@ -608,9 +692,9 @@ def test_zonotope_bits_do_not_depend_on_the_block_size(monkeypatch, dims, activa
     rng = np.random.default_rng(len(dims))
     lo = rng.uniform(-1, 1, (301, dims[0]))
     hi = lo + rng.uniform(0, 0.5, lo.shape) * (rng.random(lo.shape) < 0.9)
-    monkeypatch.setattr(rb.domains, "_BLOCK", 4096)
+    monkeypatch.setattr(rb.domains, "_block_rows", lambda net: 4096)
     whole = zono_propagate(net, lo, hi)
-    monkeypatch.setattr(rb.domains, "_BLOCK", 100)
+    monkeypatch.setattr(rb.domains, "_block_rows", lambda net: 100)
     blocked = zono_propagate(net, lo, hi)
     single = per_cell_zono_hulls(net, lo, hi)
     assert all(a.tobytes() == b.tobytes() == c.tobytes()

@@ -1003,6 +1003,23 @@ def test_activation_bits_match_the_plain_expressions(name):
 
 
 @pytest.mark.parametrize("name", ["tanh", "sigmoid"])
+def test_ranges_written_in_place_match_fresh_arrays(name):
+    # the box pass hands `_act_range_arrays` its product arrays as ``out``
+    x, = read_only(ACT_POINTS)
+    y = x[np.random.default_rng(2).permutation(x.size)]
+    lo, hi = read_only(np.minimum(x, y), np.maximum(x, y))
+    with np.errstate(over="ignore"):
+        for ends_ in [(lo, hi), read_only(-3.0, 2.0), read_only(-0.0, 0.0),
+                      (lo[:64_000].reshape(-1, 8), hi[:64_000].reshape(-1, 8))]:
+            fresh = _act_range_arrays(name, *ends_)
+            out = tuple(np.array(e) for e in ends_)  # writable copies, written over
+            got = _act_range_arrays(name, *out, out=out)
+            assert got[0] is out[0] and got[1] is out[1]
+            assert same_bits(got, fresh)
+        assert same_bits((_sigmoid(x, out=np.array(x)),), (_sigmoid(x),))
+
+
+@pytest.mark.parametrize("name", ["tanh", "sigmoid"])
 def test_slope_bits_match_the_derivative_lower_end(name):
     # the zonotope slope: one derivative call on the stacked (2, ..., d) ends
     x, = read_only(ACT_POINTS)

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -304,3 +305,41 @@ def test_bench_pairs_summarizes_canned_runs():
     delta = ns["baseline_delta"]({"planar-zono": series}, old, "BENCH_25")
     assert delta == {"planar-zono": {"problems_per_s": {"BENCH_25_change_median": 99.0,
                                                         "change_median": 122.5}}}
+
+
+def test_bench_pairs_refuses_an_unlisted_workload_before_copying(tmp_path, monkeypatch, capsys):
+    ns = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))
+    copies = []
+    monkeypatch.setattr(shutil, "copytree", lambda *a, **k: copies.append(a))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_:
+        ns["main"]([str(ROOT), str(ROOT), "--seed", "1", "--pairs", "1",
+                    "--workloads", "cube-refine", "planar-bx", "--out", str(out)])
+    assert exit_.value.code == 2 and copies == [] and not out.exists()
+    assert "invalid choice: 'planar-bx'" in capsys.readouterr().err
+
+
+def test_bench_pairs_records_numpy_and_the_l2_cache(tmp_path, monkeypatch):
+    ns = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))
+    for reported, size in ((ValueError("unrecognized configuration name"), None),
+                           (OSError(), None), (0, None), (-1, None), (2**21, 2**21)):
+        def sysconf(name, reported=reported):
+            assert name == "SC_LEVEL2_CACHE_SIZE"
+            if isinstance(reported, Exception):
+                raise reported
+            return reported
+        with monkeypatch.context() as m:
+            m.setattr(os, "sysconf", sysconf)
+            assert ns["l2_cache_bytes"]() == size
+    # one canned pair, no tree copied and no benchmark run
+    monkeypatch.setattr(shutil, "copytree", lambda *a, **k: None)
+    line = bench_run_line(100.0, 2.0)
+    monkeypatch.setattr(subprocess, "run",
+                        lambda *a, **k: subprocess.CompletedProcess(a, 0, f"{line}\n", ""))
+    out = tmp_path / "bench.json"
+    assert ns["main"]([str(ROOT), str(ROOT), "--seed", "1", "--pairs", "1",
+                       "--workloads", "cube-refine", "--out", str(out)]) == 0
+    env = json.loads(out.read_text())["env"]
+    assert env["numpy"] == np.__version__
+    assert env["l2_cache_bytes"] == ns["l2_cache_bytes"]()
+    assert set(env) == {"nproc", "python", "numpy", "l2_cache_bytes"}

@@ -97,6 +97,32 @@ def test_faces_count_in_3d():
     assert np.all(np.sum(faces.lo == faces.hi, axis=1) == 1)
 
 
+@pytest.mark.parametrize("counts", [(7,), (13, 20), (3, 4, 5), (4,) * 6],
+                         ids=["7", "13x20", "3x4x5", "4^6"])
+def test_a_full_batch_derives_its_index_in_row_major_order(counts):
+    n = len(counts)
+    batch = topology.grid_cell_batch(rb.Box.from_bounds([(-1.0, 1.0)] * n), counts)
+    assert batch._index is None and batch._b is None  # no (N, n) arrays are held
+    want = np.indices(counts).reshape(n, -1).T
+    assert np.array_equal(batch.index, want) and batch.index.dtype == np.int64
+    assert np.array_equal(batch.b, want + 1) and batch.b.dtype == np.int64
+    assert batch.count == np.prod(counts) == batch.lo.shape[0]
+
+
+@pytest.mark.parametrize("counts", [(5, 5), (2, 9), (6, 4)])
+def test_a_subset_that_drops_nothing_derives_its_index(mixed_net, counts):
+    # a leaf-sized interior, or none, is kept whole: every cell, as the full grid lists it
+    box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
+    ex = rb.extract_subset(mixed_net, box, counts)
+    full = topology.grid_cell_batch(box, counts)
+    total = int(np.prod(counts))
+    assert ex._index is None and ex._b is None
+    assert ex.counts == {"total": total, "certified_interior": 0, "kept": total}
+    assert ex.count == full.count == total
+    assert np.array_equal(ex.index, full.index) and np.array_equal(ex.b, full.b)
+    assert ex.lo.tobytes() == full.lo.tobytes() and ex.hi.tobytes() == full.hi.tobytes()
+
+
 def test_faces_reject_degenerate_input():
     with pytest.raises(ValueError):
         boundary_cell_batch(rb.Box.from_bounds([(0, 0), (0, 1)]), (1, 1))
@@ -111,8 +137,8 @@ def face_box_cells(box, counts):
             face_lo[k] = face_hi[k] = v
             face = rb.Box.from_arrays(face_lo, face_hi)
             face_counts = tuple(1 if j == k else counts[j] for j in range(box.dim))
-            idx, lo, hi = rb.CellGrid(face, face_counts).bounds_arrays()
-            idx = idx.copy()
+            lo, hi = rb.CellGrid(face, face_counts).bounds_arrays()
+            idx = np.argwhere(np.ones(face_counts, dtype=bool))  # row-major
             idx[:, k] = 0 if side == 0 else counts[k]
             parts.append((idx, lo, hi))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
@@ -152,8 +178,8 @@ def test_partition_total_is_exact_past_int64():
 
 
 def test_partition_trivial_is_box(unit_square):
-    idx, lo, hi = rb.CellGrid(unit_square, (1, 1)).bounds_arrays()
-    assert idx.tolist() == [[0, 0]]
+    lo, hi = rb.CellGrid(unit_square, (1, 1)).bounds_arrays()
+    assert topology.grid_cell_batch(unit_square, (1, 1)).index.tolist() == [[0, 0]]
     assert np.array_equal(lo[0], unit_square.lo) and np.array_equal(hi[0], unit_square.hi)
 
 
@@ -184,7 +210,7 @@ def test_partition_tiles_exactly():
     edges = grid.edges(0)
     assert edges[0] == -0.3 and edges[-1] == 0.7
     assert np.all(np.diff(edges) > 0)
-    _, lo, hi = grid.bounds_arrays()
+    lo, hi = grid.bounds_arrays()
     assert lo.shape == (7, 1)
     assert np.array_equal(hi[:-1, 0], lo[1:, 0])  # shared closed faces
 
@@ -245,7 +271,8 @@ def test_bounds_arrays_refuses_a_grid_past_the_budget(monkeypatch):
 
 def test_bounds_arrays_row_major(unit_square):
     grid = rb.CellGrid(unit_square, (2, 3))
-    idx, lo, hi = grid.bounds_arrays()
+    lo, hi = grid.bounds_arrays()
+    idx = topology.grid_cell_batch(unit_square, (2, 3)).index
     assert [tuple(i) for i in idx] == list(product(range(2), range(3)))
     edges = [grid.edges(k) for k in range(2)]
     assert np.array_equal(lo, np.array(list(product(*(e[:-1] for e in edges)))))
@@ -396,8 +423,8 @@ def test_certified_cell_has_constant_nonzero_sign(invertible_net):
 def test_certification_monotone_under_bisection(mixed_net):
     # the children of cell (i, j) on the doubled grid are (2i..2i+1, 2j..2j+1)
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
-    _, lo, hi = rb.CellGrid(box, (8, 8)).bounds_arrays()
-    _, child_lo, child_hi = rb.CellGrid(box, (16, 16)).bounds_arrays()
+    lo, hi = rb.CellGrid(box, (8, 8)).bounds_arrays()
+    child_lo, child_hi = rb.CellGrid(box, (16, 16)).bounds_arrays()
     parent = certify_cells(mixed_net, lo, hi)[2].reshape(8, 8)
     children = certify_cells(mixed_net, child_lo, child_hi)[2].reshape(16, 16)
     checked = 0
@@ -410,8 +437,8 @@ def test_certification_monotone_under_bisection(mixed_net):
 def test_row_test_monotone_under_bisection(mixed_net):
     # the children of cell (i, j) on the doubled grid are (2i..2i+1, 2j..2j+1)
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
-    _, lo, hi = rb.CellGrid(box, (8, 8)).bounds_arrays()
-    _, child_lo, child_hi = rb.CellGrid(box, (16, 16)).bounds_arrays()
+    lo, hi = rb.CellGrid(box, (8, 8)).bounds_arrays()
+    child_lo, child_hi = rb.CellGrid(box, (16, 16)).bounds_arrays()
     parent = row_test(*jacobian_interval_arrays(mixed_net, lo, hi)).reshape(8, 8)
     children = row_test(*jacobian_interval_arrays(mixed_net, child_lo, child_hi)).reshape(16, 16)
     for row, passed in enumerate(parent.ravel()):
@@ -452,7 +479,7 @@ def test_a_box_that_passes_the_row_test_holds_no_zero_gradient():
 
 def test_certify_batch_matches_scalar(mixed_net):
     grid = rb.CellGrid(rb.Box.from_bounds([(-1, 1), (-1, 1)]), (5, 5))
-    idx, lo, hi = grid.bounds_arrays()
+    lo, hi = grid.bounds_arrays()
     det_lo, det_hi, certified = certify_cells(mixed_net, lo, hi)
     for row in range(grid.total):
         cell = rb.Box.from_arrays(lo[row], hi[row])
@@ -515,7 +542,7 @@ def test_extraction_accounting_identity(mixed_net):
     assert c["kept"] + c["certified_interior"] == c["total"] == 400
     # face cells are always kept, an interior cell is kept only inside a leaf-sized node
     # kept whole, and every certified interior cell outside such a node is dropped
-    _, lo, hi = ex.grid.bounds_arrays()
+    lo, hi = ex.grid.bounds_arrays()
     interior, dropped = interior_mask(ex.grid), dropped_mask(ex)
     whole = kept_whole_mask(ex.grid, levels)
     assert np.all(~dropped[~interior])
@@ -525,7 +552,7 @@ def test_extraction_accounting_identity(mixed_net):
 
 def test_extraction_interior_never_touches_boundary(mixed_net):
     ex = rb.extract_subset(mixed_net, rb.Box.from_bounds([(-1, 1), (-1, 1)]), (20, 20))
-    idx = ex.grid.bounds_arrays()[0][dropped_mask(ex)]
+    idx = np.argwhere(dropped_mask(ex).reshape(ex.grid.counts))  # row-major
     counts = np.array(ex.grid.counts)
     assert np.all(idx > 0) and np.all(idx + 1 < counts)
 
@@ -553,8 +580,8 @@ def test_extraction_matches_exhaustive_classification(mixed_net):
 def test_extraction_refines_consistently(mixed_net):
     # every certified 20x20 cell keeps all its 60x60 children certified
     box = rb.Box.from_bounds([(-1, 1), (-1, 1)])
-    _, lo_c, hi_c = rb.CellGrid(box, (20, 20)).bounds_arrays()
-    _, lo_f, hi_f = rb.CellGrid(box, (60, 60)).bounds_arrays()
+    lo_c, hi_c = rb.CellGrid(box, (20, 20)).bounds_arrays()
+    lo_f, hi_f = rb.CellGrid(box, (60, 60)).bounds_arrays()
     cert_c = certify_cells(mixed_net, lo_c, hi_c)[2].reshape(20, 20)
     cert_f = certify_cells(mixed_net, lo_f, hi_f)[2].reshape(60, 60)
     for i in range(20):
@@ -581,7 +608,7 @@ def test_extraction_decision_contains_certifying_every_cell():
         counts[rng.integers(n)] = rng.integers(1, 12)
         counts = tuple(int(c) for c in counts)
         ex, levels = traced_extraction(net, box, counts)
-        _, lo, hi = ex.grid.bounds_arrays()
+        lo, hi = ex.grid.bounds_arrays()
         interior = interior_mask(ex.grid)
         certified = certify_cells(net, lo, hi)[2] & interior
         own = row_test(*jacobian_interval_arrays(net, lo, hi)) & interior
@@ -621,7 +648,8 @@ def test_extraction_returns_the_kept_cells_in_row_major_order(case):
     assert ex.index.dtype == np.int64 and ex.index.shape == ex.lo.shape == ex.hi.shape
     flat = np.ravel_multi_index(tuple(ex.index.T), counts)
     assert np.all(np.diff(flat) > 0)
-    idx, lo, hi = ex.grid.bounds_arrays()
+    lo, hi = ex.grid.bounds_arrays()
+    idx = np.argwhere(np.ones(counts, dtype=bool))  # row-major
     np.testing.assert_array_equal(ex.index, idx[flat])
     assert ex.lo.tobytes() == lo[flat].tobytes() and ex.hi.tobytes() == hi[flat].tobytes()
     assert np.all(~dropped_mask(ex)[~interior_mask(ex.grid)])  # the ring is kept
@@ -677,7 +705,7 @@ def test_extraction_across_a_block_boundary(mixed_net, monkeypatch):
     whole = rb.extract_subset(mixed_net, box, (40, 40))
     assert 0 < whole.counts["certified_interior"] < 38 * 38
     block = 7
-    monkeypatch.setattr(rb.domains, "_BLOCK", block)
+    monkeypatch.setattr(rb.domains, "_block_rows", lambda net: block)
     calls = []
 
     def recording_jacobian(net, lo, hi):
@@ -835,9 +863,9 @@ def test_box_passes_row_test_refuses_a_box_of_another_dimension(mixed_net):
 
 def test_certify_cells_across_a_block_boundary(mixed_net, monkeypatch):
     block = 100
-    monkeypatch.setattr(rb.domains, "_BLOCK", block)
+    monkeypatch.setattr(rb.domains, "_block_rows", lambda net: block)
     grid = rb.CellGrid(rb.Box.from_bounds([(-1, 1), (-1, 1)]), (33, 33))
-    _, lo, hi = grid.bounds_arrays()
+    lo, hi = grid.bounds_arrays()
     assert grid.total > block
     calls = []
 
@@ -849,7 +877,7 @@ def test_certify_cells_across_a_block_boundary(mixed_net, monkeypatch):
     blocked = certify_cells(mixed_net, lo.reshape(33, 33, 2), hi.reshape(33, 33, 2))
     assert calls == [(grid.total // 11, 2)] * 11  # 1089 rows in 11 near-equal blocks
     calls.clear()
-    monkeypatch.setattr(rb.domains, "_BLOCK", grid.total)
+    monkeypatch.setattr(rb.domains, "_block_rows", lambda net: grid.total)
     whole = certify_cells(mixed_net, lo, hi)
     assert calls == [(grid.total, 2)]
     for got, want in zip(blocked, whole):
