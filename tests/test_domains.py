@@ -555,7 +555,8 @@ def test_cube_level_box_pass_bits_match_one_block(monkeypatch, dims, count):
     # 2048-row blocks and in one block
     net = rb.generate_network(10, dims, "tanh")
     box = rb.Box.from_bounds([(-1, 1)] * dims[0])
-    grid, subset = grid_cell_batch(box, (count,) * dims[0]), rb.extract_subset(net, box, (count,) * dims[0])
+    counts = (count,) * dims[0]
+    grid, subset = grid_cell_batch(box, counts), rb.extract_subset(net, box, counts)
     assert grid.count == 4096 and rb.domains._block_rows(net) == 2048
     for batch in (grid, subset):
         blocked = box_propagate_arrays(net, batch.lo, batch.hi)
