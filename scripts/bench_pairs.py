@@ -32,13 +32,14 @@ pass, and every run in pair order; plus the
 summed ``failed`` counts and whether every run read ``correct``) and, with
 ``--baseline``, the change medians of an earlier file's series next to this
 one's.  Its ``env`` records the CPU count, the Python and NumPy versions and
-the L2 cache size in bytes (``os.sysconf("SC_LEVEL2_CACHE_SIZE")``, null
-where the platform does not report it), to which the passes' row blocks are
-sized.  After writing it, the script prints one summary line per workload and
-metric: the parent and change medians, the change in percent of the
-parent's, and, for a metric of ``BENCHMARK.json``, the wins of N pairs,
-``resolved`` or ``unresolved``, ``regressed`` or ``not regressed`` and
-``claim met`` or ``claim not met``.
+the L2 cache size in bytes (``os.sysconf("SC_LEVEL2_CACHE_SIZE")``, else
+the level-2 entry under ``/sys/devices/system/cpu/cpu0/cache``, null where
+neither reports it), to which the passes' row blocks are sized.  After
+writing it, the script prints one summary line per workload and metric: the
+parent and change medians, the change in percent of the parent's, and, for
+a metric of ``BENCHMARK.json``, the wins of N pairs, ``resolved`` or
+``unresolved``, ``regressed`` or ``not regressed`` and ``claim met`` or
+``claim not met``.
 """
 
 import argparse
@@ -136,13 +137,33 @@ def baseline_delta(series, baseline: dict, label: str):
     return delta
 
 
-def l2_cache_bytes():
-    """The L2 cache size in bytes from ``os.sysconf``, or None where it is not reported."""
+CPU0_CACHE = Path("/sys/devices/system/cpu/cpu0/cache")
+SIZE_UNITS = {"K": 2**10, "M": 2**20}
+
+
+def l2_cache_bytes(cache_dir: Path = CPU0_CACHE):
+    """The L2 cache size in bytes, or None where neither source reports it.
+
+    ``os.sysconf`` first; where it knows no ``SC_LEVEL2_CACHE_SIZE`` (CPython
+    3.11 on Linux) or reports none, the ``size`` of the ``index*`` entry of
+    ``cache_dir`` whose ``level`` is 2, such as ``2048K``.
+    """
     try:
         size = os.sysconf("SC_LEVEL2_CACHE_SIZE")
     except (ValueError, OSError):  # a name this platform does not know, or no value
-        return None
-    return size if size > 0 else None
+        size = 0
+    if size > 0:
+        return size
+    for index in sorted(cache_dir.glob("index*")):
+        try:
+            if (index / "level").read_text().strip() != "2":
+                continue
+            text = (index / "size").read_text().strip()
+        except OSError:
+            continue
+        digits, scale = (text[:-1], SIZE_UNITS[text[-1]]) if text[-1:] in SIZE_UNITS else (text, 1)
+        return int(digits) * scale if digits.isdigit() and int(digits) > 0 else None
+    return None
 
 
 def last_json_line(stdout: str) -> dict:

@@ -1,35 +1,36 @@
 """Validated interval arithmetic as batched ndarray kernels, plus the `Box` value.
 
 The kernels (``_imul_arrays``, ``_nonneg_imul_arrays``,
-``_interval_matvec_arrays``, ``_idet_arrays``, ``_act_range_arrays`` and
-``_act_deriv_arrays``, whose lower end ``_deriv_lower`` is the zonotope
-slope) are the only interval arithmetic: they take ``(lo, hi)`` endpoint
-arrays with leading batch axes and return an enclosure of the true
-real-arithmetic result set; the box pass and the Jacobian enclosure share
-``_interval_matvec_arrays``.  Its weight operands are an `_Operands` record
-that each `Layer` prepares once (`_operands`), and the zonotope pass reads
-the same record.  Every batched pass adds its bias through `_add_bias`, in
-same-shape adds of tiles of `_TILE` elements.  Products and the sums of
-`_idet_arrays` are widened outward by at least one ulp per endpoint, with
-one arithmetic pad per array (`_down`/`_up`: one product and one sum),
-built in one buffer that then holds the result; libm-backed evaluations
-(tanh, sigmoid and their derivatives) are only faithfully rounded, so their
-endpoints get a wider fixed pad.  Tanh and sigmoid are bounded by 1, so
-their padded ranges (the box pass's) take one absolute step per end,
-``_PAD_ACT 2^-53``, in place.  The matrix-vector reduction is bounded by
-one standard a-priori rounding-error term instead of per-term nudging,
-which keeps it vectorizable, and that term also covers its own subtraction,
-so its endpoints take no pad.  The Jacobian's hidden layers skip the other
-pads too (``pad=False``): their activation ranges, derivative enclosures
-and ``D B`` products lie within a stated number of ulps of enclosures, and
-the next product's term charges those ulps (``x_ulps``), so each such
-layer takes one outward step.  The kernels accumulate and clip in arrays
-they created, never in their inputs, with the float operations of the
-plain one-expression forms in the same order, so working in place changes
-no bit (``tests/test_intervals.py`` pins them); a linear activation hands
-its input arrays back unwritten.  Only ``_act_range_arrays(..., out=)``
-writes where its caller says: the box pass and the Jacobian's hidden
-layers put each range in the product arrays it came from.
+``_interval_matvec_arrays``, ``_idet_arrays``, ``_act_range_arrays``,
+``_act_deriv_arrays`` and ``_deriv_lower``, the zonotope slope) are the
+only interval arithmetic: they take ``(lo, hi)`` endpoint arrays with
+leading batch axes, and each has one rounding contract.  The box pass and
+the Jacobian enclosure share ``_interval_matvec_arrays`` and
+``_act_range_arrays``, so the Jacobian's forward pass is the box pass's.
+The product's weight operands are an `_Operands` record that each `Layer`
+prepares once (`_operands`), and the zonotope pass reads the same record.
+Every batched pass adds its bias through `_add_bias`, in same-shape adds of
+tiles of `_TILE` elements.  Products and the sums of `_idet_arrays` are
+widened outward by at least one ulp per endpoint, with one arithmetic pad
+per array (`_down`/`_up`: one product and one sum), built in one buffer
+that then holds the result.  The matrix-vector reduction is bounded by one standard
+a-priori rounding-error term instead of per-term nudging, which keeps it
+vectorizable, and that term also covers its own subtraction, so its
+endpoints take no pad.  Libm-backed evaluations (tanh, sigmoid and their
+derivatives) are only faithfully rounded.  Tanh and sigmoid are bounded by
+1, so their ranges take one absolute step per end, ``_PAD_ACT 2^-53``, in
+place; the zonotope slope takes a `_PAD_DERIV` pad.  Only the Jacobian
+reads `_act_deriv_arrays` and `_nonneg_imul_arrays`, which take no pad:
+their ends lie within a stated relative error of an enclosure's, which the
+next product's term charges (``x_ulps``), or after the last layer one
+closing step (`topology.jacobian_interval_arrays`).  The kernels accumulate
+and clip in arrays they created, never in their inputs, with the float
+operations of the plain one-expression forms in the same order, so working
+in place changes no bit (``tests/test_intervals.py`` pins them); a linear
+activation hands its input arrays back unwritten.  Only
+``_act_range_arrays(..., out=)`` writes where its caller says: the box pass
+and the Jacobian's hidden layers put each range in the product arrays it
+came from.
 
 `Box` is the one interval value, not an algebra: a validated, read-only
 ``(lo, hi)`` pair of endpoint vectors.  Every other interval quantity (a
@@ -59,16 +60,16 @@ _J_ULPS = _PAD_DERIV + 1  # ulps of an unpadded ``D B`` end: D's, and the produc
 
 
 def _down(x, steps: int = 1):
-    """A float at or below the ``steps``-th float below x, for steps <= 8.
+    """A float at or below the ``steps``-th float below x, for steps <= 10.
 
     The pad ``|x| (steps 2^-52) + steps tiny`` is one array expression, and
     it is at least as wide as ``steps`` passes of ``nextafter`` toward -inf:
 
     - ``steps 2^-52`` and ``steps tiny`` are floats, so the pad takes one
       rounded product and one rounded sum.  ``|x| 2^-52 >= ulp(x)`` for
-      normal x, ``steps ulp(x)`` is a float for steps <= 8, and rounding is
-      monotone, so the rounded product is at least ``steps ulp(x)``, and
-      adding ``steps tiny >= 0`` keeps it so.
+      normal x, ``steps ulp(x)`` is a float, and rounding is monotone, so
+      the rounded product is at least ``steps ulp(x)``, and adding ``steps
+      tiny >= 0`` keeps it so.
     - ``tiny`` is the ulp of zero and of every subnormal, so there the sum
       alone gives at least ``steps tiny``.  For ``|x| > 2^-968`` the product
       is normal and ``steps tiny`` is under half its ulp, so the sum rounds
@@ -85,28 +86,37 @@ def _down(x, steps: int = 1):
       ``steps``-th float outward is a float that the exact difference does
       not pass, so the result is at or beyond it.
 
+    The Jacobian's closing step (``s = _J_ULPS + 1 = 10``, in
+    `topology.jacobian_interval_arrays`) reads a relative bound instead of
+    a float count.  With ``u = 2^-53`` and ``m = max(|x|, 2^-1022)``, the
+    result lies at least ``(2s (1 - u)^3 - 1) u m`` below a normal x: the
+    rounded product and sum keep at least ``2 s u |x| (1 - u)^2``, and the
+    subtraction loses at most ``u |x - pad| <= u (|x| + pad)``.  Below
+    ``2^-1022`` the product can fall short by half a subnormal step, ``u
+    2^-1022``, so the pad is at least ``(2s - 1) u m (1 - u)`` and the
+    result lies at least ``((2s - 1)(1 - u)^2 - 1) u m`` below x.  `_up`
+    is symmetric.
+
     Infinities: ``_down(-inf)`` and ``_up(+inf)`` stay infinite, while
     ``_down(+inf)`` and ``_up(-inf)`` give NaN where ``nextafter`` gave the
     largest finite float.  Only an overflow reaches them: a lower end is
     +inf only when the exact value exceeds the largest float.
-    `_imul_arrays`, `_nonneg_imul_arrays` (the Jacobian's last layer), the
-    sums of `_idet_arrays`, and the derivative enclosures of that layer and
-    of the zonotope slope pass it to the pad, and that interval's upper end
-    is then +inf or NaN too.  The box pass's activation ranges take an
-    absolute step and a clip instead (`_act_range_arrays`): their ends stay
-    within the activation's bounds, and a NaN stays NaN.
-    `_interval_matvec_arrays` and the Jacobian's unpadded hidden layers have
-    no pad.  A sum that overflows there
-    becomes NaN (``inf - inf``) when its rounding term overflows too, and
-    stays infinite when the term is finite.  That infinity lies on the exact
-    value's side: every partial sum is bounded by the magnitude sum ``M``,
-    and a finite term bounds ``M`` by ``MAX / (1 - gamma_k)``, so a sum that
-    overflows to +inf has a positive exact value.  A finite sum that the
-    term pushes past the float range gives an outward infinity.  A NaN end
-    fails every comparison, so it certifies nothing and passes no safe-box
-    test, an infinite end passes only a sign test that holds of the exact
-    value, and `Box` rejects both: such a verdict ends in an error, not a
-    wrong answer.
+    `_imul_arrays`, the sums of `_idet_arrays`, the zonotope slope
+    (`_deriv_lower`) and the Jacobian's closing step pass it to the pad, and
+    that interval's upper end is then +inf or NaN too.  The activation
+    ranges take an absolute step and a clip instead (`_act_range_arrays`):
+    their ends stay within the activation's bounds, and a NaN stays NaN.
+    `_interval_matvec_arrays`, `_act_deriv_arrays` and `_nonneg_imul_arrays`
+    have no pad.  A matrix-vector sum that overflows becomes NaN (``inf -
+    inf``) when its rounding term overflows too, and stays infinite when
+    the term is finite.  That infinity lies on the exact value's side:
+    every partial sum is bounded by the magnitude sum ``M``, and a finite
+    term bounds ``M`` by ``MAX / (1 - gamma_k)``, so a sum that overflows
+    to +inf has a positive exact value.  A finite sum that the term pushes
+    past the float range gives an outward infinity.  A NaN end fails every
+    comparison, so it certifies nothing and passes no safe-box test, an
+    infinite end passes only a sign test that holds of the exact value, and
+    `Box` rejects both: such a verdict ends in an error, not a wrong answer.
 
     The pad is built in one new float64 array of x's shape, and the
     difference is written into it, so x is never written.  Its operations
@@ -232,32 +242,31 @@ def _imul_arrays(alo, ahi, blo, bhi):
     return _down(lo), _up(hi)
 
 
-def _nonneg_imul_arrays(dlo, dhi, blo, bhi, pad: bool = True):
-    """`_imul_arrays` for a factor ``[dlo, dhi]`` with ``dlo >= 0``: two products.
+def _nonneg_imul_arrays(dlo, dhi, blo, bhi):
+    """The rounded corner products of ``[dlo, dhi] [blo, bhi]`` for ``dlo >= 0``: two products.
 
     With ``D >= 0`` the lower end is ``dlo blo`` where ``blo >= 0`` and
     ``dhi blo`` otherwise, and the upper end ``dhi bhi`` where ``bhi >= 0``
-    and ``dlo bhi`` otherwise.  The selected corner is the extreme real
-    product, rounding is monotone, and both ends get the same one-ulp pad,
-    which maps ``+0`` and ``-0`` alike, so for finite ``B`` the bounds are
-    those of `_imul_arrays` bit for bit.
+    and ``dlo bhi`` otherwise, where `_imul_arrays` takes four corners.
+    The selected corner is the extreme real product and rounding is
+    monotone, so for finite ``B``, `_down` and `_up` of these ends, which
+    map ``+0`` and ``-0`` alike, are `_imul_arrays`' bounds bit for bit.
 
-    ``pad=False`` returns the rounded corner products.  When the exact D
-    lies in ``[dlo (1 - r), dhi (1 + r)]`` (an unpadded `_act_deriv_arrays`,
-    ``r = _PAD_DERIV 2^-52``), the exact lower end is at least ``P - r|P|``
-    for the selected corner ``P = d blo``, and ``|P - fl(P)| <= u max(|fl(P)|,
-    _NORMAL)`` (half an ulp, or half a subnormal step).  So each end lies
-    within ``(u + r (1 + u)) max(|end|, _NORMAL)``, under `_J_ULPS` ulps in
-    the sense of ``x_ulps`` of `_interval_matvec_arrays`; the upper end is
-    symmetric.
+    The ends take no pad.  When the exact D lies in ``[dlo (1 - r), dhi
+    (1 + r)]`` (`_act_deriv_arrays`, ``r = _PAD_DERIV 2^-52``), the exact
+    lower end is at least ``P - r|P|`` for the selected corner ``P = d
+    blo``, and ``|P - fl(P)| <= u max(|fl(P)|, _NORMAL)`` (half an ulp, or
+    half a subnormal step).  So each end lies within ``c max(|end|,
+    _NORMAL)`` of an enclosure's, ``c = u + r (1 + u)``: under `_J_ULPS`
+    ulps in the sense of ``x_ulps`` of `_interval_matvec_arrays`, which the
+    Jacobian's next product charges, and within what its closing step
+    covers after the last layer (see `_down`).  The upper end is symmetric.
     """
     lo = np.where(blo >= 0.0, dlo, dhi)
     lo *= blo
     hi = np.where(bhi >= 0.0, dhi, dlo)
     hi *= bhi
-    if not pad:
-        return lo, hi
-    return _down(lo), _up(hi)
+    return lo, hi
 
 
 class _Operands(NamedTuple):
@@ -474,7 +483,7 @@ def _sigmoid_deriv(x):
     # monotone.  Halving and quartering are exact (up to underflow, which
     # loses under one subnormal step), cosh errs by at most an ulp and 1/c
     # and the square by half an ulp each, so the result is within about 4 ulp:
-    # inside the 8-ulp `_PAD_DERIV` pad of `_act_deriv_arrays`.
+    # inside the 8-ulp `_PAD_DERIV` that `_act_deriv_arrays` states and `_deriv_lower` pads.
     d = _tanh_deriv(0.5 * np.asarray(x, dtype=float))
     d *= 0.25
     return d
@@ -513,14 +522,14 @@ def _lookup(name: str) -> _Activation:
         raise ValueError(f"unknown activation {name!r}") from None
 
 
-def _act_range_arrays(name: str, lo, hi, pad: bool = True, out=None):
+def _act_range_arrays(name: str, lo, hi, out=None):
     """Range enclosure of a monotone activation over [lo, hi] arrays.
 
     The range is built in two new arrays, or in ``out``, a pair of float64
     arrays of the inputs' shape, which may be ``(lo, hi)`` themselves: the
     box pass and the Jacobian's hidden layers hand over the product arrays
     they have just made.  Either way the float operations and their order
-    are the same, and so are the bits.
+    are the same, and so are the bits, so both passes read one range.
     A linear layer's ``lo`` and ``hi`` are returned as they are, unwritten
     and not copied, whatever ``out``: callers pass fresh
     `_interval_matvec_arrays` results and only read what comes back.
@@ -528,13 +537,13 @@ def _act_range_arrays(name: str, lo, hi, pad: bool = True, out=None):
     Tanh and sigmoid are bounded: their exact values lie in ``[clip_lo,
     clip_hi]``, ``[-1, 1]`` or ``[0, 1]``, and so do libm's (`_sigmoid`
     divides 1 or e by a rounded ``1 + e``, which is at least both; the
-    decimal test named below checks ``np.tanh``).  So a padded range
-    (the box pass) moves each end of libm's values ``y = f(lo)`` and
-    ``f(hi)`` outward by one absolute step, ``P = _PAD_ACT 2^-53``
-    (`_ACT_STEP`), in place, and then clips: four array passes after the
-    two libm calls, and no new array.  Floats in ``[-1, 1]`` lie at most
-    ``2^-53`` apart, so P spans at least `_PAD_ACT` of them.  With ``t``
-    the exact value and ``y_k`` the k-th float below y, ``k = _PAD_ACT``:
+    decimal test named below checks ``np.tanh``).  So the range moves each
+    end of libm's values ``y = f(lo)`` and ``f(hi)`` outward by one
+    absolute step, ``P = _PAD_ACT 2^-53`` (`_ACT_STEP`), in place, and then
+    clips: four array passes after the two libm calls, and no new array.
+    Floats in ``[-1, 1]`` lie at most ``2^-53`` apart, so P spans at least
+    `_PAD_ACT` of them.  With ``t`` the exact value and ``y_k`` the k-th
+    float below y, ``k = _PAD_ACT``:
 
     - libm's value lies within k floats of the exact one (checked at the
       hard points by ``test_padded_ranges_enclose_the_decimal_values``),
@@ -551,24 +560,17 @@ def _act_range_arrays(name: str, lo, hi, pad: bool = True, out=None):
     - So the clipped end is at or below ``max(y_k, clip_lo) <= t``.  The
       clips are exact: each moves an end only to a bound of the exact
       range.  The upper end is symmetric, with ``y + P`` and ``clip_hi``.
-    - Padded ends cannot cross.  For ``lo <= hi`` each end holds the exact
+    - The ends cannot cross.  For ``lo <= hi`` each end holds the exact
       value at its own point, and exact tanh and sigmoid are monotone, so
       ``out_lo <= f(lo) <= f(hi) <= out_hi`` with no ``min(out_lo,
-      out_hi)`` guard.  A NaN input gives NaN ends either way.
+      out_hi)`` guard, although libm need not be monotone.  A NaN input
+      gives NaN ends.
 
     Against `_down`/`_up`'s relative pad of ``k 2^-52 |y| + k tiny``: for
     ``|y| >= 1/2`` that pad is at least P, so the new ends are never wider
     there; near 0 they are, and a point range at tanh's origin is exactly
     ``2P`` (about 8.9e-16) wide, where `_down`/`_up` give 8 subnormal
     steps.
-
-    ``pad=False`` (the Jacobian's hidden layers, on arrays) drops the
-    `_PAD_ACT` pads: libm's value lies within `_PAD_ACT` ulps of the exact
-    one (``test_activation_error_stays_below_its_pad``), the clips move an
-    end only to a true bound, and ``v -+ c max(|v|, _NORMAL)`` is monotone in
-    v, so each end lies within `_PAD_ACT` ulps of an enclosure, as the next
-    product's ``x_ulps`` reads them.  Libm need not be monotone, so these
-    ends keep the guard ``min(out_lo, out_hi)``.
     """
     act = _lookup(name)
     if act.linear:
@@ -577,46 +579,38 @@ def _act_range_arrays(name: str, lo, hi, pad: bool = True, out=None):
         out_lo, out_hi = np.asarray(act.f(lo)), np.asarray(act.f(hi))
     else:
         out_lo, out_hi = act.f(lo, out=out[0]), act.f(hi, out=out[1])
-    if pad:
-        out_lo -= _ACT_STEP
-        out_hi += _ACT_STEP
+    out_lo -= _ACT_STEP
+    out_hi += _ACT_STEP
     np.maximum(out_lo, act.clip_lo, out=out_lo)
     np.minimum(out_hi, act.clip_hi, out=out_hi)
-    if not pad:
-        np.minimum(out_lo, out_hi, out=out_lo)
     return out_lo, out_hi
 
 
-def _act_deriv_arrays(name: str, lo, hi, pad: bool = True):
-    """Enclosure of the activation derivative over [lo, hi] arrays.
+def _act_deriv_arrays(name: str, lo, hi):
+    """Enclosure of the activation derivative over [lo, hi] arrays, within a relative error.
 
     tanh' and sigmoid' are even and unimodal with their maximum at zero, so
     the supremum is the exact peak value when the interval straddles zero and
     an endpoint value otherwise; the infimum is always at an endpoint.
 
-    ``pad=False`` (the Jacobian's hidden layers) drops the `_PAD_DERIV`
-    pads.  Then the exact derivative lies in ``[lo' (1 - r), hi' (1 + r)]``
-    with ``r = _PAD_DERIV 2^-52``, a relative error alone, as
+    The ends take no pad: the exact derivative lies in ``[lo' (1 - r), hi'
+    (1 + r)]`` with ``r = _PAD_DERIV 2^-52``, a relative error alone, as
     `_nonneg_imul_arrays` needs it.  Libm's value lies within `_PAD_DERIV`
     ulps, ``r max(d, _NORMAL)``, so the upper end is floored at `_NORMAL`,
     and a lower end below `_NORMAL` becomes 0, which the nonnegative
-    derivative never passes.
+    derivative never passes.  Scalar and 0-d ends give 0-d arrays.
     """
     act = _lookup(name)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if act.linear:
         return np.ones_like(lo), np.ones_like(hi)
-    dlo = act.deriv(lo)
-    dhi = act.deriv(hi)
-    if pad:
-        out_lo = _deriv_lower(dlo, dhi)
-        out_hi = _up(np.maximum(dlo, dhi), _PAD_DERIV)
-    else:
-        out_lo = np.minimum(dlo, dhi)
-        np.copyto(out_lo, 0.0, where=out_lo < _NORMAL)
-        out_hi = np.maximum(dlo, dhi, out=dhi)
-        np.maximum(out_hi, _NORMAL, out=out_hi)
+    dlo = np.asarray(act.deriv(lo))  # np.cosh: 0-d in, scalar out
+    dhi = np.asarray(act.deriv(hi))
+    out_lo = np.minimum(dlo, dhi, out=np.empty(dlo.shape))
+    np.copyto(out_lo, 0.0, where=out_lo < _NORMAL)
+    out_hi = np.maximum(dlo, dhi, out=dhi)
+    np.maximum(out_hi, _NORMAL, out=out_hi)
     np.minimum(out_hi, act.deriv_max, out=out_hi)
     np.copyto(out_hi, act.deriv_max, where=(lo <= 0.0) & (0.0 <= hi))
     np.maximum(out_hi, out_lo, out=out_hi)
@@ -624,7 +618,10 @@ def _act_deriv_arrays(name: str, lo, hi, pad: bool = True):
 
 
 def _deriv_lower(dlo, dhi):
-    """``max(down(min(dlo, dhi)), 0)``: derivatives are nonnegative, and the infimum is at an end."""
+    """The zonotope slope ``max(down(min(dlo, dhi), _PAD_DERIV), 0)``: a derivative's lower bound.
+
+    Derivatives are nonnegative, and the infimum is at an end.
+    """
     out = _down(np.minimum(dlo, dhi), _PAD_DERIV)
     np.maximum(out, 0.0, out=out)
     return out

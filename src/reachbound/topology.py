@@ -45,12 +45,13 @@ from .intervals import (
     Box,
     _act_deriv_arrays,
     _act_range_arrays,
+    _down,
     _idet_arrays,
     _interval_matvec_arrays,
     _J_ULPS,
     _lookup,
     _nonneg_imul_arrays,
-    _PAD_ACT,
+    _up,
 )
 from .network import Network, _index
 
@@ -287,37 +288,45 @@ def jacobian_interval_arrays(net: Network, lo: np.ndarray, hi: np.ndarray):
     ``D B`` is the sign-select product `_nonneg_imul_arrays`: two products
     where `_imul_arrays` takes four corners.
 
-    Each hidden layer takes one outward step.  Its activation range, its
-    derivative enclosure and its ``D B`` product go unpadded
-    (``pad=False``).  The range's ends lie within `_PAD_ACT` ulps of an
-    enclosure and the product's within `_J_ULPS`, and the next layer's two
-    products charge those ulps in their a-priori terms (``x_ulps`` of
-    `_interval_matvec_arrays`, whose docstring holds the argument).  A
-    nonlinear last layer keeps its pads, so the returned ends enclose on
-    their own.  A linear last layer after at least one other (every
-    benchmark net's output layer) has ``D = [1, 1]``, so its ``J`` is
-    ``B``, returned as the product computed it, and its pre-activation
-    enclosure, which only gave ``D`` its shape, is never computed.
+    Each layer takes one outward step.  A hidden layer's pre-activation
+    enclosure and activation range are the box pass's own kernel calls, so
+    they are enclosures and the next pre-activation product charges
+    nothing.  Its derivative enclosure and ``D B`` product go unpadded:
+    their ends lie within ``c m`` of an enclosure's, ``c = u + r (1 + u)``
+    with ``u = 2^-53``, ``r = _PAD_DERIV 2^-52`` and ``m = max(|end|,
+    2^-1022)``, and the next ``W J`` product charges that as `_J_ULPS` ulps
+    in its term (``x_ulps`` of `_interval_matvec_arrays`, which holds the
+    argument).  No product follows a nonlinear last layer, or a one-layer
+    net's layer, so its ``D B`` ends take one closing step of ``s =
+    _J_ULPS + 1`` (`_down`/`_up`).  By the relative bound in `_down`, s
+    steps move an end out by ``c m`` or more once ``2s (1 - u)^3 - 1 >= 17
+    + 16u`` (that is, ``c / u``) for a normal end and ``(2s - 1)(1 - u)^2 -
+    1 >= 17 + 16u`` below ``2^-1022``: ``s = 10`` meets both, ``s = 9``
+    neither.  A linear last layer after at least one other (every benchmark
+    net's output layer) has ``D = [1, 1]``, so its ``J`` is ``B``, returned
+    as the product computed it, and its pre-activation enclosure, which
+    only gave ``D`` its shape, is never computed.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     jlo = jhi = None
     last = len(net.layers) - 1
     for k, layer in enumerate(net.layers):
-        pad = k == last
         if jlo is not None:
             blo, bhi = _interval_matvec_arrays(layer._ops, jlo, jhi, bias=False, x_ulps=_J_ULPS)
-            if pad and _lookup(layer.activation).linear:
+            if k == last and _lookup(layer.activation).linear:
                 jlo, jhi = blo, bhi
                 break
-        zlo, zhi = _interval_matvec_arrays(layer._ops, lo, hi, x_ulps=0 if k == 0 else _PAD_ACT)
-        dlo, dhi = _act_deriv_arrays(layer.activation, zlo, zhi, pad)
+        zlo, zhi = _interval_matvec_arrays(layer._ops, lo, hi)
+        dlo, dhi = _act_deriv_arrays(layer.activation, zlo, zhi)
         if jlo is None:  # W_1^T (n, m_1) as (n, 1, ..., 1, m_1), against D's (..., m_1)
             t = layer._ops.t
             blo = bhi = t.reshape(t.shape[:1] + (1,) * (dlo.ndim - 1) + t.shape[1:])
-        jlo, jhi = _nonneg_imul_arrays(dlo, dhi, blo, bhi, pad)
-        if not pad:  # only the next layer reads the range, and D is built: reuse z's arrays
-            lo, hi = _act_range_arrays(layer.activation, zlo, zhi, pad, out=(zlo, zhi))
+        jlo, jhi = _nonneg_imul_arrays(dlo, dhi, blo, bhi)
+        if k == last:  # no product follows to charge the ulps: close them here
+            jlo, jhi = _down(jlo, _J_ULPS + 1), _up(jhi, _J_ULPS + 1)
+        else:  # only the next layer reads the range, and D is built: reuse z's arrays
+            lo, hi = _act_range_arrays(layer.activation, zlo, zhi, out=(zlo, zhi))
     axes = (*range(1, jlo.ndim), 0)
     return jlo.transpose(axes), jhi.transpose(axes)
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from reachbound import topology
 from reachbound.intervals import (
     _act_deriv_arrays,
     _act_range_arrays,
+    _down,
     _interval_matvec_arrays,
     _J_ULPS,
     _lookup,
     _nonneg_imul_arrays,
     _operands,
-    _PAD_ACT,
     _TILE,
+    _up,
 )
 from reachbound.topology import (
     CellGrid,
@@ -37,6 +39,11 @@ WORKLOAD_NETS = [((2, 5, 2), "tanh"), ((2, 7, 2), "tanh"), ((2, 8, 2), "sigmoid"
                  ((6, 16, 6), "tanh"), ((6, 16, 16, 6), "tanh")]
 # nets planned past six inputs (ROADMAP item 23), checked for bits across block splits
 PLANNED_NETS = [((8, 16, 8), "tanh"), ((8, 24, 8), "tanh")]
+
+
+def dec_tanh_deriv(x: Decimal) -> Decimal:
+    e = x.exp()
+    return 4 / (e + 1 / e) ** 2  # sech^2 = (2 / (e^x + e^-x))^2
 
 
 def bias_rows(*widths):
@@ -78,10 +85,11 @@ def ref_jacobian_interval_arrays(net, lo, hi):
     """The plain Jacobian chain: every layer's pre-activation enclosure and derivative
     enclosure, a linear one's too, and ``W J`` with a zero bias added.
 
-    Hidden layers go unpadded and the next products charge their ulps; the
-    last layer is padded, unless it is linear after another, where ``D = 1``
-    and the unpadded product hands ``W J`` back as computed.  ``J`` is
-    tangent-major, ``(n, ..., m_l)``, as in the kernel: BLAS may round a
+    Hidden layers take the box pass's ranges, their unpadded ``D B`` is
+    charged by the next ``W J`` product, and the last layer's ``D B`` takes
+    the closing step of ``_J_ULPS + 1``, unless it is linear after another,
+    where ``D = 1`` and the product hands ``W J`` back as computed.  ``J``
+    is tangent-major, ``(n, ..., m_l)``, as in the kernel: BLAS may round a
     row of ``W J`` differently at another position in the call."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -89,19 +97,19 @@ def ref_jacobian_interval_arrays(net, lo, hi):
     jlo = jhi = None
     last = len(net.layers) - 1
     for k, layer in enumerate(net.layers):
-        pad = k == last and not (k > 0 and _lookup(layer.activation).linear)
-        zlo, zhi = _interval_matvec_arrays(_operands(layer.weights, layer.bias), lo, hi,
-                                           x_ulps=0 if k == 0 else _PAD_ACT)
-        dlo, dhi = _act_deriv_arrays(layer.activation, zlo, zhi, pad)
+        zlo, zhi = _interval_matvec_arrays(_operands(layer.weights, layer.bias), lo, hi)
+        dlo, dhi = _act_deriv_arrays(layer.activation, zlo, zhi)
         if jlo is None:  # a C-ordered W_1^T: the unpadded product keeps its operand's order,
             # and BLAS may round an F-ordered J's rows differently
             blo = bhi = np.expand_dims(layer.weights.T.copy(), cells)
         else:
             blo, bhi = _interval_matvec_arrays(_operands(layer.weights, 0.0), jlo, jhi,
                                                x_ulps=_J_ULPS)
-        jlo, jhi = _nonneg_imul_arrays(dlo, dhi, blo, bhi, pad)
+        jlo, jhi = _nonneg_imul_arrays(dlo, dhi, blo, bhi)
         if k < last:
-            lo, hi = _act_range_arrays(layer.activation, zlo, zhi, pad)
+            lo, hi = _act_range_arrays(layer.activation, zlo, zhi)
+        elif k == 0 or not _lookup(layer.activation).linear:
+            jlo, jhi = _down(jlo, _J_ULPS + 1), _up(jhi, _J_ULPS + 1)
     return np.moveaxis(jlo, 0, -1), np.moveaxis(jhi, 0, -1)
 
 

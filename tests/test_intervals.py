@@ -26,6 +26,7 @@ from reachbound.intervals import (
     _J_ULPS,
     _lookup,
     _nonneg_imul_arrays,
+    _NORMAL,
     _operands,
     _PAD_ACT,
     _PAD_DERIV,
@@ -38,7 +39,7 @@ from reachbound.intervals import (
     _up,
 )
 
-from conftest import WORKLOAD_NETS, bias_rows, plain_add_bias
+from conftest import WORKLOAD_NETS, bias_rows, dec_tanh_deriv, plain_add_bias
 
 
 def tight(value: float, target: float, ulps: int = 4) -> bool:
@@ -386,10 +387,15 @@ def test_act_deriv_sigmoid_origin():
 
 
 def test_act_deriv_tanh_unit():
-    # min at the endpoints: tanh'(1) = 0.41997434161402606...
+    # min at the endpoints, tanh'(1) = 0.41997434161402606..., held within the stated
+    # relative error r: the lower end takes no pad
     lo, hi = as_pair(_act_deriv_arrays("tanh", *ends(-1, 1)))
     assert hi == 1.0
-    assert lo <= 0.4199743416140261 and abs(lo - 0.4199743416140261) < 1e-13
+    r = Fraction(_PAD_DERIV, 2**52)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = Fraction(dec_tanh_deriv(Decimal(1)))
+    assert Fraction(lo) * (1 - r) <= exact <= Fraction(lo) * (1 + r)
 
 
 def dec_expm1(x: Decimal) -> Decimal:
@@ -412,11 +418,6 @@ def dec_tanh(x: Decimal) -> Decimal:
 
 def dec_sigmoid(x: Decimal) -> Decimal:
     return 1 / (1 + (-x).exp())
-
-
-def dec_tanh_deriv(x: Decimal) -> Decimal:
-    e = x.exp()
-    return 4 / (e + 1 / e) ** 2  # sech^2 = (2 / (e^x + e^-x))^2
 
 
 def dec_sigmoid_deriv(x: Decimal) -> Decimal:
@@ -588,8 +589,8 @@ def test_the_tangent_product_encloses_the_decimal_derivatives(name, dec_deriv):
     b = np.array([0.7, -(2.0**-60)])  # the columns of W_1 that D multiplies
     w = np.array([[1.5, -1.25], [-1.0, 1.0], [3.0, 2.0]])
     with np.errstate(over="ignore"):
-        dlo, dhi = _act_deriv_arrays(name, x, x, pad=False)
-    jlo, jhi = _nonneg_imul_arrays(dlo, dhi, b, b, pad=False)
+        dlo, dhi = _act_deriv_arrays(name, x, x)
+    jlo, jhi = _nonneg_imul_arrays(dlo, dhi, b, b)
     lo, hi = _interval_matvec_arrays(_operands(w, 0.0), jlo, jhi, bias=False, x_ulps=_J_ULPS)
     r = Fraction(_PAD_DERIV) * Fraction(2) ** -52
     wf = [[Fraction(v) for v in row] for row in w.tolist()]
@@ -668,7 +669,7 @@ edge_floats = st.one_of(st.floats(-60, 60), st.sampled_from([0.0, -0.0, 20.5, -2
 @example(a=-25.0, b=0.5)
 @example(a=21.0, b=40.0)
 def test_act_deriv_lower_end_is_min_of_endpoint_lower_ends(name, a, b):
-    # zono_activation takes its slope from one (l, u) call instead of (l, l) and (u, u)
+    # the lower end over (l, u) is the lower of those over (l, l) and (u, u)
     l, u = np.array(min(a, b)), np.array(max(a, b))
     lam, _ = _act_deriv_arrays(name, l, u)
     dl, _ = _act_deriv_arrays(name, l, l)
@@ -818,7 +819,7 @@ def x_examples(*values):
     return apply
 
 
-@pytest.mark.parametrize("steps", [1, 4, 8])
+@pytest.mark.parametrize("steps", [1, 4, 8, 10])
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @x_examples(0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 1.0, -1.0,
             math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
@@ -833,7 +834,7 @@ def test_pad_covers_nextafter_passes(steps, x):
 def test_pad_covers_nextafter_passes_on_every_binade_edge():
     bits = np.random.default_rng(9).integers(0, 2**64, 200_000, dtype=np.uint64).view(float)
     x = np.concatenate([EDGE_FLOATS, -EDGE_FLOATS, bits[np.isfinite(bits)]])
-    for steps in range(1, 9):
+    for steps in range(1, 11):
         with np.errstate(over="ignore"):
             assert np.all(_down(x, steps) <= nextafter_steps(x, steps, -np.inf))
             assert np.all(_up(x, steps) >= nextafter_steps(x, steps, np.inf))
@@ -857,7 +858,8 @@ def test_nonneg_product_is_the_corner_product_bit_for_bit():
     rows = [dd + bb for dd, bb in product(d_pairs, b_pairs)]
     rows += zip(d0, d0 + rng.uniform(0, 1, 500), b0, b0 + rng.uniform(0, 1, 500))
     dlo, dhi, blo, bhi = np.array(rows).T
-    got = _nonneg_imul_arrays(dlo, dhi, blo, bhi)
+    lo, hi = _nonneg_imul_arrays(dlo, dhi, blo, bhi)
+    got = _down(lo), _up(hi)
     ref = _imul_arrays(dlo, dhi, blo, bhi)
     assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
 
@@ -919,16 +921,19 @@ def ref_act_range(name, lo, hi):
 def ref_act_deriv(name, lo, hi):
     act, (_, deriv) = _lookup(name), REF_F[name]
     dlo, dhi = deriv(lo), deriv(hi)
-    out_lo = np.maximum(ref_down(np.minimum(dlo, dhi), _PAD_DERIV), 0.0)
-    capped = np.minimum(ref_up(np.maximum(dlo, dhi), _PAD_DERIV), act.deriv_max)
+    low = np.minimum(dlo, dhi)
+    out_lo = np.where(low < _NORMAL, 0.0, low)
+    capped = np.minimum(np.maximum(np.maximum(dlo, dhi), _NORMAL), act.deriv_max)
     out_hi = np.where((lo <= 0.0) & (0.0 <= hi), act.deriv_max, capped)
     return out_lo, np.maximum(out_hi, out_lo)
 
 
+def ref_deriv_lower(dlo, dhi):
+    return np.maximum(ref_down(np.minimum(dlo, dhi), _PAD_DERIV), 0.0)
+
+
 def ref_nonneg_imul(dlo, dhi, blo, bhi):
-    lo = np.where(blo >= 0.0, dlo, dhi) * blo
-    hi = np.where(bhi >= 0.0, dhi, dlo) * bhi
-    return ref_down(lo), ref_up(hi)
+    return np.where(blo >= 0.0, dlo, dhi) * blo, np.where(bhi >= 0.0, dhi, dlo) * bhi
 
 
 def ref_matvec(w, b, xlo, xhi):
@@ -964,7 +969,7 @@ PAD_SCALARS = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 1.0, -1.0,
                math.nextafter(1.0, 0.0), 2.0**1023, MAX, -MAX, math.inf, -math.inf]
 
 
-@pytest.mark.parametrize("steps", range(1, 9))
+@pytest.mark.parametrize("steps", range(1, 11))
 def test_pad_bits_match_the_plain_expression(steps):
     bits = np.random.default_rng(steps).integers(0, 2**64, 20_000, dtype=np.uint64).view(float)
     vector = np.concatenate([EDGE_FLOATS, -EDGE_FLOATS, [math.inf, -math.inf],
@@ -1021,16 +1026,17 @@ def test_ranges_written_in_place_match_fresh_arrays(name):
 
 @pytest.mark.parametrize("name", ["tanh", "sigmoid"])
 def test_slope_bits_match_the_derivative_lower_end(name):
-    # the zonotope slope: one derivative call on the stacked (2, ..., d) ends
+    # the zonotope slope: one derivative call on the stacked (2, ..., d) ends, against the
+    # plain max(down(min(f'(l), f'(u)), 8), 0) of one call per end
     x, = read_only(ACT_POINTS)
     y = x[np.random.default_rng(1).permutation(x.size)]
     lo, hi = read_only(np.minimum(x, y), np.maximum(x, y))
-    deriv = _lookup(name).deriv
+    deriv = REF_F[name][1]
     with np.errstate(over="ignore"):
         for ends_ in [(lo, hi), read_only(-3.0, 2.0), read_only(-0.0, 0.0),
                       (lo[:64_000].reshape(-1, 8), hi[:64_000].reshape(-1, 8))]:
-            assert same_bits((_deriv_lower(*deriv(np.stack(ends_))),),
-                             (_act_deriv_arrays(name, *ends_)[0],))
+            assert same_bits((_deriv_lower(*_lookup(name).deriv(np.stack(ends_))),),
+                             (ref_deriv_lower(deriv(ends_[0]), deriv(ends_[1])),))
 
 
 def test_nonneg_product_bits_match_the_plain_expression():

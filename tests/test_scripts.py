@@ -319,8 +319,21 @@ def test_bench_pairs_refuses_an_unlisted_workload_before_copying(tmp_path, monke
     assert "invalid choice: 'planar-bx'" in capsys.readouterr().err
 
 
+def fake_cache_dir(path, entries):
+    """A sysfs-like cache directory: one ``index<i>`` per (level, size) entry."""
+    for i, (level, size) in enumerate(entries):
+        (path / f"index{i}").mkdir(parents=True)
+        (path / f"index{i}" / "level").write_text(f"{level}\n")
+        (path / f"index{i}" / "size").write_text(f"{size}\n")
+    return path
+
+
 def test_bench_pairs_records_numpy_and_the_l2_cache(tmp_path, monkeypatch):
     ns = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))
+    l2_cache_bytes = ns["l2_cache_bytes"]
+    none = tmp_path / "none"
+    linux = fake_cache_dir(tmp_path / "linux", [(1, "48K"), (1, "32K"), (2, "2048K"),
+                                                (3, "307200K")])
     for reported, size in ((ValueError("unrecognized configuration name"), None),
                            (OSError(), None), (0, None), (-1, None), (2**21, 2**21)):
         def sysconf(name, reported=reported):
@@ -330,7 +343,15 @@ def test_bench_pairs_records_numpy_and_the_l2_cache(tmp_path, monkeypatch):
             return reported
         with monkeypatch.context() as m:
             m.setattr(os, "sysconf", sysconf)
-            assert ns["l2_cache_bytes"]() == size
+            assert l2_cache_bytes(none) == size
+            # sysfs stands in where sysconf reports nothing, and only there
+            assert l2_cache_bytes(linux) == (size or 2048 * 2**10)
+    with monkeypatch.context() as m:
+        m.setattr(os, "sysconf", lambda name: 0)
+        for i, (entries, size) in enumerate((([(2, "1M")], 2**20), ([(2, "524288")], 524288),
+                                             ([(1, "32K")], None), ([(2, "")], None),
+                                             ([(2, "0K")], None))):
+            assert l2_cache_bytes(fake_cache_dir(tmp_path / f"case{i}", entries)) == size
     # one canned pair, no tree copied and no benchmark run
     monkeypatch.setattr(shutil, "copytree", lambda *a, **k: None)
     line = bench_run_line(100.0, 2.0)

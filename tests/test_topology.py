@@ -1,3 +1,4 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import reachbound as rb
 from reachbound import topology
+from reachbound.domains import box_propagate_arrays
 from reachbound.topology import (
     CellBatch,
     boundary_cell_batch,
@@ -17,7 +19,9 @@ from reachbound.topology import (
 )
 from conftest import (
     MIXED,
+    WORKLOAD_NETS,
     assert_dropped_cells_hold_no_zero_gradient,
+    dec_tanh_deriv,
     deep_nets,
     dropped_mask,
     interior_mask,
@@ -360,27 +364,84 @@ def test_jacobian_bits_match_the_plain_chain(case):
 
 
 def test_a_nonlinear_output_layer_keeps_its_product_pads(monkeypatch):
-    # Hidden products go unpadded, for the next product to charge; the last one
-    # has no next product, so each end must hold its exact corner products.
+    """The closing step: no product follows a nonlinear last layer to charge the ulps of
+    its unpadded ``D B``, so the ends move out by ``_J_ULPS + 1`` steps on their own.
+
+    On a tanh-output net, in `Fraction`s: each returned end lies at least the stated
+    error ``c max(|e|, 2^-1022)`` outside its unpadded end e, with ``c = u + r (1 + u)``,
+    and it holds every product ``d b`` of the 50-digit derivative range over the output's
+    pre-activation enclosure and the ``W J`` enclosure B.  One output's weights are
+    scaled by 2^-1040, so its B and ``D B`` ends are subnormal, where the stated error
+    is floored at 2^-1022 and exceeds 8 subnormal steps: a close of 8 steps falls short
+    there.
+    """
+    derivs, products = [], []
+
+    def recording(calls, kernel):
+        def record(*args):
+            got = kernel(*args)
+            calls.append(args + tuple(a.copy() for a in got))
+            return got
+        return record
+
+    monkeypatch.setattr(topology, "_act_deriv_arrays",
+                        recording(derivs, topology._act_deriv_arrays))
+    monkeypatch.setattr(topology, "_nonneg_imul_arrays",
+                        recording(products, topology._nonneg_imul_arrays))
+    hidden, out = rb.generate_network(3, [2, 6, 3], "tanh", 1.5).layers
+    weights = out.weights * np.array([[1.0], [1.0], [2.0**-1040]])
+    net = rb.Network((hidden, rb.Layer(weights, out.bias, "tanh")))
+    lo = np.random.default_rng(3).uniform(-1.0, 1.0, (100, 2))
+    jlo, jhi = (np.moveaxis(j, -1, 0) for j in jacobian_interval_arrays(net, lo, lo + 0.125))
+    _, zlo, zhi, _, _ = derivs[-1]
+    _, _, blo, bhi, elo, ehi = products[-1]
+    blo, bhi = np.broadcast_arrays(blo, bhi)
+    assert np.all(np.abs(elo[..., 2]) < 2.0**-1022) and np.any(elo[..., 2] != 0.0)
+    u, r = Fraction(1, 2**53), Fraction(8, 2**52)
+    c, floor = u + r * (1 + u), Fraction(2) ** -1022
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = {v: Fraction(dec_tanh_deriv(Decimal(v)))
+                 for v in np.concatenate([zlo, zhi], axis=None).tolist()}
+    for idx in np.ndindex(jlo.shape):  # (tangent, cell, output)
+        zl, zh = float(zlo[idx[1:]]), float(zhi[idx[1:]])
+        dl, dh = exact[zl], exact[zh]
+        d = min(dl, dh), Fraction(1) if zl <= 0.0 <= zh else max(dl, dh)
+        corners = [p * Fraction(q) for p in d for q in (blo[idx], bhi[idx])]
+        a, z = Fraction(jlo[idx]), Fraction(jhi[idx])
+        e, f = Fraction(elo[idx]), Fraction(ehi[idx])
+        assert a <= e - c * max(abs(e), floor) and f + c * max(abs(f), floor) <= z, idx
+        assert a <= min(corners) and max(corners) <= z, idx
+
+
+@pytest.mark.parametrize("dims, activation", WORKLOAD_NETS,
+                         ids=["-".join(map(str, d)) + f"-{a}" for d, a in WORKLOAD_NETS])
+def test_jacobian_hidden_layers_are_the_box_pass(monkeypatch, dims, activation):
+    """On the same rows, each hidden layer's pre-activation enclosure and activation
+    range in the Jacobian equal a chain of one-layer box passes, byte for byte: they
+    are enclosures, so the next pre-activation product has nothing to charge."""
     calls = []
 
-    def recording(*args):
-        calls.append((args, topology_nonneg_imul(*args)))
-        return calls[-1][1]
+    def recording(name, zlo, zhi, out=None):
+        z = zlo.copy(), zhi.copy()
+        got = act_range(name, zlo, zhi, out=out)
+        calls.append((z, tuple(a.copy() for a in got)))
+        return got
 
-    topology_nonneg_imul = topology._nonneg_imul_arrays
-    monkeypatch.setattr(topology, "_nonneg_imul_arrays", recording)
-    hidden, out = rb.generate_network(3, [2, 6, 3], "tanh", 1.5).layers
-    net = rb.Network((hidden, rb.Layer(out.weights, out.bias, "tanh")))
-    lo = np.random.default_rng(3).uniform(-1.0, 1.0, (20, 2))
-    jacobian_interval_arrays(net, lo, lo + 0.125)
-    assert [args[-1] for args, _ in calls] == [False, True]  # the pad flag
-    (dlo, dhi, blo, bhi, _), (jlo, jhi) = calls[-1]
-    dlo, dhi, blo, bhi = np.broadcast_arrays(dlo, dhi, blo, bhi)
-    for idx in np.ndindex(jlo.shape):
-        corners = [Fraction(d) * Fraction(b) for d in (dlo[idx], dhi[idx])
-                   for b in (blo[idx], bhi[idx])]
-        assert Fraction(jlo[idx]) <= min(corners) and max(corners) <= Fraction(jhi[idx]), idx
+    act_range = topology._act_range_arrays
+    monkeypatch.setattr(topology, "_act_range_arrays", recording)
+    net = rb.generate_network(17, list(dims), activation, 1.5)
+    rng = np.random.default_rng(len(dims))
+    lo = rng.uniform(-1.0, 1.0, (300, dims[0]))
+    hi = lo + rng.uniform(0.0, 0.25, lo.shape)
+    jacobian_interval_arrays(net, lo, hi)
+    assert len(calls) == len(net.layers) - 1
+    for layer, (z, got) in zip(net.layers, calls):
+        affine = rb.Network((rb.Layer(layer.weights, layer.bias, "linear"),))
+        want_z = box_propagate_arrays(affine, lo, hi)
+        lo, hi = box_propagate_arrays(rb.Network((layer,)), lo, hi)
+        for a, b in zip(z + got, want_z + (lo, hi)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_certify_homeomorphism_requires_square():
